@@ -2,7 +2,8 @@
 // paper's evaluation section (§III) under the Go benchmark harness: one
 // Benchmark per figure, each reporting the figure's headline metric via
 // b.ReportMetric so `go test -bench=.` doubles as the reproduction run.
-// See EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// `go run ./cmd/experiments` prints the same figures' full series as text
+// tables; no paper-vs-measured comparison is recorded in the repository.
 package fairdms
 
 import (

@@ -29,6 +29,12 @@
 // /statsz and /metricsz. -fsync picks the durability/latency trade
 // (always, interval, off).
 //
+// Requests run through the request pipeline dmsd shares with dmsrouter
+// (dmsapi.Pipeline): a request or training job that fails, or takes at
+// least -slow-threshold, keeps its span tree in the ring served at
+// GET /debug/tracez?op=&min_ms=&error=&degraded= (0 disables it), and
+// request failures are logged at -log-level (5xx warn, 4xx debug).
+//
 // Usage:
 //
 //	dmsd [-addr host:port] [-store addr] [-collection name] [-zoo path]
@@ -37,8 +43,7 @@
 //	     [-seed 1] [-max-inflight 64] [-cache 128] [-max-batch 8192]
 //	     [-vecindex flat|ivf|off] [-nprobe 4]
 //	     [-train-workers 2] [-train-queue 8]
-//	     [-slow-threshold 250ms] [-slow-log 64] [-pprof] [-v]
-//	     [-log-level info]
+//	     [-slow-threshold 250ms] [-pprof] [-log-level info]
 package main
 
 import (
@@ -141,13 +146,11 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8192, "documents per ingest:batch request before 413 (<0 = unlimited)")
 	trainWorkers := flag.Int("train-workers", 2, "parallel server-side training jobs (0 disables /v1/train)")
 	trainQueue := flag.Int("train-queue", 8, "queued training jobs before submissions shed with 429")
-	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "requests slower than this keep their span tree at /debug/slowz (0 disables)")
-	slowLog := flag.Int("slow-log", 64, "slow-request ring size")
+	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "failed requests and ones at least this slow keep their span tree at /debug/tracez (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	indexKind := flag.String("vecindex", "flat", "nearest-label vector index: flat (exact), ivf (approximate, sublinear), off (store scans)")
 	nprobe := flag.Int("nprobe", 4, "IVF sublists probed per query (higher = more accurate, slower)")
-	verbose := flag.Bool("v", false, "log request failures")
-	logLevel := flag.String("log-level", "info", "minimum log level for daemon events: debug, info, warn, error")
+	logLevel := flag.String("log-level", "info", "minimum log level for daemon events and request failures (5xx warn, 4xx debug): debug, info, warn, error")
 	flag.Parse()
 
 	level, err := obs.ParseLevel(*logLevel)
@@ -247,10 +250,6 @@ func main() {
 		}
 	}
 
-	var reqLogger *log.Logger
-	if *verbose {
-		reqLogger = log.Default()
-	}
 	cfg := dmsapi.ServerConfig{
 		DS: ds, Zoo: zoo,
 		MaxInFlight:   *maxInflight,
@@ -260,9 +259,8 @@ func main() {
 		TrainWorkers:  *trainWorkers,
 		TrainQueue:    *trainQueue,
 		SlowThreshold: *slowThreshold,
-		SlowLogSize:   *slowLog,
 		EnablePprof:   *enablePprof,
-		Logger:        reqLogger,
+		Logger:        logger,
 	}
 	if durable != nil {
 		cfg.WalStats = func() dmsapi.WalStats { return walStatsWire(durable.WalStats()) }

@@ -327,7 +327,7 @@ type remoteBackend struct {
 }
 
 func newRemoteBackend(addr string, rng *rand.Rand, warmup []*codec.Sample) (*remoteBackend, error) {
-	client, err := dmsapi.Dial(addr)
+	client, err := dmsapi.NewClient(addr)
 	if err != nil {
 		return nil, err
 	}

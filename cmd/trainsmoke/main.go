@@ -26,7 +26,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "end-to-end deadline for the train job")
 	flag.Parse()
 
-	client, err := dmsapi.Dial(*addr)
+	client, err := dmsapi.NewClient(*addr)
 	if err != nil {
 		log.Fatalf("trainsmoke: %v", err)
 	}

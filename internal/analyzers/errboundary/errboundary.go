@@ -10,8 +10,8 @@
 //  1. No raw internal returns: a handler must not `return err` bare when
 //     err's nearest preceding assignment came from another package of this
 //     module (a service call). Such errors must pass through a mapping
-//     (errf, serviceError, an errors.Is switch) that picks the status and
-//     the client-safe message.
+//     (errf, errc, serviceError, an errors.Is switch) that builds the
+//     *StatusError carrying the status and the client-safe message.
 //  2. No http.Error: plain-text error bodies bypass the package's JSON
 //     error writer; every failure must go through the boundary's encoder.
 //  3. Sentinel coverage: for each known sentinel (fairds.ErrNotFitted,
@@ -19,12 +19,12 @@
 //     a package that calls error-returning functions of the sentinel's
 //     package must map it with errors.Is somewhere — deleting the mapping
 //     turns a typed 409/429/503 into an anonymous 500.
-//  4. Envelope helper only: an error status (WriteHeader with a constant
-//     >= 400) may be written only inside an envelope writer — a function
-//     named writeError, WriteError, or WriteStatusError. An ad-hoc
-//     WriteHeader(500) elsewhere ships a body without the unified
-//     {"error": {code, message, retryable}} envelope, which clients and
-//     the cluster router parse.
+//  4. Envelope writer only: an error status (WriteHeader with a constant
+//     >= 400) may be written only inside the envelope writer — a function
+//     named WriteStatusError, the one writer both serving tiers' request
+//     pipeline calls. An ad-hoc WriteHeader(500) elsewhere ships a body
+//     without the unified {"error": {code, message, retryable}} envelope,
+//     which clients and the cluster router parse.
 package errboundary
 
 import (
@@ -241,14 +241,9 @@ func checkHTTPError(pass *anzkit.Pass) {
 	}
 }
 
-// envelopeWriters are the function names allowed to write error
-// statuses directly: the package-local helper and the shared dmsapi
-// envelope writers it delegates to.
-var envelopeWriters = map[string]bool{
-	"writeError":       true,
-	"WriteError":       true,
-	"WriteStatusError": true,
-}
+// envelopeWriter is the one function name allowed to write error
+// statuses directly: dmsapi's shared envelope writer.
+const envelopeWriter = "WriteStatusError"
 
 // checkAdHocStatus flags WriteHeader calls with a constant status >= 400
 // outside an envelope writer (rule 4).
@@ -256,7 +251,7 @@ func checkAdHocStatus(pass *anzkit.Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || envelopeWriters[fd.Name.Name] {
+			if !ok || fd.Body == nil || fd.Name.Name == envelopeWriter {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -273,7 +268,7 @@ func checkAdHocStatus(pass *anzkit.Pass) {
 					return true
 				}
 				if status, ok := constant.Int64Val(tv.Value); ok && status >= 400 {
-					pass.Reportf(call.Pos(), "ad-hoc WriteHeader(%d) in %s bypasses the JSON error envelope; route the failure through writeError/WriteError", status, fd.Name.Name)
+					pass.Reportf(call.Pos(), "ad-hoc WriteHeader(%d) in %s bypasses the JSON error envelope; return a *StatusError and let WriteStatusError write it", status, fd.Name.Name)
 				}
 				return true
 			})

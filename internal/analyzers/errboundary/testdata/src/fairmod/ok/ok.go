@@ -15,16 +15,16 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// writeError is an envelope writer by name: a constant error status
-// inside it is the sanctioned path, not an ad-hoc escape.
-func writeError(w http.ResponseWriter, msg string) {
+// WriteStatusError is the envelope writer by name: a constant error
+// status inside it is the sanctioned path, not an ad-hoc escape.
+func WriteStatusError(w http.ResponseWriter, msg string) {
 	w.WriteHeader(http.StatusBadRequest)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 func handlePost(w http.ResponseWriter, r *http.Request) error {
 	if r.URL.Query().Get("id") == "" {
-		writeError(w, "missing id")
+		WriteStatusError(w, "missing id")
 		return nil
 	}
 	w.WriteHeader(http.StatusAccepted) // non-error statuses stay free-form

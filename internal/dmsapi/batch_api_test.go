@@ -185,7 +185,7 @@ func TestBatchIngesterThroughFlakyProxy(t *testing.T) {
 		}
 	}()
 
-	client, err := Dial(proxy.Addr().String())
+	client, err := NewClient(proxy.Addr().String())
 	if err != nil {
 		t.Fatalf("dial through flaky proxy: %v", err)
 	}

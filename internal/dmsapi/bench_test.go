@@ -74,7 +74,7 @@ func BenchmarkRecommend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Shutdown(context.Background())
-			client, err := Dial(addr)
+			client, err := NewClient(addr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,9 +31,6 @@ import (
 // committed the write can surface a duplicate-side effect on retry; the
 // server's duplicate-ID rejection on AddModel makes that visible rather
 // than silent. Safe for concurrent use.
-//
-// Construct with NewClient; Dial and DialConfig remain for existing
-// call sites.
 type Client struct {
 	bases   []string // base URLs; cur indexes the currently preferred one
 	cur     atomic.Int32
@@ -46,70 +43,15 @@ type Client struct {
 	nreq    atomic.Uint64
 }
 
-// ClientConfig tunes a Client.
-//
-// Deprecated: use NewClient with functional options (WithRetry,
-// WithTimeout, WithPool, WithTraceSample, WithSeeds); the struct cannot
-// express cluster seed lists or pool sizing and is kept only for
-// existing DialConfig call sites.
-type ClientConfig struct {
-	// Retries is the number of extra attempts after a transport-level
-	// failure (default 2).
-	Retries int
-	// Backoff is the base retry delay, multiplied by the attempt number
-	// (default 50ms).
-	Backoff time.Duration
-	// Timeout bounds each HTTP request end to end (default 30s).
-	Timeout time.Duration
-	// TraceSample, when > 0 with OnTrace set, traces every Nth request end
-	// to end: the client builds a span tree around the exchange, asks the
-	// server for its span tree back (X-Dms-Trace request header, span
-	// trailer on the response), and grafts the server's tree under the
-	// round-trip span — one contiguous view from client_request down to the
-	// fairds stages. Zero disables sampling.
-	TraceSample int
-	// OnTrace receives each sampled request's merged span tree; op is
-	// "METHOD /path". Called synchronously on the requesting goroutine
-	// after the response is consumed, so keep it cheap.
-	OnTrace func(op string, dump obs.TraceDump)
-}
-
-func (c *ClientConfig) defaults() {
-	if c.Retries <= 0 {
-		c.Retries = 2
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-}
-
-// Dial builds a client for the server at addr ("host:port") and probes
-// /healthz so misconfiguration fails fast. Equivalent to NewClient(addr).
-func Dial(addr string) (*Client, error) {
-	return DialConfig(addr, ClientConfig{})
-}
-
-// DialConfig is Dial with explicit tuning.
-//
-// Deprecated: use NewClient with functional options. DialConfig keeps
-// working and maps onto the same construction path.
-func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
-	cfg.defaults()
+// NewClient builds a client for the server at addr ("host:port"),
+// applying opts over the defaults (2 retries, 50ms backoff, 30s timeout,
+// 32-connection pool), and probes /healthz so misconfiguration fails
+// fast (disable with WithoutPing).
+func NewClient(addr string, opts ...Option) (*Client, error) {
 	o := defaultOptions()
-	o.retries = cfg.Retries
-	o.backoff = cfg.Backoff
-	o.timeout = cfg.Timeout
-	o.traceSample = cfg.TraceSample
-	o.onTrace = cfg.OnTrace
-	return newClient(addr, o)
-}
-
-// newClient is the shared construction path behind NewClient and the
-// deprecated Dial/DialConfig.
-func newClient(addr string, o clientOptions) (*Client, error) {
+	for _, opt := range opts {
+		opt(&o)
+	}
 	bases := make([]string, 0, 1+len(o.seeds))
 	bases = append(bases, "http://"+addr)
 	for _, s := range o.seeds {
@@ -437,8 +379,8 @@ func (c *Client) getJSON(path string, out any) error {
 //     in that trace, and a sampled trace additionally sends the trace
 //     header and grafts the server's trailer tree back in.
 //   - sampled cadence: no trace in ctx, and this request is the Nth of
-//     the TraceSample cadence. A fresh client_request root is built and
-//     the merged dump goes to OnTrace whatever the outcome, so failed
+//     the WithTraceSample cadence. A fresh client_request root is built
+//     and the merged dump goes to onTrace whatever the outcome, so failed
 //     exchanges are visible too (just without a server subtree).
 func (c *Client) doRetry(ctx context.Context, method, path string, payload []byte) ([]byte, error) {
 	tr := obs.FromContext(ctx)

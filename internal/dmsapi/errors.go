@@ -44,8 +44,8 @@ type ErrorResponse struct {
 }
 
 // Typed sentinels for errors.Is against client-side errors. A
-// *StatusError matches the sentinel its envelope code (or, for legacy
-// plain responses, its HTTP status) implies.
+// *StatusError matches the sentinel its envelope code (or, for plain-text
+// responses, its HTTP status) implies.
 var (
 	// ErrNotFound: the named model, job, or route does not exist.
 	ErrNotFound = errors.New("dmsapi: not found")
@@ -60,11 +60,12 @@ var (
 	ErrUnavailable = errors.New("dmsapi: service unavailable")
 )
 
-// StatusError is the typed form of a non-2xx server response. Code is the
-// HTTP status; ErrCode and Retryable are decoded from the error envelope
-// (derived from the status for legacy plain-text/flat-JSON bodies). It
-// matches the package sentinels under errors.Is, so callers branch on
-// error classes without status-code arithmetic.
+// StatusError is the typed form of a non-2xx response, on both sides of
+// the wire: handlers return it to pick the status the pipeline writes, and
+// the client decodes it from the error envelope (deriving ErrCode and
+// Retryable from the status for plain-text bodies). Code is the HTTP
+// status. It matches the package sentinels under errors.Is, so callers
+// branch on error classes without status-code arithmetic.
 type StatusError struct {
 	Code      int
 	ErrCode   ErrorCode
@@ -130,35 +131,31 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// WriteError writes the unified error envelope. An empty body.Code is
-// filled from the status. This is the one place a non-2xx status is
-// written (the errboundary analyzer enforces that); the router calls it
-// with a shard's decoded envelope so 409/429/503 round-trip losslessly.
-func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
+// WriteStatusError writes err as the unified error envelope — the one
+// place a non-2xx status is written on either tier (the errboundary
+// analyzer enforces that). A *StatusError, built by a handler or decoded
+// from a shard response a router is forwarding, keeps its status, code,
+// and retryability verbatim (so 409/429/503 round-trip losslessly; an
+// empty code is filled from the status); anything else becomes a
+// 500/internal.
+func WriteStatusError(w http.ResponseWriter, err error) {
+	var se *StatusError
+	if !errors.As(err, &se) {
+		se = &StatusError{Code: http.StatusInternalServerError, ErrCode: CodeInternal, Message: err.Error()}
+	}
+	body := ErrorBody{Code: se.ErrCode, Message: se.Message, Retryable: se.Retryable}
 	if body.Code == "" {
-		body.Code = codeForStatus(status)
+		body.Code = codeForStatus(se.Code)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(se.Code)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: body})
 }
 
-// WriteStatusError writes err as an envelope response. A *StatusError —
-// typically a shard response a router is forwarding — keeps its status,
-// code, and retryability verbatim; anything else becomes a 500/internal.
-func WriteStatusError(w http.ResponseWriter, err error) {
-	var se *StatusError
-	if errors.As(err, &se) {
-		WriteError(w, se.Code, ErrorBody{Code: se.ErrCode, Message: se.Message, Retryable: se.Retryable})
-		return
-	}
-	WriteError(w, http.StatusInternalServerError, ErrorBody{Code: CodeInternal, Message: err.Error()})
-}
-
-// statusError decodes a non-2xx response body into a *StatusError:
-// envelope first, then the pre-envelope flat {"error": "..."} shape, then
-// the raw body — so the client degrades cleanly against older servers and
-// non-dmsapi intermediaries.
+// statusError decodes a non-2xx response body into a *StatusError: the
+// envelope when there is one, else the raw body with the code derived
+// from the status — net/http's own answers (ServeMux's 404/405, a
+// proxy's 502) are plain text.
 func statusError(status int, body []byte) error {
 	var er ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error.Message != "" {
@@ -169,20 +166,10 @@ func statusError(status int, body []byte) error {
 			Retryable: er.Error.Retryable,
 		}
 	}
-	msg := ""
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &legacy); err == nil {
-		msg = legacy.Error
-	}
-	if msg == "" {
-		msg = strings.TrimSpace(string(body))
-	}
 	return &StatusError{
 		Code:      status,
 		ErrCode:   codeForStatus(status),
-		Message:   msg,
+		Message:   strings.TrimSpace(string(body)),
 		Retryable: retryableStatus(status),
 	}
 }

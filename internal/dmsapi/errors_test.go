@@ -1,6 +1,7 @@
 package dmsapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,46 +11,42 @@ import (
 )
 
 // TestEnvelopeRoundTrip pins the wire contract the router tier relies
-// on: WriteError's envelope decodes back (via statusError, the client's
-// decode path) into an identical *StatusError — status, code, message,
-// and retryability all lossless, however many hops it crosses.
+// on: WriteStatusError's envelope decodes back (via statusError, the
+// client's decode path) into an identical *StatusError — status, code,
+// message, and retryability all lossless, however many hops it crosses.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	cases := []struct {
-		name   string
-		status int
-		body   ErrorBody
-		want   StatusError
+		name  string
+		write error
+		want  StatusError
 	}{
 		{
-			name:   "409 not_fitted",
-			status: http.StatusConflict,
-			body:   ErrorBody{Code: CodeNotFitted, Message: "clustering model not fitted"},
-			want:   StatusError{Code: 409, ErrCode: CodeNotFitted, Message: "clustering model not fitted"},
+			name:  "409 not_fitted",
+			write: errc(http.StatusConflict, CodeNotFitted, "clustering model not fitted"),
+			want:  StatusError{Code: 409, ErrCode: CodeNotFitted, Message: "clustering model not fitted"},
 		},
 		{
-			name:   "429 overloaded retryable",
-			status: http.StatusTooManyRequests,
-			body:   ErrorBody{Code: CodeOverloaded, Message: "queue full", Retryable: true},
-			want:   StatusError{Code: 429, ErrCode: CodeOverloaded, Message: "queue full", Retryable: true},
+			// errf derives both the code and retryability from the status.
+			name:  "429 overloaded retryable",
+			write: errf(http.StatusTooManyRequests, "queue full"),
+			want:  StatusError{Code: 429, ErrCode: CodeOverloaded, Message: "queue full", Retryable: true},
 		},
 		{
-			name:   "503 degraded retryable",
-			status: http.StatusServiceUnavailable,
-			body:   ErrorBody{Code: CodeDegraded, Message: "all shards failed", Retryable: true},
-			want:   StatusError{Code: 503, ErrCode: CodeDegraded, Message: "all shards failed", Retryable: true},
+			name:  "503 degraded retryable",
+			write: &StatusError{Code: 503, ErrCode: CodeDegraded, Message: "all shards failed", Retryable: true},
+			want:  StatusError{Code: 503, ErrCode: CodeDegraded, Message: "all shards failed", Retryable: true},
 		},
 		{
 			// An empty code is filled from the status before it hits the wire.
-			name:   "404 code derived from status",
-			status: http.StatusNotFound,
-			body:   ErrorBody{Message: "no such model"},
-			want:   StatusError{Code: 404, ErrCode: CodeNotFound, Message: "no such model"},
+			name:  "404 code derived from status",
+			write: &StatusError{Code: 404, Message: "no such model"},
+			want:  StatusError{Code: 404, ErrCode: CodeNotFound, Message: "no such model"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			WriteError(rec, tc.status, tc.body)
+			WriteStatusError(rec, tc.write)
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("envelope content type %q", ct)
 			}
@@ -86,31 +83,34 @@ func TestWriteStatusErrorForwarding(t *testing.T) {
 	}
 }
 
-// TestStatusErrorLegacyDecode checks the client degrades cleanly against
-// pre-envelope servers and non-dmsapi intermediaries: the flat
-// {"error": "..."} shape and raw text bodies still decode, with code and
-// retryability derived from the HTTP status.
-func TestStatusErrorLegacyDecode(t *testing.T) {
-	err := statusError(http.StatusConflict, []byte(`{"error":"model exists"}`))
+// TestStatusErrorPlainTextDecode checks the client degrades cleanly
+// against answers that never passed through a handler: raw text bodies
+// decode with code and retryability derived from the HTTP status — from a
+// proxy, and from http.ServeMux itself, whose 405 for a known path under
+// the wrong method is plain text on both tiers.
+func TestStatusErrorPlainTextDecode(t *testing.T) {
+	err := statusError(http.StatusServiceUnavailable, []byte("upstream connect error\n"))
 	var se *StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("legacy decode produced %T", err)
-	}
-	if se.ErrCode != CodeConflict || se.Message != "model exists" || se.Retryable {
-		t.Fatalf("legacy flat decode: %+v", se)
-	}
-
-	err = statusError(http.StatusServiceUnavailable, []byte("upstream connect error\n"))
 	if !errors.As(err, &se) {
 		t.Fatalf("raw decode produced %T", err)
 	}
 	if se.ErrCode != CodeUnavailable || se.Message != "upstream connect error" || !se.Retryable {
 		t.Fatalf("raw body decode: %+v", se)
 	}
+
+	_, client := startServer(t, ServerConfig{})
+	_, err = client.DoRaw(context.Background(), "DELETE", PathModels, nil)
+	if !errors.As(err, &se) {
+		t.Fatalf("DELETE %s: got %T (%v), want *StatusError", PathModels, err, err)
+	}
+	if se.Code != http.StatusMethodNotAllowed || se.ErrCode != codeForStatus(http.StatusMethodNotAllowed) ||
+		se.Message == "" || se.Retryable {
+		t.Fatalf("mux 405 decode: %+v", se)
+	}
 }
 
 // TestStatusErrorSentinels checks errors.Is classification, including
-// legacy responses that only carry a status.
+// plain-text responses that only carry a status.
 func TestStatusErrorSentinels(t *testing.T) {
 	cases := []struct {
 		err      *StatusError
@@ -122,7 +122,7 @@ func TestStatusErrorSentinels(t *testing.T) {
 		{&StatusError{Code: 429, ErrCode: CodeOverloaded}, ErrOverloaded},
 		{&StatusError{Code: 503, ErrCode: CodeUnavailable}, ErrUnavailable},
 		{&StatusError{Code: 503, ErrCode: CodeDegraded}, ErrUnavailable},
-		// Legacy: status only, derived code.
+		// Plain-text responses: status only, derived code.
 		{&StatusError{Code: 404, ErrCode: CodeInternal}, ErrNotFound},
 		{&StatusError{Code: 429, ErrCode: CodeInternal}, ErrOverloaded},
 	}
@@ -137,8 +137,7 @@ func TestStatusErrorSentinels(t *testing.T) {
 }
 
 // TestNewClientOptions covers the functional-option constructor: options
-// compose over defaults, and the deprecated ClientConfig path still
-// builds a working client.
+// compose over defaults.
 func TestNewClientOptions(t *testing.T) {
 	srv, _ := startServer(t, ServerConfig{})
 	addr := srv.Addr()
@@ -153,16 +152,6 @@ func TestNewClientOptions(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The deprecated struct path is still wired through.
-	legacy, err := DialConfig(addr, ClientConfig{Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(legacy.Close)
-	if err := legacy.Ping(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -39,7 +39,7 @@ func benchIngestServer(b *testing.B, docs []*codec.Sample) *Client {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Shutdown(context.Background()) })
-	client, err := Dial(addr)
+	client, err := NewClient(addr)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dmsapi
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -86,7 +87,7 @@ func TestTraceSpansThreeTiers(t *testing.T) {
 
 	srv, _ := startServer(t, ServerConfig{DS: svc})
 	sink := &traceSink{}
-	client, err := DialConfig(srv.Addr(), ClientConfig{TraceSample: 1, OnTrace: sink.add})
+	client, err := NewClient(srv.Addr(), WithTraceSample(1, sink.add))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestMetricszExposition(t *testing.T) {
 		"dms_index_ready", "dms_index_size", "dms_index_hits_total",
 		"dms_index_misses_total", "dms_index_probed_total",
 		"dms_index_lists_probed_total", "dms_index_corrupt_total",
-		"dms_slow_requests_total",
+		"dms_retained_traces_total",
 		"dms_train_submitted_total", "dms_train_completed_total",
 		"dms_train_failed_total", "dms_train_canceled_total",
 		"dms_train_warm_starts_total", "dms_train_cold_starts_total",
@@ -245,69 +246,148 @@ func TestMetricszExposition(t *testing.T) {
 	}
 }
 
-// TestSlowzCapturesSlowRequests runs a server whose slow threshold is one
-// nanosecond — everything is slow — and checks the ring serves entries with
-// full span trees, slowest first.
-func TestSlowzCapturesSlowRequests(t *testing.T) {
-	srv, client := startServer(t, ServerConfig{SlowThreshold: time.Nanosecond, SlowLogSize: 8})
-	a, _ := twoRegimes(17, 24)
-	if _, err := client.Ingest("regime-a", a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.PDF(a[:6]); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get("http://" + srv.Addr() + PathSlow)
+// getTracez fetches GET /debug/tracez with an optional query string.
+func getTracez(t *testing.T, addr, query string) (int, TracezResponse) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + PathTraces + query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", PathSlow, resp.StatusCode)
+	var out TracezResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var out SlowzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	return resp.StatusCode, out
+}
+
+// TestTracezRetainsSlowOperations runs a server whose threshold is one
+// nanosecond — every data request and training job is slow — and checks
+// the ring serves them newest first with full span trees, that the
+// server's own observability surfaces never enter it, and the query
+// filters.
+func TestTracezRetainsSlowOperations(t *testing.T) {
+	srv, client := startServer(t, ServerConfig{SlowThreshold: time.Nanosecond, TrainWorkers: 1})
+	if _, err := client.Ingest("scan-00", trainMeanSamples(17, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if out.ThresholdMS <= 0 {
-		t.Errorf("threshold_ms = %v", out.ThresholdMS)
+	req := trainRequest("slow-job")
+	req.Epochs = 3
+	job, err := client.SubmitTrain(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Total < 2 || len(out.Entries) < 2 {
-		t.Fatalf("slow ring total=%d entries=%d after 2+ requests", out.Total, len(out.Entries))
+	if job, err = client.WaitTrain(job.ID, 5*time.Millisecond, time.Minute); err != nil || job.State != "done" {
+		t.Fatalf("train job: state %q, err %v", job.State, err)
 	}
-	for i := 1; i < len(out.Entries); i++ {
-		if out.Entries[i].DurMS > out.Entries[i-1].DurMS {
-			t.Fatalf("entries not slowest-first: %v then %v",
-				out.Entries[i-1].DurMS, out.Entries[i].DurMS)
-		}
+	if _, err := client.ServerStats(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PDF(trainMeanSamples(18, 6)); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out := getTracez(t, srv.Addr(), "")
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", PathTraces, code)
+	}
+	if out.Total < 4 || len(out.Traces) < 4 {
+		t.Fatalf("ring total=%d traces=%d after ingest, submit, job and pdf", out.Total, len(out.Traces))
+	}
+	if out.Traces[0].Op != "data.pdf" {
+		t.Errorf("not newest-first: first entry is %s", out.Traces[0].Op)
 	}
 	// Unsampled requests still retain their span trees — that is the point
 	// of the always-on ring.
 	seen := map[string]bool{}
-	for _, e := range out.Entries {
-		seen[e.Endpoint] = true
-		if e.Endpoint == "data.ingest" && spanIndex(e.Trace, "embed") < 0 {
-			t.Errorf("ingest slow entry lost its stage spans: %v", e.Trace.SpanNames())
+	for _, e := range out.Traces {
+		seen[e.Op] = true
+		root := "request"
+		if e.Op == "train.job" {
+			root = "train_job"
 		}
-		if spanIndex(e.Trace, "request") < 0 {
-			t.Errorf("slow entry %s has no request span: %v", e.Endpoint, e.Trace.SpanNames())
+		if spanIndex(e.Trace, root) < 0 {
+			t.Errorf("%s entry has no %s span: %v", e.Op, root, e.Trace.SpanNames())
+		}
+		if e.Op == "data.ingest" && spanIndex(e.Trace, "embed") < 0 {
+			t.Errorf("ingest entry lost its stage spans: %v", e.Trace.SpanNames())
+		}
+		if e.Error != "" || e.Degraded {
+			t.Errorf("clean slow entry flagged: %+v", e)
 		}
 	}
-	if !seen["data.ingest"] {
-		t.Errorf("slow ring never saw data.ingest: %v", seen)
+	for _, op := range []string{"data.ingest", "train.submit", "train.job", "data.pdf"} {
+		if !seen[op] {
+			t.Errorf("ring never saw %s: %v", op, seen)
+		}
+	}
+	for _, op := range []string{"healthz", "statsz", "metricsz", "tracez"} {
+		if seen[op] {
+			t.Errorf("meta endpoint %s was retained", op)
+		}
+	}
+
+	if _, out = getTracez(t, srv.Addr(), "?op=data.ingest"); len(out.Traces) != 1 || out.Traces[0].Op != "data.ingest" {
+		t.Errorf("op filter: %+v", out.Traces)
+	}
+	if code, out = getTracez(t, srv.Addr(), "?min_ms=3600000"); code != http.StatusOK || len(out.Traces) != 0 || out.Total < 4 {
+		t.Errorf("min_ms filter: status %d, %d traces, total %d", code, len(out.Traces), out.Total)
+	}
+	if code, _ = getTracez(t, srv.Addr(), "?min_ms=soon"); code != http.StatusBadRequest {
+		t.Errorf("bad min_ms: status %d, want 400", code)
 	}
 }
 
-func TestSlowzDisabledIs404(t *testing.T) {
-	srv, _ := startServer(t, ServerConfig{}) // no SlowThreshold
-	resp, err := http.Get("http://" + srv.Addr() + PathSlow)
+// TestTracezRetainsFailuresOnly runs a server nothing is slow on: clean
+// fast requests leave the ring empty, a failed request and a failed
+// training job are kept with their error.
+func TestTracezRetainsFailuresOnly(t *testing.T) {
+	srv, client := startServer(t, ServerConfig{SlowThreshold: time.Hour, TrainWorkers: 1})
+	a, _ := twoRegimes(17, 24)
+	if _, err := client.Ingest("regime-a", a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Nearest(a[:3], false); err != nil {
+		t.Fatal(err)
+	}
+	if _, out := getTracez(t, srv.Addr(), ""); out.Total != 0 || len(out.Traces) != 0 {
+		t.Fatalf("fast clean requests were retained: %+v", out)
+	}
+
+	if _, err := client.DoRaw(context.Background(), "POST", PathCertainty, []byte("{")); err == nil {
+		t.Fatal("malformed certainty succeeded")
+	}
+	req := trainRequest("doomed")
+	req.Dataset = "no-such-dataset"
+	job, err := client.SubmitTrain(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("slowz without a threshold: status %d, want 404", resp.StatusCode)
+	if job, err = client.WaitTrain(job.ID, 5*time.Millisecond, time.Minute); err != nil || job.State != "failed" {
+		t.Fatalf("train job on a missing dataset: state %q, err %v", job.State, err)
+	}
+
+	_, out := getTracez(t, srv.Addr(), "?error=true")
+	if out.Total != 2 || len(out.Traces) != 2 {
+		t.Fatalf("retained %d (total %d), want the failed job and the failed request: %+v", len(out.Traces), out.Total, out.Traces)
+	}
+	if e := out.Traces[0]; e.Op != "train.job" || e.Error == "" || spanIndex(e.Trace, "train_job") < 0 {
+		t.Errorf("failed job entry: %+v", e)
+	}
+	if e := out.Traces[1]; e.Op != "data.certainty" || e.Error == "" || spanIndex(e.Trace, "request") < 0 {
+		t.Errorf("failed request entry: %+v", e)
+	}
+	if _, out = getTracez(t, srv.Addr(), "?error=false"); len(out.Traces) != 0 {
+		t.Errorf("error=false matched %+v", out.Traces)
+	}
+}
+
+func TestTracezDisabledIs404(t *testing.T) {
+	srv, _ := startServer(t, ServerConfig{}) // no SlowThreshold
+	if code, _ := getTracez(t, srv.Addr(), ""); code != http.StatusNotFound {
+		t.Fatalf("tracez without a threshold: status %d, want 404", code)
 	}
 }
 

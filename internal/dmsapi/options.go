@@ -6,10 +6,8 @@ import (
 	"fairdms/internal/obs"
 )
 
-// Option tunes a Client built by NewClient. Options replace the older
-// ClientConfig struct: they compose, keep zero-value defaults in one
-// place, and extend without breaking call sites (WithSeeds arrived for
-// the cluster tier without touching any existing constructor call).
+// Option tunes a Client built by NewClient: options compose, keep the
+// defaults in one place, and extend without breaking call sites.
 type Option func(*clientOptions)
 
 // clientOptions is the resolved option set; NewClient applies defaults
@@ -67,9 +65,14 @@ func WithPool(n int) Option {
 	}
 }
 
-// WithTraceSample traces every nth request end to end and hands the
-// merged client+server span tree to onTrace (see ClientConfig.TraceSample
-// for the wire mechanics). n <= 0 or a nil onTrace disables sampling.
+// WithTraceSample traces every nth request end to end: the client builds
+// a span tree around the exchange, asks the server for its span tree back
+// (X-Dms-Trace request header, span trailer on the response), and grafts
+// the server's tree under the round-trip span — one contiguous view from
+// client_request down to the fairds stages. onTrace receives each sampled
+// request's merged tree with op "METHOD /path"; it is called
+// synchronously on the requesting goroutine after the response is
+// consumed, so keep it cheap. n <= 0 or a nil onTrace disables sampling.
 func WithTraceSample(n int, onTrace func(op string, dump obs.TraceDump)) Option {
 	return func(o *clientOptions) {
 		o.traceSample = n
@@ -91,16 +94,4 @@ func WithSeeds(addrs ...string) Option {
 // per-shard clients before the shards are necessarily up).
 func WithoutPing() Option {
 	return func(o *clientOptions) { o.ping = false }
-}
-
-// NewClient builds a client for the server at addr ("host:port"),
-// applying opts over the defaults (2 retries, 50ms backoff, 30s timeout,
-// 32-connection pool), and probes /healthz so misconfiguration fails
-// fast (disable with WithoutPing). It supersedes Dial/DialConfig.
-func NewClient(addr string, opts ...Option) (*Client, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newClient(addr, o)
 }

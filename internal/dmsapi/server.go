@@ -8,8 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -23,7 +21,6 @@ import (
 	"fairdms/internal/codec"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
-	"fairdms/internal/hdrhist"
 	"fairdms/internal/nn"
 	"fairdms/internal/obs"
 	"fairdms/internal/trainer"
@@ -33,9 +30,8 @@ import (
 const (
 	defaultMaxInFlight  = 64
 	defaultCacheSize    = 128
-	defaultMaxBodyBytes = 256 << 20 // 256 MiB: generous for sample batches, blocks runaway bodies
-	defaultMaxBatchDocs = 8192      // documents per ingest:batch request
-	defaultSlowLogSize  = 64        // slow-request ring entries
+	defaultMaxBatchDocs = 8192 // documents per ingest:batch request
+	traceRingSize       = 64   // retained span trees when SlowThreshold arms the ring
 )
 
 // ServerConfig wires a Server to its two services and tunes its behavior.
@@ -73,14 +69,12 @@ type ServerConfig struct {
 	// TrainQueue bounds jobs waiting for a training worker; submissions
 	// past it are shed with 429. Zero means trainer.DefaultQueue.
 	TrainQueue int
-	// SlowThreshold enables the always-on slow-request log: requests
-	// slower than this retain their full span tree in a ring served at
-	// GET /debug/slowz. Zero or negative disables the log (the route
-	// answers 404) and with it the per-request tracing overhead for
-	// unsampled requests.
+	// SlowThreshold enables always-on tail-based trace retention: requests
+	// (and training jobs) that failed or ran at least this long keep their
+	// full span tree in a ring served at GET /debug/tracez. Zero or
+	// negative disables the ring (the route answers 404) and with it the
+	// per-request tracing overhead for unsampled requests.
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the slow-request ring (default 64 entries).
-	SlowLogSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (opt-in: the
 	// profiling surface should not be reachable on every deployment).
 	EnablePprof bool
@@ -89,20 +83,21 @@ type ServerConfig struct {
 	// (the dms_wal_* families). The daemon installs it when it runs the
 	// store in WAL-durable mode; nil omits the surface entirely.
 	WalStats func() WalStats
-	// Logger receives request-failure logs; nil silences them.
-	Logger *log.Logger
+	// Logger receives request failures (5xx at warn, 4xx at debug) and
+	// fit / training-job lifecycle events; nil silences them.
+	Logger *obs.Logger
 }
 
 // Server exposes a fairds.Service and fairms.Zoo over HTTP/JSON. It is
 // production-shaped: bounded in-flight concurrency with 429 shedding, a
 // coalescing LRU cache on the hot read paths (recommend, PDF), per-endpoint
 // request/error/latency counters surfaced at /statsz, and graceful
-// shutdown. Safe for concurrent use.
+// shutdown. The request path itself — admission, tracing, metrics, the
+// error envelope, /debug/tracez, the listener — is the embedded Pipeline,
+// the same code dmsrouter runs. Safe for concurrent use.
 type Server struct {
+	*Pipeline
 	cfg   ServerConfig
-	mux   *http.ServeMux
-	http  *http.Server
-	lis   net.Listener
 	start time.Time
 
 	// dsMu guards the fairds.Service: the bootstrap fit mutates its
@@ -115,12 +110,6 @@ type Server struct {
 	// mid-bootstrap.
 	clusterK atomic.Int64
 
-	// sem is the in-flight admission semaphore (nil = unlimited).
-	sem      chan struct{}
-	inFlight atomic.Int64
-	shed     atomic.Int64
-	requests atomic.Int64
-
 	cache *cache
 	// zooGen/clusterGen version the cache keyspace: adding a model
 	// invalidates recommend results, refitting clusters invalidates PDF
@@ -129,59 +118,10 @@ type Server struct {
 	zooGen     atomic.Uint64
 	clusterGen atomic.Uint64
 
-	metrics map[string]*endpointMetrics
-
-	// reg is the central metrics registry behind GET /metricsz; every
-	// /statsz counter is mirrored into it as a func-backed metric reading
-	// the same atomics, so the two surfaces cannot drift. slow is the
-	// always-on slow-request ring behind GET /debug/slowz.
-	reg  *obs.Registry
-	slow *obs.SlowLog
-
-	epErrors  *obs.CounterVec
-	epLatency *obs.HistogramVec
-
 	// trainer is the embedded training-job subsystem (nil when
 	// TrainWorkers == 0). Its jobs read the data service under dsMu's
 	// read side and bump zooGen when a checkpoint lands in the zoo.
 	trainer *trainer.Manager
-}
-
-// endpointMetrics accumulates per-endpoint counters. Both live in the
-// metrics registry (error counter and latency histogram keyed by
-// endpoint), so /statsz and /metricsz read the very same atomics; the
-// histogram is lock-free, so neither the request path nor a concurrent
-// scrape ever serializes on a stats lock.
-type endpointMetrics struct {
-	errors *obs.Counter
-	hist   *hdrhist.Histogram
-}
-
-func (m *endpointMetrics) observe(d time.Duration, failed bool) {
-	if failed {
-		m.errors.Inc()
-	}
-	m.hist.Record(d)
-}
-
-// httpError carries a status and envelope code through handler returns.
-type httpError struct {
-	code    int
-	errCode ErrorCode
-	msg     string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-// errf builds a handler error whose envelope code is derived from the
-// HTTP status; errc is the variant for statuses with more than one
-// meaning (409 is conflict or not_fitted).
-func errf(code int, format string, args ...any) error {
-	return &httpError{code: code, errCode: codeForStatus(code), msg: fmt.Sprintf(format, args...)}
-}
-
-func errc(code int, errCode ErrorCode, format string, args ...any) error {
-	return &httpError{code: code, errCode: errCode, msg: fmt.Sprintf(format, args...)}
 }
 
 // NewServer validates the config and builds the routing table; call Listen
@@ -196,56 +136,52 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = defaultCacheSize
 	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
-	}
 	if cfg.MaxBatchDocs == 0 {
 		cfg.MaxBatchDocs = defaultMaxBatchDocs
 	}
-	if cfg.SlowLogSize == 0 {
-		cfg.SlowLogSize = defaultSlowLogSize
+	pc := PipelineConfig{
+		MetricPrefix: "dms_",
+		RootSpan:     "request",
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		MaxInFlight:  cfg.MaxInFlight,
+		TraceSlow:    cfg.SlowThreshold,
+		Logger:       cfg.Logger,
+	}
+	if cfg.SlowThreshold > 0 {
+		pc.TraceRing = traceRingSize
 	}
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		cache:   newCache(max(cfg.CacheSize, 0)),
-		metrics: make(map[string]*endpointMetrics),
-		reg:     obs.NewRegistry(),
-		slow:    obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowThreshold),
-	}
-	if cfg.MaxInFlight > 0 {
-		s.sem = make(chan struct{}, cfg.MaxInFlight)
+		Pipeline: NewPipeline(pc),
+		cfg:      cfg,
+		start:    time.Now(),
+		cache:    newCache(max(cfg.CacheSize, 0)),
 	}
 	s.clusterK.Store(int64(cfg.DS.K()))
 	s.registerMetrics()
 
-	s.route("POST "+PathIngest, "data.ingest", true, s.handleIngest)
-	s.route("POST "+PathIngestBatch, "data.ingest_batch", true, s.handleIngestBatch)
-	s.route("POST "+PathCertainty, "data.certainty", true, s.handleCertainty)
-	s.route("POST "+PathLookup, "data.lookup", true, s.handleLookup)
-	s.route("POST "+PathNearest, "data.nearest", true, s.handleNearest)
-	s.route("POST "+PathPDF, "data.pdf", true, s.handlePDF)
-	s.route("POST "+PathFit, "data.fit", true, s.handleFit)
-	s.route("POST "+PathSamples, "data.samples", true, s.handleSamples)
-	s.route("POST "+PathClusterIDs, "data.ids", true, s.handleClusterIDs)
-	s.route("POST "+PathModels, "models.add", true, s.handleAddModel)
-	s.route("GET "+PathModels, "models.list", true, s.handleListModels)
-	s.route("POST "+PathRecommend, "models.recommend", true, s.handleRecommend)
-	s.route("GET "+PathCheckpoint, "models.checkpoint", true, s.handleCheckpoint)
-	s.route("GET "+PathHealth, "healthz", false, s.handleHealth)
-	s.route("GET "+PathStats, "statsz", false, s.handleStats)
-	// Scrape and debug surfaces share the shed exemption with health and
-	// stats: an overloaded server is exactly when its metrics and slow
-	// traces are needed.
-	s.route("GET "+PathMetrics, "metricsz", false, s.handleMetrics)
-	s.route("GET "+PathSlow, "slowz", false, s.handleSlow)
+	s.Handle("POST "+PathIngest, "data.ingest", 0, s.handleIngest)
+	s.Handle("POST "+PathIngestBatch, "data.ingest_batch", 0, s.handleIngestBatch)
+	s.Handle("POST "+PathCertainty, "data.certainty", 0, s.handleCertainty)
+	s.Handle("POST "+PathLookup, "data.lookup", 0, s.handleLookup)
+	s.Handle("POST "+PathNearest, "data.nearest", 0, s.handleNearest)
+	s.Handle("POST "+PathPDF, "data.pdf", 0, s.handlePDF)
+	s.Handle("POST "+PathFit, "data.fit", 0, s.handleFit)
+	s.Handle("POST "+PathSamples, "data.samples", 0, s.handleSamples)
+	s.Handle("POST "+PathClusterIDs, "data.ids", 0, s.handleClusterIDs)
+	s.Handle("POST "+PathModels, "models.add", 0, s.handleAddModel)
+	s.Handle("GET "+PathModels, "models.list", 0, s.handleListModels)
+	s.Handle("POST "+PathRecommend, "models.recommend", 0, s.handleRecommend)
+	s.Handle("GET "+PathCheckpoint, "models.checkpoint", 0, s.handleCheckpoint)
+	s.Handle("GET "+PathHealth, "healthz", ShedExempt|Meta, s.handleHealth)
+	s.Handle("GET "+PathStats, "statsz", ShedExempt|Meta, s.handleStats)
+	s.Handle("GET "+PathMetrics, "metricsz", ShedExempt|Meta, s.handleMetrics)
 	if cfg.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		mux := s.Handler()
+		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 
 	if cfg.TrainWorkers > 0 {
@@ -260,13 +196,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			// A checkpoint landing in the zoo invalidates memoized
 			// recommend results exactly like a client-side model add.
 			OnRegister: func(string) { s.zooGen.Add(1) },
-			// Job stage timings land in the same registry and slow-request
+			// Job stage timings land in the same registry and retention
 			// ring as serving traffic: epoch durations under
-			// dms_train_epoch_seconds, and any job slower than the request
-			// threshold retains its span tree in /debug/slowz.
-			Obs: s.reg,
-			OnTrace: func(d time.Duration, dump obs.TraceDump) {
-				s.slow.Observe("train.job", d, time.Now(), func() obs.TraceDump { return dump })
+			// dms_train_epoch_seconds, and a job that failed or ran longer
+			// than the request threshold keeps its span tree in
+			// /debug/tracez as op train.job.
+			Obs: s.Registry(),
+			OnTrace: func(d time.Duration, err error, tr *obs.Trace) {
+				s.Retain("train.job", d, err, tr)
 			},
 			Logger: cfg.Logger,
 		})
@@ -281,10 +218,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// held. Cancels are exempt too — under overload, the one request
 		// that frees an expensive training worker must not be the one
 		// rejected. Status reads stay shed like any other read.
-		s.route("POST "+PathTrain, "train.submit", false, s.handleTrainSubmit)
-		s.route("GET "+PathTrain, "train.list", true, s.handleTrainList)
-		s.route("GET "+PathTrainJob, "train.get", true, s.handleTrainGet)
-		s.route("POST "+PathTrainJob, "train.cancel", false, s.handleTrainCancel)
+		s.Handle("POST "+PathTrain, "train.submit", ShedExempt, s.handleTrainSubmit)
+		s.Handle("GET "+PathTrain, "train.list", 0, s.handleTrainList)
+		s.Handle("GET "+PathTrainJob, "train.get", 0, s.handleTrainGet)
+		s.Handle("POST "+PathTrainJob, "train.cancel", ShedExempt, s.handleTrainCancel)
 	}
 	return s, nil
 }
@@ -293,27 +230,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // disabled) — used by the daemon and tests.
 func (s *Server) Trainer() *trainer.Manager { return s.trainer }
 
-// Registry exposes the server's metrics registry so the daemon can hang
-// additional collectors (e.g. docstore RPC instrumentation) onto the same
-// /metricsz surface.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// SlowLog exposes the slow-request ring (disabled unless
-// ServerConfig.SlowThreshold > 0).
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
-
-// registerMetrics mirrors every /statsz counter into the Prometheus
-// registry. Top-level, cache, and index counters stay owned by their
+// registerMetrics mirrors every /statsz counter the server owns into the
+// Prometheus registry. Cache and index counters stay owned by their
 // existing atomics and are read through closures — one source of truth,
-// two exposition formats. Per-endpoint series are added lazily by route().
+// two exposition formats. The request, shed, in-flight, retention and
+// per-endpoint series are the pipeline's.
 func (s *Server) registerMetrics() {
-	r := s.reg
+	r := s.Registry()
 	r.GaugeFunc("dms_uptime_seconds", "seconds since server start",
 		func() float64 { return time.Since(s.start).Seconds() })
-	r.CounterFunc("dms_requests_total", "requests handled (shed excluded)", s.requests.Load)
-	r.CounterFunc("dms_shed_total", "requests rejected with 429 by admission control", s.shed.Load)
-	r.GaugeFunc("dms_in_flight", "requests currently being handled",
-		func() float64 { return float64(s.inFlight.Load()) })
 	r.GaugeFunc("dms_cluster_k", "fitted cluster count (0 = awaiting bootstrap)",
 		func() float64 { return float64(s.clusterK.Load()) })
 
@@ -345,8 +270,6 @@ func (s *Server) registerMetrics() {
 		func() int64 { return s.cfg.DS.IndexStats().ListsProbed })
 	r.CounterFunc("dms_index_corrupt_total", "corrupt stored-document observations",
 		func() int64 { return s.cfg.DS.IndexStats().Corrupt })
-
-	r.CounterFunc("dms_slow_requests_total", "requests over the slow-log threshold", s.slow.Total)
 
 	if s.cfg.TrainWorkers > 0 {
 		trainStats := func(pick func(trainer.Stats) int64) func() int64 {
@@ -406,121 +329,14 @@ func (s *Server) registerMetrics() {
 		r.CounterFunc("dms_wal_compactions_total", "WAL compactions folded into the snapshot",
 			walStat(func(w WalStats) int64 { return w.Compactions }))
 	}
-
-	s.epErrors = r.CounterVec("dms_endpoint_errors_total", "error responses by endpoint", "endpoint")
-	s.epLatency = r.HistogramVec("dms_endpoint_latency_seconds", "request latency by endpoint", "endpoint")
 }
-
-// route registers a handler with admission control, metrics, and
-// request tracing. shed=false exempts the endpoint from load shedding
-// (health, stats, and the metrics/slowz scrape surfaces must answer even
-// when the server is saturated).
-func (s *Server) route(pattern, name string, shed bool, h func(w http.ResponseWriter, r *http.Request) error) {
-	m := &endpointMetrics{errors: s.epErrors.With(name), hist: s.epLatency.With(name)}
-	s.metrics[name] = m
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		}
-		if shed && s.sem != nil {
-			select {
-			case s.sem <- struct{}{}:
-				defer func() { <-s.sem }()
-			default:
-				s.shed.Add(1)
-				writeError(w, http.StatusTooManyRequests, CodeOverloaded, "server at max in-flight requests")
-				return
-			}
-		}
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
-		s.requests.Add(1)
-
-		// A trace is built when the client asked for one (X-Dms-Trace with
-		// ;sample) or the slow-request log might need it; otherwise the
-		// request runs with a nil trace and every span call no-ops.
-		id, sampled := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		var tr *obs.Trace
-		var root *obs.Span
-		if sampled || s.slow.Enabled() {
-			tr = obs.NewTrace(id, sampled)
-			ctx := obs.NewContext(r.Context(), tr)
-			ctx, root = obs.StartSpan(ctx, "request")
-			r = r.WithContext(ctx)
-		}
-		if tr.Sampled() {
-			// The span tree is only complete after the body is written, so
-			// it rides back as an HTTP trailer (chunked responses only —
-			// fixed-length ones like checkpoint downloads drop it).
-			w.Header().Set("Trailer", obs.SpanHeader)
-		}
-
-		begin := time.Now()
-		err := h(w, r)
-		d := time.Since(begin)
-		root.End()
-		m.observe(d, err != nil)
-		if tr != nil {
-			s.slow.Observe(name, d, time.Now(), tr.Dump)
-			if tr.Sampled() {
-				w.Header().Set(obs.SpanHeader, obs.EncodeDump(tr.Dump()))
-			}
-		}
-		if err != nil {
-			code, errCode := http.StatusInternalServerError, CodeInternal
-			var he *httpError
-			if errors.As(err, &he) {
-				code, errCode = he.code, he.errCode
-			}
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Printf("dmsapi: %s %s: %d %v", r.Method, r.URL.Path, code, err)
-			}
-			writeError(w, code, errCode, err.Error())
-		}
-	})
-}
-
-// Listen binds to addr ("127.0.0.1:0" picks a free port) and starts
-// serving in a background goroutine. It returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.lis = lis
-	s.http = &http.Server{
-		Handler: s.mux,
-		// Bound header reads and idle keep-alives so trickling clients
-		// cannot pin connections (and admission slots) forever. No global
-		// ReadTimeout: large legitimate ingest bodies stream at their own
-		// pace under the MaxBodyBytes cap.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go s.http.Serve(lis)
-	return lis.Addr().String(), nil
-}
-
-// Addr returns the bound address ("" before Listen).
-func (s *Server) Addr() string {
-	if s.lis == nil {
-		return ""
-	}
-	return s.lis.Addr().String()
-}
-
-// Handler exposes the routing table (e.g. for httptest).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Shutdown gracefully stops the server: the listener closes immediately,
 // in-flight requests get until ctx expires to finish, and the training
 // subsystem stops accepting jobs, cancels the running ones, and drains
 // its workers.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var httpErr error
-	if s.http != nil {
-		httpErr = s.http.Shutdown(ctx)
-	}
+	httpErr := s.Pipeline.Shutdown(ctx)
 	if s.trainer != nil {
 		if err := s.trainer.Shutdown(ctx); err != nil && httpErr == nil {
 			httpErr = err
@@ -528,12 +344,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return httpErr
 }
-
-// Requests reports how many requests have been handled (shed ones excluded).
-func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// Shed reports how many requests were rejected with 429.
-func (s *Server) Shed() int64 { return s.shed.Load() }
 
 // buildInfo reads the running binary's identity once: Go toolchain,
 // main-module version, and VCS revision (when built from a checkout).
@@ -565,25 +375,6 @@ func BuildIdentity() (goVersion, version, revision string) {
 
 // Stats snapshots the server counters (the /statsz payload).
 func (s *Server) Stats() Stats {
-	eps := make(map[string]EndpointStats, len(s.metrics))
-	for name, m := range s.metrics {
-		snap := m.hist.Snapshot()
-		total := float64(snap.SumNS) / 1e6
-		ep := EndpointStats{
-			Count:   snap.Count,
-			Errors:  m.errors.Value(),
-			TotalMS: total,
-			MaxMS:   float64(snap.MaxNS) / 1e6,
-			P50MS:   durMS(snap.Quantile(0.50)),
-			P95MS:   durMS(snap.Quantile(0.95)),
-			P99MS:   durMS(snap.Quantile(0.99)),
-			P999MS:  durMS(snap.Quantile(0.999)),
-		}
-		if snap.Count > 0 {
-			ep.AverageMS = total / float64(snap.Count)
-		}
-		eps[name] = ep
-	}
 	var ts *TrainStats
 	if s.trainer != nil {
 		snap := s.trainer.Stats()
@@ -603,9 +394,9 @@ func (s *Server) Stats() Stats {
 		GoVersion:     bi.goVersion,
 		Version:       bi.version,
 		Revision:      bi.revision,
-		InFlight:      int(s.inFlight.Load()),
-		Shed:          s.shed.Load(),
-		Requests:      s.requests.Load(),
+		InFlight:      s.InFlight(),
+		Shed:          s.Shed(),
+		Requests:      s.Requests(),
 		Cache:         s.cache.stats(),
 		Index: IndexStats{
 			Enabled:     is.Enabled,
@@ -619,7 +410,7 @@ func (s *Server) Stats() Stats {
 		},
 		Train:     ts,
 		Wal:       ws,
-		Endpoints: eps,
+		Endpoints: s.EndpointStats(),
 	}
 }
 
@@ -644,7 +435,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return writeJSON(w, IngestResponse{IDs: ids})
+	return WriteJSON(w, IngestResponse{IDs: ids})
 }
 
 // handleIngestBatch is the high-throughput ingest path: per-document
@@ -721,7 +512,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 			resp.Inserted++
 		}
 	}
-	return writeJSON(w, resp)
+	return WriteJSON(w, resp)
 }
 
 // ensureClusters performs the bootstrap fit: a daemon that started with an
@@ -747,10 +538,7 @@ func (s *Server) ensureClusters(samples []*codec.Sample) error {
 	}
 	s.clusterK.Store(int64(s.cfg.DS.K()))
 	s.clusterGen.Add(1)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("dmsapi: bootstrap-fitted %d clusters on a %d-sample batch",
-			s.cfg.BootstrapK, len(samples))
-	}
+	s.cfg.Logger.Info("bootstrap-fitted clusters", "k", s.cfg.BootstrapK, "samples", len(samples))
 	return nil
 }
 
@@ -777,7 +565,7 @@ func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return writeJSON(w, CertaintyResponse{Certainty: cert})
+	return WriteJSON(w, CertaintyResponse{Certainty: cert})
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
@@ -799,7 +587,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return writeJSON(w, LookupResponse{Samples: FromCodecSlice(labeled)})
+	return WriteJSON(w, LookupResponse{Samples: FromCodecSlice(labeled)})
 }
 
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
@@ -830,13 +618,13 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
 			out[i] = Match{DocID: m.DocID, Dist: m.Dist, Found: true}
 		}
 	}
-	return writeJSON(w, NearestResponse{Matches: out})
+	return WriteJSON(w, NearestResponse{Matches: out})
 }
 
 func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return errf(http.StatusBadRequest, "pdf: reading body: %v", err)
+		return bodyError(err)
 	}
 	key := fmt.Sprintf("pdf:%d:%s", s.clusterGen.Load(), bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
@@ -863,7 +651,7 @@ func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, v)
+	return WriteJSON(w, v)
 }
 
 // handleFit explicitly fits the clustering model — the cluster router's
@@ -886,7 +674,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	s.dsMu.Lock()
 	defer s.dsMu.Unlock()
 	if k := s.cfg.DS.K(); k > 0 {
-		return writeJSON(w, FitResponse{K: k})
+		return WriteJSON(w, FitResponse{K: k})
 	}
 	x, err := fairds.Collate(samples)
 	if err != nil {
@@ -897,10 +685,8 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	}
 	s.clusterK.Store(int64(s.cfg.DS.K()))
 	s.clusterGen.Add(1)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("dmsapi: fit %d clusters on a %d-sample batch (explicit)", req.K, len(samples))
-	}
-	return writeJSON(w, FitResponse{K: s.cfg.DS.K(), Fitted: true})
+	s.cfg.Logger.Info("fitted clusters (explicit)", "k", req.K, "samples", len(samples))
+	return WriteJSON(w, FitResponse{K: s.cfg.DS.K(), Fitted: true})
 }
 
 // handleSamples fetches stored samples by ID — the cluster router's
@@ -924,7 +710,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
 		}
 		return serviceError(err)
 	}
-	return writeJSON(w, SamplesResponse{Samples: FromCodecSlice(samples), Missing: missing})
+	return WriteJSON(w, SamplesResponse{Samples: FromCodecSlice(samples), Missing: missing})
 }
 
 // handleClusterIDs lists one cluster's document IDs (sorted) — the
@@ -943,7 +729,7 @@ func (s *Server) handleClusterIDs(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return serviceError(err)
 	}
-	return writeJSON(w, ClusterIDsResponse{IDs: ids})
+	return WriteJSON(w, ClusterIDsResponse{IDs: ids})
 }
 
 // ---------------------------------------------------------------------------
@@ -970,7 +756,7 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusBadRequest, "%v", err)
 	}
 	s.zooGen.Add(1) // recommend results computed against the old zoo are stale
-	return writeJSON(w, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta})
+	return WriteJSON(w, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta})
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) error {
@@ -985,13 +771,13 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) error 
 			ID: rec.ID, K: len(rec.TrainPDF), Meta: rec.Meta, AddedAt: rec.AddedAt,
 		})
 	}
-	return writeJSON(w, ModelsResponse{Models: models})
+	return WriteJSON(w, ModelsResponse{Models: models})
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return errf(http.StatusBadRequest, "recommend: reading body: %v", err)
+		return bodyError(err)
 	}
 	key := fmt.Sprintf("rec:%d:%s", s.zooGen.Load(), bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
@@ -1017,7 +803,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, v)
+	return WriteJSON(w, v)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error {
@@ -1087,7 +873,7 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error
 	case err != nil:
 		return errf(http.StatusBadRequest, "%v", err)
 	}
-	return writeJSON(w, wireTrainJob(st, true))
+	return WriteJSON(w, wireTrainJob(st, true))
 }
 
 func (s *Server) handleTrainList(w http.ResponseWriter, r *http.Request) error {
@@ -1096,7 +882,7 @@ func (s *Server) handleTrainList(w http.ResponseWriter, r *http.Request) error {
 	for i, st := range statuses {
 		resp.Jobs[i] = wireTrainJob(st, false) // curves only in the detail view
 	}
-	return writeJSON(w, resp)
+	return WriteJSON(w, resp)
 }
 
 func (s *Server) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
@@ -1104,7 +890,7 @@ func (s *Server) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusNotFound, "%v", err)
 	}
-	return writeJSON(w, wireTrainJob(st, true))
+	return WriteJSON(w, wireTrainJob(st, true))
 }
 
 // handleTrainCancel serves POST /v1/train/{id}:cancel. ServeMux wildcards
@@ -1119,7 +905,7 @@ func (s *Server) handleTrainCancel(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return errf(http.StatusNotFound, "%v", err)
 	}
-	return writeJSON(w, wireTrainJob(st, true))
+	return WriteJSON(w, wireTrainJob(st, true))
 }
 
 // wireTrainJob converts a trainer status snapshot to its wire form.
@@ -1156,7 +942,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	// No dsMu here: clusterK is the server's own mirror, and StoreCount
 	// only touches the internally synchronized store — so liveness answers
 	// even while a bootstrap fit holds dsMu exclusively.
-	return writeJSON(w, HealthResponse{
+	return WriteJSON(w, HealthResponse{
 		Status:  "ok",
 		K:       int(s.clusterK.Load()),
 		Models:  s.cfg.Zoo.Len(),
@@ -1165,7 +951,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, s.Stats())
+	return WriteJSON(w, s.Stats())
 }
 
 // handleMetrics serves the Prometheus text exposition. Every /statsz
@@ -1176,24 +962,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	return s.reg.WritePrometheus(w)
 }
 
-// handleSlow serves the slow-request ring: the retained span trees of the
-// slowest recent requests, slowest first. 404 when the log is disabled
-// (SlowThreshold <= 0), so probers can distinguish "off" from "empty".
-func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) error {
-	entries, err := s.slow.Snapshot()
-	if errors.Is(err, obs.ErrDisabled) {
-		return errf(http.StatusNotFound, "%v", err)
-	}
-	if err != nil {
-		return errf(http.StatusInternalServerError, "%v", err)
-	}
-	return writeJSON(w, SlowzResponse{
-		ThresholdMS: durMS(s.slow.Threshold()),
-		Total:       s.slow.Total(),
-		Entries:     entries,
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Helpers
 
@@ -1201,8 +969,8 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) error {
 // clustering model is the caller's sequencing problem (the service is up
 // but not ready for lookups — 409), everything else is internal (500).
 func serviceError(err error) error {
-	var he *httpError
-	if errors.As(err, &he) {
+	var se *StatusError
+	if errors.As(err, &se) {
 		return err
 	}
 	if errors.Is(err, fairds.ErrNotFitted) {
@@ -1248,41 +1016,7 @@ func decodeSample(w Sample) (*codec.Sample, error) {
 	return s, nil
 }
 
-// durMS converts a duration to fractional milliseconds for wire stats.
-func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-func decodeJSON(r io.Reader, v any) error {
-	if err := json.NewDecoder(r).Decode(v); err != nil {
-		return errf(http.StatusBadRequest, "decoding request: %v", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the unified error envelope with retryability derived
-// from the status. All non-2xx responses leave through here (or through
-// the exported WriteError it delegates to — the errboundary analyzer
-// enforces that).
-func writeError(w http.ResponseWriter, code int, errCode ErrorCode, msg string) {
-	WriteError(w, code, ErrorBody{Code: errCode, Message: msg, Retryable: retryableStatus(code)})
-}
-
 func bodyHash(body []byte) string {
 	sum := sha256.Sum256(body)
 	return hex.EncodeToString(sum[:])
-}
-
-// EndpointNames lists the registered metric names, sorted — handy for
-// stable /statsz rendering in tests and tooling.
-func (s *Server) EndpointNames() []string {
-	names := make([]string, 0, len(s.metrics))
-	for name := range s.metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

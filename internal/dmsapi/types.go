@@ -46,7 +46,6 @@ const (
 	PathHealth      = "/healthz"
 	PathStats       = "/statsz"
 	PathMetrics     = "/metricsz"
-	PathSlow        = "/debug/slowz"
 	PathTraces      = "/debug/tracez"
 )
 
@@ -458,11 +457,10 @@ type EndpointStats struct {
 	P999MS    float64 `json:"p999_ms"`
 }
 
-// SlowzResponse is the body of GET /debug/slowz: the retained
-// slow-request ring (slowest first), each entry carrying its full span
-// tree. 404 when the server runs without a slow threshold.
-type SlowzResponse struct {
-	ThresholdMS float64         `json:"threshold_ms"`
-	Total       int64           `json:"total"` // requests over threshold since start
-	Entries     []obs.SlowEntry `json:"entries"`
+// TracezResponse is the body of GET /debug/tracez on both tiers: the
+// tail-retained span trees matching the query, newest first. 404 when the
+// tier runs with retention off.
+type TracezResponse struct {
+	Total  int64            `json:"total_retained"` // kept since start, evicted ones included
+	Traces []obs.TraceEntry `json:"traces"`
 }

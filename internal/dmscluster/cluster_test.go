@@ -1,6 +1,7 @@
 package dmscluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -488,6 +489,35 @@ func TestClusterTrainRouting(t *testing.T) {
 	rec, err := cluster.Recommend(ctx, dmsapi.RecommendRequest{PDF: []float64{0.5, 0.5}})
 	if err != nil || !rec.OK {
 		t.Fatalf("recommend after train: %+v, err %v", rec, err)
+	}
+
+	// Over HTTP the router answers a submit with the status dmsd answers.
+	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{})
+	routerAddr, err := router.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		router.Shutdown(sctx)
+	})
+	submit, err := json.Marshal(dmsapi.TrainRequest{
+		Samples: dmsapi.FromCodecSlice(corpus[:16]),
+		Model:   "mlp", Hidden: 8, Epochs: 1, BatchSize: 8, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{addrs[0], routerAddr} {
+		resp, err := http.Post("http://"+addr+dmsapi.PathTrain, "application/json", bytes.NewReader(submit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("train submit on %s: status %d, want 200", addr, resp.StatusCode)
+		}
 	}
 }
 

@@ -2,27 +2,22 @@ package dmscluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"fairdms/internal/dmsapi"
-	"fairdms/internal/hdrhist"
 	"fairdms/internal/obs"
 )
 
 // RouterConfig tunes the router's observability plane; the zero value is
 // a working router with tracing retention and SLOs off.
 type RouterConfig struct {
-	// Logger receives request errors as leveled key=value events; nil
-	// silences.
+	// Logger receives request failures as leveled key=value events (5xx
+	// at warn, 4xx at debug); nil silences.
 	Logger *obs.Logger
 	// SLOs are the per-endpoint objectives evaluated over rolling windows
 	// (parse with obs.ParseSLOs). Empty disables the SLO layer.
@@ -43,37 +38,19 @@ type RouterConfig struct {
 // Router serves the dmsapi /v1 surface over HTTP on top of a Cluster:
 // the standalone routing tier (cmd/dmsrouter) for callers that cannot
 // embed the smart client. Handlers are thin — every routing decision
-// and merge lives on Cluster — plus the router's own observability:
-// /statsz with per-node health and the membership epoch, a federated
-// /metricsz merging every healthy shard's exposition under its own,
-// tail-based trace retention at /debug/tracez, SLO burn rates, and
-// X-Dms-Trace propagation so a sampled client sees one contiguous span
-// tree across client, router, and shards.
+// and merge lives on Cluster, and the request path (tracing, metrics,
+// error envelope, SLO scoring, /debug/tracez, the listener) is the
+// embedded dmsapi.Pipeline, the same code dmsd runs, so a client cannot
+// tell the tiers apart. The router's own additions are /statsz with
+// per-node health and the membership epoch, and a federated /metricsz
+// merging every healthy shard's exposition under its own. X-Dms-Trace
+// propagates through the shard calls, so a sampled client sees one
+// contiguous span tree across client, router, and shards.
 type Router struct {
+	*dmsapi.Pipeline
 	cluster *Cluster
 	cfg     RouterConfig
-	logger  *obs.Logger
-	mux     *http.ServeMux
-	reg     *obs.Registry
-
-	slo      *obs.SLOEvaluator
-	tracelog *obs.TraceLog
-
-	start     time.Time
-	requests  atomic.Int64
-	metrics   map[string]*routeMetrics
-	epCount   *obs.CounterVec
-	epErrors  *obs.CounterVec
-	epLatency *obs.HistogramVec
-
-	lis  net.Listener
-	http *http.Server
-}
-
-type routeMetrics struct {
-	count  *obs.Counter
-	errors *obs.Counter
-	hist   *hdrhist.Histogram
+	start   time.Time
 }
 
 // RouterStats is the body of the router's GET /statsz. It carries the
@@ -102,52 +79,51 @@ type RouterEndpointStats struct {
 // NewRouter builds the HTTP tier over an existing cluster client. The
 // caller owns the cluster's lifecycle (Start/Close).
 func NewRouter(c *Cluster, cfg RouterConfig) *Router {
+	return newRouter(c, cfg, 0)
+}
+
+// newRouter is NewRouter with the request-body cap exposed (0 = the
+// pipeline's 256 MiB default, which is all production uses) so a test can
+// cross the cap without streaming a quarter of a gigabyte.
+func newRouter(c *Cluster, cfg RouterConfig, maxBodyBytes int64) *Router {
 	rt := &Router{
-		cluster:  c,
-		cfg:      cfg,
-		logger:   cfg.Logger,
-		mux:      http.NewServeMux(),
-		reg:      obs.NewRegistry(),
-		slo:      obs.NewSLOEvaluator(cfg.SLOs),
-		tracelog: obs.NewTraceLog(cfg.TraceRing),
-		start:    time.Now(),
-		metrics:  make(map[string]*routeMetrics),
+		Pipeline: dmsapi.NewPipeline(dmsapi.PipelineConfig{
+			MetricPrefix: "dms_router_",
+			RootSpan:     "route",
+			MaxBodyBytes: maxBodyBytes,
+			SLOs:         cfg.SLOs,
+			TraceRing:    cfg.TraceRing,
+			TraceSlow:    cfg.TraceSlow,
+			Logger:       cfg.Logger,
+		}),
+		cluster: c,
+		cfg:     cfg,
+		start:   time.Now(),
 	}
 	rt.registerMetrics()
-	rt.slo.Register(rt.reg)
 
-	rt.route("POST "+dmsapi.PathIngest, "data.ingest", rt.handleIngest)
-	rt.route("POST "+dmsapi.PathIngestBatch, "data.ingest_batch", rt.handleIngestBatch)
-	rt.route("POST "+dmsapi.PathCertainty, "data.certainty", rt.handleCertainty)
-	rt.route("POST "+dmsapi.PathLookup, "data.lookup", rt.handleLookup)
-	rt.route("POST "+dmsapi.PathNearest, "data.nearest", rt.handleNearest)
-	rt.route("POST "+dmsapi.PathPDF, "data.pdf", rt.handlePDF)
-	rt.route("GET "+dmsapi.PathModels, "models.list", rt.handleModels)
-	rt.route("POST "+dmsapi.PathModels, "models.add", rt.handleAddModel)
-	rt.route("POST "+dmsapi.PathRecommend, "models.recommend", rt.handleRecommend)
-	rt.route("GET "+dmsapi.PathCheckpoint, "models.checkpoint", rt.handleCheckpoint)
-	rt.route("POST "+dmsapi.PathTrain, "train.submit", rt.handleTrainSubmit)
-	rt.route("GET "+dmsapi.PathTrain, "train.list", rt.handleTrainList)
-	rt.route("GET "+dmsapi.PathTrainJob, "train.get", rt.handleTrainGet)
-	rt.route("POST "+dmsapi.PathTrainJob, "train.cancel", rt.handleTrainCancel)
-	rt.route("GET "+dmsapi.PathHealth, "healthz", rt.handleHealth)
-	rt.route("GET "+dmsapi.PathStats, "statsz", rt.handleStats)
-	rt.route("GET "+dmsapi.PathMetrics, "metricsz", rt.handleMetrics)
-	rt.route("GET "+dmsapi.PathTraces, "tracez", rt.handleTraces)
+	rt.Handle("POST "+dmsapi.PathIngest, "data.ingest", 0, dmsapi.JSONHandler(rt.ingest))
+	rt.Handle("POST "+dmsapi.PathIngestBatch, "data.ingest_batch", 0, dmsapi.JSONHandler(c.Ingest))
+	rt.Handle("POST "+dmsapi.PathCertainty, "data.certainty", 0, dmsapi.JSONHandler(c.Certainty))
+	rt.Handle("POST "+dmsapi.PathLookup, "data.lookup", 0, dmsapi.JSONHandler(c.Lookup))
+	rt.Handle("POST "+dmsapi.PathNearest, "data.nearest", 0, dmsapi.JSONHandler(c.Nearest))
+	rt.Handle("POST "+dmsapi.PathPDF, "data.pdf", 0, dmsapi.JSONHandler(c.PDF))
+	rt.Handle("GET "+dmsapi.PathModels, "models.list", 0, rt.handleModels)
+	rt.Handle("POST "+dmsapi.PathModels, "models.add", 0, dmsapi.JSONHandler(c.AddModel))
+	rt.Handle("POST "+dmsapi.PathRecommend, "models.recommend", 0, dmsapi.JSONHandler(c.Recommend))
+	rt.Handle("GET "+dmsapi.PathCheckpoint, "models.checkpoint", 0, rt.handleCheckpoint)
+	rt.Handle("POST "+dmsapi.PathTrain, "train.submit", 0, dmsapi.JSONHandler(c.SubmitTrain))
+	rt.Handle("GET "+dmsapi.PathTrain, "train.list", 0, rt.handleTrainList)
+	rt.Handle("GET "+dmsapi.PathTrainJob, "train.get", 0, rt.handleTrainGet)
+	rt.Handle("POST "+dmsapi.PathTrainJob, "train.cancel", 0, rt.handleTrainCancel)
+	rt.Handle("GET "+dmsapi.PathHealth, "healthz", dmsapi.Meta, rt.handleHealth)
+	rt.Handle("GET "+dmsapi.PathStats, "statsz", dmsapi.Meta, rt.handleStats)
+	rt.Handle("GET "+dmsapi.PathMetrics, "metricsz", dmsapi.Meta, rt.handleMetrics)
 	return rt
 }
 
-// metaEndpoints are the router's own observability surfaces: they are
-// excluded from SLO scoring and trace retention so a dashboard polling
-// /statsz cannot burn an error budget or wash real traces out of the
-// ring.
-var metaEndpoints = map[string]bool{
-	"healthz": true, "statsz": true, "metricsz": true, "tracez": true,
-}
-
 func (rt *Router) registerMetrics() {
-	r := rt.reg
-	r.CounterFunc("dms_router_requests_total", "requests handled by the router", rt.requests.Load)
+	r := rt.Registry()
 	r.GaugeFunc("dms_router_shards", "configured shard count",
 		func() float64 { return float64(len(rt.cluster.nodes)) })
 	r.GaugeFunc("dms_router_healthy_shards", "shards currently admitted by health probing",
@@ -158,196 +134,23 @@ func (rt *Router) registerMetrics() {
 		rt.cluster.degraded.Load)
 	r.CounterFunc("dms_router_reroutes_total", "ingest sub-batches rerouted off their hash owner",
 		rt.cluster.reroutes.Load)
-	r.CounterFunc("dms_router_retained_traces_total", "span trees retained by tail-based sampling",
-		func() int64 { return rt.tracelog.Total() })
-	rt.epCount = r.CounterVec("dms_router_endpoint_requests_total", "requests by endpoint", "endpoint")
-	rt.epErrors = r.CounterVec("dms_router_endpoint_errors_total", "error responses by endpoint", "endpoint")
-	rt.epLatency = r.HistogramVec("dms_router_endpoint_latency_seconds", "request latency by endpoint", "endpoint")
 }
 
-// route registers one handler with metrics, trace propagation, SLO
-// scoring, and tail-based trace retention. The router rebuilds the
-// inbound X-Dms-Trace as its own trace; per-shard calls attach each
-// shard's span trailer to it, so the trailer the router sends back is
-// the grafted router+shards subtree and the client's joined trace shows
-// all four tiers contiguously. When the trace-retention ring is armed,
-// the router builds that same tree for every non-meta request — not just
-// client-sampled ones — and keeps it if the request turned out slow,
-// errored, or degraded (tail-based sampling: decide after the outcome is
-// known).
-func (rt *Router) route(pattern, name string, h func(w http.ResponseWriter, r *http.Request) error) {
-	m := &routeMetrics{
-		count:  rt.epCount.With(name),
-		errors: rt.epErrors.With(name),
-		hist:   rt.epLatency.With(name),
-	}
-	rt.metrics[name] = m
-	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rt.requests.Add(1)
-		m.count.Inc()
-		meta := metaEndpoints[name]
-
-		id, sampled := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		var tr *obs.Trace
-		var root *obs.Span
-		var flags *reqFlags
-		if sampled || (!meta && rt.tracelog.Enabled()) {
-			// The trace is marked sampled internally so shard calls carry
-			// the header and the four-tier tree assembles even when only
-			// the retention ring asked for it.
-			tr = obs.NewTrace(id, true)
-			ctx := obs.NewContext(r.Context(), tr)
-			ctx, root = obs.StartSpan(ctx, "route")
-			r = r.WithContext(ctx)
-		}
-		if !meta {
-			ctx, f := withReqFlags(r.Context())
-			r = r.WithContext(ctx)
-			flags = f
-		}
-		if sampled {
-			w.Header().Set("Trailer", obs.SpanHeader)
-		}
-
-		begin := time.Now()
-		err := h(w, r)
-		root.End()
-		dur := time.Since(begin)
-		m.hist.Record(dur)
-		if sampled {
-			w.Header().Set(obs.SpanHeader, obs.EncodeDump(tr.Dump()))
-		}
-		if err != nil {
-			m.errors.Inc()
-			rt.logger.Warn("request failed",
-				"endpoint", name, "method", r.Method, "path", r.URL.Path,
-				"dur", dur, "err", err)
-			dmsapi.WriteStatusError(w, err)
-		}
-		if !meta {
-			rt.slo.Observe(name, dur, err != nil)
-			rt.retainTrace(name, dur, err, flags, tr)
-		}
-	})
-}
-
-// retainTrace applies the tail-based retention decision to one finished
-// request.
-func (rt *Router) retainTrace(name string, dur time.Duration, err error, flags *reqFlags, tr *obs.Trace) {
-	if !rt.tracelog.Enabled() {
-		return
-	}
-	degraded := flags != nil && flags.degraded.Load()
-	slow := rt.cfg.TraceSlow > 0 && dur >= rt.cfg.TraceSlow
-	if err == nil && !degraded && !slow {
-		return
-	}
-	entry := obs.TraceEntry{
-		Op:       name,
-		DurMS:    float64(dur) / float64(time.Millisecond),
-		At:       time.Now(),
-		Degraded: degraded,
-		Trace:    tr.Dump(),
-	}
+// ingest serves the non-batch endpoint, which is all-or-nothing on a
+// single node; the router preserves that contract over the batch-shaped
+// scatter.
+func (rt *Router) ingest(ctx context.Context, req dmsapi.IngestRequest) (dmsapi.IngestResponse, error) {
+	resp, err := rt.cluster.Ingest(ctx, dmsapi.IngestBatchRequest{Dataset: req.Dataset, Samples: req.Samples})
 	if err != nil {
-		entry.Error = err.Error()
-	}
-	rt.tracelog.Add(entry)
-}
-
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return &dmsapi.StatusError{
-			Code: http.StatusBadRequest, ErrCode: dmsapi.CodeBadRequest,
-			Message: "invalid request body: " + err.Error(),
-		}
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
-}
-
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.IngestRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	// The non-batch endpoint is all-or-nothing on a single node; the
-	// router preserves that contract over the batch-shaped scatter.
-	resp, err := rt.cluster.Ingest(r.Context(), dmsapi.IngestBatchRequest{Dataset: req.Dataset, Samples: req.Samples})
-	if err != nil {
-		return err
+		return dmsapi.IngestResponse{}, err
 	}
 	if len(resp.Errors) > 0 {
-		return &dmsapi.StatusError{
+		return dmsapi.IngestResponse{}, &dmsapi.StatusError{
 			Code: http.StatusBadRequest, ErrCode: dmsapi.CodeBadRequest,
 			Message: resp.Errors[0].Error,
 		}
 	}
-	return writeJSON(w, dmsapi.IngestResponse{IDs: resp.IDs})
-}
-
-func (rt *Router) handleIngestBatch(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.IngestBatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.Ingest(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
-}
-
-func (rt *Router) handleCertainty(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.CertaintyRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.Certainty(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
-}
-
-func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.LookupRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.Lookup(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
-}
-
-func (rt *Router) handleNearest(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.NearestRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.Nearest(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
-}
-
-func (rt *Router) handlePDF(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.PDFRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.PDF(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
+	return dmsapi.IngestResponse{IDs: resp.IDs}, nil
 }
 
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) error {
@@ -355,31 +158,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, resp)
-}
-
-func (rt *Router) handleAddModel(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.AddModelRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.AddModel(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
-}
-
-func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.RecommendRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	resp, err := rt.cluster.Recommend(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, resp)
+	return dmsapi.WriteJSON(w, resp)
 }
 
 func (rt *Router) handleCheckpoint(w http.ResponseWriter, r *http.Request) error {
@@ -392,25 +171,12 @@ func (rt *Router) handleCheckpoint(w http.ResponseWriter, r *http.Request) error
 	return err
 }
 
-func (rt *Router) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error {
-	var req dmsapi.TrainRequest
-	if err := decodeBody(r, &req); err != nil {
-		return err
-	}
-	job, err := rt.cluster.SubmitTrain(r.Context(), req)
-	if err != nil {
-		return err
-	}
-	w.WriteHeader(http.StatusAccepted)
-	return writeJSON(w, job)
-}
-
 func (rt *Router) handleTrainList(w http.ResponseWriter, r *http.Request) error {
 	resp, err := rt.cluster.TrainJobs(r.Context())
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, resp)
+	return dmsapi.WriteJSON(w, resp)
 }
 
 func (rt *Router) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
@@ -418,7 +184,7 @@ func (rt *Router) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, job)
+	return dmsapi.WriteJSON(w, job)
 }
 
 // handleTrainCancel serves POST /v1/train/{id}:cancel. Like the dmsapi
@@ -436,7 +202,7 @@ func (rt *Router) handleTrainCancel(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, job)
+	return dmsapi.WriteJSON(w, job)
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
@@ -444,32 +210,28 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, resp)
+	return dmsapi.WriteJSON(w, resp)
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
 	goVersion, version, revision := dmsapi.BuildIdentity()
+	eps := rt.EndpointStats()
 	st := RouterStats{
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 		GoVersion:     goVersion,
 		Version:       version,
 		Revision:      revision,
-		Requests:      rt.requests.Load(),
+		Requests:      rt.Requests(),
 		Cluster:       rt.cluster.Stats(),
-		Endpoints:     make(map[string]RouterEndpointStats, len(rt.metrics)),
-		SLO:           rt.slo.Status(),
+		Endpoints:     make(map[string]RouterEndpointStats, len(eps)),
+		SLO:           rt.SLOStatus(),
 	}
-	for name, m := range rt.metrics {
-		snap := m.hist.Snapshot()
+	for name, ep := range eps {
 		st.Endpoints[name] = RouterEndpointStats{
-			Count:  m.count.Value(),
-			Errors: m.errors.Value(),
-			P50MS:  float64(snap.Quantile(0.50)) / float64(time.Millisecond),
-			P99MS:  float64(snap.Quantile(0.99)) / float64(time.Millisecond),
-			MaxMS:  float64(snap.Max()) / float64(time.Millisecond),
+			Count: ep.Count, Errors: ep.Errors, P50MS: ep.P50MS, P99MS: ep.P99MS, MaxMS: ep.MaxMS,
 		}
 	}
-	return writeJSON(w, st)
+	return dmsapi.WriteJSON(w, st)
 }
 
 // handleMetrics serves the federated exposition: the router's own
@@ -479,9 +241,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
 // never collide with the router's own (dms_* vs dms_router_*), so the
 // concatenation stays a valid exposition.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	rt.slo.Status() // refresh burn-rate gauges before rendering
+	rt.SLOStatus() // refresh burn-rate gauges before rendering
 	var b strings.Builder
-	if err := rt.reg.WritePrometheus(&b); err != nil {
+	if err := rt.Registry().WritePrometheus(&b); err != nil {
 		// obs surfaces report ErrDisabled for switched-off subsystems;
 		// map it to 404 at the boundary like dmsd does.
 		if errors.Is(err, obs.ErrDisabled) {
@@ -496,75 +258,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	}
 	_, err := w.Write(obs.RenderExposition(fleet))
 	return err
-}
-
-// handleTraces serves GET /debug/tracez: the tail-retained span trees,
-// newest first, filterable by ?op=&min_ms=&error=&degraded=.
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) error {
-	q := obs.TraceQuery{Op: r.URL.Query().Get("op")}
-	if v := r.URL.Query().Get("min_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return &dmsapi.StatusError{
-				Code: http.StatusBadRequest, ErrCode: dmsapi.CodeBadRequest,
-				Message: "tracez: bad min_ms: " + err.Error(),
-			}
-		}
-		q.MinMS = ms
-	}
-	for _, f := range []struct {
-		name string
-		dst  **bool
-	}{{"error", &q.Error}, {"degraded", &q.Degraded}} {
-		if v := r.URL.Query().Get(f.name); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return &dmsapi.StatusError{
-					Code: http.StatusBadRequest, ErrCode: dmsapi.CodeBadRequest,
-					Message: "tracez: bad " + f.name + ": " + err.Error(),
-				}
-			}
-			*f.dst = &b
-		}
-	}
-	entries, err := rt.tracelog.Query(q)
-	if errors.Is(err, obs.ErrDisabled) {
-		return &dmsapi.StatusError{Code: http.StatusNotFound, ErrCode: dmsapi.CodeNotFound, Message: err.Error()}
-	}
-	if err != nil {
-		return &dmsapi.StatusError{Code: http.StatusInternalServerError, ErrCode: dmsapi.CodeInternal, Message: "tracez: " + err.Error()}
-	}
-	return writeJSON(w, struct {
-		Total  int64            `json:"total_retained"`
-		Traces []obs.TraceEntry `json:"traces"`
-	}{Total: rt.tracelog.Total(), Traces: entries})
-}
-
-// Handler exposes the routing table (e.g. for httptest).
-func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// Listen binds to addr and serves in a background goroutine, returning
-// the bound address.
-func (rt *Router) Listen(addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	rt.lis = lis
-	rt.http = &http.Server{
-		Handler:           rt.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go rt.http.Serve(lis)
-	return lis.Addr().String(), nil
-}
-
-// Shutdown gracefully stops the HTTP tier (the cluster's lifecycle is
-// the caller's).
-func (rt *Router) Shutdown(ctx context.Context) error {
-	if rt.http == nil {
-		return nil
-	}
-	return rt.http.Shutdown(ctx)
 }

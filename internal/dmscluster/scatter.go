@@ -94,27 +94,13 @@ func errNoShards(op string) error {
 	}
 }
 
-// reqFlagsKey carries a per-request degraded marker through the scatter
-// path. The router injects one so tail-based trace retention can tell a
-// degraded merge apart without re-parsing response bodies; noteDegraded
-// is the single choke point every degraded merge passes through.
-type reqFlagsKey struct{}
-
-type reqFlags struct{ degraded atomic.Bool }
-
-// withReqFlags arms a request context with a degraded marker.
-func withReqFlags(ctx context.Context) (context.Context, *reqFlags) {
-	f := &reqFlags{}
-	return context.WithValue(ctx, reqFlagsKey{}, f), f
-}
-
 // noteDegraded flags a merged response assembled without every shard,
-// both on the cluster-wide counter and on the request's own marker.
+// both on the cluster-wide counter and on the request's own trace, which
+// is where the request pipeline's retention step looks — the single
+// choke point every degraded merge passes through.
 func (c *Cluster) noteDegraded(ctx context.Context) {
 	c.degraded.Add(1)
-	if f, _ := ctx.Value(reqFlagsKey{}).(*reqFlags); f != nil {
-		f.degraded.Store(true)
-	}
+	obs.FromContext(ctx).MarkDegraded()
 }
 
 // partial reports whether a fan-out over nodes with the given failure

@@ -287,12 +287,7 @@ func Run(cfg Config) (*Report, error) {
 		logf = func(string, ...any) {}
 	}
 	traces := &traceCollector{keep: cfg.TraceKeep}
-	ccfg := dmsapi.ClientConfig{}
-	if cfg.TraceSample > 0 {
-		ccfg.TraceSample = cfg.TraceSample
-		ccfg.OnTrace = traces.add
-	}
-	client, err := dmsapi.DialConfig(cfg.Addr, ccfg)
+	client, err := dmsapi.NewClient(cfg.Addr, dmsapi.WithTraceSample(cfg.TraceSample, traces.add))
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: dialing %s: %w", cfg.Addr, err)
 	}

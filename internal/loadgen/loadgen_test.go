@@ -153,7 +153,7 @@ func TestRunTrainOp(t *testing.T) {
 	}
 	// Each completed job registered a checkpoint, and the /statsz delta
 	// covers the submit/get traffic.
-	client, err := dmsapi.Dial(addr)
+	client, err := dmsapi.NewClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

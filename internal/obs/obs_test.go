@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -270,55 +269,6 @@ func TestRegistryRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestSlowLog(t *testing.T) {
-	l := NewSlowLog(2, 10*time.Millisecond)
-	now := time.Now()
-	dumped := 0
-	mk := func(ms float64) func() TraceDump {
-		return func() TraceDump {
-			dumped++
-			return TraceDump{ID: "x", Spans: []SpanDump{{Name: "request", Parent: -1, DurUS: int64(ms * 1000)}}}
-		}
-	}
-	if l.Observe("fast.op", 5*time.Millisecond, now, mk(5)) {
-		t.Error("fast request retained")
-	}
-	if dumped != 0 {
-		t.Error("dump materialized for fast request")
-	}
-	l.Observe("a", 20*time.Millisecond, now, mk(20))
-	l.Observe("b", 40*time.Millisecond, now, mk(40))
-	l.Observe("c", 30*time.Millisecond, now, mk(30)) // evicts a
-	if dumped != 3 {
-		t.Errorf("dumped %d traces, want 3", dumped)
-	}
-	entries, err := l.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[0].Endpoint != "b" || entries[1].Endpoint != "c" {
-		t.Fatalf("snapshot = %+v, want b,c slowest-first", entries)
-	}
-	if l.Total() != 3 {
-		t.Errorf("total = %d, want 3", l.Total())
-	}
-
-	off := NewSlowLog(4, 0)
-	if off.Enabled() {
-		t.Error("threshold 0 should disable")
-	}
-	if off.Observe("x", time.Hour, now, nil) {
-		t.Error("disabled log retained an entry")
-	}
-	if _, err := off.Snapshot(); !errors.Is(err, ErrDisabled) {
-		t.Errorf("disabled snapshot err = %v, want ErrDisabled", err)
-	}
-	var nilLog *SlowLog
-	if nilLog.Enabled() || nilLog.Total() != 0 || nilLog.Threshold() != 0 {
-		t.Error("nil SlowLog should be inert")
-	}
 }
 
 func TestValidateExpositionRejects(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package obs is the repo's stdlib-only observability kit: request-scoped
 // tracing (Trace/Span trees with monotonic timings and context
 // propagation), a central metrics Registry with Prometheus-text
-// exposition, and a ring-buffer slow-request log. It exists so every tier
+// exposition, and a tail-based trace retention ring. It exists so every tier
 // of the serving stack — dmsapi client, dmsd handlers, fairds stages,
 // the trainer, and the docstore TCP client — reports timing through one
 // vocabulary instead of hand-kept counters per package.
@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,7 +34,7 @@ const (
 
 // maxSpans caps a single trace's span count so a runaway loop (one span
 // per document in a huge batch, say) degrades to dropped spans rather than
-// unbounded memory held by the slow-request log.
+// unbounded memory held by the retention ring.
 const maxSpans = 256
 
 // Trace is one request's span tree. Spans are stored flat with parent
@@ -46,6 +47,10 @@ type Trace struct {
 	id      string
 	sampled bool
 	start   time.Time
+	// degraded marks a request answered without every shard; it lives on
+	// the trace because retention is the only reader, and a retained
+	// request always has one.
+	degraded atomic.Bool
 
 	mu      sync.Mutex
 	spans   []spanData
@@ -90,6 +95,17 @@ func (t *Trace) ID() string {
 // Sampled reports whether the span tree should be returned on the wire.
 // Nil-safe.
 func (t *Trace) Sampled() bool { return t != nil && t.sampled }
+
+// MarkDegraded flags the request as answered from a partial merge, so
+// the retention step keeps its span tree. Nil-safe.
+func (t *Trace) MarkDegraded() {
+	if t != nil {
+		t.degraded.Store(true)
+	}
+}
+
+// Degraded reports whether MarkDegraded was called. Nil-safe.
+func (t *Trace) Degraded() bool { return t != nil && t.degraded.Load() }
 
 // startSpan opens a span under parent and returns its handle, or nil when
 // the trace is nil or full.

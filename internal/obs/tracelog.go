@@ -1,17 +1,23 @@
 package obs
 
 import (
+	"errors"
 	"sync"
 	"time"
 )
 
-// TraceLog is the tail-based retention ring behind /debug/tracez: the
-// router keeps full span trees for the requests worth keeping — slow,
-// errored, or degraded — regardless of whether the client asked for
-// sampling. Where SlowLog answers "what did the slowest requests do",
-// TraceLog answers "show me the trace of the request that failed / ran
-// degraded five minutes ago", filterable by operation, duration floor,
-// and error/degraded state.
+// ErrDisabled is returned by read surfaces of switched-off subsystems —
+// TraceLog.Query with a zero-size ring. API handlers map it to 404 Not
+// Found (see the errboundary sentinel table): the route exists, the
+// feature is off.
+var ErrDisabled = errors.New("obs: subsystem disabled")
+
+// TraceLog is the tail-based retention ring behind /debug/tracez: every
+// serving tier keeps full span trees for the operations worth keeping —
+// slow, errored, or degraded — regardless of whether the client asked
+// for sampling. It answers "show me the trace of the request that failed
+// / ran degraded / took 300 ms five minutes ago", filterable by
+// operation, duration floor, and error/degraded state.
 
 // TraceEntry is one retained request trace.
 type TraceEntry struct {

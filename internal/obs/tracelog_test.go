@@ -69,8 +69,8 @@ func TestTraceLogDisabled(t *testing.T) {
 		if _, err := l.Query(TraceQuery{}); !errors.Is(err, ErrDisabled) {
 			t.Errorf("disabled log Query err = %v, want ErrDisabled", err)
 		}
-		if l.Enabled() {
-			t.Error("disabled log claims enabled")
+		if l.Enabled() || l.Total() != 0 {
+			t.Error("disabled log claims enabled or counted an entry")
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"math/rand"
 	"strconv"
@@ -225,12 +224,13 @@ type Config struct {
 	// registry must not already hold that name.
 	Obs *obs.Registry
 	// OnTrace, when set, fires as each job reaches a terminal state with
-	// its wall time and span tree (resolve_data → pdf → recommend → fit,
-	// with fairds stage spans underneath) — the dmsapi server routes these
-	// into the same slow-request log as serving traffic.
-	OnTrace func(d time.Duration, dump obs.TraceDump)
-	// Logger receives job-lifecycle logs; nil silences them.
-	Logger *log.Logger
+	// its wall time, its failure (nil when done or canceled) and its span
+	// tree (resolve_data → pdf → recommend → fit, with fairds stage spans
+	// underneath) — the dmsapi server hands these to the same retention
+	// step as serving traffic.
+	OnTrace func(d time.Duration, err error, tr *obs.Trace)
+	// Logger receives job-lifecycle events; nil silences them.
+	Logger *obs.Logger
 }
 
 // Stats is a point-in-time snapshot of the manager's gauges — the train
@@ -417,8 +417,8 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 	m.cond.Signal()
 	m.mu.Unlock()
 	m.submitted.Add(1)
-	m.logf("trainer: %s queued (model %s, dataset %q, %d inline samples)",
-		id, spec.Model, spec.Dataset, len(spec.Samples))
+	m.cfg.Logger.Info("train job queued",
+		"job", id, "model", spec.Model, "dataset", spec.Dataset, "inline_samples", len(spec.Samples))
 	return j.snapshot(), nil
 }
 
@@ -484,13 +484,13 @@ func (m *Manager) Cancel(id string) (*Status, error) {
 		canceledQueued = true
 	case StateRunning:
 		j.cancel() // the worker observes ctx and finalizes the state
-		m.logf("trainer: %s cancellation requested mid-run", id)
+		m.cfg.Logger.Info("train job cancellation requested mid-run", "job", id)
 	}
 	j.mu.Unlock()
 	if canceledQueued {
 		j.cancel()
 		m.canceled.Add(1)
-		m.logf("trainer: %s canceled while queued", id)
+		m.cfg.Logger.Info("train job canceled while queued", "job", id)
 		m.pruneHistory() // this terminal transition bypassed finalize
 	}
 	return j.snapshot(), nil
@@ -512,12 +512,6 @@ func (m *Manager) Stats() Stats {
 		Canceled:   m.canceled.Load(),
 		WarmStarts: m.warmStarts.Load(),
 		ColdStarts: m.coldStarts.Load(),
-	}
-}
-
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logger != nil {
-		m.cfg.Logger.Printf(format, args...)
 	}
 }
 
@@ -597,13 +591,13 @@ func (m *Manager) finalize(j *job, state State, errMsg string) {
 	switch state {
 	case StateDone:
 		m.completed.Add(1)
-		m.logf("trainer: %s done", id)
+		m.cfg.Logger.Info("train job done", "job", id)
 	case StateFailed:
 		m.failed.Add(1)
-		m.logf("trainer: %s failed: %s", id, errMsg)
+		m.cfg.Logger.Warn("train job failed", "job", id, "err", errMsg)
 	case StateCanceled:
 		m.canceled.Add(1)
-		m.logf("trainer: %s canceled", id)
+		m.cfg.Logger.Info("train job canceled", "job", id)
 	}
 	m.pruneHistory()
 }
@@ -672,7 +666,7 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	defer func() {
 		root.End()
 		if tr != nil {
-			m.cfg.OnTrace(time.Since(jobStart), tr.Dump())
+			m.cfg.OnTrace(time.Since(jobStart), err, tr)
 		}
 	}()
 
@@ -740,8 +734,8 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		sp.End()
 		if ok {
 			if err := model.LoadState(rec.Record.State); err != nil {
-				m.logf("trainer: %s: foundation %s incompatible (%v), cold-starting",
-					j.status.ID, rec.Record.ID, err)
+				m.cfg.Logger.Warn("foundation incompatible, cold-starting",
+					"job", j.status.ID, "foundation", rec.Record.ID, "err", err)
 			} else {
 				warm = true
 				foundation = rec.Record.ID
@@ -842,8 +836,8 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	if m.cfg.OnRegister != nil {
 		m.cfg.OnRegister(modelID)
 	}
-	m.logf("trainer: %s registered %s (warm=%v foundation=%q epochs=%d)",
-		j.status.ID, modelID, warm, foundation, res.Epochs)
+	m.cfg.Logger.Info("train job registered its checkpoint",
+		"job", j.status.ID, "model_id", modelID, "warm", warm, "foundation", foundation, "epochs", res.Epochs)
 	return true, nil
 }
 
