@@ -100,7 +100,7 @@ func (l *lazyEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
 			E:      embed.NewAutoencoder(rng, x.Dim(1), l.hidden, l.dim),
 			Factor: l.scale,
 		}
-		log.Printf("dmsd: embedder initialized for %d-feature inputs (dim %d)", x.Dim(1), l.dim)
+		logger.Info("embedder initialized", "features", x.Dim(1), "dim", l.dim)
 	}
 	e := l.inner
 	l.mu.Unlock()

@@ -127,8 +127,12 @@ func BenchmarkNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkNearestMatches is the serve_scan request: 64 samples against a
+// 32k corpus in 8 clusters (~4k-vector partitions). Run it with -cpu 1,2
+// to see what spreading the request's probes over workers buys.
 func BenchmarkNearestMatches(b *testing.B) {
-	svc, query := benchService(b, 2000)
+	svc, query := benchService(b, 32_768)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.NearestMatches(query, false); err != nil {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -520,7 +521,9 @@ func (s *Service) NearestLabeledExcluding(sample *codec.Sample, exclude map[stri
 	} else {
 		// Cold fallback — projected scan: only embeddings travel, not
 		// payloads (the paper's §II-A "efficient lookup by embedding
-		// indexing" requirement, minus the in-process index).
+		// indexing" requirement, minus the in-process index). Distances
+		// come from the index's own kernel, so this path is the bit-exact
+		// oracle the indexed one is tested against.
 		s.idxMisses.Add(1)
 		docs, err := s.store.Find(docstore.Query{
 			Filters: []docstore.Filter{docstore.Eq("cluster", k)},
@@ -538,7 +541,7 @@ func (s *Service) NearestLabeledExcluding(sample *codec.Sample, exclude map[stri
 				s.noteCorrupt(d.ID, errBadEmbedding)
 				continue
 			}
-			if dist := tensor.SquaredDistance(z, emb); dist < best {
+			if dist := vecindex.Dist2(z, emb); dist < best {
 				best = dist
 				bestID = d.ID
 			}
@@ -600,9 +603,14 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 	assign := s.km.Predict(rows)
 	sp.End()
 
-	used := make(map[string]bool, len(exclude))
-	for id := range exclude {
-		used[id] = true
+	// used is the exclusion set the scans consult. Only a distinct draw
+	// grows it, so only then is the caller's set copied.
+	used := exclude
+	if distinct {
+		used = make(map[string]bool, len(exclude))
+		for id := range exclude {
+			used[id] = true
+		}
 	}
 	out := make([]Match, len(samples))
 
@@ -615,17 +623,46 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 		if distinct || len(used) > 0 {
 			skip = func(id string) bool { return used[id] }
 		}
-		for i := range samples {
+		probe := func(i int) string {
 			res, ok := s.idx.Nearest(assign[i], rows[i], skip)
 			if !ok {
 				out[i] = Match{Dist: math.Inf(1)}
-				continue
-			}
-			if distinct {
-				used[res.ID] = true
+				return ""
 			}
 			out[i] = Match{DocID: res.ID, Dist: math.Sqrt(res.Dist2)}
+			return res.ID
 		}
+		if distinct {
+			// Greedy in input order: each draw sees the ones before it.
+			for i := range samples {
+				if id := probe(i); id != "" {
+					used[id] = true
+				}
+			}
+			return out, nil
+		}
+		// Independent probes: spread the request's samples over workers
+		// when its scan work — samples × mean partition size × dim, in the
+		// float64 elements vecindex.ForkElems is stated in — gives each
+		// worker enough to pay for its goroutine. The caller is worker 0.
+		work := len(samples) * (s.idx.Len() / s.km.K()) * len(rows[0])
+		workers := min(runtime.GOMAXPROCS(0), len(samples), work/vecindex.ForkElems)
+		var next atomic.Int64
+		drain := func() {
+			for i := int(next.Add(1)) - 1; i < len(samples); i = int(next.Add(1)) - 1 {
+				probe(i)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drain()
+			}()
+		}
+		drain()
+		wg.Wait()
 		return out, nil
 	}
 
@@ -665,10 +702,10 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 		best := math.Inf(1)
 		bestID := ""
 		for _, e := range clusterDocs[assign[i]] {
-			if (distinct || len(exclude) > 0) && used[e.id] {
+			if used[e.id] {
 				continue
 			}
-			if d := tensor.SquaredDistance(rows[i], e.emb); d < best {
+			if d := vecindex.Dist2(rows[i], e.emb); d < best {
 				best = d
 				bestID = e.id
 			}

@@ -110,7 +110,7 @@ func TestIndexParityNearestMatches(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range want {
-					if got[i].DocID != want[i].DocID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+					if got[i] != want[i] {
 						t.Fatalf("distinct=%v sample %d: indexed %+v != scan %+v", distinct, i, got[i], want[i])
 					}
 				}
@@ -138,7 +138,7 @@ func TestIndexParityExcludingDraws(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idI != idS || math.Abs(distI-distS) > 1e-9 {
+		if idI != idS || distI != distS {
 			t.Fatalf("draw %d: indexed (%s, %g) != scan (%s, %g)", draw, idI, distI, idS, distS)
 		}
 		if idI == "" {
@@ -197,7 +197,7 @@ func TestWarmIndexAdoptsPrePopulatedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range cold {
-		if warm[i].DocID != cold[i].DocID || math.Abs(warm[i].Dist-cold[i].Dist) > 1e-9 {
+		if warm[i] != cold[i] {
 			t.Fatalf("sample %d: warm %+v != cold %+v", i, warm[i], cold[i])
 		}
 	}
@@ -310,7 +310,7 @@ func TestReindexRebuildsIndexAfterEmbedderSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got[i].DocID != want[i].DocID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+		if got[i] != want[i] {
 			t.Fatalf("sample %d after reindex: indexed %+v != scan %+v", i, got[i], want[i])
 		}
 	}

@@ -479,6 +479,7 @@ func (m *Manager) Cancel(id string) (*Status, error) {
 		// atomic under j.mu, or a worker that popped the job before our
 		// pending removal could promote it to Running between the check
 		// and the transition.
+		m.countTerminal(StateCanceled)
 		j.status.State = StateCanceled
 		j.status.FinishedAt = time.Now()
 		canceledQueued = true
@@ -489,7 +490,6 @@ func (m *Manager) Cancel(id string) (*Status, error) {
 	j.mu.Unlock()
 	if canceledQueued {
 		j.cancel()
-		m.canceled.Add(1)
 		m.cfg.Logger.Info("train job canceled while queued", "job", id)
 		m.pruneHistory() // this terminal transition bypassed finalize
 	}
@@ -581,6 +581,7 @@ func (m *Manager) finalize(j *job, state State, errMsg string) {
 		j.mu.Unlock()
 		return
 	}
+	m.countTerminal(state)
 	j.status.State = state
 	j.status.Err = errMsg
 	j.status.FinishedAt = time.Now()
@@ -590,16 +591,27 @@ func (m *Manager) finalize(j *job, state State, errMsg string) {
 
 	switch state {
 	case StateDone:
-		m.completed.Add(1)
 		m.cfg.Logger.Info("train job done", "job", id)
 	case StateFailed:
-		m.failed.Add(1)
 		m.cfg.Logger.Warn("train job failed", "job", id, "err", errMsg)
 	case StateCanceled:
-		m.canceled.Add(1)
 		m.cfg.Logger.Info("train job canceled", "job", id)
 	}
 	m.pruneHistory()
+}
+
+// countTerminal bumps the counter of a terminal state. The caller holds
+// the job's mu and has not yet stored the state, so whoever observes the
+// job as finished also finds it counted in Stats.
+func (m *Manager) countTerminal(state State) {
+	switch state {
+	case StateDone:
+		m.completed.Add(1)
+	case StateFailed:
+		m.failed.Add(1)
+	case StateCanceled:
+		m.canceled.Add(1)
+	}
 }
 
 // pruneHistory forgets the oldest terminal jobs once the total exceeds

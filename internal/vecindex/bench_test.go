@@ -24,8 +24,11 @@ func benchIndex(b *testing.B, idx Index, n int) []float64 {
 	return q
 }
 
+// BenchmarkNearestFlat is the single-query scan at partition sizes on both
+// sides of ForkElems (65,536 dim-8 vectors): run it with -cpu 1,2 to see
+// the fork's cost and gain — the numbers recorded on the constant.
 func BenchmarkNearestFlat(b *testing.B) {
-	for _, n := range []int{1_000, 10_000, 50_000} {
+	for _, n := range []int{1_000, 10_000, 50_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			idx := NewFlat()
 			q := benchIndex(b, idx, n)
@@ -36,6 +39,44 @@ func BenchmarkNearestFlat(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNearestRequest is the shape fairbench's serve_scan puts on the
+// index: the 64 queries of one request, one after the other, against one
+// partition — bare, and with the exclusion set a distinct draw or a
+// router's exclude-and-requery round brings (one in eight IDs excluded).
+func BenchmarkNearestRequest(b *testing.B) {
+	for _, n := range []int{4_096, 16_384} {
+		idx := NewFlat()
+		benchIndex(b, idx, n)
+		rng := rand.New(rand.NewSource(4))
+		queries := make([][]float64, 64)
+		for i := range queries {
+			queries[i] = randVec(rng, 8)
+		}
+		excluded := make(map[string]bool)
+		for i := 0; i < n; i += 8 {
+			excluded[fmt.Sprintf("doc-%d", i)] = true
+		}
+		for _, tc := range []struct {
+			name    string
+			exclude func(string) bool
+		}{
+			{"bare", nil},
+			{"excluding", func(id string) bool { return excluded[id] }},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						if _, ok := idx.Nearest(0, q, tc.exclude); !ok {
+							b.Fatal("no result")
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

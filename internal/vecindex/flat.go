@@ -6,8 +6,10 @@ import (
 )
 
 // Flat is the exact Index: one contiguous float64 slab per cluster,
-// scanned in parallel chunks. Queries take a read lock, so concurrent
-// Nearest calls proceed in parallel; Add/Remove/Rebuild serialize briefly.
+// scanned front to back by the calling goroutine (and split across
+// goroutines only past 2×ForkElems). Queries take a read lock, so
+// concurrent Nearest calls — a request's queries, spread over workers by
+// fairds — proceed in parallel; Add/Remove/Rebuild serialize briefly.
 type Flat struct {
 	mu    sync.RWMutex
 	dim   int                    // 0 until the first Add/Rebuild fixes it
@@ -94,8 +96,8 @@ func (f *Flat) removeLocked(id string, loc flatPos) {
 	}
 }
 
-// Nearest scans the cluster's slab (in parallel for large partitions) and
-// returns the closest non-excluded vector.
+// Nearest scans the cluster's slab and returns the closest non-excluded
+// vector, the lowest slot among equals.
 func (f *Flat) Nearest(cluster int, q []float64, exclude func(string) bool) (Result, bool) {
 	f.queries.Add(1)
 	f.mu.RLock()

@@ -2,12 +2,10 @@ package vecindex
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"fairdms/internal/cluster"
-	"fairdms/internal/tensor"
 )
 
 // IVFConfig tunes an IVF index.
@@ -64,6 +62,10 @@ type ivfPartition struct {
 	size    int
 	fitSize int // partition size at the last quantizer fit
 }
+
+// maxLists caps a partition's sublists, so a query tracks the lists it
+// has probed in one machine word.
+const maxLists = 64
 
 // ivfPos locates a vector for O(1) removal.
 type ivfPos struct {
@@ -127,8 +129,8 @@ func (v *IVF) refitLocked(clusterID int, p *ivfPartition) {
 	if k < 2 {
 		k = 2
 	}
-	if k > 64 {
-		k = 64
+	if k > maxLists {
+		k = maxLists
 	}
 	if k > len(rows) {
 		k = len(rows)
@@ -186,9 +188,11 @@ func (v *IVF) removeLocked(id string, loc ivfPos) {
 }
 
 // Nearest probes the NProbe sublists closest to the query (all lists when
-// the partition is unquantized), widening to the remaining lists only if
-// every probed candidate was excluded — so a distinct-draw loop that has
-// consumed whole sublists still finds the true next-nearest remainder.
+// the partition is unquantized or NProbe covers them), widening to the
+// remaining lists only if every probed candidate was excluded — so a
+// distinct-draw loop that has consumed whole sublists still finds the true
+// next-nearest remainder. Among equal distances the first list scanned
+// wins, and within a list the lowest slot.
 func (v *IVF) Nearest(clusterID int, q []float64, exclude func(string) bool) (Result, bool) {
 	v.queries.Add(1)
 	v.mu.RLock()
@@ -197,38 +201,47 @@ func (v *IVF) Nearest(clusterID int, q []float64, exclude func(string) bool) (Re
 	if p == nil || len(q) != v.dim {
 		return Result{}, false
 	}
-	order := make([]int, len(p.lists))
-	for i := range order {
-		order[i] = i
-	}
-	if p.km != nil {
-		d2c := make([]float64, len(p.km.Centers))
-		for i, c := range p.km.Centers {
-			d2c[i] = tensor.SquaredDistance(q, c)
-		}
-		sort.Slice(order, func(a, b int) bool { return d2c[order[a]] < d2c[order[b]] })
-	}
-	probeLimit := v.cfg.NProbe
-	if p.km == nil || probeLimit > len(order) {
-		probeLimit = len(order)
-	}
 	bestSlot, bestList, bestD2 := -1, -1, 0.0
-	for rank, li := range order {
-		if rank == probeLimit && bestSlot >= 0 {
-			break // probe budget spent and a candidate exists
-		}
-		// Once widening starts (budget spent, everything so far excluded or
-		// empty) it scans ALL remaining lists, so a widened answer is the
-		// exact nearest among the unprobed remainder.
+	scan := func(li int) {
 		lp := p.lists[li]
 		if len(lp.ids) == 0 {
-			continue
+			return
 		}
 		v.listsProbed.Add(1)
 		v.probed.Add(int64(len(lp.ids)))
 		slot, d2 := scanNearest(lp.vecs, lp.ids, v.dim, q, exclude)
 		if slot >= 0 && (bestSlot < 0 || d2 < bestD2) {
 			bestSlot, bestList, bestD2 = slot, li, d2
+		}
+	}
+	// Probe the NProbe lists whose centroids sit closest, closest first;
+	// picking them one minimum at a time needs no per-query allocation.
+	var probed uint64 // bit li set once list li was scanned; len(p.lists) <= maxLists
+	if p.km != nil && v.cfg.NProbe < len(p.lists) {
+		var d2c [maxLists]float64
+		for i, c := range p.km.Centers {
+			d2c[i] = Dist2(q, c)
+		}
+		for range v.cfg.NProbe {
+			next := -1
+			for li := range p.lists {
+				if probed&(1<<li) == 0 && (next < 0 || d2c[li] < d2c[next]) {
+					next = li
+				}
+			}
+			probed |= 1 << next
+			scan(next)
+		}
+	}
+	// Everything else — the whole partition when the probe is exact, the
+	// unprobed remainder when every probed candidate was excluded or the
+	// probed lists were empty — is scanned in list order, so a widened
+	// answer is the exact nearest of what is left.
+	if bestSlot < 0 {
+		for li := range p.lists {
+			if probed&(1<<li) == 0 {
+				scan(li)
+			}
 		}
 	}
 	if bestSlot < 0 {

@@ -10,7 +10,7 @@
 //
 // Two implementations share the Index interface:
 //
-//   - Flat: exact nearest neighbor by chunked parallel scan of the
+//   - Flat: exact nearest neighbor by one sequential scan of the
 //     cluster's slab. The right default: fairDS has already narrowed the
 //     search to one cluster, so a scan over that partition is both exact
 //     and fast.
@@ -24,6 +24,14 @@
 // Both support incremental Add on ingest, Remove, exclusion predicates for
 // the Fig. 9 distinct-draw loop, and full Rebuild for the §II-C reindex
 // pass. All methods are safe for concurrent use.
+//
+// Parallelism lives across queries, not inside them: a request brings many
+// queries (one per sample), and fairds spreads those over workers, each
+// calling Nearest. A query splits its own scan across goroutines only when
+// a single slab is past 2×ForkElems. Either way the distance reported for
+// a vector is Dist2 of it — a pure function of the query and the vector —
+// so answers do not depend on worker counts, and distances from different
+// shards of a cluster can be compared and merged exactly.
 package vecindex
 
 import (
@@ -100,23 +108,45 @@ func dimError(got, want int) error {
 	return fmt.Errorf("%w: got %d, index holds %d-dimensional vectors", ErrDimMismatch, got, want)
 }
 
-// scanChunk is the smallest slab worth splitting across goroutines; below
-// it, a single-threaded scan beats the fork/join overhead.
-const scanChunk = 2048
+// ForkElems is the smallest share of scan work, in float64 elements
+// (vectors × dim — what a worker streams, whatever the dimension), worth
+// handing to its own goroutine. scanNearest splits a slab only when every
+// worker gets at least this much, so a slab below 2×ForkElems is scanned
+// by the caller; fairds applies the same measure to a whole request
+// (queries × vectors × dim) when it spreads queries over workers.
+//
+// Chosen from BenchmarkNearestFlat, dim 8, 2 vCPUs (Xeon 2.1 GHz VM),
+// go1.24; µs per query, unforked (-cpu 1) against a forced 2-worker split
+// (-cpu 2 with this constant lowered):
+//
+//	vectors  elements  unforked  split in 2
+//	  1,000     8 Ki      3.7       5.8
+//	 10,000    78 Ki       36        37
+//	 16,384   128 Ki       58        80
+//	 24,576   192 Ki       93     70–96 (bimodal)
+//	 32,768   256 Ki      127        88
+//	 50,000   391 Ki      192       132
+//	100,000   781 Ki      400       250
+//
+// The split starts to pay between 192 Ki and 256 Ki elements per slab —
+// 96 to 128 Ki per worker; starting and joining a goroutine costs about
+// what scanning 60 Ki elements does. Across a request's queries
+// (fairds.BenchmarkNearestMatches shape, 4,096-vector partitions) the
+// break-even is the same: 8 queries (256 Ki elements) 125 → 124 µs, 16
+// queries 285 → 223 µs, 64 queries 1,160 → 745 µs.
+const ForkElems = 128 << 10
 
-// scanNearest finds the closest vector to q in a flat slab of n vectors of
-// the given dim, skipping excluded IDs. It fans out across goroutines for
-// large n. Ties break toward the lowest slot, so results are deterministic
-// regardless of worker scheduling. Returns the winning slot (-1 if none)
+// scanNearest finds the closest vector to q in a flat slab of len(ids)
+// vectors of the given dim, skipping excluded IDs. It splits the slab
+// across goroutines only when each gets at least ForkElems elements. Ties
+// break toward the lowest slot, so results are deterministic regardless
+// of worker count and scheduling. Returns the winning slot (-1 if none)
 // and its squared distance.
 func scanNearest(vecs []float64, ids []string, dim int, q []float64, exclude func(string) bool) (int, float64) {
 	n := len(ids)
-	workers := runtime.GOMAXPROCS(0)
-	if n < 2*scanChunk || workers <= 1 {
+	workers := min(runtime.GOMAXPROCS(0), n*dim/ForkElems)
+	if workers < 2 {
 		return scanRange(vecs, ids, dim, q, exclude, 0, n)
-	}
-	if max := (n + scanChunk - 1) / scanChunk; workers > max {
-		workers = max
 	}
 	type best struct {
 		slot  int
@@ -124,18 +154,17 @@ func scanNearest(vecs []float64, ids []string, dim int, q []float64, exclude fun
 	}
 	results := make([]best, workers)
 	chunk := (n + workers - 1) / workers
+	// Every share goes to a new goroutine and the caller waits: keeping one
+	// share for the caller leaves the other in its P's run-next slot, which
+	// idle Ps are slow to steal from (n=50,000: 196 µs against 132 µs).
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			slot, d2 := scanRange(vecs, ids, dim, q, exclude, lo, hi)
+			slot, d2 := scanRange(vecs, ids, dim, q, exclude, w*chunk, min((w+1)*chunk, n))
 			results[w] = best{slot: slot, dist2: d2}
-		}(w, lo, hi)
+		}(w)
 	}
 	wg.Wait()
 	bestSlot, bestD2 := -1, 0.0
@@ -147,22 +176,70 @@ func scanNearest(vecs []float64, ids []string, dim int, q []float64, exclude fun
 	return bestSlot, bestD2
 }
 
-// scanRange is the sequential inner loop of scanNearest over slots
-// [lo, hi).
+// Dist2 is the squared Euclidean distance every index scan computes for
+// one vector, exported so a caller scanning outside an index (the fairds
+// store-scan fallback, tests' brute-force oracles) gets the same bits. It
+// is a pure function of (q, v): see scanRange. len(v) must equal len(q).
+func Dist2(q, v []float64) float64 {
+	_, d2 := scanRange(v[:len(q)], nil, len(q), q, nil, 0, 1)
+	return d2
+}
+
+// scanRange is the one distance kernel: the sequential scan of slots
+// [lo, hi) of a slab, behind scanNearest and Dist2.
+//
+// The distance of one vector is a pure function of (q, v, dim) — the same
+// floating-point operations in the same order for every slot, slab size,
+// worker split and index type — because routed and single-node answers
+// are compared, and merged, by exact distance. Squared differences go to
+// four running sums, element j of the largest multiple-of-four prefix to
+// sum j mod 4 and the up-to-three remaining elements to sum 0, combined as
+// (s0+s1)+(s2+s3); the dim-8 loop is that order unrolled. The float64
+// conversions forbid fusing a product into the following add, which would
+// otherwise be the compiler's choice per call site and architecture.
+//
+// exclude is asked only of a vector that would become the new best, so
+// the callback stays off the per-vector path; the winner is the same as
+// filtering first.
 func scanRange(vecs []float64, ids []string, dim int, q []float64, exclude func(string) bool, lo, hi int) (int, float64) {
 	bestSlot, bestD2 := -1, 0.0
-	for i := lo; i < hi; i++ {
-		if exclude != nil && exclude(ids[i]) {
-			continue
+	slab := vecs[lo*dim : hi*dim]
+	if dim == 8 {
+		q8 := (*[8]float64)(q)
+		q0, q1, q2, q3, q4, q5, q6, q7 := q8[0], q8[1], q8[2], q8[3], q8[4], q8[5], q8[6], q8[7]
+		for i := lo; len(slab) >= 8; i, slab = i+1, slab[8:] {
+			v := (*[8]float64)(slab)
+			d0, d1, d2, d3 := q0-v[0], q1-v[1], q2-v[2], q3-v[3]
+			d4, d5, d6, d7 := q4-v[4], q5-v[5], q6-v[6], q7-v[7]
+			s0 := float64(d0*d0) + float64(d4*d4)
+			s1 := float64(d1*d1) + float64(d5*d5)
+			s2 := float64(d2*d2) + float64(d6*d6)
+			s3 := float64(d3*d3) + float64(d7*d7)
+			dist2 := (s0 + s1) + (s2 + s3)
+			if (bestSlot < 0 || dist2 < bestD2) && (exclude == nil || !exclude(ids[i])) {
+				bestSlot, bestD2 = i, dist2
+			}
 		}
-		v := vecs[i*dim : (i+1)*dim]
-		d2 := 0.0
-		for j, x := range q {
-			d := x - v[j]
-			d2 += d * d
+		return bestSlot, bestD2
+	}
+	for i := lo; i < hi; i, slab = i+1, slab[dim:] {
+		v := slab[:len(q)]
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j+4 <= len(q); j += 4 {
+			d0, d1, d2, d3 := q[j]-v[j], q[j+1]-v[j+1], q[j+2]-v[j+2], q[j+3]-v[j+3]
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
 		}
-		if bestSlot < 0 || d2 < bestD2 {
-			bestSlot, bestD2 = i, d2
+		for ; j < len(q); j++ {
+			d := q[j] - v[j]
+			s0 += float64(d * d)
+		}
+		dist2 := (s0 + s1) + (s2 + s3)
+		if (bestSlot < 0 || dist2 < bestD2) && (exclude == nil || !exclude(ids[i])) {
+			bestSlot, bestD2 = i, dist2
 		}
 	}
 	return bestSlot, bestD2

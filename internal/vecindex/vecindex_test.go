@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"fairdms/internal/tensor"
 )
 
 // randEntries generates n entries with dim-dimensional vectors spread over
@@ -15,16 +13,21 @@ import (
 func randEntries(rng *rand.Rand, n, dim, k int) []Entry {
 	entries := make([]Entry, n)
 	for i := range entries {
-		vec := make([]float64, dim)
-		for j := range vec {
-			vec[j] = rng.NormFloat64()
-		}
-		entries[i] = Entry{ID: fmt.Sprintf("doc-%d", i), Cluster: rng.Intn(k), Vec: vec}
+		entries[i] = Entry{ID: fmt.Sprintf("doc-%d", i), Cluster: rng.Intn(k), Vec: randVec(rng, dim)}
 	}
 	return entries
 }
 
-// bruteNearest is the reference scan the index must agree with.
+func randVec(rng *rand.Rand, dim int) []float64 {
+	vec := make([]float64, dim)
+	for j := range vec {
+		vec[j] = rng.NormFloat64()
+	}
+	return vec
+}
+
+// bruteNearest is the reference scan the index must agree with, to the
+// bit: filter first, then the first strictly smaller Dist2 wins.
 func bruteNearest(entries []Entry, clusterID int, q []float64, exclude map[string]bool) (Result, bool) {
 	best := Result{Dist2: math.Inf(1)}
 	found := false
@@ -32,7 +35,7 @@ func bruteNearest(entries []Entry, clusterID int, q []float64, exclude map[strin
 		if e.Cluster != clusterID || exclude[e.ID] {
 			continue
 		}
-		if d2 := tensor.SquaredDistance(q, e.Vec); d2 < best.Dist2 {
+		if d2 := Dist2(q, e.Vec); d2 < best.Dist2 {
 			best = Result{ID: e.ID, Dist2: d2}
 			found = true
 		}
@@ -63,14 +66,11 @@ func TestParityWithBruteForce(t *testing.T) {
 				t.Fatalf("Len = %d, want %d", idx.Len(), len(entries))
 			}
 			for qi := 0; qi < 200; qi++ {
-				q := make([]float64, 8)
-				for j := range q {
-					q[j] = rng.NormFloat64()
-				}
+				q := randVec(rng, 8)
 				k := rng.Intn(5)
 				got, ok := idx.Nearest(k, q, nil)
 				want, wok := bruteNearest(entries, k, q, nil)
-				if ok != wok || got.ID != want.ID || math.Abs(got.Dist2-want.Dist2) > 1e-12 {
+				if ok != wok || got != want {
 					t.Fatalf("query %d cluster %d: index (%v, %v) != brute (%v, %v)", qi, k, got, ok, want, wok)
 				}
 			}
@@ -97,7 +97,7 @@ func TestExclusionDistinctDraws(t *testing.T) {
 			for i := 0; i < len(entries); i++ {
 				got, ok := idx.Nearest(0, q, func(id string) bool { return drawn[id] })
 				want, wok := bruteNearest(entries, 0, q, drawn)
-				if !ok || !wok || got.ID != want.ID {
+				if !ok || !wok || got != want {
 					t.Fatalf("draw %d: index (%v, %v) != brute (%v, %v)", i, got, ok, want, wok)
 				}
 				if drawn[got.ID] {
