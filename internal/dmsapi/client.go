@@ -181,13 +181,6 @@ func (c *Client) SamplesByID(ctx context.Context, ids []string, partial bool) ([
 	return ToCodecSlice(out.Samples), out.Missing, nil
 }
 
-// ClusterIDs lists the document IDs assigned to one cluster, sorted.
-func (c *Client) ClusterIDs(ctx context.Context, cluster int) ([]string, error) {
-	var out ClusterIDsResponse
-	err := c.DoJSON(ctx, "POST", PathClusterIDs, ClusterIDsRequest{Cluster: cluster}, &out)
-	return out.IDs, err
-}
-
 // PDF computes the dataset's cluster probability distribution.
 func (c *Client) PDF(samples []*codec.Sample) (stats.PDF, error) {
 	var out PDFResponse

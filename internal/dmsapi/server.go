@@ -167,7 +167,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.Handle("POST "+PathPDF, "data.pdf", 0, s.handlePDF)
 	s.Handle("POST "+PathFit, "data.fit", 0, s.handleFit)
 	s.Handle("POST "+PathSamples, "data.samples", 0, s.handleSamples)
-	s.Handle("POST "+PathClusterIDs, "data.ids", 0, s.handleClusterIDs)
+	s.Handle("POST "+PathDraw, "data.draw", 0, s.handleDraw)
 	s.Handle("POST "+PathModels, "models.add", 0, s.handleAddModel)
 	s.Handle("GET "+PathModels, "models.list", 0, s.handleListModels)
 	s.Handle("POST "+PathRecommend, "models.recommend", 0, s.handleRecommend)
@@ -713,23 +713,29 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
 	return WriteJSON(w, SamplesResponse{Samples: FromCodecSlice(samples), Missing: missing})
 }
 
-// handleClusterIDs lists one cluster's document IDs (sorted) — the
-// candidate-gathering half of the router's lookup merge.
-func (s *Server) handleClusterIDs(w http.ResponseWriter, r *http.Request) error {
-	var req ClusterIDsRequest
+// handleDraw answers the sampling half of a lookup under the caller's
+// seed — the first of the router's two lookup rounds (the samples fetch is
+// the second).
+func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) error {
+	var req DrawRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
 		return err
 	}
-	if req.Cluster < 0 {
-		return errf(http.StatusBadRequest, "ids: negative cluster %d", req.Cluster)
+	samples, err := decodeSamples(req.Samples)
+	if err != nil {
+		return err
+	}
+	x, err := fairds.Collate(samples)
+	if err != nil {
+		return errf(http.StatusBadRequest, "draw: %v", err)
 	}
 	s.dsMu.RLock()
-	ids, err := s.cfg.DS.ClusterDocIDs(r.Context(), req.Cluster)
+	counts, ids, err := s.cfg.DS.LookupDrawContext(r.Context(), x, req.Seed)
 	s.dsMu.RUnlock()
 	if err != nil {
 		return serviceError(err)
 	}
-	return WriteJSON(w, ClusterIDsResponse{IDs: ids})
+	return WriteJSON(w, DrawResponse{Counts: counts, IDs: ids})
 }
 
 // ---------------------------------------------------------------------------

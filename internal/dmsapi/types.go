@@ -36,7 +36,7 @@ const (
 	PathPDF         = "/v1/data/pdf"
 	PathFit         = "/v1/data/clusters:fit"
 	PathSamples     = "/v1/data/samples"
-	PathClusterIDs  = "/v1/data/ids"
+	PathDraw        = "/v1/data/draw"
 	PathModels      = "/v1/models"
 	PathRecommend   = "/v1/models/recommend"
 	PathCheckpoint  = "/v1/models/{id}/checkpoint"
@@ -233,16 +233,22 @@ type SamplesResponse struct {
 	Missing []string `json:"missing,omitempty"`
 }
 
-// ClusterIDsRequest is the body of POST /v1/data/ids: list the document
-// IDs assigned to one cluster. The cluster router's lookup merge gathers
-// per-shard candidate sets through this endpoint.
-type ClusterIDsRequest struct {
-	Cluster int `json:"cluster"`
+// DrawRequest is the body of POST /v1/data/draw: the sampling half of a
+// lookup over Samples, drawn under the caller's seed. A cluster router
+// sends every shard the same request, so the shards' answers are parts of
+// one ranking (docstore.DrawRank under Seed + cluster).
+type DrawRequest struct {
+	Samples []Sample `json:"samples"`
+	Seed    int64    `json:"seed"`
 }
 
-// ClusterIDsResponse returns the cluster's document IDs, sorted.
-type ClusterIDsResponse struct {
-	IDs []string `json:"ids"`
+// DrawResponse returns the per-cluster counts the lookup apportions — a
+// function of the replicated clustering model, so every agreeing shard
+// reports the same — and, per cluster, this store's at most Counts[k]
+// lowest-ranked document IDs, sorted (null for an unoccupied cluster).
+type DrawResponse struct {
+	Counts []int      `json:"counts"`
+	IDs    [][]string `json:"ids"`
 }
 
 // AddModelRequest is the body of POST /v1/models: register a checkpoint

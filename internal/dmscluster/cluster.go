@@ -26,8 +26,11 @@ type Config struct {
 	// that same full batch (coordinated bootstrap), so the replicated
 	// models agree. Zero requires pre-fitted shards.
 	BootstrapK int
-	// Seed feeds the lookup merge's deterministic per-cluster sampling;
-	// it should match the shards' -seed. Zero is a valid seed.
+	// Seed is the lookup draw's seed: it travels to every shard in the
+	// draw round and the merge recomputes docstore.DrawRank under it
+	// (plus the cluster number), so a routed lookup draws what one node
+	// started with this -seed would draw from the same documents. It
+	// should match the shards' -seed. Zero is a valid seed.
 	Seed int64
 	// ProbeInterval is the active health-probe cadence (default 1s;
 	// negative disables active probing — serving-path failures still

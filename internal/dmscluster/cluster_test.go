@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,7 +61,19 @@ var _ embed.Embedder = poolEmbedder{}
 // startShard boots one dmsd-shaped server with its own document-ID
 // namespace (per-shard collection, like dmsd -node-id) and the shared
 // determinism seed.
-func startShard(t *testing.T, name string, trainWorkers int) (*dmsapi.Server, string) {
+func startShard(t testing.TB, name string, trainWorkers int) (*dmsapi.Server, string) {
+	t.Helper()
+	srv, _ := newShard(t, name, trainWorkers)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, addr
+}
+
+// newShard builds a shard without listening and hands out its store, the
+// reference the lookup tests list in full.
+func newShard(t testing.TB, name string, trainWorkers int) (*dmsapi.Server, *docstore.Collection) {
 	t.Helper()
 	store := docstore.NewStore().Collection("peaks-" + name)
 	svc, err := fairds.New(poolEmbedder{dim: 6}, store, fairds.Config{Seed: 1})
@@ -74,25 +87,32 @@ func startShard(t *testing.T, name string, trainWorkers int) (*dmsapi.Server, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return srv, addr
+	return srv, store
 }
 
 // startCluster boots n shards and a cluster client over them.
-func startCluster(t *testing.T, n int, cfg dmscluster.Config) (*dmscluster.Cluster, []*dmsapi.Server) {
+func startCluster(t testing.TB, n int, cfg dmscluster.Config) (*dmscluster.Cluster, []*dmsapi.Server) {
+	t.Helper()
+	c, servers, _ := startClusterStores(t, n, cfg)
+	return c, servers
+}
+
+// startClusterStores is startCluster handing out the shards' stores too.
+func startClusterStores(t testing.TB, n int, cfg dmscluster.Config) (*dmscluster.Cluster, []*dmsapi.Server, []*docstore.Collection) {
 	t.Helper()
 	servers := make([]*dmsapi.Server, n)
+	stores := make([]*docstore.Collection, n)
 	for i := 0; i < n; i++ {
-		srv, addr := startShard(t, fmt.Sprintf("s%d", i), 0)
-		servers[i] = srv
+		servers[i], stores[i] = newShard(t, fmt.Sprintf("s%d", i), 0)
+		addr, err := servers[i].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg.Shards = append(cfg.Shards, addr)
 	}
 	c, err := dmscluster.New(cfg)
@@ -100,7 +120,7 @@ func startCluster(t *testing.T, n int, cfg dmscluster.Config) (*dmscluster.Clust
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	return c, servers
+	return c, servers, stores
 }
 
 // braggCorpus generates n labeled samples mixing two regimes.
@@ -145,7 +165,7 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 
 	// Cluster under test: the first ingest runs the coordinated bootstrap
 	// (every shard fitted on the full batch) and hash-partitions the docs.
-	cluster, _ := startCluster(t, 3, dmscluster.Config{BootstrapK: k, Seed: 1, ProbeInterval: -1})
+	cluster, _, stores := startClusterStores(t, 3, dmscluster.Config{BootstrapK: k, Seed: 1, ProbeInterval: -1})
 	ingest, err := cluster.Ingest(ctx, dmsapi.IngestBatchRequest{Dataset: "clu", Samples: dmsapi.FromCodecSlice(corpus)})
 	if err != nil {
 		t.Fatal(err)
@@ -267,13 +287,64 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 	if len(clusterLook.Samples) != len(singleLook) {
 		t.Fatalf("lookup size diverged: single %d, cluster %d", len(singleLook), len(clusterLook.Samples))
 	}
-	corpusKeys := make(map[string]bool, len(corpus))
-	for _, s := range corpus {
-		corpusKeys[dmscluster.ContentKey(s.Data, s.Label)] = true
+	if clusterLook.Degraded {
+		t.Fatal("healthy cluster flagged lookup degraded")
+	}
+
+	// The routed draw is the draw rule applied to the union of the shards'
+	// members: list every shard's cluster in full (the reference the router
+	// no longer does), keep the lowest-ranked count under seed+cluster, and
+	// the result must be those documents in cluster, then ID, order. The
+	// counts are the single node's, so per-cluster counts match it too.
+	var single dmsapi.DrawResponse
+	if err := ref.DoJSON(ctx, "POST", dmsapi.PathDraw, dmsapi.DrawRequest{Samples: wireQ, Seed: 1}, &single); err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for c, n := range single.Counts {
+		if len(single.IDs[c]) != n {
+			t.Fatalf("single node drew %d of %d from cluster %d; the corpus should cover it", len(single.IDs[c]), n, c)
+		}
+		owner := make(map[string]*docstore.Collection)
+		var members []string
+		for _, st := range stores {
+			ids, err := st.FindIDs(docstore.Query{Filters: []docstore.Filter{docstore.Eq("cluster", c)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				owner[id] = st
+			}
+			members = append(members, ids...)
+		}
+		seed := int64(1 + c)
+		sort.Slice(members, func(i, j int) bool {
+			ri, rj := docstore.DrawRank(seed, members[i]), docstore.DrawRank(seed, members[j])
+			if ri != rj {
+				return ri < rj
+			}
+			return members[i] < members[j]
+		})
+		members = members[:n]
+		sort.Strings(members)
+		for _, id := range members {
+			doc, err := owner[id].Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			smp, err := codec.Block{}.Decode(doc.F["payload"].([]byte))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, smp.Data)
+		}
+	}
+	if len(want) != len(clusterLook.Samples) {
+		t.Fatalf("oracle merge names %d documents, the router returned %d", len(want), len(clusterLook.Samples))
 	}
 	for i, s := range clusterLook.Samples {
-		if !corpusKeys[dmscluster.ContentKey(s.Data, s.Label)] {
-			t.Fatalf("cluster lookup sample %d is not a corpus member", i)
+		if !bytes.Equal(s.Data, want[i]) {
+			t.Fatalf("routed lookup sample %d is not the oracle merge's", i)
 		}
 	}
 }
@@ -353,6 +424,20 @@ func TestClusterDegradedReads(t *testing.T) {
 	defer cancel()
 	servers[1].Shutdown(shutCtx)
 
+	// The router still believes the shard healthy: the lookup's draw round
+	// is what finds it dead, and the survivors answer.
+	look, err := cluster.Lookup(ctx, dmsapi.LookupRequest{Samples: dmsapi.FromCodecSlice(queries)})
+	if err != nil {
+		t.Fatalf("lookup with a shard dying before the draw: %v", err)
+	}
+	if !look.Degraded || len(look.Samples) != len(queries) {
+		t.Fatalf("lookup over the survivors: degraded=%v, %d of %d samples", look.Degraded, len(look.Samples), len(queries))
+	}
+	// Ejected now, so never asked — still less than full membership.
+	if look, err = cluster.Lookup(ctx, dmsapi.LookupRequest{Samples: dmsapi.FromCodecSlice(queries)}); err != nil || !look.Degraded {
+		t.Fatalf("lookup with a shard ejected: degraded=%v, err %v", look.Degraded, err)
+	}
+
 	resp, err := cluster.Certainty(ctx, dmsapi.CertaintyRequest{Samples: dmsapi.FromCodecSlice(queries), Threshold: 0.5})
 	if err != nil {
 		t.Fatalf("certainty with one shard down: %v", err)
@@ -423,6 +508,13 @@ func TestClusterStatusPassthrough(t *testing.T) {
 	}
 	if !errors.Is(err, dmsapi.ErrNotFitted) {
 		t.Fatal("passthrough error lost its sentinel identity")
+	}
+
+	// The lookup's draw round is a data endpoint like any other: an
+	// unfitted cluster answers the same typed 409, not a 500.
+	_, err = cluster.Lookup(ctx, dmsapi.LookupRequest{Samples: dmsapi.FromCodecSlice(q)})
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || !errors.Is(err, dmsapi.ErrNotFitted) {
+		t.Fatalf("lookup on an unfitted cluster: got %v, want 409 not_fitted", err)
 	}
 }
 

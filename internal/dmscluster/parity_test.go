@@ -134,6 +134,7 @@ func TestPipelineParity(t *testing.T) {
 		name, method, path, trace string
 		body                      []byte
 		want                      exchange // trailer holds whether one is wanted, not its name
+		only                      string   // a route only this tier serves
 	}{
 		{name: "success", method: "POST", path: dmsapi.PathNearest, body: nearest,
 			want: exchange{status: 200}},
@@ -144,6 +145,8 @@ func TestPipelineParity(t *testing.T) {
 		{name: "handler error", method: "POST", path: dmsapi.PathCertainty, body: []byte(`{"samples":[]}`),
 			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
 		{name: "malformed body", method: "POST", path: dmsapi.PathNearest, body: []byte("{"),
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "malformed body on the shard-only draw route", method: "POST", path: dmsapi.PathDraw, body: []byte("{"), only: "dmsd",
 			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
 		{name: "oversized body", method: "POST", path: dmsapi.PathNearest, body: bytes.Repeat([]byte(" "), bodyCap+1),
 			want: exchange{status: 413, code: dmsapi.CodeTooLarge, retained: true}},
@@ -160,6 +163,9 @@ func TestPipelineParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, tier := range tiers {
+			if tc.only != "" && tc.only != tier.name {
+				continue
+			}
 			want := tc.want
 			if want.trailer != "" {
 				want.trailer = tier.rootSpan

@@ -4,19 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"fairdms/internal/dmsapi"
-	"fairdms/internal/fairds"
+	"fairdms/internal/docstore"
 	"fairdms/internal/obs"
-	"fairdms/internal/stats"
 )
 
 // shardResult is one shard's answer to a fan-out call.
@@ -453,132 +451,113 @@ func (c *Cluster) Nearest(ctx context.Context, req dmsapi.NearestRequest) (dmsap
 	return dmsapi.NearestResponse{Matches: out, Degraded: degraded}, nil
 }
 
-// Lookup reproduces single-node lookup semantics across the partition:
-// compute the fan-out PDF, apportion the request size into per-cluster
-// counts exactly as one node would, gather each cluster's candidate IDs
-// from every shard, draw the count deterministically (seeded by cluster,
-// like the single-node sampler), and fetch each draw from the shard that
-// owns it. Per-cluster counts therefore match the single-node result on
-// the same corpus; the concrete IDs differ only by namespace.
+// Lookup reproduces single-node lookup semantics across the partition in
+// two scatter rounds over one membership snapshot. Draw: every healthy
+// shard apportions the request over the clusters (from the replicated
+// model, so the counts agree) and returns, per occupied cluster, its own
+// count lowest-ranked IDs under the router's seed; the count lowest of
+// their union — the ranks recomputed here with docstore.DrawRank — are
+// exactly what one node holding every document would draw, because the n
+// lowest of a union are among the n lowest of each part. Fetch: each
+// drawn ID is read from the shard that returned it. Per-cluster counts
+// therefore match the single-node result on the same corpus; the concrete
+// IDs differ only by namespace. Degraded is set when a shard was ejected
+// or failed either round, when a shard's counts disagreed (missed
+// bootstrap, divergent K) and it was left out, and when a drawn document
+// was gone by the fetch.
 func (c *Cluster) Lookup(ctx context.Context, req dmsapi.LookupRequest) (dmsapi.LookupResponse, error) {
-	pdfResp, err := c.PDF(ctx, dmsapi.PDFRequest{Samples: req.Samples})
-	if err != nil {
-		return dmsapi.LookupResponse{}, err
+	nodes := c.healthyNodes()
+	if len(nodes) == 0 {
+		return dmsapi.LookupResponse{}, errNoShards("lookup")
 	}
-	counts := fairds.Apportion(stats.PDF(pdfResp.PDF), len(req.Samples))
-	degraded := pdfResp.Degraded
-
 	ctx, sp := obs.StartSpan(ctx, "scatter_lookup")
 	defer sp.End()
 
-	// Gather candidates per active cluster from every healthy shard,
-	// remembering which shard owns each ID.
-	type clusterSet struct {
-		ids   []string
-		owner map[string]*node
+	draw := dmsapi.DrawRequest{Samples: req.Samples, Seed: c.cfg.Seed}
+	ok, failed := splitResults(fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.DrawResponse, error) {
+		var o dmsapi.DrawResponse
+		err := n.client.DoJSON(ctx, "POST", dmsapi.PathDraw, draw, &o)
+		return o, err
+	}))
+	if len(ok) == 0 {
+		return dmsapi.LookupResponse{}, mergeFailure(failed, "lookup")
 	}
-	sets := make([]clusterSet, len(counts))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	var anyShardFailed atomic.Bool
-	for k, want := range counts {
-		if want == 0 {
-			continue
+	degraded := c.partial(nodes, len(failed))
+	counts := ok[0].val.Counts
+	agree := ok[:0]
+	for _, r := range ok {
+		if slices.Equal(r.val.Counts, counts) && len(r.val.IDs) == len(counts) {
+			agree = append(agree, r)
+		} else {
+			degraded = true
 		}
-		sets[k].owner = make(map[string]*node)
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rs := fanOut(c, ctx, c.healthyNodes(), func(ctx context.Context, n *node) (dmsapi.ClusterIDsResponse, error) {
-				var o dmsapi.ClusterIDsResponse
-				err := n.client.DoJSON(ctx, "POST", dmsapi.PathClusterIDs, dmsapi.ClusterIDsRequest{Cluster: k}, &o)
-				return o, err
-			})
-			ok, failed := splitResults(rs)
-			if len(failed) > 0 {
-				anyShardFailed.Store(true)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, r := range ok {
-				for _, id := range r.val.IDs {
-					if _, dup := sets[k].owner[id]; !dup {
-						sets[k].owner[id] = r.node
-						sets[k].ids = append(sets[k].ids, id)
-					}
-				}
-			}
-		}(k)
 	}
-	wg.Wait()
-	degraded = degraded || anyShardFailed.Load()
 
-	// Draw each cluster's count deterministically and group the draws by
-	// owning shard for batched fetches.
+	// Merge each cluster's draw and group it by owning shard.
+	type pick struct {
+		rank  uint64
+		id    string
+		owner *node
+	}
 	perShard := make(map[*node][]string)
 	drawOrder := make([][]string, len(counts))
+	var picks []pick
 	for k, want := range counts {
-		if want == 0 || len(sets[k].ids) == 0 {
-			continue
+		picks = picks[:0]
+		for _, r := range agree {
+			for _, id := range r.val.IDs[k] {
+				picks = append(picks, pick{docstore.DrawRank(c.cfg.Seed+int64(k), id), id, r.node})
+			}
 		}
-		ids := sets[k].ids
-		sort.Strings(ids)
-		if want < len(ids) {
-			rng := rand.New(rand.NewSource(c.cfg.Seed + int64(k)))
-			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			ids = ids[:want]
-			sort.Strings(ids)
+		sort.Slice(picks, func(i, j int) bool {
+			if picks[i].rank != picks[j].rank {
+				return picks[i].rank < picks[j].rank
+			}
+			return picks[i].id < picks[j].id
+		})
+		for i, p := range picks {
+			if len(drawOrder[k]) == want {
+				break
+			}
+			if i > 0 && p.id == picks[i-1].id {
+				continue // shards sharing an ID namespace (dmsd without -node-id): one owner wins
+			}
+			drawOrder[k] = append(drawOrder[k], p.id)
+			perShard[p.owner] = append(perShard[p.owner], p.id)
 		}
-		drawOrder[k] = ids
-		for _, id := range ids {
-			n := sets[k].owner[id]
-			perShard[n] = append(perShard[n], id)
-		}
+		sort.Strings(drawOrder[k])
 	}
 
 	// Fetch the draws from their owners.
-	fetched := make(map[string]dmsapi.Sample)
-	var fetchWG sync.WaitGroup
-	var fetchFailed atomic.Bool
-	for n, ids := range perShard {
-		fetchWG.Add(1)
-		go func(n *node, ids []string) {
-			defer fetchWG.Done()
-			var o dmsapi.SamplesResponse
-			err := n.client.DoJSON(ctx, "POST", dmsapi.PathSamples, dmsapi.SamplesRequest{IDs: ids, Partial: true}, &o)
-			if err != nil {
-				c.shardFailure(n, err)
-				fetchFailed.Store(true)
-				return
-			}
-			c.noteSuccess(n)
-			if len(o.Missing) > 0 {
-				fetchFailed.Store(true)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			// Partial mode skips misses, so align by walking the request
-			// IDs against the response order minus the missing set.
-			missing := make(map[string]bool, len(o.Missing))
-			for _, id := range o.Missing {
-				missing[id] = true
-			}
-			j := 0
-			for _, id := range ids {
-				if missing[id] {
-					continue
-				}
-				if j < len(o.Samples) {
-					fetched[id] = o.Samples[j]
-					j++
-				}
-			}
-		}(n, ids)
+	var owners []*node
+	for _, r := range agree {
+		if len(perShard[r.node]) > 0 {
+			owners = append(owners, r.node)
+		}
 	}
-	fetchWG.Wait()
-	degraded = degraded || fetchFailed.Load()
+	fetched := make(map[string]dmsapi.Sample)
+	for _, r := range fanOut(c, ctx, owners, func(ctx context.Context, n *node) (dmsapi.SamplesResponse, error) {
+		var o dmsapi.SamplesResponse
+		err := n.client.DoJSON(ctx, "POST", dmsapi.PathSamples, dmsapi.SamplesRequest{IDs: perShard[n], Partial: true}, &o)
+		return o, err
+	}) {
+		if r.err != nil || len(r.val.Missing) > 0 {
+			degraded = true
+		}
+		// Partial mode skips misses, so align by walking the request IDs
+		// against the response order minus the missing set.
+		missing := make(map[string]bool, len(r.val.Missing))
+		for _, id := range r.val.Missing {
+			missing[id] = true
+		}
+		j := 0
+		for _, id := range perShard[r.node] {
+			if !missing[id] && j < len(r.val.Samples) {
+				fetched[id] = r.val.Samples[j]
+				j++
+			}
+		}
+	}
 
 	// Assemble in cluster order, sorted IDs within each cluster — the
 	// single-node assembly order.

@@ -10,11 +10,15 @@ func benchCollection(n int) *Collection {
 }
 
 func benchCollectionShards(n, shards int) *Collection {
+	return benchCollectionClusters(n, shards, 16)
+}
+
+func benchCollectionClusters(n, shards, clusters int) *Collection {
 	c := newCollectionShards("bench", shards)
 	c.CreateHashIndex("cluster")
 	batch := make([]Fields, n)
 	for i := range batch {
-		batch[i] = Fields{"cluster": i % 16, "v": float64(i), "payload": make([]byte, 256)}
+		batch[i] = Fields{"cluster": i % clusters, "v": float64(i), "payload": make([]byte, 256)}
 	}
 	c.InsertMany(batch)
 	return c
@@ -204,14 +208,29 @@ func benchRemote(b *testing.B, pool int) {
 func BenchmarkRemoteGetPool1(b *testing.B) { benchRemote(b, 1) }
 func BenchmarkRemoteGetPool8(b *testing.B) { benchRemote(b, 8) }
 
+// BenchmarkSampleIDs is one cluster's draw: a 256-member bucket, and the
+// serve_scan shape (32,768 documents over 7 clusters, so ~4,700 members)
+// at the per-cluster count of a 64-sample and of a 512-sample lookup's
+// largest cluster.
 func BenchmarkSampleIDs(b *testing.B) {
-	c := benchCollection(4096)
-	q := Query{Filters: []Filter{Eq("cluster", 5)}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SampleIDs(q, 32, int64(i)); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct{ docs, clusters, n int }{
+		{4096, 16, 32},
+		{32768, 7, 10},
+		{32768, 7, 512},
+	} {
+		b.Run(fmt.Sprintf("docs=%d/clusters=%d/n=%d", tc.docs, tc.clusters, tc.n), func(b *testing.B) {
+			c := benchCollectionClusters(tc.docs, defaultShardCount(), tc.clusters)
+			q := Query{Filters: []Filter{Eq("cluster", 5)}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, err := c.SampleIDs(q, tc.n, int64(i))
+				if err != nil || len(ids) != tc.n {
+					b.Fatalf("drew %d of %d: %v", len(ids), tc.n, err)
+				}
+				benchSink = ids
+			}
+		})
 	}
 }
 

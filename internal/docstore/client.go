@@ -341,7 +341,8 @@ func (c *Client) Count(collection string, q Query) (int, error) {
 	return resp.Count, nil
 }
 
-// SampleIDs draws up to n matching document IDs uniformly at random.
+// SampleIDs draws up to n matching document IDs — the remote
+// Collection.SampleIDs: the matches of lowest DrawRank under seed, sorted.
 func (c *Client) SampleIDs(collection string, q Query, n int, seed int64) ([]string, error) {
 	resp, err := c.roundTrip(&request{Op: opSample, Collection: collection, Query: q, N: n, Seed: seed})
 	if err != nil {

@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -587,28 +586,13 @@ func (c *Collection) scanShards(q Query) []shardMatch {
 	c.forEachShard(func(i int, s *shard) {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		candidates, rest := s.candidateIDsLocked(q)
 		var m shardMatch
-		for _, id := range candidates {
-			d := s.docs[id]
-			if d == nil {
-				continue
-			}
-			ok := true
-			for _, f := range rest {
-				if !f.matches(d) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
+		s.forEachMatchLocked(q, q.SortBy != "", func(id string, d *Doc) {
 			m.ids = append(m.ids, id)
 			if q.SortBy != "" {
 				m.keys = append(m.keys, d.F[q.SortBy])
 			}
-		}
+		})
 		results[i] = m
 	})
 	return results
@@ -694,22 +678,47 @@ func (c *Collection) CountWhere(q Query) (int, error) {
 }
 
 // SampleIDs returns up to n document IDs drawn uniformly without
-// replacement from documents matching the query, using the given seed.
-// fairDS uses this to draw labeled historical samples per cluster
-// according to the input dataset's PDF.
+// replacement from documents matching the query: the n matches of lowest
+// (DrawRank(seed, id), id), sorted by ID. fairDS uses this to draw labeled
+// historical samples per cluster according to the input dataset's PDF.
+//
+// Nothing is listed to draw from it: each lock stripe walks the query's
+// access path under its read lock keeping only its own n lowest, and the
+// stripes' selections are merged by the same rule, so the cost is one hash
+// and one comparison per match and the result does not depend on map
+// order, stripe count, insertion order or replay history. A query with
+// SortBy, Limit or Offset draws from the FindIDs page instead. n ≤ 0 is an
+// empty draw.
 func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
-	ids, err := c.FindIDs(q)
-	if err != nil {
-		return nil, err
+	if n <= 0 {
+		return nil, nil
 	}
-	if n >= len(ids) {
-		return ids, nil
+	if q.SortBy != "" || q.Limit > 0 || q.Offset > 0 {
+		ids, err := c.FindIDs(q)
+		if err != nil {
+			return nil, err
+		}
+		sel := newLowest(n, seed)
+		for _, id := range ids {
+			sel.offer(id)
+		}
+		return sel.ids(), nil
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	out := ids[:n]
-	sortIDs(out)
-	return out, nil
+	parts := make([]lowest, len(c.shards))
+	c.forEachShard(func(i int, s *shard) {
+		sel := newLowest(n, seed)
+		s.mu.RLock()
+		s.forEachMatchLocked(q, false, func(id string, _ *Doc) { sel.offer(id) })
+		s.mu.RUnlock()
+		parts[i] = sel
+	})
+	sel := &parts[0]
+	for _, p := range parts[1:] {
+		for _, e := range p.kept {
+			sel.add(e)
+		}
+	}
+	return sel.ids(), nil
 }
 
 // AllIDs returns every document ID in sorted order.
@@ -726,20 +735,38 @@ func (c *Collection) AllIDs() []string {
 	return ids
 }
 
-// candidateIDsLocked picks the cheapest access path for the query within
-// one shard: the smallest matching hash-index bucket, an ordered-index
-// range scan, or a full shard scan. It returns candidate IDs plus the
-// filters that still need evaluation. Caller holds at least the shard's
-// read lock. Different shards may pick different access paths for the same
-// query; correctness only requires that each shard's candidates cover its
-// matches.
+// forEachMatchLocked calls fn for every document of the shard matching all
+// of the query's filters, in no particular order, over the cheapest access
+// path: the smallest matching hash-index bucket, an ordered-index range, or
+// a full shard scan, with the filters the path did not decide evaluated on
+// each candidate. When the bucket alone decides the match and wantDoc is
+// false, fn receives a nil document and the document map is not touched.
+// Caller holds at least the shard's read lock. Different shards may pick
+// different access paths for the same query; correctness only requires
+// that each shard's candidates cover its matches.
 // lint:holds s.mu
-func (s *shard) candidateIDsLocked(q Query) ([]string, []Filter) {
-	bestSize := -1
-	bestFilter := -1
-	var bestIDs []string
+func (s *shard) forEachMatchLocked(q Query, wantDoc bool, fn func(id string, d *Doc)) {
+	without := func(i int) []Filter {
+		rest := make([]Filter, 0, len(q.Filters)-1)
+		rest = append(rest, q.Filters[:i]...)
+		return append(rest, q.Filters[i+1:]...)
+	}
+	visit := func(id string, rest []Filter) {
+		d := s.docs[id]
+		if d == nil {
+			return
+		}
+		for _, f := range rest {
+			if !f.matches(d) {
+				return
+			}
+		}
+		fn(id, d)
+	}
 
 	// Equality filters on hash-indexed fields.
+	best := -1
+	var bucket map[string]struct{}
 	for i, f := range q.Filters {
 		if f.Op != OpEq {
 			continue
@@ -752,21 +779,22 @@ func (s *shard) candidateIDsLocked(q Query) ([]string, []Filter) {
 		if err != nil {
 			continue
 		}
-		bucket := idx[key]
-		if bestSize < 0 || len(bucket) < bestSize {
-			bestSize = len(bucket)
-			bestFilter = i
-			bestIDs = bestIDs[:0]
-			for id := range bucket {
-				bestIDs = append(bestIDs, id)
-			}
+		if b := idx[key]; best < 0 || len(b) < len(bucket) {
+			best, bucket = i, b
 		}
 	}
-	if bestFilter >= 0 {
-		rest := make([]Filter, 0, len(q.Filters)-1)
-		rest = append(rest, q.Filters[:bestFilter]...)
-		rest = append(rest, q.Filters[bestFilter+1:]...)
-		return bestIDs, rest
+	if best >= 0 {
+		rest := without(best)
+		if len(rest) == 0 && !wantDoc {
+			for id := range bucket {
+				fn(id, nil)
+			}
+			return
+		}
+		for id := range bucket {
+			visit(id, rest)
+		}
+		return
 	}
 
 	// Range filters on ordered-indexed fields.
@@ -782,41 +810,27 @@ func (s *shard) candidateIDsLocked(q Query) ([]string, []Filter) {
 		if !ok {
 			continue
 		}
-		var ids []string
 		switch f.Op {
 		case OpLt:
-			hi := sort.Search(len(entries), func(j int) bool { return entries[j].key >= pivot })
-			for _, e := range entries[:hi] {
-				ids = append(ids, e.id)
-			}
+			entries = entries[:sort.Search(len(entries), func(j int) bool { return entries[j].key >= pivot })]
 		case OpLte:
-			hi := sort.Search(len(entries), func(j int) bool { return entries[j].key > pivot })
-			for _, e := range entries[:hi] {
-				ids = append(ids, e.id)
-			}
+			entries = entries[:sort.Search(len(entries), func(j int) bool { return entries[j].key > pivot })]
 		case OpGt:
-			lo := sort.Search(len(entries), func(j int) bool { return entries[j].key > pivot })
-			for _, e := range entries[lo:] {
-				ids = append(ids, e.id)
-			}
+			entries = entries[sort.Search(len(entries), func(j int) bool { return entries[j].key > pivot }):]
 		case OpGte:
-			lo := sort.Search(len(entries), func(j int) bool { return entries[j].key >= pivot })
-			for _, e := range entries[lo:] {
-				ids = append(ids, e.id)
-			}
+			entries = entries[sort.Search(len(entries), func(j int) bool { return entries[j].key >= pivot }):]
 		}
-		rest := make([]Filter, 0, len(q.Filters)-1)
-		rest = append(rest, q.Filters[:i]...)
-		rest = append(rest, q.Filters[i+1:]...)
-		return ids, rest
+		rest := without(i)
+		for _, e := range entries {
+			visit(e.id, rest)
+		}
+		return
 	}
 
 	// Full shard scan.
-	ids := make([]string, 0, len(s.docs))
 	for id := range s.docs {
-		ids = append(ids, id)
+		visit(id, q.Filters)
 	}
-	return ids, q.Filters
 }
 
 // indexDocLocked adds the document to every index fragment covering its

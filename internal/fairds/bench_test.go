@@ -79,6 +79,7 @@ func benchLookup(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.LookupLabeled(qx); err != nil {
@@ -90,6 +91,10 @@ func benchLookup(b *testing.B, n int) {
 
 func BenchmarkLookupLabeled1k(b *testing.B) { benchLookup(b, 1000) }
 func BenchmarkLookupLabeled4k(b *testing.B) { benchLookup(b, 4000) }
+
+// BenchmarkLookupLabeled32k is the serve_scan shape: a 64-sample lookup
+// over a 32k store, where a draw that lists its cluster costs the corpus.
+func BenchmarkLookupLabeled32k(b *testing.B) { benchLookup(b, 32768) }
 
 // BenchmarkNearest is the tentpole acceptance benchmark: the single-query
 // nearest-label path at store sizes 1k/10k/50k, store-scan fallback vs the

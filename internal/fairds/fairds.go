@@ -400,33 +400,56 @@ func (s *Service) CertaintyContext(ctx context.Context, x *tensor.Tensor, thresh
 // distribution matches the input dataset's PDF: for each cluster, a number
 // of random labeled documents proportional to the input's occupancy
 // (paper §II-A, "Data Store"). This is the pseudo-labeling operation that
-// replaces expensive physics-based label computation. Per-cluster sample
-// and fetch round trips run concurrently — the paper's "fetch using
-// multiple clients" (§III-D) applied to the lookup path, which overlaps
-// network latency when the store is remote and shard locks when it is
-// local. Results are assembled in cluster order, so output is
-// deterministic regardless of fetch completion order.
+// replaces expensive physics-based label computation. It is a draw and a
+// fetch: LookupDrawContext picks the document IDs, one store call per
+// occupied cluster run concurrently — the paper's "fetch using multiple
+// clients" (§III-D), which overlaps network latency when the store is
+// remote and shard locks when it is local — and one GetSamples call
+// fetches them all, K+1 store round trips in total. Results are assembled
+// in cluster order, sorted by ID within a cluster, so output is
+// deterministic regardless of completion order.
 func (s *Service) LookupLabeled(x *tensor.Tensor) ([]*codec.Sample, error) {
 	return s.LookupLabeledContext(context.Background(), x)
 }
 
-// LookupLabeledContext is LookupLabeled with trace-span stages: the PDF
-// stages plus a store_lookup span covering the concurrent per-cluster
-// round trips (each of which records its own store_sample and
-// store_fetch spans).
+// LookupLabeledContext is LookupLabeled with trace-span stages: the draw's
+// (embed, pdf, one store_sample per occupied cluster) and one store_fetch
+// covering the fetch and decode of every drawn document.
 func (s *Service) LookupLabeledContext(ctx context.Context, x *tensor.Tensor) ([]*codec.Sample, error) {
-	if err := s.requireClusters(); err != nil {
-		return nil, err
-	}
-	pdf, err := s.DatasetPDFContext(ctx, x)
+	_, drawn, err := s.LookupDrawContext(ctx, x, s.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	want := x.Dim(0)
-	counts := apportion(pdf, want)
+	var ids []string
+	for _, d := range drawn {
+		ids = append(ids, d...)
+	}
+	if len(ids) == 0 {
+		return nil, errors.New("fairds: no labeled historical data matches the input distribution")
+	}
+	out, _, err := s.SamplesByIDContext(ctx, ids, false)
+	if err != nil {
+		return nil, fmt.Errorf("fairds: fetching lookup draw: %w", err)
+	}
+	return out, nil
+}
 
-	lctx, lookupSpan := obs.StartSpan(ctx, "store_lookup")
-	perCluster := make([][]*codec.Sample, len(counts))
+// LookupDrawContext is the sampling half of a lookup: it apportions
+// len(input) over the clusters by the input's PDF and draws that many
+// document IDs from each occupied cluster — the store's lowest-DrawRank
+// members under seed+k (docstore.Collection.SampleIDs), sorted by ID.
+// drawn[k] is nil for a cluster with a zero count and shorter than
+// counts[k] when the cluster holds fewer documents. A single node draws
+// with its configured seed; a cluster router sends every shard its own, so
+// the shards' draws are parts of one ranking the router can merge by
+// recomputing docstore.DrawRank.
+func (s *Service) LookupDrawContext(ctx context.Context, x *tensor.Tensor, seed int64) (counts []int, drawn [][]string, err error) {
+	pdf, err := s.DatasetPDFContext(ctx, x)
+	if err != nil {
+		return nil, nil, err
+	}
+	counts = apportion(pdf, x.Dim(0))
+	drawn = make([][]string, len(counts))
 	errs := make([]error, len(counts))
 	var wg sync.WaitGroup
 	for k, n := range counts {
@@ -436,47 +459,20 @@ func (s *Service) LookupLabeledContext(ctx context.Context, x *tensor.Tensor) ([
 		wg.Add(1)
 		go func(k, n int) {
 			defer wg.Done()
-			_, sp := obs.StartSpan(lctx, "store_sample")
-			ids, err := s.store.SampleIDs(docstore.Query{
+			_, sp := obs.StartSpan(ctx, "store_sample")
+			defer sp.End()
+			drawn[k], errs[k] = s.store.SampleIDs(docstore.Query{
 				Filters: []docstore.Filter{docstore.Eq("cluster", k)},
-			}, n, s.cfg.Seed+int64(k))
-			sp.End()
-			if err != nil {
-				errs[k] = fmt.Errorf("fairds: sampling cluster %d: %w", k, err)
-				return
-			}
-			_, sp = obs.StartSpan(lctx, "store_fetch")
-			docs, err := s.store.GetMany(ids)
-			sp.End()
-			if err != nil {
-				errs[k] = fmt.Errorf("fairds: fetching cluster %d: %w", k, err)
-				return
-			}
-			samples := make([]*codec.Sample, 0, len(docs))
-			for _, d := range docs {
-				smp, err := s.decodeDoc(d)
-				if err != nil {
-					errs[k] = err
-					return
-				}
-				samples = append(samples, smp)
-			}
-			perCluster[k] = samples
+			}, n, seed+int64(k))
 		}(k, n)
 	}
 	wg.Wait()
-	lookupSpan.End()
-	var out []*codec.Sample
-	for k := range counts {
-		if errs[k] != nil {
-			return nil, errs[k]
+	for k, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("fairds: sampling cluster %d: %w", k, err)
 		}
-		out = append(out, perCluster[k]...)
 	}
-	if len(out) == 0 {
-		return nil, errors.New("fairds: no labeled historical data matches the input distribution")
-	}
-	return out, nil
+	return counts, drawn, nil
 }
 
 // NearestLabeled finds, for one unlabeled sample, the closest labeled
@@ -773,9 +769,10 @@ func (s *Service) GetSamples(ids []string) ([]*codec.Sample, error) {
 // SamplesByIDContext fetches and decodes stored samples by ID. With
 // partial, IDs that do not resolve (or decode) are returned in missing
 // instead of failing the call — the tolerant path a cluster router uses
-// when assembling a lookup from shards that may have compacted between
-// the candidate listing and the fetch. Returned samples follow the
-// request order with misses skipped.
+// when assembling a lookup from shards that may have deleted a document
+// between the draw and the fetch. Returned samples follow the request
+// order with misses skipped. The batch is fetched in one store call; only
+// when that call reports a miss does the partial path resolve ID by ID.
 func (s *Service) SamplesByIDContext(ctx context.Context, ids []string, partial bool) ([]*codec.Sample, []string, error) {
 	_, sp := obs.StartSpan(ctx, "store_fetch")
 	defer sp.End()
@@ -783,41 +780,27 @@ func (s *Service) SamplesByIDContext(ctx context.Context, ids []string, partial 
 		out, err := s.GetSamples(ids)
 		return out, nil, err
 	}
+	docs, err := s.store.GetMany(ids)
+	if err != nil {
+		docs = make([]*docstore.Doc, len(ids))
+		for i, id := range ids {
+			if one, err := s.store.GetMany([]string{id}); err == nil {
+				docs[i] = one[0]
+			}
+		}
+	}
 	out := make([]*codec.Sample, 0, len(ids))
 	var missing []string
-	for _, id := range ids {
-		docs, err := s.store.GetMany([]string{id})
-		if err != nil {
-			missing = append(missing, id)
-			continue
+	for i, d := range docs {
+		if d != nil {
+			if smp, err := s.decodeDoc(d); err == nil {
+				out = append(out, smp)
+				continue
+			}
 		}
-		smp, err := s.decodeDoc(docs[0])
-		if err != nil {
-			missing = append(missing, id)
-			continue
-		}
-		out = append(out, smp)
+		missing = append(missing, ids[i])
 	}
 	return out, missing, nil
-}
-
-// ClusterDocIDs lists the document IDs assigned to one cluster, sorted —
-// the candidate-set primitive behind the cluster router's lookup merge.
-// An out-of-range cluster returns an empty list, not an error: the
-// caller's PDF decides which clusters exist.
-func (s *Service) ClusterDocIDs(ctx context.Context, cluster int) ([]string, error) {
-	if err := s.requireClusters(); err != nil {
-		return nil, err
-	}
-	_, sp := obs.StartSpan(ctx, "store_scan")
-	defer sp.End()
-	ids, err := s.store.FindIDs(docstore.Query{
-		Filters: []docstore.Filter{docstore.Eq("cluster", cluster)},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fairds: listing cluster %d: %w", cluster, err)
-	}
-	return ids, nil
 }
 
 // StoreCount reports how many labeled samples the store holds.
@@ -1101,8 +1084,3 @@ func collate(samples []*codec.Sample) (*tensor.Tensor, error) {
 // Collate is the exported form used by callers assembling tensors from
 // retrieved samples.
 func Collate(samples []*codec.Sample) (*tensor.Tensor, error) { return collate(samples) }
-
-// Apportion is the exported form of the largest-remainder split — the
-// cluster router reuses the exact per-cluster counts a single node would
-// draw for a lookup, so merged results match single-node semantics.
-func Apportion(pdf stats.PDF, n int) []int { return apportion(pdf, n) }
