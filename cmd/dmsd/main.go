@@ -24,8 +24,8 @@
 //
 // With -wal-dir the in-process store is opened WAL-durable
 // (docstore.OpenDurable): every write is logged before it is applied,
-// startup replays the log past the latest snapshot, a background loop
-// compacts the log into the snapshot, and the wal counters surface on
+// startup replays the checkpoint and the log above it, a background loop
+// compacts the log into a fresh checkpoint, and the wal counters surface on
 // /statsz and /metricsz. -fsync picks the durability/latency trade
 // (always, interval, off).
 //
@@ -134,7 +134,7 @@ func main() {
 	nodeID := flag.String("node-id", "", "shard identity in a dmsrouter cluster; suffixes the collection so document IDs are namespaced per shard")
 	walDir := flag.String("wal-dir", "", "directory for WAL-durable in-process store (empty = memory only; incompatible with -store)")
 	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always (fsync per commit), interval (background fsync), off")
-	compactInterval := flag.Duration("compact-interval", time.Minute, "background WAL-into-snapshot compaction period (0 = only at exit)")
+	compactInterval := flag.Duration("compact-interval", time.Minute, "background WAL-into-checkpoint compaction period (0 = only at exit)")
 	zooPath := flag.String("zoo", "", "zoo snapshot to load at start and save at exit")
 	k := flag.Int("k", 8, "cluster count for the bootstrap fit on the first ingest")
 	embedDim := flag.Int("embed-dim", 8, "embedding dimensionality")
@@ -324,8 +324,8 @@ func main() {
 	if durable != nil {
 		close(stopCompact)
 		compactWG.Wait()
-		// Compact at exit so the next startup loads one snapshot instead of
-		// replaying the session's whole log; Close still fsyncs whatever the
+		// Compact at exit so the next startup replays one checkpoint instead
+		// of the session's whole log; Close still fsyncs whatever the
 		// compaction could not fold in.
 		if err := durable.Compact(); err != nil {
 			logger.Error("final wal compaction failed", "err", err)

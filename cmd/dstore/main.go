@@ -1,30 +1,22 @@
 // Command dstore serves a fairDMS document store over TCP — the deployment
-// unit that plays MongoDB's role in the paper's architecture. Two
-// persistence modes:
-//
-//   - -snapshot: load a snapshot at startup, save one on shutdown
-//     (SIGINT/SIGTERM), and with -snapshot-interval also snapshot
-//     periodically, so a crash loses at most one interval of writes.
-//   - -wal-dir: WAL-durable mode (docstore.OpenDurable). Every write is
-//     logged before it is applied, startup replays the log past the latest
-//     snapshot, and periodic background compaction folds the log into the
-//     snapshot — so a crash loses at most the fsync window (-fsync) instead
-//     of a snapshot interval, and there is no stop-the-world save.
-//
-// The two modes are mutually exclusive: WAL mode owns its snapshot inside
-// -wal-dir.
+// unit that plays MongoDB's role in the paper's architecture. By default
+// the store lives in memory and dies with the process. With -wal-dir it is
+// WAL-durable (docstore.OpenDurable): every write is logged before it is
+// applied, startup replays the directory's checkpoint and the log above
+// it, and background compaction (-compact-interval, and once more at
+// SIGINT/SIGTERM) re-logs the live state as a fresh checkpoint and drops
+// the segments it supersedes — so a crash loses at most the fsync window
+// (-fsync) and a restart replays little.
 //
 // Usage:
 //
-//	dstore [-addr host:port] [-snapshot path] [-snapshot-interval 30s]
+//	dstore [-addr host:port]
 //	       [-wal-dir path] [-fsync always|interval|off] [-compact-interval 1m]
 //	       [-latency 150us] [-v]
 package main
 
 import (
-	"errors"
 	"flag"
-	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -37,21 +29,12 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7717", "listen address")
-	snapshot := flag.String("snapshot", "", "snapshot file to load at start and save at exit")
-	interval := flag.Duration("snapshot-interval", 0, "also snapshot periodically (0 = only at exit; needs -snapshot)")
-	walDir := flag.String("wal-dir", "", "WAL-durable mode: directory for log segments and snapshot (incompatible with -snapshot)")
+	walDir := flag.String("wal-dir", "", "WAL-durable mode: directory for log segments and the checkpoint (default: in-memory only)")
 	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always (fsync per commit), interval (background fsync), off")
-	compactInterval := flag.Duration("compact-interval", time.Minute, "background WAL-into-snapshot compaction period (0 = only at exit)")
+	compactInterval := flag.Duration("compact-interval", time.Minute, "background WAL-into-checkpoint compaction period (0 = only at exit)")
 	latency := flag.Duration("latency", 0, "artificial per-request latency (emulates a remote link)")
 	verbose := flag.Bool("v", false, "log request errors")
 	flag.Parse()
-
-	if *walDir != "" && *snapshot != "" {
-		log.Fatal("dstore: -wal-dir and -snapshot are mutually exclusive (WAL mode keeps its snapshot inside -wal-dir)")
-	}
-	if *interval > 0 && *snapshot == "" {
-		log.Fatal("dstore: -snapshot-interval needs -snapshot")
-	}
 
 	store := docstore.NewStore()
 	var durable *docstore.DurableStore
@@ -68,23 +51,6 @@ func main() {
 		ws := durable.WalStats()
 		log.Printf("dstore: durable store in %s (fsync %s): replayed %d txns (%d torn, %d corrupt tails truncated)",
 			*walDir, ws.Policy, ws.ReplayedTxns, ws.TornTruncations, ws.CorruptRecords)
-	} else if *snapshot != "" {
-		// Only a missing file means "fresh start": any other stat failure
-		// must abort, or the exit-time save would replace a real snapshot
-		// we merely failed to see.
-		switch _, err := os.Stat(*snapshot); {
-		case err == nil:
-			loaded, err := docstore.Load(*snapshot)
-			if err != nil {
-				log.Fatalf("dstore: loading snapshot: %v", err)
-			}
-			store = loaded
-			log.Printf("dstore: loaded snapshot %s (%d collections)", *snapshot, len(store.Names()))
-		case errors.Is(err, fs.ErrNotExist):
-			log.Printf("dstore: no snapshot at %s, starting empty", *snapshot)
-		default:
-			log.Fatalf("dstore: checking snapshot: %v", err)
-		}
 	}
 
 	var logger *log.Logger
@@ -98,16 +64,11 @@ func main() {
 	}
 	log.Printf("dstore: serving on %s (latency %v)", bound, *latency)
 
-	// Background persistence loop. In snapshot mode this is the periodic
-	// Store.Save (tmp+rename atomic; Save also serializes internally, so
-	// even a racing shutdown save cannot corrupt the file — the stop/stopped
-	// handshake below just guarantees the final save runs last and wins).
-	// In WAL mode it is the compaction loop, which replaces stop-the-world
-	// interval saves: writers keep committing while the snapshot is cut.
+	// Background compaction loop; writers keep committing while the
+	// checkpoint is cut.
 	stop := make(chan struct{})
 	stopped := make(chan struct{})
-	switch {
-	case durable != nil && *compactInterval > 0:
+	if durable != nil && *compactInterval > 0 {
 		go func() {
 			defer close(stopped)
 			ticker := time.NewTicker(*compactInterval)
@@ -115,39 +76,15 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					start := time.Now()
 					if err := durable.Compact(); err != nil {
 						log.Printf("dstore: wal compaction: %v", err)
-						continue
 					}
-					log.Printf("dstore: wal compacted into snapshot in %v",
-						time.Since(start).Round(time.Millisecond))
 				case <-stop:
 					return
 				}
 			}
 		}()
-	case durable == nil && *interval > 0:
-		go func() {
-			defer close(stopped)
-			ticker := time.NewTicker(*interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					start := time.Now()
-					if err := store.Save(*snapshot); err != nil {
-						log.Printf("dstore: periodic snapshot: %v", err)
-						continue
-					}
-					log.Printf("dstore: periodic snapshot saved to %s in %v",
-						*snapshot, time.Since(start).Round(time.Millisecond))
-				case <-stop:
-					return
-				}
-			}
-		}()
-	default:
+	} else {
 		close(stopped)
 	}
 
@@ -160,10 +97,9 @@ func main() {
 	if err := srv.Close(); err != nil {
 		log.Printf("dstore: close: %v", err)
 	}
-	switch {
-	case durable != nil:
-		// Compact so the next startup loads one snapshot instead of replaying
-		// the whole session's log; Close still fsyncs anything left over.
+	if durable != nil {
+		// Compact so the next startup replays one checkpoint instead of the
+		// whole session's log; Close still fsyncs anything left over.
 		start := time.Now()
 		if err := durable.Compact(); err != nil {
 			log.Printf("dstore: final wal compaction: %v", err)
@@ -172,11 +108,5 @@ func main() {
 			log.Fatalf("dstore: closing durable store: %v", err)
 		}
 		log.Printf("dstore: wal compacted and closed in %v", time.Since(start).Round(time.Millisecond))
-	case *snapshot != "":
-		start := time.Now()
-		if err := store.Save(*snapshot); err != nil {
-			log.Fatalf("dstore: saving snapshot: %v", err)
-		}
-		log.Printf("dstore: snapshot saved to %s in %v", *snapshot, time.Since(start).Round(time.Millisecond))
 	}
 }

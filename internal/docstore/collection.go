@@ -248,7 +248,7 @@ func (c *Collection) CreateOrderedIndex(field string) error {
 
 // logMeta writes an index-create metadata record to the WAL so the index
 // survives a crash before the next compaction folds it into the
-// snapshot. The in-memory index already exists when this runs; an error
+// checkpoint. The in-memory index already exists when this runs; an error
 // therefore means "built but possibly not durable", which callers
 // surface rather than roll back.
 func (c *Collection) logMeta(kind TxnKind, field string) error {

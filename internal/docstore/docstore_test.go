@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -404,58 +403,6 @@ func TestStoreNamesAndDrop(t *testing.T) {
 	s.Drop("a")
 	if len(s.Names()) != 1 {
 		t.Fatal("Drop failed")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.gob.gz")
-
-	s := NewStore()
-	c := s.Collection("peaks")
-	if err := c.CreateHashIndex("cluster"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateOrderedIndex("t"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if _, err := c.Insert("", Fields{"cluster": i % 5, "t": float64(i), "blob": []byte{1, 2, 3}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := s2.Collection("peaks")
-	if c2.Count() != 25 {
-		t.Fatalf("loaded %d docs, want 25", c2.Count())
-	}
-	// Indexes survive the round trip.
-	hash, ordered := c2.Indexes()
-	if len(hash) != 1 || hash[0] != "cluster" || len(ordered) != 1 || ordered[0] != "t" {
-		t.Fatalf("indexes = %v / %v", hash, ordered)
-	}
-	ids, err := c2.FindIDs(Query{Filters: []Filter{Eq("cluster", 2)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 5 {
-		t.Fatalf("cluster 2 has %d docs after reload", len(ids))
-	}
-	// New inserts continue the ID sequence without collision.
-	if _, err := c2.Insert("", Fields{"cluster": 0, "t": 99.0}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadMissingFileFails(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("expected error for missing snapshot")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	iofs "io/fs"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,13 +13,14 @@ import (
 	"fairdms/internal/wal"
 )
 
-// snapshotFile is the checkpoint filename inside a durable store's
-// directory; WAL segments live beside it.
-const snapshotFile = "snapshot.gz"
+// checkpointChunk is how many documents one checkpoint record adds: large
+// enough that gob's per-record type preamble is noise, small enough that
+// a record stays far below the WAL's frame limit.
+const checkpointChunk = 256
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
-	// Dir holds the WAL segments and the compaction snapshot.
+	// Dir holds the WAL segments and the compaction checkpoint.
 	Dir string
 	// Policy is the WAL fsync policy (default wal.SyncAlways).
 	Policy wal.Policy
@@ -35,28 +34,23 @@ type DurableOptions struct {
 
 // DurableStore is a Store whose every committed write survives a crash
 // (to the extent the fsync policy promises): commits append one WAL
-// record before they apply, startup replays the log over the latest
-// snapshot, and Compact folds the log into a fresh snapshot so replay
-// stays cheap. All Store and Collection APIs work unchanged; writes on
-// any collection of this store are logged automatically.
+// record before they apply, startup replays the directory's records, and
+// Compact re-logs the live state as a checkpoint that replaces the log
+// so far, so replay stays cheap. All Store and Collection APIs work
+// unchanged; writes on any collection of this store are logged
+// automatically.
 type DurableStore struct {
 	*Store
-	dir      string
-	fs       fsx.FS
-	log      *wal.Log
-	snapPath string
+	dir string
+	log *wal.Log
 
 	// ckptMu fences commits against the compaction cut: every commit
 	// holds the read side from WAL append through in-memory apply, and
-	// Compact briefly takes the write side to rotate the log and read
-	// the cut LSN. That makes the cut a consistent point — every record
-	// at or below it is fully applied before the snapshot scan starts,
-	// and every later commit lands in segments the checkpoint keeps.
+	// the log takes the write side for the instant it rotates. That makes
+	// the cut a consistent point — every record below it is fully applied
+	// before the checkpoint scan starts, and every later commit lands in
+	// segments the checkpoint keeps.
 	ckptMu sync.RWMutex
-
-	// compactMu serializes whole compactions (a periodic compactor
-	// racing a shutdown compaction must queue, not interleave).
-	compactMu sync.Mutex
 
 	compactions   atomic.Int64
 	replayedTxns  atomic.Int64
@@ -82,54 +76,27 @@ type WalStats struct {
 	SegmentsRemoved  int64
 }
 
-// OpenDurable opens (or creates) a WAL-durable store in dir: it loads
-// the latest snapshot if one exists, replays every WAL record past the
-// snapshot's watermark — truncating torn or corrupt tails rather than
-// failing — and returns the store ready for reads and durable writes.
+// OpenDurable opens (or creates) a WAL-durable store in dir: it re-applies
+// every record the directory holds — the checkpoint's, then the log's,
+// with torn or corrupt log tails truncated rather than failing — and
+// returns the store ready for reads and durable writes. A damaged
+// checkpoint fails the open.
 func OpenDurable(opts DurableOptions) (*DurableStore, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("docstore: durable store needs a directory")
 	}
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = fsx.OS{}
-	}
-	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("docstore: durable dir %s: %w", opts.Dir, err)
-	}
-	snapPath := filepath.Join(opts.Dir, snapshotFile)
-
-	store := NewStore()
-	var walSeq uint64
-	switch _, err := fsys.Stat(snapPath); {
-	case err == nil:
-		store, walSeq, err = loadSnapshotFS(fsys, snapPath)
-		if err != nil {
-			return nil, err
-		}
-	case errors.Is(err, iofs.ErrNotExist):
-		// Fresh store: everything comes from the WAL (if any).
-	default:
-		return nil, fmt.Errorf("docstore: durable snapshot stat: %w", err)
-	}
-
 	lg, records, err := wal.Open(opts.Dir, wal.Options{
 		Shards:   opts.WalShards,
 		Policy:   opts.Policy,
 		Interval: opts.Interval,
-		FS:       fsys,
+		FS:       opts.FS,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("docstore: %w", err)
 	}
 
-	ds := &DurableStore{Store: store, dir: opts.Dir, fs: fsys, log: lg, snapPath: snapPath}
+	ds := &DurableStore{Store: NewStore(), dir: opts.Dir, log: lg}
 	for _, rec := range records {
-		if rec.LSN <= walSeq {
-			// Already folded into the snapshot by a compaction whose
-			// segment GC did not finish before a crash.
-			continue
-		}
 		var commit walCommit
 		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&commit); err != nil {
 			// The frame checksum passed, so this is a version skew or
@@ -140,17 +107,15 @@ func OpenDurable(opts DurableOptions) (*DurableStore, error) {
 		}
 		ds.replayCommit(commit)
 	}
-	// LSNs must never repeat across a compaction that emptied the log.
-	lg.EnsureLSN(walSeq)
 
-	store.attachLogger(ds, ds.logDrop)
+	ds.Store.attachLogger(ds, ds.logDrop)
 	return ds, nil
 }
 
-// replayCommit re-applies one decoded WAL record leniently: replay after
-// a fuzzy checkpoint may meet records whose effects the snapshot already
-// holds, so inserts overwrite, updates and deletes of missing documents
-// are skipped (and counted), and index creation is idempotent.
+// replayCommit re-applies one decoded WAL record leniently: the log
+// records after a fuzzy checkpoint may repeat effects the checkpoint
+// already holds, so inserts overwrite, updates and deletes of missing
+// documents are skipped (and counted), and index creation is idempotent.
 func (ds *DurableStore) replayCommit(commit walCommit) {
 	if len(commit.Ops) == 1 && commit.Ops[0].Kind == txnDropCollection {
 		ds.Store.Drop(commit.Collection)
@@ -180,16 +145,25 @@ func (ds *DurableStore) replayCommit(commit walCommit) {
 	ds.replayedTxns.Add(1)
 }
 
-// logTxn implements commitLogger: it gob-encodes the commit, appends it
-// as one WAL record under the checkpoint fence, and hands the caller the
-// fence release to run after the in-memory apply.
-func (ds *DurableStore) logTxn(rec *walCommit) (func(), error) {
+// encodeCommit gob-encodes one commit, the payload of a WAL record.
+func encodeCommit(rec *walCommit) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return nil, fmt.Errorf("docstore: encoding wal commit: %w", err)
 	}
+	return buf.Bytes(), nil
+}
+
+// logTxn implements commitLogger: it appends the commit as one WAL record
+// under the checkpoint fence, and hands the caller the fence release to
+// run after the in-memory apply.
+func (ds *DurableStore) logTxn(rec *walCommit) (func(), error) {
+	payload, err := encodeCommit(rec)
+	if err != nil {
+		return nil, err
+	}
 	ds.ckptMu.RLock()
-	if _, err := ds.log.Append(buf.Bytes()); err != nil {
+	if _, err := ds.log.Append(payload); err != nil {
 		ds.ckptMu.RUnlock()
 		return nil, err
 	}
@@ -206,40 +180,85 @@ func (ds *DurableStore) logDrop(name string) {
 	}
 }
 
-// Compact folds everything the WAL holds into a fresh snapshot and
-// deletes the superseded segments, bounding both replay time and disk
-// growth. Writers keep committing during the snapshot scan; only the
-// rotation instant excludes them. Safe to call concurrently (calls
-// serialize) and at any time.
+// Compact re-logs the store's live state as a checkpoint and deletes the
+// segments it supersedes, bounding both replay time and disk growth.
+// Writers keep committing during the scan; only the rotation instant
+// excludes them. Nothing logged since the last checkpoint means nothing
+// to do. Safe to call concurrently (calls serialize) and at any time.
 func (ds *DurableStore) Compact() error {
-	ds.compactMu.Lock()
-	defer ds.compactMu.Unlock()
-
-	ds.ckptMu.Lock()
-	gen, err := ds.log.Rotate()
-	cut := ds.log.LastLSN()
-	ds.ckptMu.Unlock()
+	wrote, err := ds.log.Checkpoint(&ds.ckptMu, ds.Store.emitCheckpoint)
 	if err != nil {
-		return fmt.Errorf("docstore: compact rotate: %w", err)
+		return fmt.Errorf("docstore: compact: %w", err)
 	}
+	if wrote {
+		ds.compactions.Add(1)
+	}
+	return nil
+}
 
-	// The scan is fuzzy: commits with LSN > cut may or may not be
-	// captured. Either way is correct — they live in generation ≥ gen,
-	// which survives the GC below, and replay re-applies them leniently
-	// and idempotently over the snapshot.
-	if err := ds.Store.saveSnapshotFS(ds.fs, ds.snapPath, cut); err != nil {
-		return err
+// emitCheckpoint emits the store as the commit records that rebuild it:
+// per collection its index creations, then its documents as TxnAdd chunks.
+// The scan is fuzzy — commits racing it may or may not be captured — and
+// either way is correct: they are also in the log the checkpoint does not
+// replace, and replay re-applies them leniently and idempotently.
+func (s *Store) emitCheckpoint(emit func(payload []byte) error) error {
+	for _, name := range s.Names() {
+		s.mu.RLock()
+		c, ok := s.collections[name]
+		s.mu.RUnlock()
+		if !ok {
+			continue // dropped since Names; the drop is in the log
+		}
+		// Published documents are never mutated (writers replace them
+		// copy-on-write), so the scan only collects pointers.
+		var docs []*Doc
+		for _, sh := range c.shards {
+			sh.mu.RLock()
+			for _, d := range sh.docs {
+				docs = append(docs, d)
+			}
+			sh.mu.RUnlock()
+		}
+		// Read the ID sequence after the shard scan: a concurrent Insert
+		// can commit a doc with sequence N+1 while we scan, and the
+		// recorded NextID must be ≥ any captured doc's sequence number or
+		// a reopened store would re-issue it. Over-reserving (counting an
+		// insert we did not capture) is harmless.
+		rec := walCommit{Collection: name, NextID: c.nextID.Load()}
+		flush := func() error {
+			payload, err := encodeCommit(&rec)
+			if err != nil {
+				return err
+			}
+			rec.Ops = rec.Ops[:0]
+			return emit(payload)
+		}
+		hash, ordered := c.Indexes()
+		for _, field := range hash {
+			rec.Ops = append(rec.Ops, TxnOp{Kind: txnCreateHashIndex, ID: field})
+		}
+		for _, field := range ordered {
+			rec.Ops = append(rec.Ops, TxnOp{Kind: txnCreateOrderedIndex, ID: field})
+		}
+		// Emitted even without an index: this record is what brings back
+		// an empty collection and its ID sequence.
+		if err := flush(); err != nil {
+			return err
+		}
+		for _, d := range docs {
+			rec.Ops = append(rec.Ops, TxnOp{Kind: TxnAdd, ID: d.ID, F: d.F})
+			if len(rec.Ops) == checkpointChunk {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+		}
+		if len(rec.Ops) > 0 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
 	}
-	// Make the snapshot's rename durable before deleting the segments it
-	// supersedes; without the barrier the disk could persist the unlinks
-	// but not the rename, losing committed data.
-	if err := ds.fs.SyncDir(ds.dir); err != nil {
-		return fmt.Errorf("docstore: compact sync dir: %w", err)
-	}
-	if _, err := ds.log.RemoveSegmentsBefore(gen); err != nil {
-		return err
-	}
-	ds.compactions.Add(1)
 	return nil
 }
 

@@ -1,13 +1,30 @@
 package docstore
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"fairdms/internal/wal"
 )
+
+// checkpointFile is where a compaction leaves the store's state.
+func checkpointFile(dir string) string { return filepath.Join(dir, "checkpoint.wal") }
+
+// compactAndCrash checkpoints ds and then drops it without a clean close,
+// so whatever the next OpenDurable sees was made durable by Compact alone.
+func compactAndCrash(t *testing.T, ds *DurableStore) {
+	t.Helper()
+	if err := ds.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	ds.Abort()
+}
 
 func openDurable(t *testing.T, dir string, opts DurableOptions) *DurableStore {
 	t.Helper()
@@ -179,10 +196,51 @@ func TestCompactFoldsWALIntoSnapshot(t *testing.T) {
 		t.Fatalf("count after compact+reopen = %d; want 51", c2.Count())
 	}
 	st2 := ds2.WalStats()
-	// Only the post-compaction txn should have replayed from the log;
-	// everything else came from the snapshot.
-	if st2.ReplayedTxns != 1 {
-		t.Fatalf("ReplayedTxns after compaction = %d; want 1", st2.ReplayedTxns)
+	// The 50 pre-compaction txns came back as the checkpoint's two records
+	// (the collection's metadata, one 50-add chunk); only the post-compaction
+	// txn replayed from the log.
+	if st2.ReplayedTxns != 3 {
+		t.Fatalf("ReplayedTxns after compaction = %d; want 3", st2.ReplayedTxns)
+	}
+}
+
+// TestIdleCompactIsNoOp: a compaction with nothing logged since the last
+// one must not rotate the log or re-serialise the store.
+func TestIdleCompactIsNoOp(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncOff})
+	defer ds.Close()
+	for i := 0; i < 20; i++ {
+		if _, err := ds.Collection("peaks").Insert("", Fields{"n": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(checkpointFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ds.WalStats()
+	if err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(checkpointFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ds.WalStats()
+	if !bytes.Equal(first, second) {
+		t.Fatal("idle compaction rewrote the checkpoint")
+	}
+	if after.Rotations != before.Rotations || after.Compactions != 1 {
+		t.Fatalf("idle compaction: rotations %d → %d, compactions %d; want no rotation and 1",
+			before.Rotations, after.Rotations, after.Compactions)
+	}
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint*"))
+	if len(ckpts) != 1 {
+		t.Fatalf("checkpoint files = %v; want exactly one", ckpts)
 	}
 }
 
@@ -225,35 +283,288 @@ func TestCompactConcurrentWithWriters(t *testing.T) {
 	}
 }
 
-// TestConcurrentSavesKeepSnapshotCoherent is the regression test for the
-// periodic-save vs shutdown-save race: concurrent Save calls on one store
-// must serialize, and the surviving file must decode to a complete store.
-func TestConcurrentSavesKeepSnapshotCoherent(t *testing.T) {
-	s := NewStore()
-	c := s.Collection("peaks")
-	for i := 0; i < 200; i++ {
-		if _, err := c.Insert("", Fields{"n": i}); err != nil {
+// TestSaveLoadRoundTrip: what Compact saves, OpenDurable loads — the
+// documents, both index kinds and the ID sequence, from the checkpoint
+// alone.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurable(t, dir, DurableOptions{})
+	c := ds.Collection("peaks")
+	if err := c.CreateHashIndex("cluster"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateOrderedIndex("t"); err != nil {
+		t.Fatal(err)
+	}
+	var last string
+	for i := 0; i < 26; i++ {
+		id, err := c.Insert("", Fields{"cluster": i % 5, "t": float64(i), "blob": []byte{1, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = id
+	}
+	// With its newest document gone the ID sequence is no longer derivable
+	// from the documents: the checkpoint has to carry it.
+	if err := c.Delete(last); err != nil {
+		t.Fatal(err)
+	}
+	compactAndCrash(t, ds)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*-00000001.log")); len(segs) != 0 {
+		t.Fatalf("pre-compaction segments %v survived; the reload below would not be from the checkpoint", segs)
+	}
+
+	ds2 := openDurable(t, dir, DurableOptions{})
+	defer ds2.Close()
+	c2 := ds2.Collection("peaks")
+	if c2.Count() != 25 {
+		t.Fatalf("loaded %d docs, want 25", c2.Count())
+	}
+	hash, ordered := c2.Indexes()
+	if len(hash) != 1 || hash[0] != "cluster" || len(ordered) != 1 || ordered[0] != "t" {
+		t.Fatalf("indexes = %v / %v", hash, ordered)
+	}
+	ids, err := c2.FindIDs(Query{Filters: []Filter{Eq("cluster", 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 5 {
+		t.Fatalf("cluster 2 has %d docs after reload", len(ids))
+	}
+	ids, err = c2.FindIDs(Query{Filters: []Filter{Lte("t", 9.0)}})
+	if err != nil || len(ids) != 10 {
+		t.Fatalf("Lte(t,9) after reload = %d ids, %v; want 10", len(ids), err)
+	}
+	d, err := c2.Get(ids[0])
+	if err != nil || !bytes.Equal(d.F["blob"].([]byte), []byte{1, 2, 3}) {
+		t.Fatalf("blob after reload = %v, %v", d, err)
+	}
+	// New inserts continue the ID sequence past the deleted document.
+	id, err := c2.Insert("", Fields{"cluster": 0, "t": 99.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id == last {
+		t.Fatalf("generated id %s reused after reload", id)
+	}
+}
+
+// TestShardedSaveLoadRoundTrip reloads a checkpoint into a store with a
+// different in-memory stripe count: the records are shard-agnostic, so
+// docs, indexes, and the ID sequence survive a layout change.
+func TestShardedSaveLoadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ds := openDurable(t, dir, DurableOptions{})
+	c := ds.Collection("peaks")
+	if err := c.CreateHashIndex("cluster"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateOrderedIndex("t"); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Fields, 120)
+	for i := range batch {
+		batch[i] = Fields{"cluster": i % 6, "t": float64(i)}
+	}
+	if _, err := c.InsertMany(batch); err != nil {
+		t.Fatal(err)
+	}
+	compactAndCrash(t, ds)
+	// The temp file must not linger after a successful compaction.
+	if _, err := os.Stat(checkpointFile(dir) + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("stale temp checkpoint left behind: %v", err)
+	}
+
+	runtime.GOMAXPROCS(8)
+	ds2 := openDurable(t, dir, DurableOptions{})
+	defer ds2.Close()
+	c2 := ds2.Collection("peaks")
+	if c2.NumShards() == c.NumShards() {
+		t.Fatalf("reloaded into the same %d stripes; the test needs a layout change", c.NumShards())
+	}
+	if c2.Count() != 120 {
+		t.Fatalf("reloaded %d docs, want 120", c2.Count())
+	}
+	if !equalIDs(c.AllIDs(), c2.AllIDs()) {
+		t.Fatal("IDs differ after reload")
+	}
+	for k := 0; k < 6; k++ {
+		q := Query{Filters: []Filter{Eq("cluster", k)}}
+		a, _ := c.FindIDs(q)
+		b, _ := c2.FindIDs(q)
+		if !equalIDs(a, b) {
+			t.Fatalf("cluster %d differs after reload", k)
+		}
+	}
+	q := Query{Filters: []Filter{Gte("t", 100.0)}}
+	a, _ := c.FindIDs(q)
+	b, _ := c2.FindIDs(q)
+	if len(a) != 20 || !equalIDs(a, b) {
+		t.Fatalf("ordered index differs after reload: %d vs %d ids", len(a), len(b))
+	}
+	// ID sequence continues without collision.
+	id, err := c2.Insert("", Fields{"cluster": 0, "t": 999.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Get(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadRejectsPartialWrite: a checkpoint cut short (a partial copy) or
+// with one flipped byte must fail the open rather than yield a silently
+// incomplete store — unlike a log tail there is nothing below it to fall
+// back on, so it is never truncated and carried on from.
+func TestLoadRejectsPartialWrite(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncOff})
+	batch := make([]Fields, 500)
+	for i := range batch {
+		batch[i] = Fields{"v": i, "pad": make([]byte, 512)}
+	}
+	if _, err := ds.Collection("x").InsertMany(batch); err != nil {
+		t.Fatal(err)
+	}
+	compactAndCrash(t, ds)
+	raw, err := os.ReadFile(checkpointFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := map[string][]byte{}
+	for _, frac := range []float64{0.25, 0.6, 0.95} {
+		cut := int(float64(len(raw)) * frac)
+		damaged[fmt.Sprintf("truncated to %d/%d bytes", cut, len(raw))] = raw[:cut]
+	}
+	flipped := append([]byte(nil), raw...)
+	flipped[len(raw)/2] ^= 0x01
+	damaged["one flipped byte"] = flipped
+	for what, image := range damaged {
+		if err := os.WriteFile(checkpointFile(dir), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ds, err := OpenDurable(DurableOptions{Dir: dir}); err == nil {
+			n := ds.Collection("x").Count()
+			ds.Abort()
+			t.Fatalf("OpenDurable accepted a checkpoint %s (%d of 500 docs)", what, n)
+		}
+		if after, _ := os.ReadFile(checkpointFile(dir)); !bytes.Equal(after, image) {
+			t.Fatalf("failed open of a checkpoint %s modified it", what)
+		}
+	}
+	// The undamaged image still opens: the loop above failed on the damage.
+	if err := os.WriteFile(checkpointFile(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds2 := openDurable(t, dir, DurableOptions{})
+	defer ds2.Close()
+	if got := ds2.Collection("x").Count(); got != 500 {
+		t.Fatalf("restored checkpoint loads %d docs; want 500", got)
+	}
+}
+
+// TestOpenRejectsUnterminatedCheckpoint: a missing checkpoint is a fresh
+// start, so what must never be mistaken for one is a checkpoint whose
+// every frame checks out and whose terminal frame is missing.
+func TestOpenRejectsUnterminatedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncOff})
+	for i := 0; i < 10; i++ {
+		if _, err := ds.Collection("peaks").Insert("", Fields{"n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "snap.gz")
+	compactAndCrash(t, ds)
+	raw, err := os.ReadFile(checkpointFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the frames (8-byte file header, then 16-byte frame headers whose
+	// first field is the payload length) to find where the last one starts.
+	lastStart := 8
+	for off := 8; off < len(raw); {
+		lastStart = off
+		off += 16 + int(uint32(raw[off])|uint32(raw[off+1])<<8|uint32(raw[off+2])<<16|uint32(raw[off+3])<<24)
+	}
+	if err := os.WriteFile(checkpointFile(dir), raw[:lastStart], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := OpenDurable(DurableOptions{Dir: dir}); err == nil {
+		ds.Abort()
+		t.Fatal("OpenDurable accepted a checkpoint without its terminal frame")
+	}
+}
+
+// TestOpenRefusesOldSnapshotDirectory: a directory compacted by a build
+// that wrote snapshot.gz holds its data there and nowhere else. Opening
+// it must fail naming the file, not start empty.
+func TestOpenRefusesOldSnapshotDirectory(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "snapshot.gz")
+	if err := os.WriteFile(old, []byte("\x1f\x8b old store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDurable(DurableOptions{Dir: dir})
+	if err == nil {
+		ds.Abort()
+		t.Fatal("OpenDurable started empty over an old snapshot.gz")
+	}
+	if !strings.Contains(err.Error(), old) {
+		t.Fatalf("error %q does not name %s", err, old)
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("the refused open removed the old snapshot: %v", err)
+	}
+}
+
+// TestConcurrentCompactsKeepCheckpointCoherent is the regression test for
+// the periodic-compaction vs shutdown-compaction race: concurrent Compact
+// calls must serialize, also against writers, and the checkpoint plus log
+// they leave must reopen to every acknowledged document.
+func TestConcurrentCompactsKeepCheckpointCoherent(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncOff})
+	c := ds.Collection("peaks")
+	const writers, docs, compactors = 4, 100, 8
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < docs; i++ {
+				if _, err := c.Insert(fmt.Sprintf("w%d-%03d", w, i), Fields{"n": w*docs + i}); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < compactors; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.Save(path); err != nil {
-				t.Errorf("concurrent Save: %v", err)
+			if err := ds.Compact(); err != nil {
+				t.Errorf("concurrent Compact: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatalf("snapshot corrupted by concurrent saves: %v", err)
+	ds.Abort()
+	if _, err := os.Stat(checkpointFile(dir) + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp checkpoint left behind: %v", err)
 	}
-	if got := loaded.Collection("peaks").Count(); got != 200 {
-		t.Fatalf("loaded count = %d; want 200", got)
+
+	ds2 := openDurable(t, dir, DurableOptions{})
+	defer ds2.Close()
+	model := make(map[string]Fields, writers*docs)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < docs; i++ {
+			model[fmt.Sprintf("w%d-%03d", w, i)] = Fields{"n": int64(w*docs + i)}
+		}
+	}
+	if err := matchesModel(ds2.Collection("peaks"), model); err != nil {
+		t.Fatalf("store reopened after concurrent compactions: %v", err)
 	}
 }
 

@@ -73,6 +73,12 @@ func workloadBytes(t *testing.T, txns int) int64 {
 		}
 	}
 	ds.Close()
+	return dirBytes(t, dir)
+}
+
+// dirBytes sums the sizes of the files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
 	var total int64
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -399,67 +405,150 @@ func TestTornWriteMatrixAtStoreLevel(t *testing.T) {
 	})
 }
 
+// stepCrashFS crashes the FaultFS under it just before the n-th of the
+// steps a compaction takes that write no bytes — the checkpoint's rename,
+// the directory fsync, each segment removal — which a byte budget cannot
+// aim at.
+type stepCrashFS struct {
+	*fsx.FaultFS
+	left int // steps still allowed; negative: not armed
+}
+
+func (s *stepCrashFS) step() {
+	if s.left == 0 {
+		s.Crash()
+	}
+	if s.left >= 0 {
+		s.left--
+	}
+}
+
+func (s *stepCrashFS) Rename(oldpath, newpath string) error {
+	s.step()
+	return s.FaultFS.Rename(oldpath, newpath)
+}
+
+func (s *stepCrashFS) SyncDir(name string) error {
+	s.step()
+	return s.FaultFS.SyncDir(name)
+}
+
+func (s *stepCrashFS) Remove(name string) error {
+	s.step()
+	return s.FaultFS.Remove(name)
+}
+
 // TestCrashDuringCompactionKeepsData: a crash at any point inside Compact
-// must never lose committed documents — either the old snapshot+log or
-// the new snapshot recovers them.
+// must never lose an acknowledged document — either the old checkpoint
+// plus the log or the new checkpoint recovers them all. The workload
+// compacts twice, so the second compaction replaces a checkpoint that is
+// in use; a power cut is placed at every byte written from the first
+// compaction on, and then before every byte-less step of the second.
 func TestCrashDuringCompactionKeepsData(t *testing.T) {
-	// Measure compaction's write volume first.
+	rounds := []int{2, 1} // inserts before the first and the second compaction
+	const total = 3
+	// workload runs insert, compact, insert, compact against fsys and
+	// returns how many inserts were acknowledged. arm runs just before the
+	// second compaction.
+	workload := func(dir string, fsys fsx.FS, arm func()) (acked int) {
+		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 1, FS: fsys})
+		if err != nil {
+			return 0
+		}
+		defer ds.Abort()
+		for round, inserts := range rounds {
+			for i := 0; i < inserts; i++ {
+				if _, err := ds.Collection("peaks").Insert(fmt.Sprintf("d%02d", acked), Fields{"n": acked}); err != nil {
+					return acked
+				}
+				acked++
+			}
+			if round == 1 {
+				arm()
+			}
+			if ds.Compact() != nil { // may fail mid-way from the injected crash; that's the point
+				return acked
+			}
+		}
+		return acked
+	}
+	// recovered reopens dir as a restarted process would and checks every
+	// acknowledged document is back, nothing was invented, and the debris
+	// of the crashed compaction is gone.
+	recovered := func(t *testing.T, what, dir string, acked int) {
+		t.Helper()
+		rec, err := OpenDurable(DurableOptions{Dir: dir, WalShards: 1})
+		if err != nil {
+			t.Fatalf("%s: recovery after crashed compaction failed: %v", what, err)
+		}
+		defer rec.Close()
+		c := rec.Collection("peaks")
+		for i := 0; i < acked; i++ {
+			if d, err := c.Get(fmt.Sprintf("d%02d", i)); err != nil || d.F["n"] != int64(i) {
+				t.Fatalf("%s: acknowledged doc d%02d lost across a crashed compaction (%v, %v)", what, i, d, err)
+			}
+		}
+		if n := c.Count(); n > acked+1 {
+			t.Fatalf("%s: recovered %d docs from %d acknowledged inserts", what, n, acked)
+		}
+		if _, err := os.Stat(checkpointFile(dir) + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%s: temp checkpoint survived the recovery: %v", what, err)
+		}
+	}
+
+	// Everything before the first compaction is the plain crash sweeps'
+	// ground; start where it starts.
 	probeDir := t.TempDir()
 	probe := openDurable(t, probeDir, DurableOptions{Policy: wal.SyncAlways, WalShards: 1})
-	for i := 0; i < 10; i++ {
+	for i := 0; i < rounds[0]; i++ {
 		if _, err := probe.Collection("peaks").Insert(fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	preCompact := int64(0)
-	if ents, err := os.ReadDir(probeDir); err == nil {
-		for _, e := range ents {
-			if fi, err := e.Info(); err == nil {
-				preCompact += fi.Size()
-			}
-		}
-	}
-	if err := probe.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	postCompact := int64(0)
-	if ents, err := os.ReadDir(probeDir); err == nil {
-		for _, e := range ents {
-			if fi, err := e.Info(); err == nil {
-				postCompact += fi.Size()
-			}
-		}
-	}
-	probe.Close()
+	probe.Abort()
+	preCompact := dirBytes(t, probeDir)
 
-	span := postCompact + preCompact
-	for cut := preCompact + 1; cut <= preCompact+span; cut += 41 {
-		dir := t.TempDir()
-		ffs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: cut, DropUnsynced: true})
-		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 1, FS: ffs})
-		if err != nil {
-			continue
+	step := int64(1)
+	if testing.Short() {
+		step = 23
+	}
+	t.Run("every-byte", func(t *testing.T) {
+		for cut := preCompact + 1; ; cut += step {
+			dir := t.TempDir()
+			ffs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: cut, DropUnsynced: true})
+			acked := workload(dir, ffs, func() {})
+			if !ffs.Crashed() {
+				if acked != total {
+					t.Fatalf("cut %d: workload stopped at %d inserts without a crash", cut, acked)
+				}
+				break // the budget outlasted the workload: every byte is swept
+			}
+			recovered(t, fmt.Sprintf("cut %d", cut), dir, acked)
 		}
-		inserted := 0
-		for i := 0; i < 10; i++ {
-			if _, err := ds.Collection("peaks").Insert(fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
+	})
+	t.Run("every-step", func(t *testing.T) {
+		for n := 0; ; n++ {
+			dir := t.TempDir()
+			sfs := &stepCrashFS{FaultFS: fsx.NewFaultFS(fsx.FaultPlan{DropUnsynced: true}), left: -1}
+			acked := workload(dir, sfs, func() { sfs.left = n })
+			if !sfs.Crashed() {
+				if n < 3 {
+					t.Fatalf("compaction took %d byte-less steps; want at least rename, sync-dir and one removal", n)
+				}
 				break
 			}
-			inserted++
-		}
-		ds.Compact() // may fail mid-way from the injected crash; that's the point
-		ds.Abort()
-
-		rec, err := OpenDurable(DurableOptions{Dir: dir, WalShards: 1})
-		if err != nil {
-			t.Fatalf("cut %d: recovery after crashed compaction failed: %v", cut, err)
-		}
-		c := rec.Collection("peaks")
-		for i := 0; i < inserted; i++ {
-			if _, err := c.Get(fmt.Sprintf("d%02d", i)); err != nil {
-				t.Fatalf("cut %d: committed doc d%02d lost across a crashed compaction", cut, i)
+			if acked != total {
+				t.Fatalf("step %d: only %d inserts acknowledged before the second compaction", n, acked)
 			}
+			recovered(t, fmt.Sprintf("step %d", n), dir, acked)
+			// The recovery itself compacted nothing; make sure the directory
+			// it left still compacts and reopens.
+			again := openDurable(t, dir, DurableOptions{WalShards: 1})
+			if _, err := again.Collection("peaks").Insert("after", Fields{"n": -1}); err != nil {
+				t.Fatal(err)
+			}
+			compactAndCrash(t, again)
+			recovered(t, fmt.Sprintf("step %d, compacted again", n), dir, acked)
 		}
-		rec.Close()
-	}
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -163,100 +161,6 @@ func TestShardedConcurrentMutations(t *testing.T) {
 		brute := bruteFind(c, "k", int64(k))
 		if !equalIDs(indexed, brute) {
 			t.Fatalf("k=%d: index disagrees with scan after concurrent ops", k)
-		}
-	}
-}
-
-// TestShardedSaveLoadRoundTrip snapshots a multi-shard store and reloads
-// it, verifying docs, indexes, and the ID sequence survive regardless of
-// the in-memory stripe layout.
-func TestShardedSaveLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.gob.gz")
-	s := NewStore()
-	c := s.Collection("peaks")
-	if c.NumShards() < 1 {
-		t.Fatal("collection has no shards")
-	}
-	if err := c.CreateHashIndex("cluster"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateOrderedIndex("t"); err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]Fields, 120)
-	for i := range batch {
-		batch[i] = Fields{"cluster": i % 6, "t": float64(i)}
-	}
-	if _, err := c.InsertMany(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	// The temp file must not linger after a successful save.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("stale temp snapshot left behind: %v", err)
-	}
-
-	s2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := s2.Collection("peaks")
-	if c2.Count() != 120 {
-		t.Fatalf("reloaded %d docs, want 120", c2.Count())
-	}
-	if !equalIDs(c.AllIDs(), c2.AllIDs()) {
-		t.Fatal("IDs differ after reload")
-	}
-	for k := 0; k < 6; k++ {
-		q := Query{Filters: []Filter{Eq("cluster", k)}}
-		a, _ := c.FindIDs(q)
-		b, _ := c2.FindIDs(q)
-		if !equalIDs(a, b) {
-			t.Fatalf("cluster %d differs after reload", k)
-		}
-	}
-	// ID sequence continues without collision.
-	id, err := c2.Insert("", Fields{"cluster": 0, "t": 999.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Get(id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLoadRejectsPartialWrite simulates a crash mid-copy: a truncated
-// snapshot file must fail to load rather than yield a silently incomplete
-// store.
-func TestLoadRejectsPartialWrite(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.gob.gz")
-	s := NewStore()
-	c := s.Collection("x")
-	batch := make([]Fields, 500)
-	for i := range batch {
-		batch[i] = Fields{"v": i, "pad": make([]byte, 512)}
-	}
-	if _, err := c.InsertMany(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frac := range []float64{0.25, 0.6, 0.95} {
-		cut := int(float64(len(raw)) * frac)
-		trunc := filepath.Join(dir, fmt.Sprintf("trunc-%d", cut))
-		if err := os.WriteFile(trunc, raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(trunc); err == nil {
-			t.Fatalf("Load accepted a snapshot truncated to %d/%d bytes", cut, len(raw))
 		}
 	}
 }

@@ -1,14 +1,8 @@
 package docstore
 
 import (
-	"compress/gzip"
-	"encoding/gob"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
-
-	"fairdms/internal/fsx"
 )
 
 // Store is a set of named collections. The zero value is not usable;
@@ -18,12 +12,6 @@ type Store struct {
 	collections map[string]*Collection // guarded by mu
 	onNew       func(*Collection)      // guarded by mu; durability hook for new collections
 	onDrop      func(name string)      // guarded by mu; durability hook for drops
-
-	// saveMu serializes snapshot writes: concurrent Save calls (e.g. a
-	// periodic snapshotter racing the shutdown save) queue up instead of
-	// interleaving, so the file at path always ends as the most recently
-	// captured state.
-	saveMu sync.Mutex
 }
 
 // NewStore returns an empty store.
@@ -64,8 +52,7 @@ func (s *Store) Drop(name string) {
 
 // attachLogger installs the durability hook on every current and future
 // collection and arranges for drops to be logged. Called once by
-// OpenDurable after snapshot load and WAL replay, before the store is
-// shared.
+// OpenDurable after replay, before the store is shared.
 func (s *Store) attachLogger(lg commitLogger, onDrop func(name string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,120 +73,4 @@ func (s *Store) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// snapshot is the persisted form of a store. The on-disk layout is
-// shard-agnostic: each collection serializes as one ID-sorted document
-// list, so snapshots survive changes to the in-memory stripe count.
-// WALSeq is the durability watermark of a compaction checkpoint: every
-// WAL record with LSN ≤ WALSeq is folded into this snapshot, so replay
-// skips them. Plain Save writes 0 (replay everything); old snapshots
-// without the field decode as 0, which is the same thing.
-type snapshot struct {
-	Collections map[string]collectionSnapshot
-	WALSeq      uint64
-}
-
-type collectionSnapshot struct {
-	NextID  uint64
-	Docs    []Doc
-	HashIdx []string
-	OrdIdx  []string
-}
-
-// Save writes a gzip-compressed snapshot of every collection to path.
-// It holds read locks shard-by-shard, so concurrent writers are only
-// briefly blocked. The snapshot is written to a temporary sibling file,
-// synced, and atomically renamed into place: a crash mid-save can never
-// truncate or corrupt an existing snapshot at path.
-func (s *Store) Save(path string) error {
-	return s.saveSnapshotFS(fsx.OS{}, path, 0)
-}
-
-func (s *Store) saveSnapshotFS(fsys fsx.FS, path string, walSeq uint64) error {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	snap := snapshot{Collections: make(map[string]collectionSnapshot), WALSeq: walSeq}
-	for _, name := range s.Names() {
-		c := s.Collection(name)
-		var cs collectionSnapshot
-		for _, sh := range c.shards {
-			sh.mu.RLock()
-			for _, d := range sh.docs {
-				cs.Docs = append(cs.Docs, Doc{ID: d.ID, F: cloneFields(d.F)})
-			}
-			sh.mu.RUnlock()
-		}
-		// Read the ID sequence after the shard scan: a concurrent Insert
-		// can commit a doc with sequence N+1 while we scan, and the saved
-		// NextID must be ≥ any captured doc's sequence number or reloads
-		// would re-issue it. Over-reserving (counting an insert we did not
-		// capture) is harmless.
-		cs.NextID = c.nextID.Load()
-		cs.HashIdx, cs.OrdIdx = c.Indexes()
-		sort.Slice(cs.Docs, func(i, j int) bool { return cs.Docs[i].ID < cs.Docs[j].ID })
-		snap.Collections[name] = cs
-	}
-
-	err := fsx.WriteAtomicFS(fsys, path, func(w io.Writer) error {
-		zw := gzip.NewWriter(w)
-		if err := gob.NewEncoder(zw).Encode(snap); err != nil {
-			return err
-		}
-		return zw.Close()
-	})
-	if err != nil {
-		return fmt.Errorf("docstore: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a snapshot written by Save, replacing the store's contents.
-// Truncated or corrupt snapshots (e.g. from a partial copy) are rejected
-// with an error rather than yielding a silently incomplete store.
-func Load(path string) (*Store, error) {
-	s, _, err := loadSnapshotFS(fsx.OS{}, path)
-	return s, err
-}
-
-func loadSnapshotFS(fsys fsx.FS, path string) (*Store, uint64, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("docstore: load: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, 0, fmt.Errorf("docstore: load gzip: %w", err)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("docstore: load decode: %w", err)
-	}
-	// A well-formed gob stream can still sit in a truncated gzip member;
-	// draining to EOF forces the checksum verification.
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return nil, 0, fmt.Errorf("docstore: load verify: %w", err)
-	}
-	s := NewStore()
-	for name, cs := range snap.Collections {
-		c := s.Collection(name)
-		for _, field := range cs.HashIdx {
-			if err := c.CreateHashIndex(field); err != nil {
-				return nil, 0, err
-			}
-		}
-		for _, field := range cs.OrdIdx {
-			if err := c.CreateOrderedIndex(field); err != nil {
-				return nil, 0, err
-			}
-		}
-		for _, d := range cs.Docs {
-			if _, err := c.Insert(d.ID, d.F); err != nil {
-				return nil, 0, fmt.Errorf("docstore: load doc %q: %w", d.ID, err)
-			}
-		}
-		c.nextID.Store(cs.NextID)
-	}
-	return s, snap.WALSeq, nil
 }

@@ -154,13 +154,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	return &faultFile{fs: f, f: file, path: path, entry: e, off: off}, nil
 }
 
-func (f *FaultFS) Open(name string) (io.ReadCloser, error) {
-	if f.Crashed() {
-		return nil, ErrInjectedCrash
-	}
-	return os.Open(name)
-}
-
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	if f.Crashed() {
 		return nil, ErrInjectedCrash
@@ -232,13 +225,6 @@ func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 		return ErrInjectedCrash
 	}
 	return os.MkdirAll(path, perm)
-}
-
-func (f *FaultFS) Stat(name string) (os.FileInfo, error) {
-	if f.Crashed() {
-		return nil, ErrInjectedCrash
-	}
-	return os.Stat(name)
 }
 
 func (f *FaultFS) SyncDir(name string) error {

@@ -19,23 +19,21 @@ type File interface {
 }
 
 // FS abstracts the filesystem operations behind every durable artifact
-// (snapshots, WAL segments). Production code uses OS, the passthrough;
-// crash-injection tests substitute a FaultFS so a "power cut" can land at
-// any byte of any write. Write paths obtained through OpenFile carry the
+// (WAL segments and checkpoints). Production code uses OS, the
+// passthrough; crash-injection tests substitute a FaultFS so a "power
+// cut" can land at any byte of any write. Write paths obtained through OpenFile carry the
 // same discipline as raw *os.File: nothing is durable until Sync (and,
 // for renames/removals, until SyncDir on the parent directory).
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	Open(name string) (io.ReadCloser, error)
 	ReadFile(name string) ([]byte, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Truncate(name string, size int64) error
 	ReadDir(name string) ([]iofs.DirEntry, error)
 	MkdirAll(path string, perm os.FileMode) error
-	Stat(name string) (os.FileInfo, error)
 	// SyncDir fsyncs a directory, making renames and removals within it
-	// durable. Multi-file commit protocols (snapshot rename followed by
+	// durable. Multi-file commit protocols (checkpoint rename followed by
 	// WAL segment removal) need it between the two steps.
 	SyncDir(name string) error
 }
@@ -52,8 +50,6 @@ func (OS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (OS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
-
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
@@ -65,8 +61,6 @@ func (OS) Truncate(name string, size int64) error { return os.Truncate(name, siz
 func (OS) ReadDir(name string) ([]iofs.DirEntry, error) { return os.ReadDir(name) }
 
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-
-func (OS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 
 func (OS) SyncDir(name string) error {
 	d, err := os.Open(name)

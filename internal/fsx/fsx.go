@@ -1,7 +1,7 @@
 // Package fsx centralizes the crash-safe file-write discipline every
 // durable artifact in the repo must follow: write to a temporary sibling,
 // fsync, then atomically rename over the destination. PRs 1–2 introduced
-// the pattern inline in docstore.Store.Save and fairms.Zoo.Save; this
+// the pattern inline in the docstore's and the zoo's snapshot writers; this
 // package is its single home, and the fsyncrename analyzer (cmd/fairvet)
 // mechanically keeps every other os.WriteFile/os.Create out of snapshot
 // paths.
@@ -10,8 +10,9 @@
 // previous complete content or the new complete content — never a
 // truncated or interleaved file. (Directory-entry durability after rename
 // additionally needs a directory fsync, which callers doing multi-file
-// commits can layer on; single-snapshot readers tolerate an absent file,
-// so the repo's snapshot paths do not require it.)
+// commits layer on — the WAL checkpoint does, before it deletes the
+// segments the renamed file replaces; single-file readers tolerate an
+// absent file and do not require it.)
 package fsx
 
 import (
@@ -29,8 +30,8 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 }
 
 // WriteAtomicFS is WriteAtomic against an explicit FS, so the
-// crash-injection layer can cut the snapshot write short at any byte the
-// same way it cuts WAL appends.
+// crash-injection layer can cut the write short at any byte the same way
+// it cuts WAL appends.
 func WriteAtomicFS(fsys FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)

@@ -14,20 +14,28 @@
 // Durability is a policy knob: SyncAlways fsyncs on every append (commit
 // acknowledgement implies durability), SyncInterval fsyncs on a
 // background tick (bounded loss window), SyncOff leaves flushing to the
-// OS (crash-consistent but lossy). Rotation opens a new segment
-// generation after fsyncing the old one; compaction callers fold
-// everything up to a rotation point into a snapshot and then delete the
-// superseded generations.
+// OS (crash-consistent but lossy).
+//
+// Checkpoint bounds the log: it rotates to a fresh segment generation,
+// has the caller re-emit its whole state as records into one checkpoint
+// file in the same frame format, and deletes the generations that file
+// supersedes. Open hands the checkpoint's records back first, then the
+// log's. Damage is not treated alike: a bad log tail is the record a
+// crash interrupted and is cut off; a bad checkpoint is the only copy of
+// everything below it and fails the open.
 //
 // All I/O goes through an fsx.FS so the crash-injection harness can cut
 // any write short at any byte.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,6 +100,20 @@ const (
 	// maxRecordSize bounds a single payload; a length field beyond it is
 	// corruption, not a 4 GiB allocation.
 	maxRecordSize = 1 << 30
+
+	// checkpointName is the one checkpoint file of a log directory: a
+	// segment image (magic, then frames all stamped with the cut LSN)
+	// whose last frame is the terminal — checkpointEnd, the number of
+	// frames before it, and the first segment generation it does not
+	// cover. It only ever appears by atomic rename, so one that does not
+	// scan to exactly that shape is damaged, not half-written.
+	checkpointName = "checkpoint.wal"
+	checkpointEnd  = "FDCKPEND"
+
+	// legacySnapshotName is what compaction wrote before checkpoints. No
+	// reader for it exists, and a directory holding one has no log below
+	// it either, so Open refuses rather than start empty.
+	legacySnapshotName = "snapshot.gz"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -138,6 +160,11 @@ type Log struct {
 	gen    atomic.Uint64 // current segment generation
 	closed atomic.Bool
 
+	// ckptMu serializes whole checkpoints (a periodic compactor racing a
+	// shutdown compaction must queue, not interleave).
+	ckptMu sync.Mutex
+	cut    uint64 // guarded by ckptMu; LSN the checkpoint on disk covers
+
 	shards []*logShard
 
 	// rotMu serializes rotation and close against each other; appends
@@ -183,11 +210,13 @@ func parseSegmentName(name string) (shard int, gen uint64, ok bool) {
 	return s, g, true
 }
 
-// Open replays every segment in dir and returns the log positioned for
-// appends plus the recovered records sorted by LSN. Torn or corrupt
-// tails are truncated off their segment (and counted) rather than
-// failing the open. Appends go to a fresh segment generation, so replay
-// never rereads bytes written after this Open.
+// Open recovers dir and returns the log positioned for appends plus the
+// records to re-apply, in order: the checkpoint's as written, then the
+// log's sorted by LSN. Torn or corrupt log tails are truncated off their
+// segment (and counted) rather than failing the open; a damaged
+// checkpoint, or a directory compacted before checkpoints existed, fails
+// it. Appends go to a fresh segment generation, so replay never rereads
+// bytes written after this Open.
 func Open(dir string, opt Options) (*Log, []Record, error) {
 	if opt.Shards < 1 {
 		opt.Shards = 4
@@ -240,29 +269,66 @@ func Open(dir string, opt Options) (*Log, []Record, error) {
 	return l, records, nil
 }
 
-// replay scans dir for segments of every generation, decoding records and
-// truncating each file at its first torn or corrupt record.
+// replay reads the checkpoint, then every segment generation it does not
+// cover, truncating each segment at its first torn or corrupt record and
+// deleting those left with no record at all. Generations below the
+// checkpoint's are what a compaction that crashed after its rename did
+// not get to delete: they are removed unread.
+//
+// lint:holds l.ckptMu
+// (runs inside Open, before the log is shared.)
 func (l *Log) replay() ([]Record, uint64, error) {
 	entries, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: read dir %s: %w", l.dir, err)
 	}
-	var records []Record
-	var maxGen, maxLSN uint64
 	for _, e := range entries {
+		if e.Name() == legacySnapshotName {
+			return nil, 0, fmt.Errorf("wal: %s was compacted by a version that wrote %s, which this one cannot read",
+				l.dir, filepath.Join(l.dir, legacySnapshotName))
+		}
+	}
+	records, ckptGen, err := l.readCheckpoint()
+	if err != nil {
+		return nil, 0, err
+	}
+	fromCheckpoint := len(records)
+	maxGen, maxLSN := ckptGen, l.cut
+	stale := false
+	for _, e := range entries {
+		path := filepath.Join(l.dir, e.Name())
+		if e.Name() == checkpointName+".tmp" {
+			// A compaction died before its rename; nothing refers to it.
+			if err := l.fs.Remove(path); err != nil {
+				return nil, 0, fmt.Errorf("wal: remove stray %s: %w", path, err)
+			}
+			continue
+		}
 		_, gen, ok := parseSegmentName(e.Name())
 		if !ok {
+			continue
+		}
+		if gen < ckptGen {
+			stale = true
 			continue
 		}
 		if gen > maxGen {
 			maxGen = gen
 		}
-		path := filepath.Join(l.dir, e.Name())
 		data, err := l.fs.ReadFile(path)
 		if err != nil {
 			return nil, 0, fmt.Errorf("wal: read segment %s: %w", path, err)
 		}
 		recs, keep := l.scanSegment(data)
+		if len(recs) == 0 {
+			// Nothing in it: an earlier run's untouched generation (every
+			// Open starts one, and an idle Checkpoint deletes none) or a
+			// first record that never completed.
+			if err := l.fs.Remove(path); err != nil {
+				return nil, 0, fmt.Errorf("wal: remove empty segment %s: %w", path, err)
+			}
+			continue
+		}
 		if keep < int64(len(data)) {
 			if err := l.fs.Truncate(path, keep); err != nil {
 				return nil, 0, fmt.Errorf("wal: truncate torn segment %s: %w", path, err)
@@ -275,18 +341,60 @@ func (l *Log) replay() ([]Record, uint64, error) {
 		}
 		records = append(records, recs...)
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].LSN < records[j].LSN })
+	logged := records[fromCheckpoint:]
+	sort.Slice(logged, func(i, j int) bool { return logged[i].LSN < logged[j].LSN })
+	if stale {
+		if err := l.supersede(ckptGen); err != nil {
+			return nil, 0, err
+		}
+	}
 	l.lsn.Store(maxLSN)
 	l.replays.Add(1)
 	l.replayedRecords.Add(int64(len(records)))
 	return records, maxGen, nil
 }
 
+// readCheckpoint returns the checkpoint's records and the first segment
+// generation it does not cover (no checkpoint: none and 0), and sets
+// l.cut. Anything but a whole file ending in a terminal frame that counts
+// the frames before it is an error: the segments it replaced are gone, so
+// there is nothing to fall back to.
+//
+// lint:holds l.ckptMu
+func (l *Log) readCheckpoint() ([]Record, uint64, error) {
+	path := filepath.Join(l.dir, checkpointName)
+	data, err := l.fs.ReadFile(path)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: read checkpoint %s: %w", path, err)
+	}
+	recs, keep := l.scanSegment(data)
+	if keep < int64(len(data)) {
+		return nil, 0, fmt.Errorf("wal: checkpoint %s is damaged at byte %d of %d", path, keep, len(data))
+	}
+	if len(recs) == 0 {
+		return nil, 0, fmt.Errorf("wal: checkpoint %s has no terminal frame", path)
+	}
+	end := recs[len(recs)-1]
+	recs = recs[:len(recs)-1]
+	if len(end.Payload) != len(checkpointEnd)+16 || string(end.Payload[:len(checkpointEnd)]) != checkpointEnd {
+		return nil, 0, fmt.Errorf("wal: checkpoint %s has no terminal frame", path)
+	}
+	count := binary.LittleEndian.Uint64(end.Payload[len(checkpointEnd):])
+	if count != uint64(len(recs)) {
+		return nil, 0, fmt.Errorf("wal: checkpoint %s holds %d records, its terminal frame says %d", path, len(recs), count)
+	}
+	l.cut = end.LSN
+	return recs, binary.LittleEndian.Uint64(end.Payload[len(checkpointEnd)+8:]), nil
+}
+
 // scanSegment decodes records from one segment image and returns them
 // with the byte offset up to which the file is valid. Anything past that
 // offset is a torn tail (not enough bytes for a whole record) or a
 // corrupt record (checksum or length-field mismatch); either way the scan
-// stops there.
+// stops there. Payloads alias data.
 func (l *Log) scanSegment(data []byte) ([]Record, int64) {
 	if len(data) < headerSize || string(data[:headerSize]) != magic {
 		if len(data) >= headerSize {
@@ -314,22 +422,33 @@ func (l *Log) scanSegment(data []byte) ([]Record, int64) {
 			l.corruptRecords.Add(1)
 			return recs, off
 		}
-		if int64(len(rest)) < int64(recHeaderSize)+int64(n) {
+		end := recHeaderSize + int(n)
+		if len(rest) < end {
 			l.tornTruncations.Add(1)
 			return recs, off
 		}
-		payload := rest[recHeaderSize : recHeaderSize+int(n)]
+		payload := rest[recHeaderSize:end:end]
 		crc := crc32.Update(0, crcTable, rest[8:16])
 		crc = crc32.Update(crc, crcTable, payload)
 		if crc != sum {
 			l.corruptRecords.Add(1)
 			return recs, off
 		}
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		recs = append(recs, Record{LSN: lsn, Payload: p})
-		off += int64(recHeaderSize) + int64(n)
+		recs = append(recs, Record{LSN: lsn, Payload: payload})
+		off += int64(end)
 	}
+}
+
+// appendFrame appends payload to dst framed as one record stamped lsn.
+func appendFrame(dst []byte, lsn uint64, payload []byte) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, recHeaderSize)...)
+	dst = append(dst, payload...)
+	frame := dst[at:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(frame[8:16], lsn)
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Update(0, crcTable, frame[8:]))
+	return dst
 }
 
 // Append frames payload as one record, stamps it with the next LSN, and
@@ -342,13 +461,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	lsn := l.lsn.Add(1)
 	sh := l.shards[int(lsn%uint64(len(l.shards)))]
 
-	frame := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[8:16], lsn)
-	copy(frame[recHeaderSize:], payload)
-	crc := crc32.Update(0, crcTable, frame[8:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc)
+	frame := appendFrame(make([]byte, 0, recHeaderSize+len(payload)), lsn, payload)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -411,22 +524,69 @@ func (l *Log) LastLSN() uint64 { return l.lsn.Load() }
 // Policy returns the fsync policy the log was opened with.
 func (l *Log) Policy() Policy { return l.policy }
 
-// EnsureLSN raises the LSN counter to at least n, so LSNs never repeat
-// across a compaction that emptied the log.
-func (l *Log) EnsureLSN(n uint64) {
-	for {
-		cur := l.lsn.Load()
-		if cur >= n || l.lsn.CompareAndSwap(cur, n) {
-			return
-		}
+// Checkpoint replaces everything logged so far with the records write
+// emits, which must add up to the caller's whole state: it rotates to a
+// fresh segment generation, streams the emitted records into the
+// checkpoint file (tmp + fsync + rename), fsyncs the directory, and only
+// then deletes the generations below the rotation. fence is held across
+// the rotation alone; the caller's appenders hold its read side from
+// Append until the record's effect is visible to write, so everything in
+// the deleted generations is in what write emits, and appends racing
+// write land in generations that stay. It reports false, having done
+// nothing, when no LSN was allocated since the last checkpoint. Calls
+// serialize.
+func (l *Log) Checkpoint(fence sync.Locker, write func(emit func(payload []byte) error) error) (bool, error) {
+	l.ckptMu.Lock()
+	defer l.ckptMu.Unlock()
+	if l.lsn.Load() == l.cut {
+		return false, nil
 	}
+
+	fence.Lock()
+	gen, err := l.rotate()
+	cut := l.lsn.Load()
+	fence.Unlock()
+	if err != nil {
+		return false, err
+	}
+
+	err = fsx.WriteAtomicFS(l.fs, filepath.Join(l.dir, checkpointName), func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<20)
+		if _, err := bw.WriteString(magic); err != nil {
+			return err
+		}
+		var frame []byte
+		var count uint64
+		emit := func(payload []byte) error {
+			frame = appendFrame(frame[:0], cut, payload)
+			count++
+			_, err := bw.Write(frame)
+			return err
+		}
+		if err := write(emit); err != nil {
+			return err
+		}
+		end := binary.LittleEndian.AppendUint64([]byte(checkpointEnd), count)
+		if err := emit(binary.LittleEndian.AppendUint64(end, gen)); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
+	if err != nil {
+		return false, fmt.Errorf("wal: checkpoint: %w", err)
+	}
+	if err := l.supersede(gen); err != nil {
+		return false, err
+	}
+	l.cut = cut
+	return true, nil
 }
 
-// Rotate fsyncs and closes the current segment generation and opens a
+// rotate fsyncs and closes the current segment generation and opens a
 // fresh one; subsequent appends land in the new generation. It returns
 // the new generation number: every record appended before the call lives
 // in a generation strictly below it.
-func (l *Log) Rotate() (uint64, error) {
+func (l *Log) rotate() (uint64, error) {
 	l.rotMu.Lock()
 	defer l.rotMu.Unlock()
 	if l.closed.Load() {
@@ -466,26 +626,29 @@ func (l *Log) Rotate() (uint64, error) {
 	return gen, nil
 }
 
-// RemoveSegmentsBefore deletes every segment file of a generation below
-// gen — the GC step after a checkpoint has made those records redundant.
-func (l *Log) RemoveSegmentsBefore(gen uint64) (int, error) {
+// supersede deletes every segment file of a generation below gen, the
+// ones a checkpoint has made redundant. The directory is fsynced first:
+// without that barrier the disk could persist the unlinks but not the
+// checkpoint's rename, losing committed data.
+func (l *Log) supersede(gen uint64) error {
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: sync dir %s: %w", l.dir, err)
+	}
 	entries, err := l.fs.ReadDir(l.dir)
 	if err != nil {
-		return 0, fmt.Errorf("wal: read dir %s: %w", l.dir, err)
+		return fmt.Errorf("wal: read dir %s: %w", l.dir, err)
 	}
-	removed := 0
 	for _, e := range entries {
 		_, g, ok := parseSegmentName(e.Name())
 		if !ok || g >= gen {
 			continue
 		}
 		if err := l.fs.Remove(filepath.Join(l.dir, e.Name())); err != nil {
-			return removed, fmt.Errorf("wal: remove segment %s: %w", e.Name(), err)
+			return fmt.Errorf("wal: remove segment %s: %w", e.Name(), err)
 		}
-		removed++
+		l.segmentsRemoved.Add(1)
 	}
-	l.segmentsRemoved.Add(int64(removed))
-	return removed, nil
+	return nil
 }
 
 // Stats returns a copy of the log's counters.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,16 +229,15 @@ func TestRotateAndRemoveSegments(t *testing.T) {
 	l, _ := mustOpen(t, dir, Options{Shards: 2, Policy: SyncAlways})
 	defer l.Close()
 	appendAll(t, l, "old-1", "old-2", "old-3")
-	gen, err := l.Rotate()
+	gen, err := l.rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, l, "new-1", "new-2")
-	removed, err := l.RemoveSegmentsBefore(gen)
-	if err != nil {
+	if err := l.supersede(gen); err != nil {
 		t.Fatal(err)
 	}
-	if removed == 0 {
+	if l.Stats().SegmentsRemoved == 0 {
 		t.Fatal("no old segments removed")
 	}
 	for _, name := range walSegments(t, dir) {
@@ -258,20 +259,216 @@ func TestRotateAndRemoveSegments(t *testing.T) {
 	}
 }
 
-func TestEnsureLSNMovesForwardOnly(t *testing.T) {
+// checkpoint folds l into the given state records behind a fence nobody
+// else holds.
+func checkpoint(t *testing.T, l *Log, state ...string) bool {
+	t.Helper()
+	wrote, err := l.Checkpoint(new(sync.Mutex), func(emit func([]byte) error) error {
+		for _, s := range state {
+			if err := emit([]byte(s)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	return wrote
+}
+
+func payloads(recs []Record) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = string(r.Payload)
+	}
+	return out
+}
+
+func TestCheckpointReplaysBeforeTheLogAboveIt(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Shards: 2, Policy: SyncAlways})
+	appendAll(t, l, "a", "b", "c")
+	if !checkpoint(t, l, "state-2", "state-1") {
+		t.Fatal("checkpoint of a written log reported nothing to do")
+	}
+	for _, name := range walSegments(t, dir) {
+		if _, g, _ := parseSegmentName(name); g < l.gen.Load() {
+			t.Fatalf("superseded segment %s survived the checkpoint", name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointName+".tmp")); !os.IsNotExist(err) {
+		t.Fatalf("temp checkpoint left behind: %v", err)
+	}
+	lsns := appendAll(t, l, "d", "e")
+	l.Close()
+
+	l2, recs := mustOpen(t, dir, Options{Shards: 2})
+	defer l2.Close()
+	// The checkpoint's records come back as written (not sorted), then the
+	// log's in LSN order; a, b and c exist only inside the checkpoint.
+	if got, want := fmt.Sprint(payloads(recs)), "[state-2 state-1 d e]"; got != want {
+		t.Fatalf("replay = %s; want %s", got, want)
+	}
+	if recs[2].LSN != lsns[0] || recs[3].LSN != lsns[1] || l2.LastLSN() != lsns[1] {
+		t.Fatalf("log LSNs = %d, %d (last %d); want %v", recs[2].LSN, recs[3].LSN, l2.LastLSN(), lsns)
+	}
+}
+
+// TestIdleCheckpointIsNoOp: nothing appended since the last checkpoint
+// means no rotation and no rewrite, also when that checkpoint was written
+// before a restart.
+func TestIdleCheckpointIsNoOp(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Shards: 1})
-	defer l.Close()
-	l.EnsureLSN(10)
-	if got := l.LastLSN(); got != 10 {
-		t.Fatalf("LastLSN = %d; want 10", got)
+	if checkpoint(t, l, "never-written") {
+		t.Fatal("checkpoint of a never-written log wrote something")
 	}
-	l.EnsureLSN(3) // never moves backwards
-	if got := l.LastLSN(); got != 10 {
-		t.Fatalf("LastLSN after lower EnsureLSN = %d; want 10", got)
+	appendAll(t, l, "a")
+	checkpoint(t, l, "state")
+	before, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lsn, err := l.Append([]byte("x")); err != nil || lsn != 11 {
-		t.Fatalf("next append = %d, %v; want 11", lsn, err)
+	rotations := l.Stats().Rotations
+	if checkpoint(t, l, "must-not-be-asked-for") {
+		t.Fatal("idle checkpoint reported work")
+	}
+	after, _ := os.ReadFile(filepath.Join(dir, checkpointName))
+	if !bytes.Equal(before, after) || l.Stats().Rotations != rotations {
+		t.Fatalf("idle checkpoint rewrote the file or rotated (rotations %d → %d)", rotations, l.Stats().Rotations)
+	}
+	l.Close()
+
+	l2, _ := mustOpen(t, dir, Options{Shards: 1})
+	defer l2.Close()
+	if checkpoint(t, l2, "must-not-be-asked-for") {
+		t.Fatal("checkpoint right after reopening a compacted log rewrote it")
+	}
+	// With no checkpoint to delete them, the generations idle runs leave
+	// behind must not pile up: Open drops segments holding no record.
+	if segs := walSegments(t, dir); len(segs) != 1 {
+		t.Fatalf("segments after an idle restart = %v; want only the live one", segs)
+	}
+}
+
+// TestLSNStaysAboveCutOfEmptiedLog: a checkpoint that leaves no log
+// record behind must still keep LSNs from repeating after a reopen.
+func TestLSNStaysAboveCutOfEmptiedLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Shards: 1})
+	lsns := appendAll(t, l, "a", "b", "c")
+	checkpoint(t, l, "state")
+	l.Close()
+
+	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	defer l2.Close()
+	if len(recs) != 1 || string(recs[0].Payload) != "state" {
+		t.Fatalf("replay = %v; want only the checkpoint record", payloads(recs))
+	}
+	cut := lsns[len(lsns)-1]
+	if l2.LastLSN() != cut {
+		t.Fatalf("LastLSN after reopening an emptied log = %d; want the cut %d", l2.LastLSN(), cut)
+	}
+	if lsn, err := l2.Append([]byte("x")); err != nil || lsn != cut+1 {
+		t.Fatalf("next append = %d, %v; want %d", lsn, err, cut+1)
+	}
+}
+
+// TestDamagedCheckpointFailsOpen: unlike a log tail, a checkpoint that is
+// short, fails a checksum or lacks its terminal frame is fatal — the
+// segments it replaced are gone, so truncating it would silently drop
+// committed state.
+func TestDamagedCheckpointFailsOpen(t *testing.T) {
+	ref := t.TempDir()
+	l, _ := mustOpen(t, ref, Options{Shards: 1})
+	appendAll(t, l, "a", "b")
+	checkpoint(t, l, "state-one", "state-two", "state-three")
+	l.Close()
+	full, err := os.ReadFile(filepath.Join(ref, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustFail := func(what string, image []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpointName), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := Open(dir, Options{Shards: 1})
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s: Open succeeded with records %v", what, payloads(recs))
+		}
+		after, rerr := os.ReadFile(filepath.Join(dir, checkpointName))
+		if rerr != nil || !bytes.Equal(after, image) {
+			t.Fatalf("%s: failed open touched the checkpoint (%v)", what, rerr)
+		}
+	}
+	// Every proper prefix, frame boundaries (terminal frame missing) included.
+	for cut := 0; cut < len(full); cut++ {
+		mustFail(fmt.Sprintf("truncated to %d/%d", cut, len(full)), full[:cut])
+	}
+	for pos := range full {
+		mut := append([]byte(nil), full...)
+		mut[pos] ^= 0x10
+		mustFail(fmt.Sprintf("byte %d flipped", pos), mut)
+	}
+	// A terminal frame that miscounts is as bad as none.
+	short := append([]byte(magic), full[headerSize+recHeaderSize+len("state-one"):]...)
+	mustFail("one record cut out", short)
+}
+
+func TestOpenRefusesPreCheckpointDirectory(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, legacySnapshotName)
+	if err := os.WriteFile(old, []byte("gzip+gob of a whole store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := Open(dir, Options{})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open started empty on a directory holding snapshot.gz")
+	}
+	if !strings.Contains(err.Error(), old) {
+		t.Fatalf("error %q does not name %s", err, old)
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("refused open removed the evidence: %v", err)
+	}
+	if segs := walSegments(t, dir); len(segs) != 0 {
+		t.Fatalf("refused open left segments %v", segs)
+	}
+}
+
+// TestOpenFinishesInterruptedCheckpoint covers the two things a crash
+// inside Checkpoint leaves for the next Open: a temp file (died before
+// the rename) and superseded segments (died after it).
+func TestOpenFinishesInterruptedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Shards: 1})
+	appendAll(t, l, "a")
+	checkpoint(t, l, "state")
+	l.Close()
+	stale := filepath.Join(dir, segmentName(0, 1))
+	ghost := appendFrame([]byte(magic), 1, []byte("a"))
+	if err := os.WriteFile(stale, ghost, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, checkpointName+".tmp")
+	if err := os.WriteFile(tmp, []byte(magic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	defer l2.Close()
+	if got := fmt.Sprint(payloads(recs)); got != "[state]" {
+		t.Fatalf("replay = %s; want [state] (the superseded record must not come back)", got)
+	}
+	for _, path := range []string{stale, tmp} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s survived the open: %v", path, err)
+		}
 	}
 }
 
