@@ -1,0 +1,96 @@
+package models
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"fairdms/internal/datagen"
+	"fairdms/internal/dataloader"
+	"fairdms/internal/nn"
+	"fairdms/internal/tensor"
+)
+
+// fineTuneJob is the trainer's real job shape in update_cycle: 512 labelled
+// 15×15 patches of a drifted scan, split 410 train / 102 validation, and the
+// weights of a foundation cold-trained on a pre-drift scan to warm-start
+// from. Trained weights matter to the timing: their activations change sign
+// across a patch, which an untrained network's mostly do not.
+type fineTuneJob struct {
+	x, y, valX, valY *tensor.Tensor
+	foundation       *nn.StateDict
+	epochs           int // of the foundation's fit and of each fine-tune
+}
+
+func newFineTuneJob(tb testing.TB, epochs int) *fineTuneJob {
+	tb.Helper()
+	sched := datagen.DefaultBraggDrift(16)
+	scan := func(i int, seed int64) (x, y, valX, valY *tensor.Tensor) {
+		b, err := dataloader.Collate(sched.RegimeAt(i).Generate(rand.New(rand.NewSource(seed)), 512))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		idx := rand.New(rand.NewSource(seed + 1)).Perm(512)
+		t := tensor.Scale(b.Y, 1.0/14)
+		return nn.Gather(b.X, idx[102:]), nn.Gather(t, idx[102:]), nn.Gather(b.X, idx[:102]), nn.Gather(t, idx[:102])
+	}
+	j := &fineTuneJob{epochs: epochs}
+	x, y, valX, valY := scan(8, 21)
+	m := NewBraggNN(rand.New(rand.NewSource(23)), 15)
+	nn.Fit(m.Net, nn.NewAdam(m.Net.Params(), 1e-3), x, y, valX, valY, nn.TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 24})
+	j.foundation = m.Net.State()
+	j.x, j.y, j.valX, j.valY = scan(16, 25)
+	return j
+}
+
+// run is an in-process replica of one fine-tune's fit: BraggNN on 15×15
+// patches from the foundation's weights, batch 16, j.epochs epochs (the job's
+// 10 in the benchmark) of Adam at the fine-tune rate; 410 = 25×16 + 10, so
+// every epoch ends on a short batch.
+// It returns the final weights' bytes.
+func (j *fineTuneJob) run(tb testing.TB) []byte {
+	tb.Helper()
+	m := NewBraggNN(rand.New(rand.NewSource(27)), 15)
+	if err := m.Net.LoadState(j.foundation); err != nil {
+		tb.Fatal(err)
+	}
+	nn.Fit(m.Net, nn.NewAdam(m.Net.Params(), 2e-4), j.x, j.y, j.valX, j.valY, nn.TrainConfig{
+		Epochs: j.epochs, BatchSize: 16, Seed: 28,
+	})
+	raw, err := m.Net.State().Bytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+func BenchmarkFineTune(b *testing.B) {
+	j := newFineTuneJob(b, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.run(b)
+	}
+}
+
+// TestFitIsWorkerCountIndependent pins the determinism contract of a fit:
+// any blocking of partial sums is a function of the batch size, never of the
+// worker count, so the final weights are the same bytes at GOMAXPROCS 1, 2
+// and 8 and from one run to the next.
+func TestFitIsWorkerCountIndependent(t *testing.T) {
+	j := newFineTuneJob(t, 3) // three epochs hold the short batches and the evals; -race runs this too
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2, 8, 1} {
+		runtime.GOMAXPROCS(procs)
+		got := j.run(t)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("final StateDict at GOMAXPROCS=%d differs from the first run's", procs)
+		}
+	}
+}

@@ -22,6 +22,7 @@ func BenchmarkForwardBraggLike(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := braggLikeNet(rng)
 	x := tensor.Randn(rng, 1, 32, 225)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(x, false)
@@ -34,6 +35,7 @@ func BenchmarkForwardBackwardBraggLike(b *testing.B) {
 	x := tensor.Randn(rng, 1, 32, 225)
 	y := tensor.RandUniform(rng, 0, 1, 32, 2)
 	opt := NewAdam(m.Params(), 1e-3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.ZeroGrad()
@@ -82,5 +84,31 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Step()
+	}
+}
+
+func BenchmarkMaxPoolTrainStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	p := NewMaxPool2d(8, 15, 15, 3)
+	x := tensor.Randn(rng, 1, 16, 8*15*15)
+	g := tensor.Randn(rng, 1, 16, p.OutFeatures())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Forward(x, true)
+		p.Backward(g)
+	}
+}
+
+func BenchmarkLeakyReLUTrainStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	r := NewLeakyReLU(0.01)
+	x := tensor.Randn(rng, 1, 16, 8*15*15)
+	g := tensor.Randn(rng, 1, 16, 8*15*15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Forward(x, true)
+		r.Backward(g)
 	}
 }

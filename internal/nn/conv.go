@@ -14,8 +14,13 @@ type Conv2d struct {
 	OutC int
 	w, b *Param
 
-	lastX    *tensor.Tensor
-	lastCols []*tensor.Tensor // per-sample column matrices kept for backward
+	// Train-mode state: the batch's column matrices (one colRows×colCols
+	// block per sample, kept for Backward), the output and input-gradient
+	// workspaces, and one sample's column gradient.
+	lastN   int
+	cols    []float64
+	dcol    []float64
+	out, dx *tensor.Tensor
 }
 
 // NewConv2d returns a convolution layer for the given geometry.
@@ -38,92 +43,85 @@ func (c *Conv2d) InFeatures() int { return c.Dims.InC * c.Dims.InH * c.Dims.InW 
 // OutFeatures returns the flattened output width (outC*outH*outW).
 func (c *Conv2d) OutFeatures() int { return c.OutC * c.Dims.OutH() * c.Dims.OutW() }
 
-// Forward convolves each batch sample in parallel.
+// colShape returns the per-sample column matrix shape: inC*KH*KW rows by
+// outH*outW columns.
+func (c *Conv2d) colShape() (rows, cols int) {
+	return c.Dims.InC * c.Dims.KH * c.Dims.KW, c.Dims.OutH() * c.Dims.OutW()
+}
+
+// Forward convolves each batch sample. In train mode the samples run in
+// order on the caller and their column matrices stay in the layer for
+// Backward; in eval mode nothing is kept, the samples are split across
+// workers by work, and each worker unrolls into one scratch matrix of its
+// own.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkBatch("Conv2d", x, c.InFeatures())
 	n := x.Dim(0)
-	outH, outW := c.Dims.OutH(), c.Dims.OutW()
-	colRows := c.Dims.InC * c.Dims.KH * c.Dims.KW
-	colCols := outH * outW
-	out := tensor.New(n, c.OutFeatures())
-	// The column matrices exist only to serve Backward; eval-mode forwards
-	// (train=false) keep them sample-local and write no layer state, so
-	// concurrent eval on a shared model is race-free.
-	var cols []*tensor.Tensor
+	colRows, colCols := c.colShape()
+	colLen := colRows * colCols
+	out := output(&c.out, train, n, c.OutFeatures())
 	if train {
-		cols = make([]*tensor.Tensor, n)
-		c.lastX = x
+		c.cols = grown(c.cols, n*colLen)
+		c.lastN = n
+		for i := 0; i < n; i++ {
+			c.forwardSample(x.Row(i), c.cols[i*colLen:(i+1)*colLen], out.Row(i))
+		}
+		return out
 	}
-
-	tensor.ParallelFor(n, func(lo, hi int) {
+	tensor.ParallelWork(n, n*c.OutC*colLen, func(lo, hi int) {
+		col := make([]float64, colLen)
 		for i := lo; i < hi; i++ {
-			col := tensor.New(colRows, colCols)
-			tensor.Im2Col(x.Row(i), c.Dims, col.Data())
-			if train {
-				cols[i] = col
-			}
-			// (outC × colRows) · (colRows × colCols) = outC × colCols
-			y := tensor.MatMul(c.w.Value, col)
-			yd := y.Data()
-			orow := out.Row(i)
-			for oc := 0; oc < c.OutC; oc++ {
-				bias := c.b.Value.Data()[oc]
-				for j := 0; j < colCols; j++ {
-					orow[oc*colCols+j] = yd[oc*colCols+j] + bias
-				}
-			}
+			c.forwardSample(x.Row(i), col, out.Row(i))
 		}
 	})
-	if train {
-		c.lastCols = cols
-	}
 	return out
 }
 
+// forwardSample unrolls one image into col and writes its output row: each
+// channel starts as its bias and W·col accumulates onto it,
+// (outC × colRows) · (colRows × colCols).
+func (c *Conv2d) forwardSample(img, col, orow []float64) {
+	colRows, colCols := c.colShape()
+	tensor.Im2Col(img, c.Dims, col)
+	for oc, bias := range c.b.Value.Data() {
+		ch := orow[oc*colCols : (oc+1)*colCols]
+		for j := range ch {
+			ch[j] = bias
+		}
+	}
+	tensor.MatMulInto(orow, c.w.Value.Data(), col, c.OutC, colRows, colCols, true)
+}
+
 // Backward accumulates weight/bias gradients and returns the input gradient.
+// Samples run in order and their products land directly in the gradient
+// accumulators, so the sums are the same at any GOMAXPROCS.
 func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastX == nil {
+	if c.out == nil {
 		panic("nn: Conv2d.Backward before Forward")
 	}
-	n := grad.Dim(0)
-	outH, outW := c.Dims.OutH(), c.Dims.OutW()
-	colRows := c.Dims.InC * c.Dims.KH * c.Dims.KW
-	colCols := outH * outW
-	dx := tensor.New(n, c.InFeatures())
-
-	// Per-sample weight-gradient partials are accumulated into shards and
-	// reduced at the end so the parallel loop never contends on c.w.Grad.
-	type shard struct {
-		dw *tensor.Tensor
-		db *tensor.Tensor
-	}
-	shards := make([]shard, n)
-
-	tensor.ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := tensor.FromSlice(grad.Row(i), c.OutC, colCols)
-			col := c.lastCols[i]
-			// dW += g · colᵀ ; dCol = Wᵀ · g
-			shards[i].dw = tensor.MatMulTransB(g, col)
-			db := tensor.New(c.OutC)
-			for oc := 0; oc < c.OutC; oc++ {
-				s := 0.0
-				for j := 0; j < colCols; j++ {
-					s += g.Data()[oc*colCols+j]
-				}
-				db.Data()[oc] = s
+	n := c.lastN
+	checkGrad("Conv2d", grad, n, c.OutFeatures())
+	colRows, colCols := c.colShape()
+	colLen := colRows * colCols
+	c.dcol = grown(c.dcol, colLen)
+	c.dx = tensor.Reuse2D(c.dx, n, c.InFeatures())
+	clear(c.dx.Data())
+	w, dw, db := c.w.Value.Data(), c.w.Grad.Data(), c.b.Grad.Data()
+	for i := 0; i < n; i++ {
+		g := grad.Row(i) // outC × colCols
+		// dW += g · colᵀ ; db += row sums of g ; dCol = Wᵀ · g
+		tensor.MatMulTransBInto(dw, g, c.cols[i*colLen:(i+1)*colLen], c.OutC, colCols, colRows, true)
+		for oc := range db {
+			s := 0.0
+			for _, v := range g[oc*colCols : (oc+1)*colCols] {
+				s += v
 			}
-			shards[i].db = db
-			dcol := tensor.MatMulTransA(c.w.Value, g)
-			tensor.Col2Im(dcol.Data(), c.Dims, dx.Row(i))
+			db[oc] += s
 		}
-	})
-	for i := range shards {
-		tensor.AddInPlace(c.w.Grad, shards[i].dw)
-		tensor.AddInPlace(c.b.Grad, shards[i].db)
+		tensor.MatMulTransAInto(c.dcol, w, g, colRows, c.OutC, colCols, false)
+		tensor.Col2Im(c.dcol, c.Dims, c.dx.Row(i))
 	}
-	_ = colRows
-	return dx
+	return c.dx
 }
 
 // Params returns the kernel and bias parameters.
@@ -134,8 +132,13 @@ type MaxPool2d struct {
 	C, H, W int
 	Size    int // pooling window and stride (non-overlapping)
 
-	lastArg []int // flat index of each max, for routing gradients
-	lastN   int
+	// window holds the offsets of a window's Size² inputs from its top-left
+	// corner, row by row, so one flat loop visits a window.
+	window []int
+
+	lastArg []int // per output, the input position of its max, for routing gradients
+	lastN   int   // batch size of the last train-mode Forward
+	out, dx *tensor.Tensor
 }
 
 // NewMaxPool2d returns a non-overlapping max-pool of the given window size.
@@ -143,72 +146,87 @@ func NewMaxPool2d(c, h, w, size int) *MaxPool2d {
 	if size < 1 || h%size != 0 || w%size != 0 {
 		panic(fmt.Sprintf("nn: MaxPool2d window %d must evenly divide %dx%d", size, h, w))
 	}
-	return &MaxPool2d{C: c, H: h, W: w, Size: size}
+	window := make([]int, 0, size*size)
+	for dy := 0; dy < size; dy++ {
+		for dz := 0; dz < size; dz++ {
+			window = append(window, dy*w+dz)
+		}
+	}
+	return &MaxPool2d{C: c, H: h, W: w, Size: size, window: window}
 }
 
 // OutFeatures returns the flattened pooled width.
 func (p *MaxPool2d) OutFeatures() int { return p.C * (p.H / p.Size) * (p.W / p.Size) }
 
-// Forward takes the max over each window, remembering argmax positions.
+// Forward takes the max over each window; a train-mode pass also remembers
+// the argmax positions and runs on the caller, an eval-mode pass splits the
+// samples across workers by work.
 func (p *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkBatch("MaxPool2d", x, p.C*p.H*p.W)
+	in, of := p.C*p.H*p.W, p.OutFeatures()
+	checkBatch("MaxPool2d", x, in)
 	n := x.Dim(0)
-	oh, ow := p.H/p.Size, p.W/p.Size
-	out := tensor.New(n, p.OutFeatures())
-	var arg []int
+	out := output(&p.out, train, n, of)
 	if train {
-		arg = make([]int, n*p.OutFeatures())
+		p.lastArg = grown(p.lastArg, n*of)
+		p.lastN = n
+		for i := 0; i < n; i++ {
+			p.poolSample(x.Row(i), out.Row(i), p.lastArg[i*of:(i+1)*of])
+		}
+		return out
 	}
-	tensor.ParallelFor(n, func(lo, hi int) {
+	tensor.ParallelWork(n, n*in, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			xrow := x.Row(i)
-			orow := out.Row(i)
-			for c := 0; c < p.C; c++ {
-				chOff := c * p.H * p.W
-				for y := 0; y < oh; y++ {
-					for z := 0; z < ow; z++ {
-						best := -1.0
-						bestAt := -1
-						for dy := 0; dy < p.Size; dy++ {
-							for dz := 0; dz < p.Size; dz++ {
-								at := chOff + (y*p.Size+dy)*p.W + z*p.Size + dz
-								if bestAt < 0 || xrow[at] > best {
-									best, bestAt = xrow[at], at
-								}
-							}
-						}
-						oat := c*oh*ow + y*ow + z
-						orow[oat] = best
-						if train {
-							arg[i*p.OutFeatures()+oat] = bestAt
-						}
-					}
-				}
-			}
+			p.poolSample(x.Row(i), out.Row(i), nil)
 		}
 	})
-	if train {
-		p.lastArg = arg
-		p.lastN = n
-	}
 	return out
+}
+
+// poolSample writes one sample's window maxima into orow and, when arg is
+// not nil, the input position each came from (the first, on a tie).
+func (p *MaxPool2d) poolSample(xrow, orow []float64, arg []int) {
+	oh, ow := p.H/p.Size, p.W/p.Size
+	span := p.window[len(p.window)-1] + 1
+	o := 0
+	for c := 0; c < p.C; c++ {
+		for y := 0; y < oh; y++ {
+			corner := c*p.H*p.W + y*p.Size*p.W
+			for z := 0; z < ow; z++ {
+				win := xrow[corner : corner+span]
+				best, bestAt := win[0], 0
+				for _, off := range p.window[1:] {
+					if v := win[off]; v > best {
+						best, bestAt = v, off
+					}
+				}
+				orow[o] = best
+				if arg != nil {
+					arg[o] = corner + bestAt
+				}
+				o++
+				corner += p.Size
+			}
+		}
+	}
 }
 
 // Backward routes each gradient to the position that produced the max.
 func (p *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.lastArg == nil {
+	if p.out == nil {
 		panic("nn: MaxPool2d.Backward before Forward")
 	}
-	out := tensor.New(p.lastN, p.C*p.H*p.W)
 	of := p.OutFeatures()
+	checkGrad("MaxPool2d", grad, p.lastN, of)
+	p.dx = tensor.Reuse2D(p.dx, p.lastN, p.C*p.H*p.W)
+	clear(p.dx.Data())
 	for i := 0; i < p.lastN; i++ {
-		grow := grad.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < of; j++ {
-			orow[p.lastArg[i*of+j]] += grow[j]
+		drow := p.dx.Row(i)
+		arg := p.lastArg[i*of : (i+1)*of]
+		for j, g := range grad.Row(i) {
+			drow[arg[j]] += g
 		}
 	}
-	return out
+	return p.dx
 }
 
 // Params returns nil: pooling has no parameters.

@@ -12,7 +12,9 @@ import (
 type Linear struct {
 	In, Out int
 	w, b    *Param
+
 	lastX   *tensor.Tensor
+	out, dx *tensor.Tensor // train-mode workspaces
 }
 
 // NewLinear returns a Linear layer with He-initialized weights.
@@ -27,17 +29,23 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	}
 }
 
-// Forward computes xW + b. In eval mode (train=false) it caches nothing,
-// so concurrent eval-mode forwards on a shared model are race-free — the
-// property embedding servers rely on to run parallel Embed workers.
+// Forward computes xW + b: every output row starts as the bias and the
+// product accumulates onto it. The product forks across row blocks by its
+// work (tensor.ForkWork), which is what keeps a ≥ 64-row embedding batch
+// row-parallel and a small training batch on the caller.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkBatch("Linear", x, l.In)
+	n := x.Dim(0)
+	out := output(&l.out, train, n, l.Out)
+	bias := l.b.Value.Data()
+	for i := 0; i < n; i++ {
+		copy(out.Row(i), bias)
+	}
+	tensor.MatMulInto(out.Data(), x.Data(), l.w.Value.Data(), n, l.In, l.Out, true)
 	if train {
 		l.lastX = x
 	}
-	// The MatMul result is freshly owned, so the bias folds in without
-	// materializing a second activation tensor.
-	return tensor.AddRowVectorInPlace(tensor.MatMul(x, l.w.Value), l.b.Value)
+	return out
 }
 
 // Backward accumulates dW = xᵀ·g, db = Σg and returns dX = g·Wᵀ.
@@ -45,52 +53,106 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	tensor.AddInPlace(l.w.Grad, tensor.MatMulTransA(l.lastX, grad))
-	tensor.AddInPlace(l.b.Grad, tensor.SumRows(grad))
-	return tensor.MatMulTransB(grad, l.w.Value)
+	n := l.lastX.Dim(0)
+	checkGrad("Linear", grad, n, l.Out)
+	gd := grad.Data()
+	tensor.MatMulTransAInto(l.w.Grad.Data(), l.lastX.Data(), gd, l.In, n, l.Out, true)
+	db := l.b.Grad.Data()
+	for i := 0; i < n; i++ {
+		for j, g := range gd[i*l.Out : (i+1)*l.Out] {
+			db[j] += g
+		}
+	}
+	l.dx = tensor.Reuse2D(l.dx, n, l.In)
+	tensor.MatMulTransBInto(l.dx.Data(), gd, l.w.Value.Data(), n, l.Out, l.In, false)
+	return l.dx
 }
 
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.w, l.b} }
 
+// activation is the state the element-wise layers share: what Backward needs
+// from the last train-mode Forward (the input for the rectifiers, the output
+// for Sigmoid and Tanh) and the two workspaces.
+type activation struct {
+	last    *tensor.Tensor
+	out, dx *tensor.Tensor
+}
+
+// forward returns x's data and the tensor to write the activation into.
+func (a *activation) forward(layer string, x *tensor.Tensor, train bool) ([]float64, *tensor.Tensor) {
+	if x.NDim() != 2 {
+		panic(fmt.Sprintf("nn: %s expects (batch, features) input, got shape %v", layer, x.Shape()))
+	}
+	return x.Data(), output(&a.out, train, x.Dim(0), x.Dim(1))
+}
+
+// backward returns the remembered tensor's data, grad's data and the
+// workspace the input gradient goes into.
+func (a *activation) backward(layer string, grad *tensor.Tensor) (last, g, dx []float64) {
+	if a.last == nil {
+		panic("nn: " + layer + ".Backward before Forward")
+	}
+	checkGrad(layer, grad, a.last.Dim(0), a.last.Dim(1))
+	a.dx = tensor.Reuse2D(a.dx, grad.Dim(0), grad.Dim(1))
+	return a.last.Data(), grad.Data(), a.dx.Data()
+}
+
 // ReLU is the rectified linear activation, max(0, x).
-type ReLU struct{ lastX *tensor.Tensor }
+type ReLU struct{ activation }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward clamps negatives to zero.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		r.lastX = x
-	}
-	return tensor.Apply(x, func(v float64) float64 {
+	xd, out := r.forward("ReLU", x, train)
+	od := out.Data()
+	for i, v := range xd {
 		if v > 0 {
-			return v
+			od[i] = v
+		} else {
+			od[i] = 0
 		}
-		return 0
-	})
+	}
+	if train {
+		r.last = x
+	}
+	return out
 }
 
 // Backward passes gradient only where the input was positive.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	xd, gd, od := r.lastX.Data(), grad.Data(), out.Data()
-	for i := range gd {
+	xd, gd, od := r.backward("ReLU", grad)
+	for i, g := range gd {
 		if xd[i] > 0 {
-			od[i] = gd[i]
+			od[i] = g
+		} else {
+			od[i] = 0
 		}
 	}
-	return out
+	return r.dx
 }
 
 // Params returns nil: ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
+// positive is 1 for v > 0 and 0 otherwise (NaN included). It compiles to a
+// flag-to-register move, so indexing a two-entry slope table with it (the
+// &1 at the call sites shows the compiler the index is in range) selects a
+// rectifier's branch without a jump: the sign of a trained network's
+// activations is close to a coin flip to the branch predictor.
+func positive(v float64) int {
+	if v > 0 {
+		return 1
+	}
+	return 0
+}
+
 // LeakyReLU is max(x, alpha*x), BraggNN's activation.
 type LeakyReLU struct {
 	Alpha float64
-	lastX *tensor.Tensor
+	activation
 }
 
 // NewLeakyReLU returns a LeakyReLU with the given negative slope.
@@ -98,86 +160,88 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
 // Forward applies the leaky rectifier.
 func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		r.lastX = x
+	xd, out := r.forward("LeakyReLU", x, train)
+	od := out.Data()[:len(xd)]
+	slope := [2]float64{r.Alpha, 1}
+	for i, v := range xd {
+		od[i] = v * slope[positive(v)&1]
 	}
-	a := r.Alpha
-	return tensor.Apply(x, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return a * v
-	})
+	if train {
+		r.last = x
+	}
+	return out
 }
 
 // Backward scales gradient by 1 or alpha depending on input sign.
 func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	xd, gd, od := r.lastX.Data(), grad.Data(), out.Data()
-	for i := range gd {
-		if xd[i] > 0 {
-			od[i] = gd[i]
-		} else {
-			od[i] = r.Alpha * gd[i]
-		}
+	xd, gd, od := r.backward("LeakyReLU", grad)
+	slope := [2]float64{r.Alpha, 1}
+	for i, g := range gd {
+		od[i] = g * slope[positive(xd[i])&1]
 	}
-	return out
+	return r.dx
 }
 
 // Params returns nil: LeakyReLU has no parameters.
 func (r *LeakyReLU) Params() []*Param { return nil }
 
 // Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct{ lastY *tensor.Tensor }
+type Sigmoid struct{ activation }
 
 // NewSigmoid returns a Sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward applies the logistic function.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.Apply(x, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	if train {
-		s.lastY = y
+	xd, out := s.forward("Sigmoid", x, train)
+	od := out.Data()
+	for i, v := range xd {
+		od[i] = 1 / (1 + math.Exp(-v))
 	}
-	return y
+	if train {
+		s.last = out
+	}
+	return out
 }
 
 // Backward multiplies by y(1-y).
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	yd, gd, od := s.lastY.Data(), grad.Data(), out.Data()
-	for i := range gd {
-		od[i] = gd[i] * yd[i] * (1 - yd[i])
+	yd, gd, od := s.backward("Sigmoid", grad)
+	for i, g := range gd {
+		od[i] = g * yd[i] * (1 - yd[i])
 	}
-	return out
+	return s.dx
 }
 
 // Params returns nil: Sigmoid has no parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
 
 // Tanh is the hyperbolic-tangent activation.
-type Tanh struct{ lastY *tensor.Tensor }
+type Tanh struct{ activation }
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.Apply(x, math.Tanh)
-	if train {
-		t.lastY = y
+	xd, out := t.forward("Tanh", x, train)
+	od := out.Data()
+	for i, v := range xd {
+		od[i] = math.Tanh(v)
 	}
-	return y
+	if train {
+		t.last = out
+	}
+	return out
 }
 
 // Backward multiplies by 1 - y².
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	yd, gd, od := t.lastY.Data(), grad.Data(), out.Data()
-	for i := range gd {
-		od[i] = gd[i] * (1 - yd[i]*yd[i])
+	yd, gd, od := t.backward("Tanh", grad)
+	for i, g := range gd {
+		od[i] = g * (1 - yd[i]*yd[i])
 	}
-	return out
+	return t.dx
 }
 
 // Params returns nil: Tanh has no parameters.
@@ -192,7 +256,9 @@ type Dropout struct {
 	MC  bool
 	rng *rand.Rand
 
-	lastMask []float64
+	lastMask []float64 // mask of the last masked Forward; nil after an identity one
+	mask     []float64 // the mask buffer lastMask points at, kept across identity passes
+	out, dx  *tensor.Tensor
 }
 
 // NewDropout returns a dropout layer with drop probability p.
@@ -206,7 +272,7 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout {
 // Forward applies the random mask in training (or MC) mode and is the
 // identity otherwise. The plain eval path (train=false, MC off) writes no
 // layer state, so it is safe to run concurrently; MC mode draws from the
-// layer's RNG and is not.
+// layer's RNG and records its mask, and is not.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if (!train && !d.MC) || d.P == 0 {
 		if train || d.MC {
@@ -214,15 +280,22 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return x
 	}
+	if x.NDim() != 2 {
+		panic(fmt.Sprintf("nn: Dropout expects (batch, features) input, got shape %v", x.Shape()))
+	}
 	keep := 1 - d.P
 	scale := 1 / keep
-	mask := make([]float64, x.Len())
-	out := tensor.New(x.Shape()...)
+	out := output(&d.out, train, x.Dim(0), x.Dim(1))
+	d.mask = grown(d.mask, x.Len())
+	mask := d.mask
 	xd, od := x.Data(), out.Data()
-	for i := range xd {
+	for i, v := range xd {
 		if d.rng.Float64() < keep {
 			mask[i] = scale
-			od[i] = xd[i] * scale
+			od[i] = v * scale
+		} else {
+			mask[i] = 0
+			od[i] = 0
 		}
 	}
 	d.lastMask = mask
@@ -234,12 +307,15 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastMask == nil {
 		return grad
 	}
-	out := tensor.New(grad.Shape()...)
-	gd, od := grad.Data(), out.Data()
-	for i := range gd {
-		od[i] = gd[i] * d.lastMask[i]
+	if grad.NDim() != 2 || grad.Len() != len(d.lastMask) {
+		panic(fmt.Sprintf("nn: Dropout.Backward gradient shape %v does not match the %d masked activations", grad.Shape(), len(d.lastMask)))
 	}
-	return out
+	d.dx = tensor.Reuse2D(d.dx, grad.Dim(0), grad.Dim(1))
+	od := d.dx.Data()
+	for i, g := range grad.Data() {
+		od[i] = g * d.lastMask[i]
+	}
+	return d.dx
 }
 
 // Params returns nil: Dropout has no parameters.

@@ -16,9 +16,27 @@
 //
 // Inputs are 2-D tensors of shape (batch, features); convolutional layers
 // interpret the feature axis as flattened C×H×W with geometry given at
-// construction. All layers are deterministic given their *rand.Rand.
-// Layers are not safe for concurrent Forward/Backward on the same instance;
-// clone the model (via StateDict round-trip) for parallel evaluation.
+// construction. All layers are deterministic given their *rand.Rand, and a
+// result never depends on GOMAXPROCS.
+//
+// # Buffer ownership
+//
+// One rule covers every layer:
+//
+//   - A train-mode Forward (train=true) writes its output into a workspace
+//     the layer owns and remembers what Backward needs — often just a
+//     pointer to its input. The output is valid until that layer's next
+//     train-mode Forward, the tensor Backward returns until that layer's
+//     next Backward; a caller that wants either for longer clones it.
+//     Workspaces grow on demand and are re-shaped, not reallocated, when the
+//     batch size changes, so a warmed training step allocates nothing in the
+//     layers. One model instance therefore trains on one goroutine at a time.
+//   - An eval-mode Forward (train=false) returns a tensor the caller owns
+//     and writes no layer state, so any number of goroutines may run
+//     eval-mode forwards on one shared model (the embedding servers do) —
+//     as long as nobody is training or loading weights into that instance.
+//     The one exception is a Dropout in Monte-Carlo mode, which draws from
+//     the layer's RNG at inference time and must not be shared.
 package nn
 
 import (
@@ -49,10 +67,15 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Layer is one differentiable stage of a model. Forward stores whatever
-// activations Backward needs; Backward consumes the loss gradient w.r.t. the
+// Layer is one differentiable stage of a model. A train-mode Forward stores
+// whatever Backward needs; Backward consumes the loss gradient w.r.t. the
 // layer output and returns the gradient w.r.t. the layer input, accumulating
 // parameter gradients along the way.
+//
+// Implementations follow the package's buffer-ownership rule: the train-mode
+// output and the Backward result live in layer-owned workspaces (valid until
+// the layer's next train-mode Forward, resp. Backward), while an eval-mode
+// Forward returns a tensor the caller owns and writes no layer state.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -126,6 +149,34 @@ func heInit(rng *rand.Rand, w *tensor.Tensor, fanIn int) {
 	d := w.Data()
 	for i := range d {
 		d[i] = rng.NormFloat64() * std
+	}
+}
+
+// output is where a Forward writes: in train mode the layer-owned workspace
+// *ws, re-shaped to rows×cols with stale contents; in eval mode a new tensor
+// the caller owns.
+func output(ws **tensor.Tensor, train bool, rows, cols int) *tensor.Tensor {
+	if !train {
+		return tensor.New(rows, cols)
+	}
+	*ws = tensor.Reuse2D(*ws, rows, cols)
+	return *ws
+}
+
+// grown returns buf with length n for a layer that keeps it across calls,
+// reallocating only when the capacity is short; the contents are stale.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// checkGrad panics unless grad is the (rows, features) gradient of the
+// output the layer produced in its last train-mode Forward.
+func checkGrad(layer string, grad *tensor.Tensor, rows, features int) {
+	if grad.NDim() != 2 || grad.Dim(0) != rows || grad.Dim(1) != features {
+		panic(fmt.Sprintf("nn: %s.Backward expects a (%d, %d) gradient, got shape %v", layer, rows, features, grad.Shape()))
 	}
 }
 

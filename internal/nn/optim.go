@@ -91,23 +91,29 @@ func NewAdamFull(params []*Param, lr, beta1, beta2, eps, weightDecay float64) *A
 	return &Adam{params: params, lr: lr, beta1: beta1, beta2: beta2, eps: eps, decay: weightDecay, m: m, v: v}
 }
 
-// Step applies one bias-corrected Adam update.
+// Step applies one bias-corrected Adam update. Everything that does not
+// depend on the element is read or computed once, outside the loops; each
+// element still sees the same operations in the same order (the two bias
+// corrections stay divisions — a multiplication by 1/c rounds differently),
+// so the update is bit-identical to the textbook loop.
 func (a *Adam) Step() {
 	a.step++
 	c1 := 1 - math.Pow(a.beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.beta2, float64(a.step))
+	lr, eps, decay := a.lr, a.eps, a.decay
+	b1, b2 := a.beta1, a.beta2
+	nb1, nb2 := 1-b1, 1-b2
 	for i, p := range a.params {
-		md := a.m[i].Data()
-		vd := a.v[i].Data()
 		wd := p.Value.Data()
-		gd := p.Grad.Data()
-		for j := range wd {
-			g := gd[j] + a.decay*wd[j]
-			md[j] = a.beta1*md[j] + (1-a.beta1)*g
-			vd[j] = a.beta2*vd[j] + (1-a.beta2)*g*g
-			mhat := md[j] / c1
-			vhat := vd[j] / c2
-			wd[j] -= a.lr * mhat / (math.Sqrt(vhat) + a.eps)
+		md := a.m[i].Data()[:len(wd)]
+		vd := a.v[i].Data()[:len(wd)]
+		gd := p.Grad.Data()[:len(wd)]
+		for j, w := range wd {
+			g := gd[j] + decay*w
+			m := b1*md[j] + nb1*g
+			v := b2*vd[j] + nb2*g*g
+			md[j], vd[j] = m, v
+			wd[j] = w - lr*(m/c1)/(math.Sqrt(v/c2)+eps)
 		}
 	}
 }

@@ -55,14 +55,21 @@ func (r *TrainResult) ConvergedAt(target float64) int {
 
 // Gather builds a batch tensor from the given rows of a 2-D tensor.
 func Gather(x *tensor.Tensor, rows []int) *tensor.Tensor {
+	return GatherInto(nil, x, rows)
+}
+
+// GatherInto is Gather into a buffer the caller keeps across batches: it
+// returns dst re-shaped over its own storage when that is large enough (see
+// tensor.Reuse2D) and a new tensor otherwise; dst may be nil.
+func GatherInto(dst, x *tensor.Tensor, rows []int) *tensor.Tensor {
 	if x.NDim() != 2 {
 		panic(fmt.Sprintf("nn: Gather on %d-dimensional tensor", x.NDim()))
 	}
-	out := tensor.New(len(rows), x.Dim(1))
+	dst = tensor.Reuse2D(dst, len(rows), x.Dim(1))
 	for i, r := range rows {
-		copy(out.Row(i), x.Row(r))
+		copy(dst.Row(i), x.Row(r))
 	}
-	return out
+	return dst
 }
 
 // Fit trains the model on (x, y) with mini-batch gradient descent, evaluating
@@ -82,6 +89,11 @@ func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg Train
 		perm[i] = i
 	}
 
+	// Every mini-batch is gathered into the same two tensors; with the
+	// layers' workspaces that makes a warmed step allocation-free apart from
+	// what the loss function returns.
+	var bx, by *tensor.Tensor
+
 	res := &TrainResult{}
 	bestVal := math.Inf(1)
 	stale := 0
@@ -98,8 +110,8 @@ func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg Train
 			if hi > n {
 				hi = n
 			}
-			bx := Gather(x, perm[lo:hi])
-			by := Gather(y, perm[lo:hi])
+			bx = GatherInto(bx, x, perm[lo:hi])
+			by = GatherInto(by, y, perm[lo:hi])
 			opt.ZeroGrad()
 			pred := model.Forward(bx, true)
 			loss, grad := cfg.Loss(pred, by)

@@ -19,15 +19,28 @@ func benchMatMul(b *testing.B, n int) {
 func BenchmarkMatMul64(b *testing.B)  { benchMatMul(b, 64) }
 func BenchmarkMatMul256(b *testing.B) { benchMatMul(b, 256) }
 
-func BenchmarkMatMulTransB128(b *testing.B) {
+// benchProduct times one destination-writing kernel at 128×128×128 — large
+// enough to fork at GOMAXPROCS > 1 — and at the shape it has in a BraggNN
+// training step (batch 16), which stays on the caller.
+func benchProduct(b *testing.B, into func(dst, a, b []float64, m, k, n int, acc bool), m, k, n int) {
 	rng := rand.New(rand.NewSource(2))
-	x := Randn(rng, 1, 128, 128)
-	y := Randn(rng, 1, 128, 128)
+	x := Randn(rng, 1, m, k).Data()
+	y := Randn(rng, 1, k, n).Data()
+	dst := make([]float64, m*n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTransB(x, y)
+		into(dst, x, y, m, k, n, false)
 	}
+	b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 }
+
+func BenchmarkMatMulTransB128(b *testing.B)      { benchProduct(b, MatMulTransBInto, 128, 128, 128) }
+func BenchmarkMatMulTransA128(b *testing.B)      { benchProduct(b, MatMulTransAInto, 128, 128, 128) }
+func BenchmarkMatMulLinearFwd(b *testing.B)      { benchProduct(b, MatMulInto, 16, 200, 64) }
+func BenchmarkMatMulTransALinearDW(b *testing.B) { benchProduct(b, MatMulTransAInto, 200, 16, 64) }
+func BenchmarkMatMulTransBLinearDX(b *testing.B) { benchProduct(b, MatMulTransBInto, 16, 64, 200) }
+func BenchmarkMatMulTransBConvDW(b *testing.B)   { benchProduct(b, MatMulTransBInto, 8, 225, 9) }
 
 func BenchmarkIm2Col(b *testing.B) {
 	d := ConvDims{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}

@@ -26,34 +26,47 @@ func (c ConvDims) Validate() {
 	}
 }
 
+// validCols returns the range [lo, hi) of output columns whose input
+// column ow*Stride + kw - Pad falls inside the image for kernel column kw;
+// the columns outside it read padding.
+func (c ConvDims) validCols(kw int) (lo, hi int) {
+	ceilDiv := func(a, b int) int { return (a + b - 1) / b }
+	if c.Pad > kw {
+		lo = ceilDiv(c.Pad-kw, c.Stride)
+	}
+	hi = min(c.OutW(), ceilDiv(c.InW+c.Pad-kw, c.Stride))
+	return min(lo, hi), hi
+}
+
 // Im2Col unrolls one image (C×H×W, flat) into a (C*KH*KW) × (OutH*OutW)
 // column matrix so convolution becomes a matrix multiply. The result is
 // written into cols, which must have length C*KH*KW*OutH*OutW.
 func Im2Col(img []float64, d ConvDims, cols []float64) {
 	outH, outW := d.OutH(), d.OutW()
-	ncol := outH * outW
 	idx := 0
 	for c := 0; c < d.InC; c++ {
 		chOff := c * d.InH * d.InW
 		for kh := 0; kh < d.KH; kh++ {
 			for kw := 0; kw < d.KW; kw++ {
+				lo, hi := d.validCols(kw)
 				for oh := 0; oh < outH; oh++ {
+					row := cols[idx : idx+outW]
+					idx += outW
 					ih := oh*d.Stride + kh - d.Pad
-					base := chOff + ih*d.InW
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*d.Stride + kw - d.Pad
-						if ih < 0 || ih >= d.InH || iw < 0 || iw >= d.InW {
-							cols[idx] = 0
-						} else {
-							cols[idx] = img[base+iw]
-						}
-						idx++
+					if ih < 0 || ih >= d.InH {
+						clear(row)
+						continue
+					}
+					clear(row[:lo])
+					clear(row[hi:])
+					base := chOff + ih*d.InW + kw - d.Pad
+					for ow := lo; ow < hi; ow++ {
+						row[ow] = img[base+ow*d.Stride]
 					}
 				}
 			}
 		}
 	}
-	_ = ncol
 }
 
 // Col2Im scatters a column matrix gradient back into an image gradient,
@@ -66,15 +79,17 @@ func Col2Im(cols []float64, d ConvDims, img []float64) {
 		chOff := c * d.InH * d.InW
 		for kh := 0; kh < d.KH; kh++ {
 			for kw := 0; kw < d.KW; kw++ {
+				lo, hi := d.validCols(kw)
 				for oh := 0; oh < outH; oh++ {
+					row := cols[idx : idx+outW]
+					idx += outW
 					ih := oh*d.Stride + kh - d.Pad
-					base := chOff + ih*d.InW
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*d.Stride + kw - d.Pad
-						if ih >= 0 && ih < d.InH && iw >= 0 && iw < d.InW {
-							img[base+iw] += cols[idx]
-						}
-						idx++
+					if ih < 0 || ih >= d.InH {
+						continue
+					}
+					base := chOff + ih*d.InW + kw - d.Pad
+					for ow := lo; ow < hi; ow++ {
+						img[base+ow*d.Stride] += row[ow]
 					}
 				}
 			}

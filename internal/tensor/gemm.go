@@ -1,0 +1,174 @@
+package tensor
+
+import "fmt"
+
+// The three matrix products of a dense layer and its backward pass — a·b,
+// aᵀ·b and a·bᵀ — over row-major slices, written into a destination the
+// caller owns. Each has one kernel; MatMul, MatMulTransA and MatMulTransB
+// allocate a result and call the same code. The kernels allocate nothing,
+// keep at least four independent sums in flight, and hand contiguous blocks
+// of destination rows to goroutines only when forkWorkers says the product
+// is worth a fork. Every destination element is summed by one goroutine in
+// an order fixed by the shapes, so a product is bit-identical at any
+// GOMAXPROCS.
+
+// MatMulInto computes dst = a·b, or dst += a·b when acc is set, for
+// row-major a (m×k), b (k×n) and dst (m×n).
+func MatMulInto(dst, a, b []float64, m, k, n int, acc bool) {
+	gemmCheck("MatMulInto", dst, a, b, m, k, n)
+	gemm(kernelNN, dst, a, b, m, k, n, acc)
+}
+
+// MatMulTransAInto computes dst = aᵀ·b, or dst += aᵀ·b when acc is set, for
+// row-major a (k×m), b (k×n) and dst (m×n).
+func MatMulTransAInto(dst, a, b []float64, m, k, n int, acc bool) {
+	gemmCheck("MatMulTransAInto", dst, a, b, m, k, n)
+	gemm(kernelTN, dst, a, b, m, k, n, acc)
+}
+
+// MatMulTransBInto computes dst = a·bᵀ, or dst += a·bᵀ when acc is set, for
+// row-major a (m×k), b (n×k) and dst (m×n).
+func MatMulTransBInto(dst, a, b []float64, m, k, n int, acc bool) {
+	gemmCheck("MatMulTransBInto", dst, a, b, m, k, n)
+	gemm(kernelNT, dst, a, b, m, k, n, acc)
+}
+
+func gemmCheck(op string, dst, a, b []float64, m, k, n int) {
+	if m < 0 || k < 0 || n < 0 || len(dst) != m*n || len(a) != m*k || len(b) != k*n {
+		panic(fmt.Sprintf("tensor: %s operand lengths %d, %d, %d do not fit m=%d k=%d n=%d",
+			op, len(dst), len(a), len(b), m, k, n))
+	}
+}
+
+// gemmKernel adds rows [lo, hi) of one of the three products into dst.
+type gemmKernel func(dst, a, b []float64, m, k, n, lo, hi int)
+
+// gemm is the one driver behind the three products: clear unless
+// accumulating, then run the kernel over all rows, on the caller's
+// goroutine or in row blocks. Kernels are top-level functions, not
+// closures, so the unforked call allocates nothing.
+func gemm(kern gemmKernel, dst, a, b []float64, m, k, n int, acc bool) {
+	if !acc {
+		clear(dst)
+	}
+	w := forkWorkers(m, m*k*n)
+	if w == 1 {
+		kern(dst, a, b, m, k, n, 0, m)
+		return
+	}
+	forkRows(m, w, func(lo, hi int) { kern(dst, a, b, m, k, n, lo, hi) })
+}
+
+// kernelNN: dst[i] += Σ_p a[i][p]·b[p].
+func kernelNN(dst, a, b []float64, m, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		addScaledRows(dst[i*n:(i+1)*n], a, i*k, 1, k, b)
+	}
+}
+
+// kernelTN: dst[i] += Σ_p a[p][i]·b[p], the same row update as kernelNN
+// with the coefficients read down a column of a.
+func kernelTN(dst, a, b []float64, m, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		addScaledRows(dst[i*n:(i+1)*n], a, i, m, k, b)
+	}
+}
+
+// addScaledRows adds Σ_p c[p]·b[p] to orow, where b[p] is row p of a
+// (k × len(orow)) matrix and c[p] = a[off+p·stride]. Four rows of b go into
+// each pass over orow, so the accumulator row is read and written once per
+// four products; its elements are the independent sums. A block of four
+// zero coefficients (a padded or rectified input) is skipped.
+func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
+	n := len(orow)
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		c0, c1, c2, c3 := a[off], a[off+stride], a[off+2*stride], a[off+3*stride]
+		off += 4 * stride
+		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
+			continue
+		}
+		b0 := b[p*n : (p+1)*n : (p+1)*n]
+		b1 := b[(p+1)*n : (p+2)*n : (p+2)*n]
+		b2 := b[(p+2)*n : (p+3)*n : (p+3)*n]
+		b3 := b[(p+3)*n : (p+4)*n : (p+4)*n]
+		for j := range orow {
+			orow[j] += c0*b0[j] + c1*b1[j] + c2*b2[j] + c3*b3[j]
+		}
+	}
+	for ; p < k; p++ {
+		c := a[off]
+		off += stride
+		if c == 0 {
+			continue
+		}
+		brow := b[p*n : (p+1)*n : (p+1)*n]
+		for j := range orow {
+			orow[j] += c * brow[j]
+		}
+	}
+}
+
+// kernelNT: dst[i][j] += a[i]·b[j], four rows of b against one row of a at
+// a time, so each element of a is loaded once per four products, and two
+// steps of the inner dimension per pass, so eight sums are in flight — a
+// floating-point add takes four cycles, and four sums alone would wait on
+// it.
+func kernelNT(dst, a, b []float64, m, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k : (i+1)*k]
+		orow := dst[i*n : (i+1)*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k : (j+1)*k][:len(arow)]
+			b1 := b[(j+1)*k : (j+2)*k : (j+2)*k][:len(arow)]
+			b2 := b[(j+2)*k : (j+3)*k : (j+3)*k][:len(arow)]
+			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3, t0, t1, t2, t3 float64
+			p := 0
+			for ; p < len(arow)-1; p += 2 {
+				a0, a1 := arow[p], arow[p+1]
+				s0 += a0 * b0[p]
+				t0 += a1 * b0[p+1]
+				s1 += a0 * b1[p]
+				t1 += a1 * b1[p+1]
+				s2 += a0 * b2[p]
+				t2 += a1 * b2[p+1]
+				s3 += a0 * b3[p]
+				t3 += a1 * b3[p+1]
+			}
+			if p < len(arow) {
+				a0 := arow[p]
+				s0 += a0 * b0[p]
+				s1 += a0 * b1[p]
+				s2 += a0 * b2[p]
+				s3 += a0 * b3[p]
+			}
+			orow[j] += s0 + t0
+			orow[j+1] += s1 + t1
+			orow[j+2] += s2 + t2
+			orow[j+3] += s3 + t3
+		}
+		for ; j < n; j++ {
+			orow[j] += dot4(arow, b[j*k:(j+1)*k:(j+1)*k])
+		}
+	}
+}
+
+// dot4 is the inner product of two equal-length slices as four interleaved
+// partial sums, combined pairwise at the end.
+func dot4(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	p := 0
+	for ; p+4 <= len(x); p += 4 {
+		s0 += x[p] * y[p]
+		s1 += x[p+1] * y[p+1]
+		s2 += x[p+2] * y[p+2]
+		s3 += x[p+3] * y[p+3]
+	}
+	for ; p < len(x); p++ {
+		s0 += x[p] * y[p]
+	}
+	return (s0 + s1) + (s2 + s3)
+}

@@ -1,0 +1,290 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// product is one of the three destination-writing kernels with the index
+// maps of its operands, so one triple loop serves as the oracle for all.
+type product struct {
+	name string
+	into func(dst, a, b []float64, m, k, n int, acc bool)
+	aAt  func(i, p, m, k int) int // offset of op(a)[i][p]
+	bAt  func(p, j, k, n int) int // offset of op(b)[p][j]
+}
+
+var products = []product{
+	{"a·b", MatMulInto, func(i, p, m, k int) int { return i*k + p }, func(p, j, k, n int) int { return p*n + j }},
+	{"aᵀ·b", MatMulTransAInto, func(i, p, m, k int) int { return p*m + i }, func(p, j, k, n int) int { return p*n + j }},
+	{"a·bᵀ", MatMulTransBInto, func(i, p, m, k int) int { return i*k + p }, func(p, j, k, n int) int { return j*k + p }},
+}
+
+// tripleLoop is the oracle: dst[i][j] (+)= Σ_p op(a)[i][p]·op(b)[p][j].
+func (pr product) tripleLoop(dst, a, b []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += a[pr.aAt(i, p, m, k)] * b[pr.bAt(p, j, k, n)]
+			}
+			dst[i*n+j] += s
+		}
+	}
+}
+
+func randSlice(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = rng.NormFloat64()
+	}
+	return out
+}
+
+// closeTo reports the first element of got further from want than tol times
+// the largest magnitude in want: sums in another order differ by
+// rounding relative to the terms, not to a result that cancelled.
+func closeTo(got, want []float64, tol float64) error {
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); !(d <= tol*scale) {
+			return fmt.Errorf("element %d = %g, want %g (off by %g)", i, got[i], want[i], d)
+		}
+	}
+	return nil
+}
+
+// TestProductsMatchTripleLoop checks each kernel, overwriting and
+// accumulating, for inner and column counts on both sides of every unroll
+// width (four rows of b per pass, two inner steps, four-wide tail dots).
+func TestProductsMatchTripleLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sizes := []int{1, 3, 4, 5, 9, 64, 225}
+	for _, pr := range products {
+		for _, m := range []int{1, 2, 7} {
+			for _, k := range sizes {
+				for _, n := range sizes {
+					a, b := randSlice(rng, m*k), randSlice(rng, k*n)
+					for _, acc := range []bool{false, true} {
+						got := randSlice(rng, m*n) // stale contents an overwrite must not see
+						want := make([]float64, m*n)
+						if acc {
+							copy(want, got)
+						}
+						pr.tripleLoop(want, a, b, m, k, n)
+						pr.into(got, a, b, m, k, n, acc)
+						if err := closeTo(got, want, 1e-13); err != nil {
+							t.Fatalf("%s m=%d k=%d n=%d acc=%v: %v", pr.name, m, k, n, acc, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProductsSkipZeroBlocksExactly feeds coefficient blocks that are all
+// zero (a rectified or padded input) and mixed: the skip must not change the
+// answer.
+func TestProductsSkipZeroBlocksExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	m, k, n := 5, 13, 6
+	for _, pr := range products {
+		a, b := randSlice(rng, m*k), randSlice(rng, k*n)
+		for i := 0; i < m; i++ {
+			for p := 0; p < k; p++ {
+				if p < 8 && i%2 == 0 || p == 9 {
+					a[pr.aAt(i, p, m, k)] = 0
+				}
+			}
+		}
+		got, want := make([]float64, m*n), make([]float64, m*n)
+		pr.tripleLoop(want, a, b, m, k, n)
+		pr.into(got, a, b, m, k, n, false)
+		if err := closeTo(got, want, 1e-13); err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+	}
+}
+
+// TestProductsAreWorkerCountIndependent runs a product big enough to fork
+// (m·k·n ≥ ForkWork) at GOMAXPROCS 1, 2 and 8: the bytes must not change,
+// because rows are split whole and each element is summed in a fixed order.
+func TestProductsAreWorkerCountIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(43))
+	m, k, n := 67, 131, 71
+	if m*k*n < ForkWork {
+		t.Fatalf("shape too small to fork: %d < %d", m*k*n, ForkWork)
+	}
+	for _, pr := range products {
+		a, b := randSlice(rng, m*k), randSlice(rng, k*n)
+		var want []float64
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := make([]float64, m*n)
+			pr.into(got, a, b, m, k, n, false)
+			if want == nil {
+				want = got
+				oracle := make([]float64, m*n)
+				pr.tripleLoop(oracle, a, b, m, k, n)
+				if err := closeTo(got, oracle, 1e-13); err != nil {
+					t.Fatalf("%s: %v", pr.name, err)
+				}
+				continue
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: element %d differs between GOMAXPROCS 1 and %d", pr.name, i, procs)
+				}
+			}
+		}
+	}
+}
+
+// TestProductsAllocateNothing holds the kernels to their word at a layer's
+// shapes (below ForkWork, so on the caller's goroutine).
+func TestProductsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	m, k, n := 16, 200, 64
+	for _, pr := range products {
+		a, b, dst := randSlice(rng, m*k), randSlice(rng, k*n), make([]float64, m*n)
+		if got := testing.AllocsPerRun(10, func() { pr.into(dst, a, b, m, k, n, true) }); got != 0 {
+			t.Errorf("%s allocates %.0f times per call", pr.name, got)
+		}
+	}
+}
+
+func TestProductsRejectWrongLengths(t *testing.T) {
+	for _, pr := range products {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a destination one element short", pr.name)
+				}
+			}()
+			pr.into(make([]float64, 5), make([]float64, 6), make([]float64, 9), 2, 3, 3, false)
+		}()
+	}
+}
+
+func TestParallelWorkCoversRangeOnce(t *testing.T) {
+	for _, work := range []int{0, ForkWork} {
+		hits := make([]int32, 101)
+		ParallelWork(len(hits), work, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hits[i]++
+			}
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("work %d: index %d visited %d times", work, i, h)
+			}
+		}
+	}
+}
+
+func TestReuse2D(t *testing.T) {
+	a := Reuse2D(nil, 4, 3)
+	if a.Dim(0) != 4 || a.Dim(1) != 3 || a.Len() != 12 {
+		t.Fatalf("fresh workspace shape %v", a.Shape())
+	}
+	a.Data()[0] = 7
+	b := Reuse2D(a, 2, 5) // fits: same tensor, re-shaped, contents kept
+	if b != a || b.Dim(0) != 2 || b.Dim(1) != 5 || b.Len() != 10 || b.Data()[0] != 7 {
+		t.Fatalf("shrunk workspace is %p %v, want %p [2 5]", b, b.Shape(), a)
+	}
+	if c := Reuse2D(b, 4, 3); c != a || c.Len() != 12 { // grows back within capacity
+		t.Fatalf("regrown workspace is %p %v", c, c.Shape())
+	}
+	if d := Reuse2D(a, 5, 5); d == a || d.Len() != 25 {
+		t.Fatal("a workspace too small for the request must be replaced")
+	}
+	if e := Reuse2D(New(12), 4, 3); e.NDim() != 2 {
+		t.Fatal("a 1-D tensor cannot be re-shaped in place to 2-D")
+	}
+}
+
+// naiveIm2Col and naiveCol2Im test every output position against the image
+// bounds, one element at a time.
+func naiveIm2Col(img []float64, d ConvDims, cols []float64) {
+	idx := 0
+	for c := 0; c < d.InC; c++ {
+		for kh := 0; kh < d.KH; kh++ {
+			for kw := 0; kw < d.KW; kw++ {
+				for oh := 0; oh < d.OutH(); oh++ {
+					for ow := 0; ow < d.OutW(); ow++ {
+						ih, iw := oh*d.Stride+kh-d.Pad, ow*d.Stride+kw-d.Pad
+						cols[idx] = 0
+						if ih >= 0 && ih < d.InH && iw >= 0 && iw < d.InW {
+							cols[idx] = img[c*d.InH*d.InW+ih*d.InW+iw]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+}
+
+func naiveCol2Im(cols []float64, d ConvDims, img []float64) {
+	idx := 0
+	for c := 0; c < d.InC; c++ {
+		for kh := 0; kh < d.KH; kh++ {
+			for kw := 0; kw < d.KW; kw++ {
+				for oh := 0; oh < d.OutH(); oh++ {
+					for ow := 0; ow < d.OutW(); ow++ {
+						ih, iw := oh*d.Stride+kh-d.Pad, ow*d.Stride+kw-d.Pad
+						if ih >= 0 && ih < d.InH && iw >= 0 && iw < d.InW {
+							img[c*d.InH*d.InW+ih*d.InW+iw] += cols[idx]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2ColCol2ImMatchNaive sweeps strides, paddings (including wider than
+// the kernel) and non-square images and kernels; both directions copy, so
+// they must agree exactly, stale destination contents included.
+func TestIm2ColCol2ImMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, d := range []ConvDims{
+		{InC: 1, InH: 15, InW: 15, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 3, InH: 7, InW: 5, KH: 3, KW: 2, Stride: 2, Pad: 0},
+		{InC: 2, InH: 6, InW: 9, KH: 2, KW: 3, Stride: 2, Pad: 1},
+		{InC: 2, InH: 4, InW: 4, KH: 4, KW: 4, Stride: 1, Pad: 0}, // 1×1 output
+		{InC: 1, InH: 5, InW: 8, KH: 1, KW: 1, Stride: 3, Pad: 0},
+		{InC: 1, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 3}, // padding wider than the kernel
+		{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, Stride: 3, Pad: 2},
+	} {
+		d.Validate()
+		img := randSlice(rng, d.InC*d.InH*d.InW)
+		n := d.InC * d.KH * d.KW * d.OutH() * d.OutW()
+		got, want := randSlice(rng, n), make([]float64, n)
+		Im2Col(img, d, got)
+		naiveIm2Col(img, d, want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: Im2Col[%d] = %g, want %g", d, i, got[i], want[i])
+			}
+		}
+		cols := randSlice(rng, n)
+		gotImg, wantImg := make([]float64, len(img)), make([]float64, len(img))
+		Col2Im(cols, d, gotImg)
+		naiveCol2Im(cols, d, wantImg)
+		for i := range wantImg {
+			if gotImg[i] != wantImg[i] {
+				t.Fatalf("%+v: Col2Im[%d] = %g, want %g", d, i, gotImg[i], wantImg[i])
+			}
+		}
+	}
+}

@@ -157,7 +157,6 @@ func (t *Tensor) Norm2() float64 {
 }
 
 // MatMul returns the matrix product of two 2-D tensors, a (m×k) by b (k×n).
-// The inner loops run in parallel across row blocks.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v × %v", a.shape, b.shape))
@@ -168,39 +167,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	ParallelFor(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*n : (i+1)*n : (i+1)*n]
-			// Four b-rows per pass over orow: the accumulator row is read
-			// and written once per four inner products instead of once per
-			// one, which is the dominant memory traffic of the ikj order.
-			p := 0
-			for ; p+3 < k; p += 4 {
-				av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				b0 := b.data[p*n : (p+1)*n : (p+1)*n]
-				b1 := b.data[(p+1)*n : (p+2)*n : (p+2)*n]
-				b2 := b.data[(p+2)*n : (p+3)*n : (p+3)*n]
-				b3 := b.data[(p+3)*n : (p+4)*n : (p+4)*n]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				for j := range orow {
-					orow[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b.data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
+	gemm(kernelNN, out.data, a.data, b.data, m, k, n, true)
 	return out
 }
 
@@ -216,20 +183,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v × %vᵀ", a.shape, b.shape))
 	}
 	out := New(m, n)
-	ParallelFor(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.data[j*k : (j+1)*k]
-				s := 0.0
-				for p := range arow {
-					s += arow[p] * brow[p]
-				}
-				orow[j] = s
-			}
-		}
-	})
+	gemm(kernelNT, out.data, a.data, b.data, m, k, n, true)
 	return out
 }
 
@@ -244,21 +198,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %vᵀ × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	ParallelFor(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := a.data[p*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := b.data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
+	gemm(kernelTN, out.data, a.data, b.data, m, k, n, true)
 	return out
 }
 
@@ -292,23 +232,6 @@ func AddRowVector(a, v *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// AddRowVectorInPlace adds v to every row of a, mutating and returning a.
-// For callers that own a freshly computed a (e.g. a MatMul result), this
-// avoids materializing a second (rows × cols) tensor on the hot path.
-func AddRowVectorInPlace(a, v *Tensor) *Tensor {
-	if a.NDim() != 2 || v.Len() != a.shape[1] {
-		panic(fmt.Sprintf("tensor: AddRowVectorInPlace shape mismatch %v + %v", a.shape, v.shape))
-	}
-	n := a.shape[1]
-	for i := 0; i < a.shape[0]; i++ {
-		row := a.data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] += v.data[j]
-		}
-	}
-	return a
 }
 
 // SumRows returns the column-wise sums of an m×n matrix as a length-n tensor.

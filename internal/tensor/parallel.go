@@ -5,29 +5,37 @@ import (
 	"sync"
 )
 
-// minParallelWork is the smallest iteration count worth fanning out across
-// goroutines; below it, the scheduling overhead dominates.
-const minParallelWork = 64
+// ForkWork is the least work — multiply-adds, or element visits of similar
+// cost — that a kernel splits across goroutines. Starting and joining the
+// goroutines costs a few microseconds and leaves the second half waiting to
+// be stolen by an idle P, so a product of a couple of hundred microseconds
+// runs as fast on the caller. A 64-row batch through the embedder's 225×64
+// first layer (0.9 M) forks; one BraggNN training step at batch ≤ 32 (its
+// largest product is 32×200×64 = 0.4 M) stays on the goroutine that called
+// it.
+const ForkWork = 1 << 19
 
-// ParallelFor splits [0, n) into contiguous blocks and runs body(lo, hi) on
-// each block, using up to GOMAXPROCS goroutines. body must be safe to run
-// concurrently on disjoint ranges. Small n runs inline on the caller.
-func ParallelFor(n int, body func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < minParallelWork || workers <= 1 {
-		body(0, n)
-		return
+// minParallelRows is the row count from which ParallelFor fans out.
+const minParallelRows = 64
+
+// forkWorkers is the one fork decision: how many goroutines should share
+// rows rows of work work. 1 means stay on the caller.
+func forkWorkers(rows, work int) int {
+	if work < ForkWork || rows < 2 {
+		return 1
 	}
-	if workers > n {
-		workers = n
-	}
+	return min(runtime.GOMAXPROCS(0), rows)
+}
+
+// forkRows splits [0, n) into workers contiguous blocks and runs body on
+// each in its own goroutine, the caller waiting: a share kept on the caller
+// would leave the others in its P's run-next slot, which idle Ps steal
+// slowly.
+func forkRows(n, workers int, body func(lo, hi int)) {
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -37,12 +45,25 @@ func ParallelFor(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ParallelMap runs f(i) for every i in [0, n) across a bounded worker pool
-// and reports results via out, which must have length n.
-func ParallelMap(n int, out []float64, f func(i int) float64) {
-	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(i)
-		}
-	})
+// ParallelWork runs body(lo, hi) over [0, n), split into contiguous blocks
+// across up to GOMAXPROCS goroutines when work reaches ForkWork and inline
+// on the caller otherwise. body must be safe to run concurrently on disjoint
+// ranges, and for results independent of the worker count it must compute
+// each index the same way whatever block it lands in.
+func ParallelWork(n, work int, body func(lo, hi int)) {
+	if w := forkWorkers(n, work); w > 1 {
+		forkRows(n, w, body)
+		return
+	}
+	body(0, n)
+}
+
+// ParallelFor is ParallelWork for loops whose per-index cost the caller does
+// not know: it fans out from minParallelRows indices up.
+func ParallelFor(n int, body func(lo, hi int)) {
+	work := 0
+	if n >= minParallelRows {
+		work = ForkWork
+	}
+	ParallelWork(n, work, body)
 }

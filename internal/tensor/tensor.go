@@ -1,12 +1,21 @@
 // Package tensor implements dense, row-major float64 tensors with the small
-// set of parallel linear-algebra operations the fairDMS neural-network and
-// clustering substrates need: element-wise arithmetic, matrix multiplication,
+// set of linear-algebra operations the fairDMS neural-network and clustering
+// substrates need: element-wise arithmetic, matrix multiplication,
 // im2col-based convolution support, reductions, and shape manipulation.
 //
 // Tensors are deliberately simple: a shape vector and a flat backing slice.
 // Operations that cannot fail return tensors; shape violations are programmer
 // errors and panic with a descriptive message (they indicate a bug in the
 // calling model code, not a runtime condition to handle).
+//
+// The matrix products live in gemm.go: one destination-writing kernel each
+// for a·b, aᵀ·b and a·bᵀ (MatMulInto, MatMulTransAInto, MatMulTransBInto;
+// overwrite or accumulate, no allocation), with MatMul, MatMulTransA and
+// MatMulTransB as allocate-then-call wrappers. Whether a kernel — or a
+// caller's loop, through ParallelWork — runs on several goroutines is
+// decided from its work (m·k·n against ForkWork), never from its row count
+// alone, and the split is by whole output rows, so results do not depend on
+// GOMAXPROCS.
 package tensor
 
 import (
@@ -47,6 +56,26 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
+}
+
+// Reuse2D returns a rows×cols tensor for a caller that keeps one buffer
+// across calls: t itself, re-shaped over its own storage, when t is 2-D and
+// has the capacity, and a new tensor otherwise (t may be nil). The elements
+// are unspecified — whatever the last use left there — so the caller
+// overwrites or clears them, and anything still holding t sees the new
+// shape. A warmed buffer costs no allocation, which is what lets a layer's
+// workspace follow a short last batch and grow back.
+func Reuse2D(t *Tensor, rows, cols int) *Tensor {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative dimension in shape [%d %d]", rows, cols))
+	}
+	n := rows * cols
+	if t == nil || len(t.shape) != 2 || cap(t.data) < n {
+		return New(rows, cols)
+	}
+	t.shape[0], t.shape[1] = rows, cols
+	t.data = t.data[:n]
+	return t
 }
 
 // Full returns a tensor with every element set to v.

@@ -225,9 +225,10 @@ type Config struct {
 	Obs *obs.Registry
 	// OnTrace, when set, fires as each job reaches a terminal state with
 	// its wall time, its failure (nil when done or canceled) and its span
-	// tree (resolve_data → pdf → recommend → fit, with fairds stage spans
-	// underneath) — the dmsapi server hands these to the same retention
-	// step as serving traffic.
+	// tree (resolve_data → collate → pdf → recommend → fit, holding one
+	// epoch span per epoch → register, with fairds stage spans underneath)
+	// — the dmsapi server hands these to the same retention step as
+	// serving traffic.
 	OnTrace func(d time.Duration, err error, tr *obs.Trace)
 	// Logger receives job-lifecycle events; nil silences them.
 	Logger *obs.Logger
@@ -711,11 +712,9 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		return false, fmt.Errorf("trainer: %d labeled samples is not enough to train on (need >= 2)", len(samples))
 	}
 
-	x, err := fairds.Collate(samples)
-	if err != nil {
-		return false, err
-	}
-	y, model, err := buildModel(spec, x, samples)
+	_, sp := obs.StartSpan(ctx, "collate")
+	x, y, model, err := collate(spec, samples)
+	sp.End()
 	if err != nil {
 		return false, err
 	}
@@ -775,8 +774,12 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		}
 	}
 
+	// The fit span takes the split with it, and holds one child span per
+	// epoch: Fit has no epoch-start hook, so a traced job opens each epoch's
+	// span at the epoch's first Stop poll and OnEpoch closes it.
+	fctx, fitSpan := obs.StartSpan(ctx, "fit")
+	var epochSpan *obs.Span
 	trainX, trainY, valX, valY := core.Split(x, y, spec.ValFraction, spec.Seed)
-	_, fitSpan := obs.StartSpan(ctx, "fit")
 	epochStart := time.Now()
 	res := nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY, nn.TrainConfig{
 		Epochs:     spec.Epochs,
@@ -790,6 +793,8 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 				m.epochHist.Record(now.Sub(epochStart))
 				epochStart = now
 			}
+			epochSpan.End()
+			epochSpan = nil
 			j.mu.Lock()
 			j.status.Epochs = epoch
 			j.status.TrainLoss = append(j.status.TrainLoss, trainLoss)
@@ -797,8 +802,14 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 			j.mu.Unlock()
 			return true
 		},
-		Stop: func() bool { return j.ctx.Err() != nil },
+		Stop: func() bool {
+			if tr != nil && epochSpan == nil {
+				_, epochSpan = obs.StartSpan(fctx, "epoch")
+			}
+			return j.ctx.Err() != nil
+		},
 	})
+	epochSpan.End() // an epoch a cancel cut short
 	fitSpan.End()
 	// The commit point: a cancel observed here (or earlier, mid-epoch)
 	// stops cleanly with nothing registered; past it, the job registers
@@ -821,6 +832,8 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	// always owned by the trainer: user-supplied values are dropped even
 	// when a key does not apply (a cold start must not inherit a bogus
 	// "parent").
+	_, sp = obs.StartSpan(ctx, "register")
+	defer sp.End()
 	modelID := spec.ModelID
 	if modelID == "" {
 		modelID = j.status.ID + "-model"
@@ -851,6 +864,17 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	m.cfg.Logger.Info("train job registered its checkpoint",
 		"job", j.status.ID, "model_id", modelID, "warm", warm, "foundation", foundation, "epochs", res.Epochs)
 	return true, nil
+}
+
+// collate turns the job's samples into its input tensor, target tensor and
+// freshly initialised network.
+func collate(spec Spec, samples []*codec.Sample) (x, y *tensor.Tensor, model *nn.Model, err error) {
+	x, err = fairds.Collate(samples)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	y, model, err = buildModel(spec, x, samples)
+	return x, y, model, err
 }
 
 // buildModel constructs the job's network and target tensor from its spec

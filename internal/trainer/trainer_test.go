@@ -13,6 +13,7 @@ import (
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
+	"fairdms/internal/obs"
 )
 
 const (
@@ -42,6 +43,13 @@ func meanSamples(seed int64, n int) []*codec.Sample {
 // manager over them.
 func newFixture(t *testing.T, workers, queue int) (*Manager, *fairds.Service, *fairms.Zoo) {
 	t.Helper()
+	return newFixtureWith(t, Config{Workers: workers, Queue: queue})
+}
+
+// newFixtureWith is newFixture for a test that sets more of the Config; DS
+// and Zoo are filled in.
+func newFixtureWith(t *testing.T, cfg Config) (*Manager, *fairds.Service, *fairms.Zoo) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	ds, err := fairds.New(
 		embed.NewAutoencoder(rng, testFeatures, 16, 4),
@@ -59,7 +67,8 @@ func newFixture(t *testing.T, workers, queue int) (*Manager, *fairds.Service, *f
 		t.Fatal(err)
 	}
 	zoo := fairms.NewZoo()
-	m, err := New(Config{DS: ds, Zoo: zoo, Workers: workers, Queue: queue})
+	cfg.DS, cfg.Zoo = ds, zoo
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +216,85 @@ func TestDatasetSelector(t *testing.T) {
 	}
 	if final.Samples != 48 || final.Dataset != "scan-07" {
 		t.Fatalf("resolved %d samples from %q, want 48 from scan-07", final.Samples, final.Dataset)
+	}
+}
+
+// TestJobTraceNamesTheWholeJob checks the span tree a listener gets for a
+// finished job: the root's direct children — resolve_data, collate, pdf,
+// recommend, fit, register — account for the root's wall time to within a
+// few percent, and fit holds exactly one epoch span per epoch run, which in
+// turn account for the fit.
+func TestJobTraceNamesTheWholeJob(t *testing.T) {
+	dumps := make(chan obs.TraceDump, 1)
+	m, ds, _ := newFixtureWith(t, Config{Workers: 1, Queue: 4,
+		OnTrace: func(_ time.Duration, err error, tr *obs.Trace) {
+			if err != nil {
+				t.Errorf("job failed: %v", err)
+			}
+			dumps <- tr.Dump()
+		}})
+	if _, err := ds.IngestLabeled(meanSamples(2, 256), "scan-08"); err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 12
+	spec := mlpSpec(nil)
+	spec.Dataset = "scan-08"
+	spec.Epochs = epochs
+	spec.TargetLoss = 0
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, m, st.ID); final.State != StateDone || final.Epochs != epochs {
+		t.Fatalf("job ended %s after %d epochs: %s", final.State, final.Epochs, final.Err)
+	}
+	d := <-dumps
+
+	root, fit := -1, -1
+	for i, sp := range d.Spans {
+		switch sp.Name {
+		case "train_job":
+			root = i
+		case "fit":
+			fit = i
+		}
+	}
+	if root < 0 || fit < 0 || d.Spans[fit].Parent != root {
+		t.Fatalf("no train_job → fit in %v", d.SpanNames())
+	}
+	children := map[string]int64{}
+	var epochSpans, epochUS int64
+	for _, sp := range d.Spans {
+		switch sp.Parent {
+		case root:
+			children[sp.Name] += sp.DurUS
+		case fit:
+			if sp.Name != "epoch" {
+				t.Errorf("fit has a child span %q", sp.Name)
+			}
+			epochSpans++
+			epochUS += sp.DurUS
+		}
+	}
+	var covered int64
+	for _, name := range []string{"resolve_data", "collate", "pdf", "recommend", "fit", "register"} {
+		us, ok := children[name]
+		if !ok {
+			t.Errorf("train_job has no %q child (children: %v)", name, children)
+		}
+		covered += us
+	}
+	if len(children) != 6 {
+		t.Errorf("train_job children %v, want exactly the six stages", children)
+	}
+	if total := d.Spans[root].DurUS; float64(covered) < 0.95*float64(total) {
+		t.Errorf("stages cover %d of the job's %d µs: %v", covered, total, children)
+	}
+	if epochSpans != epochs {
+		t.Errorf("fit holds %d epoch spans, want %d", epochSpans, epochs)
+	}
+	if fitUS := d.Spans[fit].DurUS; float64(epochUS) < 0.9*float64(fitUS) {
+		t.Errorf("epoch spans cover %d of the fit's %d µs", epochUS, fitUS)
 	}
 }
 
