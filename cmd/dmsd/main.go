@@ -41,7 +41,7 @@
 //	     [-wal-dir path] [-fsync always|interval|off] [-compact-interval 1m]
 //	     [-k 8] [-embed-dim 8] [-embed-hidden 64] [-embed-scale 1]
 //	     [-seed 1] [-max-inflight 64] [-cache 128] [-max-batch 8192]
-//	     [-vecindex flat|ivf|off] [-nprobe 4]
+//	     [-vecindex flat|ivf] [-nprobe 4]
 //	     [-train-workers 2] [-train-queue 8]
 //	     [-slow-threshold 250ms] [-pprof] [-log-level info]
 package main
@@ -148,7 +148,7 @@ func main() {
 	trainQueue := flag.Int("train-queue", 8, "queued training jobs before submissions shed with 429")
 	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "failed requests and ones at least this slow keep their span tree at /debug/tracez (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	indexKind := flag.String("vecindex", "flat", "nearest-label vector index: flat (exact), ivf (approximate, sublinear), off (store scans)")
+	indexKind := flag.String("vecindex", "flat", "nearest-label vector index: flat (exact), ivf (approximate, sublinear)")
 	nprobe := flag.Int("nprobe", 4, "IVF sublists probed per query (higher = more accurate, slower)")
 	logLevel := flag.String("log-level", "info", "minimum log level for daemon events and request failures (5xx warn, 4xx debug): debug, info, warn, error")
 	flag.Parse()
@@ -207,10 +207,8 @@ func main() {
 		dsCfg.Index = vecindex.NewFlat()
 	case "ivf":
 		dsCfg.Index = vecindex.NewIVF(vecindex.IVFConfig{NProbe: *nprobe, Seed: *seed})
-	case "off":
-		dsCfg.DisableIndex = true
 	default:
-		log.Fatalf("dmsd: unknown -vecindex %q (want flat, ivf, or off)", *indexKind)
+		log.Fatalf("dmsd: unknown -vecindex %q (want flat or ivf)", *indexKind)
 	}
 	ds, err := fairds.New(&lazyEmbedder{
 		seed: *seed, hidden: *embedHidden, dim: *embedDim, scale: *embedScale,
@@ -218,17 +216,15 @@ func main() {
 	if err != nil {
 		log.Fatalf("dmsd: building data service: %v", err)
 	}
-	if !dsCfg.DisableIndex {
-		// Warm from the store's persisted embeddings: a daemon adopting a
-		// pre-populated store answers nearest-label queries from memory
-		// immediately. Non-fatal — a failed warm just leaves the store-scan
-		// fallback in place.
-		if n, err := ds.WarmIndex(); err != nil {
-			logger.Warn("vector index warm failed; store-scan fallback stays active", "err", err)
-		} else if n > 0 || ds.CorruptEmbeddings() > 0 {
-			logger.Info("vector index warmed",
-				"index", *indexKind, "embeddings", n, "corrupt_skipped", ds.CorruptEmbeddings())
-		}
+	// Warm from the store's persisted embeddings: a daemon adopting a
+	// pre-populated store answers nearest-label queries from memory
+	// immediately. Non-fatal — a failed warm just leaves the store-scan
+	// fallback in place.
+	if n, err := ds.WarmIndex(); err != nil {
+		logger.Warn("vector index warm failed; store-scan fallback stays active", "err", err)
+	} else if n > 0 || ds.CorruptEmbeddings() > 0 {
+		logger.Info("vector index warmed",
+			"index", *indexKind, "embeddings", n, "corrupt_skipped", ds.CorruptEmbeddings())
 	}
 
 	zoo := fairms.NewZoo()

@@ -34,8 +34,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
-	"strings"
+	"os"
 	"time"
 
 	"fairdms/internal/codec"
@@ -69,14 +68,26 @@ type backend interface {
 }
 
 func main() {
-	scans := flag.Int("scans", 10, "number of scans in the simulated experiment")
-	peaks := flag.Int("peaks", 60, "peaks per scan")
-	storeAddr := flag.String("store", "", "external dstore address (empty = in-process)")
-	dmsAddr := flag.String("dms", "", "external dmsd address (empty = in-process services)")
-	serverTrain := flag.Bool("server-train", false,
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main with the command line passed in and failures of the
+// workflow returned, so a test (and CI, through the exit status) can drive
+// the client against a live service. Wiring that can only fail on a
+// programming error — and the in-process backend's setup — still exits
+// through check.
+func run(args []string) error {
+	fs := flag.NewFlagSet("fairdms", flag.ExitOnError)
+	scans := fs.Int("scans", 10, "number of scans in the simulated experiment")
+	peaks := fs.Int("peaks", 60, "peaks per scan")
+	storeAddr := fs.String("store", "", "external dstore address (empty = in-process)")
+	dmsAddr := fs.String("dms", "", "external dmsd address (empty = in-process services)")
+	serverTrain := fs.Bool("server-train", false,
 		"with -dms: train server-side via async /v1/train jobs (daemon warm-starts and registers)")
-	timescale := flag.Float64("timescale", 0.001, "transfer time compression (0 = no sleeping)")
-	flag.Parse()
+	timescale := fs.Float64("timescale", 0.001, "transfer time compression (0 = no sleeping)")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage, as flag.Parse did
 
 	rng := rand.New(rand.NewSource(41))
 	schedule := datagen.DefaultBraggDrift(*scans * 6 / 10)
@@ -91,9 +102,15 @@ func main() {
 
 	var be backend
 	if *dmsAddr != "" {
-		b, err := newRemoteBackend(*dmsAddr, rng, warmup)
-		check(err)
-		defer b.client.Close()
+		client, err := dmsapi.NewClient(*dmsAddr)
+		if err != nil {
+			return err
+		}
+		defer client.Close()
+		b, err := newRemoteBackend(client, rng, warmup)
+		if err != nil {
+			return err
+		}
 		b.serverTrain = *serverTrain
 		be = b
 		mode := "local fine-tuning"
@@ -214,7 +231,9 @@ func main() {
 
 		rc := flow.NewRunContext()
 		report, err := wf.Execute(context.Background(), rc)
-		check(err)
+		if err != nil {
+			return err
+		}
 		rep := mustReport(rc)
 		xfer, _ := rc.Get("data-transfer")
 		mode := "fine-tuned " + rep.Foundation
@@ -227,9 +246,12 @@ func main() {
 			mode, rep.JSD, rep.TrainTime.Round(time.Millisecond))
 
 		// Scan data becomes historical for subsequent scans.
-		check(be.ingest(scan, seq[scan]))
+		if err := be.ingest(scan, seq[scan]); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("workflow complete: %s\n", be.summary())
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -326,11 +348,7 @@ type remoteBackend struct {
 	serverTrain bool // train via /v1/train jobs instead of locally
 }
 
-func newRemoteBackend(addr string, rng *rand.Rand, warmup []*codec.Sample) (*remoteBackend, error) {
-	client, err := dmsapi.NewClient(addr)
-	if err != nil {
-		return nil, err
-	}
+func newRemoteBackend(client *dmsapi.Client, rng *rand.Rand, warmup []*codec.Sample) (*remoteBackend, error) {
 	b := &remoteBackend{client: client, rng: rng, jsdMax: core.DefaultJSDThreshold}
 
 	// Warm-up: one combined ingest so the daemon's bootstrap fit sees all
@@ -368,11 +386,7 @@ func newRemoteBackend(addr string, rng *rand.Rand, warmup []*codec.Sample) (*rem
 // whether the model was already present.
 func addModelTolerateDuplicate(client *dmsapi.Client, id string, state *nn.StateDict, pdf []float64, meta map[string]string) (bool, error) {
 	err := client.AddModel(id, state, pdf, meta)
-	if err == nil {
-		return false, nil
-	}
-	var se *dmsapi.StatusError
-	if errors.As(err, &se) && se.Code == http.StatusConflict {
+	if errors.Is(err, dmsapi.ErrDuplicateModel) {
 		return true, nil
 	}
 	return false, err
@@ -484,21 +498,19 @@ func (b *remoteBackend) rapidTrainServer(scan int, samples []*codec.Sample) (*nn
 		ModelID:   id,
 		Meta:      map[string]string{"scan": fmt.Sprint(scan)},
 	}, 10*time.Minute)
-	if err != nil {
+	switch {
+	case errors.Is(err, dmsapi.ErrDuplicateModel):
 		// A re-run against a long-lived daemon finds the scan's model
-		// already registered; reuse it like the local path does. The
-		// failed job's training numbers describe a run whose checkpoint
-		// was discarded, so the report stays empty rather than claiming
-		// them for the previous run's model we actually deploy.
-		if job.State == "failed" && strings.Contains(job.Error, "duplicate model id") {
-			log.Printf("fairdms: daemon already holds %s, reusing its copy", id)
-			if sd, err = b.client.Checkpoint(id); err != nil {
-				return nil, nil, fmt.Errorf("fetching existing %s: %w", id, err)
-			}
-		} else {
-			return nil, nil, fmt.Errorf("server train job: %w", err)
+		// already registered (409 at submit, nothing trained); reuse it like
+		// the local path does. The report stays empty rather than claiming
+		// training numbers for the previous run's model we actually deploy.
+		log.Printf("fairdms: daemon already holds %s, reusing its copy", id)
+		if sd, err = b.client.Checkpoint(id); err != nil {
+			return nil, nil, fmt.Errorf("fetching existing %s: %w", id, err)
 		}
-	} else {
+	case err != nil:
+		return nil, nil, fmt.Errorf("server train job: %w", err)
+	default:
 		rep.FineTuned = job.Warm
 		rep.Foundation = job.Foundation
 		rep.JSD = job.JSD

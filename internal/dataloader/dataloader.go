@@ -6,8 +6,9 @@
 // whose batch-size and worker-count sensitivity Figs. 6–8 measure.
 //
 // Datasets are backed by internal/docstore collections or
-// internal/filestore directories (see datasets.go); examples/storagebench
-// runs the full sweep.
+// internal/filestore directories (see datasets.go);
+// experiments.StorageSweep (cmd/experiments -fig 6,7,8) runs the full
+// sweep.
 package dataloader
 
 import (

@@ -838,8 +838,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error 
 
 // handleTrainSubmit enqueues a server-side training job. Queue saturation
 // surfaces as 429 — training backpressure, distinct from the global
-// admission gate — and an unfitted clustering model as 409 (the job could
-// only fail asynchronously on its PDF computation otherwise).
+// admission gate — an unfitted clustering model as 409 not_fitted (the job
+// could only fail asynchronously on its PDF computation otherwise), and a
+// model_id the zoo already holds as the 409 conflict POST /v1/models
+// answers (the job could only fail at its register step, after the fit).
 func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error {
 	var req TrainRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -876,6 +878,8 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error
 		return errf(http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, trainer.ErrShutdown):
 		return errf(http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, fairms.ErrDuplicateID):
+		return errc(http.StatusConflict, CodeConflict, "%v", err)
 	case err != nil:
 		return errf(http.StatusBadRequest, "%v", err)
 	}

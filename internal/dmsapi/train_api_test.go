@@ -245,6 +245,21 @@ func TestTrainRejections(t *testing.T) {
 	if _, err = client.CancelTrain("job-404404"); !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("cancel unknown job: want 404, got %v", err)
 	}
+	// A model_id the zoo already holds is the same 409 conflict POST
+	// /v1/models answers, at submit: no job is created, so nothing trains.
+	if err := client.AddModel("taken", dummyState(1), []float64{0.25, 0.25, 0.25, 0.25}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.SubmitTrain(TrainRequest{Dataset: "scan-00", Model: "mlp", ModelID: "taken"})
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || se.ErrCode != CodeConflict || !errors.Is(err, ErrDuplicateModel) {
+		t.Fatalf("duplicate model_id: want 409 conflict, got %v", err)
+	}
+	if list, err := client.TrainJobs(); err != nil || len(list) != 0 {
+		t.Fatalf("rejected submissions left jobs behind: %+v, err %v", list, err)
+	}
+	if st, err := client.ServerStats(); err != nil || st.Train == nil || st.Train.Submitted != 0 {
+		t.Fatalf("rejected submissions counted as submitted: %+v, err %v", st.Train, err)
+	}
 	// POST /v1/train/{id} without the :cancel action is not a route.
 	if err = client.postJSON("/v1/train/job-000001", struct{}{}, &TrainJob{}); !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("actionless POST: want 404, got %v", err)

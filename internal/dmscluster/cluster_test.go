@@ -611,6 +611,28 @@ func TestClusterTrainRouting(t *testing.T) {
 			t.Fatalf("train submit on %s: status %d, want 200", addr, resp.StatusCode)
 		}
 	}
+
+	// A model_id the (replicated) zoo already holds is refused at submit,
+	// and the shard's 409 conflict crosses the router intact.
+	blob, err := nn.Sequential(nn.NewLinear(rand.New(rand.NewSource(3)), 4, 2)).State().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.AddModel(ctx, dmsapi.AddModelRequest{ID: "held", PDF: []float64{0.5, 0.5}, State: blob}); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{addrs[0], routerAddr} {
+		client, err := dmsapi.NewClient(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = client.SubmitTrain(dmsapi.TrainRequest{Dataset: "train", Model: "mlp", ModelID: "held"})
+		client.Close()
+		var se *dmsapi.StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusConflict || !errors.Is(err, dmsapi.ErrDuplicateModel) {
+			t.Fatalf("train submit with a held model_id on %s: got %v, want 409 conflict", addr, err)
+		}
+	}
 }
 
 // TestRouterFourTierTrace checks end-to-end trace propagation through

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"fairdms/internal/codec"
@@ -39,13 +40,8 @@ type StorageConfig struct {
 	// ServerLatency adds per-request delay on the docstore server,
 	// emulating the remote (100GbE) placement. Default 150µs.
 	ServerLatency time.Duration
-	// PoolSize caps the docstore client's connection pool. The cap is
-	// hard: loader workers beyond it block until a connection frees up,
-	// which is itself part of the paper's client-count ablation. Default:
-	// max worker count + 2.
-	PoolSize int
-	Dir      string // scratch directory for the filestore ("NFS")
-	Seed     int64
+	Dir           string // scratch directory for the filestore ("NFS")
+	Seed          int64
 }
 
 func (c *StorageConfig) defaults() {
@@ -155,17 +151,9 @@ func StorageSweep(cfg StorageConfig) (*StorageResult, error) {
 	}
 	defer srv.Close()
 
-	pool := cfg.PoolSize
-	if pool <= 0 {
-		maxWorkers := cfg.FixedWorkers
-		for _, w := range cfg.Workers {
-			if w > maxWorkers {
-				maxWorkers = w
-			}
-		}
-		pool = maxWorkers + 2
-	}
-	client, err := docstore.Dial(addr, pool)
+	// The client pool's cap is hard (workers beyond it queue for a
+	// connection), so size it past the widest loader the sweep runs.
+	client, err := docstore.Dial(addr, max(cfg.FixedWorkers, slices.Max(cfg.Workers))+2)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,8 @@
 // error), every bucket is an atomic counter, and both the record path and
 // the snapshot path run without taking a lock. One histogram instance is
 // shared by all request goroutines of an endpoint (dmsapi /statsz) and by
-// all workers of a load-generator op (internal/loadgen), so both the write
-// path and the read path must never serialize traffic.
+// every training worker (trainer's epoch times), so both the write path
+// and the read path must never serialize traffic.
 //
 // A Snapshot is a near-point-in-time view: buckets are read with atomic
 // loads while recordings continue, so a snapshot taken mid-burst may be a

@@ -366,7 +366,11 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 }
 
 // Submit validates and enqueues a job, returning its initial status.
-// A saturated queue returns ErrQueueFull without enqueueing.
+// A saturated queue returns ErrQueueFull without enqueueing, and an
+// explicit ModelID the zoo already holds an error wrapping
+// fairms.ErrDuplicateID — before any epoch is spent on a checkpoint that
+// could not be registered. (Two jobs racing for one free ID both pass
+// here; the loser still fails at its register step.)
 func (m *Manager) Submit(spec Spec) (*Status, error) {
 	spec.defaults()
 	if len(spec.Samples) == 0 && spec.Dataset == "" {
@@ -379,6 +383,11 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 	for i, smp := range spec.Samples {
 		if len(smp.Label) == 0 {
 			return nil, fmt.Errorf("trainer: inline sample %d has no label", i)
+		}
+	}
+	if spec.ModelID != "" {
+		if _, err := m.cfg.Zoo.Get(spec.ModelID); err == nil {
+			return nil, fmt.Errorf("trainer: %w: model %q already in zoo", fairms.ErrDuplicateID, spec.ModelID)
 		}
 	}
 
