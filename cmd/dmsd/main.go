@@ -1,5 +1,6 @@
 // Command dmsd serves fairDMS — the FAIR Data Service and the FAIR Model
-// Service — over HTTP/JSON, the networked deployment of the paper's Fig. 5
+// Service — over HTTP (a JSON API; see internal/dmsapi for how its own
+// tiers send samples), the networked deployment of the paper's Fig. 5
 // architecture: training jobs at the HPC endpoint and monitors at the
 // facility call one daemon for PDF-matched labeled data and
 // closest-checkpoint recommendations.

@@ -3,12 +3,12 @@ package dmsapi
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -221,7 +221,7 @@ func (c *Client) Recommend(pdf stats.PDF, maxJSD float64) (RecommendResponse, er
 
 // Checkpoint downloads and decodes a model's weights.
 func (c *Client) Checkpoint(id string) (*nn.StateDict, error) {
-	body, err := c.doRetry(context.Background(), "GET", strings.Replace(PathCheckpoint, "{id}", url.PathEscape(id), 1), nil)
+	body, err := c.DoRaw(context.Background(), "GET", strings.Replace(PathCheckpoint, "{id}", url.PathEscape(id), 1), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -320,37 +320,67 @@ func (c *Client) RapidTrain(req TrainRequest, timeout time.Duration) (TrainJob, 
 // ---------------------------------------------------------------------------
 // Transport
 
-// DoJSON performs one JSON exchange (marshal in → request → unmarshal the
-// 2xx body into out; nil in sends no body, nil out discards the body). It
-// is the context-aware exported transport the cluster tier is built on:
-// when ctx carries a sampled obs trace, the exchange joins it — the
-// round-trip span opens under the caller's current span, the trace ID
-// rides the request header, and the server's trailer span tree is
-// attached back into the caller's trace — so client → router → shard
-// produces one contiguous tree. Non-2xx responses decode into a
-// *StatusError (see the package sentinels).
+// DoJSON performs one typed exchange (encode in → request → decode the
+// 2xx body into out; nil in sends no body, nil out discards the body). The
+// name is historical: a value that carries samples travels frame-encoded
+// (see ContentTypeFrames) — in when it has a Samples field, the response
+// when out has one and the server honours the Accept header — and
+// everything else as JSON. It is the context-aware exported transport the
+// cluster tier is built on: when ctx carries a sampled obs trace, the
+// exchange joins it — the round-trip span opens under the caller's
+// current span, the trace ID rides the request header, and the server's
+// trailer span tree is attached back into the caller's trace — so client →
+// router → shard produces one contiguous tree. Non-2xx responses decode
+// into a *StatusError (see the package sentinels).
 func (c *Client) DoJSON(ctx context.Context, method, path string, in, out any) error {
-	var payload []byte
-	if in != nil {
-		var err error
-		if payload, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("dmsapi: encoding request: %w", err)
-		}
+	body, err := EncodeBody(in)
+	if err != nil {
+		return err
 	}
-	body, err := c.DoRaw(ctx, method, path, payload)
+	return c.DoBody(ctx, method, path, body, out)
+}
+
+// Body is a request body encoded once, for sending any number of times: a
+// scatter round encodes its request and hands every shard the same bytes.
+// A nil Data sends no body.
+type Body struct {
+	ContentType string
+	Data        []byte
+}
+
+// EncodeBody encodes in the way DoJSON sends it (nil in: the zero Body).
+func EncodeBody(in any) (Body, error) {
+	if in == nil {
+		return Body{}, nil
+	}
+	data, contentType, err := marshalBody(in)
+	if err != nil {
+		return Body{}, fmt.Errorf("dmsapi: encoding request: %w", err)
+	}
+	return Body{ContentType: contentType, Data: data}, nil
+}
+
+// DoBody is DoJSON with the request body already encoded.
+func (c *Client) DoBody(ctx context.Context, method, path string, body Body, out any) error {
+	accept := ""
+	if carriesSamples(reflect.TypeOf(out)) {
+		accept = ContentTypeFrames
+	}
+	data, contentType, err := c.doRetry(ctx, method, path, body, accept)
 	if err != nil {
 		return err
 	}
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(body, out)
+	return unmarshalBody(contentType, data, out)
 }
 
-// DoRaw is DoJSON without body codecs: it sends payload verbatim (nil for
-// no body) and returns the raw 2xx response body.
+// DoRaw is DoJSON without body codecs: it sends payload verbatim as JSON
+// (nil for no body) and returns the raw 2xx response body.
 func (c *Client) DoRaw(ctx context.Context, method, path string, payload []byte) ([]byte, error) {
-	return c.doRetry(ctx, method, path, payload)
+	data, _, err := c.doRetry(ctx, method, path, Body{ContentType: contentTypeJSON, Data: payload}, "")
+	return data, err
 }
 
 func (c *Client) postJSON(path string, in, out any) error {
@@ -364,7 +394,9 @@ func (c *Client) getJSON(path string, out any) error {
 // doRetry performs one HTTP exchange, retrying transport-level failures
 // with linear backoff and rotating to the next seed address on each such
 // failure. The request body is a byte slice (not a stream) precisely so
-// each retry can resend it from the start.
+// each retry can resend it from the start. It returns the 2xx response
+// body — a fresh buffer each time, which decoded samples may alias — and
+// its Content-Type.
 //
 // Tracing takes one of two shapes:
 //   - joined: ctx already carries a trace (a router handling a traced
@@ -375,7 +407,7 @@ func (c *Client) getJSON(path string, out any) error {
 //     the WithTraceSample cadence. A fresh client_request root is built
 //     and the merged dump goes to onTrace whatever the outcome, so failed
 //     exchanges are visible too (just without a server subtree).
-func (c *Client) doRetry(ctx context.Context, method, path string, payload []byte) ([]byte, error) {
+func (c *Client) doRetry(ctx context.Context, method, path string, body Body, accept string) ([]byte, string, error) {
 	tr := obs.FromContext(ctx)
 	joined := tr != nil
 	if !joined && c.sample > 0 && c.onTrace != nil && c.nreq.Add(1)%uint64(c.sample) == 0 {
@@ -395,21 +427,24 @@ func (c *Client) doRetry(ctx context.Context, method, path string, payload []byt
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, "", ctx.Err()
 			case <-time.After(time.Duration(attempt) * c.backoff):
 			}
 		}
 		base := c.bases[int(c.cur.Load())%len(c.bases)]
-		var body io.Reader
-		if payload != nil {
-			body = bytes.NewReader(payload)
+		var payload io.Reader
+		if body.Data != nil {
+			payload = bytes.NewReader(body.Data)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+		req, err := http.NewRequestWithContext(ctx, method, base+path, payload)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
+		if body.Data != nil {
+			req.Header.Set("Content-Type", body.ContentType)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		if sampled {
 			req.Header.Set(obs.TraceHeader, obs.FormatTraceHeader(tr.ID(), true))
@@ -422,7 +457,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, payload []byt
 			c.rotate()
 			continue
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := readSized(resp.Body, resp.ContentLength)
 		resp.Body.Close()
 		att.End()
 		if err != nil {
@@ -439,11 +474,11 @@ func (c *Client) doRetry(ctx context.Context, method, path string, payload []byt
 			}
 		}
 		if resp.StatusCode/100 != 2 {
-			return nil, statusError(resp.StatusCode, data)
+			return nil, "", statusError(resp.StatusCode, data)
 		}
-		return data, nil
+		return data, resp.Header.Get("Content-Type"), nil
 	}
-	return nil, fmt.Errorf("dmsapi: %s %s failed after %d attempts: %w", method, path, c.retries+1, lastErr)
+	return nil, "", fmt.Errorf("dmsapi: %s %s failed after %d attempts: %w", method, path, c.retries+1, lastErr)
 }
 
 // rotate moves the preferred base to the next seed after a transport

@@ -1,6 +1,7 @@
 package dmsapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -279,7 +282,7 @@ func (p *Pipeline) handleTraces(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusInternalServerError, "tracez: %v", err)
 	}
-	return WriteJSON(w, TracezResponse{Total: p.ring.Total(), Traces: entries})
+	return WriteBody(w, r, TracezResponse{Total: p.ring.Total(), Traces: entries})
 }
 
 // Registry exposes the pipeline's metrics registry so a tier (and its
@@ -366,19 +369,20 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 	return p.http.Shutdown(ctx)
 }
 
-// JSONHandler adapts a typed call to a HandlerFunc: decode the JSON body
-// into Req, call f, write its Resp.
+// JSONHandler adapts a typed call to a HandlerFunc: decode the body into
+// Req, call f, write its Resp — each in the encoding the request chose
+// (see decodeBody and WriteBody).
 func JSONHandler[Req, Resp any](f func(context.Context, Req) (Resp, error)) HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) error {
 		var req Req
-		if err := decodeJSON(r.Body, &req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			return err
 		}
 		resp, err := f(r.Context(), req)
 		if err != nil {
 			return err
 		}
-		return WriteJSON(w, resp)
+		return WriteBody(w, r, resp)
 	}
 }
 
@@ -407,16 +411,67 @@ func bodyError(err error) error {
 	return errf(http.StatusBadRequest, "decoding request: %v", err)
 }
 
-func decodeJSON(r io.Reader, v any) error {
-	if err := json.NewDecoder(r).Decode(v); err != nil {
+// bodyPresizeMax clamps the buffer a request's Content-Length reserves up
+// front: a header that lies reserves at most this, and a body that really
+// is larger grows the buffer as it arrives.
+const bodyPresizeMax = 4 << 20
+
+// readSized reads r to EOF into a buffer sized for the n bytes announced
+// (n < 0: unknown). The buffer is fresh every time and never pooled:
+// decoded samples alias it.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(min(n, bodyPresizeMax), 0)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// readBody reads a request body whole, mapping a failure (413 past the
+// pipeline's cap) to its status.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := readSized(r.Body, r.ContentLength)
+	if err != nil {
+		return nil, bodyError(err)
+	}
+	return body, nil
+}
+
+// decodeBody reads the request body and decodes it into v (a pointer to a
+// wire struct) in the encoding Content-Type names: frames for
+// ContentTypeFrames, JSON for everything else.
+func decodeBody(r *http.Request, v any) error {
+	_, sp := obs.StartSpan(r.Context(), "decode")
+	defer sp.End()
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	if err := unmarshalBody(r.Header.Get("Content-Type"), body, v); err != nil {
 		return bodyError(err)
 	}
 	return nil
 }
 
-// WriteJSON writes v as a 200 JSON response.
-func WriteJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
+// WriteBody writes v as the 200 response to r: framed when v carries
+// samples and the request's Accept names ContentTypeFrames, as JSON
+// otherwise — what every caller but dmsapi.Client gets.
+func WriteBody(w http.ResponseWriter, r *http.Request, v any) error {
+	_, sp := obs.StartSpan(r.Context(), "encode")
+	defer sp.End()
+	if strings.Contains(r.Header.Get("Accept"), ContentTypeFrames) && carriesSamples(reflect.TypeOf(v)) {
+		body, err := encodeFrames(v)
+		if err != nil {
+			return err
+		}
+		w.Header().Set("Content-Type", ContentTypeFrames)
+		if w.Header().Get("Trailer") == "" {
+			// A known length lets the reader size its buffer once; a
+			// response that owes a span trailer has to stay chunked.
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		}
+		_, err = w.Write(body)
+		return err
+	}
+	w.Header().Set("Content-Type", contentTypeJSON)
 	return json.NewEncoder(w).Encode(v)
 }
 

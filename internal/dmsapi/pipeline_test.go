@@ -21,7 +21,7 @@ func TestPipelineLogsFailuresByClass(t *testing.T) {
 		Logger: obs.NewLogger(&buf, obs.LevelDebug),
 	})
 	p.Handle("GET /ok", "ok", 0, func(w http.ResponseWriter, r *http.Request) error {
-		return WriteJSON(w, struct{}{})
+		return WriteBody(w, r, struct{}{})
 	})
 	p.Handle("GET /bad", "bad", 0, func(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusBadRequest, "no")

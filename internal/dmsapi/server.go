@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -88,7 +87,7 @@ type ServerConfig struct {
 	Logger *obs.Logger
 }
 
-// Server exposes a fairds.Service and fairms.Zoo over HTTP/JSON. It is
+// Server exposes a fairds.Service and fairms.Zoo over HTTP. It is
 // production-shaped: bounded in-flight concurrency with 429 shedding, a
 // coalescing LRU cache on the hot read paths (recommend, PDF), per-endpoint
 // request/error/latency counters surfaced at /statsz, and graceful
@@ -419,7 +418,7 @@ func (s *Server) Stats() Stats {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	samples, err := decodeSamples(req.Samples)
@@ -435,7 +434,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return WriteJSON(w, IngestResponse{IDs: ids})
+	return WriteBody(w, r, IngestResponse{IDs: ids})
 }
 
 // handleIngestBatch is the high-throughput ingest path: per-document
@@ -445,7 +444,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 // survivors bootstrap the clustering model if needed and commit.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error {
 	var req IngestBatchRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	if len(req.Samples) == 0 {
@@ -512,7 +511,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 			resp.Inserted++
 		}
 	}
-	return WriteJSON(w, resp)
+	return WriteBody(w, r, resp)
 }
 
 // ensureClusters performs the bootstrap fit: a daemon that started with an
@@ -544,7 +543,7 @@ func (s *Server) ensureClusters(samples []*codec.Sample) error {
 
 func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
 	var req CertaintyRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	samples, err := decodeSamples(req.Samples)
@@ -565,12 +564,12 @@ func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return WriteJSON(w, CertaintyResponse{Certainty: cert})
+	return WriteBody(w, r, CertaintyResponse{Certainty: cert})
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
 	var req LookupRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	samples, err := decodeSamples(req.Samples)
@@ -587,12 +586,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return WriteJSON(w, LookupResponse{Samples: FromCodecSlice(labeled)})
+	return WriteBody(w, r, LookupResponse{Samples: FromCodecSlice(labeled)})
 }
 
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
 	var req NearestRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	samples, err := decodeSamples(req.Samples)
@@ -618,18 +617,23 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
 			out[i] = Match{DocID: m.DocID, Dist: m.Dist, Found: true}
 		}
 	}
-	return WriteJSON(w, NearestResponse{Matches: out})
+	return WriteBody(w, r, NearestResponse{Matches: out})
 }
 
 func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if err != nil {
-		return bodyError(err)
+		return err
 	}
-	key := fmt.Sprintf("pdf:%d:%s", s.clusterGen.Load(), bodyHash(body))
+	// The encoding is part of the key: it decides how the bytes are read.
+	contentType := r.Header.Get("Content-Type")
+	key := fmt.Sprintf("pdf:%d:%t:%s", s.clusterGen.Load(), isFrames(contentType), bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
 		var req PDFRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		_, sp := obs.StartSpan(ctx, "decode")
+		err := unmarshalBody(contentType, body, &req)
+		sp.End()
+		if err != nil {
 			return nil, errf(http.StatusBadRequest, "pdf: decoding request: %v", err)
 		}
 		samples, err := decodeSamples(req.Samples)
@@ -651,7 +655,7 @@ func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return WriteJSON(w, v)
+	return WriteBody(w, r, v)
 }
 
 // handleFit explicitly fits the clustering model — the cluster router's
@@ -661,7 +665,7 @@ func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 // service reports its K and does nothing.
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	var req FitRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	if req.K <= 0 {
@@ -674,7 +678,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	s.dsMu.Lock()
 	defer s.dsMu.Unlock()
 	if k := s.cfg.DS.K(); k > 0 {
-		return WriteJSON(w, FitResponse{K: k})
+		return WriteBody(w, r, FitResponse{K: k})
 	}
 	x, err := fairds.Collate(samples)
 	if err != nil {
@@ -686,14 +690,14 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	s.clusterK.Store(int64(s.cfg.DS.K()))
 	s.clusterGen.Add(1)
 	s.cfg.Logger.Info("fitted clusters (explicit)", "k", req.K, "samples", len(samples))
-	return WriteJSON(w, FitResponse{K: s.cfg.DS.K(), Fitted: true})
+	return WriteBody(w, r, FitResponse{K: s.cfg.DS.K(), Fitted: true})
 }
 
 // handleSamples fetches stored samples by ID — the cluster router's
 // lookup merge retrieves each shard's contribution through this.
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
 	var req SamplesRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	if len(req.IDs) == 0 {
@@ -710,7 +714,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
 		}
 		return serviceError(err)
 	}
-	return WriteJSON(w, SamplesResponse{Samples: FromCodecSlice(samples), Missing: missing})
+	return WriteBody(w, r, SamplesResponse{Samples: FromCodecSlice(samples), Missing: missing})
 }
 
 // handleDraw answers the sampling half of a lookup under the caller's
@@ -718,7 +722,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
 // the second).
 func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) error {
 	var req DrawRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	samples, err := decodeSamples(req.Samples)
@@ -735,7 +739,7 @@ func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	return WriteJSON(w, DrawResponse{Counts: counts, IDs: ids})
+	return WriteBody(w, r, DrawResponse{Counts: counts, IDs: ids})
 }
 
 // ---------------------------------------------------------------------------
@@ -743,7 +747,7 @@ func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) error {
 	var req AddModelRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	if len(req.State) == 0 {
@@ -762,7 +766,7 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusBadRequest, "%v", err)
 	}
 	s.zooGen.Add(1) // recommend results computed against the old zoo are stale
-	return WriteJSON(w, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta})
+	return WriteBody(w, r, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta})
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) error {
@@ -777,13 +781,13 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) error 
 			ID: rec.ID, K: len(rec.TrainPDF), Meta: rec.Meta, AddedAt: rec.AddedAt,
 		})
 	}
-	return WriteJSON(w, ModelsResponse{Models: models})
+	return WriteBody(w, r, ModelsResponse{Models: models})
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if err != nil {
-		return bodyError(err)
+		return err
 	}
 	key := fmt.Sprintf("rec:%d:%s", s.zooGen.Load(), bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
@@ -809,7 +813,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return WriteJSON(w, v)
+	return WriteBody(w, r, v)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error {
@@ -844,7 +848,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error 
 // answers (the job could only fail at its register step, after the fit).
 func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error {
 	var req TrainRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
 	if s.clusterK.Load() == 0 {
@@ -883,7 +887,7 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error
 	case err != nil:
 		return errf(http.StatusBadRequest, "%v", err)
 	}
-	return WriteJSON(w, wireTrainJob(st, true))
+	return WriteBody(w, r, wireTrainJob(st, true))
 }
 
 func (s *Server) handleTrainList(w http.ResponseWriter, r *http.Request) error {
@@ -892,7 +896,7 @@ func (s *Server) handleTrainList(w http.ResponseWriter, r *http.Request) error {
 	for i, st := range statuses {
 		resp.Jobs[i] = wireTrainJob(st, false) // curves only in the detail view
 	}
-	return WriteJSON(w, resp)
+	return WriteBody(w, r, resp)
 }
 
 func (s *Server) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
@@ -900,7 +904,7 @@ func (s *Server) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusNotFound, "%v", err)
 	}
-	return WriteJSON(w, wireTrainJob(st, true))
+	return WriteBody(w, r, wireTrainJob(st, true))
 }
 
 // handleTrainCancel serves POST /v1/train/{id}:cancel. ServeMux wildcards
@@ -915,7 +919,7 @@ func (s *Server) handleTrainCancel(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return errf(http.StatusNotFound, "%v", err)
 	}
-	return WriteJSON(w, wireTrainJob(st, true))
+	return WriteBody(w, r, wireTrainJob(st, true))
 }
 
 // wireTrainJob converts a trainer status snapshot to its wire form.
@@ -952,7 +956,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	// No dsMu here: clusterK is the server's own mirror, and StoreCount
 	// only touches the internally synchronized store — so liveness answers
 	// even while a bootstrap fit holds dsMu exclusively.
-	return WriteJSON(w, HealthResponse{
+	return WriteBody(w, r, HealthResponse{
 		Status:  "ok",
 		K:       int(s.clusterK.Load()),
 		Models:  s.cfg.Zoo.Len(),
@@ -961,7 +965,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	return WriteJSON(w, s.Stats())
+	return WriteBody(w, r, s.Stats())
 }
 
 // handleMetrics serves the Prometheus text exposition. Every /statsz

@@ -1,6 +1,6 @@
 // Package dmsapi exposes fairDMS's two services — the FAIR Data Service
 // (internal/fairds) and the FAIR Model Service (internal/fairms) — over
-// HTTP/JSON, the deployment shape the paper assumes: experimental-facility
+// HTTP, the deployment shape the paper assumes: experimental-facility
 // workflows call both services across the network to fetch PDF-matched
 // labeled data and the closest prior checkpoint (Ali et al., Cluster 2022;
 // Ravi et al., 2022). The package ships three pieces:
@@ -15,7 +15,10 @@
 //     retry-on-connection-error.
 //
 // Checkpoints travel as gob-encoded nn.StateDict blobs (an octet-stream
-// body on /v1/models/{id}/checkpoint), everything else as JSON.
+// body on /v1/models/{id}/checkpoint). Everything else is JSON to any
+// caller; between Client, dmsd and dmsrouter the bodies that carry samples
+// travel frame-encoded instead (frames.go), chosen per request by
+// Content-Type and Accept.
 package dmsapi
 
 import (
@@ -50,7 +53,9 @@ const (
 )
 
 // Sample is the wire form of a codec.Sample. Data holds the little-endian
-// element payload and rides JSON's native []byte base64 encoding.
+// element payload: base64 in a JSON body (encoding/json's []byte form),
+// the bytes themselves in a framed one — where, once decoded, it is a view
+// of the body buffer rather than a copy.
 type Sample struct {
 	Shape []int     `json:"shape"`
 	Dtype uint8     `json:"dtype"`

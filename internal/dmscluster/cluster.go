@@ -114,7 +114,7 @@ type Cluster struct {
 	// Serving counters surfaced in Stats.
 	degraded atomic.Int64 // responses served with the Degraded flag
 	reroutes atomic.Int64 // ingest sub-batches rerouted to a successor
-	rr       atomic.Int64 // round-robin cursor for train placement
+	rr       atomic.Int64 // round-robin cursor for calls one shard answers: train placement, model-only reads
 
 	stop chan struct{}
 	done sync.WaitGroup

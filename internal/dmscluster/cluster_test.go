@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,39 @@ func startClusterStores(t testing.TB, n int, cfg dmscluster.Config) (*dmscluster
 	return c, servers, stores
 }
 
+// allShardMean asks every shard directly for the certainty (threshold 0.5)
+// and PDF of samples and returns the means.
+func allShardMean(t *testing.T, servers []*dmsapi.Server, samples []*codec.Sample) (cert float64, pdf []float64) {
+	t.Helper()
+	for _, srv := range servers {
+		c, err := dmsapi.NewClient(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sc, err := c.Certainty(samples, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := c.PDF(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert += sc
+		if pdf == nil {
+			pdf = make([]float64, len(sp))
+		}
+		for i, p := range sp {
+			pdf[i] += p
+		}
+	}
+	cert /= float64(len(servers))
+	for i := range pdf {
+		pdf[i] /= float64(len(servers))
+	}
+	return cert, pdf
+}
+
 // braggCorpus generates n labeled samples mixing two regimes.
 func braggCorpus(seed int64, n int) []*codec.Sample {
 	rng := rand.New(rand.NewSource(seed))
@@ -165,7 +199,7 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 
 	// Cluster under test: the first ingest runs the coordinated bootstrap
 	// (every shard fitted on the full batch) and hash-partitions the docs.
-	cluster, _, stores := startClusterStores(t, 3, dmscluster.Config{BootstrapK: k, Seed: 1, ProbeInterval: -1})
+	cluster, servers, stores := startClusterStores(t, 3, dmscluster.Config{BootstrapK: k, Seed: 1, ProbeInterval: -1})
 	ingest, err := cluster.Ingest(ctx, dmsapi.IngestBatchRequest{Dataset: "clu", Samples: dmsapi.FromCodecSlice(corpus)})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +210,15 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 
 	wireQ := dmsapi.FromCodecSlice(queries)
 
-	// Certainty: fan-out mean over replicated models == single value.
+	// The oracle for the model-only reads, which ask one shard: the mean
+	// over every shard, what the router computed when it asked them all.
+	// It holds with == because the replicated models agree to the bit and
+	// these values are sixteenths (16 queries), which a mean of three equal
+	// terms reproduces exactly; for other values the old mean could be one
+	// ulp off what any shard said.
+	meanCert, meanPDF := allShardMean(t, servers, queries)
+
+	// Certainty: one shard's answer == the all-shard mean == single value.
 	singleCert, err := ref.Certainty(queries, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +229,9 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 	}
 	if math.Abs(singleCert-clusterCert.Certainty) > floatTol {
 		t.Fatalf("certainty diverged: single %v, cluster %v", singleCert, clusterCert.Certainty)
+	}
+	if clusterCert.Certainty != meanCert {
+		t.Fatalf("certainty %v != the all-shard mean %v", clusterCert.Certainty, meanCert)
 	}
 	if clusterCert.Degraded {
 		t.Fatal("healthy cluster flagged certainty degraded")
@@ -208,6 +253,9 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 		if math.Abs(singlePDF[i]-clusterPDF.PDF[i]) > floatTol {
 			t.Fatalf("pdf[%d] diverged: single %v, cluster %v", i, singlePDF[i], clusterPDF.PDF[i])
 		}
+	}
+	if !slices.Equal(clusterPDF.PDF, meanPDF) || clusterPDF.K != len(meanPDF) || clusterPDF.Degraded {
+		t.Fatalf("pdf %+v != the all-shard mean %v", clusterPDF, meanPDF)
 	}
 
 	// Nearest, plain and distinct: per-position distances equal (document
@@ -668,7 +716,8 @@ func TestRouterFourTierTrace(t *testing.T) {
 	if resp, err := client.IngestBatch("traced", corpus[:40]); err != nil || len(resp.Errors) > 0 {
 		t.Fatalf("ingest through router: err=%v, doc errors=%v", err, resp.Errors)
 	}
-	if _, err := client.Certainty(corpus[40:48], 0.5); err != nil {
+	// A fan-out read: certainty and pdf ask one shard only.
+	if _, err := client.Nearest(corpus[40:48], false); err != nil {
 		t.Fatal(err)
 	}
 	_ = ctx
@@ -678,7 +727,7 @@ func TestRouterFourTierTrace(t *testing.T) {
 	if len(dumps) == 0 {
 		t.Fatal("no trace dumps collected")
 	}
-	d := dumps[len(dumps)-1] // the certainty request
+	d := dumps[len(dumps)-1] // the nearest request
 
 	// Contiguity: exactly one root, every parent index in range.
 	roots := 0
@@ -715,7 +764,7 @@ func TestRouterFourTierTrace(t *testing.T) {
 	clientRoot := index("client_request")
 	roundTrips := index("http_roundtrip")
 	routes := index("route")
-	scatters := index("scatter_certainty")
+	scatters := index("scatter_nearest")
 	shardReqs := index("request")
 	if len(clientRoot) != 1 || len(roundTrips) == 0 {
 		t.Fatalf("client tier incomplete: roots %v, round trips %v", clientRoot, roundTrips)
@@ -724,7 +773,7 @@ func TestRouterFourTierTrace(t *testing.T) {
 		t.Fatalf("router tier: %d route spans, want 1", len(routes))
 	}
 	if len(scatters) != 1 {
-		t.Fatalf("router scatter: %d scatter_certainty spans, want 1", len(scatters))
+		t.Fatalf("router scatter: %d scatter_nearest spans, want 1", len(scatters))
 	}
 	if len(shardReqs) != 2 {
 		t.Fatalf("shard tier: %d request spans, want one per shard (2)", len(shardReqs))
@@ -738,6 +787,19 @@ func TestRouterFourTierTrace(t *testing.T) {
 		}
 		if !hasAncestor(sr, clientRoot[0]) {
 			t.Fatalf("shard request span %d is not under the client root", sr)
+		}
+	}
+	// The pipeline's own stages: each tier's root holds the body decode
+	// and the response encode directly.
+	for _, root := range append(shardReqs, routes[0]) {
+		for _, stage := range []string{"decode", "encode"} {
+			found := false
+			for _, i := range index(stage) {
+				found = found || d.Spans[i].Parent == root
+			}
+			if !found {
+				t.Fatalf("no %s span directly under %s span %d:\n%+v", stage, d.Spans[root].Name, root, d.Spans)
+			}
 		}
 	}
 }

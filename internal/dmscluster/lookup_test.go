@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -18,14 +19,16 @@ import (
 	"fairdms/internal/docstore"
 )
 
-// frontedShard is a shard behind a handler that counts requests by path
-// and can act between the router's two lookup rounds.
+// frontedShard is a shard behind a handler that counts requests by path,
+// keeps the last body each path received, and can act between the
+// router's two lookup rounds.
 type frontedShard struct {
 	store *docstore.Collection
 	addr  string
 
-	mu   sync.Mutex
-	hits map[string]int
+	mu     sync.Mutex
+	hits   map[string]int
+	bodies map[string][]byte
 	// afterDraw, when set, runs once the shard has answered a draw and
 	// before the router sees the answer.
 	afterDraw func(dmsapi.DrawResponse)
@@ -37,10 +40,17 @@ func (f *frontedShard) count(path string) int {
 	return f.hits[path]
 }
 
+func (f *frontedShard) body(path string) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.bodies[path]
+}
+
 func (f *frontedShard) reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.hits = make(map[string]int)
+	f.bodies = make(map[string][]byte)
 }
 
 func startFrontedCluster(t *testing.T, n int, cfg dmscluster.Config) (*dmscluster.Cluster, []*frontedShard) {
@@ -48,11 +58,18 @@ func startFrontedCluster(t *testing.T, n int, cfg dmscluster.Config) (*dmscluste
 	shards := make([]*frontedShard, n)
 	for i := range shards {
 		srv, store := newShard(t, fmt.Sprintf("f%d", i), 0)
-		f := &frontedShard{store: store, hits: make(map[string]int)}
+		f := &frontedShard{store: store}
+		f.reset()
 		inner := srv.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("front of shard %d: reading the request: %v", i, err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			f.mu.Lock()
 			f.hits[r.URL.Path]++
+			f.bodies[r.URL.Path] = body
 			hook := f.afterDraw
 			f.mu.Unlock()
 			if r.URL.Path != dmsapi.PathDraw || hook == nil {
@@ -82,6 +99,41 @@ func startFrontedCluster(t *testing.T, n int, cfg dmscluster.Config) (*dmscluste
 	}
 	t.Cleanup(c.Close)
 	return c, shards
+}
+
+// TestScatterSendsEveryShardTheSameBytes: a scatter round encodes its
+// request once, so what a routed nearest puts on the wire is one body,
+// framed, byte-identical at all three shards.
+func TestScatterSendsEveryShardTheSameBytes(t *testing.T) {
+	ctx := context.Background()
+	cluster, shards := startFrontedCluster(t, 3, dmscluster.Config{BootstrapK: 4, Seed: 1, ProbeInterval: -1})
+	all := braggCorpus(47, 72)
+	corpus, queries := all[:64], all[64:]
+	if resp, err := cluster.Ingest(ctx, dmsapi.IngestBatchRequest{Dataset: "d", Samples: dmsapi.FromCodecSlice(corpus)}); err != nil || len(resp.Errors) > 0 {
+		t.Fatalf("ingest: err=%v, doc errors=%v", err, resp.Errors)
+	}
+	for _, f := range shards {
+		f.reset()
+	}
+	if _, err := cluster.Nearest(ctx, dmsapi.NearestRequest{Samples: dmsapi.FromCodecSlice(queries)}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := dmsapi.EncodeBody(dmsapi.NearestRequest{Samples: dmsapi.FromCodecSlice(queries)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.ContentType != dmsapi.ContentTypeFrames {
+		t.Fatalf("a nearest request encodes as %q, want frames", want.ContentType)
+	}
+	for i, f := range shards {
+		if n := f.count(dmsapi.PathNearest); n != 1 {
+			t.Fatalf("shard %d served %d nearest requests, want 1", i, n)
+		}
+		if !bytes.Equal(f.body(dmsapi.PathNearest), want.Data) {
+			t.Fatalf("shard %d received %d bytes that are not the request's one encoding (%d bytes)",
+				i, len(f.body(dmsapi.PathNearest)), len(want.Data))
+		}
+	}
 }
 
 // TestLookupIsTwoRoundsPerShard: a routed lookup costs each shard one

@@ -142,6 +142,12 @@ func TestRouterObservabilityPlane(t *testing.T) {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	servers[2].Shutdown(shutCtx)
+	// A certainty asks one shard, so it notices a dead one only when its
+	// turn comes; a fan-out read finds it at once, and from the ejection on
+	// every read is flagged: the membership is not whole.
+	if _, err := client.Nearest(queries[8:], false); err != nil {
+		t.Fatalf("nearest with one shard down: %v", err)
+	}
 	for i := 0; i < 3; i++ {
 		var cr dmsapi.CertaintyResponse
 		req := dmsapi.CertaintyRequest{Samples: dmsapi.FromCodecSlice(queries[:8]), Threshold: 0.5}
@@ -166,7 +172,7 @@ func TestRouterObservabilityPlane(t *testing.T) {
 		Total  int64            `json:"total_retained"`
 		Traces []obs.TraceEntry `json:"traces"`
 	}
-	code, body = httpGet(t, addr, dmsapi.PathTraces+"?degraded=true")
+	code, body = httpGet(t, addr, dmsapi.PathTraces+"?degraded=true&op=data.certainty")
 	if code != http.StatusOK {
 		t.Fatalf("GET /debug/tracez: status %d", code)
 	}

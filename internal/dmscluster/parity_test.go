@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func retainedTotal(t *testing.T, addr string) int64 {
 	return out.Total
 }
 
-func doExchange(t *testing.T, addr, method, path, traceHeader string, body []byte) exchange {
+func doExchange(t *testing.T, addr, method, path, traceHeader, contentType string, body []byte) exchange {
 	t.Helper()
 	before := retainedTotal(t, addr)
 	req, err := http.NewRequest(method, "http://"+addr+path, bytes.NewReader(body))
@@ -49,6 +50,9 @@ func doExchange(t *testing.T, addr, method, path, traceHeader string, body []byt
 	}
 	if traceHeader != "" {
 		req.Header.Set(obs.TraceHeader, traceHeader)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -74,14 +78,11 @@ func doExchange(t *testing.T, addr, method, path, traceHeader string, body []byt
 	return ex
 }
 
-// TestPipelineParity drives the same requests at a dmsd-shaped server and
-// at a router in front of that same server, and checks a client cannot
-// tell the tiers apart: equal status, envelope code and retryability,
-// a span trailer exactly when the request asked for one, and the same
-// requests kept in each tier's /debug/tracez (failures only: neither
-// tier's slow threshold is reachable here).
-func TestPipelineParity(t *testing.T) {
-	const bodyCap = 64 << 10
+// startTiers boots a dmsd-shaped server (unfitted, bootstrap K 3, failures
+// retained in /debug/tracez) and a router in front of that same server,
+// both capping request bodies at bodyCap.
+func startTiers(t *testing.T, bodyCap int64, trainWorkers int) (shard, router string) {
+	t.Helper()
 	svc, err := fairds.New(poolEmbedder{dim: 6}, docstore.NewStore().Collection("peaks"), fairds.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +90,12 @@ func TestPipelineParity(t *testing.T) {
 	srv, err := dmsapi.NewServer(dmsapi.ServerConfig{
 		DS: svc, Zoo: fairms.NewZoo(), BootstrapK: 3,
 		MaxBodyBytes: bodyCap, SlowThreshold: time.Hour,
+		TrainWorkers: trainWorkers,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := srv.Listen("127.0.0.1:0")
+	shard, err = srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestPipelineParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := dmscluster.NewRouterBodyCap(cluster, dmscluster.RouterConfig{TraceRing: 64}, bodyCap)
-	router, err := rt.Listen("127.0.0.1:0")
+	router, err = rt.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +115,18 @@ func TestPipelineParity(t *testing.T) {
 		cluster.Close()
 		srv.Shutdown(ctx)
 	})
+	return shard, router
+}
+
+// TestPipelineParity drives the same requests at a dmsd-shaped server and
+// at a router in front of that same server, and checks a client cannot
+// tell the tiers apart: equal status, envelope code and retryability,
+// a span trailer exactly when the request asked for one, and the same
+// requests kept in each tier's /debug/tracez (failures only: neither
+// tier's slow threshold is reachable here).
+func TestPipelineParity(t *testing.T) {
+	const bodyCap = 64 << 10
+	shard, router := startTiers(t, bodyCap, 0)
 
 	corpus := braggCorpus(31, 40)
 	client, err := dmsapi.NewClient(router)
@@ -129,9 +143,17 @@ func TestPipelineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same requests framed: the encoding is one more thing the tiers
+	// have to agree on.
+	frames := dmsapi.ContentTypeFrames
+	framed := frameCaller{t: t}.encode
+	framedNearest := framed(dmsapi.NearestRequest{Samples: dmsapi.FromCodecSlice(corpus[:2])})
+	badDtype := dmsapi.FromCodecSlice(corpus[:2])
+	badDtype[1].Dtype = 99
 
 	cases := []struct {
 		name, method, path, trace string
+		contentType               string
 		body                      []byte
 		want                      exchange // trailer holds whether one is wanted, not its name
 		only                      string   // a route only this tier serves
@@ -149,6 +171,25 @@ func TestPipelineParity(t *testing.T) {
 		{name: "malformed body on the shard-only draw route", method: "POST", path: dmsapi.PathDraw, body: []byte("{"), only: "dmsd",
 			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
 		{name: "oversized body", method: "POST", path: dmsapi.PathNearest, body: bytes.Repeat([]byte(" "), bodyCap+1),
+			want: exchange{status: 413, code: dmsapi.CodeTooLarge, retained: true}},
+		{name: "framed success", method: "POST", path: dmsapi.PathNearest, contentType: frames, body: framedNearest,
+			want: exchange{status: 200}},
+		{name: "framed success, client sampled", method: "POST", path: dmsapi.PathNearest, contentType: frames, body: framedNearest, trace: "abc123;sample",
+			want: exchange{status: 200, trailer: "yes"}},
+		{name: "framed handler error", method: "POST", path: dmsapi.PathCertainty, contentType: frames, body: framed(dmsapi.CertaintyRequest{}),
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "framed unknown dtype", method: "POST", path: dmsapi.PathCertainty, contentType: frames, body: framed(dmsapi.CertaintyRequest{Samples: badDtype}),
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "truncated frame", method: "POST", path: dmsapi.PathNearest, contentType: frames, body: framedNearest[:len(framedNearest)-7],
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "JSON under the frame type", method: "POST", path: dmsapi.PathNearest, contentType: frames, body: nearest,
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "frame under the JSON type", method: "POST", path: dmsapi.PathNearest, contentType: "application/json", body: framedNearest,
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "framed body on a route whose type carries no samples", method: "POST", path: dmsapi.PathRecommend, contentType: frames, body: framedNearest,
+			want: exchange{status: 400, code: dmsapi.CodeBadRequest, retained: true}},
+		{name: "oversized framed body", method: "POST", path: dmsapi.PathNearest, contentType: frames,
+			body: framed(dmsapi.NearestRequest{Samples: dmsapi.FromCodecSlice(slices.Repeat(corpus, 4))}),
 			want: exchange{status: 413, code: dmsapi.CodeTooLarge, retained: true}},
 		{name: "unknown model", method: "GET", path: "/v1/models/nope/checkpoint",
 			want: exchange{status: 404, code: dmsapi.CodeNotFound, retained: true}},
@@ -170,7 +211,7 @@ func TestPipelineParity(t *testing.T) {
 			if want.trailer != "" {
 				want.trailer = tier.rootSpan
 			}
-			got := doExchange(t, tier.addr, tc.method, tc.path, tc.trace, tc.body)
+			got := doExchange(t, tier.addr, tc.method, tc.path, tc.trace, tc.contentType, tc.body)
 			if got != want {
 				t.Errorf("%s on %s:\n  got  %+v\n  want %+v", tc.name, tier.name, got, want)
 			}

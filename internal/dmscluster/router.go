@@ -158,7 +158,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return dmsapi.WriteJSON(w, resp)
+	return dmsapi.WriteBody(w, r, resp)
 }
 
 func (rt *Router) handleCheckpoint(w http.ResponseWriter, r *http.Request) error {
@@ -176,7 +176,7 @@ func (rt *Router) handleTrainList(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	return dmsapi.WriteJSON(w, resp)
+	return dmsapi.WriteBody(w, r, resp)
 }
 
 func (rt *Router) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
@@ -184,7 +184,7 @@ func (rt *Router) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return dmsapi.WriteJSON(w, job)
+	return dmsapi.WriteBody(w, r, job)
 }
 
 // handleTrainCancel serves POST /v1/train/{id}:cancel. Like the dmsapi
@@ -202,7 +202,7 @@ func (rt *Router) handleTrainCancel(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	return dmsapi.WriteJSON(w, job)
+	return dmsapi.WriteBody(w, r, job)
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
@@ -210,7 +210,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return dmsapi.WriteJSON(w, resp)
+	return dmsapi.WriteBody(w, r, resp)
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
@@ -231,7 +231,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
 			Count: ep.Count, Errors: ep.Errors, P50MS: ep.P50MS, P99MS: ep.P99MS, MaxMS: ep.MaxMS,
 		}
 	}
-	return dmsapi.WriteJSON(w, st)
+	return dmsapi.WriteBody(w, r, st)
 }
 
 // handleMetrics serves the federated exposition: the router's own

@@ -47,6 +47,58 @@ func fanOut[T any](c *Cluster, ctx context.Context, nodes []*node, f func(contex
 	return out
 }
 
+// scatter encodes req once and sends every node the same bytes (a nil req
+// sends no body), decoding each answer into a T: a request crossing the
+// router is marshalled once per round, however many shards there are.
+func scatter[T any](c *Cluster, ctx context.Context, nodes []*node, method, path string, req any) ([]shardResult[T], error) {
+	body, err := dmsapi.EncodeBody(req)
+	if err != nil {
+		return nil, err
+	}
+	return fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (T, error) {
+		var out T
+		err := n.client.DoBody(ctx, method, path, body, &out)
+		return out, err
+	}), nil
+}
+
+// askOne posts req to one healthy shard, the next in round-robin order,
+// and moves on to the one after it on any error — transport or status: a
+// shard that missed the bootstrap answers 409 where its neighbour can
+// answer. It serves the reads that depend only on the replicated
+// clustering model, where every shard would return the same value, so the
+// first answer is the answer. degraded reports (and counts) an answer
+// that came without the whole membership behind it: a shard was ejected,
+// or one asked before the one that answered did not. When none answers
+// the error is mergeFailure's.
+func askOne[T any](c *Cluster, ctx context.Context, op, path string, req any) (val T, degraded bool, err error) {
+	nodes := c.healthyNodes()
+	if len(nodes) == 0 {
+		return val, false, errNoShards(op)
+	}
+	body, err := dmsapi.EncodeBody(req)
+	if err != nil {
+		return val, false, err
+	}
+	start := int(c.rr.Add(1)) % len(nodes)
+	var refused []shardResult[T]
+	for off := range nodes {
+		n := nodes[(start+off)%len(nodes)]
+		var out T
+		err := n.client.DoBody(ctx, "POST", path, body, &out)
+		if err == nil {
+			c.noteSuccess(n)
+			if degraded = c.partial(nodes, len(refused)); degraded {
+				c.noteDegraded(ctx)
+			}
+			return out, degraded, nil
+		}
+		c.shardFailure(n, err)
+		refused = append(refused, shardResult[T]{node: n, err: err})
+	}
+	return val, false, mergeFailure(refused, op)
+}
+
 // splitResults separates a fan-out into successes and failures.
 func splitResults[T any](rs []shardResult[T]) (ok []shardResult[T], failed []shardResult[T]) {
 	for _, r := range rs {
@@ -135,12 +187,11 @@ func (c *Cluster) ensureFitted(ctx context.Context, samples []dmsapi.Sample) err
 	}
 	ctx, sp := obs.StartSpan(ctx, "cluster_fit")
 	defer sp.End()
-	req := dmsapi.FitRequest{Samples: samples, K: c.cfg.BootstrapK}
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.FitResponse, error) {
-		var out dmsapi.FitResponse
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathFit, req, &out)
-		return out, err
-	})
+	rs, err := scatter[dmsapi.FitResponse](c, ctx, nodes, "POST", dmsapi.PathFit,
+		dmsapi.FitRequest{Samples: samples, K: c.cfg.BootstrapK})
+	if err != nil {
+		return err
+	}
 	ok, failed := splitResults(rs)
 	if len(ok) == 0 {
 		return mergeFailure(failed, "fit")
@@ -244,8 +295,12 @@ func (c *Cluster) Ingest(ctx context.Context, req dmsapi.IngestBatchRequest) (dm
 // lookup never depends on placement, only ingest balance does).
 func (c *Cluster) sendSubBatch(ctx context.Context, target int, sub dmsapi.IngestBatchRequest) (dmsapi.IngestBatchResponse, error) {
 	var out dmsapi.IngestBatchResponse
+	body, err := dmsapi.EncodeBody(sub) // once, whichever shard ends up taking it
+	if err != nil {
+		return out, err
+	}
 	n := c.nodes[target]
-	err := n.client.DoJSON(ctx, "POST", dmsapi.PathIngestBatch, sub, &out)
+	err = n.client.DoBody(ctx, "POST", dmsapi.PathIngestBatch, body, &out)
 	if err == nil {
 		c.noteSuccess(n)
 		return out, nil
@@ -263,7 +318,7 @@ func (c *Cluster) sendSubBatch(ctx context.Context, target int, sub dmsapi.Inges
 		c.reroutes.Add(1)
 		c.cfg.Logger.Warn("rerouting ingest sub-batch",
 			"docs", len(sub.Samples), "from_shard", target, "to_shard", alt.idx)
-		if err2 := alt.client.DoJSON(ctx, "POST", dmsapi.PathIngestBatch, sub, &out); err2 == nil {
+		if err2 := alt.client.DoBody(ctx, "POST", dmsapi.PathIngestBatch, body, &out); err2 == nil {
 			c.noteSuccess(alt)
 			return out, nil
 		} else {
@@ -278,74 +333,25 @@ func (c *Cluster) sendSubBatch(ctx context.Context, target int, sub dmsapi.Inges
 // ---------------------------------------------------------------------------
 // Fan-out reads
 
-// Certainty scatters the certainty computation and reduces by mean. The
-// clustering model is replicated and the computation is model-only, so
-// every shard returns the same value — the reduction is exact, and a
-// partial-failure merge (Degraded=true) still is.
+// Certainty asks one shard. The clustering model is replicated and the
+// computation is model-only, so every shard would return the same value;
+// Degraded records only that the membership was not whole, or that a
+// shard asked before the one that answered did not.
 func (c *Cluster) Certainty(ctx context.Context, req dmsapi.CertaintyRequest) (dmsapi.CertaintyResponse, error) {
-	nodes := c.healthyNodes()
-	if len(nodes) == 0 {
-		return dmsapi.CertaintyResponse{}, errNoShards("certainty")
-	}
 	ctx, sp := obs.StartSpan(ctx, "scatter_certainty")
 	defer sp.End()
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.CertaintyResponse, error) {
-		var out dmsapi.CertaintyResponse
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathCertainty, req, &out)
-		return out, err
-	})
-	ok, failed := splitResults(rs)
-	if len(ok) == 0 {
-		return dmsapi.CertaintyResponse{}, mergeFailure(failed, "certainty")
-	}
-	var sum float64
-	for _, r := range ok {
-		sum += r.val.Certainty
-	}
-	resp := dmsapi.CertaintyResponse{Certainty: sum / float64(len(ok)), Degraded: c.partial(nodes, len(failed))}
-	if resp.Degraded {
-		c.noteDegraded(ctx)
-	}
-	return resp, nil
+	resp, degraded, err := askOne[dmsapi.CertaintyResponse](c, ctx, "certainty", dmsapi.PathCertainty, req)
+	resp.Degraded = degraded
+	return resp, err
 }
 
-// PDF scatters the PDF computation and reduces by element-wise mean
-// (exact for agreeing replicated models, robust if a shard drifts).
+// PDF asks one shard, as Certainty does and for the same reason.
 func (c *Cluster) PDF(ctx context.Context, req dmsapi.PDFRequest) (dmsapi.PDFResponse, error) {
-	nodes := c.healthyNodes()
-	if len(nodes) == 0 {
-		return dmsapi.PDFResponse{}, errNoShards("pdf")
-	}
 	ctx, sp := obs.StartSpan(ctx, "scatter_pdf")
 	defer sp.End()
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.PDFResponse, error) {
-		var out dmsapi.PDFResponse
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathPDF, req, &out)
-		return out, err
-	})
-	ok, failed := splitResults(rs)
-	if len(ok) == 0 {
-		return dmsapi.PDFResponse{}, mergeFailure(failed, "pdf")
-	}
-	pdf := make([]float64, len(ok[0].val.PDF))
-	contrib := 0
-	for _, r := range ok {
-		if len(r.val.PDF) != len(pdf) {
-			continue // shard with a divergent K (missed bootstrap): skip
-		}
-		for i, p := range r.val.PDF {
-			pdf[i] += p
-		}
-		contrib++
-	}
-	for i := range pdf {
-		pdf[i] /= float64(contrib)
-	}
-	resp := dmsapi.PDFResponse{PDF: pdf, K: len(pdf), Degraded: c.partial(nodes, len(failed)) || contrib < len(ok)}
-	if resp.Degraded {
-		c.noteDegraded(ctx)
-	}
-	return resp, nil
+	resp, degraded, err := askOne[dmsapi.PDFResponse](c, ctx, "pdf", dmsapi.PathPDF, req)
+	resp.Degraded = degraded
+	return resp, err
 }
 
 // Nearest scatters nearest-neighbor matching and merges by per-sample
@@ -366,11 +372,7 @@ func (c *Cluster) Nearest(ctx context.Context, req dmsapi.NearestRequest) (dmsap
 	defer sp.End()
 
 	out := make([]dmsapi.Match, len(req.Samples))
-	taken := make(map[string]bool, len(req.Exclude))
 	exclude := append([]string(nil), req.Exclude...)
-	for _, id := range req.Exclude {
-		taken[id] = true
-	}
 	pending := make([]int, len(req.Samples))
 	for i := range pending {
 		pending[i] = i
@@ -388,11 +390,10 @@ func (c *Cluster) Nearest(ctx context.Context, req dmsapi.NearestRequest) (dmsap
 		for j, pos := range pending {
 			sub.Samples[j] = req.Samples[pos]
 		}
-		rs := fanOut(c, ctx, c.healthyNodes(), func(ctx context.Context, n *node) (dmsapi.NearestResponse, error) {
-			var o dmsapi.NearestResponse
-			err := n.client.DoJSON(ctx, "POST", dmsapi.PathNearest, sub, &o)
-			return o, err
-		})
+		rs, err := scatter[dmsapi.NearestResponse](c, ctx, c.healthyNodes(), "POST", dmsapi.PathNearest, sub)
+		if err != nil {
+			return dmsapi.NearestResponse{}, err
+		}
 		ok, failed := splitResults(rs)
 		if len(ok) == 0 {
 			return dmsapi.NearestResponse{}, mergeFailure(failed, "nearest")
@@ -434,7 +435,6 @@ func (c *Cluster) Nearest(ctx context.Context, req dmsapi.NearestRequest) (dmsap
 				break
 			}
 			roundTaken[m.DocID] = true
-			taken[m.DocID] = true
 			exclude = append(exclude, m.DocID)
 			out[pos] = m
 		}
@@ -473,12 +473,12 @@ func (c *Cluster) Lookup(ctx context.Context, req dmsapi.LookupRequest) (dmsapi.
 	ctx, sp := obs.StartSpan(ctx, "scatter_lookup")
 	defer sp.End()
 
-	draw := dmsapi.DrawRequest{Samples: req.Samples, Seed: c.cfg.Seed}
-	ok, failed := splitResults(fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.DrawResponse, error) {
-		var o dmsapi.DrawResponse
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathDraw, draw, &o)
-		return o, err
-	}))
+	draws, err := scatter[dmsapi.DrawResponse](c, ctx, nodes, "POST", dmsapi.PathDraw,
+		dmsapi.DrawRequest{Samples: req.Samples, Seed: c.cfg.Seed})
+	if err != nil {
+		return dmsapi.LookupResponse{}, err
+	}
+	ok, failed := splitResults(draws)
 	if len(ok) == 0 {
 		return dmsapi.LookupResponse{}, mergeFailure(failed, "lookup")
 	}
@@ -528,17 +528,22 @@ func (c *Cluster) Lookup(ctx context.Context, req dmsapi.LookupRequest) (dmsapi.
 		sort.Strings(drawOrder[k])
 	}
 
-	// Fetch the draws from their owners.
+	// Fetch the draws from their owners: the one round whose bodies differ
+	// by shard, each its own ID list.
 	var owners []*node
+	fetch := make(map[*node]dmsapi.Body)
 	for _, r := range agree {
 		if len(perShard[r.node]) > 0 {
 			owners = append(owners, r.node)
+			if fetch[r.node], err = dmsapi.EncodeBody(dmsapi.SamplesRequest{IDs: perShard[r.node], Partial: true}); err != nil {
+				return dmsapi.LookupResponse{}, err
+			}
 		}
 	}
 	fetched := make(map[string]dmsapi.Sample)
 	for _, r := range fanOut(c, ctx, owners, func(ctx context.Context, n *node) (dmsapi.SamplesResponse, error) {
 		var o dmsapi.SamplesResponse
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathSamples, dmsapi.SamplesRequest{IDs: perShard[n], Partial: true}, &o)
+		err := n.client.DoBody(ctx, "POST", dmsapi.PathSamples, fetch[n], &o)
 		return o, err
 	}) {
 		if r.err != nil || len(r.val.Missing) > 0 {
@@ -595,11 +600,10 @@ func (c *Cluster) AddModel(ctx context.Context, req dmsapi.AddModelRequest) (dms
 	}
 	ctx, sp := obs.StartSpan(ctx, "replicate_model")
 	defer sp.End()
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.ModelInfo, error) {
-		var out dmsapi.ModelInfo
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathModels, req, &out)
-		return out, err
-	})
+	rs, err := scatter[dmsapi.ModelInfo](c, ctx, nodes, "POST", dmsapi.PathModels, req)
+	if err != nil {
+		return dmsapi.ModelInfo{}, err
+	}
 	var firstErr error
 	accepted, duplicates := 0, 0
 	info := dmsapi.ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta}
@@ -642,11 +646,10 @@ func (c *Cluster) Models(ctx context.Context) (dmsapi.ModelsResponse, error) {
 	if len(nodes) == 0 {
 		return dmsapi.ModelsResponse{}, errNoShards("models")
 	}
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.ModelsResponse, error) {
-		var out dmsapi.ModelsResponse
-		err := n.client.DoJSON(ctx, "GET", dmsapi.PathModels, nil, &out)
-		return out, err
-	})
+	rs, err := scatter[dmsapi.ModelsResponse](c, ctx, nodes, "GET", dmsapi.PathModels, nil)
+	if err != nil {
+		return dmsapi.ModelsResponse{}, err
+	}
 	ok, failed := splitResults(rs)
 	if len(ok) == 0 {
 		return dmsapi.ModelsResponse{}, mergeFailure(failed, "models")
@@ -681,11 +684,10 @@ func (c *Cluster) Recommend(ctx context.Context, req dmsapi.RecommendRequest) (d
 	}
 	ctx, sp := obs.StartSpan(ctx, "scatter_recommend")
 	defer sp.End()
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.RecommendResponse, error) {
-		var out dmsapi.RecommendResponse
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathRecommend, req, &out)
-		return out, err
-	})
+	rs, err := scatter[dmsapi.RecommendResponse](c, ctx, nodes, "POST", dmsapi.PathRecommend, req)
+	if err != nil {
+		return dmsapi.RecommendResponse{}, err
+	}
 	ok, failed := splitResults(rs)
 	if len(ok) == 0 {
 		return dmsapi.RecommendResponse{}, mergeFailure(failed, "recommend")
@@ -770,12 +772,16 @@ func (c *Cluster) SubmitTrain(ctx context.Context, req dmsapi.TrainRequest) (dms
 	if len(nodes) == 0 {
 		return dmsapi.TrainJob{}, errNoShards("train")
 	}
+	body, err := dmsapi.EncodeBody(req)
+	if err != nil {
+		return dmsapi.TrainJob{}, err
+	}
 	start := int(c.rr.Add(1)) % len(nodes)
 	var lastErr error
 	for off := 0; off < len(nodes); off++ {
 		n := nodes[(start+off)%len(nodes)]
 		var job dmsapi.TrainJob
-		err := n.client.DoJSON(ctx, "POST", dmsapi.PathTrain, req, &job)
+		err := n.client.DoBody(ctx, "POST", dmsapi.PathTrain, body, &job)
 		if err == nil {
 			c.noteSuccess(n)
 			job.ID = trainPrefix(n.idx, job.ID)
@@ -832,11 +838,10 @@ func (c *Cluster) TrainJobs(ctx context.Context) (dmsapi.TrainListResponse, erro
 	if len(nodes) == 0 {
 		return dmsapi.TrainListResponse{}, errNoShards("train")
 	}
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.TrainListResponse, error) {
-		var out dmsapi.TrainListResponse
-		err := n.client.DoJSON(ctx, "GET", dmsapi.PathTrain, nil, &out)
-		return out, err
-	})
+	rs, err := scatter[dmsapi.TrainListResponse](c, ctx, nodes, "GET", dmsapi.PathTrain, nil)
+	if err != nil {
+		return dmsapi.TrainListResponse{}, err
+	}
 	ok, failed := splitResults(rs)
 	if len(ok) == 0 {
 		return dmsapi.TrainListResponse{}, mergeFailure(failed, "train")
@@ -863,11 +868,10 @@ func (c *Cluster) Health(ctx context.Context) (dmsapi.HealthResponse, error) {
 	if len(nodes) == 0 {
 		return dmsapi.HealthResponse{}, errNoShards("health")
 	}
-	rs := fanOut(c, ctx, nodes, func(ctx context.Context, n *node) (dmsapi.HealthResponse, error) {
-		var out dmsapi.HealthResponse
-		err := n.client.DoJSON(ctx, "GET", dmsapi.PathHealth, nil, &out)
-		return out, err
-	})
+	rs, err := scatter[dmsapi.HealthResponse](c, ctx, nodes, "GET", dmsapi.PathHealth, nil)
+	if err != nil {
+		return dmsapi.HealthResponse{}, err
+	}
 	ok, failed := splitResults(rs)
 	if len(ok) == 0 {
 		return dmsapi.HealthResponse{}, mergeFailure(failed, "health")
