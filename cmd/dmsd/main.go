@@ -8,8 +8,16 @@
 // The daemon wires a docstore backend (in-process, or a remote dstore via
 // -store), a fairds.Service with a deterministic lazily-initialized
 // embedder (input width is learned from the first ingested batch, and the
-// clustering module is bootstrap-fitted on it), and a fairms.Zoo that can
-// be snapshot-loaded at startup and is snapshot-saved at exit.
+// clustering module is bootstrap-fitted on it), and a fairms.Zoo.
+//
+// Everything the service knows is a document in that store: the labeled
+// samples in -collection, the fitted clustering model in
+// "<collection>.fit" and one document per zoo model in "<collection>.zoo",
+// each written before it is published in memory. With a store that outlives
+// the process (-wal-dir, or -store) a restart — clean or kill -9 — comes
+// back fitted, with every acknowledged model, and answers reads with no
+// client action; a restart under other -seed / -embed-* flags than the fit
+// was recorded under is refused. With neither, all three are memory only.
 //
 // At startup the daemon warms the in-process vector index from the store's
 // persisted embeddings (no embedder pass needed), so a daemon adopting a
@@ -38,7 +46,7 @@
 //
 // Usage:
 //
-//	dmsd [-addr host:port] [-store addr] [-collection name] [-zoo path]
+//	dmsd [-addr host:port] [-store addr] [-collection name] [-node-id id]
 //	     [-wal-dir path] [-fsync always|interval|off] [-compact-interval 1m]
 //	     [-k 8] [-embed-dim 8] [-embed-hidden 64] [-embed-scale 1]
 //	     [-seed 1] [-max-inflight 64] [-cache 128] [-max-batch 8192]
@@ -49,9 +57,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"io/fs"
+	"fmt"
 	"log"
 	"math/rand"
 	"os"
@@ -80,8 +87,9 @@ var logger *obs.Logger
 // batch arrives, because the input width is a property of the data (e.g.
 // 81 for 9×9 Bragg patches) and a daemon starts before seeing any. The
 // inner model is seeded deterministically, so two daemons configured alike
-// embed alike — which keeps stored embeddings comparable across restarts
-// as long as the store snapshot and the seed travel together.
+// embed alike — which keeps stored embeddings comparable across restarts.
+// Identity is what "configured alike" means: fairds records it in the fit
+// document and refuses to open a store recorded under another.
 type lazyEmbedder struct {
 	seed        int64
 	hidden, dim int
@@ -92,6 +100,10 @@ type lazyEmbedder struct {
 }
 
 func (l *lazyEmbedder) Dim() int { return l.dim }
+
+func (l *lazyEmbedder) Identity() string {
+	return fmt.Sprintf("autoencoder hidden=%d dim=%d scale=%g seed=%d", l.hidden, l.dim, l.scale, l.seed)
+}
 
 func (l *lazyEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
 	l.mu.Lock()
@@ -108,26 +120,6 @@ func (l *lazyEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
 	return e.Embed(x)
 }
 
-// walStatsWire converts the store's durability counters to their wire form.
-func walStatsWire(ws docstore.WalStats) dmsapi.WalStats {
-	return dmsapi.WalStats{
-		Enabled:          ws.Enabled,
-		Policy:           ws.Policy,
-		Appends:          ws.Appends,
-		AppendedBytes:    ws.AppendedBytes,
-		Syncs:            ws.Syncs,
-		Replays:          ws.Replays,
-		ReplayedRecords:  ws.ReplayedRecords,
-		ReplayedTxns:     ws.ReplayedTxns,
-		ReplaySkippedOps: ws.ReplaySkippedOps,
-		TornTruncations:  ws.TornTruncations,
-		CorruptRecords:   ws.CorruptRecords,
-		Rotations:        ws.Rotations,
-		Compactions:      ws.Compactions,
-		SegmentsRemoved:  ws.SegmentsRemoved,
-	}
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7718", "listen address")
 	storeAddr := flag.String("store", "", "external dstore address (empty = in-process store)")
@@ -136,7 +128,6 @@ func main() {
 	walDir := flag.String("wal-dir", "", "directory for WAL-durable in-process store (empty = memory only; incompatible with -store)")
 	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always (fsync per commit), interval (background fsync), off")
 	compactInterval := flag.Duration("compact-interval", time.Minute, "background WAL-into-checkpoint compaction period (0 = only at exit)")
-	zooPath := flag.String("zoo", "", "zoo snapshot to load at start and save at exit")
 	k := flag.Int("k", 8, "cluster count for the bootstrap fit on the first ingest")
 	embedDim := flag.Int("embed-dim", 8, "embedding dimensionality")
 	embedHidden := flag.Int("embed-hidden", 64, "embedder hidden width")
@@ -169,7 +160,11 @@ func main() {
 		*collection = *collection + "-" + *nodeID
 	}
 
+	// The zoo lives where the samples do: zooStore is the sibling
+	// collection "<collection>.zoo" of a store that outlives the process,
+	// and stays nil — a memory-only zoo — beside a memory-only store.
 	var backend fairds.DataStore
+	var zooStore fairms.Store
 	var storeClient *docstore.Client
 	var durable *docstore.DurableStore
 	switch {
@@ -183,7 +178,8 @@ func main() {
 		}
 		defer client.Close()
 		storeClient = client
-		backend = fairds.RemoteCollection{Client: client, Name: *collection}
+		remote := fairds.RemoteCollection{Client: client, Name: *collection}
+		backend, zooStore = remote, remote.Sibling(".zoo")
 		logger.Info("using external store", "store", *storeAddr, "collection", *collection)
 	case *walDir != "":
 		policy, err := wal.ParsePolicy(*fsyncPolicy)
@@ -197,7 +193,8 @@ func main() {
 		ws := durable.WalStats()
 		logger.Info("durable store opened", "dir", *walDir, "fsync", ws.Policy,
 			"replayed_txns", ws.ReplayedTxns, "torn", ws.TornTruncations, "corrupt", ws.CorruptRecords)
-		backend = durable.Collection(*collection)
+		col := durable.Collection(*collection)
+		backend, zooStore = col, col.Sibling(".zoo")
 	default:
 		backend = docstore.NewStore().Collection(*collection)
 	}
@@ -229,22 +226,13 @@ func main() {
 	}
 
 	zoo := fairms.NewZoo()
-	if *zooPath != "" {
-		// Only a missing file means "fresh start". Any other stat failure
-		// must abort: starting empty and then saving at exit would
-		// atomically replace a real snapshot we merely failed to see.
-		switch _, err := os.Stat(*zooPath); {
-		case err == nil:
-			zoo, err = fairms.LoadZoo(*zooPath)
-			if err != nil {
-				log.Fatalf("dmsd: loading zoo snapshot: %v", err)
-			}
-			logger.Info("zoo snapshot loaded", "path", *zooPath, "models", zoo.Len())
-		case errors.Is(err, fs.ErrNotExist):
-			logger.Info("no zoo snapshot, starting empty", "path", *zooPath)
-		default:
-			log.Fatalf("dmsd: checking zoo snapshot: %v", err)
+	if zooStore != nil {
+		if zoo, err = fairms.OpenZoo(zooStore); err != nil {
+			log.Fatalf("dmsd: opening model zoo: %v", err)
 		}
+	}
+	if ds.K() > 0 || zoo.Len() > 0 {
+		logger.Info("service state restored from the store", "k", ds.K(), "fit", ds.FitID(), "models", zoo.Len())
 	}
 
 	cfg := dmsapi.ServerConfig{
@@ -260,7 +248,7 @@ func main() {
 		Logger:        logger,
 	}
 	if durable != nil {
-		cfg.WalStats = func() dmsapi.WalStats { return walStatsWire(durable.WalStats()) }
+		cfg.WalStats = durable.WalStats
 	}
 	srv, err := dmsapi.NewServer(cfg)
 	if err != nil {
@@ -330,11 +318,5 @@ func main() {
 		if err := durable.Close(); err != nil {
 			logger.Error("closing durable store failed", "err", err)
 		}
-	}
-	if *zooPath != "" {
-		if err := zoo.Save(*zooPath); err != nil {
-			log.Fatalf("dmsd: saving zoo snapshot: %v", err)
-		}
-		logger.Info("zoo snapshot saved", "path", *zooPath, "models", zoo.Len())
 	}
 }

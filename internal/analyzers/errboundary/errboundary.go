@@ -15,10 +15,12 @@
 //  2. No http.Error: plain-text error bodies bypass the package's JSON
 //     error writer; every failure must go through the boundary's encoder.
 //  3. Sentinel coverage: for each known sentinel (fairds.ErrNotFitted,
-//     trainer.ErrQueueFull, trainer.ErrShutdown, fairms.ErrDuplicateID),
+//     trainer.ErrQueueFull, trainer.ErrShutdown, fairms.ErrDuplicateID,
+//     fairms.ErrStore),
 //     a package that calls error-returning functions of the sentinel's
 //     package must map it with errors.Is somewhere — deleting the mapping
-//     turns a typed 409/429/503 into an anonymous 500.
+//     turns a typed 409/429/503 into an anonymous 500, or a store fault
+//     into the caller's 400.
 //  4. Envelope writer only: an error status (WriteHeader with a constant
 //     >= 400) may be written only inside the envelope writer — a function
 //     named WriteStatusError, the one writer both serving tiers' request
@@ -58,6 +60,7 @@ var DefaultConfig = Config{
 		{PkgSuffix: "internal/trainer", Name: "ErrQueueFull", Status: "429 Too Many Requests"},
 		{PkgSuffix: "internal/trainer", Name: "ErrShutdown", Status: "503 Service Unavailable"},
 		{PkgSuffix: "internal/fairms", Name: "ErrDuplicateID", Status: "409 Conflict"},
+		{PkgSuffix: "internal/fairms", Name: "ErrStore", Status: "500 Internal Server Error"},
 		{PkgSuffix: "internal/obs", Name: "ErrDisabled", Status: "404 Not Found"},
 	},
 }

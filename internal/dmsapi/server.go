@@ -79,8 +79,9 @@ type ServerConfig struct {
 	EnablePprof bool
 	// WalStats, when non-nil, surfaces the durability counters of a
 	// WAL-backed document store on /statsz (the "wal" key) and /metricsz
-	// (the dms_wal_* families). The daemon installs it when it runs the
-	// store in WAL-durable mode; nil omits the surface entirely.
+	// (the dms_wal_* families) — docstore.DurableStore.WalStats fits as is.
+	// The daemon installs it when it runs the store in WAL-durable mode;
+	// nil omits the surface entirely.
 	WalStats func() WalStats
 	// Logger receives request failures (5xx at warn, 4xx at debug) and
 	// fit / training-job lifecycle events; nil silences them.
@@ -103,17 +104,19 @@ type Server struct {
 	// clustering model, everything else only reads it. fairms.Zoo locks
 	// internally and needs no guarding here.
 	dsMu sync.RWMutex
-	// clusterK mirrors DS.K() so /healthz never waits on dsMu — the
-	// bootstrap fit holds it exclusively for a full k-means run, and a
-	// liveness probe stalling exactly then would get the daemon killed
-	// mid-bootstrap.
+	// clusterK and fitID mirror DS.K() and DS.FitID() so /healthz never
+	// waits on dsMu — the bootstrap fit holds it exclusively for a full
+	// k-means run, and a liveness probe stalling exactly then would get the
+	// daemon killed mid-bootstrap.
 	clusterK atomic.Int64
+	fitID    atomic.Pointer[string]
 
 	cache *cache
 	// zooGen/clusterGen version the cache keyspace: adding a model
 	// invalidates recommend results, refitting clusters invalidates PDF
-	// results. Bumping the generation orphans stale entries, which age out
-	// of the LRU.
+	// results and — models of another fit no longer rank — recommend
+	// results too. Bumping the generation orphans stale entries, which age
+	// out of the LRU.
 	zooGen     atomic.Uint64
 	clusterGen atomic.Uint64
 
@@ -155,7 +158,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		start:    time.Now(),
 		cache:    newCache(max(cfg.CacheSize, 0)),
 	}
-	s.clusterK.Store(int64(cfg.DS.K()))
+	s.mirrorFit()
 	s.registerMetrics()
 
 	s.Handle("POST "+PathIngest, "data.ingest", 0, s.handleIngest)
@@ -385,9 +388,6 @@ func (s *Server) Stats() Stats {
 		ws = &snap
 	}
 	bi := buildInfo()
-	// IndexStats is atomically counted inside the data service, so no dsMu
-	// here — /statsz answers even during a bootstrap fit.
-	is := s.cfg.DS.IndexStats()
 	return Stats{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		GoVersion:     bi.goVersion,
@@ -397,16 +397,9 @@ func (s *Server) Stats() Stats {
 		Shed:          s.Shed(),
 		Requests:      s.Requests(),
 		Cache:         s.cache.stats(),
-		Index: IndexStats{
-			Enabled:     is.Enabled,
-			Ready:       is.Ready,
-			Size:        is.Size,
-			Hits:        is.Hits,
-			Misses:      is.Misses,
-			Probed:      is.Probed,
-			ListsProbed: is.ListsProbed,
-			Corrupt:     is.Corrupt,
-		},
+		// IndexStats is atomically counted inside the data service, so no
+		// dsMu here — /statsz answers even during a bootstrap fit.
+		Index:     s.cfg.DS.IndexStats(),
 		Train:     ts,
 		Wal:       ws,
 		Endpoints: s.EndpointStats(),
@@ -528,17 +521,34 @@ func (s *Server) ensureClusters(samples []*codec.Sample) error {
 	if s.cfg.DS.K() > 0 { // raced with another bootstrapper
 		return nil
 	}
+	return s.fitLocked("ingest", samples, s.cfg.BootstrapK)
+}
+
+// fitLocked fits the clustering model with k clusters on samples and
+// publishes the result to everything that mirrors it: the /healthz
+// mirrors and the cache generation. The caller holds dsMu's write side and
+// has checked the service is unfitted; op prefixes a 400.
+func (s *Server) fitLocked(op string, samples []*codec.Sample, k int) error {
 	x, err := fairds.Collate(samples)
 	if err != nil {
-		return errf(http.StatusBadRequest, "ingest: %v", err)
+		return errf(http.StatusBadRequest, "%s: %v", op, err)
 	}
-	if err := s.cfg.DS.FitClustersK(x, s.cfg.BootstrapK); err != nil {
+	if err := s.cfg.DS.FitClustersK(x, k); err != nil {
 		return serviceError(err)
 	}
-	s.clusterK.Store(int64(s.cfg.DS.K()))
+	s.mirrorFit()
 	s.clusterGen.Add(1)
-	s.cfg.Logger.Info("bootstrap-fitted clusters", "k", s.cfg.BootstrapK, "samples", len(samples))
+	s.cfg.Logger.Info("fitted clusters", "via", op, "k", k, "fit", s.cfg.DS.FitID(), "samples", len(samples))
 	return nil
+}
+
+// mirrorFit copies the data service's K and fit id into the lock-free
+// mirrors. Called at construction (a store that held a fit document starts
+// fitted) and under dsMu's write side after a fit.
+func (s *Server) mirrorFit() {
+	s.clusterK.Store(int64(s.cfg.DS.K()))
+	id := s.cfg.DS.FitID()
+	s.fitID.Store(&id)
 }
 
 func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
@@ -680,16 +690,9 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	if k := s.cfg.DS.K(); k > 0 {
 		return WriteBody(w, r, FitResponse{K: k})
 	}
-	x, err := fairds.Collate(samples)
-	if err != nil {
-		return errf(http.StatusBadRequest, "fit: %v", err)
+	if err := s.fitLocked("fit", samples, req.K); err != nil {
+		return err
 	}
-	if err := s.cfg.DS.FitClustersK(x, req.K); err != nil {
-		return serviceError(err)
-	}
-	s.clusterK.Store(int64(s.cfg.DS.K()))
-	s.clusterGen.Add(1)
-	s.cfg.Logger.Info("fitted clusters (explicit)", "k", req.K, "samples", len(samples))
 	return WriteBody(w, r, FitResponse{K: s.cfg.DS.K(), Fitted: true})
 }
 
@@ -757,16 +760,29 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "models: %v", err)
 	}
-	if err := s.cfg.Zoo.Add(req.ID, sd, req.PDF, req.Meta); err != nil {
-		// Only a duplicate ID is a conflict; everything else Add rejects
-		// (empty ID, invalid PDF) is a malformed request.
-		if errors.Is(err, fairms.ErrDuplicateID) {
+	// The fit key is the server's: whatever the client sent is dropped, and
+	// the model is stamped with the fit its PDF can only have come from.
+	meta := make(map[string]string, len(req.Meta)+1)
+	for k, v := range req.Meta {
+		meta[k] = v
+	}
+	delete(meta, fairms.MetaFit)
+	if fit := *s.fitID.Load(); fit != "" {
+		meta[fairms.MetaFit] = fit
+	}
+	if err := s.cfg.Zoo.Add(req.ID, sd, req.PDF, meta); err != nil {
+		switch {
+		case errors.Is(err, fairms.ErrDuplicateID):
 			return errc(http.StatusConflict, CodeConflict, "%v", err)
+		case errors.Is(err, fairms.ErrStore):
+			return serviceError(err) // the request was fine; the write was not
 		}
+		// Everything else Add rejects (empty ID, invalid PDF) is a
+		// malformed request.
 		return errf(http.StatusBadRequest, "%v", err)
 	}
 	s.zooGen.Add(1) // recommend results computed against the old zoo are stale
-	return WriteBody(w, r, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta})
+	return WriteBody(w, r, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: meta})
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) error {
@@ -789,14 +805,14 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	key := fmt.Sprintf("rec:%d:%s", s.zooGen.Load(), bodyHash(body))
+	key := fmt.Sprintf("rec:%d:%d:%s", s.zooGen.Load(), s.clusterGen.Load(), bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
 		var req RecommendRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, errf(http.StatusBadRequest, "recommend: decoding request: %v", err)
 		}
 		_, sp := obs.StartSpan(ctx, "zoo_rank")
-		ranked, err := s.cfg.Zoo.Rank(req.PDF)
+		ranked, err := s.cfg.Zoo.RankFit(*s.fitID.Load(), req.PDF)
 		sp.End()
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
@@ -959,6 +975,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	return WriteBody(w, r, HealthResponse{
 		Status:  "ok",
 		K:       int(s.clusterK.Load()),
+		Fit:     *s.fitID.Load(),
 		Models:  s.cfg.Zoo.Len(),
 		Samples: s.cfg.DS.StoreCount(),
 	})

@@ -25,6 +25,8 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
+	"fairdms/internal/docstore"
+	"fairdms/internal/fairds"
 	"fairdms/internal/obs"
 	"fairdms/internal/trainer"
 )
@@ -370,8 +372,12 @@ type TrainStats = trainer.Stats
 
 // HealthResponse is the body of GET /healthz.
 type HealthResponse struct {
-	Status  string `json:"status"`
-	K       int    `json:"k"`       // fitted cluster count (0 = awaiting bootstrap)
+	Status string `json:"status"`
+	K      int    `json:"k"` // fitted cluster count (0 = awaiting bootstrap)
+	// Fit is the id of the fitted clustering model (fairds.Service.FitID):
+	// empty while unfitted, equal on two processes exactly when they serve
+	// the same centroids.
+	Fit     string `json:"fit"`
 	Models  int    `json:"models"`  // zoo entries
 	Samples int    `json:"samples"` // labeled samples in the data store
 }
@@ -403,45 +409,15 @@ type Stats struct {
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 
-// WalStats reports the durability plane of a WAL-backed document store:
-// append/sync volume on the write path, replay/truncation counters from
-// the last recovery, and compaction progress (the wire form of
-// docstore.WalStats). TornTruncations and CorruptRecords count tails the
-// replayer cut off — nonzero after an unclean shutdown is expected,
-// growth during steady state is not.
-type WalStats struct {
-	Enabled          bool   `json:"enabled"`
-	Policy           string `json:"policy"` // fsync policy: always | interval | off
-	Appends          int64  `json:"appends"`
-	AppendedBytes    int64  `json:"appended_bytes"`
-	Syncs            int64  `json:"syncs"`
-	Replays          int64  `json:"replays"`
-	ReplayedRecords  int64  `json:"replayed_records"`
-	ReplayedTxns     int64  `json:"replayed_txns"`
-	ReplaySkippedOps int64  `json:"replay_skipped_ops"`
-	TornTruncations  int64  `json:"torn_truncations"`
-	CorruptRecords   int64  `json:"corrupt_records"`
-	Rotations        int64  `json:"rotations"`
-	Compactions      int64  `json:"compactions"`
-	SegmentsRemoved  int64  `json:"segments_removed"`
-}
+// WalStats reports the durability plane of a WAL-backed document store.
+// Like TrainStats it aliases the owning package's type — the json tags
+// live on docstore.WalStats — so a counter added there reaches /statsz
+// without a hand-kept mirror.
+type WalStats = docstore.WalStats
 
 // IndexStats reports the data service's vector-index coverage and
-// effectiveness (the wire form of fairds.IndexStats). Hits are
-// nearest-label queries answered by the in-process index, Misses fell back
-// to a store scan, and Corrupt counts observations of stored documents
-// whose embedding or cluster fields were unusable (a cold service
-// re-observes the same document on every scan).
-type IndexStats struct {
-	Enabled     bool  `json:"enabled"`
-	Ready       bool  `json:"ready"`
-	Size        int   `json:"size"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Probed      int64 `json:"probed"`
-	ListsProbed int64 `json:"lists_probed"`
-	Corrupt     int64 `json:"corrupt"`
-}
+// effectiveness; an alias of fairds.IndexStats for the same reason.
+type IndexStats = fairds.IndexStats
 
 // CacheStats reports coalescing-cache effectiveness.
 type CacheStats struct {

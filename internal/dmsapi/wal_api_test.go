@@ -26,21 +26,7 @@ func startDurableServer(t *testing.T) (*Server, *Client, *docstore.DurableStore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, client := startServer(t, ServerConfig{
-		DS: svc,
-		WalStats: func() WalStats {
-			w := ds.WalStats()
-			return WalStats{
-				Enabled: w.Enabled, Policy: w.Policy,
-				Appends: w.Appends, AppendedBytes: w.AppendedBytes, Syncs: w.Syncs,
-				Replays: w.Replays, ReplayedRecords: w.ReplayedRecords,
-				ReplayedTxns: w.ReplayedTxns, ReplaySkippedOps: w.ReplaySkippedOps,
-				TornTruncations: w.TornTruncations, CorruptRecords: w.CorruptRecords,
-				Rotations: w.Rotations, Compactions: w.Compactions,
-				SegmentsRemoved: w.SegmentsRemoved,
-			}
-		},
-	})
+	srv, client := startServer(t, ServerConfig{DS: svc, WalStats: ds.WalStats})
 	return srv, client, ds
 }
 

@@ -861,8 +861,9 @@ func (c *Cluster) TrainJobs(ctx context.Context) (dmsapi.TrainListResponse, erro
 // Health
 
 // Health aggregates shard health: sample counts sum across the
-// partition, the cluster count and zoo size are replicated maxima, and
-// the status degrades (not fails) while any shard is out.
+// partition, the cluster count and zoo size are replicated maxima, the
+// fit id is reported only while every answering shard serves the same
+// one, and the status degrades (not fails) while any shard is out.
 func (c *Cluster) Health(ctx context.Context) (dmsapi.HealthResponse, error) {
 	nodes := c.healthyNodes()
 	if len(nodes) == 0 {
@@ -876,8 +877,11 @@ func (c *Cluster) Health(ctx context.Context) (dmsapi.HealthResponse, error) {
 	if len(ok) == 0 {
 		return dmsapi.HealthResponse{}, mergeFailure(failed, "health")
 	}
-	out := dmsapi.HealthResponse{Status: "ok"}
+	out := dmsapi.HealthResponse{Status: "ok", Fit: ok[0].val.Fit}
 	for _, r := range ok {
+		if r.val.Fit != out.Fit {
+			out.Fit = ""
+		}
 		out.Samples += r.val.Samples
 		out.K = max(out.K, r.val.K)
 		out.Models = max(out.Models, r.val.Models)

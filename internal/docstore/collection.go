@@ -29,11 +29,14 @@ type Collection struct {
 	hashFields map[string]struct{} // guarded by idxMu
 	ordFields  map[string]struct{} // guarded by idxMu
 
-	// logger, when set, makes every write durable: single-document ops
-	// route through ApplyTxn and each commit becomes one WAL record.
-	// Installed once by DurableStore before the store is shared; nil on
-	// plain in-memory stores.
+	// logger, when set, makes every write durable: each ApplyTxn commit
+	// becomes one WAL record. Installed once by DurableStore before the
+	// store is shared; nil on plain in-memory stores.
 	logger commitLogger
+
+	// store is the Store this collection belongs to, set once by
+	// Store.Collection; it is how Sibling finds the other collections.
+	store *Store
 }
 
 // shard is one lock stripe: a slice of the document space plus its
@@ -141,6 +144,15 @@ func (c *Collection) forEachShard(fn func(i int, s *shard)) {
 
 // Name returns the collection's name.
 func (c *Collection) Name() string { return c.name }
+
+// Sibling returns the collection named Name()+suffix of the same store,
+// creating it if absent: where a service keeps the state that belongs to
+// this collection's documents (fairds its fitted clustering in ".fit", the
+// daemon its model zoo in ".zoo") so that it is logged, checkpointed and
+// recovered with them.
+func (c *Collection) Sibling(suffix string) *Collection {
+	return c.store.Collection(c.name + suffix)
+}
 
 // Count returns the number of stored documents.
 func (c *Collection) Count() int {
@@ -286,133 +298,28 @@ func (c *Collection) genID() string {
 
 // Insert stores a document. If id is empty a sequential one is assigned.
 // It returns the document's ID, or an error if the ID already exists or a
-// field type is unsupported.
+// field type is unsupported. Like InsertMany, Update and Delete it is a
+// one-line transaction: ApplyTxn is the collection's only write path, so
+// in-memory and durable stores have one set of semantics.
 func (c *Collection) Insert(id string, f Fields) (string, error) {
-	if c.logger != nil {
-		ids, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: id, F: f}})
-		if err != nil {
-			return "", err
-		}
-		return ids[0], nil
-	}
-	nf, err := normalizeFields(f)
+	ids, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: id, F: f}})
 	if err != nil {
 		return "", err
 	}
-	if id == "" {
-		id = c.genID()
-	}
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.docs[id]; exists {
-		return "", fmt.Errorf("docstore: duplicate id %q in collection %q", id, c.name)
-	}
-	d := &Doc{ID: id, F: nf}
-	s.docs[id] = d
-	if err := s.indexDocLocked(c.name, d); err != nil {
-		s.unindexDocLocked(d)
-		delete(s.docs, id)
-		return "", err
-	}
-	return id, nil
+	return ids[0], nil
 }
 
 // InsertMany stores a batch of documents under generated IDs, returning
-// them in order. Documents are grouped by shard and the groups inserted in
-// parallel, one lock acquisition per touched shard — the paper's "parallel
-// writes during the data update phase" fast path for bulk label ingestion.
-// On error the whole batch is rolled back, so the end state holds either
-// every document or none; this is not snapshot isolation, though —
-// concurrent readers may briefly observe part of a batch that is then
-// rolled back, since shard locks are released before the cross-shard
-// error check.
+// them in order — the paper's "parallel writes during the data update
+// phase" path for bulk label ingestion. The batch is one transaction (and
+// one WAL commit record on a durable store): either every document is
+// stored or none is, and no reader observes part of it.
 func (c *Collection) InsertMany(fs []Fields) ([]string, error) {
-	if c.logger != nil {
-		// Durable path: the batch is one transaction and one WAL commit
-		// record, which also upgrades it to snapshot isolation (readers
-		// never observe part of the batch).
-		ops := make([]TxnOp, len(fs))
-		for i, f := range fs {
-			ops[i] = TxnOp{Kind: TxnAdd, F: f}
-		}
-		ids, err := c.ApplyTxn(ops)
-		if err != nil {
-			return nil, err
-		}
-		return ids, nil
-	}
-	norm := make([]Fields, len(fs))
+	ops := make([]TxnOp, len(fs))
 	for i, f := range fs {
-		nf, err := normalizeFields(f)
-		if err != nil {
-			return nil, fmt.Errorf("docstore: batch item %d: %w", i, err)
-		}
-		norm[i] = nf
+		ops[i] = TxnOp{Kind: TxnAdd, F: f}
 	}
-	ids := make([]string, len(norm))
-	groups := make(map[*shard][]*Doc, len(c.shards))
-	for i, nf := range norm {
-		id := c.genID()
-		ids[i] = id
-		s := c.shardFor(id)
-		groups[s] = append(groups[s], &Doc{ID: id, F: nf})
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     []*shard // shards fully inserted, for rollback
-	)
-	var wg sync.WaitGroup
-	for s, docs := range groups {
-		wg.Add(1)
-		go func(s *shard, docs []*Doc) {
-			defer wg.Done()
-			s.mu.Lock()
-			var err error
-			var inserted []*Doc
-			for _, d := range docs {
-				s.docs[d.ID] = d
-				if err = s.indexDocLocked(c.name, d); err != nil {
-					s.unindexDocLocked(d)
-					delete(s.docs, d.ID)
-					break
-				}
-				inserted = append(inserted, d)
-			}
-			if err != nil {
-				// Roll back this shard's portion of the batch.
-				for _, d := range inserted {
-					s.unindexDocLocked(d)
-					delete(s.docs, d.ID)
-				}
-			}
-			s.mu.Unlock()
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				done = append(done, s)
-			}
-			mu.Unlock()
-		}(s, docs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		for _, s := range done {
-			s.mu.Lock()
-			for _, d := range groups[s] {
-				s.unindexDocLocked(d)
-				delete(s.docs, d.ID)
-			}
-			s.mu.Unlock()
-		}
-		return nil, firstErr
-	}
-	return ids, nil
+	return c.ApplyTxn(ops)
 }
 
 // Get returns a copy of the document with the given ID.
@@ -480,56 +387,14 @@ func (c *Collection) eachShardGroup(ids []string, fn func(s *shard, positions []
 // copy-on-write, so snapshots handed out by NewReadTxn keep observing
 // the pre-update value.
 func (c *Collection) Update(id string, f Fields) error {
-	if c.logger != nil {
-		_, err := c.ApplyTxn([]TxnOp{{Kind: TxnUpdate, ID: id, F: f}})
-		return err
-	}
-	nf, err := normalizeFields(f)
-	if err != nil {
-		return err
-	}
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return fmt.Errorf("docstore: id %q not found in collection %q", id, c.name)
-	}
-	merged := &Doc{ID: id, F: cloneFields(d.F)}
-	for k, v := range nf {
-		merged.F[k] = v
-	}
-	s.unindexDocLocked(d)
-	s.docs[id] = merged
-	if err := s.indexDocLocked(c.name, merged); err != nil {
-		// Roll the replacement back so a rejected update leaves the old
-		// document fully indexed and intact.
-		s.unindexDocLocked(merged)
-		s.docs[id] = d
-		if rerr := s.indexDocLocked(c.name, d); rerr != nil {
-			return fmt.Errorf("docstore: update rollback reindex: %w", rerr)
-		}
-		return err
-	}
-	return nil
+	_, err := c.ApplyTxn([]TxnOp{{Kind: TxnUpdate, ID: id, F: f}})
+	return err
 }
 
 // Delete removes a document.
 func (c *Collection) Delete(id string) error {
-	if c.logger != nil {
-		_, err := c.ApplyTxn([]TxnOp{{Kind: TxnDelete, ID: id}})
-		return err
-	}
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return fmt.Errorf("docstore: id %q not found in collection %q", id, c.name)
-	}
-	s.unindexDocLocked(d)
-	delete(s.docs, id)
-	return nil
+	_, err := c.ApplyTxn([]TxnOp{{Kind: TxnDelete, ID: id}})
+	return err
 }
 
 // Find returns copies of documents matching the query, using indexes when

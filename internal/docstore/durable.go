@@ -57,23 +57,28 @@ type DurableStore struct {
 	replaySkipped atomic.Int64
 }
 
-// WalStats is a point-in-time copy of a durable store's WAL counters,
-// surfaced on /statsz and /metricsz by the daemons.
+// WalStats is a point-in-time copy of a durable store's WAL counters:
+// append/sync volume on the write path, replay/truncation counters from
+// the last recovery, and compaction progress. It is also the "wal" block
+// of the daemons' /statsz (dmsapi.WalStats aliases it), so the json tags
+// are part of the wire contract. TornTruncations and CorruptRecords count
+// tails the replayer cut off — nonzero after an unclean shutdown is
+// expected, growth during steady state is not.
 type WalStats struct {
-	Enabled          bool
-	Policy           string
-	Appends          int64
-	AppendedBytes    int64
-	Syncs            int64
-	Replays          int64
-	ReplayedRecords  int64
-	ReplayedTxns     int64
-	ReplaySkippedOps int64
-	TornTruncations  int64
-	CorruptRecords   int64
-	Rotations        int64
-	Compactions      int64
-	SegmentsRemoved  int64
+	Enabled          bool   `json:"enabled"`
+	Policy           string `json:"policy"` // fsync policy: always | interval | off
+	Appends          int64  `json:"appends"`
+	AppendedBytes    int64  `json:"appended_bytes"`
+	Syncs            int64  `json:"syncs"`
+	Replays          int64  `json:"replays"`
+	ReplayedRecords  int64  `json:"replayed_records"`
+	ReplayedTxns     int64  `json:"replayed_txns"`
+	ReplaySkippedOps int64  `json:"replay_skipped_ops"`
+	TornTruncations  int64  `json:"torn_truncations"`
+	CorruptRecords   int64  `json:"corrupt_records"`
+	Rotations        int64  `json:"rotations"`
+	Compactions      int64  `json:"compactions"`
+	SegmentsRemoved  int64  `json:"segments_removed"`
 }
 
 // OpenDurable opens (or creates) a WAL-durable store in dir: it re-applies

@@ -1,8 +1,10 @@
 package docstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +116,11 @@ func equalIDs(a, b []string) bool {
 // with simulated crashes (Abort: the process dies without flushing) and
 // reopens interleaved, and asserts after every reopen that the replayed
 // store is byte-for-byte the in-memory model. With fsync=always a
-// committed op can never be lost, so equality is exact.
+// committed op can never be lost, so equality is exact. Beside the plain
+// collection the generator keeps the two kinds of document the services
+// store in its siblings — one fit document, replaced by delete-and-add in
+// one transaction, and model documents numbered by a monotonic seq — with
+// every slice-typed value of the normalized set between them.
 func TestQuickWALReplayMatchesModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		dir := t.TempDir()
@@ -127,9 +133,32 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 		model := map[string]int64{} // id → n
 		var ids []string
 		rng := rand.New(rand.NewSource(7))
+		var fit Fields             // the fit document, nil before the first fit
+		zoo := map[string]Fields{} // model documents by id
 
+		sameDocs := func(c *Collection, want map[string]Fields) bool {
+			if c.Count() != len(want) {
+				t.Logf("%s: count = %d; model has %d", c.Name(), c.Count(), len(want))
+				return false
+			}
+			for id, f := range want {
+				d, err := c.Get(id)
+				if err != nil || !reflect.DeepEqual(d.F, f) {
+					t.Logf("%s: doc %s = %v, %v; model wants %v", c.Name(), id, d, err, f)
+					return false
+				}
+			}
+			return true
+		}
 		check := func() bool {
 			c := ds.Collection("a")
+			fits := map[string]Fields{}
+			if fit != nil {
+				fits["current"] = fit
+			}
+			if !sameDocs(c.Sibling(".fit"), fits) || !sameDocs(c.Sibling(".zoo"), zoo) {
+				return false
+			}
 			if c.Count() != len(model) {
 				t.Logf("count = %d; model has %d", c.Count(), len(model))
 				return false
@@ -146,7 +175,37 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 
 		for _, op := range ops {
 			c := ds.Collection("a")
-			switch op % 8 {
+			switch op % 10 {
+			case 8: // publish a fit: the one document is replaced whole
+				k, dim := int64(op>>4%3+1), int64(2)
+				centers := make([]float64, k*dim)
+				for i := range centers {
+					centers[i] = float64(op) / float64(i+1)
+				}
+				f := Fields{"fit": fmt.Sprintf("%04x", op), "k": k, "dim": dim, "centers": centers, "fuzzifier": 2.0, "embedder": "e"}
+				txn := c.Sibling(".fit").NewTxn()
+				if fit != nil {
+					txn.Delete("current")
+				}
+				if _, err := txn.Add("current", f).Commit(); err != nil {
+					t.Logf("fit: %v", err)
+					return false
+				}
+				fit = f
+			case 9: // register a model
+				id := fmt.Sprintf("m%04d", len(zoo))
+				f := Fields{
+					"state": bytes.Repeat([]byte{byte(op)}, int(op>>4%64)+1), "pdf": []float64{0.25, 0.75},
+					"meta": []string{"epochs", fmt.Sprint(op)}, "fit": "", "added_at": int64(op), "seq": int64(len(zoo) + 1),
+				}
+				if fit != nil {
+					f["fit"] = fit["fit"]
+				}
+				if _, err := c.Sibling(".zoo").Insert(id, f); err != nil {
+					t.Logf("model: %v", err)
+					return false
+				}
+				zoo[id] = f
 			case 0, 1, 2: // insert
 				id := fmt.Sprintf("d%04d", len(ids))
 				n := int64(op >> 3)

@@ -33,6 +33,7 @@ func (s *Store) Collection(name string) *Collection {
 		return c
 	}
 	c = newCollection(name)
+	c.store = s
 	if s.onNew != nil {
 		s.onNew(c)
 	}

@@ -95,6 +95,12 @@ func (r RemoteCollection) ApplyTxn(ops []docstore.TxnOp) ([]string, error) {
 	return r.Client.ApplyTxn(r.Name, ops)
 }
 
+// Sibling names the collection Name+suffix on the same remote store — the
+// remote form of docstore.Collection.Sibling.
+func (r RemoteCollection) Sibling(suffix string) RemoteCollection {
+	return RemoteCollection{Client: r.Client, Name: r.Name + suffix}
+}
+
 // CountChecked is Count with the RPC error preserved, so callers that must
 // distinguish "empty" from "unreachable" (the New readiness decision) can.
 func (r RemoteCollection) CountChecked() (int, error) {
@@ -158,6 +164,12 @@ type Service struct {
 	km       *cluster.KMeans
 	wss      []float64 // WSS curve from the last SelectK run
 
+	// fits is where the fitted model is kept as a document (fit.go): the
+	// sibling collection "<collection>.fit" of store, nil when store cannot
+	// name one. fitID identifies km ("" while unfitted).
+	fits  fitStore
+	fitID string
+
 	// idx mirrors (doc ID, cluster, embedding) in process so nearest-label
 	// queries probe memory instead of scanning the store over the wire.
 	// idxReady reports whether the index covers the store: true from the
@@ -172,8 +184,12 @@ type Service struct {
 	corrupt   atomic.Int64 // stored embeddings rejected as corrupt
 }
 
-// New builds a data service over an embedder and a store. The clustering
-// model starts unset; call FitClusters (system plane) before lookups.
+// New builds a data service over an embedder and a store. A store that
+// holds a fit document (one a previous service over the same store
+// published) hands the clustering model back, so a restarted daemon answers
+// lookups with no client action; New refuses a document recorded under
+// another embedder. Otherwise the model starts unset: call FitClusters
+// (system plane) before lookups.
 func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error) {
 	if embedder == nil {
 		return nil, errors.New("fairds: nil embedder")
@@ -182,10 +198,15 @@ func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error)
 		return nil, errors.New("fairds: nil store")
 	}
 	cfg.defaults()
+	s := &Service{cfg: cfg, embedder: embedder, store: store, fits: siblingFitStore(store)}
+	// Read before the first write: a store this service must refuse is left
+	// exactly as found.
+	if err := s.restoreFit(); err != nil {
+		return nil, err
+	}
 	if err := store.CreateHashIndex("cluster"); err != nil {
 		return nil, fmt.Errorf("fairds: indexing cluster field: %w", err)
 	}
-	s := &Service{cfg: cfg, embedder: embedder, store: store}
 	if !cfg.DisableIndex {
 		s.idx = cfg.Index
 		if s.idx == nil {
@@ -254,7 +275,9 @@ func (s *Service) FitClusters(x *tensor.Tensor) error {
 		return fmt.Errorf("fairds: selecting K: %w", err)
 	}
 	_ = k
-	s.km = km
+	if err := s.publishFit(km); err != nil {
+		return err
+	}
 	s.wss = wss
 	return nil
 }
@@ -268,7 +291,9 @@ func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
 	if err != nil {
 		return fmt.Errorf("fairds: fitting %d clusters: %w", k, err)
 	}
-	s.km = km
+	if err := s.publishFit(km); err != nil {
+		return err
+	}
 	s.wss = nil
 	return nil
 }
@@ -866,7 +891,9 @@ func (s *Service) Reindex(k int) (int, error) {
 			return i, fmt.Errorf("fairds: reindex update %s: %w", id, err)
 		}
 	}
-	s.km = km
+	if err := s.publishFit(km); err != nil {
+		return len(ids), err
+	}
 	s.wss = nil
 
 	// The vector index is rebuilt from the same refreshed embeddings and

@@ -5,28 +5,32 @@
 // closest model as the foundation for fine-tuning. A user-defined JSD
 // threshold falls back to train-from-scratch when no historical model is
 // close enough (§II-C).
+//
+// A zoo opened over a document store (OpenZoo) keeps every model as one
+// document there — written before the model is published in memory, read
+// back in insertion order on the next open — so the zoo is logged,
+// checkpointed and recovered by whatever makes the store durable. NewZoo
+// is the store-less, memory-only form.
 package fairms
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"fairdms/internal/fsx"
+	"fairdms/internal/docstore"
 	"fairdms/internal/nn"
 	"fairdms/internal/stats"
 )
 
-// Reserved Meta keys written by the server-side trainer (internal/trainer)
-// when it registers a checkpoint — the model-provenance lineage of the
-// FAIR-for-HEDM follow-up. They travel inside Record.Meta, so any
-// Save/Load round trip preserves them; the typed accessors on Record read
-// them back.
+// Reserved Meta keys. The lineage keys are written by the server-side
+// trainer (internal/trainer) when it registers a checkpoint — the
+// model-provenance lineage of the FAIR-for-HEDM follow-up. They travel
+// inside Record.Meta, so a model document carries them across a restart;
+// the typed accessors on Record read them back.
 const (
 	// MetaParent is the zoo ID of the checkpoint this model was
 	// warm-started from ("" / absent for a cold start).
@@ -41,6 +45,12 @@ const (
 	// MetaWarmStart is "true" when the model was fine-tuned from a parent
 	// checkpoint and "false" for a from-scratch run.
 	MetaWarmStart = "warm_start"
+	// MetaFit is the id of the fitted clustering model the record's
+	// TrainPDF was computed under (fairds.Service.FitID) — what data regime
+	// the model's signature is valid for. It is stamped by whoever registers
+	// the model next to the data service (the dmsapi server, the trainer),
+	// never taken from a client; absent on a record registered without one.
+	MetaFit = "fit"
 )
 
 // Record is one zoo entry: a checkpoint plus the signature of the data it
@@ -66,6 +76,10 @@ func (r *Record) Epochs() (n int, ok bool) { return r.metaInt(MetaEpochs) }
 // lineage was recorded.
 func (r *Record) ConvergedAt() (epoch int, ok bool) { return r.metaInt(MetaConvergedAt) }
 
+// Fit returns the id of the clustering fit the record's TrainPDF was
+// computed under, or "" when none was recorded.
+func (r *Record) Fit() string { return r.Meta[MetaFit] }
+
 // WarmStarted reports whether the record is flagged as a warm start.
 func (r *Record) WarmStarted() bool { return r.Meta[MetaWarmStart] == "true" }
 
@@ -87,17 +101,115 @@ type Ranked struct {
 	JSD    float64
 }
 
+// Store is the slice of a document collection a zoo keeps its models in:
+// one commit and one query. *docstore.Collection and
+// fairds.RemoteCollection both satisfy it.
+type Store interface {
+	ApplyTxn(ops []docstore.TxnOp) ([]string, error)
+	Find(q docstore.Query) ([]*docstore.Doc, error)
+}
+
 // Zoo stores model records. Safe for concurrent use.
 type Zoo struct {
+	// addMu serializes Add from its duplicate check through the store
+	// commit to publication, so readers (which take only mu) never wait
+	// behind a store write.
+	addMu sync.Mutex
+	store Store // nil: memory only
+	seq   int64 // guarded by addMu; insertion sequence of the last model document
+
 	mu      sync.RWMutex
 	records map[string]*Record // guarded by mu
 	order   []string           // guarded by mu; insertion order for deterministic iteration
 	clock   func() time.Time
 }
 
-// NewZoo returns an empty zoo.
+// NewZoo returns an empty, memory-only zoo.
 func NewZoo() *Zoo {
 	return &Zoo{records: make(map[string]*Record), clock: time.Now}
+}
+
+// OpenZoo returns the zoo kept in store: every model document it holds,
+// in insertion order, and from then on every Add written through to it. A
+// document without weights, with an invalid PDF or with an undecodable
+// state fails the open with an error naming it; nothing is rewritten, so
+// the store is left exactly as found.
+func OpenZoo(store Store) (*Zoo, error) {
+	docs, err := store.Find(docstore.Query{SortBy: "seq"})
+	if err != nil {
+		return nil, fmt.Errorf("fairms: reading model documents: %w", err)
+	}
+	z := &Zoo{store: store, records: make(map[string]*Record, len(docs)), clock: time.Now}
+	for _, d := range docs {
+		r, seq, err := recordFromDoc(d)
+		if err != nil {
+			return nil, fmt.Errorf("fairms: model document %q: %w", d.ID, err)
+		}
+		//lint:ignore guardedby z is not yet shared
+		z.records[r.ID], z.order, z.seq = r, append(z.order, r.ID), max(z.seq, seq)
+	}
+	return z, nil
+}
+
+// modelDoc renders a record as the fields of its document. Meta travels as
+// alternating key, value strings (sorted by key, so equal records render
+// equal documents) with the fit id lifted into a field of its own.
+func modelDoc(r *Record, seq int64) (docstore.Fields, error) {
+	state, err := r.State.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, 0, len(r.Meta))
+	for k := range r.Meta {
+		if k != MetaFit {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	meta := make([]string, 0, 2*len(keys))
+	for _, k := range keys {
+		meta = append(meta, k, r.Meta[k])
+	}
+	return docstore.Fields{
+		"state":    state,
+		"pdf":      []float64(r.TrainPDF),
+		"meta":     meta,
+		"fit":      r.Fit(),
+		"added_at": r.AddedAt.UnixNano(),
+		"seq":      seq,
+	}, nil
+}
+
+// recordFromDoc is modelDoc's inverse, validating what it reads.
+func recordFromDoc(d *docstore.Doc) (*Record, int64, error) {
+	blob, _ := d.F["state"].([]byte)
+	if len(blob) == 0 {
+		return nil, 0, errors.New("no weights")
+	}
+	state, err := nn.StateDictFromBytes(blob)
+	if err != nil {
+		return nil, 0, err
+	}
+	pdf, _ := d.F["pdf"].([]float64)
+	if err := stats.PDF(pdf).Validate(); err != nil {
+		return nil, 0, err
+	}
+	pairs, _ := d.F["meta"].([]string)
+	if len(pairs)%2 != 0 {
+		return nil, 0, fmt.Errorf("meta holds %d strings, want key/value pairs", len(pairs))
+	}
+	meta := make(map[string]string, len(pairs)/2+1)
+	for i := 0; i < len(pairs); i += 2 {
+		meta[pairs[i]] = pairs[i+1]
+	}
+	if fit, _ := d.F["fit"].(string); fit != "" {
+		meta[MetaFit] = fit
+	}
+	addedAt, _ := d.F["added_at"].(int64)
+	seq, _ := d.F["seq"].(int64)
+	return &Record{
+		ID: d.ID, State: state, TrainPDF: pdf, Meta: meta, AddedAt: time.Unix(0, addedAt),
+	}, seq, nil
 }
 
 // ErrDuplicateID is wrapped by Add when the model ID is already taken,
@@ -105,9 +217,16 @@ func NewZoo() *Zoo {
 // "already registered" apart from validation failures.
 var ErrDuplicateID = errors.New("fairms: duplicate model id")
 
+// ErrStore is wrapped by Add when writing the model document failed: the
+// request was well-formed and the zoo does not hold the model — a server
+// fault (HTTP 500), and safe to retry.
+var ErrStore = errors.New("fairms: storing model failed")
+
 // Add registers a checkpoint under id with its training-data PDF. The PDF
 // must be a valid distribution; duplicate IDs are rejected with an error
-// wrapping ErrDuplicateID.
+// wrapping ErrDuplicateID. On a store-backed zoo the model document is
+// committed before the record is published, so a failed (ErrStore) or torn
+// write leaves the zoo without that id, never with half of one.
 func (z *Zoo) Add(id string, state *nn.StateDict, trainPDF stats.PDF, meta map[string]string) error {
 	if id == "" {
 		return errors.New("fairms: empty model id")
@@ -118,21 +237,38 @@ func (z *Zoo) Add(id string, state *nn.StateDict, trainPDF stats.PDF, meta map[s
 	if err := trainPDF.Validate(); err != nil {
 		return fmt.Errorf("fairms: model %q: %w", id, err)
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if _, dup := z.records[id]; dup {
-		return fmt.Errorf("%w: model %q already in zoo", ErrDuplicateID, id)
-	}
 	m := make(map[string]string, len(meta))
 	for k, v := range meta {
 		m[k] = v
 	}
-	z.records[id] = &Record{
+	r := &Record{
 		ID: id, State: state,
 		TrainPDF: append(stats.PDF(nil), trainPDF...),
 		Meta:     m, AddedAt: z.clock(),
 	}
+
+	z.addMu.Lock()
+	defer z.addMu.Unlock()
+	z.mu.RLock()
+	_, dup := z.records[id]
+	z.mu.RUnlock()
+	if dup {
+		return fmt.Errorf("%w: model %q already in zoo", ErrDuplicateID, id)
+	}
+	if z.store != nil {
+		f, err := modelDoc(r, z.seq+1)
+		if err != nil {
+			return fmt.Errorf("fairms: model %q: %w", id, err)
+		}
+		if _, err := z.store.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnAdd, ID: id, F: f}}); err != nil {
+			return fmt.Errorf("%w: model %q: %v", ErrStore, id, err)
+		}
+		z.seq++
+	}
+	z.mu.Lock()
+	z.records[id] = r
 	z.order = append(z.order, id)
+	z.mu.Unlock()
 	return nil
 }
 
@@ -161,11 +297,17 @@ func (z *Zoo) IDs() []string {
 	return append([]string(nil), z.order...)
 }
 
-// Rank scores every zoo model against the input PDF, ascending by JSD
-// (best foundation first). Ties break by insertion order for determinism.
-// PDFs of a different cluster count than the input are skipped: they were
-// indexed under an incompatible clustering generation.
-func (z *Zoo) Rank(input stats.PDF) ([]Ranked, error) {
+// Rank is RankFit with no fit named.
+func (z *Zoo) Rank(input stats.PDF) ([]Ranked, error) { return z.RankFit("", input) }
+
+// RankFit scores every compatible zoo model against the input PDF — a PDF
+// computed under the clustering fit named fit — ascending by JSD (best
+// foundation first); ties break by insertion order for determinism. A
+// record registered under another fit is skipped: its histogram counts
+// membership of other centroids, even when there are as many of them. When
+// either side names no fit, only the cluster count can tell, and PDFs of
+// another length than the input are skipped.
+func (z *Zoo) RankFit(fit string, input stats.PDF) ([]Ranked, error) {
 	if err := input.Validate(); err != nil {
 		return nil, fmt.Errorf("fairms: query PDF: %w", err)
 	}
@@ -174,6 +316,13 @@ func (z *Zoo) Rank(input stats.PDF) ([]Ranked, error) {
 	var out []Ranked
 	for _, id := range z.order {
 		r := z.records[id]
+		if fit != "" {
+			if rf := r.Fit(); rf != "" && rf != fit {
+				continue
+			}
+		}
+		// Also holds a same-fit record registered with a PDF of the wrong
+		// length (a client's mistake) away from JSDivergence, which panics.
 		if len(r.TrainPDF) != len(input) {
 			continue
 		}
@@ -220,83 +369,4 @@ func (z *Zoo) BestMedianWorst(input stats.PDF) (best, median, worst *Ranked, err
 	}
 	b, m, w := ranked[0], ranked[len(ranked)/2], ranked[len(ranked)-1]
 	return &b, &m, &w, nil
-}
-
-// ---------------------------------------------------------------------------
-// Persistence
-
-// zooSnapshot is the gob-serializable form.
-type zooSnapshot struct {
-	Order   []string
-	Records map[string]recordSnapshot
-}
-
-type recordSnapshot struct {
-	State    *nn.StateDict
-	TrainPDF []float64
-	Meta     map[string]string
-	AddedAt  time.Time
-}
-
-// Save writes the zoo to a file crash-safely via fsx.WriteAtomic: the
-// snapshot is encoded into path+".tmp", fsynced, and atomically renamed
-// over path (the same discipline as docstore.Store.Save), so a crash
-// mid-write leaves the previous snapshot intact instead of a truncated
-// file.
-func (z *Zoo) Save(path string) error {
-	z.mu.RLock()
-	snap := zooSnapshot{Order: append([]string(nil), z.order...), Records: make(map[string]recordSnapshot)}
-	for id, r := range z.records {
-		snap.Records[id] = recordSnapshot{
-			State: r.State, TrainPDF: r.TrainPDF, Meta: r.Meta, AddedAt: r.AddedAt,
-		}
-	}
-	z.mu.RUnlock()
-
-	if err := fsx.WriteAtomic(path, func(w io.Writer) error {
-		return encodeGob(w, &snap)
-	}); err != nil {
-		return fmt.Errorf("fairms: save: %w", err)
-	}
-	return nil
-}
-
-// LoadZoo reads a zoo written by Save. Truncated or otherwise corrupt
-// snapshots are rejected with an error — and since LoadZoo never writes,
-// the file at path is left exactly as found for forensics or retry.
-func LoadZoo(path string) (*Zoo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("fairms: load: %w", err)
-	}
-	defer f.Close()
-	var snap zooSnapshot
-	if err := decodeGob(f, &snap); err != nil {
-		return nil, fmt.Errorf("fairms: load decode: %w", err)
-	}
-	if len(snap.Order) != len(snap.Records) {
-		return nil, fmt.Errorf("fairms: snapshot order lists %d records, map holds %d",
-			len(snap.Order), len(snap.Records))
-	}
-	z := NewZoo()
-	for _, id := range snap.Order {
-		rs, ok := snap.Records[id]
-		if !ok {
-			return nil, fmt.Errorf("fairms: snapshot order references missing record %q", id)
-		}
-		if rs.State == nil {
-			return nil, fmt.Errorf("fairms: snapshot record %q has no weights", id)
-		}
-		if err := stats.PDF(rs.TrainPDF).Validate(); err != nil {
-			return nil, fmt.Errorf("fairms: snapshot record %q: %w", id, err)
-		}
-		//lint:ignore guardedby z is freshly built by NewZoo and not yet shared
-		z.records[id] = &Record{
-			ID: id, State: rs.State, TrainPDF: rs.TrainPDF,
-			Meta: rs.Meta, AddedAt: rs.AddedAt,
-		}
-		//lint:ignore guardedby z is freshly built by NewZoo and not yet shared
-		z.order = append(z.order, id)
-	}
-	return z, nil
 }

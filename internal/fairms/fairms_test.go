@@ -2,7 +2,6 @@ package fairms
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"fairdms/internal/nn"
@@ -92,6 +91,48 @@ func TestRankSkipsIncompatiblePDFLengths(t *testing.T) {
 	}
 }
 
+// TestRankFitSkipsOtherFits: two clusterings with the same K are still two
+// clusterings. A record registered under one fit is not ranked against a
+// PDF computed under another, whatever their lengths; a record or a query
+// that names no fit falls back to the length rule.
+func TestRankFitSkipsOtherFits(t *testing.T) {
+	z := NewZoo()
+	pdf := stats.PDF{0.5, 0.5}
+	z.Add("under-a", dummyState(1), pdf, map[string]string{MetaFit: "fit-a"})
+	z.Add("under-b", dummyState(2), pdf, map[string]string{MetaFit: "fit-b"})
+	z.Add("unnamed", dummyState(3), pdf, nil)
+	ids := func(fit string) []string {
+		ranked, err := z.RankFit(fit, stats.PDF{0.4, 0.6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range ranked {
+			out = append(out, r.Record.ID)
+		}
+		return out
+	}
+	for fit, want := range map[string][]string{
+		"fit-a": {"under-a", "unnamed"},
+		"fit-b": {"under-b", "unnamed"},
+		"fit-c": {"unnamed"},
+		"":      {"under-a", "under-b", "unnamed"},
+	} {
+		if got := ids(fit); len(got) != len(want) {
+			t.Errorf("RankFit(%q) = %v, want %v", fit, got, want)
+		} else {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("RankFit(%q) = %v, want %v", fit, got, want)
+				}
+			}
+		}
+	}
+	if r, _ := z.Get("under-a"); r.Fit() != "fit-a" {
+		t.Fatalf("Fit() = %q", r.Fit())
+	}
+}
+
 func TestRankRejectsInvalidQuery(t *testing.T) {
 	z := NewZoo()
 	if _, err := z.Rank(stats.PDF{2, 3}); err == nil {
@@ -148,46 +189,5 @@ func TestMetaIsCopied(t *testing.T) {
 	r, _ := z.Get("m")
 	if r.Meta["app"] != "braggnn" {
 		t.Fatal("zoo stored aliased metadata")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	z := NewZoo()
-	z.Add("m1", dummyState(1), stats.PDF{0.25, 0.75}, map[string]string{"ds": "scan-5"})
-	z.Add("m2", dummyState(2), stats.PDF{0.5, 0.5}, nil)
-
-	path := filepath.Join(t.TempDir(), "zoo.gob")
-	if err := z.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	z2, err := LoadZoo(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z2.Len() != 2 {
-		t.Fatalf("loaded %d records", z2.Len())
-	}
-	ids := z2.IDs()
-	if ids[0] != "m1" || ids[1] != "m2" {
-		t.Fatalf("order lost: %v", ids)
-	}
-	r, err := z2.Get("m1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Meta["ds"] != "scan-5" || r.TrainPDF[1] != 0.75 {
-		t.Fatalf("record corrupted: %+v", r)
-	}
-	// Weights survive the round trip: load them into a model.
-	rng := rand.New(rand.NewSource(9))
-	m := nn.Sequential(nn.NewLinear(rng, 2, 2))
-	if err := m.LoadState(r.State); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := LoadZoo(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Fatal("expected error")
 	}
 }

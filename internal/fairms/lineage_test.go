@@ -2,7 +2,6 @@ package fairms
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"fairdms/internal/nn"
@@ -69,10 +68,12 @@ func TestLineageAccessors(t *testing.T) {
 	}
 }
 
-// TestLineageRoundTrip asserts the reserved keys survive Save/Load intact.
+// TestLineageRoundTrip asserts the reserved keys survive the trip through a
+// model document and back intact.
 func TestLineageRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "zoo.gob")
-	z := NewZoo()
+	dir := t.TempDir()
+	ds, col := openStore(t, dir)
+	z := openZoo(t, col)
 	meta := map[string]string{
 		MetaParent:      "braggnn-scan03",
 		MetaEpochs:      "25",
@@ -83,14 +84,9 @@ func TestLineageRoundTrip(t *testing.T) {
 	if err := z.Add("m", lineageState(t), stats.PDF{0.25, 0.75}, meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadZoo(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := loaded.Get("m")
+	ds.Close()
+	_, col = openStore(t, dir)
+	rec, err := openZoo(t, col).Get("m")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,22 +2,24 @@ package fairms
 
 import (
 	"fmt"
-	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"fairdms/internal/stats"
 )
 
-// TestZooConcurrentUse hammers one zoo with concurrent Add, Recommend,
-// Rank, Get, IDs, and Save callers. The zoo is documented as safe for
-// concurrent use; under -race this test is what holds it to that.
+// TestZooConcurrentUse hammers one store-backed zoo with concurrent Add,
+// Recommend, Rank, Get, IDs and compaction callers. The zoo is documented
+// as safe for concurrent use; under -race this test is what holds it to
+// that — and to readers never needing the lock Add holds while it writes.
 func TestZooConcurrentUse(t *testing.T) {
-	z := NewZoo()
+	dir := t.TempDir()
+	ds, col := openStore(t, dir)
+	z := openZoo(t, col)
 	if err := z.Add("seed", dummyState(0), stats.PDF{0.5, 0.5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	query := stats.PDF{0.6, 0.4}
 
 	const workers = 8
@@ -57,10 +59,9 @@ func TestZooConcurrentUse(t *testing.T) {
 						}
 					}
 				case 4:
-					// Per-worker path: Save itself must tolerate concurrent
-					// mutation; distinct paths keep the tmp+rename dance of
-					// different workers from interleaving on one file.
-					if err := z.Save(filepath.Join(dir, fmt.Sprintf("zoo-%d.gob", w))); err != nil {
+					// A checkpoint cut while models are being added must
+					// lose none of them.
+					if err := ds.Compact(); err != nil {
 						errs <- err
 					}
 				}
@@ -73,18 +74,15 @@ func TestZooConcurrentUse(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Every successful Add is visible and every saved snapshot loads.
+	// Every successful Add is visible, and a reopen sees the same models
+	// in the same order.
 	want := 1 + workers*(iters/5) // seed + each worker's case-0 adds (i = 0,5,10,15,20 → 5 per worker)
 	if z.Len() != want {
 		t.Fatalf("zoo holds %d records, want %d", z.Len(), want)
 	}
-	for w := 0; w < workers; w++ {
-		loaded, err := LoadZoo(filepath.Join(dir, fmt.Sprintf("zoo-%d.gob", w)))
-		if err != nil {
-			t.Fatalf("snapshot from worker %d: %v", w, err)
-		}
-		if loaded.Len() == 0 {
-			t.Fatalf("worker %d snapshot is empty", w)
-		}
+	ds.Close()
+	_, col = openStore(t, dir)
+	if got := openZoo(t, col).IDs(); !reflect.DeepEqual(got, z.IDs()) {
+		t.Fatalf("reopened zoo lists %v, the live one %v", got, z.IDs())
 	}
 }

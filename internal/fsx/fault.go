@@ -74,6 +74,14 @@ func (f *FaultFS) Crash() {
 	f.crashLocked()
 }
 
+// FailWrites switches the plan's write fault on or off while the FS is in
+// use — a disk that fills up, and is then given room again.
+func (f *FaultFS) FailWrites(on bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.plan.FailWrites = on
+}
+
 // Crashed reports whether the simulated machine has crashed.
 func (f *FaultFS) Crashed() bool {
 	f.mu.Lock()

@@ -127,6 +127,10 @@ func TestFaultFSFailWrites(t *testing.T) {
 	if fs.Crashed() {
 		t.Fatal("FailWrites must not crash the machine")
 	}
+	fs.FailWrites(false)
+	if _, err := f.Write([]byte("x")); err != nil {
+		t.Fatalf("write after the fault cleared: %v", err)
+	}
 }
 
 func TestFaultFSRenameMovesDurabilityTracking(t *testing.T) {

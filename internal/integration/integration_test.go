@@ -1,6 +1,6 @@
 // Package integration exercises fairDMS across module boundaries the way a
 // deployment would: remote document store over TCP, self-supervised
-// embeddings, zoo persistence, workflow orchestration, and the end-to-end
+// embeddings, a zoo kept in that store, workflow orchestration, and the end-to-end
 // rapid-training path.
 package integration
 
@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -31,6 +30,17 @@ const patch = 9
 
 // buildRemoteSystem assembles a full fairDMS against a TCP docstore.
 func buildRemoteSystem(t *testing.T, faulty bool) (*core.System, [][]*codec.Sample, *rand.Rand) {
+	t.Helper()
+	sys, seq, rng, _ := buildRemoteSystemAndStore(t, faulty)
+	return sys, seq, rng
+}
+
+// buildRemoteSystemAndStore is buildRemoteSystem that also hands out the
+// remote sample collection, for tests that reopen what the system stored.
+// Over the healthy link the zoo is kept in the store too; the faulty link
+// keeps a memory-only zoo (the client's retry after a dropped connection
+// can re-send a commit that already applied — ROADMAP item 3).
+func buildRemoteSystemAndStore(t *testing.T, faulty bool) (*core.System, [][]*codec.Sample, *rand.Rand, fairds.RemoteCollection) {
 	t.Helper()
 	cfg := docstore.ServerConfig{}
 	if faulty {
@@ -66,7 +76,8 @@ func buildRemoteSystem(t *testing.T, faulty bool) (*core.System, [][]*codec.Samp
 	byol := embed.NewBYOL(rng, hx.Dim(1), 64, 8, aug.View, 0.95)
 	byol.Train(hx, embed.TrainConfig{Epochs: 10, BatchSize: 32, LR: 2e-3, Seed: 63})
 
-	ds, err := fairds.New(byol, fairds.RemoteCollection{Client: client, Name: "bragg"}, fairds.Config{Seed: 64})
+	store := fairds.RemoteCollection{Client: client, Name: "bragg"}
+	ds, err := fairds.New(byol, store, fairds.Config{Seed: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +89,11 @@ func buildRemoteSystem(t *testing.T, faulty bool) (*core.System, [][]*codec.Samp
 	}
 
 	zoo := fairms.NewZoo()
+	if !faulty {
+		if zoo, err = fairms.OpenZoo(store.Sibling(".zoo")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m := models.NewBraggNN(rng, patch)
 	hy := labelTensor(hist)
 	nn.Fit(m.Net, nn.NewAdam(m.Net.Params(), 2e-3), hx, m.Targets(hy), hx, m.Targets(hy),
@@ -86,7 +102,7 @@ func buildRemoteSystem(t *testing.T, faulty bool) (*core.System, [][]*codec.Samp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := zoo.Add("foundation", m.Net.State(), pdf, nil); err != nil {
+	if err := zoo.Add("foundation", m.Net.State(), pdf, map[string]string{fairms.MetaFit: ds.FitID()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,7 +110,7 @@ func buildRemoteSystem(t *testing.T, faulty bool) (*core.System, [][]*codec.Samp
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, seq, rng
+	return sys, seq, rng, store
 }
 
 func labelTensor(samples []*codec.Sample) *tensor.Tensor {
@@ -167,38 +183,54 @@ func mustTensors(t *testing.T, samples []*codec.Sample) (*tensor.Tensor, *tensor
 	return x, labelTensor(samples)
 }
 
+// TestZooPersistenceAcrossRestart: everything the services know is in the
+// store. A second data service and zoo opened over the same remote
+// collections — no snapshot saved, nothing refitted — serve the first
+// pair's clustering and models.
 func TestZooPersistenceAcrossRestart(t *testing.T) {
-	sys, seq, rng := buildRemoteSystem(t, false)
+	sys, seq, rng, store := buildRemoteSystemAndStore(t, false)
 	if _, _, err := sys.RapidTrain(braggRequest(rng, seq[3], "gen2")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "zoo.gob")
-	if err := sys.Zoo.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	// "Restart": reload the zoo and recommend for the same data.
-	zoo2, err := fairms.LoadZoo(path)
+	// "Restart": reopen both services over the store alone.
+	ds2, err := fairds.New(sys.DS.Embedder(), store, fairds.Config{Seed: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zoo2.Len() != 2 {
-		t.Fatalf("reloaded zoo has %d entries", zoo2.Len())
+	if ds2.K() != sys.DS.K() || ds2.FitID() == "" || ds2.FitID() != sys.DS.FitID() {
+		t.Fatalf("reopened data service: k=%d fit=%q, want k=%d fit=%q", ds2.K(), ds2.FitID(), sys.DS.K(), sys.DS.FitID())
+	}
+	zoo2, err := fairms.OpenZoo(store.Sibling(".zoo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := zoo2.IDs(); len(got) != 2 || got[0] != "foundation" || got[1] != "gen2" {
+		t.Fatalf("reopened zoo lists %v", got)
 	}
 	x, _ := mustTensors(t, seq[3])
-	pdf, err := sys.DS.DatasetPDF(x)
+	pdf, err := ds2.DatasetPDF(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := zoo2.Recommend(pdf)
+	want, err := sys.DS.DatasetPDF(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Record.ID != "gen2" {
-		t.Fatalf("reloaded zoo recommends %s, want the freshly trained gen2", rec.Record.ID)
+	for i := range want {
+		if pdf[i] != want[i] {
+			t.Fatalf("reopened data service computes PDF %v, the live one %v", pdf, want)
+		}
+	}
+	ranked, err := zoo2.RankFit(ds2.FitID(), pdf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ranked) == 0 || ranked[0].Record.ID != "gen2" {
+		t.Fatalf("reopened zoo ranks %v, want the freshly trained gen2 first", ranked)
 	}
 	// Reloaded weights are usable.
 	m := models.NewBraggNN(rng, patch)
-	if err := m.Net.LoadState(rec.Record.State); err != nil {
+	if err := m.Net.LoadState(ranked[0].Record.State); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -729,12 +729,14 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	}
 
 	// The dataset's cluster PDF — both the warm-start query key and the
-	// signature the finished checkpoint is registered under.
+	// signature the finished checkpoint is registered under — and, read
+	// under the same lock, the id of the fit it was computed under.
 	var pdf []float64
+	var fit string
 	pctx, sp := obs.StartSpan(ctx, "pdf")
 	err = m.readLocked(func() error {
 		p, err := m.cfg.DS.DatasetPDFContext(pctx, x)
-		pdf = p
+		pdf, fit = p, m.cfg.DS.FitID()
 		return err
 	})
 	sp.End()
@@ -750,9 +752,10 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	jsd := 0.0
 	if spec.MaxJSD > 0 {
 		_, sp := obs.StartSpan(ctx, "recommend")
-		rec, ok := m.cfg.Zoo.RecommendWithThreshold(pdf, spec.MaxJSD)
+		ranked, _ := m.cfg.Zoo.RankFit(fit, pdf) // pdf is the data service's own: valid
 		sp.End()
-		if ok {
+		if len(ranked) > 0 && ranked[0].JSD <= spec.MaxJSD {
+			rec := ranked[0]
 			if err := model.LoadState(rec.Record.State); err != nil {
 				m.cfg.Logger.Warn("foundation incompatible, cold-starting",
 					"job", j.status.ID, "foundation", rec.Record.ID, "err", err)
@@ -847,12 +850,16 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	if modelID == "" {
 		modelID = j.status.ID + "-model"
 	}
-	meta := make(map[string]string, len(spec.Meta)+4)
+	meta := make(map[string]string, len(spec.Meta)+5)
 	for k, v := range spec.Meta {
 		meta[k] = v
 	}
 	delete(meta, fairms.MetaParent)
 	delete(meta, fairms.MetaConvergedAt)
+	delete(meta, fairms.MetaFit)
+	if fit != "" {
+		meta[fairms.MetaFit] = fit
+	}
 	meta[fairms.MetaWarmStart] = strconv.FormatBool(warm)
 	meta[fairms.MetaEpochs] = strconv.Itoa(res.Epochs)
 	if warm {
