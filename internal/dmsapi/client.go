@@ -251,7 +251,7 @@ func (c *Client) TrainJobs() ([]TrainJob, error) {
 // TrainJob fetches one job's full status, including live loss curves.
 func (c *Client) TrainJob(id string) (TrainJob, error) {
 	var out TrainJob
-	err := c.getJSON(strings.Replace(PathTrainJob, "{id}", url.PathEscape(id), 1), &out)
+	err := c.getJSON(TrainJobPath(id, 0), &out)
 	return out, err
 }
 
@@ -263,17 +263,24 @@ func (c *Client) CancelTrain(id string) (TrainJob, error) {
 	return out, err
 }
 
-// WaitTrain polls a job until it reaches a terminal state or timeout
-// elapses (poll <= 0 uses 100ms). A 429 on a status poll means the
-// server shed the read under load, not that the job failed — the poll
-// just retries until the deadline.
+// WaitTrain waits until a job reaches a terminal state or timeout elapses.
+// It long-polls GET /v1/train/{id}?wait= with the time that remains (at
+// most MaxTrainWait, and half the client's request timeout, per request),
+// so the answer comes as the job finishes. A 429 means the server shed the
+// status read under load, not that the job failed: the wait retries poll
+// later (poll <= 0 uses 100ms) until the deadline.
 func (c *Client) WaitTrain(id string, poll, timeout time.Duration) (TrainJob, error) {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
 	deadline := time.Now().Add(timeout)
 	for {
-		job, err := c.TrainJob(id)
+		wait := min(time.Until(deadline), MaxTrainWait)
+		if c.hc.Timeout > 0 {
+			wait = min(wait, c.hc.Timeout/2)
+		}
+		var job TrainJob
+		err := c.getJSON(TrainJobPath(id, wait), &job)
 		if err != nil {
 			var se *StatusError
 			if errors.As(err, &se) && se.Code == http.StatusTooManyRequests && time.Now().Before(deadline) {
@@ -285,10 +292,9 @@ func (c *Client) WaitTrain(id string, poll, timeout time.Duration) (TrainJob, er
 		if job.Terminal() {
 			return job, nil
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return job, fmt.Errorf("dmsapi: train job %s still %s after %v", id, job.State, timeout)
 		}
-		time.Sleep(poll)
 	}
 }
 

@@ -219,10 +219,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// saturation), and a queued submission costs almost nothing while
 		// held. Cancels are exempt too — under overload, the one request
 		// that frees an expensive training worker must not be the one
-		// rejected. Status reads stay shed like any other read.
+		// rejected. So is a job's status: with wait= it is a long-poll that
+		// must not hold an admission slot while it sleeps.
 		s.Handle("POST "+PathTrain, "train.submit", ShedExempt, s.handleTrainSubmit)
 		s.Handle("GET "+PathTrain, "train.list", 0, s.handleTrainList)
-		s.Handle("GET "+PathTrainJob, "train.get", 0, s.handleTrainGet)
+		s.Handle("GET "+PathTrainJob, "train.get", ShedExempt, s.handleTrainGet)
 		s.Handle("POST "+PathTrainJob, "train.cancel", ShedExempt, s.handleTrainCancel)
 	}
 	return s, nil
@@ -915,8 +916,14 @@ func (s *Server) handleTrainList(w http.ResponseWriter, r *http.Request) error {
 	return WriteBody(w, r, resp)
 }
 
+// handleTrainGet serves GET /v1/train/{id}; with wait= it answers once the
+// job is terminal, the wait has passed or the client has gone.
 func (s *Server) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.trainer.Get(r.PathValue("id"))
+	wait, err := TrainWait(r)
+	if err != nil {
+		return err
+	}
+	st, err := s.trainer.Wait(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		return errf(http.StatusNotFound, "%v", err)
 	}

@@ -1,6 +1,7 @@
 package dmsapi
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -276,5 +277,120 @@ func TestTrainRejections(t *testing.T) {
 	}
 	if stats.Train != nil {
 		t.Fatal("/statsz train block present with training disabled")
+	}
+}
+
+// waitOvershoot bounds how long after a job's FinishedAt a wait= long-poll
+// may answer: the terminal transition wakes the handler directly, so the
+// answer takes a few ms; the 100 ms poll it replaces could take all of it.
+const waitOvershoot = 50 * time.Millisecond
+
+// TestTrainWaitAnswersAtFinish: a GET /v1/train/{id}?wait= that is waiting
+// when the job finishes answers with the terminal status within a few ms
+// of FinishedAt, both for a job that runs to done and one cancelled
+// mid-wait; and the wait holds no admission slot, so with MaxInFlight 1 an
+// ordinary read still gets through beside it.
+func TestTrainWaitAnswersAtFinish(t *testing.T) {
+	_, client := startServer(t, ServerConfig{TrainWorkers: 1, MaxInFlight: 1})
+	if _, err := client.Ingest("scan-00", trainMeanSamples(4, 64)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(id string) (job TrainJob, sent, seen time.Time) {
+		t.Helper()
+		sent = time.Now()
+		if err := client.getJSON(TrainJobPath(id, MaxTrainWait), &job); err != nil {
+			t.Fatal(err)
+		}
+		seen = time.Now()
+		if !job.Terminal() {
+			t.Fatalf("job %s answered %s after %v, not terminal", id, job.State, seen.Sub(sent))
+		}
+		if job.FinishedAt.Before(sent) {
+			t.Fatalf("job %s finished before the wait began; lengthen it", id)
+		}
+		if over := seen.Sub(job.FinishedAt); over > waitOvershoot {
+			t.Fatalf("job %s: answered %v after it finished, want under %v", id, over, waitOvershoot)
+		}
+		return job, sent, seen
+	}
+
+	// Runs to done: a few hundred ms of epochs without a target loss.
+	done, err := client.SubmitTrain(TrainRequest{Dataset: "scan-00", Model: "mlp", Hidden: 16, Epochs: 3000, BatchSize: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job, _, _ := waitFor(done.ID); job.State != "done" {
+		t.Fatalf("job %s ended %s: %s", job.ID, job.State, job.Error)
+	}
+
+	// Runs until cancelled, which happens mid-wait.
+	long, err := client.SubmitTrain(TrainRequest{Dataset: "scan-00", Model: "mlp", Hidden: 16, Epochs: 10_000_000, BatchSize: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		if _, err := client.Models(); err != nil { // beside the wait, under MaxInFlight 1
+			t.Errorf("a read beside the long-poll: %v", err)
+		}
+		if _, err := client.CancelTrain(long.ID); err != nil {
+			t.Errorf("cancel: %v", err)
+		}
+	}()
+	if job, sent, seen := waitFor(long.ID); job.State != "canceled" || seen.Sub(sent) < 100*time.Millisecond {
+		t.Fatalf("job %s answered %s after %v", job.ID, job.State, seen.Sub(sent))
+	}
+}
+
+// TestTrainWaitUnknownAndMalformed: an unknown job is a 404 at once, not
+// after the wait; a wait that is not a duration is a 400.
+func TestTrainWaitUnknownAndMalformed(t *testing.T) {
+	_, client := startServer(t, ServerConfig{TrainWorkers: 1})
+	var se *StatusError
+	start := time.Now()
+	err := client.getJSON(TrainJobPath("job-404404", MaxTrainWait), &TrainJob{})
+	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("unknown job: want 404, got %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("unknown job answered after %v, want at once", d)
+	}
+	for _, q := range []string{"soon", "-1s"} {
+		if err := client.getJSON("/v1/train/job-000001?wait="+q, &TrainJob{}); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("wait=%s: want 400, got %v", q, err)
+		}
+	}
+}
+
+// TestTrainWaitFreesHandlerOnCancel: a client that gives up on a long-poll
+// frees the handler then, not at the end of the wait.
+func TestTrainWaitFreesHandlerOnCancel(t *testing.T) {
+	srv, client := startServer(t, ServerConfig{TrainWorkers: 1})
+	if _, err := client.Ingest("scan-00", trainMeanSamples(5, 64)); err != nil {
+		t.Fatal(err)
+	}
+	long, err := client.SubmitTrain(TrainRequest{Dataset: "scan-00", Model: "mlp", Hidden: 16, Epochs: 10_000_000, BatchSize: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.CancelTrain(long.ID) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- client.DoJSON(ctx, "GET", TrainJobPath(long.ID, MaxTrainWait), nil, &TrainJob{}) }()
+	busy := func() bool { return srv.InFlight() > 0 }
+	for deadline := time.Now().Add(5 * time.Second); !busy(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the long-poll never reached the handler")
+		}
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled long-poll returned %v", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); busy(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the handler still runs 2s after its client went away")
+		}
 	}
 }

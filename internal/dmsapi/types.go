@@ -22,6 +22,9 @@
 package dmsapi
 
 import (
+	"net/http"
+	"net/url"
+	"strings"
 	"time"
 
 	"fairdms/internal/codec"
@@ -361,6 +364,35 @@ func (j *TrainJob) Terminal() bool {
 // order, loss curves omitted.
 type TrainListResponse struct {
 	Jobs []TrainJob `json:"jobs"`
+}
+
+// MaxTrainWait caps the wait= long-poll of GET /v1/train/{id}.
+const MaxTrainWait = 10 * time.Second
+
+// TrainJobPath is the GET /v1/train/{id} path of a job; a wait of a
+// millisecond or more adds the wait= long-poll: the server answers once the
+// job is terminal or wait has passed, whichever is first.
+func TrainJobPath(id string, wait time.Duration) string {
+	path := strings.Replace(PathTrainJob, "{id}", url.PathEscape(id), 1)
+	if wait = wait.Round(time.Millisecond); wait > 0 {
+		path += "?wait=" + url.QueryEscape(wait.String())
+	}
+	return path
+}
+
+// TrainWait reads the wait= query parameter of GET /v1/train/{id}, a Go
+// duration such as 250ms, capped at MaxTrainWait; without one it is zero.
+// A malformed or negative one is a 400.
+func TrainWait(r *http.Request) (time.Duration, error) {
+	q := r.URL.Query().Get("wait")
+	if q == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q)
+	if err != nil || d < 0 {
+		return 0, errf(http.StatusBadRequest, "train: wait=%q is not a duration >= 0", q)
+	}
+	return min(d, MaxTrainWait), nil
 }
 
 // TrainStats reports the training subsystem's gauges: pool geometry,

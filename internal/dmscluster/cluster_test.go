@@ -600,7 +600,7 @@ func TestClusterTrainRouting(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		job, err = cluster.TrainJob(ctx, job.ID)
+		job, err = cluster.TrainJob(ctx, job.ID, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +610,6 @@ func TestClusterTrainRouting(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("train job %s stuck in state %s", job.ID, job.State)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	if job.State != "done" {
 		t.Fatalf("train job ended %s: %s", job.State, job.Error)

@@ -114,7 +114,7 @@ func newRouter(c *Cluster, cfg RouterConfig, maxBodyBytes int64) *Router {
 	rt.Handle("GET "+dmsapi.PathCheckpoint, "models.checkpoint", 0, rt.handleCheckpoint)
 	rt.Handle("POST "+dmsapi.PathTrain, "train.submit", 0, dmsapi.JSONHandler(c.SubmitTrain))
 	rt.Handle("GET "+dmsapi.PathTrain, "train.list", 0, rt.handleTrainList)
-	rt.Handle("GET "+dmsapi.PathTrainJob, "train.get", 0, rt.handleTrainGet)
+	rt.Handle("GET "+dmsapi.PathTrainJob, "train.get", dmsapi.ShedExempt, rt.handleTrainGet) // a wait= long-poll holds no admission slot
 	rt.Handle("POST "+dmsapi.PathTrainJob, "train.cancel", 0, rt.handleTrainCancel)
 	rt.Handle("GET "+dmsapi.PathHealth, "healthz", dmsapi.Meta, rt.handleHealth)
 	rt.Handle("GET "+dmsapi.PathStats, "statsz", dmsapi.Meta, rt.handleStats)
@@ -180,7 +180,12 @@ func (rt *Router) handleTrainList(w http.ResponseWriter, r *http.Request) error 
 }
 
 func (rt *Router) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
-	job, err := rt.cluster.TrainJob(r.Context(), r.PathValue("id"))
+	wait, err := dmsapi.TrainWait(r)
+	if err != nil {
+		//lint:ignore errboundary TrainWait's error is already the 400 *StatusError dmsd answers
+		return err
+	}
+	job, err := rt.cluster.TrainJob(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"fairdms/internal/dmsapi"
 	"fairdms/internal/docstore"
@@ -797,14 +798,16 @@ func (c *Cluster) SubmitTrain(ctx context.Context, req dmsapi.TrainRequest) (dms
 	return dmsapi.TrainJob{}, lastErr
 }
 
-// TrainJob fetches one job's status from its shard.
-func (c *Cluster) TrainJob(ctx context.Context, id string) (dmsapi.TrainJob, error) {
+// TrainJob fetches one job's status from its shard. A positive wait is
+// forwarded as the shard's wait= long-poll, at most half the per-shard
+// timeout so the shard answers before the exchange gives up.
+func (c *Cluster) TrainJob(ctx context.Context, id string, wait time.Duration) (dmsapi.TrainJob, error) {
 	n, raw, err := c.splitTrainID(id)
 	if err != nil {
 		return dmsapi.TrainJob{}, err
 	}
 	var job dmsapi.TrainJob
-	path := strings.Replace(dmsapi.PathTrainJob, "{id}", url.PathEscape(raw), 1)
+	path := dmsapi.TrainJobPath(raw, min(wait, c.cfg.Timeout/2))
 	if err := n.client.DoJSON(ctx, "GET", path, nil, &job); err != nil {
 		c.shardFailure(n, err)
 		return dmsapi.TrainJob{}, err

@@ -45,18 +45,18 @@ func newFineTuneJob(tb testing.TB, epochs int) *fineTuneJob {
 }
 
 // run is an in-process replica of one fine-tune's fit: BraggNN on 15×15
-// patches from the foundation's weights, batch 16, j.epochs epochs (the job's
-// 10 in the benchmark) of Adam at the fine-tune rate; 410 = 25×16 + 10, so
-// every epoch ends on a short batch.
-// It returns the final weights' bytes.
-func (j *fineTuneJob) run(tb testing.TB) []byte {
+// patches from the foundation's weights, j.epochs epochs (the job's 10 in
+// the benchmark) of Adam at the fine-tune rate over mini-batches of batch
+// rows (the job's 16; 410 = 25×16 + 10, so every epoch ends on a short
+// batch). It returns the final weights' bytes.
+func (j *fineTuneJob) run(tb testing.TB, batch int) []byte {
 	tb.Helper()
 	m := NewBraggNN(rand.New(rand.NewSource(27)), 15)
 	if err := m.Net.LoadState(j.foundation); err != nil {
 		tb.Fatal(err)
 	}
 	nn.Fit(m.Net, nn.NewAdam(m.Net.Params(), 2e-4), j.x, j.y, j.valX, j.valY, nn.TrainConfig{
-		Epochs: j.epochs, BatchSize: 16, Seed: 28,
+		Epochs: j.epochs, BatchSize: batch, Seed: 28,
 	})
 	raw, err := m.Net.State().Bytes()
 	if err != nil {
@@ -70,27 +70,32 @@ func BenchmarkFineTune(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.run(b)
+		j.run(b, 16)
 	}
 }
 
 // TestFitIsWorkerCountIndependent pins the determinism contract of a fit:
-// any blocking of partial sums is a function of the batch size, never of the
-// worker count, so the final weights are the same bytes at GOMAXPROCS 1, 2
-// and 8 and from one run to the next.
+// how a step is cut into blocks is a function of the batch size and the
+// model, never of the worker count, so the final weights are the same bytes
+// at GOMAXPROCS 1, 2 and 8 and from one run to the next. BraggNN's dropout
+// is on. The batch sizes cover one block (1, and 7 with its short batch of
+// 4), two even blocks (16, and its short batch of 10 as two of 5) and
+// uneven ones (33 as 6+7+6+7+7, its short batch of 14 as two of 7).
 func TestFitIsWorkerCountIndependent(t *testing.T) {
-	j := newFineTuneJob(t, 3) // three epochs hold the short batches and the evals; -race runs this too
+	j := newFineTuneJob(t, 2) // two epochs hold the short batches and an eval after a trained epoch; -race runs this ten times
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want []byte
-	for _, procs := range []int{1, 2, 8, 1} {
-		runtime.GOMAXPROCS(procs)
-		got := j.run(t)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("final StateDict at GOMAXPROCS=%d differs from the first run's", procs)
+	for _, batch := range []int{1, 7, 16, 33} {
+		var want []byte
+		for _, procs := range []int{1, 2, 8, 1} {
+			runtime.GOMAXPROCS(procs)
+			got := j.run(t, batch)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("batch %d: final StateDict at GOMAXPROCS=%d differs from the first run's", batch, procs)
+			}
 		}
 	}
 }

@@ -95,7 +95,9 @@ func (c *Conv2d) forwardSample(img, col, orow []float64) {
 // Backward accumulates weight/bias gradients and returns the input gradient.
 // Samples run in order and their products land directly in the gradient
 // accumulators, so the sums are the same at any GOMAXPROCS.
-func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+func (c *Conv2d) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	if c.out == nil {
 		panic("nn: Conv2d.Backward before Forward")
 	}
@@ -103,9 +105,11 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkGrad("Conv2d", grad, n, c.OutFeatures())
 	colRows, colCols := c.colShape()
 	colLen := colRows * colCols
-	c.dcol = grown(c.dcol, colLen)
-	c.dx = tensor.Reuse2D(c.dx, n, c.InFeatures())
-	clear(c.dx.Data())
+	if needInput {
+		c.dcol = grown(c.dcol, colLen)
+		c.dx = tensor.Reuse2D(c.dx, n, c.InFeatures())
+		clear(c.dx.Data())
+	}
 	w, dw, db := c.w.Value.Data(), c.w.Grad.Data(), c.b.Grad.Data()
 	for i := 0; i < n; i++ {
 		g := grad.Row(i) // outC × colCols
@@ -118,14 +122,23 @@ func (c *Conv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			db[oc] += s
 		}
-		tensor.MatMulTransAInto(c.dcol, w, g, colRows, c.OutC, colCols, false)
-		tensor.Col2Im(c.dcol, c.Dims, c.dx.Row(i))
+		if needInput {
+			tensor.MatMulTransAInto(c.dcol, w, g, colRows, c.OutC, colCols, false)
+			tensor.Col2Im(c.dcol, c.Dims, c.dx.Row(i))
+		}
+	}
+	if !needInput {
+		return nil
 	}
 	return c.dx
 }
 
 // Params returns the kernel and bias parameters.
 func (c *Conv2d) Params() []*Param { return []*Param{c.w, c.b} }
+
+func (c *Conv2d) replica() Layer {
+	return &Conv2d{Dims: c.Dims, OutC: c.OutC, w: c.w.replica(), b: c.b.replica()}
+}
 
 // MaxPool2d is a 2-D max pooling layer over (batch, C*H*W) inputs.
 type MaxPool2d struct {
@@ -231,3 +244,7 @@ func (p *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil: pooling has no parameters.
 func (p *MaxPool2d) Params() []*Param { return nil }
+
+func (p *MaxPool2d) replica() Layer {
+	return &MaxPool2d{C: p.C, H: p.H, W: p.W, Size: p.Size, window: p.window}
+}

@@ -49,7 +49,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward accumulates dW = xᵀ·g, db = Σg and returns dX = g·Wᵀ.
-func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor { return l.backward(grad, true) }
+
+func (l *Linear) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	if l.lastX == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
@@ -63,6 +65,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			db[j] += g
 		}
 	}
+	if !needInput {
+		return nil
+	}
 	l.dx = tensor.Reuse2D(l.dx, n, l.In)
 	tensor.MatMulTransBInto(l.dx.Data(), gd, l.w.Value.Data(), n, l.Out, l.In, false)
 	return l.dx
@@ -70,6 +75,10 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.w, l.b} }
+
+func (l *Linear) replica() Layer {
+	return &Linear{In: l.In, Out: l.Out, w: l.w.replica(), b: l.b.replica()}
+}
 
 // activation is the state the element-wise layers share: what Backward needs
 // from the last train-mode Forward (the input for the rectifiers, the output
@@ -137,6 +146,8 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
+func (r *ReLU) replica() Layer { return NewReLU() }
+
 // positive is 1 for v > 0 and 0 otherwise (NaN included). It compiles to a
 // flag-to-register move, so indexing a two-entry slope table with it (the
 // &1 at the call sites shows the compiler the index is in range) selects a
@@ -185,6 +196,8 @@ func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: LeakyReLU has no parameters.
 func (r *LeakyReLU) Params() []*Param { return nil }
 
+func (r *LeakyReLU) replica() Layer { return NewLeakyReLU(r.Alpha) }
+
 // Sigmoid is the logistic activation 1/(1+e^-x).
 type Sigmoid struct{ activation }
 
@@ -216,6 +229,8 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: Sigmoid has no parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
 
+func (s *Sigmoid) replica() Layer { return NewSigmoid() }
+
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct{ activation }
 
@@ -246,6 +261,8 @@ func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil: Tanh has no parameters.
 func (t *Tanh) Params() []*Param { return nil }
+
+func (t *Tanh) replica() Layer { return NewTanh() }
 
 // Dropout randomly zeroes activations with probability P during training,
 // scaling survivors by 1/(1-P) (inverted dropout). When MC is true the mask
@@ -321,6 +338,12 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: Dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
 
+// replica's generator is a placeholder: Fit seeds it from d's before every
+// step the replica trains in.
+func (d *Dropout) replica() Layer {
+	return &Dropout{P: d.P, MC: d.MC, rng: rand.New(rand.NewSource(0))}
+}
+
 // Identity passes input and gradient through unchanged. It is useful as a
 // structural placeholder (e.g. a pooling slot that a geometry doesn't need).
 type Identity struct{}
@@ -336,6 +359,8 @@ func (Identity) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }
 
 // Params returns nil: Identity has no parameters.
 func (Identity) Params() []*Param { return nil }
+
+func (Identity) replica() Layer { return NewIdentity() }
 
 // SetMC toggles Monte-Carlo mode on every Dropout layer in the model and
 // returns how many layers were affected.

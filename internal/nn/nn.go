@@ -30,7 +30,10 @@
 //     next Backward; a caller that wants either for longer clones it.
 //     Workspaces grow on demand and are re-shaped, not reallocated, when the
 //     batch size changes, so a warmed training step allocates nothing in the
-//     layers. One model instance therefore trains on one goroutine at a time.
+//     layers. One instance therefore trains on one goroutine at a time. Fit
+//     spreads a step over several by training on replicas: instances that
+//     share the model's parameter values but own their gradients and
+//     workspaces (see Fit).
 //   - An eval-mode Forward (train=false) returns a tensor the caller owns
 //     and writes no layer state, so any number of goroutines may run
 //     eval-mode forwards on one shared model (the embedding servers do) —
@@ -59,6 +62,10 @@ func newParam(name string, v *tensor.Tensor) *Param {
 	return &Param{Name: name, Value: v, Grad: tensor.New(v.Shape()...)}
 }
 
+// replica returns a parameter that shares p's value and has a gradient of
+// its own.
+func (p *Param) replica() *Param { return newParam(p.Name, p.Value) }
+
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() {
 	d := p.Grad.Data()
@@ -80,6 +87,18 @@ type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+
+	// replica returns a layer of the same geometry that shares this one's
+	// parameter values but owns its gradients and workspaces.
+	replica() Layer
+}
+
+// weighted is a layer with parameters. Its backward with needInput false
+// accumulates the parameter gradients, computes no input gradient and
+// returns nil; Backward is backward with needInput true.
+type weighted interface {
+	Layer
+	backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor
 }
 
 // Model is a sequential stack of layers.
@@ -98,6 +117,15 @@ func (m *Model) Append(layers ...Layer) *Model {
 
 // Layers returns the underlying layer slice (not a copy).
 func (m *Model) Layers() []Layer { return m.layers }
+
+// replica returns a model of replicas of m's layers.
+func (m *Model) replica() *Model {
+	layers := make([]Layer, len(m.layers))
+	for i, l := range m.layers {
+		layers[i] = l.replica()
+	}
+	return &Model{layers: layers}
+}
 
 // Forward runs the input through every layer.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -92,15 +92,17 @@ func NewAdamFull(params []*Param, lr, beta1, beta2, eps, weightDecay float64) *A
 }
 
 // Step applies one bias-corrected Adam update. Everything that does not
-// depend on the element is read or computed once, outside the loops; each
-// element still sees the same operations in the same order (the two bias
-// corrections stay divisions — a multiplication by 1/c rounds differently),
-// so the update is bit-identical to the textbook loop.
+// depend on the element is computed once, outside the loops, including the
+// two bias corrections: lr/c1 and 1/c2 turn the element's two divisions
+// into multiplications, w - m·(lr/c1)/(√(v·(1/c2))+ε). That rounds
+// differently from the textbook lr·(m/c1)/(√(v/c2)+ε): the moments are
+// the same bits, the update differs by a few ulps of its own size.
 func (a *Adam) Step() {
 	a.step++
 	c1 := 1 - math.Pow(a.beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.beta2, float64(a.step))
-	lr, eps, decay := a.lr, a.eps, a.decay
+	lrc1, ic2 := a.lr/c1, 1/c2
+	eps, decay := a.eps, a.decay
 	b1, b2 := a.beta1, a.beta2
 	nb1, nb2 := 1-b1, 1-b2
 	for i, p := range a.params {
@@ -113,7 +115,7 @@ func (a *Adam) Step() {
 			m := b1*md[j] + nb1*g
 			v := b2*vd[j] + nb2*g*g
 			md[j], vd[j] = m, v
-			wd[j] = w - lr*(m/c1)/(math.Sqrt(v/c2)+eps)
+			wd[j] = w - m*lrc1/(math.Sqrt(v*ic2)+eps)
 		}
 	}
 }

@@ -19,7 +19,11 @@ type TrainConfig struct {
 	Patience   int     // stop after this many epochs without val improvement (0 disables)
 	ClipNorm   float64 // gradient clipping threshold (0 disables)
 	Seed       int64   // shuffling seed
-	Loss       LossFunc
+	// Loss (default MSE) must be a row mean — the mean over the batch's
+	// rows of a per-row loss, as MSE, BCE and L1 are: Fit splits a batch
+	// into row blocks and weights each block's loss and gradient by its
+	// share of the rows, which adds up to the batch's only for a row mean.
+	Loss LossFunc
 
 	// OnEpoch, when set, receives each completed epoch (1-based) with its
 	// train and validation losses — the live progress feed of an async
@@ -75,6 +79,18 @@ func GatherInto(dst, x *tensor.Tensor, rows []int) *tensor.Tensor {
 // Fit trains the model on (x, y) with mini-batch gradient descent, evaluating
 // on (valX, valY) after each epoch. It returns per-epoch loss curves — the
 // raw material for the paper's Figs. 13–14 learning-curve comparisons.
+//
+// A step whose work reaches tensor.ForkWork is data-parallel: its batch is
+// cut into contiguous, near-equal blocks of about blockRows rows, which
+// train at once through tensor.ParallelWork — block 0 on the model, every
+// other block on a replica built once per call. A block runs forward, the
+// loss on its rows and backward, its loss and gradient weighted by its
+// share of the rows; after the join the caller adds the blocks' gradients
+// into the model's in block order and steps the optimizer. How a batch is
+// cut depends only on its size and the model's shapes, so the weights
+// after a fit are the same bytes at any GOMAXPROCS. A Dropout draws from
+// its own generator in block 0 and, in every other block, from a generator
+// seeded from that one on the caller before the fork.
 func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg TrainConfig) *TrainResult {
 	if cfg.Loss == nil {
 		cfg.Loss = MSE
@@ -88,11 +104,7 @@ func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg Train
 	for i := range perm {
 		perm[i] = i
 	}
-
-	// Every mini-batch is gathered into the same two tensors; with the
-	// layers' workspaces that makes a warmed step allocation-free apart from
-	// what the loss function returns.
-	var bx, by *tensor.Tensor
+	steps := newStepper(model, cfg.BatchSize, cfg.Loss)
 
 	res := &TrainResult{}
 	bestVal := math.Inf(1)
@@ -110,12 +122,8 @@ func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg Train
 			if hi > n {
 				hi = n
 			}
-			bx = GatherInto(bx, x, perm[lo:hi])
-			by = GatherInto(by, y, perm[lo:hi])
 			opt.ZeroGrad()
-			pred := model.Forward(bx, true)
-			loss, grad := cfg.Loss(pred, by)
-			model.Backward(grad)
+			loss := steps.step(x, y, perm[lo:hi])
 			if cfg.ClipNorm > 0 {
 				ClipGradNorm(model, cfg.ClipNorm)
 			}
@@ -162,4 +170,150 @@ func Evaluate(model *Model, x, y *tensor.Tensor, loss LossFunc) float64 {
 	pred := model.Forward(x, false)
 	l, _ := loss(pred, y)
 	return l
+}
+
+// blockRows is the row count Fit cuts a forking step's batch into: eight
+// BraggNN samples are ≈ 0.5 ms of work, ten times the ≈ 50 µs a goroutine
+// fork and join costs on a 2-vCPU host, where a fork per operation inside
+// a step (blocks of ≈ 25 µs) loses.
+const blockRows = 8
+
+// stepper runs Fit's training steps.
+type stepper struct {
+	loss    LossFunc
+	rowWork int              // see rowWork
+	blocks  []*block         // blocks[0] trains the model, the others replicas
+	run     func(lo, hi int) // runBlocks, bound once so a step does not allocate it
+
+	// The step in flight: the dataset, the rows of its batch, and how many
+	// blocks they are cut into.
+	x, y    *tensor.Tensor
+	rows    []int
+	nblocks int
+}
+
+// block is one row block's training state.
+type block struct {
+	net    *Model
+	params []*Param
+	first  int           // index of net's first layer with parameters (len(layers) if none)
+	drops  [][2]*Dropout // (the model's, net's) Dropout pairs; none for the model itself
+	x, y   *tensor.Tensor
+	loss   float64 // the last step's loss on the block, weighted by its share of the rows
+}
+
+func newStepper(model *Model, batch int, loss LossFunc) *stepper {
+	s := &stepper{loss: loss, rowWork: rowWork(model)}
+	s.run = s.runBlocks
+	s.blocks = []*block{newBlock(model, nil)}
+	for range s.blockCount(batch) - 1 {
+		s.blocks = append(s.blocks, newBlock(model.replica(), model))
+	}
+	return s
+}
+
+// newBlock returns the block that trains net, a replica of model (nil when
+// net is the model).
+func newBlock(net, model *Model) *block {
+	b := &block{net: net, params: net.Params(), first: len(net.layers)}
+	for i, l := range net.layers {
+		if _, ok := l.(weighted); ok {
+			b.first = i
+			break
+		}
+	}
+	if model != nil {
+		for i, l := range net.layers {
+			if d, ok := l.(*Dropout); ok {
+				b.drops = append(b.drops, [2]*Dropout{model.layers[i].(*Dropout), d})
+			}
+		}
+	}
+	return b
+}
+
+// rowWork is the multiply-adds one row costs a training step: every layer
+// with weights runs a forward product, a weight-gradient product and an
+// input-gradient product of the same size. The element-wise layers are
+// small beside them and left out.
+func rowWork(m *Model) int {
+	w := 0
+	for _, l := range m.layers {
+		switch l := l.(type) {
+		case *Linear:
+			w += l.In * l.Out
+		case *Conv2d:
+			rows, cols := l.colShape()
+			w += l.OutC * rows * cols
+		}
+	}
+	return 3 * w
+}
+
+// blockCount is how many blocks a step over rows rows is cut into: one
+// while the step's work stays under tensor.ForkWork, one per blockRows rows
+// (rounded up) from there.
+func (s *stepper) blockCount(rows int) int {
+	if rows*s.rowWork < tensor.ForkWork {
+		return 1
+	}
+	return (rows + blockRows - 1) / blockRows
+}
+
+// step trains on the rows of (x, y) that rows names, accumulating into the
+// model's gradients, and returns the batch's loss.
+func (s *stepper) step(x, y *tensor.Tensor, rows []int) float64 {
+	s.x, s.y, s.rows = x, y, rows
+	s.nblocks = s.blockCount(len(rows))
+	used := s.blocks[:s.nblocks]
+	for _, b := range used[1:] {
+		for _, d := range b.drops {
+			d[1].rng.Seed(d[0].rng.Int63())
+		}
+	}
+	tensor.ParallelWork(s.nblocks, len(rows)*s.rowWork, s.run)
+
+	loss := used[0].loss
+	for _, b := range used[1:] {
+		loss += b.loss
+		for i, p := range b.params {
+			dst, src := used[0].params[i].Grad.Data(), p.Grad.Data()
+			for j, g := range src {
+				dst[j] += g
+				src[j] = 0 // the replica's next step starts from zero
+			}
+		}
+	}
+	return loss
+}
+
+// runBlocks trains blocks [lo, hi) of the step in flight.
+func (s *stepper) runBlocks(lo, hi int) {
+	n := len(s.rows)
+	for i := lo; i < hi; i++ {
+		r0, r1 := i*n/s.nblocks, (i+1)*n/s.nblocks
+		s.blocks[i].train(s.x, s.y, s.rows[r0:r1], float64(r1-r0)/float64(n), s.loss)
+	}
+}
+
+// train runs forward, loss and backward over the given rows of (x, y), the
+// loss and its gradient weighted by share.
+func (b *block) train(x, y *tensor.Tensor, rows []int, share float64, loss LossFunc) {
+	b.x = GatherInto(b.x, x, rows)
+	b.y = GatherInto(b.y, y, rows)
+	l, grad := loss(b.net.Forward(b.x, true), b.y)
+	if share != 1 {
+		tensor.ScaleInPlace(grad, share)
+	}
+	b.loss = l * share
+	// Nothing wants the gradient w.r.t. the network's input: the layers in
+	// front of the first one with parameters do not run, and that one
+	// computes no input gradient.
+	layers := b.net.layers
+	for i := len(layers) - 1; i > b.first; i-- {
+		grad = layers[i].Backward(grad)
+	}
+	if b.first < len(layers) {
+		layers[b.first].(weighted).backward(grad, false)
+	}
 }

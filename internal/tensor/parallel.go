@@ -10,9 +10,11 @@ import (
 // goroutines costs a few microseconds and leaves the second half waiting to
 // be stolen by an idle P, so a product of a couple of hundred microseconds
 // runs as fast on the caller. A 64-row batch through the embedder's 225×64
-// first layer (0.9 M) forks; one BraggNN training step at batch ≤ 32 (its
-// largest product is 32×200×64 = 0.4 M) stays on the goroutine that called
-// it.
+// first layer (0.9 M) forks; no single product of a BraggNN training step
+// at batch ≤ 32 does (the largest is 32×200×64 = 0.4 M). nn.Fit forks such
+// a step whole instead, as blocks of 8 samples, once the step's work
+// (≈ 93 k multiply-adds a sample for BraggNN on 15×15 patches) reaches
+// ForkWork.
 const ForkWork = 1 << 19
 
 // minParallelRows is the row count from which ParallelFor fans out.

@@ -182,6 +182,19 @@ type job struct {
 	spec   Spec
 	cancel context.CancelFunc
 	ctx    context.Context
+	// done is closed, under mu, as the status turns terminal.
+	done chan struct{}
+}
+
+// end moves the job into a terminal state and wakes its waiters. The
+// caller holds mu and has checked that the state is not terminal yet.
+//
+// lint:holds j.mu
+func (j *job) end(state State, errMsg string) {
+	j.status.State = state
+	j.status.Err = errMsg
+	j.status.FinishedAt = time.Now()
+	close(j.done)
 }
 
 // snapshot copies the job's status, deep-copying the loss curves so the
@@ -397,6 +410,7 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 		spec:   spec,
 		ctx:    ctx,
 		cancel: cancel,
+		done:   make(chan struct{}),
 		status: Status{
 			ID:          id,
 			State:       StateQueued,
@@ -435,11 +449,27 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 // Get returns a snapshot of the job with the given ID. Terminal jobs
 // older than the history cap have been pruned and report ErrUnknownJob.
 func (m *Manager) Get(id string) (*Status, error) {
+	return m.Wait(context.Background(), id, 0)
+}
+
+// Wait is Get once the job is terminal, d has passed or ctx is done,
+// whichever comes first: the long-poll behind GET /v1/train/{id}?wait=.
+// An unknown ID reports ErrUnknownJob at once.
+func (m *Manager) Wait(ctx context.Context, id string, d time.Duration) (*Status, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	}
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-j.done:
+		case <-timer.C:
+		case <-ctx.Done():
+		}
 	}
 	return j.snapshot(), nil
 }
@@ -490,8 +520,7 @@ func (m *Manager) Cancel(id string) (*Status, error) {
 		// pending removal could promote it to Running between the check
 		// and the transition.
 		m.countTerminal(StateCanceled)
-		j.status.State = StateCanceled
-		j.status.FinishedAt = time.Now()
+		j.end(StateCanceled, "")
 		canceledQueued = true
 	case StateRunning:
 		j.cancel() // the worker observes ctx and finalizes the state
@@ -592,9 +621,7 @@ func (m *Manager) finalize(j *job, state State, errMsg string) {
 		return
 	}
 	m.countTerminal(state)
-	j.status.State = state
-	j.status.Err = errMsg
-	j.status.FinishedAt = time.Now()
+	j.end(state, errMsg)
 	id := j.status.ID
 	j.mu.Unlock()
 	j.cancel() // release the context either way
