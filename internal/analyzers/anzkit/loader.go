@@ -3,6 +3,7 @@ package anzkit
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -147,8 +148,9 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return p, nil
 }
 
-// parseDir parses the non-test Go files of dir, comments included, in
-// stable filename order.
+// parseDir parses the non-test Go files of dir that the go command would
+// build for this GOOS and GOARCH (file-name suffixes and //go:build
+// lines), comments included, in stable filename order.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -159,6 +161,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("anzkit: reading %s: %w", name, err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

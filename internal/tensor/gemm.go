@@ -11,6 +11,17 @@ import "fmt"
 // is worth a fork. Every destination element is summed by one goroutine in
 // an order fixed by the shapes, so a product is bit-identical at any
 // GOMAXPROCS.
+//
+// a·b and aᵀ·b share one row update, which runs four elements per
+// instruction on a CPU with AVX2 (useAVX2) and gives the Go loop's bits
+// either way: the same products and sums in the same association, no fused
+// multiply-add. a·bᵀ stays scalar: it is dot-product shaped, and a vector
+// form would split each dot's running sums differently and change the
+// weights a fit produces.
+
+// useAVX2 selects the assembly row update; tests turn it off to run the
+// portable loop on the same host.
+var useAVX2 = HasAVX2()
 
 // MatMulInto computes dst = a·b, or dst += a·b when acc is set, for
 // row-major a (m×k), b (k×n) and dst (m×n).
@@ -78,7 +89,9 @@ func kernelTN(dst, a, b []float64, m, k, n, lo, hi int) {
 // (k × len(orow)) matrix and c[p] = a[off+p·stride]. Four rows of b go into
 // each pass over orow, so the accumulator row is read and written once per
 // four products; its elements are the independent sums. A block of four
-// zero coefficients (a padded or rectified input) is skipped.
+// zero coefficients (a padded or rectified input) is skipped. With useAVX2
+// the four-row pass runs in assembly up to the last multiple of four
+// elements, and this loop finishes the row.
 func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 	n := len(orow)
 	p := 0
@@ -88,12 +101,22 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
 			continue
 		}
+		o := orow
 		b0 := b[p*n : (p+1)*n : (p+1)*n]
 		b1 := b[(p+1)*n : (p+2)*n : (p+2)*n]
 		b2 := b[(p+2)*n : (p+3)*n : (p+3)*n]
 		b3 := b[(p+3)*n : (p+4)*n : (p+4)*n]
-		for j := range orow {
-			orow[j] += c0*b0[j] + c1*b1[j] + c2*b2[j] + c3*b3[j]
+		if useAVX2 {
+			addRows4AVX2(o, b0, b1, b2, b3, c0, c1, c2, c3)
+			tail := n &^ 3
+			o, b0, b1, b2, b3 = o[tail:], b0[tail:], b1[tail:], b2[tail:], b3[tail:]
+		}
+		// The float64 conversions forbid fusing a product into the following
+		// add. The language lets a compiler fuse, and arm64's does, so
+		// without them this loop's bits would be the compiler's choice; with
+		// them every product is rounded, as in the assembly.
+		for j := range o {
+			o[j] += float64(c0*b0[j]) + float64(c1*b1[j]) + float64(c2*b2[j]) + float64(c3*b3[j])
 		}
 	}
 	for ; p < k; p++ {
@@ -113,7 +136,8 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 // a time, so each element of a is loaded once per four products, and two
 // steps of the inner dimension per pass, so eight sums are in flight — a
 // floating-point add takes four cycles, and four sums alone would wait on
-// it.
+// it. It has no assembly path: vectorising across the inner dimension
+// would reorder these sums and change a fit's weights.
 func kernelNT(dst, a, b []float64, m, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k : (i+1)*k]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -109,6 +110,50 @@ func TestProductsSkipZeroBlocksExactly(t *testing.T) {
 		pr.into(got, a, b, m, k, n, false)
 		if err := closeTo(got, want, 1e-13); err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
+		}
+	}
+}
+
+// TestRowUpdateAVX2MatchesPortable runs a·b and aᵀ·b — the products on
+// the shared row update — with the assembly row update and with the Go
+// loop, over random shapes on both sides of every multiple of four, with
+// signed zeros, infinities, NaN, subnormals and overflowing magnitudes in
+// both operands and in the accumulated destination. The results must have
+// the same bits (any NaN equal to any NaN).
+func TestRowUpdateAVX2MatchesPortable(t *testing.T) {
+	if !HasAVX2() {
+		t.Skip("no AVX2 on this CPU: the Go loop is the only row update")
+	}
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	rng := rand.New(rand.NewSource(46))
+	edge := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e-310, 1e308, -1e308}
+	fill := func(n int, p float64) []float64 {
+		s := randSlice(rng, n)
+		for i := range s {
+			if rng.Float64() < p {
+				s[i] = edge[rng.Intn(len(edge))]
+			}
+		}
+		return s
+	}
+	for trial := 0; trial < 3000; trial++ {
+		m, k, n := 1+rng.Intn(6), 1+rng.Intn(24), 1+rng.Intn(40)
+		p := []float64{0, 0.02, 0.3}[trial%3]
+		for _, pr := range products[:2] {
+			a, b := fill(m*k, p), fill(k*n, p)
+			acc := trial%4 != 0
+			dst := fill(m*n, p)
+			want := slices.Clone(dst)
+			useAVX2 = false
+			pr.into(want, a, b, m, k, n, acc)
+			useAVX2 = true
+			pr.into(dst, a, b, m, k, n, acc)
+			for i := range want {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) && !(math.IsNaN(dst[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("%s m=%d k=%d n=%d acc=%v: element %d is %x with AVX2, %x without",
+						pr.name, m, k, n, acc, i, dst[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -32,6 +32,12 @@
 // a vector is Dist2 of it — a pure function of the query and the vector —
 // so answers do not depend on worker counts, and distances from different
 // shards of a cluster can be compared and merged exactly.
+//
+// On amd64 with AVX2 (tensor.HasAVX2), a dim-8 scan — the served
+// embedder's width — checks four vectors per instruction in assembly,
+// computing each distance with Dist2's operations in Dist2's order and no
+// fused multiply-add. Which path runs changes speed, never an answer: a
+// shard without AVX2 returns the same bits.
 package vecindex
 
 import (
@@ -39,6 +45,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"fairdms/internal/tensor"
 )
 
 // Entry is one indexed vector: the backing document's ID, its coarse
@@ -116,24 +124,32 @@ func dimError(got, want int) error {
 // (queries × vectors × dim) when it spreads queries over workers.
 //
 // Chosen from BenchmarkNearestFlat, dim 8, 2 vCPUs (Xeon 2.1 GHz VM),
-// go1.24; µs per query, unforked (-cpu 1) against a forced 2-worker split
-// (-cpu 2 with this constant lowered):
+// go1.24, the AVX2 scan; µs per query, median of six runs, unforked
+// (-cpu 1) against a forced 2-worker split (-cpu 2 with this constant
+// lowered):
 //
 //	vectors  elements  unforked  split in 2
-//	  1,000     8 Ki      3.7       5.8
-//	 10,000    78 Ki       36        37
-//	 16,384   128 Ki       58        80
-//	 24,576   192 Ki       93     70–96 (bimodal)
-//	 32,768   256 Ki      127        88
-//	 50,000   391 Ki      192       132
-//	100,000   781 Ki      400       250
+//	  1,000     8 Ki      1.4       3.1
+//	  4,096    32 Ki      5.8       8.6
+//	 10,000    78 Ki       12        15
+//	 16,384   128 Ki       21        23
+//	 24,576   192 Ki       39        35
+//	 32,768   256 Ki       66        50
+//	 50,000   391 Ki      123        69
+//	100,000   781 Ki      239       164
 //
 // The split starts to pay between 192 Ki and 256 Ki elements per slab —
-// 96 to 128 Ki per worker; starting and joining a goroutine costs about
-// what scanning 60 Ki elements does. Across a request's queries
-// (fairds.BenchmarkNearestMatches shape, 4,096-vector partitions) the
-// break-even is the same: 8 queries (256 Ki elements) 125 → 124 µs, 16
-// queries 285 → 223 µs, 64 queries 1,160 → 745 µs.
+// 96 to 128 Ki per worker — where it did for the scalar loop: in cache the
+// kernel is 3.3× faster, but past 128 Ki elements (1 MiB) a scan waits on
+// memory, and a second core brings a second cache. Starting and joining a
+// goroutine costs about what scanning 40 Ki elements in cache does. Across a request's queries
+// (fairds.BenchmarkNearestMatches shape, 4,096-vector partitions, same
+// method) the break-even did move, to about 512 Ki elements: 4 queries
+// (128 Ki elements) 32 → 40 µs, 8 queries 56 → 72 µs, 16 queries 151 →
+// 146 µs, 32 queries 327 → 245 µs, 64 queries 522 → 464 µs. The constant
+// stays at the slab split's break-even; a request of 256 to 512 Ki
+// elements — none of the benchmark's workloads — gives up ~15 µs to its
+// fork.
 const ForkElems = 128 << 10
 
 // scanNearest finds the closest vector to q in a flat slab of len(ids)
@@ -185,6 +201,10 @@ func Dist2(q, v []float64) float64 {
 	return d2
 }
 
+// useAVX2 selects dist8first for dim-8 scans; tests turn it off to run the
+// portable loop on the same host.
+var useAVX2 = tensor.HasAVX2()
+
 // scanRange is the one distance kernel: the sequential scan of slots
 // [lo, hi) of a slab, behind scanNearest and Dist2.
 //
@@ -194,34 +214,26 @@ func Dist2(q, v []float64) float64 {
 // are compared, and merged, by exact distance. Squared differences go to
 // four running sums, element j of the largest multiple-of-four prefix to
 // sum j mod 4 and the up-to-three remaining elements to sum 0, combined as
-// (s0+s1)+(s2+s3); the dim-8 loop is that order unrolled. The float64
+// (s0+s1)+(s2+s3); scan8 is that order unrolled for dim 8. The float64
 // conversions forbid fusing a product into the following add, which would
 // otherwise be the compiler's choice per call site and architecture.
 //
 // exclude is asked only of a vector that would become the new best, so
 // the callback stays off the per-vector path; the winner is the same as
 // filtering first.
+//
+// With useAVX2, a dim-8 scan goes to scan8AVX2, which gives the same
+// answer, asks exclude the same questions, and reports the same bits.
 func scanRange(vecs []float64, ids []string, dim int, q []float64, exclude func(string) bool, lo, hi int) (int, float64) {
-	bestSlot, bestD2 := -1, 0.0
-	slab := vecs[lo*dim : hi*dim]
 	if dim == 8 {
 		q8 := (*[8]float64)(q)
-		q0, q1, q2, q3, q4, q5, q6, q7 := q8[0], q8[1], q8[2], q8[3], q8[4], q8[5], q8[6], q8[7]
-		for i := lo; len(slab) >= 8; i, slab = i+1, slab[8:] {
-			v := (*[8]float64)(slab)
-			d0, d1, d2, d3 := q0-v[0], q1-v[1], q2-v[2], q3-v[3]
-			d4, d5, d6, d7 := q4-v[4], q5-v[5], q6-v[6], q7-v[7]
-			s0 := float64(d0*d0) + float64(d4*d4)
-			s1 := float64(d1*d1) + float64(d5*d5)
-			s2 := float64(d2*d2) + float64(d6*d6)
-			s3 := float64(d3*d3) + float64(d7*d7)
-			dist2 := (s0 + s1) + (s2 + s3)
-			if (bestSlot < 0 || dist2 < bestD2) && (exclude == nil || !exclude(ids[i])) {
-				bestSlot, bestD2 = i, dist2
-			}
+		if useAVX2 {
+			return scan8AVX2(vecs, ids, q8, exclude, lo, hi)
 		}
-		return bestSlot, bestD2
+		return scan8(vecs, ids, q8, exclude, lo, hi, -1, 0)
 	}
+	bestSlot, bestD2 := -1, 0.0
+	slab := vecs[lo*dim : hi*dim]
 	for i := lo; i < hi; i, slab = i+1, slab[dim:] {
 		v := slab[:len(q)]
 		var s0, s1, s2, s3 float64
@@ -243,4 +255,50 @@ func scanRange(vecs []float64, ids []string, dim int, q []float64, exclude func(
 		}
 	}
 	return bestSlot, bestD2
+}
+
+// scan8 is scanRange's portable dim-8 loop, continuing from a best already
+// found (bestSlot -1: none yet).
+func scan8(vecs []float64, ids []string, q *[8]float64, exclude func(string) bool, lo, hi, bestSlot int, bestD2 float64) (int, float64) {
+	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+	slab := vecs[lo*8 : hi*8]
+	for i := lo; len(slab) >= 8; i, slab = i+1, slab[8:] {
+		v := (*[8]float64)(slab)
+		d0, d1, d2, d3 := q0-v[0], q1-v[1], q2-v[2], q3-v[3]
+		d4, d5, d6, d7 := q4-v[4], q5-v[5], q6-v[6], q7-v[7]
+		s0 := float64(d0*d0) + float64(d4*d4)
+		s1 := float64(d1*d1) + float64(d5*d5)
+		s2 := float64(d2*d2) + float64(d6*d6)
+		s3 := float64(d3*d3) + float64(d7*d7)
+		dist2 := (s0 + s1) + (s2 + s3)
+		if (bestSlot < 0 || dist2 < bestD2) && (exclude == nil || !exclude(ids[i])) {
+			bestSlot, bestD2 = i, dist2
+		}
+	}
+	return bestSlot, bestD2
+}
+
+// scan8AVX2 drives dist8first over slots [lo, hi). Until a first eligible
+// vector is found, and for a tail of fewer than four, it runs scan8. After
+// that, dist8first checks four vectors per instruction and stops at the
+// first one strictly nearer than the best; that vector goes through scan8 —
+// same bits, same question to exclude — and the kernel resumes at the next
+// slot. So exclude is asked about the same vectors, in the same order, as
+// by scan8 alone.
+func scan8AVX2(vecs []float64, ids []string, q *[8]float64, exclude func(string) bool, lo, hi int) (int, float64) {
+	bestSlot, bestD2 := -1, 0.0
+	i := lo
+	for hi-i >= 4 {
+		if bestSlot >= 0 {
+			k := dist8first(q, vecs[i*8:hi*8], bestD2)
+			if k < 0 { // no whole group of four holds a nearer vector
+				i += (hi - i) &^ 3
+				break
+			}
+			i += k
+		}
+		bestSlot, bestD2 = scan8(vecs, ids, q, exclude, i, i+1, bestSlot, bestD2)
+		i++
+	}
+	return scan8(vecs, ids, q, exclude, i, hi, bestSlot, bestD2)
 }

@@ -68,10 +68,13 @@ func TestParityWithBruteForce(t *testing.T) {
 			for qi := 0; qi < 200; qi++ {
 				q := randVec(rng, 8)
 				k := rng.Intn(5)
-				got, ok := idx.Nearest(k, q, nil)
 				want, wok := bruteNearest(entries, k, q, nil)
-				if ok != wok || got != want {
-					t.Fatalf("query %d cluster %d: index (%v, %v) != brute (%v, %v)", qi, k, got, ok, want, wok)
+				for _, path := range scanPaths() {
+					path.run(func() {
+						if got, ok := idx.Nearest(k, q, nil); ok != wok || got != want {
+							t.Fatalf("%s query %d cluster %d: index (%v, %v) != brute (%v, %v)", path.name, qi, k, got, ok, want, wok)
+						}
+					})
 				}
 			}
 		})
