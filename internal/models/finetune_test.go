@@ -2,6 +2,8 @@ package models
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -71,6 +73,32 @@ func BenchmarkFineTune(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j.run(b, 16)
+	}
+}
+
+// TestFineTuneWeightsArePinned holds a 3-epoch fine-tune's final weights
+// to bytes recorded from the scalar Go loops, at batches of one block (7),
+// two even blocks (16) and uneven ones (33). A kernel that gives other bits
+// — a fused multiply-add, another order of sums, a different select — fails
+// here even where every layer test passes. The hashes are amd64's: math.Exp
+// is assembly there, so a Sigmoid may round differently on another GOARCH.
+// They are never re-recorded to make a change pass.
+func TestFineTuneWeightsArePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned weights are amd64's")
+	}
+	j := newFineTuneJob(t, 3)
+	for _, c := range []struct {
+		batch int
+		hash  string
+	}{
+		{16, "62e8f39976653cf075a91a39d0d57007c878fe3bb202c3ebd5e0e3c92e332f15"},
+		{7, "06979584839e94658fb630631fbbd8a90a96a713fd4a378ca975ad0cec1da93f"},
+		{33, "a377870597eb23f7ba265eca2bd0d7585d5b8b0068ad6e57fb26a42d85fbf00c"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(j.run(t, c.batch))); got != c.hash {
+			t.Errorf("batch %d: final StateDict sha256 %s, pinned %s", c.batch, got, c.hash)
+		}
 	}
 }
 

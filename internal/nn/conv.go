@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fairdms/internal/tensor"
@@ -196,7 +197,14 @@ func (p *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // poolSample writes one sample's window maxima into orow and, when arg is
-// not nil, the input position each came from (the first, on a tie).
+// not nil, the input position each came from (the first, on a tie). A NaN
+// never replaces the running maximum, and a NaN first in its window stays.
+//
+// The select has no data-dependent branch: the sign of a trained network's
+// activations is close to a coin flip to the branch predictor. The running
+// maximum is kept as its bits, so both updates are integer moves, and the
+// compiler (go1.24, amd64; check with -gcflags=-S) emits UCOMISD and two
+// CMOVQHI for the if.
 func (p *MaxPool2d) poolSample(xrow, orow []float64, arg []int) {
 	oh, ow := p.H/p.Size, p.W/p.Size
 	span := p.window[len(p.window)-1] + 1
@@ -206,13 +214,15 @@ func (p *MaxPool2d) poolSample(xrow, orow []float64, arg []int) {
 			corner := c*p.H*p.W + y*p.Size*p.W
 			for z := 0; z < ow; z++ {
 				win := xrow[corner : corner+span]
-				best, bestAt := win[0], 0
+				best, bestAt := math.Float64bits(win[0]), 0
 				for _, off := range p.window[1:] {
-					if v := win[off]; v > best {
-						best, bestAt = v, off
+					v := win[off]
+					vb := math.Float64bits(v)
+					if v > math.Float64frombits(best) {
+						best, bestAt = vb, off
 					}
 				}
-				orow[o] = best
+				orow[o] = math.Float64frombits(best)
 				if arg != nil {
 					arg[o] = corner + bestAt
 				}

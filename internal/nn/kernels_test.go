@@ -1,0 +1,248 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"fairdms/internal/tensor"
+)
+
+// edgeValues are the inputs where an operation order, a fused multiply-add
+// or a select would show: signed zeros, infinities, NaN, subnormals, and
+// magnitudes whose products overflow.
+var edgeValues = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, 1e-310, 1e308, -1e308}
+
+// edgeSlice is n normal draws with each replaced by an edge value with
+// probability p.
+func edgeSlice(rng *rand.Rand, n int, p float64) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = rng.NormFloat64()
+		if rng.Float64() < p {
+			s[i] = edgeValues[rng.Intn(len(edgeValues))]
+		}
+	}
+	return s
+}
+
+// sameBits reports whether got and want are the same bits, any NaN equal to
+// any NaN, and names the first element that is not.
+func sameBits(got, want []float64) error {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return fmt.Errorf("element %d is %x, want %x", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func requireAVX2(t *testing.T) {
+	if !tensor.HasAVX2() {
+		t.Skip("no AVX2 on this CPU: the Go loops are the only kernels")
+	}
+}
+
+// TestLeakyAVX2MatchesPortable holds the sign-select-multiply to the Go
+// loop, forward (the gradient is the input) and backward, over lengths 0 to
+// 300 and slopes that show a swapped select.
+func TestLeakyAVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 3000; trial++ {
+		n, p := rng.Intn(301), []float64{0, 0.02, 0.3}[trial%3]
+		alpha := []float64{0.01, 0.2, 0, -1.5, 1e308}[trial%5]
+		x := edgeSlice(rng, n, p)
+		for pass, g := range [][]float64{x, edgeSlice(rng, n, p)} {
+			want, got := make([]float64, n), make([]float64, n)
+			useAVX2 = false
+			leaky(want, x, g, alpha)
+			useAVX2 = true
+			leaky(got, x, g, alpha)
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("n=%d alpha=%g forward=%v: %v", n, alpha, pass == 0, err)
+			}
+		}
+	}
+}
+
+// TestAdamAVX2MatchesPortable runs three Adam steps from the same weights,
+// gradients and moments on each path — edge values in all four, with and
+// without weight decay, over parameters of 0 to 300 elements — and holds
+// the weights and both moments to the same bits.
+func TestAdamAVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	rng := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 1000; trial++ {
+		p := []float64{0, 0.02, 0.3}[trial%3]
+		decay := []float64{0, 1e-4}[trial%2]
+		sizes := []int{rng.Intn(301), rng.Intn(9)}
+		var w, g, m, v [][]float64
+		for _, n := range sizes {
+			w, g = append(w, edgeSlice(rng, n, p)), append(g, edgeSlice(rng, n, p))
+			m, v = append(m, edgeSlice(rng, n, p)), append(v, edgeSlice(rng, n, p))
+		}
+		var opts [2]*Adam
+		for path, avx2 := range []bool{false, true} {
+			params := make([]*Param, len(sizes))
+			for i, n := range sizes {
+				params[i] = &Param{Value: tensor.FromSlice(slices.Clone(w[i]), n), Grad: tensor.FromSlice(slices.Clone(g[i]), n)}
+			}
+			opt := NewAdamFull(params, 3e-3, 0.9, 0.999, 1e-8, decay)
+			for i := range sizes {
+				copy(opt.m[i].Data(), m[i])
+				copy(opt.v[i].Data(), v[i])
+			}
+			useAVX2 = avx2
+			for range 3 {
+				opt.Step()
+			}
+			opts[path] = opt
+		}
+		for i := range sizes {
+			for _, c := range []struct {
+				what      string
+				got, want *tensor.Tensor
+			}{
+				{"weight", opts[1].params[i].Value, opts[0].params[i].Value},
+				{"first moment", opts[1].m[i], opts[0].m[i]},
+				{"second moment", opts[1].v[i], opts[0].v[i]},
+			} {
+				if err := sameBits(c.got.Data(), c.want.Data()); err != nil {
+					t.Fatalf("trial %d param %d (%d elements) %s: %v", trial, i, sizes[i], c.what, err)
+				}
+			}
+		}
+	}
+}
+
+// branchyPool is the plain form of MaxPool2d.poolSample's window walk: a
+// branch on v > best, the first maximum kept on a tie, a NaN never taken.
+// It returns the window maxima and the input position of each.
+func branchyPool(p *MaxPool2d, xrow []float64) (out []float64, arg []int) {
+	for c := 0; c < p.C; c++ {
+		for y := 0; y < p.H/p.Size; y++ {
+			for z := 0; z < p.W/p.Size; z++ {
+				corner := c*p.H*p.W + y*p.Size*p.W + z*p.Size
+				best, bestAt := xrow[corner], corner
+				for dy := 0; dy < p.Size; dy++ {
+					for dz := 0; dz < p.Size; dz++ {
+						if at := corner + dy*p.W + dz; xrow[at] > best {
+							best, bestAt = xrow[at], at
+						}
+					}
+				}
+				out, arg = append(out, best), append(arg, bestAt)
+			}
+		}
+	}
+	return out, arg
+}
+
+// TestMaxPoolMatchesBranchyOracle holds the branch-free select to the
+// branchy walk: outputs (train and eval) and argmax bit for bit, and the
+// gradient routed to the same positions. Inputs draw from a few values, so
+// windows hold ties, -Inf, all-equal windows and NaN both first and later
+// in a window.
+func TestMaxPoolMatchesBranchyOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	values := []float64{-2, -1, 0, math.Copysign(0, -1), 1, 1, 3, math.Inf(-1), math.Inf(1), math.NaN()}
+	for _, g := range []struct{ c, h, w, size int }{{8, 15, 15, 3}, {2, 4, 6, 2}, {3, 5, 5, 1}, {1, 8, 8, 4}} {
+		for _, batch := range []int{1, 7, 16} {
+			pool := NewMaxPool2d(g.c, g.h, g.w, g.size)
+			x := tensor.New(batch, g.c*g.h*g.w)
+			for i, xd := 0, x.Data(); i < len(xd); i++ {
+				if rng.Intn(3) == 0 {
+					xd[i] = rng.NormFloat64()
+				} else {
+					xd[i] = values[rng.Intn(len(values))]
+				}
+			}
+			out := pool.Forward(x, true)
+			eval := pool.Forward(x, false)
+			grad := tensor.Randn(rng, 1, batch, pool.OutFeatures())
+			dx := pool.Backward(grad)
+			of := pool.OutFeatures()
+			for i := 0; i < batch; i++ {
+				wantOut, wantArg := branchyPool(pool, x.Row(i))
+				what := fmt.Sprintf("%+v batch %d row %d", g, batch, i)
+				if err := sameBits(out.Row(i), wantOut); err != nil {
+					t.Fatalf("%s: train output %v", what, err)
+				}
+				if err := sameBits(eval.Row(i), wantOut); err != nil {
+					t.Fatalf("%s: eval output %v", what, err)
+				}
+				if got := pool.lastArg[i*of : (i+1)*of]; !slices.Equal(got, wantArg) {
+					t.Fatalf("%s: argmax %v, want %v", what, got, wantArg)
+				}
+				wantDx := make([]float64, len(x.Row(i)))
+				for j, gv := range grad.Row(i) {
+					wantDx[wantArg[j]] += gv
+				}
+				if err := sameBits(dx.Row(i), wantDx); err != nil {
+					t.Fatalf("%s: input gradient %v", what, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPoolWindowRules spells out the rules the oracle test samples, one
+// 2×2 window each.
+func TestMaxPoolWindowRules(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		window []float64 // row-major 2×2
+		want   float64
+		at     int
+	}{
+		{"first of a tie", []float64{2, 5, 5, 1}, 5, 1},
+		{"all equal", []float64{7, 7, 7, 7}, 7, 0},
+		{"all -Inf", []float64{-inf, -inf, -inf, -inf}, -inf, 0},
+		{"-Inf first", []float64{-inf, -3, -inf, -4}, -3, 1},
+		{"NaN first stays", []float64{nan, 5, 7, 1}, nan, 0},
+		{"NaN later is skipped", []float64{1, nan, 3, 3}, 3, 2},
+		{"+0 before -0", []float64{0, math.Copysign(0, -1), -1, -2}, 0, 0},
+		{"-0 before +0", []float64{math.Copysign(0, -1), 0, -1, -2}, math.Copysign(0, -1), 0},
+	} {
+		pool := NewMaxPool2d(1, 2, 2, 2)
+		out := pool.Forward(tensor.FromSlice(c.window, 1, 4), true)
+		if err := sameBits(out.Data(), []float64{c.want}); err != nil || pool.lastArg[0] != c.at {
+			t.Errorf("%s: max %v at %d, want %v at %d", c.name, out.Data()[0], pool.lastArg[0], c.want, c.at)
+		}
+	}
+}
+
+// TestKernelsAllocateNothing holds LeakyReLU, MaxPool2d and Adam to a
+// warmed training step's zero allocations on both paths.
+func TestKernelsAllocateNothing(t *testing.T) {
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	rng := rand.New(rand.NewSource(64))
+	x := tensor.Randn(rng, 1, 16, 8*15*15)
+	g := tensor.Randn(rng, 1, 16, 8*15*15)
+	relu := NewLeakyReLU(0.01)
+	pool := NewMaxPool2d(8, 15, 15, 3)
+	pg := tensor.Randn(rng, 1, 16, pool.OutFeatures())
+	lin := NewLinear(rng, 201, 63)
+	opt := NewAdam(lin.Params(), 1e-3)
+	for _, avx2 := range []bool{false, tensor.HasAVX2()} {
+		useAVX2 = avx2
+		for _, c := range []struct {
+			name string
+			f    func()
+		}{
+			{"LeakyReLU", func() { relu.Forward(x, true); relu.Backward(g) }},
+			{"MaxPool2d", func() { pool.Forward(x, true); pool.Backward(pg) }},
+			{"Adam", opt.Step},
+		} {
+			if got := testing.AllocsPerRun(10, c.f); got != 0 {
+				t.Errorf("%s (AVX2 %v) allocates %.0f times per step", c.name, avx2, got)
+			}
+		}
+	}
+}

@@ -150,7 +150,7 @@ func (r *ReLU) replica() Layer { return NewReLU() }
 
 // positive is 1 for v > 0 and 0 otherwise (NaN included). It compiles to a
 // flag-to-register move, so indexing a two-entry slope table with it (the
-// &1 at the call sites shows the compiler the index is in range) selects a
+// &1 at the call site shows the compiler the index is in range) selects a
 // rectifier's branch without a jump: the sign of a trained network's
 // activations is close to a coin flip to the branch predictor.
 func positive(v float64) int {
@@ -158,6 +158,22 @@ func positive(v float64) int {
 		return 1
 	}
 	return 0
+}
+
+// leaky writes dst[i] = g[i]·(x[i] > 0 ? 1 : alpha), LeakyReLU's forward
+// (g = x) and backward pass alike. With useAVX2 the multiple-of-four prefix
+// runs in assembly with this loop's bits.
+func leaky(dst, x, g []float64, alpha float64) {
+	x, g = x[:len(dst)], g[:len(dst)]
+	if useAVX2 {
+		leakyAVX2(dst, x, g, alpha)
+		tail := len(dst) &^ 3
+		dst, x, g = dst[tail:], x[tail:], g[tail:]
+	}
+	slope := [2]float64{alpha, 1}
+	for i, v := range x {
+		dst[i] = g[i] * slope[positive(v)&1]
+	}
 }
 
 // LeakyReLU is max(x, alpha*x), BraggNN's activation.
@@ -172,11 +188,7 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 // Forward applies the leaky rectifier.
 func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	xd, out := r.forward("LeakyReLU", x, train)
-	od := out.Data()[:len(xd)]
-	slope := [2]float64{r.Alpha, 1}
-	for i, v := range xd {
-		od[i] = v * slope[positive(v)&1]
-	}
+	leaky(out.Data(), xd, xd, r.Alpha)
 	if train {
 		r.last = x
 	}
@@ -186,10 +198,7 @@ func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward scales gradient by 1 or alpha depending on input sign.
 func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	xd, gd, od := r.backward("LeakyReLU", grad)
-	slope := [2]float64{r.Alpha, 1}
-	for i, g := range gd {
-		od[i] = g * slope[positive(xd[i])&1]
-	}
+	leaky(od, xd, gd, r.Alpha)
 	return r.dx
 }
 
@@ -254,7 +263,7 @@ func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	yd, gd, od := t.backward("Tanh", grad)
 	for i, g := range gd {
-		od[i] = g * (1 - yd[i]*yd[i])
+		od[i] = g * (1 - float64(yd[i]*yd[i]))
 	}
 	return t.dx
 }

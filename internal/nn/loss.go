@@ -20,7 +20,7 @@ func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	loss := 0.0
 	for i := range pd {
 		d := pd[i] - td[i]
-		loss += d * d
+		loss += float64(d * d)
 		gd[i] = 2 * d / n
 	}
 	return loss / n, grad
@@ -47,7 +47,7 @@ func BCE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 			p = 1 - eps
 		}
 		t := td[i]
-		loss -= t*math.Log(p) + (1-t)*math.Log(1-p)
+		loss -= float64(t*math.Log(p)) + float64((1-t)*math.Log(1-p))
 		gd[i] = (p - t) / (p * (1 - p)) / n
 	}
 	return loss / n, grad
@@ -104,7 +104,7 @@ func NTXent(za, zb *tensor.Tensor, temperature float64) (float64, *tensor.Tensor
 		r := z.Row(i)
 		s := 0.0
 		for _, v := range r {
-			s += v * v
+			s += float64(v * v)
 		}
 		norms[i] = math.Sqrt(s) + 1e-12
 		out := zn.Row(i)
@@ -164,11 +164,11 @@ func NTXent(za, zb *tensor.Tensor, temperature float64) (float64, *tensor.Tensor
 		dy := dZn.Row(i)
 		dot := 0.0
 		for j := range y {
-			dot += y[j] * dy[j]
+			dot += float64(y[j] * dy[j])
 		}
 		out := dZ.Row(i)
 		for j := range y {
-			out[j] = (dy[j] - y[j]*dot) / norms[i]
+			out[j] = (dy[j] - float64(y[j]*dot)) / norms[i]
 		}
 	}
 

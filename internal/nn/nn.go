@@ -19,6 +19,18 @@
 // construction. All layers are deterministic given their *rand.Rand, and a
 // result never depends on GOMAXPROCS.
 //
+// # Kernels
+//
+// The matrix products are internal/tensor's. On amd64 with AVX2
+// (tensor.HasAVX2), LeakyReLU's sign-select-multiply and Adam's element
+// update run in assembly, four elements per instruction, with the bits of
+// their Go loops; MaxPool2d selects a window's maximum without a branch.
+// The Go loops round every product before adding it (the float64
+// conversions), as the assembly does, so no compiler fuses one. A fit's
+// weights on one GOARCH therefore do not depend on the CPU it ran on;
+// across GOARCHes they may still differ where the math package does, such
+// as amd64's assembly math.Exp behind Sigmoid.
+//
 // # Buffer ownership
 //
 // One rule covers every layer:
@@ -49,6 +61,10 @@ import (
 
 	"fairdms/internal/tensor"
 )
+
+// useAVX2 selects the assembly LeakyReLU and Adam kernels; tests turn it
+// off to run the portable loops on the same host.
+var useAVX2 = tensor.HasAVX2()
 
 // Param is a trainable tensor with its accumulated gradient.
 type Param struct {

@@ -43,8 +43,8 @@ func (s *SGD) Step() {
 		wd := p.Value.Data()
 		gd := p.Grad.Data()
 		for j := range wd {
-			g := gd[j] + s.decay*wd[j]
-			vd[j] = s.momentum*vd[j] - s.lr*g
+			g := gd[j] + float64(s.decay*wd[j])
+			vd[j] = float64(s.momentum*vd[j]) - float64(s.lr*g)
 			wd[j] += vd[j]
 		}
 	}
@@ -96,7 +96,9 @@ func NewAdamFull(params []*Param, lr, beta1, beta2, eps, weightDecay float64) *A
 // two bias corrections: lr/c1 and 1/c2 turn the element's two divisions
 // into multiplications, w - m·(lr/c1)/(√(v·(1/c2))+ε). That rounds
 // differently from the textbook lr·(m/c1)/(√(v/c2)+ε): the moments are
-// the same bits, the update differs by a few ulps of its own size.
+// the same bits, the update differs by a few ulps of its own size. With
+// useAVX2 the multiple-of-four prefix of each parameter runs in assembly
+// with the Go loop's bits.
 func (a *Adam) Step() {
 	a.step++
 	c1 := 1 - math.Pow(a.beta1, float64(a.step))
@@ -110,10 +112,15 @@ func (a *Adam) Step() {
 		md := a.m[i].Data()[:len(wd)]
 		vd := a.v[i].Data()[:len(wd)]
 		gd := p.Grad.Data()[:len(wd)]
+		if useAVX2 {
+			adamAVX2(wd, md, vd, gd, decay, b1, nb1, b2, nb2, lrc1, ic2, eps)
+			tail := len(wd) &^ 3
+			wd, md, vd, gd = wd[tail:], md[tail:], vd[tail:], gd[tail:]
+		}
 		for j, w := range wd {
-			g := gd[j] + decay*w
-			m := b1*md[j] + nb1*g
-			v := b2*vd[j] + nb2*g*g
+			g := gd[j] + float64(decay*w)
+			m := float64(b1*md[j]) + float64(nb1*g)
+			v := float64(b2*vd[j]) + float64(nb2*g*g)
 			md[j], vd[j] = m, v
 			wd[j] = w - m*lrc1/(math.Sqrt(v*ic2)+eps)
 		}

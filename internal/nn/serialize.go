@@ -103,7 +103,7 @@ func EMAUpdate(dst, src *Model, tau float64) error {
 			return fmt.Errorf("nn: EMA param %d size mismatch %d vs %d", i, len(dd), len(sd))
 		}
 		for j := range dd {
-			dd[j] = tau*dd[j] + (1-tau)*sd[j]
+			dd[j] = float64(tau*dd[j]) + float64((1-tau)*sd[j])
 		}
 	}
 	return nil

@@ -173,9 +173,9 @@ func Evaluate(model *Model, x, y *tensor.Tensor, loss LossFunc) float64 {
 }
 
 // blockRows is the row count Fit cuts a forking step's batch into: eight
-// BraggNN samples are ≈ 0.5 ms of work, ten times the ≈ 50 µs a goroutine
+// BraggNN samples are ≈ 0.2 ms of work, four times the ≈ 50 µs a goroutine
 // fork and join costs on a 2-vCPU host, where a fork per operation inside
-// a step (blocks of ≈ 25 µs) loses.
+// a step (blocks of ≈ 10 µs) loses.
 const blockRows = 8
 
 // stepper runs Fit's training steps.

@@ -54,3 +54,65 @@ loop:
 done:
 	VZEROUPPER
 	RET
+
+// func addRowAVX2(orow, b []float64, c float64)
+TEXT ·addRowAVX2(SB), NOSPLIT, $0-56
+	MOVQ orow_base+0(FP), DI
+	MOVQ orow_len+8(FP), CX
+	MOVQ b_base+24(FP), SI
+	VBROADCASTSD c+48(FP), Y0
+	SHRQ $2, CX
+	JZ   rowdone
+	XORQ AX, AX
+
+rowloop:
+	VMULPD  (SI)(AX*8), Y0, Y1 // c·b
+	VADDPD  (DI)(AX*8), Y1, Y1 // orow + c·b
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	DECQ    CX
+	JNZ     rowloop
+
+rowdone:
+	VZEROUPPER
+	RET
+
+// func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64)
+//
+// Y0 holds (s0, t0, s1, t1) and Y1 (s2, t2, s3, t3): one lane per running
+// sum of the Go loop, so a lane sees that sum's products in the same order.
+// A pair of a, (a[p], a[p+1]), is broadcast to both halves; b_j[p:p+2] fills
+// one half. No FMA.
+TEXT ·dotPairs4AVX2(SB), NOSPLIT, $0-128
+	MOVQ sums+0(FP), DI
+	MOVQ a_base+8(FP), SI
+	MOVQ a_len+16(FP), CX
+	MOVQ b0_base+32(FP), R8
+	MOVQ b1_base+56(FP), R9
+	MOVQ b2_base+80(FP), R10
+	MOVQ b3_base+104(FP), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	SHRQ $1, CX
+	JZ   pairsdone
+	XORQ AX, AX
+
+pairsloop:
+	VBROADCASTF128 (SI)(AX*8), Y2          // a[p] a[p+1] a[p] a[p+1]
+	VMOVUPD        (R8)(AX*8), X3          // b0[p] b0[p+1]
+	VINSERTF128    $1, (R9)(AX*8), Y3, Y3  // b1[p] b1[p+1]
+	VMULPD         Y2, Y3, Y3
+	VADDPD         Y3, Y0, Y0
+	VMOVUPD        (R10)(AX*8), X4         // b2[p] b2[p+1]
+	VINSERTF128    $1, (R11)(AX*8), Y4, Y4 // b3[p] b3[p+1]
+	VMULPD         Y2, Y4, Y4
+	VADDPD         Y4, Y1, Y1
+	ADDQ           $2, AX
+	DECQ           CX
+	JNZ            pairsloop
+
+pairsdone:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET

@@ -12,15 +12,19 @@ import "fmt"
 // an order fixed by the shapes, so a product is bit-identical at any
 // GOMAXPROCS.
 //
-// a·b and aᵀ·b share one row update, which runs four elements per
-// instruction on a CPU with AVX2 (useAVX2) and gives the Go loop's bits
-// either way: the same products and sums in the same association, no fused
-// multiply-add. a·bᵀ stays scalar: it is dot-product shaped, and a vector
-// form would split each dot's running sums differently and change the
-// weights a fit produces.
+// On a CPU with AVX2 (useAVX2) each kernel runs its inner loop in assembly
+// and gives the Go loop's bits: the same products and sums in the same
+// association, no fused multiply-add. a·b and aᵀ·b share one row update,
+// four elements per instruction. a·bᵀ is dot-product shaped, so its vector
+// form keeps the Go loop's running sums, one per lane, rather than
+// splitting a dot along the inner dimension, which would reorder its sums
+// and change the weights a fit produces. The Go loops convert every product
+// with float64(...) before adding it, so they have no fused products on
+// any GOARCH: a compiler that fuses (arm64's does) would otherwise round
+// once where the assembly rounds twice.
 
-// useAVX2 selects the assembly row update; tests turn it off to run the
-// portable loop on the same host.
+// useAVX2 selects the assembly kernels; tests turn it off to run the
+// portable loops on the same host.
 var useAVX2 = HasAVX2()
 
 // MatMulInto computes dst = a·b, or dst += a·b when acc is set, for
@@ -90,8 +94,9 @@ func kernelTN(dst, a, b []float64, m, k, n, lo, hi int) {
 // each pass over orow, so the accumulator row is read and written once per
 // four products; its elements are the independent sums. A block of four
 // zero coefficients (a padded or rectified input) is skipped. With useAVX2
-// the four-row pass runs in assembly up to the last multiple of four
-// elements, and this loop finishes the row.
+// the four-row pass and the one-row passes of the last k mod 4 rows run in
+// assembly up to the last multiple of four elements, and these loops
+// finish the row.
 func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 	n := len(orow)
 	p := 0
@@ -111,10 +116,6 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 			tail := n &^ 3
 			o, b0, b1, b2, b3 = o[tail:], b0[tail:], b1[tail:], b2[tail:], b3[tail:]
 		}
-		// The float64 conversions forbid fusing a product into the following
-		// add. The language lets a compiler fuse, and arm64's does, so
-		// without them this loop's bits would be the compiler's choice; with
-		// them every product is rounded, as in the assembly.
 		for j := range o {
 			o[j] += float64(c0*b0[j]) + float64(c1*b1[j]) + float64(c2*b2[j]) + float64(c3*b3[j])
 		}
@@ -125,9 +126,14 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 		if c == 0 {
 			continue
 		}
-		brow := b[p*n : (p+1)*n : (p+1)*n]
-		for j := range orow {
-			orow[j] += c * brow[j]
+		o, brow := orow, b[p*n:(p+1)*n:(p+1)*n]
+		if useAVX2 {
+			addRowAVX2(o, brow, c)
+			tail := n &^ 3
+			o, brow = o[tail:], brow[tail:]
+		}
+		for j := range o {
+			o[j] += float64(c * brow[j])
 		}
 	}
 }
@@ -136,9 +142,10 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 // a time, so each element of a is loaded once per four products, and two
 // steps of the inner dimension per pass, so eight sums are in flight — a
 // floating-point add takes four cycles, and four sums alone would wait on
-// it. It has no assembly path: vectorising across the inner dimension
-// would reorder these sums and change a fit's weights.
+// it. With useAVX2 the pairs run in assembly, one running sum per lane, and
+// this loop adds an odd last step and finishes the sums.
 func kernelNT(dst, a, b []float64, m, k, n, lo, hi int) {
+	var sums [8]float64
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n : (i+1)*n]
@@ -150,23 +157,28 @@ func kernelNT(dst, a, b []float64, m, k, n, lo, hi int) {
 			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k][:len(arow)]
 			var s0, s1, s2, s3, t0, t1, t2, t3 float64
 			p := 0
+			if useAVX2 {
+				dotPairs4AVX2(&sums, arow, b0, b1, b2, b3)
+				s0, t0, s1, t1, s2, t2, s3, t3 = sums[0], sums[1], sums[2], sums[3], sums[4], sums[5], sums[6], sums[7]
+				p = len(arow) &^ 1
+			}
 			for ; p < len(arow)-1; p += 2 {
 				a0, a1 := arow[p], arow[p+1]
-				s0 += a0 * b0[p]
-				t0 += a1 * b0[p+1]
-				s1 += a0 * b1[p]
-				t1 += a1 * b1[p+1]
-				s2 += a0 * b2[p]
-				t2 += a1 * b2[p+1]
-				s3 += a0 * b3[p]
-				t3 += a1 * b3[p+1]
+				s0 += float64(a0 * b0[p])
+				t0 += float64(a1 * b0[p+1])
+				s1 += float64(a0 * b1[p])
+				t1 += float64(a1 * b1[p+1])
+				s2 += float64(a0 * b2[p])
+				t2 += float64(a1 * b2[p+1])
+				s3 += float64(a0 * b3[p])
+				t3 += float64(a1 * b3[p+1])
 			}
 			if p < len(arow) {
 				a0 := arow[p]
-				s0 += a0 * b0[p]
-				s1 += a0 * b1[p]
-				s2 += a0 * b2[p]
-				s3 += a0 * b3[p]
+				s0 += float64(a0 * b0[p])
+				s1 += float64(a0 * b1[p])
+				s2 += float64(a0 * b2[p])
+				s3 += float64(a0 * b3[p])
 			}
 			orow[j] += s0 + t0
 			orow[j+1] += s1 + t1
@@ -186,13 +198,13 @@ func dot4(x, y []float64) float64 {
 	var s0, s1, s2, s3 float64
 	p := 0
 	for ; p+4 <= len(x); p += 4 {
-		s0 += x[p] * y[p]
-		s1 += x[p+1] * y[p+1]
-		s2 += x[p+2] * y[p+2]
-		s3 += x[p+3] * y[p+3]
+		s0 += float64(x[p] * y[p])
+		s1 += float64(x[p+1] * y[p+1])
+		s2 += float64(x[p+2] * y[p+2])
+		s3 += float64(x[p+3] * y[p+3])
 	}
 	for ; p < len(x); p++ {
-		s0 += x[p] * y[p]
+		s0 += float64(x[p] * y[p])
 	}
 	return (s0 + s1) + (s2 + s3)
 }

@@ -114,47 +114,89 @@ func TestProductsSkipZeroBlocksExactly(t *testing.T) {
 	}
 }
 
+// edgeValues are the inputs where an operation order or a fused
+// multiply-add would show: signed zeros, infinities, NaN, subnormals, and
+// magnitudes whose products overflow.
+var edgeValues = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, 1e-310, 1e308, -1e308}
+
+// edgeSlice is randSlice with each element replaced by an edge value with
+// probability p.
+func edgeSlice(rng *rand.Rand, n int, p float64) []float64 {
+	s := randSlice(rng, n)
+	for i := range s {
+		if rng.Float64() < p {
+			s[i] = edgeValues[rng.Intn(len(edgeValues))]
+		}
+	}
+	return s
+}
+
+// checkAVX2MatchesPortable runs pr with the assembly kernels and with the
+// Go loops on the same operands, edge values in both operands and in the
+// accumulated destination with probability p. The results must have the
+// same bits (any NaN equal to any NaN).
+func checkAVX2MatchesPortable(t *testing.T, rng *rand.Rand, pr product, m, k, n int, p float64, acc bool) {
+	t.Helper()
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	a, b := edgeSlice(rng, m*k, p), edgeSlice(rng, k*n, p)
+	dst := edgeSlice(rng, m*n, p)
+	want := slices.Clone(dst)
+	useAVX2 = false
+	pr.into(want, a, b, m, k, n, acc)
+	useAVX2 = true
+	pr.into(dst, a, b, m, k, n, acc)
+	for i := range want {
+		if math.Float64bits(dst[i]) != math.Float64bits(want[i]) && !(math.IsNaN(dst[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s m=%d k=%d n=%d acc=%v: element %d is %x with AVX2, %x without",
+				pr.name, m, k, n, acc, i, dst[i], want[i])
+		}
+	}
+}
+
+func requireAVX2(t *testing.T) {
+	if !HasAVX2() {
+		t.Skip("no AVX2 on this CPU: the Go loops are the only kernels")
+	}
+}
+
 // TestRowUpdateAVX2MatchesPortable runs a·b and aᵀ·b — the products on
 // the shared row update — with the assembly row update and with the Go
-// loop, over random shapes on both sides of every multiple of four, with
-// signed zeros, infinities, NaN, subnormals and overflowing magnitudes in
-// both operands and in the accumulated destination. The results must have
-// the same bits (any NaN equal to any NaN).
+// loop, over random shapes on both sides of every multiple of four.
 func TestRowUpdateAVX2MatchesPortable(t *testing.T) {
-	if !HasAVX2() {
-		t.Skip("no AVX2 on this CPU: the Go loop is the only row update")
-	}
-	defer func(old bool) { useAVX2 = old }(useAVX2)
+	requireAVX2(t)
 	rng := rand.New(rand.NewSource(46))
-	edge := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e-310, 1e308, -1e308}
-	fill := func(n int, p float64) []float64 {
-		s := randSlice(rng, n)
-		for i := range s {
-			if rng.Float64() < p {
-				s[i] = edge[rng.Intn(len(edge))]
-			}
-		}
-		return s
-	}
 	for trial := 0; trial < 3000; trial++ {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(24), 1+rng.Intn(40)
-		p := []float64{0, 0.02, 0.3}[trial%3]
 		for _, pr := range products[:2] {
-			a, b := fill(m*k, p), fill(k*n, p)
-			acc := trial%4 != 0
-			dst := fill(m*n, p)
-			want := slices.Clone(dst)
-			useAVX2 = false
-			pr.into(want, a, b, m, k, n, acc)
-			useAVX2 = true
-			pr.into(dst, a, b, m, k, n, acc)
-			for i := range want {
-				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) && !(math.IsNaN(dst[i]) && math.IsNaN(want[i])) {
-					t.Fatalf("%s m=%d k=%d n=%d acc=%v: element %d is %x with AVX2, %x without",
-						pr.name, m, k, n, acc, i, dst[i], want[i])
-				}
-			}
+			checkAVX2MatchesPortable(t, rng, pr, m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
 		}
+	}
+}
+
+// TestRowTailAVX2MatchesPortable holds the one-row update of the last
+// k mod 4 rows of b (k = 9 is a 3×3 convolution) to the Go loop, over rows
+// of 0 to 300 elements.
+func TestRowTailAVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 3000; trial++ {
+		m, k, n := 1+rng.Intn(3), 4*rng.Intn(3)+1+rng.Intn(3), rng.Intn(301)
+		for _, pr := range products[:2] {
+			checkAVX2MatchesPortable(t, rng, pr, m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
+		}
+	}
+}
+
+// TestTransBAVX2MatchesPortable holds a·bᵀ's paired-lane kernel to the Go
+// loop: inner lengths 0 to 300, odd ones ending on an unpaired step, and
+// column counts on both sides of every multiple of four, so the dot4
+// columns run too.
+func TestTransBAVX2MatchesPortable(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 3000; trial++ {
+		m, k, n := 1+rng.Intn(4), rng.Intn(301), 1+rng.Intn(19)
+		checkAVX2MatchesPortable(t, rng, products[2], m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
 	}
 }
 
@@ -194,14 +236,19 @@ func TestProductsAreWorkerCountIndependent(t *testing.T) {
 }
 
 // TestProductsAllocateNothing holds the kernels to their word at a layer's
-// shapes (below ForkWork, so on the caller's goroutine).
+// shapes (below ForkWork, so on the caller's goroutine), on both paths. An
+// odd k runs a·bᵀ's unpaired step and the row update's one-row tail.
 func TestProductsAllocateNothing(t *testing.T) {
+	defer func(old bool) { useAVX2 = old }(useAVX2)
 	rng := rand.New(rand.NewSource(44))
-	m, k, n := 16, 200, 64
-	for _, pr := range products {
-		a, b, dst := randSlice(rng, m*k), randSlice(rng, k*n), make([]float64, m*n)
-		if got := testing.AllocsPerRun(10, func() { pr.into(dst, a, b, m, k, n, true) }); got != 0 {
-			t.Errorf("%s allocates %.0f times per call", pr.name, got)
+	m, k, n := 16, 201, 63
+	for _, avx2 := range []bool{false, HasAVX2()} {
+		useAVX2 = avx2
+		for _, pr := range products {
+			a, b, dst := randSlice(rng, m*k), randSlice(rng, k*n), make([]float64, m*n)
+			if got := testing.AllocsPerRun(10, func() { pr.into(dst, a, b, m, k, n, true) }); got != 0 {
+				t.Errorf("%s (AVX2 %v) allocates %.0f times per call", pr.name, avx2, got)
+			}
 		}
 	}
 }

@@ -55,7 +55,7 @@ func AddInPlace(a, b *Tensor) *Tensor {
 func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) *Tensor {
 	binaryCheck("AxpyInPlace", a, b)
 	for i := range a.data {
-		a.data[i] += alpha * b.data[i]
+		a.data[i] += float64(alpha * b.data[i])
 	}
 	return a
 }
@@ -146,7 +146,7 @@ func Dot(a, b *Tensor) float64 {
 	binaryCheck("Dot", a, b)
 	s := 0.0
 	for i := range a.data {
-		s += a.data[i] * b.data[i]
+		s += float64(a.data[i] * b.data[i])
 	}
 	return s
 }
@@ -256,7 +256,7 @@ func SquaredDistance(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -100,7 +100,7 @@ func Randn(rng *rand.Rand, stddev float64, shape ...int) *Tensor {
 func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
+		t.data[i] = lo + float64(rng.Float64()*(hi-lo))
 	}
 	return t
 }
