@@ -103,11 +103,14 @@ func (s *Sample) Floats() []float64 {
 
 // FloatsInto decodes the payload into dst, which must hold Elems() values —
 // the allocation-free form batch pipelines use when collating thousands of
-// samples into pre-sized tensor rows.
+// samples into pre-sized tensor rows. Every one of the Elems() values is
+// written, zeros for an unknown dtype, so dst may hold anything before.
 func (s *Sample) FloatsInto(dst []float64) {
 	n := s.Elems()
 	out := dst[:n]
 	switch s.Dtype {
+	default:
+		clear(out)
 	case U8:
 		for i := 0; i < n; i++ {
 			out[i] = float64(s.Data[i])

@@ -79,6 +79,20 @@ func TestFloatsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloatsIntoWritesEveryElement: collating into a pooled buffer relies
+// on FloatsInto writing all Elems() values whatever dst held — zeros for a
+// dtype it cannot decode, as a fresh slice would have read.
+func TestFloatsIntoWritesEveryElement(t *testing.T) {
+	for _, dt := range []Dtype{U8, U16, F32, F64, 0, 9} {
+		s := &Sample{Shape: []int{2, 2}, Dtype: dt, Data: make([]byte, 32)}
+		dst := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), 7}
+		s.FloatsInto(dst)
+		if dst[0] != 0 || dst[1] != 0 || dst[2] != 0 || dst[3] != 0 || dst[4] != 7 {
+			t.Fatalf("dtype %v: FloatsInto left %v, want four zeros and the 7 past Elems()", dt, dst)
+		}
+	}
+}
+
 func TestSampleFromFloatsClamps(t *testing.T) {
 	s := SampleFromFloats([]float64{-10, 300}, []int{2}, U8, nil)
 	f := s.Floats()

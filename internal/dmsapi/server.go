@@ -22,6 +22,7 @@ import (
 	"fairdms/internal/fairms"
 	"fairdms/internal/nn"
 	"fairdms/internal/obs"
+	"fairdms/internal/tensor"
 	"fairdms/internal/trainer"
 )
 
@@ -534,7 +535,9 @@ func (s *Server) fitLocked(op string, samples []*codec.Sample, k int) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "%s: %v", op, err)
 	}
-	if err := s.cfg.DS.FitClustersK(x, k); err != nil {
+	err = s.cfg.DS.FitClustersK(x, k)
+	tensor.Release(x)
+	if err != nil {
 		return serviceError(err)
 	}
 	s.mirrorFit()
@@ -572,6 +575,7 @@ func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
 	s.dsMu.RLock()
 	cert, err := s.cfg.DS.CertaintyContext(r.Context(), x, threshold)
 	s.dsMu.RUnlock()
+	tensor.Release(x)
 	if err != nil {
 		return serviceError(err)
 	}
@@ -594,6 +598,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
 	s.dsMu.RLock()
 	labeled, err := s.cfg.DS.LookupLabeledContext(r.Context(), x)
 	s.dsMu.RUnlock()
+	tensor.Release(x)
 	if err != nil {
 		return serviceError(err)
 	}
@@ -658,6 +663,7 @@ func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 		s.dsMu.RLock()
 		pdf, err := s.cfg.DS.DatasetPDFContext(ctx, x)
 		s.dsMu.RUnlock()
+		tensor.Release(x)
 		if err != nil {
 			return nil, serviceError(err)
 		}
@@ -740,6 +746,7 @@ func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) error {
 	s.dsMu.RLock()
 	counts, ids, err := s.cfg.DS.LookupDrawContext(r.Context(), x, req.Seed)
 	s.dsMu.RUnlock()
+	tensor.Release(x)
 	if err != nil {
 		return serviceError(err)
 	}
@@ -813,15 +820,14 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
 			return nil, errf(http.StatusBadRequest, "recommend: decoding request: %v", err)
 		}
 		_, sp := obs.StartSpan(ctx, "zoo_rank")
-		ranked, err := s.cfg.Zoo.RankFit(*s.fitID.Load(), req.PDF)
+		best, ok, err := s.cfg.Zoo.BestFit(*s.fitID.Load(), req.PDF)
 		sp.End()
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-		if len(ranked) == 0 {
+		if !ok {
 			return RecommendResponse{OK: false}, nil
 		}
-		best := ranked[0]
 		if req.MaxJSD > 0 && best.JSD > req.MaxJSD {
 			return RecommendResponse{JSD: best.JSD, OK: false}, nil
 		}
@@ -1005,7 +1011,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 
 // serviceError maps library errors to HTTP status codes: an unfitted
 // clustering model is the caller's sequencing problem (the service is up
-// but not ready for lookups — 409), everything else is internal (500).
+// but not ready for lookups — 409), samples of another width than the
+// service's are a malformed request (400), everything else is internal
+// (500).
 func serviceError(err error) error {
 	var se *StatusError
 	if errors.As(err, &se) {
@@ -1013,6 +1021,10 @@ func serviceError(err error) error {
 	}
 	if errors.Is(err, fairds.ErrNotFitted) {
 		return errc(http.StatusConflict, CodeNotFitted, "%v", err)
+	}
+	var we *fairds.WidthError
+	if errors.As(err, &we) {
+		return errf(http.StatusBadRequest, "%v", err)
 	}
 	return errf(http.StatusInternalServerError, "%v", err)
 }

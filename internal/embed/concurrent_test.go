@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -56,5 +57,47 @@ func TestEmbedConcurrentUse(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEmbedConcurrentMixedBatches: the serving embed pass — Scaled over an
+// autoencoder, its scaled copy and every intermediate in pooled buffers —
+// run from many goroutines at once on one shared model, with batches of 1,
+// 7 and 64 rows interleaved so pooled buffers change hands between shapes,
+// gives each batch the embeddings of a serial pass, bit for bit. Run under
+// -race.
+func TestEmbedConcurrentMixedBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := Scaled{E: NewAutoencoder(rng, 121, 64, 8), Factor: 1.0 / 255}
+	var xs []*tensor.Tensor
+	var wants [][][]float64
+	for _, rows := range []int{1, 7, 64} {
+		x := tensor.RandUniform(rng, 0, 255, rows, 121)
+		xs, wants = append(xs, x), append(wants, EmbedRows(e, x))
+	}
+	const workers, rounds = 8, 24
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				i := (w + r) % len(xs)
+				for row, z := range EmbedRows(e, xs[i]) {
+					for j, v := range z {
+						if math.Float64bits(v) != math.Float64bits(wants[i][row][j]) {
+							errs <- "a concurrent embedding differs from the serial pass"
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

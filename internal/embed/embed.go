@@ -31,6 +31,13 @@ import (
 // The built-in methods satisfy this because nn eval-mode forwards write no
 // layer state; custom implementations that mutate per-call state (e.g.
 // Monte-Carlo dropout) must synchronize internally.
+//
+// Embed reads x only during the call: the result shares no storage with x,
+// and nothing keeps x afterwards. Callers rely on it — fairds collates a
+// request into a pooled tensor (tensor.Borrow) and releases it once Embed
+// has returned, and Scaled does the same with its scaled copy. The result
+// is the caller's, as an nn eval-mode forward's is; EmbedRows hands out
+// views of it and fairds stores them.
 type Embedder interface {
 	Embed(x *tensor.Tensor) *tensor.Tensor
 	Dim() int
@@ -75,18 +82,28 @@ type Scaled struct {
 // Dim returns the inner embedder's dimensionality.
 func (s Scaled) Dim() int { return s.E.Dim() }
 
-// Embed scales the batch and delegates.
+// Embed writes Factor·x into a pooled tensor, delegates, and releases the
+// scaled copy once the inner Embed has returned.
 func (s Scaled) Embed(x *tensor.Tensor) *tensor.Tensor {
-	return s.E.Embed(tensor.Scale(x, s.Factor))
+	scaled := tensor.Borrow(x.Dim(0), x.Dim(1))
+	sd := scaled.Data()
+	for i, v := range x.Data() {
+		sd[i] = s.Factor * v
+	}
+	z := s.E.Embed(scaled)
+	tensor.Release(scaled)
+	return z
 }
 
-// EmbedRows is a convenience wrapper returning embeddings as row slices,
-// the form the clustering package consumes.
+// EmbedRows returns the embeddings of x as row slices, the form the
+// clustering package consumes: views of the embedder's caller-owned result,
+// each capped at its own row, so appending to one cannot reach the next.
 func EmbedRows(e Embedder, x *tensor.Tensor) [][]float64 {
 	z := e.Embed(x)
 	out := make([][]float64, z.Dim(0))
 	for i := range out {
-		out[i] = append([]float64(nil), z.Row(i)...)
+		row := z.Row(i)
+		out[i] = row[:len(row):len(row)]
 	}
 	return out
 }
@@ -348,9 +365,9 @@ type BYOL struct {
 	dim       int
 	tau       float64
 
-	// encLayers is how many leading layers of online form the backbone
-	// whose output Embed returns.
-	encLayers int
+	// backbone is the leading layers of online (the same layer values,
+	// not copies) whose output Embed returns.
+	backbone *nn.Model
 }
 
 // NewBYOL builds a BYOL embedder. tau is the EMA decay (default 0.99).
@@ -378,7 +395,8 @@ func NewBYOL(rng *rand.Rand, in, hidden, dim int, aug Augment, tau float64) *BYO
 		nn.NewLinear(rng, dim, dim), nn.NewReLU(),
 		nn.NewLinear(rng, dim, dim),
 	)
-	return &BYOL{online: online, predictor: pred, target: target, aug: aug, dim: dim, tau: tau, encLayers: 3}
+	return &BYOL{online: online, predictor: pred, target: target, aug: aug, dim: dim, tau: tau,
+		backbone: nn.Sequential(online.Layers()[:3]...)}
 }
 
 // Dim returns the embedding dimensionality.
@@ -386,11 +404,7 @@ func (b *BYOL) Dim() int { return b.dim }
 
 // Embed returns the online backbone output (pre-projector).
 func (b *BYOL) Embed(x *tensor.Tensor) *tensor.Tensor {
-	out := x
-	for _, l := range b.online.Layers()[:b.encLayers] {
-		out = l.Forward(out, false)
-	}
-	return out
+	return b.backbone.Forward(x, false)
 }
 
 // Train runs BYOL: normalized-MSE between the online prediction of one view

@@ -8,7 +8,8 @@ import (
 	"fairdms/internal/tensor"
 )
 
-// recordingEmbedder captures its input for inspection.
+// recordingEmbedder captures a copy of its input for inspection: x itself
+// is only its to read during the call.
 type recordingEmbedder struct {
 	dim  int
 	last *tensor.Tensor
@@ -16,7 +17,7 @@ type recordingEmbedder struct {
 
 func (r *recordingEmbedder) Dim() int { return r.dim }
 func (r *recordingEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
-	r.last = x
+	r.last = x.Clone()
 	return tensor.New(x.Dim(0), r.dim)
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"fairdms/internal/codec"
 	"fairdms/internal/docstore"
-	"fairdms/internal/embed"
 	"fairdms/internal/obs"
 	"fairdms/internal/tensor"
 )
@@ -72,11 +71,11 @@ func (o *BatchOptions) defaults() {
 // embed-everything-then-write-everything of the single-call path.
 //
 // Failure is reported per document: a sample whose feature width disagrees
-// with the batch (first sample sets the reference, as in Collate) or whose
-// payload cannot be encoded gets a BatchDocError while the rest of the
-// batch commits. A store write failure fails only that chunk's documents.
-// The returned error is reserved for whole-call problems (unfitted
-// clustering model).
+// with the service's (a *WidthError; a service that has no width yet takes
+// the first sample's) or whose payload cannot be encoded gets a
+// BatchDocError while the rest of the batch commits. A store write failure
+// fails only that chunk's documents. The returned error is reserved for
+// whole-call problems (unfitted clustering model).
 func (s *Service) IngestLabeledBatch(samples []*codec.Sample, dataset string, opt BatchOptions) (BatchResult, error) {
 	return s.IngestLabeledBatchContext(context.Background(), samples, dataset, opt)
 }
@@ -94,14 +93,17 @@ func (s *Service) IngestLabeledBatchContext(ctx context.Context, samples []*code
 	if len(samples) == 0 {
 		return res, nil
 	}
-	// The first non-nil sample sets the batch's reference width (nil docs
-	// are in-contract: they become per-doc errors in ingestChunk). An
-	// all-nil batch falls through with refWidth 0 and every doc reported.
-	refWidth := 0
-	for _, smp := range samples {
-		if smp != nil {
-			refWidth = smp.Elems()
-			break
+	// The reference width is the service's, and for a service that has none
+	// yet the first non-nil sample's, which the first chunk to embed claims
+	// (nil docs are in-contract: they become per-doc errors in ingestChunk).
+	// An all-nil batch falls through with refWidth 0 and every doc reported.
+	refWidth := int(s.width.Load())
+	if refWidth == 0 {
+		for _, smp := range samples {
+			if smp != nil {
+				refWidth = smp.Elems()
+				break
+			}
 		}
 	}
 
@@ -164,7 +166,7 @@ func (s *Service) ingestChunk(ctx context.Context, samples []*codec.Sample, lo, 
 			continue
 		}
 		if smp.Elems() != refWidth {
-			fail(i, fmt.Errorf("fairds: sample has %d elements, batch expects %d", smp.Elems(), refWidth))
+			fail(i, &WidthError{Got: smp.Elems(), Want: refWidth})
 			continue
 		}
 		if err := smp.Validate(); err != nil {
@@ -187,11 +189,21 @@ func (s *Service) ingestChunk(ctx context.Context, samples []*codec.Sample, lo, 
 	// One embedder pass for the chunk's survivors. FloatsInto decodes each
 	// payload straight into its tensor row — no per-document scratch slice.
 	_, sp = obs.StartSpan(ctx, "embed")
-	x := tensor.New(len(valid), refWidth)
+	x := tensor.Borrow(len(valid), refWidth)
 	for row, i := range valid {
 		samples[i].FloatsInto(x.Row(row))
 	}
-	rows := embed.EmbedRows(s.embedder, x)
+	rows, err := s.embedRows(x)
+	tensor.Release(x)
+	if err != nil {
+		// Another request gave the service another width meanwhile.
+		sp.End()
+		for _, i := range valid {
+			fail(i, err)
+		}
+		return
+	}
+	s.claimWidth(refWidth)
 	assign := s.km.Predict(rows)
 	sp.End()
 
@@ -206,7 +218,6 @@ func (s *Service) ingestChunk(ctx context.Context, samples []*codec.Sample, lo, 
 	}
 	_, sp = obs.StartSpan(ctx, "store_insert")
 	var chunkIDs []string
-	var err error
 	if ts, ok := s.store.(TxnStore); ok {
 		// One transaction per chunk: on a WAL-durable store the chunk is
 		// one commit record (durable and atomic as a unit), and on any

@@ -170,6 +170,12 @@ type Service struct {
 	fits  fitStore
 	fitID string
 
+	// width is the number of elements per sample the service was fitted or
+	// ingested with, 0 while it has been neither (or was restored from a fit
+	// document that predates the field). A batch of another width is refused
+	// with a *WidthError before it reaches the embedder.
+	width atomic.Int64
+
 	// idx mirrors (doc ID, cluster, embedding) in process so nearest-label
 	// queries probe memory instead of scanning the store over the wire.
 	// idxReady reports whether the index covers the store: true from the
@@ -269,13 +275,15 @@ func (s *Service) K() int {
 // FitClusters (system plane) fits the clustering module on the embeddings
 // of x, choosing K automatically by the elbow method.
 func (s *Service) FitClusters(x *tensor.Tensor) error {
-	rows := embed.EmbedRows(s.embedder, x)
-	k, km, wss, err := cluster.SelectK(rows, s.cfg.KMin, s.cfg.KMax, s.cfg.Seed)
+	rows, err := s.embedRows(x)
+	if err != nil {
+		return err
+	}
+	_, km, wss, err := cluster.SelectK(rows, s.cfg.KMin, s.cfg.KMax, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("fairds: selecting K: %w", err)
 	}
-	_ = k
-	if err := s.publishFit(km); err != nil {
+	if err := s.publishFit(km, x.Dim(1)); err != nil {
 		return err
 	}
 	s.wss = wss
@@ -286,12 +294,15 @@ func (s *Service) FitClusters(x *tensor.Tensor) error {
 // for experiments that pin the cluster count (the paper uses 15 for the
 // Bragg data in Figs. 12 and 16).
 func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
-	rows := embed.EmbedRows(s.embedder, x)
+	rows, err := s.embedRows(x)
+	if err != nil {
+		return err
+	}
 	km, err := cluster.Fit(rows, cluster.Config{K: k, Seed: s.cfg.Seed})
 	if err != nil {
 		return fmt.Errorf("fairds: fitting %d clusters: %w", k, err)
 	}
-	if err := s.publishFit(km); err != nil {
+	if err := s.publishFit(km, x.Dim(1)); err != nil {
 		return err
 	}
 	s.wss = nil
@@ -308,6 +319,49 @@ func (s *Service) requireClusters() error {
 		return ErrNotFitted
 	}
 	return nil
+}
+
+// WidthError refuses a batch whose samples have another number of elements
+// than the ones the service was fitted or ingested with: an embedder's
+// first layer takes one input width, and stored embeddings and centroids
+// only mean something for inputs of that width. It is the caller's mistake
+// (dmsapi answers 400).
+type WidthError struct {
+	Got, Want int
+}
+
+func (e *WidthError) Error() string {
+	return fmt.Sprintf("fairds: samples have %d elements, this service was fitted and ingested with %d", e.Got, e.Want)
+}
+
+// embedRows is the one way a batch reaches the embedder: it refuses x when
+// the service knows another width, and otherwise embeds it. The rows are
+// views of the embedder's result, which the caller may keep.
+func (s *Service) embedRows(x *tensor.Tensor) ([][]float64, error) {
+	if known := s.width.Load(); known != 0 && known != int64(x.Dim(1)) {
+		return nil, &WidthError{Got: x.Dim(1), Want: int(known)}
+	}
+	return embed.EmbedRows(s.embedder, x), nil
+}
+
+// embedSamples collates samples into a pooled tensor, embeds it through
+// embedRows and releases it.
+func (s *Service) embedSamples(samples []*codec.Sample) ([][]float64, error) {
+	x, err := collate(samples)
+	if err != nil {
+		return nil, err
+	}
+	defer tensor.Release(x)
+	return s.embedRows(x)
+}
+
+// claimWidth gives a service without a width — one restored from a fit
+// document that predates the field — the width of the first batch it
+// embedded for an ingest. Only a batch the embedder took may claim it, so
+// a refused or failed first ingest leaves the service free to take its
+// real width.
+func (s *Service) claimWidth(w int) {
+	s.width.CompareAndSwap(0, int64(w))
 }
 
 // IngestLabeled (system plane) embeds labeled samples, assigns clusters,
@@ -331,12 +385,12 @@ func (s *Service) IngestLabeledContext(ctx context.Context, samples []*codec.Sam
 		return nil, nil
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	x, err := collate(samples)
+	rows, err := s.embedSamples(samples)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	rows := embed.EmbedRows(s.embedder, x)
+	s.claimWidth(samples[0].Elems())
 	assign := s.km.Predict(rows)
 	sp.End()
 
@@ -394,8 +448,11 @@ func (s *Service) DatasetPDFContext(ctx context.Context, x *tensor.Tensor) (stat
 		return nil, err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	rows := embed.EmbedRows(s.embedder, x)
+	rows, err := s.embedRows(x)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	_, sp = obs.StartSpan(ctx, "pdf")
 	defer sp.End()
 	return s.km.PDF(rows), nil
@@ -414,8 +471,11 @@ func (s *Service) CertaintyContext(ctx context.Context, x *tensor.Tensor, thresh
 		return 0, err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	rows := embed.EmbedRows(s.embedder, x)
+	rows, err := s.embedRows(x)
 	sp.End()
+	if err != nil {
+		return 0, err
+	}
 	_, sp = obs.StartSpan(ctx, "certainty")
 	defer sp.End()
 	return s.km.Certainty(rows, s.cfg.Fuzzifier, threshold), nil
@@ -518,11 +578,10 @@ func (s *Service) NearestLabeledExcluding(sample *codec.Sample, exclude map[stri
 	if err := s.requireClusters(); err != nil {
 		return "", nil, 0, err
 	}
-	x, err := collate([]*codec.Sample{sample})
+	rows, err := s.embedSamples([]*codec.Sample{sample})
 	if err != nil {
 		return "", nil, 0, err
 	}
-	rows := embed.EmbedRows(s.embedder, x)
 	z := rows[0]
 	k, _ := s.km.PredictOne(z)
 
@@ -615,12 +674,11 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 		return nil, err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	x, err := collate(samples)
+	rows, err := s.embedSamples(samples)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	rows := embed.EmbedRows(s.embedder, x)
 	assign := s.km.Predict(rows)
 	sp.End()
 
@@ -849,6 +907,7 @@ func (s *Service) Reindex(k int) (int, error) {
 	// Pass 1: re-embed every document.
 	const chunk = 256
 	embeddings := make([][]float64, len(ids))
+	width := 0
 	for lo := 0; lo < len(ids); lo += chunk {
 		hi := lo + chunk
 		if hi > len(ids) {
@@ -866,11 +925,11 @@ func (s *Service) Reindex(k int) (int, error) {
 			}
 			samples[i] = smp
 		}
-		x, err := collate(samples)
+		rows, err := s.embedSamples(samples)
 		if err != nil {
 			return 0, err
 		}
-		rows := embed.EmbedRows(s.embedder, x)
+		width = samples[0].Elems()
 		copy(embeddings[lo:hi], rows)
 	}
 
@@ -891,7 +950,7 @@ func (s *Service) Reindex(k int) (int, error) {
 			return i, fmt.Errorf("fairds: reindex update %s: %w", id, err)
 		}
 	}
-	if err := s.publishFit(km); err != nil {
+	if err := s.publishFit(km, width); err != nil {
 		return len(ids), err
 	}
 	s.wss = nil
@@ -1092,22 +1151,29 @@ func apportion(pdf stats.PDF, n int) []int {
 	return counts
 }
 
-// collate stacks samples into a (N, features) tensor.
+// collate stacks samples into a (N, features) tensor borrowed from the
+// tensor scratch pool; every element is written. On error it borrows
+// nothing.
 func collate(samples []*codec.Sample) (*tensor.Tensor, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("fairds: empty sample set")
 	}
 	feat := samples[0].Elems()
-	x := tensor.New(len(samples), feat)
 	for i, smp := range samples {
 		if smp.Elems() != feat {
 			return nil, fmt.Errorf("fairds: sample %d has %d elements, expected %d", i, smp.Elems(), feat)
 		}
+	}
+	x := tensor.Borrow(len(samples), feat)
+	for i, smp := range samples {
 		smp.FloatsInto(x.Row(i))
 	}
 	return x, nil
 }
 
-// Collate is the exported form used by callers assembling tensors from
-// retrieved samples.
+// Collate stacks samples into a (N, features) tensor. The tensor is
+// borrowed from the tensor scratch pool (tensor.Borrow) and the caller owns
+// it: one that is done with it once a call into the service has returned —
+// a request handler — hands it back with tensor.Release; one that keeps it
+// (a trainer's inputs) or returns it simply never releases it.
 func Collate(samples []*codec.Sample) (*tensor.Tensor, error) { return collate(samples) }

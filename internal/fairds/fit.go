@@ -86,9 +86,10 @@ func fitIDOf(centers [][]float64) string {
 // publishFit is the one place a fitted model becomes the service's: the fit
 // document is committed first and km assigned only after, so a failed or
 // torn write leaves the service — and, after a crash, the store — on the
-// previous fit, never on half of one. Callers hold whatever lock guards km
-// (the dmsapi server's dsMu write side).
-func (s *Service) publishFit(km *cluster.KMeans) error {
+// previous fit, never on half of one. width is the element count of the
+// samples km was fitted on. Callers hold whatever lock guards km (the
+// dmsapi server's dsMu write side).
+func (s *Service) publishFit(km *cluster.KMeans, width int) error {
 	id := fitIDOf(km.Centers)
 	if s.fits != nil {
 		dim := len(km.Centers[0])
@@ -103,6 +104,7 @@ func (s *Service) publishFit(km *cluster.KMeans) error {
 			"centers":   flat,
 			"fuzzifier": s.cfg.Fuzzifier,
 			"embedder":  s.embedderIdentity(),
+			"width":     width,
 		}}}
 		if s.fitID != "" {
 			// A refit replaces the document inside the same transaction.
@@ -113,6 +115,7 @@ func (s *Service) publishFit(km *cluster.KMeans) error {
 		}
 	}
 	s.km, s.fitID = km, id
+	s.width.Store(int64(width))
 	return nil
 }
 
@@ -148,10 +151,17 @@ func (s *Service) restoreFit() error {
 	if mine := s.embedderIdentity(); recorded != "" && mine != "" && recorded != mine {
 		return bad("recorded under embedder %q, this service is configured with %q — the stored embeddings and centroids belong to the recorded one", recorded, mine)
 	}
+	// A document written before the field existed has no width: the first
+	// ingest then sets it.
+	width, _ := d.F["width"].(int64)
+	if width < 0 {
+		return bad("sample width %d", width)
+	}
 	centers := make([][]float64, k)
 	for i := range centers {
 		centers[i] = flat[int64(i)*dim : int64(i+1)*dim : int64(i+1)*dim]
 	}
 	s.km, s.fitID = &cluster.KMeans{Centers: centers}, fitIDOf(centers)
+	s.width.Store(width)
 	return nil
 }

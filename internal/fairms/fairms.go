@@ -14,8 +14,10 @@
 package fairms
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -308,12 +310,43 @@ func (z *Zoo) Rank(input stats.PDF) ([]Ranked, error) { return z.RankFit("", inp
 // either side names no fit, only the cluster count can tell, and PDFs of
 // another length than the input are skipped.
 func (z *Zoo) RankFit(fit string, input stats.PDF) ([]Ranked, error) {
+	var out []Ranked
+	err := z.scan(fit, input, func(r *Record, jsd float64) {
+		out = append(out, Ranked{Record: r, JSD: jsd})
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.SortStableFunc(out, func(a, b Ranked) int { return cmp.Compare(a.JSD, b.JSD) })
+	return out, nil
+}
+
+// BestFit is RankFit's first entry without the ranking: one pass over the
+// compatible models keeps the first with the strictly smallest JSD, which
+// is the one the stable sort puts first (the JSDs of validated PDFs are
+// never NaN). ok is false when no model is compatible. It allocates
+// nothing, so a recommend costs one divergence per model.
+func (z *Zoo) BestFit(fit string, input stats.PDF) (best Ranked, ok bool, err error) {
+	err = z.scan(fit, input, func(r *Record, jsd float64) {
+		if !ok || jsd < best.JSD {
+			best, ok = Ranked{Record: r, JSD: jsd}, true
+		}
+	})
+	if err != nil {
+		return Ranked{}, false, err
+	}
+	return best, ok, nil
+}
+
+// scan validates the query PDF and calls f, in insertion order and under
+// mu's read side, with every record compatible with a PDF computed under
+// fit and its divergence from input.
+func (z *Zoo) scan(fit string, input stats.PDF, f func(r *Record, jsd float64)) error {
 	if err := input.Validate(); err != nil {
-		return nil, fmt.Errorf("fairms: query PDF: %w", err)
+		return fmt.Errorf("fairms: query PDF: %w", err)
 	}
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	var out []Ranked
 	for _, id := range z.order {
 		r := z.records[id]
 		if fit != "" {
@@ -326,23 +359,21 @@ func (z *Zoo) RankFit(fit string, input stats.PDF) ([]Ranked, error) {
 		if len(r.TrainPDF) != len(input) {
 			continue
 		}
-		out = append(out, Ranked{Record: r, JSD: stats.JSDivergence(input, r.TrainPDF)})
+		f(r, stats.JSDivergence(input, r.TrainPDF))
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].JSD < out[j].JSD })
-	return out, nil
+	return nil
 }
 
 // Recommend returns the best foundation model for the input PDF, or an
 // error if the zoo holds no compatible models.
 func (z *Zoo) Recommend(input stats.PDF) (*Ranked, error) {
-	ranked, err := z.Rank(input)
+	best, ok, err := z.BestFit("", input)
 	if err != nil {
 		return nil, err
 	}
-	if len(ranked) == 0 {
+	if !ok {
 		return nil, errors.New("fairms: no compatible models in zoo")
 	}
-	best := ranked[0]
 	return &best, nil
 }
 
@@ -350,11 +381,11 @@ func (z *Zoo) Recommend(input stats.PDF) (*Ranked, error) {
 // (recommendation, true) when the best model's JSD is within maxJSD, and
 // (nil, false) when the caller should train from scratch instead.
 func (z *Zoo) RecommendWithThreshold(input stats.PDF, maxJSD float64) (*Ranked, bool) {
-	best, err := z.Recommend(input)
-	if err != nil || best.JSD > maxJSD {
+	best, ok, err := z.BestFit("", input)
+	if err != nil || !ok || best.JSD > maxJSD {
 		return nil, false
 	}
-	return best, true
+	return &best, true
 }
 
 // BestMedianWorst returns the best, median, and worst ranked models for an

@@ -56,11 +56,15 @@ func (c *Conv2d) colShape() (rows, cols int) {
 // workers by work, and each worker unrolls into one scratch matrix of its
 // own.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forward(x, train, own(&c.out, train))
+}
+
+func (c *Conv2d) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
 	checkBatch("Conv2d", x, c.InFeatures())
 	n := x.Dim(0)
 	colRows, colCols := c.colShape()
 	colLen := colRows * colCols
-	out := output(&c.out, train, n, c.OutFeatures())
+	out := output(ws, n, c.OutFeatures())
 	if train {
 		c.cols = grown(c.cols, n*colLen)
 		c.lastN = n
@@ -176,10 +180,14 @@ func (p *MaxPool2d) OutFeatures() int { return p.C * (p.H / p.Size) * (p.W / p.S
 // the argmax positions and runs on the caller, an eval-mode pass splits the
 // samples across workers by work.
 func (p *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return p.forward(x, train, own(&p.out, train))
+}
+
+func (p *MaxPool2d) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
 	in, of := p.C*p.H*p.W, p.OutFeatures()
 	checkBatch("MaxPool2d", x, in)
 	n := x.Dim(0)
-	out := output(&p.out, train, n, of)
+	out := output(ws, n, of)
 	if train {
 		p.lastArg = grown(p.lastArg, n*of)
 		p.lastN = n

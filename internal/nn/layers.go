@@ -34,9 +34,13 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 // work (tensor.ForkWork), which is what keeps a ≥ 64-row embedding batch
 // row-parallel and a small training batch on the caller.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.forward(x, train, own(&l.out, train))
+}
+
+func (l *Linear) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
 	checkBatch("Linear", x, l.In)
 	n := x.Dim(0)
-	out := output(&l.out, train, n, l.Out)
+	out := output(ws, n, l.Out)
 	bias := l.b.Value.Data()
 	for i := 0; i < n; i++ {
 		copy(out.Row(i), bias)
@@ -88,12 +92,12 @@ type activation struct {
 	out, dx *tensor.Tensor
 }
 
-// forward returns x's data and the tensor to write the activation into.
-func (a *activation) forward(layer string, x *tensor.Tensor, train bool) ([]float64, *tensor.Tensor) {
+// begin returns x's data and the tensor to write the activation into.
+func (a *activation) begin(layer string, x *tensor.Tensor, ws **tensor.Tensor) ([]float64, *tensor.Tensor) {
 	if x.NDim() != 2 {
 		panic(fmt.Sprintf("nn: %s expects (batch, features) input, got shape %v", layer, x.Shape()))
 	}
-	return x.Data(), output(&a.out, train, x.Dim(0), x.Dim(1))
+	return x.Data(), output(ws, x.Dim(0), x.Dim(1))
 }
 
 // backward returns the remembered tensor's data, grad's data and the
@@ -115,7 +119,11 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward clamps negatives to zero.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	xd, out := r.forward("ReLU", x, train)
+	return r.forward(x, train, own(&r.out, train))
+}
+
+func (r *ReLU) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
+	xd, out := r.begin("ReLU", x, ws)
 	od := out.Data()
 	for i, v := range xd {
 		if v > 0 {
@@ -187,7 +195,11 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
 // Forward applies the leaky rectifier.
 func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	xd, out := r.forward("LeakyReLU", x, train)
+	return r.forward(x, train, own(&r.out, train))
+}
+
+func (r *LeakyReLU) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
+	xd, out := r.begin("LeakyReLU", x, ws)
 	leaky(out.Data(), xd, xd, r.Alpha)
 	if train {
 		r.last = x
@@ -215,7 +227,11 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward applies the logistic function.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	xd, out := s.forward("Sigmoid", x, train)
+	return s.forward(x, train, own(&s.out, train))
+}
+
+func (s *Sigmoid) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
+	xd, out := s.begin("Sigmoid", x, ws)
 	od := out.Data()
 	for i, v := range xd {
 		od[i] = 1 / (1 + math.Exp(-v))
@@ -248,7 +264,11 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	xd, out := t.forward("Tanh", x, train)
+	return t.forward(x, train, own(&t.out, train))
+}
+
+func (t *Tanh) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
+	xd, out := t.begin("Tanh", x, ws)
 	od := out.Data()
 	for i, v := range xd {
 		od[i] = math.Tanh(v)
@@ -300,6 +320,10 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout {
 // layer state, so it is safe to run concurrently; MC mode draws from the
 // layer's RNG and records its mask, and is not.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return d.forward(x, train, own(&d.out, train))
+}
+
+func (d *Dropout) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
 	if (!train && !d.MC) || d.P == 0 {
 		if train || d.MC {
 			d.lastMask = nil
@@ -311,7 +335,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	keep := 1 - d.P
 	scale := 1 / keep
-	out := output(&d.out, train, x.Dim(0), x.Dim(1))
+	out := output(ws, x.Dim(0), x.Dim(1))
 	d.mask = grown(d.mask, x.Len())
 	mask := d.mask
 	xd, od := x.Data(), out.Data()
@@ -362,6 +386,8 @@ func NewIdentity() *Identity { return &Identity{} }
 
 // Forward returns x unchanged.
 func (Identity) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return x }
+
+func (Identity) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor { return x }
 
 // Backward returns grad unchanged.
 func (Identity) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }

@@ -52,6 +52,16 @@
 //     as long as nobody is training or loading weights into that instance.
 //     The one exception is a Dropout in Monte-Carlo mode, which draws from
 //     the layer's RNG at inference time and must not be shared.
+//   - An eval-mode Model.Forward writes every layer's output but the last
+//     into a slot borrowed from the tensor scratch pool (tensor.Borrow) for
+//     that call alone, and releases the slots before it returns. The tensor
+//     it returns is the last layer's caller-owned result — a copy when that
+//     layer passes its input through — and is never pooled, so the rule for
+//     its caller is the per-layer one above. The slots hold the values the
+//     per-layer chain would allocate: every layer overwrites all of its
+//     output, whatever a buffer held before. Fit's per-epoch validation
+//     pass is the same pass over slots Fit keeps for the whole fit, so what
+//     a fit allocates does not depend on the pool.
 package nn
 
 import (
@@ -104,6 +114,11 @@ type Layer interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 
+	// forward is Forward writing its output where ws says (see output):
+	// Forward passes the layer's own workspace in train mode and nil in
+	// eval mode, Model.Forward's eval pass a pooled slot.
+	forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor
+
 	// replica returns a layer of the same geometry that shares this one's
 	// parameter values but owns its gradients and workspaces.
 	replica() Layer
@@ -143,12 +158,50 @@ func (m *Model) replica() *Model {
 	return &Model{layers: layers}
 }
 
-// Forward runs the input through every layer.
+// Forward runs the input through every layer. An eval-mode pass gives each
+// layer but the last a pooled slot for its output (see "Buffer ownership"),
+// so a warmed pass allocates its result and little else.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range m.layers {
-		x = l.Forward(x, train)
+	if train {
+		for _, l := range m.layers {
+			x = l.Forward(x, train)
+		}
+		return x
 	}
-	return x
+	slots := m.evalSlots()
+	for i := range slots {
+		slots[i] = tensor.Borrow(0, 0)
+	}
+	out := m.forwardEval(x, slots)
+	for _, s := range slots {
+		tensor.Release(s)
+	}
+	return out
+}
+
+// evalSlots returns the slots forwardEval needs, all nil.
+func (m *Model) evalSlots() []*tensor.Tensor {
+	return make([]*tensor.Tensor, max(len(m.layers)-1, 0))
+}
+
+// forwardEval is the eval-mode pass with the output of layer i, for every
+// layer but the last, in slots[i], re-shaped as that layer needs (a nil
+// slot is allocated). The slots are pooled for one Model.Forward, or kept
+// by Fit for all of its validation passes. The result is the last layer's
+// caller-owned one, never a slot.
+func (m *Model) forwardEval(x *tensor.Tensor, slots []*tensor.Tensor) *tensor.Tensor {
+	if len(m.layers) == 0 {
+		return x
+	}
+	in, last := x, len(m.layers)-1
+	for i, l := range m.layers[:last] {
+		x = l.forward(x, false, &slots[i])
+	}
+	out := m.layers[last].forward(x, false, nil)
+	if out == x && x != in {
+		out = x.Clone() // passed through: x is a slot
+	}
+	return out
 }
 
 // Backward propagates the output gradient back through every layer.
@@ -196,15 +249,24 @@ func heInit(rng *rand.Rand, w *tensor.Tensor, fanIn int) {
 	}
 }
 
-// output is where a Forward writes: in train mode the layer-owned workspace
-// *ws, re-shaped to rows×cols with stale contents; in eval mode a new tensor
-// the caller owns.
-func output(ws **tensor.Tensor, train bool, rows, cols int) *tensor.Tensor {
-	if !train {
+// output is where a forward writes: a new tensor the caller owns when ws is
+// nil, and otherwise *ws — a layer-owned workspace or a pooled slot —
+// re-shaped to rows×cols with stale contents.
+func output(ws **tensor.Tensor, rows, cols int) *tensor.Tensor {
+	if ws == nil {
 		return tensor.New(rows, cols)
 	}
 	*ws = tensor.Reuse2D(*ws, rows, cols)
 	return *ws
+}
+
+// own is the ws a per-layer Forward passes its forward: the layer's
+// workspace in train mode, nil (a caller-owned result) in eval mode.
+func own(ws **tensor.Tensor, train bool) **tensor.Tensor {
+	if train {
+		return ws
+	}
+	return nil
 }
 
 // grown returns buf with length n for a layer that keeps it across calls,

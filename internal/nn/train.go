@@ -105,6 +105,9 @@ func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg Train
 		perm[i] = i
 	}
 	steps := newStepper(model, cfg.BatchSize, cfg.Loss)
+	// The validation forward's intermediates are Fit's for the whole fit,
+	// not pooled: an epoch's evaluation allocates the same on every run.
+	valSlots := model.evalSlots()
 
 	res := &TrainResult{}
 	bestVal := math.Inf(1)
@@ -134,7 +137,7 @@ func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg Train
 		trainLoss := epochLoss / float64(batches)
 		res.TrainLoss = append(res.TrainLoss, trainLoss)
 
-		val := Evaluate(model, valX, valY, cfg.Loss)
+		val, _ := cfg.Loss(model.forwardEval(valX, valSlots), valY)
 		res.ValLoss = append(res.ValLoss, val)
 		res.Epochs = epoch + 1
 

@@ -124,16 +124,27 @@ func KLDivergence(p, q PDF) float64 {
 // JSDivergence returns the Jensen–Shannon divergence between p and q in bits.
 // It is symmetric and bounded in [0, 1]: 0 for identical distributions and 1
 // for distributions with disjoint support. This is the metric fairMS uses to
-// rank zoo models against an input dataset (paper §II-B).
+// rank zoo models against an input dataset (paper §II-B), once per model
+// on every recommend, so it allocates nothing: the mixture m = ½(p+q) is
+// formed bin by bin, and KL(p‖m) and KL(q‖m) are summed side by side, each
+// in bin order.
 func JSDivergence(p, q PDF) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("stats: JSD between PDFs of different lengths %d vs %d", len(p), len(q)))
 	}
-	m := make(PDF, len(p))
-	for i := range p {
-		m[i] = 0.5 * (p[i] + q[i])
+	q = q[:len(p)]
+	var klP, klQ float64
+	for i, pi := range p {
+		qi := q[i]
+		m := 0.5 * (pi + qi)
+		if pi > 0 && m > 0 {
+			klP += pi * math.Log2(pi/m)
+		}
+		if qi > 0 && m > 0 {
+			klQ += qi * math.Log2(qi/m)
+		}
 	}
-	d := 0.5*klSafe(p, m) + 0.5*klSafe(q, m)
+	d := 0.5*klP + 0.5*klQ
 	// Clamp tiny negative values from floating-point rounding.
 	if d < 0 {
 		d = 0
@@ -147,17 +158,6 @@ func JSDivergence(p, q PDF) float64 {
 // JSDistance returns the Jensen–Shannon distance, the square root of the
 // divergence, which satisfies the triangle inequality.
 func JSDistance(p, q PDF) float64 { return math.Sqrt(JSDivergence(p, q)) }
-
-// klSafe computes KL(p‖m) where m is guaranteed to dominate p.
-func klSafe(p, m PDF) float64 {
-	d := 0.0
-	for i := range p {
-		if p[i] > 0 && m[i] > 0 {
-			d += p[i] * math.Log2(p[i]/m[i])
-		}
-	}
-	return d
-}
 
 // Percentile returns the q-th percentile (0 <= q <= 100) of xs using linear
 // interpolation between closest ranks. It does not modify xs.

@@ -779,10 +779,9 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	jsd := 0.0
 	if spec.MaxJSD > 0 {
 		_, sp := obs.StartSpan(ctx, "recommend")
-		ranked, _ := m.cfg.Zoo.RankFit(fit, pdf) // pdf is the data service's own: valid
+		rec, ok, _ := m.cfg.Zoo.BestFit(fit, pdf) // pdf is the data service's own: valid
 		sp.End()
-		if len(ranked) > 0 && ranked[0].JSD <= spec.MaxJSD {
-			rec := ranked[0]
+		if ok && rec.JSD <= spec.MaxJSD {
 			if err := model.LoadState(rec.Record.State); err != nil {
 				m.cfg.Logger.Warn("foundation incompatible, cold-starting",
 					"job", j.status.ID, "foundation", rec.Record.ID, "err", err)
