@@ -88,13 +88,13 @@ func inputPSNR(x, clean *tensor.Tensor) float64 {
 		xr, cr := x.Row(i), clean.Row(i)
 		for j := range xr {
 			diff := xr[j] - cr[j]
-			mse += diff * diff
+			mse += float64(diff * diff)
 		}
 		mse /= float64(len(xr))
 		if mse < 1e-12 {
 			mse = 1e-12
 		}
-		total += 10 * math.Log10(1/mse)
+		total += float64(10 * math.Log10(1/mse))
 	}
 	return total / float64(x.Dim(0))
 }

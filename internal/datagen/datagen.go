@@ -33,7 +33,7 @@ func Poisson(rng *rand.Rand, mean float64) float64 {
 		return 0
 	}
 	if mean > 50 {
-		v := mean + math.Sqrt(mean)*rng.NormFloat64()
+		v := mean + float64(math.Sqrt(mean)*rng.NormFloat64())
 		if v < 0 {
 			v = 0
 		}
@@ -88,7 +88,7 @@ func (r BraggRegime) GenerateOne(rng *rand.Rand) *codec.Sample {
 	img := p.Render(r.Patch, r.Patch)
 	if r.Noise > 0 {
 		for i := range img {
-			img[i] += rng.NormFloat64() * r.Noise
+			img[i] += float64(rng.NormFloat64() * r.Noise)
 		}
 	}
 	return codec.SampleFromFloats(img, []int{r.Patch, r.Patch}, codec.F32, []float64{p.Cx, p.Cy})
@@ -105,29 +105,29 @@ func (r BraggRegime) Generate(rng *rand.Rand, n int) []*codec.Sample {
 
 // drawParams samples peak parameters from the regime.
 func (r BraggRegime) drawParams(rng *rand.Rand) voigt.Params {
-	c := float64(r.Patch-1) / 2
+	c := float64(float64(r.Patch-1) / 2) // the compiler's ·0.5 must not fuse into c + …
 	width := func() float64 {
-		w := r.WidthMean + rng.NormFloat64()*r.WidthStd
+		w := r.WidthMean + float64(rng.NormFloat64()*r.WidthStd)
 		if w < 0.5 {
 			w = 0.5
 		}
 		return w
 	}
-	eta := r.EtaMean + rng.NormFloat64()*r.EtaStd
+	eta := r.EtaMean + float64(rng.NormFloat64()*r.EtaStd)
 	if eta < 0 {
 		eta = 0
 	}
 	if eta > 1 {
 		eta = 1
 	}
-	amp := r.AmpMean + rng.NormFloat64()*r.AmpStd
+	amp := r.AmpMean + float64(rng.NormFloat64()*r.AmpStd)
 	if amp < 1 {
 		amp = 1
 	}
 	return voigt.Params{
 		Amp: amp,
-		Cx:  c + rng.NormFloat64()*r.CenterJitter,
-		Cy:  c + rng.NormFloat64()*r.CenterJitter,
+		Cx:  c + float64(rng.NormFloat64()*r.CenterJitter),
+		Cy:  c + float64(rng.NormFloat64()*r.CenterJitter),
 		Sx:  width(), Sy: width(),
 		Eta: eta, Background: r.Background,
 	}
@@ -161,7 +161,7 @@ func DefaultBraggDrift(driftAt int) BraggDriftSchedule {
 // RegimeAt returns the generative regime of dataset i under the schedule.
 func (s BraggDriftSchedule) RegimeAt(i int) BraggRegime {
 	r := s.Base
-	r.WidthMean *= 1 + s.SlowRate*float64(i)
+	r.WidthMean = float64(r.WidthMean * (1 + float64(s.SlowRate*float64(i))))
 	if i >= s.DriftAt {
 		r.WidthMean += s.JumpWidth
 		r.EtaMean += s.JumpEta
@@ -216,10 +216,10 @@ func (r CookieRegime) Density() []float64 {
 	total := 0.0
 	for ch := 0; ch < n; ch++ {
 		theta := 2 * math.Pi * float64(ch) / float64(n)
-		amp := 1 + r.Beta*math.Cos(2*(theta-r.Phase))
+		amp := 1 + float64(r.Beta*math.Cos(2*(theta-r.Phase)))
 		for e := 0; e < n; e++ {
 			x := (float64(e)/float64(n) - r.CenterE) / r.WidthE
-			v := amp * math.Exp(-x*x/2)
+			v := float64(amp * math.Exp(-x*x/2))
 			img[ch*n+e] = v
 			total += v
 		}
@@ -285,11 +285,11 @@ func DefaultCookieDrift() CookieDriftSchedule {
 // RegimeAt returns the regime of dataset i.
 func (s CookieDriftSchedule) RegimeAt(i int) CookieRegime {
 	r := s.Base
-	r.CenterE += s.EnergyRate * float64(i)
+	r.CenterE += float64(s.EnergyRate * float64(i))
 	if r.CenterE > 0.85 {
 		r.CenterE = 0.85
 	}
-	r.Phase += s.PhaseRate * float64(i)
+	r.Phase += float64(s.PhaseRate * float64(i))
 	r.Counts *= math.Pow(s.CountsDecay, float64(i))
 	return r
 }
@@ -340,20 +340,20 @@ func (r TomoRegime) generate(rng *rand.Rand) (*codec.Sample, []float64) {
 	clean := make([]float64, n*n)
 	// Random nested ellipses with decreasing intensity.
 	for e := 0; e < r.Ellipses; e++ {
-		cx := 0.5 + 0.2*rng.NormFloat64()*0.3
-		cy := 0.5 + 0.2*rng.NormFloat64()*0.3
-		ax := 0.45 * math.Pow(0.75, float64(e)) * (0.8 + 0.4*rng.Float64())
-		ay := 0.45 * math.Pow(0.75, float64(e)) * (0.8 + 0.4*rng.Float64())
+		cx := 0.5 + float64(0.2*rng.NormFloat64()*0.3)
+		cy := 0.5 + float64(0.2*rng.NormFloat64()*0.3)
+		ax := 0.45 * math.Pow(0.75, float64(e)) * (0.8 + float64(0.4*rng.Float64()))
+		ay := 0.45 * math.Pow(0.75, float64(e)) * (0.8 + float64(0.4*rng.Float64()))
 		rot := rng.Float64() * math.Pi
-		val := 0.4 + 0.6*rng.Float64()
+		val := 0.4 + float64(0.6*rng.Float64())
 		sin, cos := math.Sin(rot), math.Cos(rot)
 		for y := 0; y < n; y++ {
 			fy := float64(y)/float64(n) - cy
 			for x := 0; x < n; x++ {
 				fx := float64(x)/float64(n) - cx
-				u := (fx*cos + fy*sin) / ax
-				v := (-fx*sin + fy*cos) / ay
-				if u*u+v*v <= 1 {
+				u := (float64(fx*cos) + float64(fy*sin)) / ax
+				v := (float64(-fx*sin) + float64(fy*cos)) / ay
+				if float64(u*u)+float64(v*v) <= 1 {
 					clean[y*n+x] += val
 				}
 			}

@@ -145,12 +145,12 @@ func (a ImageAugmenter) View(rng *rand.Rand, src, dst []float64) {
 	}
 	scale := 1.0
 	if a.ScaleRange > 0 {
-		scale = 1 + (rng.Float64()*2-1)*a.ScaleRange
+		scale = 1 + float64((float64(rng.Float64())*2-1)*a.ScaleRange) // the inner float64 keeps rand's product out of the doubling
 	}
 	for i := range dst {
-		v := dst[i] * scale
+		v := float64(dst[i] * scale)
 		if a.Noise > 0 {
-			v += rng.NormFloat64() * a.Noise
+			v += float64(rng.NormFloat64() * a.Noise)
 		}
 		dst[i] = v
 	}
@@ -469,7 +469,7 @@ func byolLoss(p, z *tensor.Tensor) (float64, *tensor.Tensor) {
 		pn, zn := norm(pr), norm(zr)
 		dot := 0.0
 		for j := 0; j < d; j++ {
-			dot += pr[j] * zr[j]
+			dot += float64(pr[j] * zr[j])
 		}
 		cos := dot / (pn * zn)
 		loss += 2 - 2*cos
@@ -485,7 +485,7 @@ func byolLoss(p, z *tensor.Tensor) (float64, *tensor.Tensor) {
 func norm(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s) + 1e-12
 }

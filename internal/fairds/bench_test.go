@@ -98,15 +98,15 @@ func BenchmarkLookupLabeled32k(b *testing.B) { benchLookup(b, 32768) }
 
 // BenchmarkNearest is the tentpole acceptance benchmark: the single-query
 // nearest-label path at store sizes 1k/10k/50k, store-scan fallback vs the
-// in-process vector indexes. The scan path re-fetches every embedding in
-// the predicted cluster from the store per query; the indexed paths probe
-// memory.
+// in-process vector indexes. The scan path — a service whose index an
+// embedder swap has cooled — re-fetches every embedding in the predicted
+// cluster from the store per query; the indexed paths probe memory.
 func BenchmarkNearest(b *testing.B) {
 	configs := []struct {
 		mode string
 		cfg  Config
 	}{
-		{"scan", Config{DisableIndex: true}},
+		{"scan", Config{}},
 		{"flat", Config{}},
 		{"ivf", Config{}}, // Index filled per size below — IVFs are stateful
 	}
@@ -120,6 +120,11 @@ func BenchmarkNearest(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/n=%d", c.mode, n), func(b *testing.B) {
 				svc, query := benchServiceCfg(b, n, cfg)
+				if c.mode == "scan" {
+					if err := svc.SetEmbedder(svc.embedder); err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, _, _, err := svc.NearestLabeledExcluding(query[i%len(query)], nil); err != nil {

@@ -129,13 +129,8 @@ type Config struct {
 	Seed int64
 	// Index is the in-process vector index consulted by the nearest-label
 	// paths (vecindex.NewFlat by default; pass vecindex.NewIVF for
-	// approximate sublinear probes on very large clusters). Set
-	// DisableIndex to force the store-scan path instead.
+	// approximate sublinear probes on very large clusters).
 	Index vecindex.Index
-	// DisableIndex turns the vector index off entirely: every
-	// nearest-label query scans the store. Useful as the parity and
-	// benchmark baseline.
-	DisableIndex bool
 	// Logger receives corrupt-embedding and index-maintenance warnings;
 	// nil silences them.
 	Logger *log.Logger
@@ -213,18 +208,16 @@ func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error)
 	if err := store.CreateHashIndex("cluster"); err != nil {
 		return nil, fmt.Errorf("fairds: indexing cluster field: %w", err)
 	}
-	if !cfg.DisableIndex {
-		s.idx = cfg.Index
-		if s.idx == nil {
-			s.idx = vecindex.NewFlat()
-		}
-		// A store that is empty at construction stays covered by ingests
-		// alone; a pre-populated one needs WarmIndex (or Reindex) first.
-		// Crucially, "empty" must not be confused with "unreachable": a
-		// remote store whose count RPC failed must start cold, or the index
-		// would confidently answer no-neighbor for every existing document.
-		s.idxReady.Store(storeKnownEmpty(store))
+	s.idx = cfg.Index
+	if s.idx == nil {
+		s.idx = vecindex.NewFlat()
 	}
+	// A store that is empty at construction stays covered by ingests alone;
+	// a pre-populated one needs WarmIndex (or Reindex) first. Crucially,
+	// "empty" must not be confused with "unreachable": a remote store whose
+	// count RPC failed must start cold, or the index would confidently
+	// answer no-neighbor for every existing document.
+	s.idxReady.Store(storeKnownEmpty(store))
 	return s, nil
 }
 
@@ -958,17 +951,15 @@ func (s *Service) Reindex(k int) (int, error) {
 	// The vector index is rebuilt from the same refreshed embeddings and
 	// assignments, so it covers the store again even if it was cold or
 	// stale (e.g. after SetEmbedder).
-	if s.idx != nil {
-		entries := make([]vecindex.Entry, len(ids))
-		for i, id := range ids {
-			entries[i] = vecindex.Entry{ID: id, Cluster: assign[i], Vec: embeddings[i]}
-		}
-		if err := s.idx.Rebuild(entries); err != nil {
-			s.idxReady.Store(false)
-			return len(ids), fmt.Errorf("fairds: reindex vector index: %w", err)
-		}
-		s.idxReady.Store(true)
+	entries := make([]vecindex.Entry, len(ids))
+	for i, id := range ids {
+		entries[i] = vecindex.Entry{ID: id, Cluster: assign[i], Vec: embeddings[i]}
 	}
+	if err := s.idx.Rebuild(entries); err != nil {
+		s.idxReady.Store(false)
+		return len(ids), fmt.Errorf("fairds: reindex vector index: %w", err)
+	}
+	s.idxReady.Store(true)
 	return len(ids), nil
 }
 
@@ -977,14 +968,11 @@ func (s *Service) Reindex(k int) (int, error) {
 // is what lets a freshly started daemon adopt an existing store cheaply.
 // Documents whose fields are missing, mistyped, or of the wrong
 // dimensionality are counted as corrupt and skipped (the brute-force scan
-// would skip them too). Returns the number of vectors indexed. A no-op
-// returning 0 when the index is disabled. Complete the warm before serving
-// ingests: a cold service skips index maintenance, so documents ingested
-// while WarmIndex is mid-flight may miss both its snapshot and the index.
+// would skip them too). Returns the number of vectors indexed. Complete
+// the warm before serving ingests: a cold service skips index maintenance,
+// so documents ingested while WarmIndex is mid-flight may miss both its
+// snapshot and the index.
 func (s *Service) WarmIndex() (int, error) {
-	if s.idx == nil {
-		return 0, nil
-	}
 	docs, err := s.store.Find(docstore.Query{Project: []string{"embedding", "cluster"}})
 	if err != nil {
 		return 0, fmt.Errorf("fairds: warming index: %w", err)
@@ -1027,15 +1015,11 @@ func (s *Service) SetEmbedder(e embed.Embedder) error {
 
 // indexReady reports whether the vector index can answer for the whole
 // store.
-func (s *Service) indexReady() bool {
-	return s.idx != nil && s.idxReady.Load()
-}
+func (s *Service) indexReady() bool { return s.idxReady.Load() }
 
 // IndexStats describes the vector index's coverage and effectiveness — the
 // fairDS slice of the /statsz payload.
 type IndexStats struct {
-	// Enabled is false when the service was built with DisableIndex.
-	Enabled bool `json:"enabled"`
 	// Ready reports whether the index covers the store (queries probe it);
 	// false means nearest-label queries are falling back to store scans.
 	Ready bool `json:"ready"`
@@ -1061,22 +1045,18 @@ type IndexStats struct {
 // IndexStats snapshots the vector-index counters. Safe to call
 // concurrently with queries and ingests.
 func (s *Service) IndexStats() IndexStats {
-	st := IndexStats{
-		Enabled: s.idx != nil,
-		Ready:   s.indexReady(),
-		Hits:    s.idxHits.Load(),
-		Misses:  s.idxMisses.Load(),
-		Corrupt: s.corrupt.Load(),
+	// Index-level Rejected is not folded in: every rejected Add already
+	// passed through noteCorrupt, so Corrupt covers it.
+	is := s.idx.Stats()
+	return IndexStats{
+		Ready:       s.indexReady(),
+		Size:        is.Size,
+		Hits:        s.idxHits.Load(),
+		Misses:      s.idxMisses.Load(),
+		Probed:      is.Probed,
+		ListsProbed: is.ListsProbed,
+		Corrupt:     s.corrupt.Load(),
 	}
-	if s.idx != nil {
-		// Index-level Rejected is not folded in: every rejected Add already
-		// passed through noteCorrupt, so Corrupt covers it.
-		is := s.idx.Stats()
-		st.Size = is.Size
-		st.Probed = is.Probed
-		st.ListsProbed = is.ListsProbed
-	}
-	return st
 }
 
 // CorruptEmbeddings reports how many times a stored document with corrupt
@@ -1131,7 +1111,7 @@ func apportion(pdf stats.PDF, n int) []int {
 	fracs := make([]frac, len(pdf))
 	total := 0
 	for i, p := range pdf {
-		exact := p * float64(n)
+		exact := float64(p * float64(n))
 		counts[i] = int(exact)
 		fracs[i] = frac{idx: i, rem: exact - float64(counts[i])}
 		total += counts[i]

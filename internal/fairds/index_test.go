@@ -43,8 +43,10 @@ func TestUnreachableStoreStartsCold(t *testing.T) {
 
 // indexedAndScanPair builds two services over the same physical store and
 // identical clustering: one answering nearest-label queries from the
-// vector index, one forced onto the brute-force store scan. The pair is
-// the parity fixture — on identical data the two must agree exactly.
+// vector index, and one opened over the filled store and never warmed,
+// which scans the store as a restarted daemon does before WarmIndex. The
+// pair is the parity fixture — on identical data the two must agree
+// exactly.
 func indexedAndScanPair(t *testing.T, idx vecindex.Index, n int) (indexed, scan *Service, query []*codec.Sample) {
 	t.Helper()
 	store := docstore.NewStore().Collection("peaks")
@@ -68,9 +70,12 @@ func indexedAndScanPair(t *testing.T, idx vecindex.Index, n int) (indexed, scan 
 		t.Fatal("index not ready after ingest into a store born empty")
 	}
 
-	scan, err = New(idEmbedder{dim: 6}, store, Config{Seed: 1, DisableIndex: true})
+	scan, err = New(idEmbedder{dim: 6}, store, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if scan.IndexStats().Ready {
+		t.Fatal("a service opened over a filled store claims index coverage before WarmIndex")
 	}
 	// Same rows, same K, same seed — the deterministic fit yields identical
 	// centroids, so both services predict identical query clusters.
@@ -212,7 +217,7 @@ func TestWarmIndexAdoptsPrePopulatedStore(t *testing.T) {
 // must still return the best healthy document.
 func TestCorruptEmbeddingsCounted(t *testing.T) {
 	store := docstore.NewStore().Collection("peaks")
-	svc, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1, DisableIndex: true})
+	svc, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +231,10 @@ func TestCorruptEmbeddingsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := svc.IngestLabeled(hist, "hist"); err != nil {
+		t.Fatal(err)
+	}
+	// An embedder swap cools the index, so lookups scan the store.
+	if err := svc.SetEmbedder(idEmbedder{dim: 6}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,7 +305,7 @@ func TestReindexRebuildsIndexAfterEmbedderSwap(t *testing.T) {
 		t.Fatalf("after reindex: %+v", st)
 	}
 
-	scan, err := New(idEmbedder{dim: 4}, indexed.store, Config{Seed: 1, DisableIndex: true})
+	scan, err := New(idEmbedder{dim: 4}, indexed.store, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,8 @@ func (b *BraggNN) ErrorsPx(x, labels *tensor.Tensor) []float64 {
 	scale := float64(b.Patch - 1)
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
-		dx := pred.At(i, 0)*scale - labels.At(i, 0)
-		dy := pred.At(i, 1)*scale - labels.At(i, 1)
+		dx := float64(pred.At(i, 0)*scale) - labels.At(i, 0)
+		dy := float64(pred.At(i, 1)*scale) - labels.At(i, 1)
 		out[i] = math.Hypot(dx, dy)
 	}
 	return out
@@ -179,13 +179,13 @@ func (d *DenoiseNet) PSNR(x, clean *tensor.Tensor) float64 {
 		pr, cr := pred.Row(i), clean.Row(i)
 		for j := range pr {
 			diff := pr[j] - cr[j]
-			mse += diff * diff
+			mse += float64(diff * diff)
 		}
 		mse /= float64(len(pr))
 		if mse < 1e-12 {
 			mse = 1e-12
 		}
-		total += 10 * math.Log10(1/mse) // peak value is 1 after normalization
+		total += float64(10 * math.Log10(1/mse)) // peak value is 1 after normalization
 	}
 	return total / float64(n)
 }

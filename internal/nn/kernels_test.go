@@ -39,80 +39,84 @@ func sameBits(got, want []float64) error {
 	return nil
 }
 
-func requireAVX2(t *testing.T) {
-	if !tensor.HasAVX2() {
-		t.Skip("no AVX2 on this CPU: the Go loops are the only kernels")
-	}
-}
-
-// TestLeakyAVX2MatchesPortable holds the sign-select-multiply to the Go
-// loop, forward (the gradient is the input) and backward, over lengths 0 to
-// 300 and slopes that show a swapped select.
+// TestLeakyAVX2MatchesPortable holds LeakyReLU, forward (the gradient is
+// the input) and backward, on this host's kernel path (AVX2 where the CPU
+// has it) to the portable select g·(x > 0 ? 1 : α) spelled out, over
+// lengths 1 to 300 and slopes that show a swapped select. internal/simd
+// holds the kernel's two paths to each other.
 func TestLeakyAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
-	defer func(old bool) { useAVX2 = old }(useAVX2)
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 3000; trial++ {
-		n, p := rng.Intn(301), []float64{0, 0.02, 0.3}[trial%3]
+		n, p := 1+rng.Intn(300), []float64{0, 0.02, 0.3}[trial%3]
 		alpha := []float64{0.01, 0.2, 0, -1.5, 1e308}[trial%5]
-		x := edgeSlice(rng, n, p)
-		for pass, g := range [][]float64{x, edgeSlice(rng, n, p)} {
-			want, got := make([]float64, n), make([]float64, n)
-			useAVX2 = false
-			leaky(want, x, g, alpha)
-			useAVX2 = true
-			leaky(got, x, g, alpha)
-			if err := sameBits(got, want); err != nil {
-				t.Fatalf("n=%d alpha=%g forward=%v: %v", n, alpha, pass == 0, err)
+		x, g := edgeSlice(rng, n, p), edgeSlice(rng, n, p)
+		relu := NewLeakyReLU(alpha)
+		out := relu.Forward(tensor.FromSlice(x, 1, n), true)
+		dx := relu.Backward(tensor.FromSlice(g, 1, n))
+		wantOut, wantDx := make([]float64, n), make([]float64, n)
+		for i, v := range x {
+			slope := alpha
+			if v > 0 {
+				slope = 1
 			}
+			wantOut[i], wantDx[i] = v*slope, g[i]*slope
+		}
+		if err := sameBits(out.Data(), wantOut); err != nil {
+			t.Fatalf("n=%d alpha=%g forward: %v", n, alpha, err)
+		}
+		if err := sameBits(dx.Data(), wantDx); err != nil {
+			t.Fatalf("n=%d alpha=%g backward: %v", n, alpha, err)
 		}
 	}
 }
 
-// TestAdamAVX2MatchesPortable runs three Adam steps from the same weights,
-// gradients and moments on each path — edge values in all four, with and
-// without weight decay, over parameters of 0 to 300 elements — and holds
-// the weights and both moments to the same bits.
+// TestAdamAVX2MatchesPortable runs three Adam steps on this host's kernel
+// path and the portable element update spelled out, from the same weights,
+// gradients and moments — edge values in all four, with and without weight
+// decay, over parameters of 0 to 300 elements — and holds the weights and
+// both moments to the same bits.
 func TestAdamAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
-	defer func(old bool) { useAVX2 = old }(useAVX2)
 	rng := rand.New(rand.NewSource(62))
+	const lr, eps = 3e-3, 1e-8
+	b1, b2 := 0.9, 0.999 // variables, as in Adam.Step: 1-b1 rounds
 	for trial := 0; trial < 1000; trial++ {
 		p := []float64{0, 0.02, 0.3}[trial%3]
 		decay := []float64{0, 1e-4}[trial%2]
 		sizes := []int{rng.Intn(301), rng.Intn(9)}
+		params := make([]*Param, len(sizes))
 		var w, g, m, v [][]float64
-		for _, n := range sizes {
+		for i, n := range sizes {
 			w, g = append(w, edgeSlice(rng, n, p)), append(g, edgeSlice(rng, n, p))
 			m, v = append(m, edgeSlice(rng, n, p)), append(v, edgeSlice(rng, n, p))
+			params[i] = &Param{Value: tensor.FromSlice(slices.Clone(w[i]), n), Grad: tensor.FromSlice(g[i], n)}
 		}
-		var opts [2]*Adam
-		for path, avx2 := range []bool{false, true} {
-			params := make([]*Param, len(sizes))
-			for i, n := range sizes {
-				params[i] = &Param{Value: tensor.FromSlice(slices.Clone(w[i]), n), Grad: tensor.FromSlice(slices.Clone(g[i]), n)}
-			}
-			opt := NewAdamFull(params, 3e-3, 0.9, 0.999, 1e-8, decay)
+		opt := NewAdamFull(params, lr, b1, b2, eps, decay)
+		for i := range sizes {
+			copy(opt.m[i].Data(), m[i])
+			copy(opt.v[i].Data(), v[i])
+		}
+		for step := 1.0; step <= 3; step++ {
+			opt.Step()
+			lrc1, ic2 := lr/(1-math.Pow(b1, step)), 1/(1-math.Pow(b2, step))
 			for i := range sizes {
-				copy(opt.m[i].Data(), m[i])
-				copy(opt.v[i].Data(), v[i])
+				for j, wj := range w[i] {
+					gj := g[i][j] + float64(decay*wj)
+					m[i][j] = float64(b1*m[i][j]) + float64((1-b1)*gj)
+					v[i][j] = float64(b2*v[i][j]) + float64((1-b2)*gj*gj)
+					w[i][j] = wj - m[i][j]*lrc1/(math.Sqrt(v[i][j]*ic2)+eps)
+				}
 			}
-			useAVX2 = avx2
-			for range 3 {
-				opt.Step()
-			}
-			opts[path] = opt
 		}
 		for i := range sizes {
 			for _, c := range []struct {
 				what      string
-				got, want *tensor.Tensor
+				got, want []float64
 			}{
-				{"weight", opts[1].params[i].Value, opts[0].params[i].Value},
-				{"first moment", opts[1].m[i], opts[0].m[i]},
-				{"second moment", opts[1].v[i], opts[0].v[i]},
+				{"weight", opt.params[i].Value.Data(), w[i]},
+				{"first moment", opt.m[i].Data(), m[i]},
+				{"second moment", opt.v[i].Data(), v[i]},
 			} {
-				if err := sameBits(c.got.Data(), c.want.Data()); err != nil {
+				if err := sameBits(c.got, c.want); err != nil {
 					t.Fatalf("trial %d param %d (%d elements) %s: %v", trial, i, sizes[i], c.what, err)
 				}
 			}
@@ -219,9 +223,8 @@ func TestMaxPoolWindowRules(t *testing.T) {
 }
 
 // TestKernelsAllocateNothing holds LeakyReLU, MaxPool2d and Adam to a
-// warmed training step's zero allocations on both paths.
+// warmed training step's zero allocations.
 func TestKernelsAllocateNothing(t *testing.T) {
-	defer func(old bool) { useAVX2 = old }(useAVX2)
 	rng := rand.New(rand.NewSource(64))
 	x := tensor.Randn(rng, 1, 16, 8*15*15)
 	g := tensor.Randn(rng, 1, 16, 8*15*15)
@@ -230,19 +233,16 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	pg := tensor.Randn(rng, 1, 16, pool.OutFeatures())
 	lin := NewLinear(rng, 201, 63)
 	opt := NewAdam(lin.Params(), 1e-3)
-	for _, avx2 := range []bool{false, tensor.HasAVX2()} {
-		useAVX2 = avx2
-		for _, c := range []struct {
-			name string
-			f    func()
-		}{
-			{"LeakyReLU", func() { relu.Forward(x, true); relu.Backward(g) }},
-			{"MaxPool2d", func() { pool.Forward(x, true); pool.Backward(pg) }},
-			{"Adam", opt.Step},
-		} {
-			if got := testing.AllocsPerRun(10, c.f); got != 0 {
-				t.Errorf("%s (AVX2 %v) allocates %.0f times per step", c.name, avx2, got)
-			}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"LeakyReLU", func() { relu.Forward(x, true); relu.Backward(g) }},
+		{"MaxPool2d", func() { pool.Forward(x, true); pool.Backward(pg) }},
+		{"Adam", opt.Step},
+	} {
+		if got := testing.AllocsPerRun(10, c.f); got != 0 {
+			t.Errorf("%s allocates %.0f times per step", c.name, got)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fairdms/internal/simd"
 	"fairdms/internal/tensor"
 )
 
@@ -156,34 +157,6 @@ func (r *ReLU) Params() []*Param { return nil }
 
 func (r *ReLU) replica() Layer { return NewReLU() }
 
-// positive is 1 for v > 0 and 0 otherwise (NaN included). It compiles to a
-// flag-to-register move, so indexing a two-entry slope table with it (the
-// &1 at the call site shows the compiler the index is in range) selects a
-// rectifier's branch without a jump: the sign of a trained network's
-// activations is close to a coin flip to the branch predictor.
-func positive(v float64) int {
-	if v > 0 {
-		return 1
-	}
-	return 0
-}
-
-// leaky writes dst[i] = g[i]·(x[i] > 0 ? 1 : alpha), LeakyReLU's forward
-// (g = x) and backward pass alike. With useAVX2 the multiple-of-four prefix
-// runs in assembly with this loop's bits.
-func leaky(dst, x, g []float64, alpha float64) {
-	x, g = x[:len(dst)], g[:len(dst)]
-	if useAVX2 {
-		leakyAVX2(dst, x, g, alpha)
-		tail := len(dst) &^ 3
-		dst, x, g = dst[tail:], x[tail:], g[tail:]
-	}
-	slope := [2]float64{alpha, 1}
-	for i, v := range x {
-		dst[i] = g[i] * slope[positive(v)&1]
-	}
-}
-
 // LeakyReLU is max(x, alpha*x), BraggNN's activation.
 type LeakyReLU struct {
 	Alpha float64
@@ -200,7 +173,7 @@ func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 func (r *LeakyReLU) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tensor.Tensor {
 	xd, out := r.begin("LeakyReLU", x, ws)
-	leaky(out.Data(), xd, xd, r.Alpha)
+	simd.Leaky(out.Data(), xd, xd, r.Alpha)
 	if train {
 		r.last = x
 	}
@@ -210,7 +183,7 @@ func (r *LeakyReLU) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *t
 // Backward scales gradient by 1 or alpha depending on input sign.
 func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	xd, gd, od := r.backward("LeakyReLU", grad)
-	leaky(od, xd, gd, r.Alpha)
+	simd.Leaky(od, xd, gd, r.Alpha)
 	return r.dx
 }
 

@@ -21,15 +21,15 @@
 //
 // # Kernels
 //
-// The matrix products are internal/tensor's. On amd64 with AVX2
-// (tensor.HasAVX2), LeakyReLU's sign-select-multiply and Adam's element
-// update run in assembly, four elements per instruction, with the bits of
-// their Go loops; MaxPool2d selects a window's maximum without a branch.
-// The Go loops round every product before adding it (the float64
-// conversions), as the assembly does, so no compiler fuses one. A fit's
-// weights on one GOARCH therefore do not depend on the CPU it ran on;
-// across GOARCHes they may still differ where the math package does, such
-// as amd64's assembly math.Exp behind Sigmoid.
+// The matrix products are internal/tensor's; LeakyReLU's sign-select-
+// multiply and Adam's element update are internal/simd's kernels, which run
+// in AVX2 where the CPU has it and give their Go loops' bits either way.
+// MaxPool2d selects a window's maximum without a branch. Every product that
+// feeds an add is rounded first (the float64 conversions), so no compiler
+// fuses one. A fit's weights on one GOARCH therefore do not depend on the
+// CPU it ran on; across GOARCHes they may still differ where the math
+// package does, such as amd64's assembly math.Exp behind Sigmoid
+// (docs/ARCHITECTURE.md "Kernels and bits").
 //
 // # Buffer ownership
 //
@@ -71,10 +71,6 @@ import (
 
 	"fairdms/internal/tensor"
 )
-
-// useAVX2 selects the assembly LeakyReLU and Adam kernels; tests turn it
-// off to run the portable loops on the same host.
-var useAVX2 = tensor.HasAVX2()
 
 // Param is a trainable tensor with its accumulated gradient.
 type Param struct {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"fairdms/internal/simd"
 	"fairdms/internal/tensor"
 )
 
@@ -96,9 +97,8 @@ func NewAdamFull(params []*Param, lr, beta1, beta2, eps, weightDecay float64) *A
 // two bias corrections: lr/c1 and 1/c2 turn the element's two divisions
 // into multiplications, w - m·(lr/c1)/(√(v·(1/c2))+ε). That rounds
 // differently from the textbook lr·(m/c1)/(√(v/c2)+ε): the moments are
-// the same bits, the update differs by a few ulps of its own size. With
-// useAVX2 the multiple-of-four prefix of each parameter runs in assembly
-// with the Go loop's bits.
+// the same bits, the update differs by a few ulps of its own size. The
+// element update is simd.Adam.
 func (a *Adam) Step() {
 	a.step++
 	c1 := 1 - math.Pow(a.beta1, float64(a.step))
@@ -108,22 +108,7 @@ func (a *Adam) Step() {
 	b1, b2 := a.beta1, a.beta2
 	nb1, nb2 := 1-b1, 1-b2
 	for i, p := range a.params {
-		wd := p.Value.Data()
-		md := a.m[i].Data()[:len(wd)]
-		vd := a.v[i].Data()[:len(wd)]
-		gd := p.Grad.Data()[:len(wd)]
-		if useAVX2 {
-			adamAVX2(wd, md, vd, gd, decay, b1, nb1, b2, nb2, lrc1, ic2, eps)
-			tail := len(wd) &^ 3
-			wd, md, vd, gd = wd[tail:], md[tail:], vd[tail:], gd[tail:]
-		}
-		for j, w := range wd {
-			g := gd[j] + float64(decay*w)
-			m := float64(b1*md[j]) + float64(nb1*g)
-			v := float64(b2*vd[j]) + float64(nb2*g*g)
-			md[j], vd[j] = m, v
-			wd[j] = w - m*lrc1/(math.Sqrt(v*ic2)+eps)
-		}
+		simd.Adam(p.Value.Data(), a.m[i].Data(), a.v[i].Data(), p.Grad.Data(), decay, b1, nb1, b2, nb2, lrc1, ic2, eps)
 	}
 }
 

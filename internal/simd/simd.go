@@ -1,0 +1,154 @@
+// Package simd holds the module's vector kernels: the row updates and
+// paired dots of tensor's matrix products, nn's LeakyReLU and Adam element
+// updates, and vecindex's dim-8 distance check. Each is one function over
+// float64 slices. On amd64 with AVX2 it runs assembly over the largest
+// whole-vector prefix and its Go loop over the rest; everywhere else the Go
+// loop runs over everything. Callers never see which path ran.
+//
+// The contract is bits: the assembly performs the Go loop's operations in
+// the Go loop's order, with no fused multiply-add, so both paths give the
+// same result for every input, NaN payloads aside. The Go loops convert
+// each product that feeds an add with float64(...), which forbids a
+// compiler that fuses (arm64's does) from rounding once where the assembly
+// rounds twice. This package's tests hold both paths to each other bit for
+// bit; docs/ARCHITECTURE.md "Kernels and bits" says which GOARCH give
+// which bits.
+//
+// Every kernel allocates nothing, and every slice argument must be at least
+// as long as the one that sets the length (the first), or the call panics.
+package simd
+
+import "math"
+
+// useAVX2 selects the assembly; this package's tests turn it off to run the
+// portable loops on the same host.
+var useAVX2 = hasAVX2()
+
+// AddRows4 adds four scaled rows to o: o[j] + (((c0·b0[j] + c1·b1[j]) +
+// c2·b2[j]) + c3·b3[j]), each product rounded before it is added.
+func AddRows4(o, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	j := 0
+	if useAVX2 {
+		addRows4AVX2(o, b0, b1, b2, b3, c0, c1, c2, c3)
+		j = len(o) &^ 3
+	}
+	for ; j < len(o); j++ {
+		o[j] += float64(c0*b0[j]) + float64(c1*b1[j]) + float64(c2*b2[j]) + float64(c3*b3[j])
+	}
+}
+
+// AddRow adds one scaled row to o: o[j] + c·b[j].
+func AddRow(o, b []float64, c float64) {
+	b = b[:len(o)]
+	j := 0
+	if useAVX2 {
+		addRowAVX2(o, b, c)
+		j = len(o) &^ 3
+	}
+	for ; j < len(o); j++ {
+		o[j] += float64(c * b[j])
+	}
+}
+
+// DotPairs4 is the pair loop of a dot product of a against four rows b_j,
+// over the largest even prefix of a. It stores eight running sums as
+// (s0, t0, s1, t1, s2, t2, s3, t3): s_j sums a[p]·b_j[p] over even p and
+// t_j over odd p, each in ascending p and starting from zero. A caller adds
+// an odd last step to s_j and combines s_j + t_j.
+func DotPairs4(sums *[8]float64, a, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	if useAVX2 {
+		dotPairs4AVX2(sums, a, b0, b1, b2, b3)
+		return
+	}
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	for p := 0; p < len(a)-1; p += 2 {
+		a0, a1 := a[p], a[p+1]
+		s0 += float64(a0 * b0[p])
+		t0 += float64(a1 * b0[p+1])
+		s1 += float64(a0 * b1[p])
+		t1 += float64(a1 * b1[p+1])
+		s2 += float64(a0 * b2[p])
+		t2 += float64(a1 * b2[p+1])
+		s3 += float64(a0 * b3[p])
+		t3 += float64(a1 * b3[p+1])
+	}
+	*sums = [8]float64{s0, t0, s1, t1, s2, t2, s3, t3}
+}
+
+// positive is 1 for v > 0 and 0 otherwise (NaN included). It compiles to a
+// flag-to-register move, so indexing a two-entry slope table with it (the
+// &1 at the call site shows the compiler the index is in range) selects a
+// rectifier's branch without a jump: the sign of a trained network's
+// activations is close to a coin flip to the branch predictor.
+func positive(v float64) int {
+	if v > 0 {
+		return 1
+	}
+	return 0
+}
+
+// Leaky writes dst[i] = g[i]·(x[i] > 0 ? 1 : alpha), LeakyReLU's forward
+// pass (g = x) and backward pass alike. A NaN x selects alpha.
+func Leaky(dst, x, g []float64, alpha float64) {
+	x, g = x[:len(dst)], g[:len(dst)]
+	i := 0
+	if useAVX2 {
+		leakyAVX2(dst, x, g, alpha)
+		i = len(dst) &^ 3
+	}
+	slope := [2]float64{alpha, 1}
+	for ; i < len(dst); i++ {
+		dst[i] = g[i] * slope[positive(x[i])&1]
+	}
+}
+
+// Adam is Adam's element update with the bias corrections folded into lrc1
+// (lr/c1) and ic2 (1/c2), and nb1 = 1−b1, nb2 = 1−b2. Per element, in this
+// order: g' = g + decay·w; m = b1·m + nb1·g'; v = b2·v + (nb2·g')·g';
+// w = w − (m·lrc1)/(√(v·ic2) + eps). It updates w, m and v in place.
+func Adam(w, m, v, g []float64, decay, b1, nb1, b2, nb2, lrc1, ic2, eps float64) {
+	m, v, g = m[:len(w)], v[:len(w)], g[:len(w)]
+	j := 0
+	if useAVX2 {
+		adamAVX2(w, m, v, g, decay, b1, nb1, b2, nb2, lrc1, ic2, eps)
+		j = len(w) &^ 3
+	}
+	for ; j < len(w); j++ {
+		wj := w[j]
+		gj := g[j] + float64(decay*wj)
+		mj := float64(b1*m[j]) + float64(nb1*gj)
+		vj := float64(b2*v[j]) + float64(nb2*gj*gj)
+		m[j], v[j] = mj, vj
+		w[j] = wj - mj*lrc1/(math.Sqrt(vj*ic2)+eps)
+	}
+}
+
+// Dist8First scans slab, dim-8 vectors stored back to back, in whole groups
+// of four, and returns the index of the first vector whose squared distance
+// to q is less than bound, or -1. A trailing group of fewer than four
+// vectors is not read. The distance of v is
+// ((d0²+d4²) + (d1²+d5²)) + ((d2²+d6²) + (d3²+d7²)) with d = q − v, which is
+// vecindex.Dist2's order for dim 8. The comparison is ordered: a NaN
+// distance or bound never qualifies.
+func Dist8First(q *[8]float64, slab []float64, bound float64) int {
+	if useAVX2 {
+		return dist8FirstAVX2(q, slab, bound)
+	}
+	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+	slab = slab[:len(slab)/32*32]
+	for i := 0; len(slab) >= 8; i, slab = i+1, slab[8:] {
+		v := (*[8]float64)(slab)
+		d0, d1, d2, d3 := q0-v[0], q1-v[1], q2-v[2], q3-v[3]
+		d4, d5, d6, d7 := q4-v[4], q5-v[5], q6-v[6], q7-v[7]
+		s0 := float64(d0*d0) + float64(d4*d4)
+		s1 := float64(d1*d1) + float64(d5*d5)
+		s2 := float64(d2*d2) + float64(d6*d6)
+		s3 := float64(d3*d3) + float64(d7*d7)
+		if (s0+s1)+(s2+s3) < bound {
+			return i
+		}
+	}
+	return -1
+}

@@ -1,0 +1,49 @@
+package simd
+
+// hasAVX2 reports whether this CPU runs AVX2 code and its OS saves the YMM
+// registers across context switches. It reads CPUID leaf 1 ECX (OSXSAVE
+// bit 27, AVX bit 28), then XCR0 (XMM and YMM state, bits 1–2), then CPUID
+// leaf 7 EBX (AVX2 bit 5).
+func hasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads extended control register 0.
+func xgetbv() (eax, edx uint32)
+
+// The kernels below are the exported functions' vector prefixes: each
+// covers the largest whole number of four-element vectors (Dist8First's,
+// of four-vector groups; DotPairs4's, of pairs) and leaves the rest to the
+// exported function's Go loop, which has already cut every slice to the
+// length that sets the prefix.
+
+//go:noescape
+func addRows4AVX2(orow, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64)
+
+//go:noescape
+func addRowAVX2(orow, b []float64, c float64)
+
+//go:noescape
+func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64)
+
+//go:noescape
+func leakyAVX2(dst, x, g []float64, alpha float64)
+
+//go:noescape
+func adamAVX2(w, m, v, g []float64, decay, b1, nb1, b2, nb2, lrc1, ic2, eps float64)
+
+//go:noescape
+func dist8FirstAVX2(q *[8]float64, slab []float64, bound float64) int

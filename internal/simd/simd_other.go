@@ -1,0 +1,17 @@
+//go:build !amd64
+
+package simd
+
+// hasAVX2 is false off amd64: the Go loops are the only path.
+func hasAVX2() bool { return false }
+
+func addRows4AVX2(orow, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64) { panic(offAMD64) }
+func addRowAVX2(orow, b []float64, c float64)                             { panic(offAMD64) }
+func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64)         { panic(offAMD64) }
+func leakyAVX2(dst, x, g []float64, alpha float64)                        { panic(offAMD64) }
+func adamAVX2(w, m, v, g []float64, decay, b1, nb1, b2, nb2, lrc1, ic2, eps float64) {
+	panic(offAMD64)
+}
+func dist8FirstAVX2(q *[8]float64, slab []float64, bound float64) int { panic(offAMD64) }
+
+const offAMD64 = "simd: AVX2 kernel called off amd64"

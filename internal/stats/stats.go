@@ -95,7 +95,7 @@ func (p PDF) Entropy() float64 {
 	h := 0.0
 	for _, v := range p {
 		if v > 0 {
-			h -= v * math.Log(v)
+			h -= float64(v * math.Log(v))
 		}
 	}
 	return h
@@ -116,7 +116,7 @@ func KLDivergence(p, q PDF) float64 {
 		if q[i] == 0 {
 			return math.Inf(1)
 		}
-		d += p[i] * math.Log2(p[i]/q[i])
+		d += float64(p[i] * math.Log2(p[i]/q[i]))
 	}
 	return d
 }
@@ -138,13 +138,13 @@ func JSDivergence(p, q PDF) float64 {
 		qi := q[i]
 		m := 0.5 * (pi + qi)
 		if pi > 0 && m > 0 {
-			klP += pi * math.Log2(pi/m)
+			klP += float64(pi * math.Log2(pi/m))
 		}
 		if qi > 0 && m > 0 {
-			klQ += qi * math.Log2(qi/m)
+			klQ += float64(qi * math.Log2(qi/m))
 		}
 	}
-	d := 0.5*klP + 0.5*klQ
+	d := float64(0.5*klP) + float64(0.5*klQ)
 	// Clamp tiny negative values from floating-point rounding.
 	if d < 0 {
 		d = 0
@@ -173,14 +173,14 @@ func Percentile(xs []float64, q float64) float64 {
 	if q >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q / 100 * float64(len(sorted)-1)
+	pos := float64(q / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of xs (NaN for empty input).
@@ -205,7 +205,7 @@ func StdDev(xs []float64) float64 {
 	s := 0.0
 	for _, v := range xs {
 		d := v - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(n-1))
 }
@@ -245,9 +245,9 @@ func PearsonCorrelation(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0
@@ -278,7 +278,7 @@ func ElbowPoint(xs, ys []float64) (int, error) {
 	best, bestI := -1.0, 0
 	for i := range xs {
 		// Perpendicular distance from (xs[i], ys[i]) to the chord.
-		d := math.Abs(dy*xs[i]-dx*ys[i]+x1*y0-y1*x0) / norm
+		d := math.Abs(float64(dy*xs[i])-float64(dx*ys[i])+float64(x1*y0)-float64(y1*x0)) / norm
 		if d > best {
 			best, bestI = d, i
 		}

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"fairdms/internal/simd"
+)
 
 // The three matrix products of a dense layer and its backward pass — a·b,
 // aᵀ·b and a·bᵀ — over row-major slices, written into a destination the
@@ -12,20 +16,14 @@ import "fmt"
 // an order fixed by the shapes, so a product is bit-identical at any
 // GOMAXPROCS.
 //
-// On a CPU with AVX2 (useAVX2) each kernel runs its inner loop in assembly
-// and gives the Go loop's bits: the same products and sums in the same
-// association, no fused multiply-add. a·b and aᵀ·b share one row update,
-// four elements per instruction. a·bᵀ is dot-product shaped, so its vector
-// form keeps the Go loop's running sums, one per lane, rather than
+// The inner loops are internal/simd's kernels, which run in AVX2 where the
+// CPU has it and give the Go loop's bits either way. a·b and aᵀ·b share
+// one row update (simd.AddRows4, simd.AddRow). a·bᵀ is dot-product shaped,
+// so its kernel (simd.DotPairs4) keeps one running sum per lane rather than
 // splitting a dot along the inner dimension, which would reorder its sums
-// and change the weights a fit produces. The Go loops convert every product
-// with float64(...) before adding it, so they have no fused products on
-// any GOARCH: a compiler that fuses (arm64's does) would otherwise round
-// once where the assembly rounds twice.
-
-// useAVX2 selects the assembly kernels; tests turn it off to run the
-// portable loops on the same host.
-var useAVX2 = HasAVX2()
+// and change the weights a fit produces. The loops here convert every
+// product with float64(...) before adding it, as simd's do, so no GOARCH
+// fuses one.
 
 // MatMulInto computes dst = a·b, or dst += a·b when acc is set, for
 // row-major a (m×k), b (k×n) and dst (m×n).
@@ -93,10 +91,8 @@ func kernelTN(dst, a, b []float64, m, k, n, lo, hi int) {
 // (k × len(orow)) matrix and c[p] = a[off+p·stride]. Four rows of b go into
 // each pass over orow, so the accumulator row is read and written once per
 // four products; its elements are the independent sums. A block of four
-// zero coefficients (a padded or rectified input) is skipped. With useAVX2
-// the four-row pass and the one-row passes of the last k mod 4 rows run in
-// assembly up to the last multiple of four elements, and these loops
-// finish the row.
+// zero coefficients (a padded or rectified input) is skipped, and so is a
+// zero coefficient of the last k mod 4 rows, which go one at a time.
 func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 	n := len(orow)
 	p := 0
@@ -106,19 +102,7 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
 			continue
 		}
-		o := orow
-		b0 := b[p*n : (p+1)*n : (p+1)*n]
-		b1 := b[(p+1)*n : (p+2)*n : (p+2)*n]
-		b2 := b[(p+2)*n : (p+3)*n : (p+3)*n]
-		b3 := b[(p+3)*n : (p+4)*n : (p+4)*n]
-		if useAVX2 {
-			addRows4AVX2(o, b0, b1, b2, b3, c0, c1, c2, c3)
-			tail := n &^ 3
-			o, b0, b1, b2, b3 = o[tail:], b0[tail:], b1[tail:], b2[tail:], b3[tail:]
-		}
-		for j := range o {
-			o[j] += float64(c0*b0[j]) + float64(c1*b1[j]) + float64(c2*b2[j]) + float64(c3*b3[j])
-		}
+		simd.AddRows4(orow, b[p*n:(p+1)*n], b[(p+1)*n:(p+2)*n], b[(p+2)*n:(p+3)*n], b[(p+3)*n:(p+4)*n], c0, c1, c2, c3)
 	}
 	for ; p < k; p++ {
 		c := a[off]
@@ -126,15 +110,7 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 		if c == 0 {
 			continue
 		}
-		o, brow := orow, b[p*n:(p+1)*n:(p+1)*n]
-		if useAVX2 {
-			addRowAVX2(o, brow, c)
-			tail := n &^ 3
-			o, brow = o[tail:], brow[tail:]
-		}
-		for j := range o {
-			o[j] += float64(c * brow[j])
-		}
+		simd.AddRow(orow, b[p*n:(p+1)*n], c)
 	}
 }
 
@@ -142,8 +118,8 @@ func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
 // a time, so each element of a is loaded once per four products, and two
 // steps of the inner dimension per pass, so eight sums are in flight — a
 // floating-point add takes four cycles, and four sums alone would wait on
-// it. With useAVX2 the pairs run in assembly, one running sum per lane, and
-// this loop adds an odd last step and finishes the sums.
+// it. simd.DotPairs4 runs the pairs; this loop adds an odd last step and
+// finishes the sums.
 func kernelNT(dst, a, b []float64, m, k, n, lo, hi int) {
 	var sums [8]float64
 	for i := lo; i < hi; i++ {
@@ -155,25 +131,10 @@ func kernelNT(dst, a, b []float64, m, k, n, lo, hi int) {
 			b1 := b[(j+1)*k : (j+2)*k : (j+2)*k][:len(arow)]
 			b2 := b[(j+2)*k : (j+3)*k : (j+3)*k][:len(arow)]
 			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k][:len(arow)]
-			var s0, s1, s2, s3, t0, t1, t2, t3 float64
-			p := 0
-			if useAVX2 {
-				dotPairs4AVX2(&sums, arow, b0, b1, b2, b3)
-				s0, t0, s1, t1, s2, t2, s3, t3 = sums[0], sums[1], sums[2], sums[3], sums[4], sums[5], sums[6], sums[7]
-				p = len(arow) &^ 1
-			}
-			for ; p < len(arow)-1; p += 2 {
-				a0, a1 := arow[p], arow[p+1]
-				s0 += float64(a0 * b0[p])
-				t0 += float64(a1 * b0[p+1])
-				s1 += float64(a0 * b1[p])
-				t1 += float64(a1 * b1[p+1])
-				s2 += float64(a0 * b2[p])
-				t2 += float64(a1 * b2[p+1])
-				s3 += float64(a0 * b3[p])
-				t3 += float64(a1 * b3[p+1])
-			}
-			if p < len(arow) {
+			simd.DotPairs4(&sums, arow, b0, b1, b2, b3)
+			s0, t0, s1, t1, s2, t2, s3, t3 := sums[0], sums[1], sums[2], sums[3], sums[4], sums[5], sums[6], sums[7]
+			if len(arow)%2 == 1 {
+				p := len(arow) - 1
 				a0 := arow[p]
 				s0 += float64(a0 * b0[p])
 				s1 += float64(a0 * b1[p])

@@ -131,72 +131,111 @@ func edgeSlice(rng *rand.Rand, n int, p float64) []float64 {
 	return s
 }
 
-// checkAVX2MatchesPortable runs pr with the assembly kernels and with the
-// Go loops on the same operands, edge values in both operands and in the
-// accumulated destination with probability p. The results must have the
-// same bits (any NaN equal to any NaN).
-func checkAVX2MatchesPortable(t *testing.T, rng *rand.Rand, pr product, m, k, n int, p float64, acc bool) {
+// documentedOrder is the product's summation order spelled out one element
+// at a time: the order this package documents and internal/simd's kernels
+// keep on either path. a·b and aᵀ·b add four products at a time, skipping
+// a block of four zero coefficients, then the last k mod 4 one at a time,
+// skipping a zero. a·bᵀ sums even and odd steps apart in a column of a
+// group of four and adds the two, and runs four interleaved sums in the
+// last n mod 4 columns.
+func (pr product) documentedOrder(dst, a, b []float64, m, k, n int, acc bool) {
+	if !acc {
+		clear(dst)
+	}
+	at := func(i, p int) float64 { return a[pr.aAt(i, p, m, k)] }
+	bt := func(p, j int) float64 { return b[pr.bAt(p, j, k, n)] }
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			o := &dst[i*n+j]
+			var s [4]float64
+			switch {
+			case pr.name != "a·bᵀ":
+				p := 0
+				for ; p+4 <= k; p += 4 {
+					if at(i, p) != 0 || at(i, p+1) != 0 || at(i, p+2) != 0 || at(i, p+3) != 0 {
+						*o += float64(at(i, p)*bt(p, j)) + float64(at(i, p+1)*bt(p+1, j)) +
+							float64(at(i, p+2)*bt(p+2, j)) + float64(at(i, p+3)*bt(p+3, j))
+					}
+				}
+				for ; p < k; p++ {
+					if at(i, p) != 0 {
+						*o += float64(at(i, p) * bt(p, j))
+					}
+				}
+			case j < n/4*4:
+				for p := 0; p < k; p++ {
+					s[p%2] += float64(at(i, p) * bt(p, j))
+				}
+				*o += s[0] + s[1]
+			default:
+				for p := 0; p < k; p++ {
+					if p < k/4*4 {
+						s[p%4] += float64(at(i, p) * bt(p, j))
+					} else {
+						s[0] += float64(at(i, p) * bt(p, j))
+					}
+				}
+				*o += (s[0] + s[1]) + (s[2] + s[3])
+			}
+		}
+	}
+}
+
+// checkDocumentedOrder runs pr on this host's kernel path (AVX2 where the
+// CPU has it) and the documented order on the same operands, edge values
+// in both operands and in the accumulated destination with probability p.
+// The results must have the same bits (any NaN equal to any NaN).
+func checkDocumentedOrder(t *testing.T, rng *rand.Rand, pr product, m, k, n int, p float64, acc bool) {
 	t.Helper()
-	defer func(old bool) { useAVX2 = old }(useAVX2)
 	a, b := edgeSlice(rng, m*k, p), edgeSlice(rng, k*n, p)
 	dst := edgeSlice(rng, m*n, p)
 	want := slices.Clone(dst)
-	useAVX2 = false
-	pr.into(want, a, b, m, k, n, acc)
-	useAVX2 = true
+	pr.documentedOrder(want, a, b, m, k, n, acc)
 	pr.into(dst, a, b, m, k, n, acc)
 	for i := range want {
 		if math.Float64bits(dst[i]) != math.Float64bits(want[i]) && !(math.IsNaN(dst[i]) && math.IsNaN(want[i])) {
-			t.Fatalf("%s m=%d k=%d n=%d acc=%v: element %d is %x with AVX2, %x without",
+			t.Fatalf("%s m=%d k=%d n=%d acc=%v: element %d is %x, the documented order gives %x",
 				pr.name, m, k, n, acc, i, dst[i], want[i])
 		}
 	}
 }
 
-func requireAVX2(t *testing.T) {
-	if !HasAVX2() {
-		t.Skip("no AVX2 on this CPU: the Go loops are the only kernels")
-	}
-}
-
-// TestRowUpdateAVX2MatchesPortable runs a·b and aᵀ·b — the products on
-// the shared row update — with the assembly row update and with the Go
-// loop, over random shapes on both sides of every multiple of four.
+// TestRowUpdateAVX2MatchesPortable holds a·b and aᵀ·b — the products on
+// the shared row update, AVX2 on a CPU that has it — to the portable
+// documented order, over random shapes on both sides of every multiple of
+// four. internal/simd holds the kernel's two paths to each other.
 func TestRowUpdateAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
 	rng := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 3000; trial++ {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(24), 1+rng.Intn(40)
 		for _, pr := range products[:2] {
-			checkAVX2MatchesPortable(t, rng, pr, m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
+			checkDocumentedOrder(t, rng, pr, m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
 		}
 	}
 }
 
 // TestRowTailAVX2MatchesPortable holds the one-row update of the last
-// k mod 4 rows of b (k = 9 is a 3×3 convolution) to the Go loop, over rows
-// of 0 to 300 elements.
+// k mod 4 rows of b (k = 9 is a 3×3 convolution) to the documented order,
+// over rows of 0 to 300 elements.
 func TestRowTailAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 3000; trial++ {
 		m, k, n := 1+rng.Intn(3), 4*rng.Intn(3)+1+rng.Intn(3), rng.Intn(301)
 		for _, pr := range products[:2] {
-			checkAVX2MatchesPortable(t, rng, pr, m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
+			checkDocumentedOrder(t, rng, pr, m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
 		}
 	}
 }
 
-// TestTransBAVX2MatchesPortable holds a·bᵀ's paired-lane kernel to the Go
-// loop: inner lengths 0 to 300, odd ones ending on an unpaired step, and
-// column counts on both sides of every multiple of four, so the dot4
-// columns run too.
+// TestTransBAVX2MatchesPortable holds a·bᵀ's paired-lane kernel to the
+// documented order: inner lengths 0 to 300, odd ones ending on an unpaired
+// step, and column counts on both sides of every multiple of four, so the
+// dot4 columns run too.
 func TestTransBAVX2MatchesPortable(t *testing.T) {
-	requireAVX2(t)
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 3000; trial++ {
 		m, k, n := 1+rng.Intn(4), rng.Intn(301), 1+rng.Intn(19)
-		checkAVX2MatchesPortable(t, rng, products[2], m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
+		checkDocumentedOrder(t, rng, products[2], m, k, n, []float64{0, 0.02, 0.3}[trial%3], trial%4 != 0)
 	}
 }
 
@@ -236,19 +275,15 @@ func TestProductsAreWorkerCountIndependent(t *testing.T) {
 }
 
 // TestProductsAllocateNothing holds the kernels to their word at a layer's
-// shapes (below ForkWork, so on the caller's goroutine), on both paths. An
-// odd k runs a·bᵀ's unpaired step and the row update's one-row tail.
+// shapes (below ForkWork, so on the caller's goroutine). An odd k runs
+// a·bᵀ's unpaired step and the row update's one-row tail.
 func TestProductsAllocateNothing(t *testing.T) {
-	defer func(old bool) { useAVX2 = old }(useAVX2)
 	rng := rand.New(rand.NewSource(44))
 	m, k, n := 16, 201, 63
-	for _, avx2 := range []bool{false, HasAVX2()} {
-		useAVX2 = avx2
-		for _, pr := range products {
-			a, b, dst := randSlice(rng, m*k), randSlice(rng, k*n), make([]float64, m*n)
-			if got := testing.AllocsPerRun(10, func() { pr.into(dst, a, b, m, k, n, true) }); got != 0 {
-				t.Errorf("%s (AVX2 %v) allocates %.0f times per call", pr.name, avx2, got)
-			}
+	for _, pr := range products {
+		a, b, dst := randSlice(rng, m*k), randSlice(rng, k*n), make([]float64, m*n)
+		if got := testing.AllocsPerRun(10, func() { pr.into(dst, a, b, m, k, n, true) }); got != 0 {
+			t.Errorf("%s allocates %.0f times per call", pr.name, got)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"fairdms/internal/tensor"
 )
 
 // refDist2 spells out the summation order scanRange documents, one
@@ -37,29 +35,6 @@ func withProcs(procs int, f func()) {
 // pastFork is a partition size whose slab splits across workers.
 func pastFork(dim int) int { return 2*ForkElems/dim + 3 }
 
-// scanPath is one way a dim-8 scan runs: the portable loop, or the AVX2
-// kernel.
-type scanPath struct {
-	name string
-	avx2 bool
-}
-
-// scanPaths lists the paths this host can run.
-func scanPaths() []scanPath {
-	paths := []scanPath{{"portable", false}}
-	if tensor.HasAVX2() {
-		paths = append(paths, scanPath{"avx2", true})
-	}
-	return paths
-}
-
-// run calls f with the dim-8 scan on this path, then restores the switch.
-func (p scanPath) run(f func()) {
-	defer func(old bool) { useAVX2 = old }(useAVX2)
-	useAVX2 = p.avx2
-	f()
-}
-
 func TestDist2FollowsTheDocumentedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for dim := 1; dim <= 19; dim++ {
@@ -75,8 +50,7 @@ func TestDist2FollowsTheDocumentedOrder(t *testing.T) {
 // TestDistanceIsAPureFunctionOfTheVector is the contract the cluster's
 // exact merge rests on: one vector's Dist2 has the same bits whatever its
 // slot, however large its partition (one vector to past the fork
-// threshold), whichever index holds it, however many workers scan and
-// whichever scan path runs.
+// threshold), whichever index holds it and however many workers scan.
 func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 	for _, dim := range []int{8, 6, 13} {
 		rng := rand.New(rand.NewSource(int64(dim)))
@@ -104,18 +78,14 @@ func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					for _, path := range scanPaths() {
-						for _, procs := range []int{1, 4} {
-							path.run(func() {
-								withProcs(procs, func() {
-									got, ok := idx.Nearest(0, q, nil)
-									if !ok || got.ID != "target" || math.Float64bits(got.Dist2) != want {
-										t.Fatalf("%s %s dim=%d n=%d slot=%d procs=%d: got (%v, %x), want (target, %x)",
-											name, path.name, dim, n, slot, procs, got.ID, got.Dist2, math.Float64frombits(want))
-									}
-								})
-							})
-						}
+					for _, procs := range []int{1, 4} {
+						withProcs(procs, func() {
+							got, ok := idx.Nearest(0, q, nil)
+							if !ok || got.ID != "target" || math.Float64bits(got.Dist2) != want {
+								t.Fatalf("%s dim=%d n=%d slot=%d procs=%d: got (%v, %x), want (target, %x)",
+									name, dim, n, slot, procs, got.ID, got.Dist2, math.Float64frombits(want))
+							}
+						})
 					}
 				}
 			}
@@ -147,21 +117,17 @@ func TestTiesBreakToTheLowestSlot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, path := range scanPaths() {
-			for _, procs := range []int{1, 2, 4} {
-				path.run(func() {
-					withProcs(procs, func() {
-						excluded := make(map[string]bool)
-						for _, wantSlot := range twins {
-							got, ok := idx.Nearest(0, q, func(id string) bool { return excluded[id] })
-							if want := fmt.Sprintf("doc-%d", wantSlot); !ok || got.ID != want {
-								t.Fatalf("%s n=%d procs=%d: tie went to %v, want %s", path.name, n, procs, got.ID, want)
-							}
-							excluded[got.ID] = true
-						}
-					})
-				})
-			}
+		for _, procs := range []int{1, 2, 4} {
+			withProcs(procs, func() {
+				excluded := make(map[string]bool)
+				for _, wantSlot := range twins {
+					got, ok := idx.Nearest(0, q, func(id string) bool { return excluded[id] })
+					if want := fmt.Sprintf("doc-%d", wantSlot); !ok || got.ID != want {
+						t.Fatalf("n=%d procs=%d: tie went to %v, want %s", n, procs, got.ID, want)
+					}
+					excluded[got.ID] = true
+				}
+			})
 		}
 	}
 }
@@ -192,24 +158,20 @@ func TestLazyExclusionMatchesFilterFirst(t *testing.T) {
 					}
 					q, k := randVec(rng, 8), rng.Intn(2)
 					want, wok := bruteNearest(entries, k, q, excluded)
-					for _, path := range scanPaths() {
-						path.run(func() {
-							before := idx.Stats().Probed
-							asked := 0
-							got, ok := idx.Nearest(k, q, func(id string) bool { asked++; return excluded[id] })
-							if ok != wok || (ok && got != want) {
-								t.Fatalf("%s density %g: index (%v, %v) != oracle (%v, %v)", path.name, density, got, ok, want, wok)
-							}
-							if density == 1 && ok {
-								t.Fatalf("%s: everything excluded, yet a result", path.name)
-							}
-							if probed := idx.Stats().Probed - before; probed != inCluster[k] {
-								t.Fatalf("%s density %g: probed %d vectors of %d", path.name, density, probed, inCluster[k])
-							}
-							if density == 0 && int64(asked) > inCluster[k]/4 { // a few per list scanned, not one per vector
-								t.Fatalf("%s: exclude asked %d times over %d vectors: it is back on the per-vector path", path.name, asked, inCluster[k])
-							}
-						})
+					before := idx.Stats().Probed
+					asked := 0
+					got, ok := idx.Nearest(k, q, func(id string) bool { asked++; return excluded[id] })
+					if ok != wok || (ok && got != want) {
+						t.Fatalf("density %g: index (%v, %v) != oracle (%v, %v)", density, got, ok, want, wok)
+					}
+					if density == 1 && ok {
+						t.Fatal("everything excluded, yet a result")
+					}
+					if probed := idx.Stats().Probed - before; probed != inCluster[k] {
+						t.Fatalf("density %g: probed %d vectors of %d", density, probed, inCluster[k])
+					}
+					if density == 0 && int64(asked) > inCluster[k]/4 { // a few per list scanned, not one per vector
+						t.Fatalf("exclude asked %d times over %d vectors: it is back on the per-vector path", asked, inCluster[k])
 					}
 				}
 			}

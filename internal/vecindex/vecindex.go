@@ -33,11 +33,11 @@
 // so answers do not depend on worker counts, and distances from different
 // shards of a cluster can be compared and merged exactly.
 //
-// On amd64 with AVX2 (tensor.HasAVX2), a dim-8 scan — the served
-// embedder's width — checks four vectors per instruction in assembly,
-// computing each distance with Dist2's operations in Dist2's order and no
-// fused multiply-add. Which path runs changes speed, never an answer: a
-// shard without AVX2 returns the same bits.
+// A dim-8 scan — the served embedder's width — checks four vectors at a
+// time with simd.Dist8First, which runs in AVX2 where the CPU has it and
+// computes each distance with Dist2's operations in Dist2's order either
+// way. Which path runs changes speed, never an answer: a shard without AVX2
+// returns the same bits.
 package vecindex
 
 import (
@@ -46,7 +46,7 @@ import (
 	"runtime"
 	"sync"
 
-	"fairdms/internal/tensor"
+	"fairdms/internal/simd"
 )
 
 // Entry is one indexed vector: the backing document's ID, its coarse
@@ -201,10 +201,6 @@ func Dist2(q, v []float64) float64 {
 	return d2
 }
 
-// useAVX2 selects dist8first for dim-8 scans; tests turn it off to run the
-// portable loop on the same host.
-var useAVX2 = tensor.HasAVX2()
-
 // scanRange is the one distance kernel: the sequential scan of slots
 // [lo, hi) of a slab, behind scanNearest and Dist2.
 //
@@ -222,15 +218,11 @@ var useAVX2 = tensor.HasAVX2()
 // the callback stays off the per-vector path; the winner is the same as
 // filtering first.
 //
-// With useAVX2, a dim-8 scan goes to scan8AVX2, which gives the same
-// answer, asks exclude the same questions, and reports the same bits.
+// A dim-8 scan goes to scanDim8, which gives scan8's answer, asks exclude
+// the same questions, and reports the same bits.
 func scanRange(vecs []float64, ids []string, dim int, q []float64, exclude func(string) bool, lo, hi int) (int, float64) {
 	if dim == 8 {
-		q8 := (*[8]float64)(q)
-		if useAVX2 {
-			return scan8AVX2(vecs, ids, q8, exclude, lo, hi)
-		}
-		return scan8(vecs, ids, q8, exclude, lo, hi, -1, 0)
+		return scanDim8(vecs, ids, (*[8]float64)(q), exclude, lo, hi)
 	}
 	bestSlot, bestD2 := -1, 0.0
 	slab := vecs[lo*dim : hi*dim]
@@ -257,8 +249,9 @@ func scanRange(vecs []float64, ids []string, dim int, q []float64, exclude func(
 	return bestSlot, bestD2
 }
 
-// scan8 is scanRange's portable dim-8 loop, continuing from a best already
-// found (bestSlot -1: none yet).
+// scan8 is scanRange's dim-8 loop, one vector at a time, continuing from a
+// best already found (bestSlot -1: none yet). It is scanDim8's step for a
+// candidate and the scan its tests hold scanDim8 to.
 func scan8(vecs []float64, ids []string, q *[8]float64, exclude func(string) bool, lo, hi, bestSlot int, bestD2 float64) (int, float64) {
 	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
 	slab := vecs[lo*8 : hi*8]
@@ -278,19 +271,19 @@ func scan8(vecs []float64, ids []string, q *[8]float64, exclude func(string) boo
 	return bestSlot, bestD2
 }
 
-// scan8AVX2 drives dist8first over slots [lo, hi). Until a first eligible
-// vector is found, and for a tail of fewer than four, it runs scan8. After
-// that, dist8first checks four vectors per instruction and stops at the
-// first one strictly nearer than the best; that vector goes through scan8 —
-// same bits, same question to exclude — and the kernel resumes at the next
-// slot. So exclude is asked about the same vectors, in the same order, as
-// by scan8 alone.
-func scan8AVX2(vecs []float64, ids []string, q *[8]float64, exclude func(string) bool, lo, hi int) (int, float64) {
+// scanDim8 drives simd.Dist8First over slots [lo, hi). Until a first
+// eligible vector is found, and for a tail of fewer than four, it runs
+// scan8. After that, Dist8First checks four vectors at a time and stops at
+// the first one strictly nearer than the best; that vector goes through
+// scan8 — same bits, same question to exclude — and the kernel resumes at
+// the next slot. So exclude is asked about the same vectors, in the same
+// order, as by scan8 alone.
+func scanDim8(vecs []float64, ids []string, q *[8]float64, exclude func(string) bool, lo, hi int) (int, float64) {
 	bestSlot, bestD2 := -1, 0.0
 	i := lo
 	for hi-i >= 4 {
 		if bestSlot >= 0 {
-			k := dist8first(q, vecs[i*8:hi*8], bestD2)
+			k := simd.Dist8First(q, vecs[i*8:hi*8], bestD2)
 			if k < 0 { // no whole group of four holds a nearer vector
 				i += (hi - i) &^ 3
 				break

@@ -69,12 +69,8 @@ func TestParityWithBruteForce(t *testing.T) {
 				q := randVec(rng, 8)
 				k := rng.Intn(5)
 				want, wok := bruteNearest(entries, k, q, nil)
-				for _, path := range scanPaths() {
-					path.run(func() {
-						if got, ok := idx.Nearest(k, q, nil); ok != wok || got != want {
-							t.Fatalf("%s query %d cluster %d: index (%v, %v) != brute (%v, %v)", path.name, qi, k, got, ok, want, wok)
-						}
-					})
+				if got, ok := idx.Nearest(k, q, nil); ok != wok || got != want {
+					t.Fatalf("query %d cluster %d: index (%v, %v) != brute (%v, %v)", qi, k, got, ok, want, wok)
 				}
 			}
 		})

@@ -36,10 +36,10 @@ func (p Params) Eval(x, y float64) float64 {
 	eta := clamp01(p.Eta)
 	dx := (x - p.Cx) / sx
 	dy := (y - p.Cy) / sy
-	r2 := dx*dx + dy*dy
+	r2 := float64(dx*dx) + float64(dy*dy)
 	g := math.Exp(-r2 / 2)
 	l := 1 / (1 + r2)
-	return p.Amp*(eta*l+(1-eta)*g) + p.Background
+	return float64(p.Amp*(float64(eta*l)+float64((1-eta)*g))) + p.Background
 }
 
 // Render fills an h×w image (row-major) with the profile.
@@ -86,8 +86,8 @@ func CenterOfMass(img []float64, h, w int) (float64, float64) {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			m := img[y*w+x] - lo
-			sx += m * float64(x)
-			sy += m * float64(y)
+			sx += float64(m * float64(x))
+			sy += float64(m * float64(y))
 			mass += m
 		}
 	}
@@ -155,7 +155,7 @@ func Fit(img []float64, h, w int, cfg FitConfig) (*FitResult, error) {
 	for ; iters < cfg.MaxIters; iters++ {
 		// Numeric Jacobian by forward differences.
 		for j := 0; j < 7; j++ {
-			step := 1e-6 * (1 + math.Abs(vec[j]))
+			step := float64(1e-6 * (1 + math.Abs(vec[j])))
 			bumped := vec
 			bumped[j] += step
 			bp := fromVec(bumped)
@@ -174,9 +174,9 @@ func Fit(img []float64, h, w int, cfg FitConfig) (*FitResult, error) {
 		var jtr [7]float64
 		for i := 0; i < n; i++ {
 			for a := 0; a < 7; a++ {
-				jtr[a] += jac[i][a] * resid[i]
+				jtr[a] += float64(jac[i][a] * resid[i])
 				for b := a; b < 7; b++ {
-					jtj[a][b] += jac[i][a] * jac[i][b]
+					jtj[a][b] += float64(jac[i][a] * jac[i][b])
 				}
 			}
 		}
@@ -190,7 +190,7 @@ func Fit(img []float64, h, w int, cfg FitConfig) (*FitResult, error) {
 		for attempt := 0; attempt < 10; attempt++ {
 			aug := jtj
 			for a := 0; a < 7; a++ {
-				aug[a][a] += lambda * (jtj[a][a] + 1e-12)
+				aug[a][a] += float64(lambda * (jtj[a][a] + 1e-12))
 			}
 			delta, err := solve7(aug, jtr)
 			if err != nil {
@@ -263,7 +263,7 @@ func ssr(img []float64, h, w int, p Params, resid []float64) float64 {
 		for x := 0; x < w; x++ {
 			r := img[idx] - p.Eval(float64(x), float64(y))
 			resid[idx] = r
-			s += r * r
+			s += float64(r * r)
 			idx++
 		}
 	}
@@ -297,16 +297,16 @@ func solve7(a [7][7]float64, b [7]float64) ([7]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	var x [7]float64
 	for r := n - 1; r >= 0; r-- {
 		s := b[r]
 		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
+			s -= float64(a[r][c] * x[c])
 		}
 		x[r] = s / a[r][r]
 	}
