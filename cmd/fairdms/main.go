@@ -10,20 +10,21 @@
 //
 // Usage:
 //
-//	fairdms [-scans N] [-peaks N] [-store addr] [-dms addr] [-server-train]
-//	        [-timescale f]
+//	fairdms [-scans N] [-peaks N] [-dms addr] [-server-train] [-timescale f]
 //
-// With -store, historical data lives in an external dstore server;
-// otherwise an in-process store is used. With -dms, the data and model
-// services themselves are remote: the rapid-train action talks to a dmsd
-// daemon over HTTP — certainty, label lookup, PDF, recommendation, and
-// checkpoint download all cross the network — and only the fine-tuning
-// happens locally, exercising the paper's service deployment end to end
-// (-store is then ignored; the daemon owns the store). Adding
-// -server-train moves even the training into the daemon: each scan
-// becomes one async /v1/train job that warm-starts from the zoo's
-// recommendation and registers its checkpoint with lineage, and the
-// workflow just polls the job and downloads the result.
+// The workflow always reaches the fairDMS services over HTTP, through a
+// dmsapi.Client. With -dms they are a dmsd daemon (or a dmsrouter in front
+// of several); without it, fairdms serves them itself on a loopback port:
+// a BYOL embedder trained on the warm-up scans, K=8 clusters fitted on
+// them, an empty zoo and a training plane, as a dmsd would hold them. The
+// three-tier set-up is dstore ← dmsd -store ← fairdms -dms.
+//
+// Certainty, label lookup, PDF, recommendation, checkpoint download and
+// model registration all cross the network; by default the fine-tuning
+// itself runs in this process. -server-train moves it into the services:
+// each scan becomes one async /v1/train job that warm-starts from the
+// zoo's recommendation and registers its checkpoint with lineage, and the
+// workflow just waits for the job and downloads the result.
 package main
 
 import (
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
-	"fairdms/internal/core"
 	"fairdms/internal/datagen"
 	"fairdms/internal/dmsapi"
 	"fairdms/internal/docstore"
@@ -50,21 +50,20 @@ import (
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
+	"fairdms/internal/trainer"
 	"fairdms/internal/transfer"
 )
 
 const patch = 9
 
-// backend abstracts where the fairDMS services live: in-process (the
-// seed's single-binary mode) or behind a dmsd daemon reached over HTTP.
-type backend interface {
-	// rapidTrain runs the user-plane workflow for one scan's samples and
-	// returns the trained model plus the per-stage report.
-	rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *core.Report, error)
-	// ingest registers a scan's samples as labeled historical data.
-	ingest(scan int, samples []*codec.Sample) error
-	// summary describes the final system state.
-	summary() string
+// report is what one rapid-train action did, for the scan's summary line.
+type report struct {
+	Labeled    int
+	LabelTime  time.Duration
+	FineTuned  bool
+	Foundation string  // zoo ID of the fine-tuning foundation ("" if scratch)
+	JSD        float64 // divergence of the foundation's training data
+	TrainTime  time.Duration
 }
 
 func main() {
@@ -76,16 +75,14 @@ func main() {
 // run is main with the command line passed in and failures of the
 // workflow returned, so a test (and CI, through the exit status) can drive
 // the client against a live service. Wiring that can only fail on a
-// programming error — and the in-process backend's setup — still exits
-// through check.
+// programming error still exits through check.
 func run(args []string) error {
 	fs := flag.NewFlagSet("fairdms", flag.ExitOnError)
 	scans := fs.Int("scans", 10, "number of scans in the simulated experiment")
 	peaks := fs.Int("peaks", 60, "peaks per scan")
-	storeAddr := fs.String("store", "", "external dstore address (empty = in-process)")
-	dmsAddr := fs.String("dms", "", "external dmsd address (empty = in-process services)")
+	dmsAddr := fs.String("dms", "", "external dmsd or dmsrouter address (empty = serve the services in-process)")
 	serverTrain := fs.Bool("server-train", false,
-		"with -dms: train server-side via async /v1/train jobs (daemon warm-starts and registers)")
+		"train server-side via async /v1/train jobs (the services warm-start and register)")
 	timescale := fs.Float64("timescale", 0.001, "transfer time compression (0 = no sleeping)")
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage, as flag.Parse did
 
@@ -100,31 +97,34 @@ func run(args []string) error {
 		warmup = append(warmup, seq[i]...)
 	}
 
-	var be backend
-	if *dmsAddr != "" {
-		client, err := dmsapi.NewClient(*dmsAddr)
+	addr := *dmsAddr
+	if addr == "" {
+		srv, err := serveInProcess(rng, warmup)
 		if err != nil {
 			return err
 		}
-		defer client.Close()
-		b, err := newRemoteBackend(client, rng, warmup)
-		if err != nil {
-			return err
-		}
-		b.serverTrain = *serverTrain
-		be = b
-		mode := "local fine-tuning"
-		if *serverTrain {
-			mode = "server-side /v1/train jobs"
-		}
-		log.Printf("fairdms: using remote fairDMS services at %s (%s)", *dmsAddr, mode)
-	} else {
-		b := newLocalBackend(rng, *storeAddr, warmup, seq)
-		if b.closer != nil {
-			defer b.closer()
-		}
-		be = b
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		}()
+		addr = srv.Addr()
 	}
+	client, err := dmsapi.NewClient(addr)
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	svc, err := newServices(client, rng, warmup)
+	if err != nil {
+		return err
+	}
+	svc.serverTrain = *serverTrain
+	mode := "local fine-tuning"
+	if *serverTrain {
+		mode = "server-side /v1/train jobs"
+	}
+	log.Printf("fairdms: using fairDMS services at %s (%s)", addr, mode)
 
 	// --- Orchestration fabric -------------------------------------------
 	facility := transfer.NewEndpoint("facility")
@@ -162,7 +162,7 @@ func run(args []string) error {
 		if err != nil {
 			return nil, err
 		}
-		model, rep, err := be.rapidTrain(scan, samples)
+		model, rep, err := svc.rapidTrain(scan, samples)
 		if err != nil {
 			return nil, err
 		}
@@ -246,112 +246,59 @@ func run(args []string) error {
 			mode, rep.JSD, rep.TrainTime.Round(time.Millisecond))
 
 		// Scan data becomes historical for subsequent scans.
-		if err := be.ingest(scan, seq[scan]); err != nil {
+		if err := svc.ingest(scan, seq[scan]); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("workflow complete: %s\n", be.summary())
+	fmt.Printf("workflow complete: %s\n", svc.summary())
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Local backend: the seed's in-process wiring.
-
-type localBackend struct {
-	sys    *core.System
-	ds     *fairds.Service
-	zoo    *fairms.Zoo
-	rng    *rand.Rand
-	closer func() // closes the external docstore client pool, if any
-}
-
-func newLocalBackend(rng *rand.Rand, storeAddr string, warmup []*codec.Sample, seq [][]*codec.Sample) *localBackend {
-	var store fairds.DataStore
-	var closer func()
-	if storeAddr != "" {
-		client, err := docstore.Dial(storeAddr, 8)
-		check(err)
-		closer = client.Close
-		store = fairds.RemoteCollection{Client: client, Name: "bragg"}
-		log.Printf("fairdms: using external store at %s", storeAddr)
-	} else {
-		store = docstore.NewStore().Collection("bragg")
-	}
-
+// serveInProcess stands up the fairDMS services on a loopback port, as a
+// dmsd would hold them after a system-plane refresh on the warm-up scans:
+// a BYOL embedder trained on them, K=8 clusters fitted on them, an empty
+// zoo and a training plane. The caller shuts the server down.
+func serveInProcess(rng *rand.Rand, warmup []*codec.Sample) (*dmsapi.Server, error) {
 	wx, err := fairds.Collate(warmup)
-	check(err)
+	if err != nil {
+		return nil, err
+	}
 	aug := embed.ImageAugmenter{H: patch, W: patch, Noise: 0.1, ScaleRange: 0.1}
 	byol := embed.NewBYOL(rng, wx.Dim(1), 64, 8, aug.View, 0.95)
 	byol.Train(wx, embed.TrainConfig{Epochs: 15, BatchSize: 32, LR: 2e-3, Seed: 43})
-
-	ds, err := fairds.New(byol, store, fairds.Config{Seed: 44})
-	check(err)
-	check(ds.FitClustersK(wx, 8))
-	for i := 0; i < 3; i++ {
-		_, err := ds.IngestLabeled(seq[i], fmt.Sprintf("scan-%02d", i))
-		check(err)
+	ds, err := fairds.New(byol, docstore.NewStore().Collection("bragg"), fairds.Config{Seed: 44})
+	if err != nil {
+		return nil, err
 	}
-
-	zoo := fairms.NewZoo()
-	seedModel := models.NewBraggNN(rng, patch)
-	wy := labelTensor(warmup)
-	nn.Fit(seedModel.Net, nn.NewAdam(seedModel.Net.Params(), 2e-3),
-		wx, seedModel.Targets(wy), wx, seedModel.Targets(wy),
-		nn.TrainConfig{Epochs: 40, BatchSize: 16, Seed: 45})
-	pdf, err := ds.DatasetPDF(wx)
-	check(err)
-	check(zoo.Add("braggnn-warmup", seedModel.Net.State(), pdf, nil))
-
-	sys, err := core.New(ds, zoo, core.Config{Seed: 46})
-	check(err)
-	return &localBackend{sys: sys, ds: ds, zoo: zoo, rng: rng, closer: closer}
-}
-
-func (b *localBackend) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *core.Report, error) {
-	return b.sys.RapidTrain(core.Request{
-		Input: samples,
-		NewModel: func() *nn.Model {
-			return models.NewBraggNN(b.rng, patch).Net
-		},
-		Prep: func(ss []*codec.Sample) (*tensor.Tensor, *tensor.Tensor, error) {
-			x, err := fairds.Collate(ss)
-			if err != nil {
-				return nil, nil, err
-			}
-			helper := &models.BraggNN{Patch: patch}
-			return x, helper.Targets(labelTensor(ss)), nil
-		},
-		Train:   nn.TrainConfig{Epochs: 25, BatchSize: 16, Seed: int64(50 + scan)},
-		ModelID: fmt.Sprintf("braggnn-scan%02d", scan),
-	})
-}
-
-func (b *localBackend) ingest(scan int, samples []*codec.Sample) error {
-	_, err := b.ds.IngestLabeled(samples, fmt.Sprintf("scan-%02d", scan))
-	return err
-}
-
-func (b *localBackend) summary() string {
-	return fmt.Sprintf("zoo holds %d models, store holds %d samples", b.zoo.Len(), b.ds.StoreCount())
+	if err := ds.FitClustersK(wx, 8); err != nil {
+		return nil, err
+	}
+	srv, err := dmsapi.NewServer(dmsapi.ServerConfig{DS: ds, Zoo: fairms.NewZoo(), TrainWorkers: trainer.DefaultWorkers})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		return nil, err
+	}
+	return srv, nil
 }
 
 // ---------------------------------------------------------------------------
-// Remote backend: the same user-plane workflow, but every fairDMS service
-// call — certainty, label lookup, PDF, recommendation, checkpoint download,
-// model registration — crosses the network to a dmsd daemon. Only the
-// fine-tuning itself runs locally (it is the HPC job).
+// The user-plane workflow against the services: every fairDMS call —
+// certainty, label lookup, PDF, recommendation, checkpoint download, model
+// registration — crosses the network. The fine-tuning itself runs here (it
+// is the HPC job) unless serverTrain hands it to the services.
 
-type remoteBackend struct {
+type services struct {
 	client      *dmsapi.Client
 	rng         *rand.Rand
-	jsdMax      float64
 	serverTrain bool // train via /v1/train jobs instead of locally
 }
 
-func newRemoteBackend(client *dmsapi.Client, rng *rand.Rand, warmup []*codec.Sample) (*remoteBackend, error) {
-	b := &remoteBackend{client: client, rng: rng, jsdMax: core.DefaultJSDThreshold}
+func newServices(client *dmsapi.Client, rng *rand.Rand, warmup []*codec.Sample) (*services, error) {
+	svc := &services{client: client, rng: rng}
 
-	// Warm-up: one combined ingest so the daemon's bootstrap fit sees all
+	// Warm-up: one combined ingest so a bootstrapping daemon's fit sees all
 	// three scans, then a locally trained seed model registered under the
 	// warm-up data's PDF.
 	if _, err := client.Ingest("warmup", warmup); err != nil {
@@ -377,7 +324,7 @@ func newRemoteBackend(client *dmsapi.Client, rng *rand.Rand, warmup []*codec.Sam
 	if dup {
 		log.Printf("fairdms: daemon already holds braggnn-warmup, reusing it")
 	}
-	return b, nil
+	return svc, nil
 }
 
 // addModelTolerateDuplicate registers a model, treating "already exists"
@@ -392,40 +339,37 @@ func addModelTolerateDuplicate(client *dmsapi.Client, id string, state *nn.State
 	return false, err
 }
 
-func (b *remoteBackend) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *core.Report, error) {
-	if b.serverTrain {
-		return b.rapidTrainServer(scan, samples)
+// rapidTrain runs the rapid-train action for one scan. Unless serverTrain
+// is set, it fine-tunes here, taking the learning rates and the holdout
+// split from the trainer so that both paths fit alike. It registers
+// through POST /v1/models rather than submitting a /v1/train job because
+// of the CI cluster smoke, which runs several of these clients at once
+// through a dmsrouter: they register the same model ids, a duplicate add
+// is a 409 each client tolerates, but two same-id train jobs land on one
+// shard, where the loser fails or finds no checkpoint to download yet. It
+// moves onto /v1/train once model registration is idempotent and
+// train-registered models reach every shard (both open in ROADMAP.md).
+func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *report, error) {
+	if svc.serverTrain {
+		return svc.rapidTrainServer(scan, samples)
 	}
-	rep := &core.Report{}
-
-	cert, err := b.client.Certainty(samples, core.DefaultMembershipCut)
+	rep, labeled, err := svc.lookup(samples)
 	if err != nil {
-		return nil, nil, fmt.Errorf("remote certainty: %w", err)
+		return nil, nil, err
 	}
-	rep.Certainty = cert
-
-	labelStart := time.Now()
-	labeled, err := b.client.Lookup(samples)
-	if err != nil {
-		return nil, nil, fmt.Errorf("remote label lookup: %w", err)
-	}
-	rep.LabelTime = time.Since(labelStart)
-	rep.Labeled = len(labeled)
-
-	pdf, err := b.client.PDF(samples)
+	pdf, err := svc.client.PDF(samples)
 	if err != nil {
 		return nil, nil, fmt.Errorf("remote pdf: %w", err)
 	}
-	rep.PDF = pdf
 
-	model := models.NewBraggNN(b.rng, patch).Net
-	lr := core.DefaultScratchLR
-	rec, err := b.client.Recommend(pdf, b.jsdMax)
+	model := models.NewBraggNN(svc.rng, patch).Net
+	lr := trainer.DefaultScratchLR
+	rec, err := svc.client.Recommend(pdf, trainer.DefaultJSDThreshold)
 	if err != nil {
 		return nil, nil, fmt.Errorf("remote recommend: %w", err)
 	}
 	if rec.OK {
-		sd, err := b.client.Checkpoint(rec.ID)
+		sd, err := svc.client.Checkpoint(rec.ID)
 		if err != nil {
 			return nil, nil, fmt.Errorf("remote checkpoint %s: %w", rec.ID, err)
 		}
@@ -435,7 +379,7 @@ func (b *remoteBackend) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model
 		rep.FineTuned = true
 		rep.Foundation = rec.ID
 		rep.JSD = rec.JSD
-		lr = core.DefaultFineTuneLR
+		lr = trainer.DefaultFineTuneLR
 	}
 
 	x, err := fairds.Collate(labeled)
@@ -444,17 +388,14 @@ func (b *remoteBackend) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model
 	}
 	helper := &models.BraggNN{Patch: patch}
 	y := helper.Targets(labelTensor(labeled))
-	// Same holdout split as the in-process core.RapidTrain path (its
-	// ValFraction default, the local backend's seed), so -dms runs report
-	// comparable numbers.
-	trainX, trainY, valX, valY := core.Split(x, y, core.DefaultValFraction, 46)
+	trainX, trainY, valX, valY := trainer.Split(x, y, trainer.DefaultValFraction, 46)
 	trainStart := time.Now()
-	rep.Result = nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY,
+	nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY,
 		nn.TrainConfig{Epochs: 25, BatchSize: 16, Seed: int64(50 + scan)})
 	rep.TrainTime = time.Since(trainStart)
 
 	id := fmt.Sprintf("braggnn-scan%02d", scan)
-	dup, err := addModelTolerateDuplicate(b.client, id, model.State(), pdf, map[string]string{"scan": fmt.Sprint(scan)})
+	dup, err := addModelTolerateDuplicate(svc.client, id, model.State(), pdf, map[string]string{"scan": fmt.Sprint(scan)})
 	if err != nil {
 		return nil, nil, fmt.Errorf("registering %s: %w", id, err)
 	}
@@ -464,36 +405,40 @@ func (b *remoteBackend) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model
 	return model, rep, nil
 }
 
-// rapidTrainServer pushes the training of the rapid-train action into
-// the daemon: the workflow still runs the certainty check and the
-// pseudo-labeling Lookup (so both -dms modes train on the same
-// PDF-matched historical labels and report comparable numbers), then one
-// /v1/train job computes the PDF, picks the warm-start foundation,
-// trains, and registers the checkpoint with lineage — the workflow polls
-// and downloads the result for deploy.
-func (b *remoteBackend) rapidTrainServer(scan int, samples []*codec.Sample) (*nn.Model, *core.Report, error) {
-	rep := &core.Report{}
-	cert, err := b.client.Certainty(samples, core.DefaultMembershipCut)
-	if err != nil {
+// lookup is the start both paths share: the certainty check and the
+// PDF-matched pseudo-labelling of the scan.
+func (svc *services) lookup(samples []*codec.Sample) (*report, []*codec.Sample, error) {
+	if _, err := svc.client.Certainty(samples, fairds.DefaultMembershipCut); err != nil {
 		return nil, nil, fmt.Errorf("remote certainty: %w", err)
 	}
-	rep.Certainty = cert
-
 	labelStart := time.Now()
-	labeled, err := b.client.Lookup(samples)
+	labeled, err := svc.client.Lookup(samples)
 	if err != nil {
 		return nil, nil, fmt.Errorf("remote label lookup: %w", err)
 	}
-	rep.LabelTime = time.Since(labelStart)
-	rep.Labeled = len(labeled)
+	return &report{Labeled: len(labeled), LabelTime: time.Since(labelStart)}, labeled, nil
+}
+
+// rapidTrainServer pushes the training of the rapid-train action into the
+// services: the workflow still runs the certainty check and the
+// pseudo-labeling Lookup (so both paths train on the same PDF-matched
+// historical labels and report comparable numbers), then one /v1/train
+// job computes the PDF, picks the warm-start foundation, trains, and
+// registers the checkpoint with lineage — the workflow waits for it and
+// downloads the result for deploy.
+func (svc *services) rapidTrainServer(scan int, samples []*codec.Sample) (*nn.Model, *report, error) {
+	rep, labeled, err := svc.lookup(samples)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	id := fmt.Sprintf("braggnn-scan%02d", scan)
-	job, sd, err := b.client.RapidTrain(dmsapi.TrainRequest{
+	job, sd, err := svc.client.RapidTrain(dmsapi.TrainRequest{
 		Samples:   dmsapi.FromCodecSlice(labeled),
 		Model:     "braggnn",
 		Epochs:    25,
 		BatchSize: 16,
-		MaxJSD:    b.jsdMax,
+		MaxJSD:    trainer.DefaultJSDThreshold,
 		Seed:      int64(50 + scan),
 		ModelID:   id,
 		Meta:      map[string]string{"scan": fmt.Sprint(scan)},
@@ -505,7 +450,7 @@ func (b *remoteBackend) rapidTrainServer(scan int, samples []*codec.Sample) (*nn
 		// the local path does. The report stays empty rather than claiming
 		// training numbers for the previous run's model we actually deploy.
 		log.Printf("fairdms: daemon already holds %s, reusing its copy", id)
-		if sd, err = b.client.Checkpoint(id); err != nil {
+		if sd, err = svc.client.Checkpoint(id); err != nil {
 			return nil, nil, fmt.Errorf("fetching existing %s: %w", id, err)
 		}
 	case err != nil:
@@ -517,32 +462,26 @@ func (b *remoteBackend) rapidTrainServer(scan int, samples []*codec.Sample) (*nn
 		if !job.StartedAt.IsZero() && !job.FinishedAt.IsZero() {
 			rep.TrainTime = job.FinishedAt.Sub(job.StartedAt)
 		}
-		rep.Result = &nn.TrainResult{
-			TrainLoss: job.TrainLoss,
-			ValLoss:   job.ValLoss,
-			Epochs:    job.Epochs,
-			Converged: job.Converged,
-		}
 	}
 
-	model := models.NewBraggNN(b.rng, patch).Net
+	model := models.NewBraggNN(svc.rng, patch).Net
 	if err := model.LoadState(sd); err != nil {
 		return nil, nil, fmt.Errorf("loading server-trained %s: %w", id, err)
 	}
 	return model, rep, nil
 }
 
-func (b *remoteBackend) ingest(scan int, samples []*codec.Sample) error {
-	_, err := b.client.Ingest(fmt.Sprintf("scan-%02d", scan), samples)
+func (svc *services) ingest(scan int, samples []*codec.Sample) error {
+	_, err := svc.client.Ingest(fmt.Sprintf("scan-%02d", scan), samples)
 	return err
 }
 
-func (b *remoteBackend) summary() string {
-	h, err := b.client.Health()
+func (svc *services) summary() string {
+	h, err := svc.client.Health()
 	if err != nil {
-		return fmt.Sprintf("daemon unreachable: %v", err)
+		return fmt.Sprintf("services unreachable: %v", err)
 	}
-	return fmt.Sprintf("remote zoo holds %d models, remote store holds %d samples", h.Models, h.Samples)
+	return fmt.Sprintf("zoo holds %d models, store holds %d samples", h.Models, h.Samples)
 }
 
 // ---------------------------------------------------------------------------
@@ -588,9 +527,9 @@ func labelTensor(samples []*codec.Sample) *tensor.Tensor {
 	return y
 }
 
-func mustReport(rc *flow.RunContext) *core.Report {
+func mustReport(rc *flow.RunContext) *report {
 	v := rc.MustGet("report")
-	rep, ok := v.(*core.Report)
+	rep, ok := v.(*report)
 	if !ok {
 		log.Fatalf("fairdms: unexpected report type %T", v)
 	}

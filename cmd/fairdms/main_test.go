@@ -46,13 +46,23 @@ func startServer(t *testing.T, trainWorkers int) (string, *dmsapi.Client) {
 	return addr, client
 }
 
-// TestRemoteWorkflow drives the client the CI smokes stand on against an
-// in-process dmsd-shaped server: the Fig. 5 workflow with local
+// TestRemoteWorkflow drives the client the CI smokes stand on: first with
+// no -dms, against the services fairdms serves itself, then against an
+// in-process dmsd-shaped server — the Fig. 5 workflow with local
 // fine-tuning, then with server-side training, then the server-side run
 // again against the same (now populated) server — the re-run must reuse
 // the scan's registered model through the submit-time 409 rather than
 // train a checkpoint that cannot be registered.
 func TestRemoteWorkflow(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scans", "5", "-timescale", "0"},
+		{"-scans", "5", "-timescale", "0", "-server-train"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("fairdms %v: %v", args, err)
+		}
+	}
+
 	addr, client := startServer(t, 1)
 
 	// -scans 4 is one scan past the three warm-up scans; -scans 5 adds a

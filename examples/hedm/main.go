@@ -11,13 +11,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
 	"fairdms/internal/codec"
-	"fairdms/internal/core"
 	"fairdms/internal/datagen"
 	"fairdms/internal/docstore"
 	"fairdms/internal/embed"
@@ -26,6 +26,7 @@ import (
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
+	"fairdms/internal/trainer"
 	"fairdms/internal/uq"
 )
 
@@ -35,6 +36,9 @@ const (
 	peaksPer    = 80
 	driftAt     = 8
 	warmupScans = 3
+	// certaintyTrigger is the clustering certainty below which a scan is
+	// unfamiliar enough to update the surrogate (the paper uses 0.8).
+	certaintyTrigger = 0.8
 )
 
 func main() {
@@ -74,8 +78,10 @@ func main() {
 	check(err)
 	check(zoo.Add("braggnn-warmup", surrogate.Net.State(), pdf, nil))
 
-	sys, err := core.New(ds, zoo, core.Config{Seed: 26, CertaintyTrigger: 0.8})
+	mgr, err := trainer.New(trainer.Config{DS: ds, Zoo: zoo})
 	check(err)
+	mgr.Start()
+	defer mgr.Shutdown(context.Background())
 
 	detector := &uq.DriftDetector{Warmup: warmupScans, Threshold: 1.6}
 	fmt.Println("scan  err(px)  mc-unc   certainty  action")
@@ -86,31 +92,34 @@ func main() {
 		errPx := surrogate.MeanErrorPx(x, y)
 		unc, err := uq.MeanUncertainty(surrogate.Net, x, 12)
 		check(err)
-		cert, _, err := sys.CheckDataset(scans[i])
+		cert, err := ds.Certainty(x, fairds.DefaultMembershipCut)
 		check(err)
 
 		action := "ok"
-		if detector.Observe(errPx) || cert < 0.8 {
-			action = "RAPID UPDATE"
+		if detector.Observe(errPx) || cert < certaintyTrigger {
 			updates++
 			start := time.Now()
-			model, rep, err := sys.RapidTrain(core.Request{
-				Input: scans[i],
-				NewModel: func() *nn.Model {
-					return models.NewBraggNN(rng, patch).Net
-				},
-				Prep: func(samples []*codec.Sample) (*tensor.Tensor, *tensor.Tensor, error) {
-					sx, _ := fairds.Collate(samples)
-					helper := &models.BraggNN{Patch: patch}
-					return sx, helper.Targets(labels(samples)), nil
-				},
-				Train:   nn.TrainConfig{Epochs: 30, BatchSize: 16, Seed: int64(30 + i)},
-				ModelID: fmt.Sprintf("braggnn-scan%02d", i),
+			labeled, err := ds.LookupLabeled(x)
+			check(err)
+			st, err := mgr.Submit(trainer.Spec{
+				Samples:   labeled,
+				Epochs:    30,
+				BatchSize: 16,
+				Seed:      int64(30 + i),
+				ModelID:   fmt.Sprintf("braggnn-scan%02d", i),
 			})
 			check(err)
-			surrogate = &models.BraggNN{Net: model, Patch: patch}
-			path := "fine-tuned " + rep.Foundation
-			if !rep.FineTuned {
+			st, err = mgr.Wait(context.Background(), st.ID, time.Hour)
+			check(err)
+			if st.State != trainer.StateDone {
+				log.Fatalf("scan %d: training job ended %s: %s", i, st.State, st.Err)
+			}
+			rec, err := zoo.Get(st.ModelID)
+			check(err)
+			surrogate = models.NewBraggNN(rng, patch)
+			check(surrogate.Net.LoadState(rec.State))
+			path := "fine-tuned " + st.Foundation
+			if !st.Warm {
 				path = "scratch"
 			}
 			action = fmt.Sprintf("RAPID UPDATE (%s, %v)", path, time.Since(start).Round(time.Millisecond))
@@ -123,8 +132,12 @@ func main() {
 	}
 	fmt.Printf("\n%d rapid updates over %d scans; zoo now holds %d models\n",
 		updates, numScans-warmupScans, zoo.Len())
-	for _, e := range sys.Events() {
-		fmt.Printf("  event %-9s %s\n", e.Kind, e.Info)
+	for _, id := range zoo.IDs() {
+		rec, err := zoo.Get(id)
+		check(err)
+		if parent := rec.Parent(); parent != "" {
+			fmt.Printf("  %s fine-tuned from %s\n", id, parent)
+		}
 	}
 }
 

@@ -6,20 +6,21 @@
 //  3. fit the clustering module and ingest history into the data store,
 //  4. take a new unlabeled dataset, compute its cluster PDF, and retrieve
 //     PDF-matched labeled data (pseudo-labeling),
-//  5. rank the model zoo by Jensen–Shannon divergence and fine-tune the
-//     recommendation.
+//  5. submit one trainer job on those labels: it ranks the model zoo by
+//     Jensen–Shannon divergence, fine-tunes the recommendation and
+//     registers the result.
 //
 // Run with: go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
 	"fairdms/internal/codec"
-	"fairdms/internal/core"
 	"fairdms/internal/datagen"
 	"fairdms/internal/docstore"
 	"fairdms/internal/embed"
@@ -28,6 +29,7 @@ import (
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
+	"fairdms/internal/trainer"
 )
 
 const patch = 9
@@ -80,40 +82,48 @@ func main() {
 	}
 	fmt.Printf("— model zoo holds %d checkpoints indexed by training PDF\n", zoo.Len())
 
-	// 4+5. User plane: new unlabeled data from (a slightly drifted) regime B.
+	// 4+5. User plane: new unlabeled data from (a slightly drifted) regime
+	// B. Its certainty and PDF-matched labels come from the data service;
+	// one training job picks the foundation by JSD, fine-tunes it (or
+	// trains from scratch past the threshold) and registers the result.
 	newRegime := late
 	newRegime.WidthMean += 0.1
 	input := newRegime.Generate(rng, 80)
-	sys, err := core.New(ds, zoo, core.Config{Seed: 11})
+	ix, iy := tensors(input)
+	cert, err := ds.Certainty(ix, fairds.DefaultMembershipCut)
 	check(err)
-	model, rep, err := sys.RapidTrain(core.Request{
-		Input: input,
-		NewModel: func() *nn.Model {
-			return models.NewBraggNN(rng, patch).Net
-		},
-		Prep: func(samples []*codec.Sample) (*tensor.Tensor, *tensor.Tensor, error) {
-			sx, sy := tensors(samples)
-			helper := &models.BraggNN{Patch: patch}
-			return sx, helper.Targets(sy), nil
-		},
-		Train:   nn.TrainConfig{Epochs: 25, BatchSize: 16, Seed: 12},
-		ModelID: "braggnn-updated",
-	})
+	labelStart := time.Now()
+	labeled, err := ds.LookupLabeled(ix)
 	check(err)
+	labelTime := time.Since(labelStart)
+
+	mgr, err := trainer.New(trainer.Config{DS: ds, Zoo: zoo})
+	check(err)
+	mgr.Start()
+	defer mgr.Shutdown(context.Background())
+	st, err := mgr.Submit(trainer.Spec{Samples: labeled, Epochs: 25, BatchSize: 16, Seed: 12, ModelID: "braggnn-updated"})
+	check(err)
+	st, err = mgr.Wait(context.Background(), st.ID, time.Hour)
+	check(err)
+	if st.State != trainer.StateDone {
+		log.Fatalf("training job ended %s: %s", st.State, st.Err)
+	}
 
 	fmt.Println("— rapid training report:")
-	fmt.Printf("  clustering certainty  %.1f%%\n", 100*rep.Certainty)
-	fmt.Printf("  labeled data reused   %d samples in %v\n", rep.Labeled, rep.LabelTime.Round(time.Millisecond))
-	if rep.FineTuned {
-		fmt.Printf("  foundation model      %s (JSD %.4f)\n", rep.Foundation, rep.JSD)
+	fmt.Printf("  clustering certainty  %.1f%%\n", 100*cert)
+	fmt.Printf("  labeled data reused   %d samples in %v\n", len(labeled), labelTime.Round(time.Millisecond))
+	if st.Warm {
+		fmt.Printf("  foundation model      %s (JSD %.4f)\n", st.Foundation, st.JSD)
 	} else {
 		fmt.Println("  foundation model      none (trained from scratch)")
 	}
-	fmt.Printf("  training              %d epochs in %v\n", rep.Result.Epochs, rep.TrainTime.Round(time.Millisecond))
+	fmt.Printf("  training              %d epochs in %v\n", st.Epochs, st.FinishedAt.Sub(st.StartedAt).Round(time.Millisecond))
 
 	// Check the updated model on the new data (we know the true labels).
-	ix, iy := tensors(input)
-	final := &models.BraggNN{Net: model, Patch: patch}
+	rec, err := zoo.Get(st.ModelID)
+	check(err)
+	final := models.NewBraggNN(rng, patch)
+	check(final.Net.LoadState(rec.State))
 	fmt.Printf("— updated model error on new data: %.3f px (total %v)\n",
 		final.MeanErrorPx(ix, iy), time.Since(start).Round(time.Millisecond))
 }

@@ -128,7 +128,7 @@ func (c *Client) IngestBatch(dataset string, samples []*codec.Sample) (IngestBat
 }
 
 // Certainty returns the fuzzy-clustering certainty of a dataset at the
-// given membership threshold (<= 0 uses the server default of 0.5).
+// given membership threshold (<= 0 uses fairds.DefaultMembershipCut).
 func (c *Client) Certainty(samples []*codec.Sample, threshold float64) (float64, error) {
 	var out CertaintyResponse
 	err := c.postJSON(PathCertainty, CertaintyRequest{Samples: FromCodecSlice(samples), Threshold: threshold}, &out)

@@ -570,7 +570,7 @@ func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
 	}
 	threshold := req.Threshold
 	if threshold <= 0 {
-		threshold = 0.5
+		threshold = fairds.DefaultMembershipCut
 	}
 	s.dsMu.RLock()
 	cert, err := s.cfg.DS.CertaintyContext(r.Context(), x, threshold)

@@ -281,9 +281,12 @@ func TestTrainRejections(t *testing.T) {
 }
 
 // waitOvershoot bounds how long after a job's FinishedAt a wait= long-poll
-// may answer: the terminal transition wakes the handler directly, so the
-// answer takes a few ms; the 100 ms poll it replaces could take all of it.
-const waitOvershoot = 50 * time.Millisecond
+// may answer. The terminal transition wakes the handler directly, so the
+// answer usually takes a few ms; a wait that missed the wake-up would hold
+// until MaxTrainWait, about 9.7 s after these jobs finish. A tenth of
+// MaxTrainWait keeps those two apart with room for a loaded -race run,
+// where a tens-of-ms bound missed in a fifth of runs.
+const waitOvershoot = MaxTrainWait / 10
 
 // TestTrainWaitAnswersAtFinish: a GET /v1/train/{id}?wait= that is waiting
 // when the job finishes answers with the terminal status within a few ms

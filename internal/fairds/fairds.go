@@ -451,6 +451,11 @@ func (s *Service) DatasetPDFContext(ctx context.Context, x *tensor.Tensor) (stat
 	return s.km.PDF(rows), nil
 }
 
+// DefaultMembershipCut is the fuzzy-membership level at which an
+// assignment counts as certain, the paper's 0.5: the threshold a Certainty
+// caller passes when it has no reason to pick another.
+const DefaultMembershipCut = 0.5
+
 // Certainty returns the fraction of samples clustered with fuzzy
 // membership of at least threshold — the §III-I trigger signal.
 func (s *Service) Certainty(x *tensor.Tensor, threshold float64) (float64, error) {

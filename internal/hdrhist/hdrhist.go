@@ -95,15 +95,18 @@ func (h *Histogram) RecordN(d time.Duration, n int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(n)
-	h.sumNS.Add(ns * n)
-	h.buckets[bucketIndex(ns)].Add(n)
+	// The maximum is raised before the observation lands in a bucket, and
+	// Snapshot reads it after the buckets: a snapshot's MaxNS then covers
+	// every observation its buckets hold.
 	for {
 		cur := h.maxNS.Load()
 		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
-			return
+			break
 		}
 	}
+	h.count.Add(n)
+	h.sumNS.Add(ns * n)
+	h.buckets[bucketIndex(ns)].Add(n)
 }
 
 // Snapshot captures the histogram state with atomic loads only — the read
@@ -112,7 +115,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
 		Count: h.count.Load(),
 		SumNS: h.sumNS.Load(),
-		MaxNS: h.maxNS.Load(),
 	}
 	// Recordings racing this loop may land in buckets already read; the
 	// bucket total can therefore trail Count slightly. Quantile() scales to
@@ -127,6 +129,7 @@ func (h *Histogram) Snapshot() Snapshot {
 		s.nonzero = append(s.nonzero, bucketCount{bucket: i, n: n})
 	}
 	s.bucketTotal = total
+	s.MaxNS = h.maxNS.Load()
 	return s
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
-	"fairdms/internal/core"
 	"fairdms/internal/datagen"
 	"fairdms/internal/docstore"
 	"fairdms/internal/embed"
@@ -23,24 +22,30 @@ import (
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
+	"fairdms/internal/trainer"
 	"fairdms/internal/transfer"
 )
 
 const patch = 9
 
-// buildRemoteSystem assembles a full fairDMS against a TCP docstore.
-func buildRemoteSystem(t *testing.T, faulty bool) (*core.System, [][]*codec.Sample, *rand.Rand) {
-	t.Helper()
-	sys, seq, rng, _ := buildRemoteSystemAndStore(t, faulty)
-	return sys, seq, rng
+// system is a full fairDMS against a TCP docstore: the data service, the
+// zoo, a training manager over both, the remote sample collection (for
+// tests that reopen what the system stored), the scan sequence whose first
+// three scans are the history, and the rng the models are built from.
+type system struct {
+	ds    *fairds.Service
+	zoo   *fairms.Zoo
+	mgr   *trainer.Manager
+	store fairds.RemoteCollection
+	seq   [][]*codec.Sample
+	rng   *rand.Rand
 }
 
-// buildRemoteSystemAndStore is buildRemoteSystem that also hands out the
-// remote sample collection, for tests that reopen what the system stored.
-// Over the healthy link the zoo is kept in the store too; the faulty link
-// keeps a memory-only zoo (the client's retry after a dropped connection
-// can re-send a commit that already applied — ROADMAP item 3).
-func buildRemoteSystemAndStore(t *testing.T, faulty bool) (*core.System, [][]*codec.Sample, *rand.Rand, fairds.RemoteCollection) {
+// buildRemoteSystem assembles a system. Over the healthy link the zoo is
+// kept in the store too; the faulty link keeps a memory-only zoo (the
+// client's retry after a dropped connection can re-send a commit that
+// already applied — ROADMAP item 3).
+func buildRemoteSystem(t *testing.T, faulty bool) *system {
 	t.Helper()
 	cfg := docstore.ServerConfig{}
 	if faulty {
@@ -106,11 +111,19 @@ func buildRemoteSystemAndStore(t *testing.T, faulty bool) (*core.System, [][]*co
 		t.Fatal(err)
 	}
 
-	sys, err := core.New(ds, zoo, core.Config{Seed: 66})
+	mgr, err := trainer.New(trainer.Config{DS: ds, Zoo: zoo, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, seq, rng, store
+	mgr.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := mgr.Shutdown(ctx); err != nil {
+			t.Errorf("trainer shutdown: %v", err)
+		}
+	})
+	return &system{ds: ds, zoo: zoo, mgr: mgr, store: store, seq: seq, rng: rng}
 }
 
 func labelTensor(samples []*codec.Sample) *tensor.Tensor {
@@ -122,39 +135,54 @@ func labelTensor(samples []*codec.Sample) *tensor.Tensor {
 	return y
 }
 
-func braggRequest(rng *rand.Rand, input []*codec.Sample, id string) core.Request {
-	return core.Request{
-		Input: input,
-		NewModel: func() *nn.Model {
-			return models.NewBraggNN(rng, patch).Net
-		},
-		Prep: func(samples []*codec.Sample) (*tensor.Tensor, *tensor.Tensor, error) {
-			x, err := fairds.Collate(samples)
-			if err != nil {
-				return nil, nil, err
-			}
-			helper := &models.BraggNN{Patch: patch}
-			return x, helper.Targets(labelTensor(samples)), nil
-		},
-		Train:   nn.TrainConfig{Epochs: 15, BatchSize: 16, Seed: 67},
-		ModelID: id,
+// rapidTrain is the Fig. 5 action on new unlabeled input: the certainty
+// check, PDF-matched pseudo-labelling, and one training job on the labels
+// found, registered as id. It returns the finished job and the model it
+// registered.
+func (sys *system) rapidTrain(input []*codec.Sample, id string) (*nn.Model, *trainer.Status, error) {
+	x, err := fairds.Collate(input)
+	if err != nil {
+		return nil, nil, err
 	}
+	if _, err := sys.ds.Certainty(x, fairds.DefaultMembershipCut); err != nil {
+		return nil, nil, err
+	}
+	labeled, err := sys.ds.LookupLabeled(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := sys.mgr.Submit(trainer.Spec{Samples: labeled, Epochs: 15, BatchSize: 16, Seed: 67, ModelID: id})
+	if err != nil {
+		return nil, nil, err
+	}
+	if st, err = sys.mgr.Wait(context.Background(), st.ID, time.Minute); err != nil {
+		return nil, nil, err
+	}
+	if st.State != trainer.StateDone {
+		return nil, nil, fmt.Errorf("training job %s ended %s: %s", st.ID, st.State, st.Err)
+	}
+	rec, err := sys.zoo.Get(st.ModelID)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := models.NewBraggNN(sys.rng, patch)
+	return m.Net, st, m.Net.LoadState(rec.State)
 }
 
 func TestRapidTrainOverRemoteStore(t *testing.T) {
-	sys, seq, rng := buildRemoteSystem(t, false)
-	model, rep, err := sys.RapidTrain(braggRequest(rng, seq[3], "updated"))
+	sys := buildRemoteSystem(t, false)
+	model, st, err := sys.rapidTrain(sys.seq[3], "updated")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model == nil || rep.Labeled == 0 {
-		t.Fatalf("remote rapid train produced no data: %+v", rep)
+	if st.Samples == 0 {
+		t.Fatalf("remote rapid train produced no data: %+v", st)
 	}
-	if !rep.FineTuned || rep.Foundation != "foundation" {
-		t.Fatalf("expected fine-tuning from the seeded foundation, got %+v", rep)
+	if !st.Warm || st.Foundation != "foundation" {
+		t.Fatalf("expected fine-tuning from the seeded foundation, got %+v", st)
 	}
 	// The updated surrogate is accurate on the new data.
-	x, y := mustTensors(t, seq[3])
+	x, y := mustTensors(t, sys.seq[3])
 	final := &models.BraggNN{Net: model, Patch: patch}
 	if errPx := final.MeanErrorPx(x, y); errPx > 1.5 {
 		t.Fatalf("updated model error %.3f px over remote store", errPx)
@@ -164,12 +192,12 @@ func TestRapidTrainOverRemoteStore(t *testing.T) {
 func TestRapidTrainSurvivesFaultyStore(t *testing.T) {
 	// 5% of store requests drop the connection; the pooled client's retry
 	// must keep the end-to-end path alive.
-	sys, seq, rng := buildRemoteSystem(t, true)
-	_, rep, err := sys.RapidTrain(braggRequest(rng, seq[3], "updated-faulty"))
+	sys := buildRemoteSystem(t, true)
+	_, st, err := sys.rapidTrain(sys.seq[3], "updated-faulty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Labeled == 0 {
+	if st.Samples == 0 {
 		t.Fatal("no labels retrieved through the faulty store")
 	}
 }
@@ -188,31 +216,31 @@ func mustTensors(t *testing.T, samples []*codec.Sample) (*tensor.Tensor, *tensor
 // collections — no snapshot saved, nothing refitted — serve the first
 // pair's clustering and models.
 func TestZooPersistenceAcrossRestart(t *testing.T) {
-	sys, seq, rng, store := buildRemoteSystemAndStore(t, false)
-	if _, _, err := sys.RapidTrain(braggRequest(rng, seq[3], "gen2")); err != nil {
+	sys := buildRemoteSystem(t, false)
+	if _, _, err := sys.rapidTrain(sys.seq[3], "gen2"); err != nil {
 		t.Fatal(err)
 	}
 	// "Restart": reopen both services over the store alone.
-	ds2, err := fairds.New(sys.DS.Embedder(), store, fairds.Config{Seed: 64})
+	ds2, err := fairds.New(sys.ds.Embedder(), sys.store, fairds.Config{Seed: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds2.K() != sys.DS.K() || ds2.FitID() == "" || ds2.FitID() != sys.DS.FitID() {
-		t.Fatalf("reopened data service: k=%d fit=%q, want k=%d fit=%q", ds2.K(), ds2.FitID(), sys.DS.K(), sys.DS.FitID())
+	if ds2.K() != sys.ds.K() || ds2.FitID() == "" || ds2.FitID() != sys.ds.FitID() {
+		t.Fatalf("reopened data service: k=%d fit=%q, want k=%d fit=%q", ds2.K(), ds2.FitID(), sys.ds.K(), sys.ds.FitID())
 	}
-	zoo2, err := fairms.OpenZoo(store.Sibling(".zoo"))
+	zoo2, err := fairms.OpenZoo(sys.store.Sibling(".zoo"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := zoo2.IDs(); len(got) != 2 || got[0] != "foundation" || got[1] != "gen2" {
 		t.Fatalf("reopened zoo lists %v", got)
 	}
-	x, _ := mustTensors(t, seq[3])
+	x, _ := mustTensors(t, sys.seq[3])
 	pdf, err := ds2.DatasetPDF(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.DS.DatasetPDF(x)
+	want, err := sys.ds.DatasetPDF(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +257,7 @@ func TestZooPersistenceAcrossRestart(t *testing.T) {
 		t.Fatalf("reopened zoo ranks %v, want the freshly trained gen2 first", ranked)
 	}
 	// Reloaded weights are usable.
-	m := models.NewBraggNN(rng, patch)
+	m := models.NewBraggNN(sys.rng, patch)
 	if err := m.Net.LoadState(ranked[0].Record.State); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +267,8 @@ func TestOrchestratedUpdateFlow(t *testing.T) {
 	// The cmd/fairdms workflow in miniature: acquire → transfer →
 	// rapid-train → transfer-model, driven by the flow engine with funcx
 	// endpoints and the simulated mover.
-	sys, seq, rng := buildRemoteSystem(t, false)
+	sys := buildRemoteSystem(t, false)
+	seq := sys.seq
 
 	facility := transfer.NewEndpoint("facility")
 	hpc := transfer.NewEndpoint("hpc")
@@ -279,7 +308,7 @@ func TestOrchestratedUpdateFlow(t *testing.T) {
 			samples = append(samples, s)
 			raw = raw[n:]
 		}
-		model, rep, err := sys.RapidTrain(braggRequest(rng, samples, "flow-model"))
+		model, st, err := sys.rapidTrain(samples, "flow-model")
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +317,7 @@ func TestOrchestratedUpdateFlow(t *testing.T) {
 			return nil, err
 		}
 		hpc.Put("model.sd", state)
-		return rep, nil
+		return st, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +364,11 @@ func TestOrchestratedUpdateFlow(t *testing.T) {
 			t.Fatalf("action %s finished %s", name, a.State)
 		}
 	}
-	rep, ok := rc.MustGet("report").(*core.Report)
+	st, ok := rc.MustGet("report").(*trainer.Status)
 	if !ok {
 		t.Fatalf("unexpected report type")
 	}
-	if !rep.FineTuned {
+	if !st.Warm {
 		t.Fatal("orchestrated run did not fine-tune")
 	}
 	// The model arrived back at the facility and deserializes.
@@ -351,11 +380,11 @@ func TestOrchestratedUpdateFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := models.NewBraggNN(rng, patch)
+	m := models.NewBraggNN(sys.rng, patch)
 	if err := m.Net.LoadState(sd); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Zoo.Get("flow-model"); err != nil {
+	if _, err := sys.zoo.Get("flow-model"); err != nil {
 		t.Fatal("flow-trained model missing from zoo")
 	}
 	_ = fmt.Sprint(report.Duration)

@@ -1,19 +1,19 @@
-// Package trainer is the server-side rapid-train subsystem: an
-// asynchronous training-job manager embedded in the fairDMS daemon. It
-// closes the loop the paper's Fig. 5 draws — until now this repo trained
-// only client-side (cmd/fairdms), with the daemon serving data and
-// recommendations; here the daemon itself runs the paper's central action:
+// Package trainer is the rapid-train subsystem: an asynchronous
+// training-job manager and the one in-process implementation of the paper's
+// Fig. 5 action. The daemon serves it as /v1/train, and the examples and
+// integration tests run a Manager directly over their own services:
 //
 //  1. a job names a labeled dataset (an already-ingested scan tag or
-//     inline samples);
+//     inline samples, such as a pseudo-labelled fairds lookup);
 //  2. the manager computes its cluster PDF and asks the fairMS zoo for
 //     the closest prior checkpoint under the JSD threshold;
 //  3. training warm-starts from that checkpoint (nn.Fit), falling back to
 //     a cold start when nothing is close enough — the paper's
 //     train-from-scratch branch;
 //  4. on success the resulting checkpoint is registered back into the zoo
-//     with lineage metadata (parent ID, epochs run, converged-at epoch),
-//     the model-provenance thread of the FAIR-for-HEDM follow-up.
+//     under that PDF, with lineage metadata (parent ID, epochs run,
+//     converged-at epoch), the model-provenance thread of the
+//     FAIR-for-HEDM follow-up.
 //
 // Jobs run on a bounded worker pool fed by a bounded queue; a full queue
 // surfaces ErrQueueFull so the HTTP front end can shed with 429. Jobs are
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
-	"fairdms/internal/core"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
 	"fairdms/internal/hdrhist"
@@ -52,6 +51,17 @@ const (
 	DefaultEpochs    = 50
 	DefaultBatchSize = 16
 	DefaultHidden    = 32
+
+	// DefaultJSDThreshold is the distance beyond which no zoo model is a
+	// suitable foundation and a job trains from scratch.
+	DefaultJSDThreshold = 0.5
+	// DefaultFineTuneLR and DefaultScratchLR are the learning rates of the
+	// two paths; fine-tuning conventionally uses the smaller one.
+	DefaultFineTuneLR = 2e-4
+	DefaultScratchLR  = 1e-3
+	// DefaultValFraction of a job's data is held out for convergence
+	// tracking.
+	DefaultValFraction = 0.2
 )
 
 // Model kinds a Spec may name.
@@ -105,17 +115,17 @@ type Spec struct {
 	Epochs int
 	// BatchSize is the mini-batch size (default DefaultBatchSize).
 	BatchSize int
-	// LR overrides the learning rate; 0 picks core.DefaultFineTuneLR for
-	// warm starts and core.DefaultScratchLR for cold ones.
+	// LR overrides the learning rate; 0 picks DefaultFineTuneLR for warm
+	// starts and DefaultScratchLR for cold ones.
 	LR float64
 	// TargetLoss stops the run once validation loss reaches it (0 disables).
 	TargetLoss float64
 	// Patience stops after this many epochs without val improvement.
 	Patience int
 	// MaxJSD is the warm-start distance threshold: 0 means
-	// core.DefaultJSDThreshold, negative forces a cold start.
+	// DefaultJSDThreshold, negative forces a cold start.
 	MaxJSD float64
-	// ValFraction of the data is held out (default core.DefaultValFraction).
+	// ValFraction of the data is held out (default DefaultValFraction).
 	ValFraction float64
 	// Seed drives model init, shuffling, and the holdout split.
 	Seed int64
@@ -141,10 +151,10 @@ func (s *Spec) defaults() {
 		s.BatchSize = DefaultBatchSize
 	}
 	if s.MaxJSD == 0 {
-		s.MaxJSD = core.DefaultJSDThreshold
+		s.MaxJSD = DefaultJSDThreshold
 	}
 	if s.ValFraction <= 0 || s.ValFraction >= 1 {
-		s.ValFraction = core.DefaultValFraction
+		s.ValFraction = DefaultValFraction
 	}
 }
 
@@ -379,11 +389,13 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 }
 
 // Submit validates and enqueues a job, returning its initial status.
-// A saturated queue returns ErrQueueFull without enqueueing, and an
-// explicit ModelID the zoo already holds an error wrapping
-// fairms.ErrDuplicateID — before any epoch is spent on a checkpoint that
-// could not be registered. (Two jobs racing for one free ID both pass
-// here; the loser still fails at its register step.)
+// A saturated queue returns ErrQueueFull without enqueueing. An explicit
+// ModelID that the zoo already holds, or that a queued or running job of
+// this manager names, returns an error wrapping fairms.ErrDuplicateID
+// before any epoch is spent on a checkpoint that could not be registered.
+// Both checks run under the lock that enqueues, and a job registers before
+// it turns terminal, so of two submissions naming one free ID exactly one
+// is accepted.
 func (m *Manager) Submit(spec Spec) (*Status, error) {
 	spec.defaults()
 	if len(spec.Samples) == 0 && spec.Dataset == "" {
@@ -396,11 +408,6 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 	for i, smp := range spec.Samples {
 		if len(smp.Label) == 0 {
 			return nil, fmt.Errorf("trainer: inline sample %d has no label", i)
-		}
-	}
-	if spec.ModelID != "" {
-		if _, err := m.cfg.Zoo.Get(spec.ModelID); err == nil {
-			return nil, fmt.Errorf("trainer: %w: model %q already in zoo", fairms.ErrDuplicateID, spec.ModelID)
 		}
 	}
 
@@ -430,6 +437,11 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 		cancel()
 		return nil, ErrShutdown
 	}
+	if err := m.heldLocked(spec.ModelID); err != nil {
+		m.mu.Unlock()
+		cancel()
+		return nil, err
+	}
 	if len(m.pending) >= m.cfg.Queue {
 		m.mu.Unlock()
 		cancel()
@@ -444,6 +456,33 @@ func (m *Manager) Submit(spec Spec) (*Status, error) {
 	m.cfg.Logger.Info("train job queued",
 		"job", id, "model", spec.Model, "dataset", spec.Dataset, "inline_samples", len(spec.Samples))
 	return j.snapshot(), nil
+}
+
+// heldLocked reports, as an error wrapping fairms.ErrDuplicateID, whether
+// modelID is named by a live job or already in the zoo. The live jobs are
+// checked first: a job's checkpoint is in the zoo before its done channel
+// closes, so an ID never slips between the two checks. The caller holds
+// m.mu; live jobs are never pruned from m.jobs.
+//
+// lint:holds m.mu
+func (m *Manager) heldLocked(modelID string) error {
+	if modelID == "" {
+		return nil
+	}
+	for id, j := range m.jobs {
+		select {
+		case <-j.done:
+			continue
+		default:
+		}
+		if j.spec.ModelID == modelID {
+			return fmt.Errorf("trainer: %w: model %q is named by live job %s", fairms.ErrDuplicateID, modelID, id)
+		}
+	}
+	if _, err := m.cfg.Zoo.Get(modelID); err == nil {
+		return fmt.Errorf("trainer: %w: model %q already in zoo", fairms.ErrDuplicateID, modelID)
+	}
+	return nil
 }
 
 // Get returns a snapshot of the job with the given ID. Terminal jobs
@@ -806,9 +845,9 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	lr := spec.LR
 	if lr <= 0 {
 		if warm {
-			lr = core.DefaultFineTuneLR
+			lr = DefaultFineTuneLR
 		} else {
-			lr = core.DefaultScratchLR
+			lr = DefaultScratchLR
 		}
 	}
 
@@ -817,7 +856,7 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	// span at the epoch's first Stop poll and OnEpoch closes it.
 	fctx, fitSpan := obs.StartSpan(ctx, "fit")
 	var epochSpan *obs.Span
-	trainX, trainY, valX, valY := core.Split(x, y, spec.ValFraction, spec.Seed)
+	trainX, trainY, valX, valY := Split(x, y, spec.ValFraction, spec.Seed)
 	epochStart := time.Now()
 	res := nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY, nn.TrainConfig{
 		Epochs:     spec.Epochs,
@@ -906,6 +945,26 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	m.cfg.Logger.Info("train job registered its checkpoint",
 		"job", j.status.ID, "model_id", modelID, "warm", warm, "foundation", foundation, "epochs", res.Epochs)
 	return true, nil
+}
+
+// Split partitions (x, y) into train and validation subsets: valFrac of
+// the rows, at least one and at most all but one, drawn by a permutation
+// seeded with seed. It is a job's holdout, exported so a client that fits
+// outside a Manager splits identically.
+func Split(x, y *tensor.Tensor, valFrac float64, seed int64) (tx, ty, vx, vy *tensor.Tensor) {
+	n := x.Dim(0)
+	nVal := int(float64(n) * valFrac)
+	if nVal < 1 {
+		nVal = 1
+	}
+	if nVal >= n {
+		nVal = n - 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(n)
+	val := perm[:nVal]
+	train := perm[nVal:]
+	return nn.Gather(x, train), nn.Gather(y, train), nn.Gather(x, val), nn.Gather(y, val)
 }
 
 // collate turns the job's samples into its input tensor, target tensor and

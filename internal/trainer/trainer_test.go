@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -9,11 +11,15 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
+	"fairdms/internal/datagen"
 	"fairdms/internal/docstore"
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
+	"fairdms/internal/models"
+	"fairdms/internal/nn"
 	"fairdms/internal/obs"
+	"fairdms/internal/tensor"
 )
 
 const (
@@ -68,6 +74,12 @@ func newFixtureWith(t *testing.T, cfg Config) (*Manager, *fairds.Service, *fairm
 	}
 	zoo := fairms.NewZoo()
 	cfg.DS, cfg.Zoo = ds, zoo
+	return start(t, cfg), ds, zoo
+}
+
+// start builds and starts a manager that the test's cleanup shuts down.
+func start(t *testing.T, cfg Config) *Manager {
+	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +92,7 @@ func newFixtureWith(t *testing.T, cfg Config) (*Manager, *fairds.Service, *fairm
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return m, ds, zoo
+	return m
 }
 
 // waitState polls a job until pred holds or the deadline passes.
@@ -491,16 +503,7 @@ func TestHistoryPruning(t *testing.T) {
 	if err := ds.FitClustersK(x, 2); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{DS: ds, Zoo: fairms.NewZoo(), Workers: 1, Queue: 8, History: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	})
+	m := start(t, Config{DS: ds, Zoo: fairms.NewZoo(), Workers: 1, Queue: 8, History: 3})
 
 	spec := mlpSpec(meanSamples(9, 16))
 	spec.Epochs = 1
@@ -553,5 +556,211 @@ func TestShutdownRejectsSubmit(t *testing.T) {
 	}
 	if _, err := m.Submit(mlpSpec(meanSamples(8, 8))); err == nil {
 		t.Fatal("submit accepted after shutdown")
+	}
+}
+
+// TestSubmitRefusesLiveModelID: while a queued or running job names a model
+// ID, a second submission naming it is refused with fairms.ErrDuplicateID
+// at once, instead of being accepted and failing at its register step.
+func TestSubmitRefusesLiveModelID(t *testing.T) {
+	m, _, _ := newFixture(t, 1, 4)
+	release := make(chan struct{})
+	var once sync.Once
+	m.testHookBeforeTrain = func(string) { <-release }
+	defer once.Do(func() { close(release) })
+
+	spec := mlpSpec(meanSamples(10, 32))
+	spec.Epochs = 2
+	spec.TargetLoss = 0
+	spec.ModelID = "running-id"
+	running, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, running.ID, 10*time.Second, func(st *Status) bool { return st.State == StateRunning })
+	queuedSpec := spec
+	queuedSpec.ModelID = "queued-id"
+	queued, err := m.Submit(queuedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Spec{spec, queuedSpec} {
+		if _, err := m.Submit(s); !errors.Is(err, fairms.ErrDuplicateID) {
+			t.Fatalf("second submit naming %q: got %v, want ErrDuplicateID", s.ModelID, err)
+		}
+	}
+
+	once.Do(func() { close(release) })
+	for _, id := range []string{running.ID, queued.ID} {
+		if st := waitTerminal(t, m, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, st.State, st.Err)
+		}
+	}
+	// Registered, the ID is the zoo's.
+	if _, err := m.Submit(spec); !errors.Is(err, fairms.ErrDuplicateID) {
+		t.Fatalf("submit naming a registered model: got %v, want ErrDuplicateID", err)
+	}
+	if s := m.Stats(); s.Submitted != 2 || s.Completed != 2 || s.Failed != 0 {
+		t.Fatalf("stats %+v, want 2 submitted and completed, none failed", s)
+	}
+}
+
+// statEmbedder is a deterministic, training-free embedder: block means of
+// the image. Sufficient to separate width/amplitude regimes.
+type statEmbedder struct{ dim int }
+
+func (e statEmbedder) Dim() int { return e.dim }
+func (e statEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.Dim(0), e.dim)
+	feats := x.Dim(1)
+	chunk := (feats + e.dim - 1) / e.dim
+	for i := 0; i < x.Dim(0); i++ {
+		row := x.Row(i)
+		for d := 0; d < e.dim; d++ {
+			lo, hi := d*chunk, min((d+1)*chunk, feats)
+			s := 0.0
+			for _, v := range row[lo:hi] {
+				s += v
+			}
+			if hi > lo {
+				out.Set(s/float64(hi-lo), i, d)
+			}
+		}
+	}
+	return out
+}
+
+const testPatch = 9
+
+func regimeAt(i int) datagen.BraggRegime {
+	r := datagen.DefaultBraggRegime()
+	r.Patch = testPatch
+	r.WidthMean += 0.5 * float64(i)
+	r.AmpMean += 4 * float64(i)
+	return r
+}
+
+// newRegimeFixture is the paper's setting in miniature: labeled history
+// from Bragg regimes 0..2 in the store, and a zoo holding one BraggNN per
+// regime ("model-r0".."model-r2"), registered under its regime's PDF.
+func newRegimeFixture(t *testing.T) (*Manager, *fairds.Service, *fairms.Zoo) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	ds, err := fairds.New(statEmbedder{dim: 5}, docstore.NewStore().Collection("peaks"), fairds.Config{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []*codec.Sample
+	perRegime := make([][]*codec.Sample, 3)
+	for i := range perRegime {
+		perRegime[i] = regimeAt(i).Generate(rng, 60)
+		all = append(all, perRegime[i]...)
+	}
+	xAll, err := fairds.Collate(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.FitClustersK(xAll, 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.IngestLabeled(all, "history"); err != nil {
+		t.Fatal(err)
+	}
+
+	zoo := fairms.NewZoo()
+	for i, hist := range perRegime {
+		m := models.NewBraggNN(rng, testPatch)
+		x, _ := fairds.Collate(hist)
+		y := tensor.New(len(hist), 2)
+		for r, s := range hist {
+			y.Set(s.Label[0], r, 0)
+			y.Set(s.Label[1], r, 1)
+		}
+		nn.Fit(m.Net, nn.NewAdam(m.Net.Params(), 2e-3), x, m.Targets(y), x, m.Targets(y),
+			nn.TrainConfig{Epochs: 15, BatchSize: 32, Seed: 3})
+		pdf, err := ds.DatasetPDF(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := zoo.Add(fmt.Sprintf("model-r%d", i), m.Net.State(), pdf, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return start(t, Config{DS: ds, Zoo: zoo, Workers: 1}), ds, zoo
+}
+
+// lookupAndTrain is the Fig. 5 action on new unlabeled input: PDF-matched
+// pseudo-labelling, then one job on the labels it found. It returns the
+// finished job and the record it registered.
+func lookupAndTrain(t *testing.T, m *Manager, ds *fairds.Service, zoo *fairms.Zoo, input []*codec.Sample, spec Spec) (*Status, *fairms.Record) {
+	t.Helper()
+	x, err := fairds.Collate(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeled, err := ds.LookupLabeled(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(labeled) != len(input) {
+		t.Fatalf("lookup found %d labeled samples, want %d", len(labeled), len(input))
+	}
+	spec.Samples = labeled
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, m, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Err)
+	}
+	rec, err := zoo.Get(final.ModelID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return final, rec
+}
+
+// TestRapidTrainFineTunesFromZoo: a regime-1 input, pseudo-labelled from
+// the store, is keyed by the PDF of its labeled draw, which picks the
+// regime-1 foundation; the job warm-starts from it and records it as the
+// new model's parent.
+func TestRapidTrainFineTunesFromZoo(t *testing.T) {
+	m, ds, zoo := newRegimeFixture(t)
+	input := regimeAt(1).Generate(rand.New(rand.NewSource(9)), 40)
+	st, rec := lookupAndTrain(t, m, ds, zoo, input, Spec{MaxJSD: 0.9, Epochs: 10, BatchSize: 32, Seed: 8, ModelID: "updated-1"})
+	if !st.Warm || st.Foundation != "model-r1" {
+		t.Fatalf("warm=%v foundation=%q, want a warm start from model-r1 (same regime)", st.Warm, st.Foundation)
+	}
+	if rec.Meta[fairms.MetaParent] != "model-r1" {
+		t.Fatalf("registered lineage %v, want parent model-r1", rec.Meta)
+	}
+}
+
+// TestRapidTrainScratchWhenZooTooFar: a MaxJSD below every foundation's
+// distance trains from scratch and registers a model with no parent.
+func TestRapidTrainScratchWhenZooTooFar(t *testing.T) {
+	m, ds, zoo := newRegimeFixture(t)
+	input := regimeAt(2).Generate(rand.New(rand.NewSource(10)), 30)
+	st, rec := lookupAndTrain(t, m, ds, zoo, input, Spec{MaxJSD: 1e-9, Epochs: 10, BatchSize: 32, Seed: 8, ModelID: "scratch-1"})
+	if st.Warm || st.Foundation != "" {
+		t.Fatalf("warm=%v foundation=%q, want a cold start below the threshold", st.Warm, st.Foundation)
+	}
+	if _, ok := rec.Meta[fairms.MetaParent]; ok {
+		t.Fatalf("cold-started model records a parent: %v", rec.Meta)
+	}
+}
+
+func TestSplitSizes(t *testing.T) {
+	x := tensor.New(10, 2)
+	y := tensor.New(10, 1)
+	tx, ty, vx, vy := Split(x, y, 0.2, 1)
+	if tx.Dim(0) != 8 || vx.Dim(0) != 2 || ty.Dim(0) != 8 || vy.Dim(0) != 2 {
+		t.Fatalf("split sizes %d/%d", tx.Dim(0), vx.Dim(0))
+	}
+	// Tiny sets still keep at least one row on each side.
+	tx, _, vx, _ = Split(tensor.New(2, 1), tensor.New(2, 1), 0.9, 1)
+	if tx.Dim(0) < 1 || vx.Dim(0) < 1 {
+		t.Fatal("degenerate split")
 	}
 }
