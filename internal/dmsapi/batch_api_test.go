@@ -2,10 +2,7 @@ package dmsapi
 
 import (
 	"errors"
-	"io"
-	"net"
 	"net/http"
-	"sync"
 	"testing"
 
 	"fairdms/internal/codec"
@@ -146,95 +143,6 @@ func TestIngestBatchEmptyIsBadRequest(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("empty batch err = %v, want 400", err)
-	}
-}
-
-// TestBatchIngesterThroughFlakyProxy routes the batching helper through a
-// proxy that kills the first connection: the transport retry layer must
-// recover and every document must still commit exactly once.
-func TestBatchIngesterThroughFlakyProxy(t *testing.T) {
-	srv, _ := startServer(t, ServerConfig{})
-
-	proxy, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	var once sync.Once
-	go func() {
-		for {
-			conn, err := proxy.Accept()
-			if err != nil {
-				return
-			}
-			killed := false
-			once.Do(func() {
-				conn.Close() // first connection dies before any response
-				killed = true
-			})
-			if killed {
-				continue
-			}
-			back, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				conn.Close()
-				continue
-			}
-			go func() { io.Copy(back, conn); back.Close() }()
-			go func() { io.Copy(conn, back); conn.Close() }()
-		}
-	}()
-
-	client, err := NewClient(proxy.Addr().String())
-	if err != nil {
-		t.Fatalf("dial through flaky proxy: %v", err)
-	}
-	defer client.Close()
-
-	a, _ := twoRegimes(24, 60)
-	ing := client.NewBatchIngester("flaky", BatchIngesterConfig{BatchSize: 8, MaxInFlight: 3})
-	for _, smp := range a {
-		ing.Add(smp)
-	}
-	sum, err := ing.Close()
-	if err != nil {
-		t.Fatalf("batch ingest through flaky proxy: %v (summary %+v)", err, sum)
-	}
-	if sum.Added != len(a) || sum.Inserted != len(a) || sum.Failed != 0 {
-		t.Fatalf("summary = %+v, want all %d inserted", sum, len(a))
-	}
-	if h, _ := client.Health(); h.Samples != len(a) {
-		t.Fatalf("store holds %d, want %d", h.Samples, len(a))
-	}
-}
-
-// TestBatchIngesterDocErrorIndices: per-doc errors surface with global
-// Add-order indices across multiple batches.
-func TestBatchIngesterDocErrorIndices(t *testing.T) {
-	_, client := startServer(t, ServerConfig{})
-	a, _ := twoRegimes(25, 20)
-	// Fit clusters with a clean first batch so the bad doc cannot poison
-	// the bootstrap reference width.
-	if _, err := client.IngestBatch("seed", a[:4]); err != nil {
-		t.Fatal(err)
-	}
-
-	bad := codec.SampleFromFloats([]float64{1, 2}, []int{2}, codec.F64, nil)
-	ing := client.NewBatchIngester("d", BatchIngesterConfig{BatchSize: 5, MaxInFlight: 2})
-	docs := append([]*codec.Sample{}, a[4:16]...) // 12 good docs
-	docs[7] = bad                                 // global index 7, inside batch 2
-	for _, smp := range docs {
-		ing.Add(smp)
-	}
-	sum, err := ing.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Inserted != 11 || sum.Failed != 1 {
-		t.Fatalf("summary = %+v, want 11 inserted / 1 failed", sum)
-	}
-	if len(sum.DocErrors) != 1 || sum.DocErrors[0].Index != 7 {
-		t.Fatalf("doc errors = %v, want exactly global index 7", sum.DocErrors)
 	}
 }
 

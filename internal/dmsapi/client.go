@@ -119,8 +119,6 @@ func (c *Client) Ingest(dataset string, samples []*codec.Sample) ([]string, erro
 // endpoint. Per-document failures come back in the response's Errors array
 // rather than failing the call; the returned error covers only
 // request-level problems (transport failure after retries, 4xx/5xx).
-// For streaming many batches with bounded in-flight concurrency, see
-// NewBatchIngester.
 func (c *Client) IngestBatch(dataset string, samples []*codec.Sample) (IngestBatchResponse, error) {
 	var out IngestBatchResponse
 	err := c.postJSON(PathIngestBatch, IngestBatchRequest{Dataset: dataset, Samples: FromCodecSlice(samples)}, &out)

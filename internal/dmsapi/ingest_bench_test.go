@@ -77,9 +77,9 @@ func benchDocs(n int) []*codec.Sample {
 
 // BenchmarkIngest1k is the acceptance benchmark for the batch ingest path:
 // landing 1000 documents through 1000 serial single-doc requests vs one
-// ingest:batch call vs the bounded-in-flight BatchIngester. The batch path
-// must be ≥ 5× faster end-to-end than the serial path (round-trip
-// amortization plus the pipelined embed→store flow).
+// ingest:batch call. The batch path must be ≥ 5× faster end-to-end than
+// the serial path (round-trip amortization, one embed pass and one store
+// commit).
 func BenchmarkIngest1k(b *testing.B) {
 	const n = 1000
 	docs := benchDocs(n)
@@ -106,24 +106,6 @@ func BenchmarkIngest1k(b *testing.B) {
 			}
 			if resp.Inserted != n {
 				b.Fatalf("inserted %d, want %d", resp.Inserted, n)
-			}
-		}
-	})
-
-	b.Run("batch-ingester", func(b *testing.B) {
-		client := benchIngestServer(b, docs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ing := client.NewBatchIngester("bench", BatchIngesterConfig{BatchSize: 128, MaxInFlight: 4})
-			for j := 0; j < n; j++ {
-				ing.Add(docs[j])
-			}
-			sum, err := ing.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sum.Inserted != n {
-				b.Fatalf("inserted %d, want %d", sum.Inserted, n)
 			}
 		}
 	})

@@ -433,10 +433,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleIngestBatch is the high-throughput ingest path: per-document
-// failure reporting instead of all-or-nothing, and a pipelined
-// embed→index→store flow underneath (fairds.IngestLabeledBatch). A
-// malformed wire sample is rejected at this boundary with a DocError; the
-// survivors bootstrap the clustering model if needed and commit.
+// failure reporting instead of all-or-nothing, over the same one embed
+// pass and one store commit as handleIngest
+// (fairds.IngestLabeledBatchContext). A malformed wire sample is rejected
+// at this boundary with a DocError; the survivors bootstrap the
+// clustering model if needed and commit.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error {
 	var req IngestBatchRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -469,7 +470,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 		// request on a mixed-width batch — but per-document failure is this
 		// endpoint's contract, so only documents matching the batch's
 		// reference width (the first valid sample, same rule as
-		// IngestLabeledBatch) feed the fit; the off-width rest still get
+		// fairds' ingest) feed the fit; the off-width rest still get
 		// their individual errors from the service below.
 		fitSet := valid
 		refWidth := valid[0].Elems()

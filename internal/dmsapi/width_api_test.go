@@ -17,10 +17,11 @@ import (
 
 // TestOtherWidthIsABadRequest: a daemon that ingested 11×11 patches, over
 // the dmsd embedder shape whose first layer takes 121 inputs, answers
-// certainty, nearest, pdf and lookup requests of 15×15 patches with a 400
-// on the first attempt — not a panic that drops the connection and reads
-// as a transport failure the client retries — and the connection stays
-// open for the next request.
+// certainty, nearest, pdf, lookup and ingest requests of 15×15 patches,
+// or of a mixed batch that leads with an 11×11 one, with a 400 on the
+// first attempt: not a panic that drops the connection and reads as a
+// transport failure the client retries, and not a 500. The connection
+// stays open for the next request, and the store takes none of them.
 func TestOtherWidthIsABadRequest(t *testing.T) {
 	ae := embed.NewAutoencoder(rand.New(rand.NewSource(1)), 121, 16, 6)
 	ds, err := fairds.New(embed.Scaled{E: ae, Factor: 1.0 / 64}, docstore.NewStore().Collection("peaks"), fairds.Config{Seed: 1})
@@ -33,8 +34,10 @@ func TestOtherWidthIsABadRequest(t *testing.T) {
 	if _, err := client.Ingest("small", regime.Generate(rand.New(rand.NewSource(2)), 24)); err != nil {
 		t.Fatal(err)
 	}
+	mixed := regime.Generate(rand.New(rand.NewSource(4)), 1)
 	regime.Patch = 15
-	big := FromCodecSlice(regime.Generate(rand.New(rand.NewSource(3)), 4))
+	big := regime.Generate(rand.New(rand.NewSource(3)), 4)
+	mixed = append(mixed, big...)
 
 	var conns, reused atomic.Int64
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
@@ -45,32 +48,41 @@ func TestOtherWidthIsABadRequest(t *testing.T) {
 			}
 		},
 	})
-	for path, req := range map[string]any{
-		PathCertainty: CertaintyRequest{Samples: big, Threshold: 0.5},
-		PathNearest:   NearestRequest{Samples: big},
-		PathPDF:       PDFRequest{Samples: big},
-		PathLookup:    LookupRequest{Samples: big},
+	for name, samples := range map[string][]Sample{
+		"15×15 patches": FromCodecSlice(big),
+		"a mixed batch": FromCodecSlice(mixed),
 	} {
-		body, err := EncodeBody(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := conns.Load()
-		err = client.DoBody(ctx, "POST", path, body, nil)
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || se.ErrCode != CodeBadRequest {
-			t.Fatalf("%s with 15×15 patches: %v, want a 400 bad_request", path, err)
-		}
-		if n := conns.Load() - before; n != 1 {
-			t.Fatalf("%s took %d attempts, want 1", path, n)
+		for path, req := range map[string]any{
+			PathCertainty: CertaintyRequest{Samples: samples, Threshold: 0.5},
+			PathNearest:   NearestRequest{Samples: samples},
+			PathPDF:       PDFRequest{Samples: samples},
+			PathLookup:    LookupRequest{Samples: samples},
+			PathIngest:    IngestRequest{Dataset: "other", Samples: samples},
+		} {
+			body, err := EncodeBody(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := conns.Load()
+			err = client.DoBody(ctx, "POST", path, body, nil)
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusBadRequest || se.ErrCode != CodeBadRequest {
+				t.Fatalf("%s with %s: %v, want a 400 bad_request", path, name, err)
+			}
+			if n := conns.Load() - before; n != 1 {
+				t.Fatalf("%s with %s took %d attempts, want 1", path, name, n)
+			}
 		}
 	}
 	var h HealthResponse
 	if err := client.DoJSON(ctx, "GET", PathHealth, nil, &h); err != nil {
 		t.Fatalf("/healthz after the refusals: %v", err)
 	}
+	if h.Samples != 24 {
+		t.Fatalf("the store holds %d samples after the refusals, want 24", h.Samples)
+	}
 	// The ingest left its connection open; every request here reuses it.
-	if conns.Load() != 5 || reused.Load() != 5 {
-		t.Fatalf("%d connections taken, %d of them reused; want 5 and 5", conns.Load(), reused.Load())
+	if conns.Load() != 11 || reused.Load() != 11 {
+		t.Fatalf("%d connections taken, %d of them reused; want 11 and 11", conns.Load(), reused.Load())
 	}
 }

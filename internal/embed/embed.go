@@ -26,8 +26,8 @@ import (
 // Embedder maps a batch of flattened images (N, features) to embeddings
 // (N, Dim()).
 //
-// Embed must be safe for concurrent use: batch-ingest pipelines fan
-// sub-batches out to parallel embed workers (fairds.IngestLabeledBatch).
+// Embed must be safe for concurrent use: a daemon's concurrent requests
+// each embed their own batch through one fairds.Service.
 // The built-in methods satisfy this because nn eval-mode forwards write no
 // layer state; custom implementations that mutate per-call state (e.g.
 // Monte-Carlo dropout) must synchronize internally.

@@ -2,10 +2,9 @@ package fairds
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"fairdms/internal/codec"
 	"fairdms/internal/docstore"
@@ -21,9 +20,9 @@ type BatchDocError struct {
 	Err   error // why this document was rejected
 }
 
-// BatchResult is the outcome of IngestLabeledBatch. IDs is aligned with the
-// input batch ("" where the document failed); Errors lists the failures in
-// ascending input order.
+// BatchResult is the outcome of IngestLabeledBatchContext. IDs is aligned
+// with the input batch ("" where the document failed); Errors lists the
+// failures in ascending input order.
 type BatchResult struct {
 	IDs    []string
 	Errors []BatchDocError
@@ -40,52 +39,55 @@ func (r BatchResult) Inserted() int {
 	return n
 }
 
-// BatchOptions tunes the batch-ingest pipeline. The zero value picks
-// sensible defaults.
-type BatchOptions struct {
-	// ChunkSize is the number of documents per embed→store unit (default
-	// 512). Each chunk is embedded as one tensor and written with one
-	// InsertMany, so it bounds both peak memory and store-call granularity.
-	ChunkSize int
-	// Workers is the number of chunk pipelines running in parallel (default
-	// GOMAXPROCS, capped at the chunk count). Each worker embeds its chunk
-	// while other workers' chunks are being written, which is what overlaps
-	// CPU (embedding) with store latency.
-	Workers int
+// BatchOptions has no fields: a batch ingest is one embed pass and one
+// store commit whatever its size, so there is nothing to tune. It stays in
+// IngestLabeledBatchContext's signature only because the benchmark module
+// passes BatchOptions{}; the next edit of that module drops both.
+type BatchOptions struct{}
+
+// IngestLabeled (system plane) embeds labeled samples, assigns clusters,
+// and stores them with payload, embedding, cluster ID, and dataset tag —
+// building the index as data are written, which is what makes later label
+// lookups cheap.
+func (s *Service) IngestLabeled(samples []*codec.Sample, dataset string) ([]string, error) {
+	return s.IngestLabeledContext(context.Background(), samples, dataset)
 }
 
-func (o *BatchOptions) defaults() {
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 512
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-}
-
-// IngestLabeledBatch is the high-throughput form of IngestLabeled: the batch
-// is split into chunks, parallel workers embed each chunk (one embedder
-// pass per chunk; the Embedder contract requires concurrent Embed to be
-// safe), assign clusters, and feed chunked InsertMany calls — so embedding
-// of one chunk overlaps the store write of another instead of the strict
-// embed-everything-then-write-everything of the single-call path.
+// IngestLabeledContext is IngestLabeled with a context carrying an
+// optional obs trace; stage spans (encode, embed, store_insert,
+// index_add) attach to it. The database/sql QueryContext convention:
+// serving paths call the Context form, batch/offline callers keep the
+// plain one.
 //
-// Failure is reported per document: a sample whose feature width disagrees
-// with the service's (a *WidthError; a service that has no width yet takes
-// the first sample's) or whose payload cannot be encoded gets a
-// BatchDocError while the rest of the batch commits. A store write failure
-// fails only that chunk's documents. The returned error is reserved for
-// whole-call problems (unfitted clustering model).
-func (s *Service) IngestLabeledBatch(samples []*codec.Sample, dataset string, opt BatchOptions) (BatchResult, error) {
-	return s.IngestLabeledBatchContext(context.Background(), samples, dataset, opt)
+// The call is all or nothing. A document that fails its checks — nil, of
+// another width (a *WidthError), with an invalid payload, or one the codec
+// cannot encode — fails the call before anything is written, and the
+// error names the lowest such index. The store commit is one transaction.
+func (s *Service) IngestLabeledContext(ctx context.Context, samples []*codec.Sample, dataset string) ([]string, error) {
+	if err := s.requireClusters(); err != nil {
+		return nil, err
+	}
+	if len(samples) == 0 {
+		return nil, nil
+	}
+	p := s.prepare(ctx, samples)
+	if len(p.errs) > 0 {
+		de := p.errs[0]
+		return nil, fmt.Errorf("fairds: sample %d: %w", de.Index, de.Err)
+	}
+	ids := make([]string, len(samples))
+	if err := s.commit(ctx, samples, p, dataset, ids); err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
-// IngestLabeledBatchContext is IngestLabeledBatch with a context carrying
-// an optional obs trace: each chunk records encode, embed, store_insert,
-// and index_add spans, so a slow batch shows which stage of which chunk
-// dominated (chunks run concurrently; their spans interleave under the
-// request span).
-func (s *Service) IngestLabeledBatchContext(ctx context.Context, samples []*codec.Sample, dataset string, opt BatchOptions) (BatchResult, error) {
+// IngestLabeledBatchContext is IngestLabeledContext with failure reported
+// per document: a document that fails its checks gets a BatchDocError and
+// the rest of the batch commits, as one transaction. A failed commit fails
+// every surviving document and stores none of them. The returned error is
+// reserved for whole-call problems (unfitted clustering model).
+func (s *Service) IngestLabeledBatchContext(ctx context.Context, samples []*codec.Sample, dataset string, _ BatchOptions) (BatchResult, error) {
 	if err := s.requireClusters(); err != nil {
 		return BatchResult{}, err
 	}
@@ -93,104 +95,84 @@ func (s *Service) IngestLabeledBatchContext(ctx context.Context, samples []*code
 	if len(samples) == 0 {
 		return res, nil
 	}
-	// The reference width is the service's, and for a service that has none
-	// yet the first non-nil sample's, which the first chunk to embed claims
-	// (nil docs are in-contract: they become per-doc errors in ingestChunk).
-	// An all-nil batch falls through with refWidth 0 and every doc reported.
-	refWidth := int(s.width.Load())
-	if refWidth == 0 {
+	p := s.prepare(ctx, samples)
+	res.Errors = p.errs
+	if err := s.commit(ctx, samples, p, dataset, res.IDs); err != nil {
+		for _, i := range p.valid {
+			res.Errors = append(res.Errors, BatchDocError{Index: i, Err: err})
+		}
+		slices.SortFunc(res.Errors, func(a, b BatchDocError) int { return a.Index - b.Index })
+	}
+	return res, nil
+}
+
+// prepared is an ingest call after its per-document checks: the width
+// the survivors share, their input indices and encoded payloads, and one
+// error per rejected document in ascending input order.
+type prepared struct {
+	width    int
+	valid    []int
+	payloads [][]byte // parallel to valid
+	errs     []BatchDocError
+}
+
+// prepare checks and encodes every document of an ingest call. The
+// reference width is the service's, and for a service that has none yet
+// the first non-nil sample's, which the commit then claims. An all-nil
+// call has reference width 0 and every document reported.
+func (s *Service) prepare(ctx context.Context, samples []*codec.Sample) prepared {
+	_, sp := obs.StartSpan(ctx, "encode")
+	defer sp.End()
+	p := prepared{
+		width:    int(s.width.Load()),
+		valid:    make([]int, 0, len(samples)),
+		payloads: make([][]byte, 0, len(samples)),
+	}
+	if p.width == 0 {
 		for _, smp := range samples {
 			if smp != nil {
-				refWidth = smp.Elems()
+				p.width = smp.Elems()
 				break
 			}
 		}
 	}
-
-	opt.defaults()
-	type chunkSpan struct{ lo, hi int }
-	var spans []chunkSpan
-	for lo := 0; lo < len(samples); lo += opt.ChunkSize {
-		hi := lo + opt.ChunkSize
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		spans = append(spans, chunkSpan{lo, hi})
-	}
-	if opt.Workers > len(spans) {
-		opt.Workers = len(spans)
-	}
-
-	var (
-		mu   sync.Mutex // guards res.Errors (res.IDs is index-disjoint per chunk)
-		wg   sync.WaitGroup
-		work = make(chan chunkSpan)
-	)
-	fail := func(idx int, err error) {
-		mu.Lock()
-		res.Errors = append(res.Errors, BatchDocError{Index: idx, Err: err})
-		mu.Unlock()
-	}
-
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for span := range work {
-				s.ingestChunk(ctx, samples, span.lo, span.hi, refWidth, dataset, res.IDs, fail)
-			}
-		}()
-	}
-	for _, span := range spans {
-		work <- span
-	}
-	close(work)
-	wg.Wait()
-
-	sort.Slice(res.Errors, func(i, j int) bool { return res.Errors[i].Index < res.Errors[j].Index })
-	return res, nil
-}
-
-// ingestChunk runs one chunk through validate→encode→embed→insert→index.
-// ids is the batch-wide result slice; this chunk only writes its own span.
-func (s *Service) ingestChunk(ctx context.Context, samples []*codec.Sample, lo, hi, refWidth int, dataset string, ids []string, fail func(int, error)) {
-	// Per-document validation and payload encoding. A bad document is
-	// reported and dropped; the chunk carries on with the survivors.
-	_, sp := obs.StartSpan(ctx, "encode")
-	valid := make([]int, 0, hi-lo)       // original indices of surviving docs
-	payloads := make([][]byte, 0, hi-lo) // encoded payloads, parallel to valid
-	for i := lo; i < hi; i++ {
-		smp := samples[i]
+	for i, smp := range samples {
 		if smp == nil {
-			fail(i, fmt.Errorf("fairds: nil sample"))
+			p.errs = append(p.errs, BatchDocError{Index: i, Err: errors.New("fairds: nil sample")})
 			continue
 		}
-		if smp.Elems() != refWidth {
-			fail(i, &WidthError{Got: smp.Elems(), Want: refWidth})
+		if smp.Elems() != p.width {
+			p.errs = append(p.errs, BatchDocError{Index: i, Err: &WidthError{Got: smp.Elems(), Want: p.width}})
 			continue
 		}
 		if err := smp.Validate(); err != nil {
-			fail(i, fmt.Errorf("fairds: invalid sample: %w", err))
+			p.errs = append(p.errs, BatchDocError{Index: i, Err: fmt.Errorf("fairds: invalid sample: %w", err)})
 			continue
 		}
 		raw, err := s.cfg.Codec.Encode(smp)
 		if err != nil {
-			fail(i, fmt.Errorf("fairds: encoding sample: %w", err))
+			p.errs = append(p.errs, BatchDocError{Index: i, Err: fmt.Errorf("fairds: encoding sample: %w", err)})
 			continue
 		}
-		valid = append(valid, i)
-		payloads = append(payloads, raw)
+		p.valid = append(p.valid, i)
+		p.payloads = append(p.payloads, raw)
 	}
-	sp.End()
-	if len(valid) == 0 {
-		return
-	}
+	return p
+}
 
-	// One embedder pass for the chunk's survivors. FloatsInto decodes each
-	// payload straight into its tensor row — no per-document scratch slice.
-	_, sp = obs.StartSpan(ctx, "embed")
-	x := tensor.Borrow(len(valid), refWidth)
-	for row, i := range valid {
+// commit embeds the prepared survivors in one pass, assigns their
+// clusters, stores them with one InsertMany — one transaction, and one WAL
+// commit record on a durable store, so no reader observes part of a call —
+// and writes their IDs into ids at their input indices.
+func (s *Service) commit(ctx context.Context, samples []*codec.Sample, p prepared, dataset string, ids []string) error {
+	if len(p.valid) == 0 {
+		return nil
+	}
+	// FloatsInto decodes each sample straight into its row of a pooled
+	// tensor — no per-document scratch slice.
+	_, sp := obs.StartSpan(ctx, "embed")
+	x := tensor.Borrow(len(p.valid), p.width)
+	for row, i := range p.valid {
 		samples[i].FloatsInto(x.Row(row))
 	}
 	rows, err := s.embedRows(x)
@@ -198,59 +180,44 @@ func (s *Service) ingestChunk(ctx context.Context, samples []*codec.Sample, lo, 
 	if err != nil {
 		// Another request gave the service another width meanwhile.
 		sp.End()
-		for _, i := range valid {
-			fail(i, err)
-		}
-		return
+		return err
 	}
-	s.claimWidth(refWidth)
+	s.claimWidth(p.width)
 	assign := s.km.Predict(rows)
 	sp.End()
 
-	fields := make([]docstore.Fields, len(valid))
-	for row := range valid {
+	fields := make([]docstore.Fields, len(p.valid))
+	for row := range p.valid {
 		fields[row] = docstore.Fields{
-			"payload":   payloads[row],
+			"payload":   p.payloads[row],
 			"cluster":   assign[row],
 			"embedding": rows[row],
 			"dataset":   dataset,
 		}
 	}
 	_, sp = obs.StartSpan(ctx, "store_insert")
-	var chunkIDs []string
-	if ts, ok := s.store.(TxnStore); ok {
-		// One transaction per chunk: on a WAL-durable store the chunk is
-		// one commit record (durable and atomic as a unit), and on any
-		// store readers never observe a half-ingested chunk.
-		ops := make([]docstore.TxnOp, len(fields))
-		for row, f := range fields {
-			ops[row] = docstore.TxnOp{Kind: docstore.TxnAdd, F: f}
-		}
-		chunkIDs, err = ts.ApplyTxn(ops)
-	} else {
-		chunkIDs, err = s.store.InsertMany(fields)
-	}
+	stored, err := s.store.InsertMany(fields)
 	sp.End()
 	if err != nil {
-		// InsertMany is atomic per chunk: nothing from this chunk landed.
-		err = fmt.Errorf("fairds: storing chunk: %w", err)
-		for _, i := range valid {
-			fail(i, err)
-		}
-		return
+		return fmt.Errorf("fairds: storing samples: %w", err)
 	}
-	for row, i := range valid {
-		ids[i] = chunkIDs[row]
+	for row, i := range p.valid {
+		ids[i] = stored[row]
 	}
-	// Same cold-index rule as IngestLabeled: a cold index needs a wholesale
-	// WarmIndex/Reindex anyway, so only a ready index is maintained inline.
+	// A cold index is skipped entirely: it needs a wholesale WarmIndex or
+	// Reindex anyway, and after SetEmbedder the new-dimension rows would
+	// only produce a flood of false "corrupt" rejections.
 	if s.indexReady() {
 		_, sp = obs.StartSpan(ctx, "index_add")
-		for row := range valid {
-			if err := s.idx.Add(chunkIDs[row], assign[row], rows[row]); err != nil {
-				s.noteCorrupt(chunkIDs[row], err)
+		for row, id := range stored {
+			if err := s.idx.Add(id, assign[row], rows[row]); err != nil {
+				// The store write already succeeded; an index refusal (a
+				// dimension drift the caller never reconciled via Reindex)
+				// degrades that document to fallback-only lookup.
+				s.noteCorrupt(id, err)
 			}
 		}
 		sp.End()
 	}
+	return nil
 }

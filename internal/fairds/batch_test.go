@@ -1,6 +1,7 @@
 package fairds
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestIngestBatchMatchesSerial(t *testing.T) {
 	}
 
 	batched := fitService(t)
-	res, err := batched.IngestLabeledBatch(a, "run-a", BatchOptions{ChunkSize: 7, Workers: 4})
+	res, err := batched.IngestLabeledBatchContext(context.Background(), a, "run-a", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +75,12 @@ func TestIngestBatchMatchesSerial(t *testing.T) {
 
 	// And the index must have adopted them: nearest on an ingested sample
 	// finds an exact (distance ~0) neighbor.
-	_, _, dist, err := batched.NearestLabeledExcluding(a[0], nil)
+	m, err := batched.NearestMatchesExcluding(context.Background(), a[:1], false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist > 1e-9 {
-		t.Fatalf("nearest distance after batch ingest = %g, want ~0", dist)
+	if m[0].Dist > 1e-9 {
+		t.Fatalf("nearest distance after batch ingest = %g, want ~0", m[0].Dist)
 	}
 }
 
@@ -96,7 +97,27 @@ func TestIngestBatchPartialFailure(t *testing.T) {
 	a[11] = &codec.Sample{Shape: a[11].Shape, Dtype: a[11].Dtype, Data: a[11].Data[:4], Label: a[11].Label}
 	a[17] = nil
 
-	res, err := svc.IngestLabeledBatch(a, "partial", BatchOptions{ChunkSize: 6, Workers: 3})
+	// The all-or-nothing form refuses a bad document, the lowest-index one
+	// when there are several, and stores nothing.
+	for _, c := range []struct {
+		docs []*codec.Sample
+		at   string
+		want string
+	}{
+		{[]*codec.Sample{a[0], a[11]}, "sample 1: ", bad[11]},
+		{[]*codec.Sample{a[0], a[17]}, "sample 1: ", bad[17]},
+		{a, "sample 5: ", bad[5]},
+	} {
+		_, err := svc.IngestLabeled(c.docs, "partial")
+		if err == nil || !strings.Contains(err.Error(), c.at) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("IngestLabeled: err = %v, want one mentioning %q and %q", err, c.at, c.want)
+		}
+		if n := svc.StoreCount(); n != 0 {
+			t.Fatalf("a refused IngestLabeled stored %d docs", n)
+		}
+	}
+
+	res, err := svc.IngestLabeledBatchContext(context.Background(), a, "partial", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +157,7 @@ func TestIngestBatchNilFirstSample(t *testing.T) {
 	svc := fitService(t)
 	a, _ := twoRegimes(16, 6)
 	a[0] = nil
-	res, err := svc.IngestLabeledBatch(a, "x", BatchOptions{ChunkSize: 3})
+	res, err := svc.IngestLabeledBatchContext(context.Background(), a, "x", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +166,7 @@ func TestIngestBatchNilFirstSample(t *testing.T) {
 	}
 
 	// An all-nil batch reports every document and commits nothing.
-	res, err = svc.IngestLabeledBatch(make([]*codec.Sample, 4), "x", BatchOptions{})
+	res, err = svc.IngestLabeledBatchContext(context.Background(), make([]*codec.Sample, 4), "x", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,57 +179,54 @@ func TestIngestBatchNilFirstSample(t *testing.T) {
 func TestIngestBatchRequiresClusters(t *testing.T) {
 	svc := newService(t)
 	a, _ := twoRegimes(14, 4)
-	if _, err := svc.IngestLabeledBatch(a, "x", BatchOptions{}); err != ErrNotFitted {
+	if _, err := svc.IngestLabeledBatchContext(context.Background(), a, "x", BatchOptions{}); err != ErrNotFitted {
 		t.Fatalf("err = %v, want ErrNotFitted", err)
 	}
 	fitted := fitService(t)
-	res, err := fitted.IngestLabeledBatch(nil, "x", BatchOptions{})
+	res, err := fitted.IngestLabeledBatchContext(context.Background(), nil, "x", BatchOptions{})
 	if err != nil || len(res.IDs) != 0 || len(res.Errors) != 0 {
 		t.Fatalf("empty batch: res=%+v err=%v, want empty result", res, err)
 	}
 }
 
-// TestIngestBatchStoreFailureIsPerChunk: a store that rejects one chunk's
-// InsertMany fails only that chunk's documents.
-func TestIngestBatchStoreFailureIsPerChunk(t *testing.T) {
+// TestIngestBatchStoreFailureStoresNothing: a store failure fails every
+// surviving document and stores nothing — the call is one commit.
+func TestIngestBatchStoreFailureStoresNothing(t *testing.T) {
 	svc := fitService(t)
 	a, _ := twoRegimes(15, 12)
+	a[3] = nil
 	// An unindexable field value (slice) in the indexed "cluster" field
 	// cannot be simulated from outside, so wrap the store instead.
 	inner := svc.store
-	svc.store = &failNthInsert{DataStore: inner, failOn: 1}
-	res, err := svc.IngestLabeledBatch(a, "x", BatchOptions{ChunkSize: 4, Workers: 1})
+	svc.store = failingInsert{inner}
+	res, err := svc.IngestLabeledBatchContext(context.Background(), a, "x", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Inserted(); got != 8 {
-		t.Fatalf("inserted %d, want 8 (one failed chunk of 4)", got)
+	if got := res.Inserted(); got != 0 {
+		t.Fatalf("inserted %d, want 0", got)
 	}
-	if len(res.Errors) != 4 {
-		t.Fatalf("got %d per-doc errors, want 4: %v", len(res.Errors), res.Errors)
+	if len(res.Errors) != len(a) {
+		t.Fatalf("got %d per-doc errors, want %d: %v", len(res.Errors), len(a), res.Errors)
 	}
-	for _, de := range res.Errors {
-		if !strings.Contains(de.Err.Error(), "storing chunk") {
-			t.Errorf("doc %d: error %q should be a chunk store failure", de.Index, de.Err)
+	for i, de := range res.Errors {
+		want := "storing samples"
+		if i == 3 {
+			want = "nil sample"
+		}
+		if de.Index != i || !strings.Contains(de.Err.Error(), want) {
+			t.Errorf("error %d: doc %d %q, want doc %d mentioning %q", i, de.Index, de.Err, i, want)
 		}
 	}
-}
-
-// failNthInsert wraps a DataStore and fails the n-th InsertMany call.
-type failNthInsert struct {
-	DataStore
-	calls  int
-	failOn int
-}
-
-func (f *failNthInsert) InsertMany(fs []docstore.Fields) ([]string, error) {
-	n := f.calls
-	f.calls++
-	if n == f.failOn {
-		return nil, errInjected
+	if n := inner.Count(); n != 0 {
+		t.Fatalf("store holds %d docs after a failed commit, want 0", n)
 	}
-	return f.DataStore.InsertMany(fs)
 }
+
+// failingInsert wraps a DataStore and fails every InsertMany call.
+type failingInsert struct{ DataStore }
+
+func (failingInsert) InsertMany([]docstore.Fields) ([]string, error) { return nil, errInjected }
 
 var errInjected = &injectedError{}
 
@@ -216,10 +234,10 @@ type injectedError struct{}
 
 func (*injectedError) Error() string { return "injected store failure" }
 
-// TestIngestBatchCommitsChunksAsTransactions: on a WAL-durable store,
-// each ingest chunk lands as exactly one commit record — the unit of
-// atomicity and durability for batch ingest.
-func TestIngestBatchCommitsChunksAsTransactions(t *testing.T) {
+// TestIngestCommitsOneTransaction: on a WAL-durable store, an ingest call
+// of either form lands as exactly one commit record, whatever its size —
+// the unit of atomicity and durability for ingest.
+func TestIngestCommitsOneTransaction(t *testing.T) {
 	ds, err := docstore.OpenDurable(docstore.DurableOptions{Dir: t.TempDir(), Policy: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -240,15 +258,21 @@ func TestIngestBatchCommitsChunksAsTransactions(t *testing.T) {
 
 	before := ds.WalStats().Appends
 	docs, _ := twoRegimes(13, 30)
-	res, err := svc.IngestLabeledBatch(docs, "run-a", BatchOptions{ChunkSize: 8, Workers: 2})
+	res, err := svc.IngestLabeledBatchContext(context.Background(), docs, "run-a", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Inserted(); got != len(docs) {
 		t.Fatalf("inserted %d, want %d", got, len(docs))
 	}
-	wantChunks := int64((len(docs) + 7) / 8)
-	if got := ds.WalStats().Appends - before; got != wantChunks {
-		t.Fatalf("ingest appended %d WAL records; want one per chunk = %d", got, wantChunks)
+	if got := ds.WalStats().Appends - before; got != 1 {
+		t.Fatalf("batch ingest appended %d WAL records; want 1", got)
+	}
+	before = ds.WalStats().Appends
+	if _, err := svc.IngestLabeled(docs, "run-b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.WalStats().Appends - before; got != 1 {
+		t.Fatalf("ingest appended %d WAL records; want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package fairds
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -96,12 +97,13 @@ func BenchmarkLookupLabeled4k(b *testing.B) { benchLookup(b, 4000) }
 // over a 32k store, where a draw that lists its cluster costs the corpus.
 func BenchmarkLookupLabeled32k(b *testing.B) { benchLookup(b, 32768) }
 
-// BenchmarkNearest is the tentpole acceptance benchmark: the single-query
-// nearest-label path at store sizes 1k/10k/50k, store-scan fallback vs the
+// BenchmarkNearest is a one-sample nearest search (match only, no payload
+// fetch) at store sizes 1k/10k/50k, store-scan fallback vs the
 // in-process vector indexes. The scan path — a service whose index an
 // embedder swap has cooled — re-fetches every embedding in the predicted
 // cluster from the store per query; the indexed paths probe memory.
 func BenchmarkNearest(b *testing.B) {
+	ctx := context.Background()
 	configs := []struct {
 		mode string
 		cfg  Config
@@ -127,7 +129,8 @@ func BenchmarkNearest(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := svc.NearestLabeledExcluding(query[i%len(query)], nil); err != nil {
+					q := i % len(query)
+					if _, err := svc.NearestMatchesExcluding(ctx, query[q:q+1], false, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

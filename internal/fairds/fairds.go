@@ -231,8 +231,8 @@ type countChecker interface {
 // TxnStore is an optional DataStore upgrade: a backend that can commit a
 // batch of operations as one all-or-nothing transaction (one WAL commit
 // record when the backing store is durable). Both *docstore.Collection
-// and RemoteCollection implement it; batch ingest uses it to commit each
-// chunk atomically.
+// and RemoteCollection implement it. Ingest needs no upgrade: InsertMany
+// is already one such transaction on both.
 type TxnStore interface {
 	ApplyTxn(ops []docstore.TxnOp) ([]string, error)
 }
@@ -355,77 +355,6 @@ func (s *Service) embedSamples(samples []*codec.Sample) ([][]float64, error) {
 // real width.
 func (s *Service) claimWidth(w int) {
 	s.width.CompareAndSwap(0, int64(w))
-}
-
-// IngestLabeled (system plane) embeds labeled samples, assigns clusters,
-// and stores them with payload, embedding, cluster ID, and dataset tag —
-// building the index as data are written, which is what makes later label
-// lookups cheap.
-func (s *Service) IngestLabeled(samples []*codec.Sample, dataset string) ([]string, error) {
-	return s.IngestLabeledContext(context.Background(), samples, dataset)
-}
-
-// IngestLabeledContext is IngestLabeled with a context carrying an
-// optional obs trace; stage spans (embed, encode, store_insert,
-// index_add) attach to it. The database/sql QueryContext convention:
-// serving paths call the Context form, batch/offline callers keep the
-// plain one.
-func (s *Service) IngestLabeledContext(ctx context.Context, samples []*codec.Sample, dataset string) ([]string, error) {
-	if err := s.requireClusters(); err != nil {
-		return nil, err
-	}
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	_, sp := obs.StartSpan(ctx, "embed")
-	rows, err := s.embedSamples(samples)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	s.claimWidth(samples[0].Elems())
-	assign := s.km.Predict(rows)
-	sp.End()
-
-	_, sp = obs.StartSpan(ctx, "encode")
-	fields := make([]docstore.Fields, len(samples))
-	for i, smp := range samples {
-		raw, err := s.cfg.Codec.Encode(smp)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("fairds: encoding sample %d: %w", i, err)
-		}
-		fields[i] = docstore.Fields{
-			"payload":   raw,
-			"cluster":   assign[i],
-			"embedding": rows[i],
-			"dataset":   dataset,
-		}
-	}
-	sp.End()
-
-	_, sp = obs.StartSpan(ctx, "store_insert")
-	ids, err := s.store.InsertMany(fields)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("fairds: storing samples: %w", err)
-	}
-	// A cold index is skipped entirely: it needs a wholesale WarmIndex or
-	// Reindex anyway, and after SetEmbedder the new-dimension rows would
-	// only produce a flood of false "corrupt" rejections.
-	if s.indexReady() {
-		_, sp = obs.StartSpan(ctx, "index_add")
-		for i, id := range ids {
-			if err := s.idx.Add(id, assign[i], rows[i]); err != nil {
-				// The store write already succeeded; an index refusal (a
-				// dimension drift the caller never reconciled via Reindex)
-				// degrades that document to fallback-only lookup.
-				s.noteCorrupt(id, err)
-			}
-		}
-		sp.End()
-	}
-	return ids, nil
 }
 
 // DatasetPDF computes the cluster probability distribution of a dataset:
@@ -556,87 +485,6 @@ func (s *Service) LookupDrawContext(ctx context.Context, x *tensor.Tensor, seed 
 		}
 	}
 	return counts, drawn, nil
-}
-
-// NearestLabeled finds, for one unlabeled sample, the closest labeled
-// historical sample in embedding space using two-level search (cluster
-// first, then intra-cluster scan). It returns the sample and the embedding
-// distance — the |b − p| the Fig. 9 threshold rule compares against T.
-func (s *Service) NearestLabeled(sample *codec.Sample) (*codec.Sample, float64, error) {
-	_, smp, dist, err := s.NearestLabeledExcluding(sample, nil)
-	return smp, dist, err
-}
-
-// NearestLabeledExcluding is NearestLabeled with an exclusion set of
-// document IDs, letting callers that reuse many labels (Fig. 9's BO
-// construction) draw distinct historical samples. It also returns the
-// matched document's ID. A nil sample with +Inf distance means the cluster
-// holds no eligible documents.
-func (s *Service) NearestLabeledExcluding(sample *codec.Sample, exclude map[string]bool) (string, *codec.Sample, float64, error) {
-	if err := s.requireClusters(); err != nil {
-		return "", nil, 0, err
-	}
-	rows, err := s.embedSamples([]*codec.Sample{sample})
-	if err != nil {
-		return "", nil, 0, err
-	}
-	z := rows[0]
-	k, _ := s.km.PredictOne(z)
-
-	best := math.Inf(1)
-	bestID := ""
-	if s.indexReady() {
-		// In-process probe: no store round trip at all. An empty exclusion
-		// set passes nil so the slab scan skips the per-vector callback.
-		s.idxHits.Add(1)
-		var excl func(string) bool
-		if len(exclude) > 0 {
-			excl = func(id string) bool { return exclude[id] }
-		}
-		if res, ok := s.idx.Nearest(k, z, excl); ok {
-			best, bestID = res.Dist2, res.ID
-		}
-	} else {
-		// Cold fallback — projected scan: only embeddings travel, not
-		// payloads (the paper's §II-A "efficient lookup by embedding
-		// indexing" requirement, minus the in-process index). Distances
-		// come from the index's own kernel, so this path is the bit-exact
-		// oracle the indexed one is tested against.
-		s.idxMisses.Add(1)
-		docs, err := s.store.Find(docstore.Query{
-			Filters: []docstore.Filter{docstore.Eq("cluster", k)},
-			Project: []string{"embedding"},
-		})
-		if err != nil {
-			return "", nil, 0, fmt.Errorf("fairds: scanning cluster %d: %w", k, err)
-		}
-		for _, d := range docs {
-			if exclude[d.ID] {
-				continue
-			}
-			emb, ok := embedding(d, len(z))
-			if !ok {
-				s.noteCorrupt(d.ID, errBadEmbedding)
-				continue
-			}
-			if dist := vecindex.Dist2(z, emb); dist < best {
-				best = dist
-				bestID = d.ID
-			}
-		}
-	}
-	if bestID == "" {
-		return "", nil, math.Inf(1), nil
-	}
-	full, err := s.store.GetMany([]string{bestID})
-	if err != nil {
-		return "", nil, 0, err
-	}
-	smp, err := s.decodeDoc(full[0])
-	if err != nil {
-		return "", nil, 0, err
-	}
-	return bestID, smp, math.Sqrt(best), nil
 }
 
 // Match pairs an input sample with its nearest labeled historical document.
@@ -1146,7 +994,7 @@ func collate(samples []*codec.Sample) (*tensor.Tensor, error) {
 	feat := samples[0].Elems()
 	for i, smp := range samples {
 		if smp.Elems() != feat {
-			return nil, fmt.Errorf("fairds: sample %d has %d elements, expected %d", i, smp.Elems(), feat)
+			return nil, fmt.Errorf("fairds: sample %d: %w", i, &WidthError{Got: smp.Elems(), Want: feat})
 		}
 	}
 	x := tensor.Borrow(len(samples), feat)

@@ -1,6 +1,7 @@
 package fairds
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,20 +215,24 @@ func TestNearestLabeledFindsSimilar(t *testing.T) {
 	}
 
 	probeA, probeB := twoRegimes(9, 1)
-	nnA, distA, err := svc.NearestLabeled(probeA[0])
+	mA, err := svc.NearestMatchesExcluding(context.Background(), probeA, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nnA == nil || math.IsInf(distA, 1) {
+	distA := mA[0].Dist
+	if mA[0].DocID == "" || math.IsInf(distA, 1) {
 		t.Fatal("no neighbor found for regime-A probe")
+	}
+	if nn, err := svc.GetSamples([]string{mA[0].DocID}); err != nil || nn[0] == nil {
+		t.Fatalf("fetching the regime-A neighbor: %v", err)
 	}
 	// The neighbor of an A-probe should be much closer than the distance
 	// from an A-probe to a B-probe embedding.
-	_, distB, err := svc.NearestLabeled(probeB[0])
+	mB, err := svc.NearestMatchesExcluding(context.Background(), probeB, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if distA < 0 || distB < 0 {
+	if distB := mB[0].Dist; distA < 0 || distB < 0 {
 		t.Fatal("negative distances")
 	}
 }
@@ -335,11 +340,11 @@ func TestReindexAfterEmbedderSwap(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("post-reindex lookup returned %d", len(got))
 	}
-	_, _, dist, err := svc.NearestLabeledExcluding(qa[0], nil)
+	m, err := svc.NearestMatchesExcluding(context.Background(), qa[:1], false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsInf(dist, 1) {
+	if math.IsInf(m[0].Dist, 1) {
 		t.Fatal("post-reindex NN search found nothing (stale embedding dims?)")
 	}
 }

@@ -1,6 +1,7 @@
 package fairds
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -128,21 +129,23 @@ func TestIndexParityNearestMatches(t *testing.T) {
 	}
 }
 
-// TestIndexParityExcludingDraws runs the Fig. 9 distinct-draw loop through
-// NearestLabeledExcluding on both paths and requires identical draws.
+// TestIndexParityExcludingDraws runs the Fig. 9 distinct-draw loop — one
+// sample, its earlier draws excluded — through NearestMatchesExcluding on
+// both paths and requires identical draws.
 func TestIndexParityExcludingDraws(t *testing.T) {
 	indexed, scan, query := indexedAndScanPair(t, vecindex.NewFlat(), 60)
 	exclI := map[string]bool{}
 	exclS := map[string]bool{}
 	for draw := 0; draw < 20; draw++ {
-		idI, _, distI, err := indexed.NearestLabeledExcluding(query[0], exclI)
+		mI, err := indexed.NearestMatchesExcluding(context.Background(), query[:1], false, exclI)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idS, _, distS, err := scan.NearestLabeledExcluding(query[0], exclS)
+		mS, err := scan.NearestMatchesExcluding(context.Background(), query[:1], false, exclS)
 		if err != nil {
 			t.Fatal(err)
 		}
+		idI, distI, idS, distS := mI[0].DocID, mI[0].Dist, mS[0].DocID, mS[0].Dist
 		if idI != idS || distI != distS {
 			t.Fatalf("draw %d: indexed (%s, %g) != scan (%s, %g)", draw, idI, distI, idS, distS)
 		}
@@ -249,11 +252,11 @@ func TestCorruptEmbeddingsCounted(t *testing.T) {
 		}
 	}
 
-	id, _, dist, err := svc.NearestLabeledExcluding(a[0], nil)
+	m, err := svc.NearestMatchesExcluding(context.Background(), a[:1], false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id == "" || math.IsInf(dist, 1) {
+	if m[0].DocID == "" || math.IsInf(m[0].Dist, 1) {
 		t.Fatal("corrupt documents masked the healthy nearest neighbor")
 	}
 	if got := svc.CorruptEmbeddings(); got != 2 {

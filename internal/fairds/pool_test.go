@@ -1,6 +1,7 @@
 package fairds
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestCollatedInputOutlivesTheEmbed(t *testing.T) {
 		if _, err := svc.IngestLabeled(a, "a"); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := svc.IngestLabeledBatch(b, "b", BatchOptions{ChunkSize: 7, Workers: 2}); err != nil || len(res.Errors) > 0 {
+		if res, err := svc.IngestLabeledBatchContext(context.Background(), b, "b", BatchOptions{}); err != nil || len(res.Errors) > 0 {
 			t.Fatalf("batch ingest: %v %v", res.Errors, err)
 		}
 		return svc, col
@@ -81,9 +82,9 @@ func TestCollatedInputOutlivesTheEmbed(t *testing.T) {
 				t.Fatalf("%s: match %d at distance %v, want %v", when, i, got[i].Dist, want[i].Dist)
 			}
 		}
-		_, _, dist, err := poisoned.NearestLabeledExcluding(query[0], nil)
-		if err != nil || dist != want[0].Dist {
-			t.Fatalf("%s: nearest one at %v (%v), want %v", when, dist, err, want[0].Dist)
+		one, err := poisoned.NearestMatchesExcluding(context.Background(), query[:1], false, nil)
+		if err != nil || one[0].Dist != want[0].Dist {
+			t.Fatalf("%s: nearest one at %v (%v), want %v", when, one, err, want[0].Dist)
 		}
 	}
 	check("after ingest")

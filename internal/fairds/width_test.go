@@ -1,6 +1,7 @@
 package fairds
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -58,13 +59,11 @@ func TestOtherWidthIsRefusedBeforeTheEmbedder(t *testing.T) {
 	wantWidthError(t, "lookup", err, 225, 121)
 	_, err = svc.NearestMatches(big, false)
 	wantWidthError(t, "nearest", err, 225, 121)
-	_, _, err = svc.NearestLabeled(big[0])
-	wantWidthError(t, "nearest one", err, 225, 121)
 	_, err = svc.IngestLabeled(big, "big")
 	wantWidthError(t, "ingest", err, 225, 121)
 	wantWidthError(t, "refit", svc.FitClustersK(x, 3), 225, 121)
 
-	res, err := svc.IngestLabeledBatch(append([]*codec.Sample{big[0]}, small[:3]...), "mixed", BatchOptions{})
+	res, err := svc.IngestLabeledBatchContext(context.Background(), append([]*codec.Sample{big[0]}, small[:3]...), "mixed", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func legacyFit(t *testing.T) *docstore.Collection {
 
 // TestFailedFirstIngestClaimsNoWidth: a service without a width keeps none
 // after a first ingest that never got through the embedder — a mixed-width
-// one that collate refuses, a wrong-width one the embedder panics on — and
+// one the ingest checks refuse, a wrong-width one the embedder panics on — and
 // takes its real width from the next ingest, by either ingest path; reads
 // and a reindex of that width then work.
 func TestFailedFirstIngestClaimsNoWidth(t *testing.T) {
@@ -149,7 +148,7 @@ func TestFailedFirstIngestClaimsNoWidth(t *testing.T) {
 		}()
 
 		if batch {
-			res, err := svc.IngestLabeledBatch(small, "small", BatchOptions{ChunkSize: 8, Workers: 2})
+			res, err := svc.IngestLabeledBatchContext(context.Background(), small, "small", BatchOptions{})
 			if err != nil || len(res.Errors) > 0 {
 				t.Fatalf("batch ingest of the real width: %v %v", res.Errors, err)
 			}
