@@ -314,6 +314,7 @@ func newServices(client *dmsapi.Client, rng *rand.Rand, warmup []*codec.Sample) 
 	}
 	seedModel := models.NewBraggNN(rng, patch)
 	wy := labelTensor(warmup)
+	// The zoo's seed model, not the Fig. 5 action: a plain nn.Fit.
 	nn.Fit(seedModel.Net, nn.NewAdam(seedModel.Net.Params(), 2e-3),
 		wx, seedModel.Targets(wy), wx, seedModel.Targets(wy),
 		nn.TrainConfig{Epochs: 40, BatchSize: 16, Seed: 45})
@@ -340,8 +341,8 @@ func addModelTolerateDuplicate(client *dmsapi.Client, id string, state *nn.State
 }
 
 // rapidTrain runs the rapid-train action for one scan. Unless serverTrain
-// is set, it fine-tunes here, taking the learning rates and the holdout
-// split from the trainer so that both paths fit alike. It registers
+// is set, it fine-tunes here through trainer.Fit, the fit step a /v1/train
+// job runs, with the spec rapidTrainServer submits. It registers
 // through POST /v1/models rather than submitting a /v1/train job because
 // of the CI cluster smoke, which runs several of these clients at once
 // through a dmsrouter: they register the same model ids, a duplicate add
@@ -363,7 +364,6 @@ func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *
 	}
 
 	model := models.NewBraggNN(svc.rng, patch).Net
-	lr := trainer.DefaultScratchLR
 	rec, err := svc.client.Recommend(pdf, trainer.DefaultJSDThreshold)
 	if err != nil {
 		return nil, nil, fmt.Errorf("remote recommend: %w", err)
@@ -379,7 +379,6 @@ func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *
 		rep.FineTuned = true
 		rep.Foundation = rec.ID
 		rep.JSD = rec.JSD
-		lr = trainer.DefaultFineTuneLR
 	}
 
 	x, err := fairds.Collate(labeled)
@@ -388,10 +387,8 @@ func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *
 	}
 	helper := &models.BraggNN{Patch: patch}
 	y := helper.Targets(labelTensor(labeled))
-	trainX, trainY, valX, valY := trainer.Split(x, y, trainer.DefaultValFraction, 46)
 	trainStart := time.Now()
-	nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY,
-		nn.TrainConfig{Epochs: 25, BatchSize: 16, Seed: int64(50 + scan)})
+	trainer.Fit(model, x, y, rep.FineTuned, trainer.Spec{Epochs: 25, BatchSize: 16, Seed: int64(50 + scan)}, nil, nil)
 	rep.TrainTime = time.Since(trainStart)
 
 	id := fmt.Sprintf("braggnn-scan%02d", scan)

@@ -21,6 +21,7 @@ import (
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
+	"fairdms/internal/trainer"
 )
 
 const (
@@ -59,6 +60,7 @@ func main() {
 		x, y := tensors(runs[i])
 		sx := models.ScaleInputs(x)
 		opt := nn.NewAdam(m.Net.Params(), 1e-3)
+		// A zoo seed model, not the Fig. 5 action: a plain nn.Fit.
 		nn.Fit(m.Net, opt, sx, m.Targets(y), sx, m.Targets(y),
 			nn.TrainConfig{Epochs: 25, BatchSize: 16, Seed: int64(40 + i)})
 		pdf, err := ds.DatasetPDF(x)
@@ -81,35 +83,32 @@ func main() {
 	best, median, worst, err := zoo.BestMedianWorst(pdf)
 	check(err)
 
-	// Compare the four training strategies of Fig. 13.
+	// Compare the four training strategies of Fig. 13. Each runs
+	// trainer.Fit, the fit step of a /v1/train job, at its learning rates.
 	sx := models.ScaleInputs(newX)
 	helper := models.NewCookieNetAE(rng, size)
 	targets := helper.Targets(newY)
 	fmt.Println("\n— validation loss per epoch (Fig. 13 style):")
 	fmt.Println("strategy     first    last     epochs-to-halve-retrain-start")
-	run := func(name string, state *nn.StateDict, lr float64) []float64 {
-		m := models.NewCookieNetAE(rng, size)
-		if state != nil {
-			check(m.Net.LoadState(state))
-		}
-		opt := nn.NewAdam(m.Net.Params(), lr)
-		res := nn.Fit(m.Net, opt, sx, targets, sx, targets,
-			nn.TrainConfig{Epochs: ftEpochs, BatchSize: 16, Seed: 50})
-		return res.ValLoss
-	}
-	retrain := run("Retrain", nil, 2e-3)
-	target := retrain[0] / 2
+	var target float64
 	for _, s := range []struct {
 		name  string
 		state *nn.StateDict
-		lr    float64
 	}{
-		{"Retrain", nil, 2e-3},
-		{"FineTune-B", best.Record.State, 5e-4},
-		{"FineTune-M", median.Record.State, 5e-4},
-		{"FineTune-W", worst.Record.State, 5e-4},
+		{"Retrain", nil},
+		{"FineTune-B", best.Record.State},
+		{"FineTune-M", median.Record.State},
+		{"FineTune-W", worst.Record.State},
 	} {
-		curve := run(s.name, s.state, s.lr)
+		m := models.NewCookieNetAE(rng, size)
+		if s.state != nil {
+			check(m.Net.LoadState(s.state))
+		}
+		curve := trainer.Fit(m.Net, sx, targets, s.state != nil,
+			trainer.Spec{Epochs: ftEpochs, BatchSize: 16, Seed: 50}, nil, nil).ValLoss
+		if s.state == nil { // Retrain runs first and sets the bar
+			target = curve[0] / 2
+		}
 		reach := -1
 		for i, v := range curve {
 			if v <= target {

@@ -71,6 +71,7 @@ func main() {
 	surrogate := models.NewBraggNN(rng, patch)
 	wy := labels(warmup)
 	opt := nn.NewAdam(surrogate.Net.Params(), 2e-3)
+	// The zoo's seed model, not the Fig. 5 action: a plain nn.Fit.
 	nn.Fit(surrogate.Net, opt, wx, surrogate.Targets(wy), wx, surrogate.Targets(wy),
 		nn.TrainConfig{Epochs: 40, BatchSize: 16, Seed: 25})
 	zoo := fairms.NewZoo()

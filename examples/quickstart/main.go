@@ -74,6 +74,7 @@ func main() {
 		m := models.NewBraggNN(rng, patch)
 		hx, hy := tensors(hist)
 		opt := nn.NewAdam(m.Net.Params(), 2e-3)
+		// A zoo seed model, not the Fig. 5 action: a plain nn.Fit.
 		nn.Fit(m.Net, opt, hx, m.Targets(hy), hx, m.Targets(hy),
 			nn.TrainConfig{Epochs: 30, BatchSize: 16, Seed: int64(10 + i)})
 		pdf, err := ds.DatasetPDF(hx)

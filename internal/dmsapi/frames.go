@@ -125,7 +125,7 @@ func encodeFrames(v any) ([]byte, error) {
 		s := &samples[i]
 		size += frameSampleMin + 8*len(s.Shape) + 8*len(s.Label) + len(s.Data)
 	}
-	if size > math.MaxUint32 {
+	if uint64(size) > math.MaxUint32 {
 		// Every length field is a u32 and each is at most the whole body.
 		return nil, errors.New("frames: body over 4 GiB")
 	}
@@ -172,9 +172,12 @@ func (c *frameCursor) take(n int) []byte {
 	return out
 }
 
-func (c *frameCursor) u32() int {
+// u32 reads a length field. Where an int has 32 bits, int(c.u32()) of 2³¹
+// or more is negative, and take and words refuse it as they refuse any
+// length longer than the body.
+func (c *frameCursor) u32() uint32 {
 	if p := c.take(4); p != nil {
-		return int(binary.LittleEndian.Uint32(p))
+		return binary.LittleEndian.Uint32(p)
 	}
 	return 0
 }
@@ -215,12 +218,12 @@ func decodeFrames(body []byte, v any) error {
 	if string(c.take(len(frameMagic))) != frameMagic {
 		return errors.New("frames: bad magic")
 	}
-	hdr := c.take(c.u32())
+	hdr := c.take(int(c.u32()))
 	count := c.u32()
 	if c.short {
 		return errors.New("frames: truncated header")
 	}
-	if count < 0 || count > len(c.b)/frameSampleMin {
+	if uint64(count) > uint64(len(c.b)/frameSampleMin) {
 		return fmt.Errorf("frames: %d samples declared in %d bytes", count, len(c.b))
 	}
 	if err := json.Unmarshal(hdr, v); err != nil {
@@ -238,7 +241,7 @@ func decodeFrames(body []byte, v any) error {
 		if p := c.take(1); p != nil {
 			s.Dtype = p[0]
 		}
-		if n := c.u32(); n > 0 {
+		if n := int(c.u32()); n != 0 {
 			if p := c.words(n); p != nil {
 				s.Shape = ints.get(n, len(c.b)+len(p))
 				for j := range s.Shape {
@@ -246,7 +249,7 @@ func decodeFrames(body []byte, v any) error {
 				}
 			}
 		}
-		if n := c.u32(); n > 0 {
+		if n := int(c.u32()); n != 0 {
 			if p := c.words(n); p != nil {
 				s.Label = floats.get(n, len(c.b)+len(p))
 				for j := range s.Label {
@@ -254,7 +257,7 @@ func decodeFrames(body []byte, v any) error {
 				}
 			}
 		}
-		s.Data = c.take(c.u32())
+		s.Data = c.take(int(c.u32()))
 		if c.short {
 			return fmt.Errorf("frames: truncated at sample %d of %d", i, count)
 		}

@@ -85,7 +85,7 @@ func randomSamples(rng *rand.Rand, n int) []Sample {
 	}
 	if n > 0 && rng.Intn(2) == 0 {
 		out[0].Label = []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1)} // not JSON's to carry
-		out[0].Shape = []int{-1, math.MaxInt64}                                  // nor the decoder's to judge
+		out[0].Shape = []int{-1, math.MaxInt}                                    // nor the decoder's to judge
 	}
 	return out
 }

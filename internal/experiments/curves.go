@@ -7,11 +7,13 @@ import (
 	"fairdms/internal/nn"
 	"fairdms/internal/stats"
 	"fairdms/internal/tensor"
+	"fairdms/internal/trainer"
 )
 
 // CurvesConfig sizes the learning-curve comparison (Figs. 13–14): for each
 // held-out dataset, validation loss per epoch when training from scratch
-// (Retrain) vs fine-tuning the Best/Median/Worst zoo recommendation.
+// (Retrain) vs fine-tuning the Best/Median/Worst zoo recommendation. Every
+// strategy runs trainer.Fit, the daemon's fit step at its learning rates.
 type CurvesConfig struct {
 	App          App
 	ZooModels    int
@@ -19,8 +21,6 @@ type CurvesConfig struct {
 	PerDataset   int
 	Patch        int // bragg patch / cookie size
 	Epochs       int
-	FineTuneLR   float64
-	ScratchLR    float64
 	Seed         int64
 }
 
@@ -40,12 +40,6 @@ func (c *CurvesConfig) defaults() {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 30
-	}
-	if c.FineTuneLR <= 0 {
-		c.FineTuneLR = 5e-4
-	}
-	if c.ScratchLR <= 0 {
-		c.ScratchLR = 2e-3
 	}
 }
 
@@ -224,31 +218,18 @@ func (r *curveRunner) runCurveSet(tdi int, cfg CurvesConfig) (*CurveSet, error) 
 		return nil, err
 	}
 	x, y := r.tensors(tdi)
-	trainX, trainY, valX, valY := holdout(x, y, 0.25, cfg.Seed+int64(tdi))
+	spec := trainer.Spec{Epochs: cfg.Epochs, BatchSize: 16, ValFraction: 0.25, Seed: cfg.Seed + int64(tdi)}
 
-	run := func(state *nn.StateDict, lr float64) ([]float64, error) {
-		model, err := r.newModel(state)
+	states := map[string]*nn.StateDict{
+		StrategyFineTuneB: best.Record.State, StrategyFineTuneM: median.Record.State, StrategyFineTuneW: worst.Record.State,
+	}
+	set := &CurveSet{TestDataset: tdi, Curves: make(map[string][]float64, 4)}
+	for _, s := range []string{StrategyRetrain, StrategyFineTuneB, StrategyFineTuneM, StrategyFineTuneW} {
+		model, err := r.newModel(states[s])
 		if err != nil {
 			return nil, err
 		}
-		opt := nn.NewAdam(model.Params(), lr)
-		res := nn.Fit(model, opt, trainX, trainY, valX, valY,
-			nn.TrainConfig{Epochs: cfg.Epochs, BatchSize: 16, Seed: cfg.Seed + 50})
-		return res.ValLoss, nil
-	}
-
-	set := &CurveSet{TestDataset: tdi, Curves: make(map[string][]float64, 4)}
-	if set.Curves[StrategyRetrain], err = run(nil, cfg.ScratchLR); err != nil {
-		return nil, err
-	}
-	if set.Curves[StrategyFineTuneB], err = run(best.Record.State, cfg.FineTuneLR); err != nil {
-		return nil, err
-	}
-	if set.Curves[StrategyFineTuneM], err = run(median.Record.State, cfg.FineTuneLR); err != nil {
-		return nil, err
-	}
-	if set.Curves[StrategyFineTuneW], err = run(worst.Record.State, cfg.FineTuneLR); err != nil {
-		return nil, err
+		set.Curves[s] = trainer.Fit(model, x, y, states[s] != nil, spec, nil, nil).ValLoss
 	}
 	return set, nil
 }

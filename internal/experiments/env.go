@@ -122,6 +122,7 @@ func (e *braggEnv) addZooModel(i, epochs int) error {
 	m := models.NewBraggNN(e.rng, e.patch)
 	x, y := collate(e.seq[i])
 	opt := nn.NewAdam(m.Net.Params(), 2e-3)
+	// A zoo seed model, not the Fig. 5 action: a plain nn.Fit.
 	nn.Fit(m.Net, opt, x, m.Targets(y), x, m.Targets(y),
 		nn.TrainConfig{Epochs: epochs, BatchSize: 16, Seed: int64(100 + i)})
 	pdf, err := e.ds.DatasetPDF(x)
@@ -239,6 +240,7 @@ func (e *cookieEnv) addZooModel(i, epochs int) error {
 	x, y := collate(e.seq[i])
 	x = models.ScaleInputs(x)
 	opt := nn.NewAdam(m.Net.Params(), 1e-3)
+	// A zoo seed model, not the Fig. 5 action: a plain nn.Fit.
 	nn.Fit(m.Net, opt, x, m.Targets(y), x, m.Targets(y),
 		nn.TrainConfig{Epochs: epochs, BatchSize: 16, Seed: int64(200 + i)})
 	// PDF computed over raw (unscaled) inputs, like ingestion.

@@ -2,8 +2,9 @@
 // of the fairDMS paper's evaluation (§III). Each harness builds its
 // workload from the datagen substrates, runs the relevant fairDMS
 // machinery, and returns a structured result whose Table method prints the
-// same series the paper plots. cmd/experiments runs them all;
-// bench_test.go wraps each in a testing.B benchmark.
+// same series the paper plots. cmd/experiments runs them all. The fits that
+// are the paper's Fig. 5 action (Figs. 13–15) run trainer.Fit, the fit step
+// the daemon's /v1/train jobs run, at its learning rates.
 //
 // Scale note: workloads default to laptop-sized variants of the paper's
 // datasets (see DESIGN.md); Config fields let callers scale up.
@@ -16,7 +17,6 @@ import (
 
 	"fairdms/internal/codec"
 	"fairdms/internal/dataloader"
-	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
 )
 
@@ -77,23 +77,6 @@ func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
 // randFor returns a seeded *rand.Rand (helper so harnesses stay terse).
 func randFor(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// holdout splits (x, y) into train and validation parts with a seeded
-// permutation.
-func holdout(x, y *tensor.Tensor, valFrac float64, seed int64) (tx, ty, vx, vy *tensor.Tensor) {
-	n := x.Dim(0)
-	nVal := int(float64(n) * valFrac)
-	if nVal < 1 {
-		nVal = 1
-	}
-	if nVal >= n {
-		nVal = n - 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	return nn.Gather(x, perm[nVal:]), nn.Gather(y, perm[nVal:]),
-		nn.Gather(x, perm[:nVal]), nn.Gather(y, perm[:nVal])
-}
 
 // vconcat stacks two 2-D tensors vertically (same column count).
 func vconcat(a, b *tensor.Tensor) *tensor.Tensor {

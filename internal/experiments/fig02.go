@@ -126,6 +126,7 @@ func Fig02(cfg Fig02Config) (*Fig02Result, error) {
 		ys = vconcat(ys, y2)
 	}
 	opt := nn.NewAdam(m.Net.Params(), 2e-3)
+	// The model Fig. 2 watches degrade, not the Fig. 5 action: a plain nn.Fit.
 	nn.Fit(m.Net, opt, xs, m.Targets(ys), xs, m.Targets(ys),
 		nn.TrainConfig{Epochs: cfg.TrainEpochs, BatchSize: 32, Seed: cfg.Seed + 10})
 

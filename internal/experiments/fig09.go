@@ -168,6 +168,7 @@ func Fig09(cfg Fig09Config) (*Fig09Result, error) {
 		m := models.NewBraggNN(env.rng, cfg.Patch)
 		x, y := collate(set)
 		opt := nn.NewAdam(m.Net.Params(), 2e-3)
+		// A labeler-quality probe, not the Fig. 5 action: a plain nn.Fit.
 		nn.Fit(m.Net, opt, x, m.Targets(y), x, m.Targets(y),
 			nn.TrainConfig{Epochs: cfg.TrainEpochs, BatchSize: 16, Seed: seed})
 		hx, hy := collate(bh)

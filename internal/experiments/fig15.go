@@ -6,6 +6,7 @@ import (
 
 	"fairdms/internal/nn"
 	"fairdms/internal/simcluster"
+	"fairdms/internal/trainer"
 	"fairdms/internal/voigt"
 )
 
@@ -169,21 +170,23 @@ func Fig15(cfg Fig15Config) (*Fig15Result, error) {
 	rx, ry := collate(retrieved)
 	helper, _ := env.braggModel(nil)
 	targets := helper.Targets(ry)
-	trainX, trainY, valX, valY := holdout(rx, targets, 0.25, cfg.Seed+30)
+	// Both paths run trainer.Fit, the daemon's fit step at its learning
+	// rates, to a target set on the rows that step holds out.
+	spec := trainer.Spec{Epochs: cfg.Epochs, BatchSize: 32, ValFraction: 0.25, Seed: cfg.Seed + 30}
+	_, _, valX, valY := trainer.Split(rx, targets, spec.ValFraction, spec.Seed)
 
 	foundation, err := env.braggModel(best.Record.State)
 	if err != nil {
 		return nil, err
 	}
-	target := nn.Evaluate(foundation.Net, valX, valY, nn.MSE) * cfg.TargetScale
+	spec.TargetLoss = nn.Evaluate(foundation.Net, valX, valY, nn.MSE) * cfg.TargetScale
 
 	ftStart := time.Now()
 	ftModel, err := env.braggModel(best.Record.State)
 	if err != nil {
 		return nil, err
 	}
-	nn.Fit(ftModel.Net, nn.NewAdam(ftModel.Net.Params(), 5e-4), trainX, trainY, valX, valY,
-		nn.TrainConfig{Epochs: cfg.Epochs, BatchSize: 32, TargetLoss: target, Seed: cfg.Seed + 31})
+	trainer.Fit(ftModel.Net, rx, targets, true, spec, nil, nil)
 	ftTrain := time.Since(ftStart)
 
 	// Scratch path to the same target (shared by Retrain and both Voigts).
@@ -192,8 +195,7 @@ func Fig15(cfg Fig15Config) (*Fig15Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn.Fit(scModel.Net, nn.NewAdam(scModel.Net.Params(), 2e-3), trainX, trainY, valX, valY,
-		nn.TrainConfig{Epochs: cfg.Epochs, BatchSize: 32, TargetLoss: target, Seed: cfg.Seed + 32})
+	trainer.Fit(scModel.Net, rx, targets, false, spec, nil, nil)
 	scTrain := time.Since(scStart)
 
 	return &Fig15Result{

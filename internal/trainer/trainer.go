@@ -7,7 +7,7 @@
 //     inline samples, such as a pseudo-labelled fairds lookup);
 //  2. the manager computes its cluster PDF and asks the fairMS zoo for
 //     the closest prior checkpoint under the JSD threshold;
-//  3. training warm-starts from that checkpoint (nn.Fit), falling back to
+//  3. training warm-starts from that checkpoint (Fit), falling back to
 //     a cold start when nothing is close enough — the paper's
 //     train-from-scratch branch;
 //  4. on success the resulting checkpoint is registered back into the zoo
@@ -842,49 +842,31 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		m.coldStarts.Add(1)
 	}
 
-	lr := spec.LR
-	if lr <= 0 {
-		if warm {
-			lr = DefaultFineTuneLR
-		} else {
-			lr = DefaultScratchLR
-		}
-	}
-
 	// The fit span takes the split with it, and holds one child span per
 	// epoch: Fit has no epoch-start hook, so a traced job opens each epoch's
 	// span at the epoch's first Stop poll and OnEpoch closes it.
 	fctx, fitSpan := obs.StartSpan(ctx, "fit")
 	var epochSpan *obs.Span
-	trainX, trainY, valX, valY := Split(x, y, spec.ValFraction, spec.Seed)
 	epochStart := time.Now()
-	res := nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY, nn.TrainConfig{
-		Epochs:     spec.Epochs,
-		BatchSize:  spec.BatchSize,
-		TargetLoss: spec.TargetLoss,
-		Patience:   spec.Patience,
-		Seed:       spec.Seed,
-		OnEpoch: func(epoch int, trainLoss, valLoss float64) bool {
-			if m.epochHist != nil {
-				now := time.Now()
-				m.epochHist.Record(now.Sub(epochStart))
-				epochStart = now
-			}
-			epochSpan.End()
-			epochSpan = nil
-			j.mu.Lock()
-			j.status.Epochs = epoch
-			j.status.TrainLoss = append(j.status.TrainLoss, trainLoss)
-			j.status.ValLoss = append(j.status.ValLoss, valLoss)
-			j.mu.Unlock()
-			return true
-		},
-		Stop: func() bool {
-			if tr != nil && epochSpan == nil {
-				_, epochSpan = obs.StartSpan(fctx, "epoch")
-			}
-			return j.ctx.Err() != nil
-		},
+	res := Fit(model, x, y, warm, spec, func(epoch int, trainLoss, valLoss float64) bool {
+		if m.epochHist != nil {
+			now := time.Now()
+			m.epochHist.Record(now.Sub(epochStart))
+			epochStart = now
+		}
+		epochSpan.End()
+		epochSpan = nil
+		j.mu.Lock()
+		j.status.Epochs = epoch
+		j.status.TrainLoss = append(j.status.TrainLoss, trainLoss)
+		j.status.ValLoss = append(j.status.ValLoss, valLoss)
+		j.mu.Unlock()
+		return true
+	}, func() bool {
+		if tr != nil && epochSpan == nil {
+			_, epochSpan = obs.StartSpan(fctx, "epoch")
+		}
+		return j.ctx.Err() != nil
 	})
 	epochSpan.End() // an epoch a cancel cut short
 	fitSpan.End()
@@ -945,6 +927,35 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	m.cfg.Logger.Info("train job registered its checkpoint",
 		"job", j.status.ID, "model_id", modelID, "warm", warm, "foundation", foundation, "epochs", res.Epochs)
 	return true, nil
+}
+
+// Fit is the fit step every job runs, exported so the figures and examples
+// that compare fine-tuning with retraining measure this loop. It applies
+// spec's defaults, trains model (any architecture, warm when it holds a
+// foundation's weights) with Adam at spec.LR, or else DefaultFineTuneLR or
+// DefaultScratchLR, on all but Split(x, y, spec.ValFraction, spec.Seed)'s
+// held-out rows. onEpoch and stop may be nil, as in nn.TrainConfig.
+func Fit(model *nn.Model, x, y *tensor.Tensor, warm bool, spec Spec,
+	onEpoch func(epoch int, trainLoss, valLoss float64) bool, stop func() bool) *nn.TrainResult {
+	spec.defaults()
+	lr := spec.LR
+	if lr <= 0 {
+		if warm {
+			lr = DefaultFineTuneLR
+		} else {
+			lr = DefaultScratchLR
+		}
+	}
+	trainX, trainY, valX, valY := Split(x, y, spec.ValFraction, spec.Seed)
+	return nn.Fit(model, nn.NewAdam(model.Params(), lr), trainX, trainY, valX, valY, nn.TrainConfig{
+		Epochs:     spec.Epochs,
+		BatchSize:  spec.BatchSize,
+		TargetLoss: spec.TargetLoss,
+		Patience:   spec.Patience,
+		Seed:       spec.Seed,
+		OnEpoch:    onEpoch,
+		Stop:       stop,
+	})
 }
 
 // Split partitions (x, y) into train and validation subsets: valFrac of

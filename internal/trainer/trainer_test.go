@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -748,6 +749,63 @@ func TestRapidTrainScratchWhenZooTooFar(t *testing.T) {
 	}
 	if _, ok := rec.Meta[fairms.MetaParent]; ok {
 		t.Fatalf("cold-started model records a parent: %v", rec.Meta)
+	}
+}
+
+// TestFitIsTheJobsFitStep: a job and a direct Fit call on the same
+// collated samples, warm flag and spec train the same bits, cold and warm
+// from a zoo checkpoint alike — so a caller of Fit measures the loop that
+// /v1/train runs.
+func TestFitIsTheJobsFitStep(t *testing.T) {
+	m, _, zoo := newFixture(t, 1, 4)
+	data := meanSamples(1, 80)
+	spec := mlpSpec(data)
+	spec.Epochs = 30
+	spec.TargetLoss = 0
+	spec.defaults()
+
+	var foundation *nn.StateDict
+	for _, warm := range []bool{false, true} {
+		spec.ModelID = fmt.Sprintf("job-warm-%v", warm)
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := waitTerminal(t, m, st.ID)
+		if job.State != StateDone || job.Warm != warm || (warm && job.Foundation != "job-warm-false") {
+			t.Fatalf("job ended %s (warm %v from %q), want done with warm %v: %s",
+				job.State, job.Warm, job.Foundation, warm, job.Err)
+		}
+		rec, err := zoo.Get(spec.ModelID)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		x, y, model, err := collate(spec, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if err := model.LoadState(foundation); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := Fit(model, x, y, warm, spec, nil, nil)
+		if res.Epochs != job.Epochs {
+			t.Fatalf("warm %v: Fit ran %d epochs, the job %d", warm, res.Epochs, job.Epochs)
+		}
+		got, err := model.State().Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rec.State.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("warm %v: Fit's weights differ from the job's", warm)
+		}
+		foundation = rec.State
 	}
 }
 
