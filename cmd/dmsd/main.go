@@ -50,7 +50,6 @@
 //	     [-wal-dir path] [-fsync always|interval|off] [-compact-interval 1m]
 //	     [-k 8] [-embed-dim 8] [-embed-hidden 64] [-embed-scale 1]
 //	     [-seed 1] [-max-inflight 64] [-cache 128] [-max-batch 8192]
-//	     [-vecindex flat|ivf] [-nprobe 4]
 //	     [-train-workers 2] [-train-queue 8]
 //	     [-slow-threshold 250ms] [-pprof] [-log-level info]
 package main
@@ -74,7 +73,6 @@ import (
 	"fairdms/internal/fairms"
 	"fairdms/internal/obs"
 	"fairdms/internal/tensor"
-	"fairdms/internal/vecindex"
 	"fairdms/internal/wal"
 )
 
@@ -140,8 +138,6 @@ func main() {
 	trainQueue := flag.Int("train-queue", 8, "queued training jobs before submissions shed with 429")
 	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "failed requests and ones at least this slow keep their span tree at /debug/tracez (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	indexKind := flag.String("vecindex", "flat", "nearest-label vector index: flat (exact), ivf (approximate, sublinear)")
-	nprobe := flag.Int("nprobe", 4, "IVF sublists probed per query (higher = more accurate, slower)")
 	logLevel := flag.String("log-level", "info", "minimum log level for daemon events and request failures (5xx warn, 4xx debug): debug, info, warn, error")
 	flag.Parse()
 
@@ -199,18 +195,9 @@ func main() {
 		backend = docstore.NewStore().Collection(*collection)
 	}
 
-	dsCfg := fairds.Config{Seed: *seed}
-	switch *indexKind {
-	case "flat":
-		dsCfg.Index = vecindex.NewFlat()
-	case "ivf":
-		dsCfg.Index = vecindex.NewIVF(vecindex.IVFConfig{NProbe: *nprobe, Seed: *seed})
-	default:
-		log.Fatalf("dmsd: unknown -vecindex %q (want flat or ivf)", *indexKind)
-	}
 	ds, err := fairds.New(&lazyEmbedder{
 		seed: *seed, hidden: *embedHidden, dim: *embedDim, scale: *embedScale,
-	}, backend, dsCfg)
+	}, backend, fairds.Config{Seed: *seed})
 	if err != nil {
 		log.Fatalf("dmsd: building data service: %v", err)
 	}
@@ -222,7 +209,7 @@ func main() {
 		logger.Warn("vector index warm failed; store-scan fallback stays active", "err", err)
 	} else if n > 0 || ds.CorruptEmbeddings() > 0 {
 		logger.Info("vector index warmed",
-			"index", *indexKind, "embeddings", n, "corrupt_skipped", ds.CorruptEmbeddings())
+			"embeddings", n, "corrupt_skipped", ds.CorruptEmbeddings())
 	}
 
 	zoo := fairms.NewZoo()

@@ -212,7 +212,7 @@ func TestMetricszExposition(t *testing.T) {
 		"dms_cache_evictions_total", "dms_cache_size",
 		"dms_index_ready", "dms_index_size", "dms_index_hits_total",
 		"dms_index_misses_total", "dms_index_probed_total",
-		"dms_index_lists_probed_total", "dms_index_corrupt_total",
+		"dms_index_corrupt_total",
 		"dms_retained_traces_total",
 		"dms_train_submitted_total", "dms_train_completed_total",
 		"dms_train_failed_total", "dms_train_canceled_total",

@@ -270,8 +270,6 @@ func (s *Server) registerMetrics() {
 		func() int64 { return s.cfg.DS.IndexStats().Misses })
 	r.CounterFunc("dms_index_probed_total", "vectors distance-compared by the index",
 		func() int64 { return s.cfg.DS.IndexStats().Probed })
-	r.CounterFunc("dms_index_lists_probed_total", "index partitions visited",
-		func() int64 { return s.cfg.DS.IndexStats().ListsProbed })
 	r.CounterFunc("dms_index_corrupt_total", "corrupt stored-document observations",
 		func() int64 { return s.cfg.DS.IndexStats().Corrupt })
 

@@ -10,21 +10,13 @@ import (
 	"fairdms/internal/datagen"
 	"fairdms/internal/docstore"
 	"fairdms/internal/tensor"
-	"fairdms/internal/vecindex"
 )
 
 // benchService builds a fitted service over n historical samples — the
 // scalability axis the paper defers to future work (§IV): how lookup cost
 // grows with store size.
 func benchService(b *testing.B, n int) (*Service, []*codec.Sample) {
-	return benchServiceCfg(b, n, Config{Seed: 2})
-}
-
-// benchServiceCfg is benchService with a caller-chosen config (cfg.Seed is
-// forced for comparability across variants).
-func benchServiceCfg(b *testing.B, n int, cfg Config) (*Service, []*codec.Sample) {
 	b.Helper()
-	cfg.Seed = 2
 	rng := rand.New(rand.NewSource(1))
 	regime := datagen.DefaultBraggRegime()
 	regime.Patch = 9
@@ -33,7 +25,7 @@ func benchServiceCfg(b *testing.B, n int, cfg Config) (*Service, []*codec.Sample
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := New(benchEmbedder{dim: 8}, docstore.NewStore().Collection("bench"), cfg)
+	svc, err := New(benchEmbedder{dim: 8}, docstore.NewStore().Collection("bench"), Config{Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,30 +91,16 @@ func BenchmarkLookupLabeled32k(b *testing.B) { benchLookup(b, 32768) }
 
 // BenchmarkNearest is a one-sample nearest search (match only, no payload
 // fetch) at store sizes 1k/10k/50k, store-scan fallback vs the
-// in-process vector indexes. The scan path — a service whose index an
+// in-process vector index. The scan path — a service whose index an
 // embedder swap has cooled — re-fetches every embedding in the predicted
-// cluster from the store per query; the indexed paths probe memory.
+// cluster from the store per query; the indexed path probes memory.
 func BenchmarkNearest(b *testing.B) {
 	ctx := context.Background()
-	configs := []struct {
-		mode string
-		cfg  Config
-	}{
-		{"scan", Config{}},
-		{"flat", Config{}},
-		{"ivf", Config{}}, // Index filled per size below — IVFs are stateful
-	}
 	for _, n := range []int{1_000, 10_000, 50_000} {
-		for _, c := range configs {
-			// IVF indexes are stateful across Add calls; give each size its
-			// own instance.
-			cfg := c.cfg
-			if c.mode == "ivf" {
-				cfg.Index = vecindex.NewIVF(vecindex.IVFConfig{NProbe: 4, Seed: 2})
-			}
-			b.Run(fmt.Sprintf("%s/n=%d", c.mode, n), func(b *testing.B) {
-				svc, query := benchServiceCfg(b, n, cfg)
-				if c.mode == "scan" {
+		for _, mode := range []string{"scan", "flat"} {
+			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
+				svc, query := benchService(b, n)
+				if mode == "scan" {
 					if err := svc.SetEmbedder(svc.embedder); err != nil {
 						b.Fatal(err)
 					}

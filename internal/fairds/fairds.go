@@ -128,8 +128,8 @@ type Config struct {
 	// Seed drives clustering and sampling determinism.
 	Seed int64
 	// Index is the in-process vector index consulted by the nearest-label
-	// paths (vecindex.NewFlat by default; pass vecindex.NewIVF for
-	// approximate sublinear probes on very large clusters).
+	// paths (vecindex.NewFlat by default; a caller may wrap it, e.g. to
+	// trace its calls).
 	Index vecindex.Index
 	// Logger receives corrupt-embedding and index-maintenance warnings;
 	// nil silences them.
@@ -882,10 +882,9 @@ type IndexStats struct {
 	// counts queries that fell back to a store scan.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Probed counts vectors distance-compared by the index and ListsProbed
-	// the partitions visited; Probed/Hits is the mean in-memory scan width.
-	Probed      int64 `json:"probed"`
-	ListsProbed int64 `json:"lists_probed"`
+	// Probed counts vectors distance-compared by the index; Probed/Hits is
+	// the mean in-memory scan width.
+	Probed int64 `json:"probed"`
 	// Corrupt counts corrupt-document observations: every time a scan,
 	// warm, or index add encounters a document whose embedding or cluster
 	// fields are missing, mistyped, or of the wrong dimensionality — data
@@ -902,13 +901,12 @@ func (s *Service) IndexStats() IndexStats {
 	// passed through noteCorrupt, so Corrupt covers it.
 	is := s.idx.Stats()
 	return IndexStats{
-		Ready:       s.indexReady(),
-		Size:        is.Size,
-		Hits:        s.idxHits.Load(),
-		Misses:      s.idxMisses.Load(),
-		Probed:      is.Probed,
-		ListsProbed: is.ListsProbed,
-		Corrupt:     s.corrupt.Load(),
+		Ready:   s.indexReady(),
+		Size:    is.Size,
+		Hits:    s.idxHits.Load(),
+		Misses:  s.idxMisses.Load(),
+		Probed:  is.Probed,
+		Corrupt: s.corrupt.Load(),
 	}
 }
 

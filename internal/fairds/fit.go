@@ -140,7 +140,9 @@ func (s *Service) restoreFit() error {
 	k, _ := d.F["k"].(int64)
 	dim, _ := d.F["dim"].(int64)
 	flat, _ := d.F["centers"].([]float64)
-	if len(docs) != 1 || d.ID != fitDocID || k <= 0 || dim <= 0 || int64(len(flat)) != k*dim {
+	// The length is checked by division: k*dim can wrap.
+	if len(docs) != 1 || d.ID != fitDocID || k <= 0 || dim <= 0 ||
+		int64(len(flat))%dim != 0 || int64(len(flat))/dim != k {
 		return bad("%d documents, k=%d dim=%d with %d centroid values; want one %q document holding k×dim",
 			len(docs), k, dim, len(flat), fitDocID)
 	}

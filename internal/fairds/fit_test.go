@@ -168,26 +168,38 @@ func TestNewRefusesOtherEmbedder(t *testing.T) {
 
 // TestNewRefusesMalformedFitDocument: a fit document whose centers are not
 // k × dim values fails New with an error naming it and leaves the directory
-// byte-for-byte as found.
+// byte-for-byte as found — also when k × dim wraps around to the number of
+// values held.
 func TestNewRefusesMalformedFitDocument(t *testing.T) {
-	dir := t.TempDir()
-	ds, col := openDurable(t, dir, nil)
-	if _, err := col.Sibling(fitSuffix).Insert(fitDocID, docstore.Fields{
-		"fit": "beef", "k": 4, "dim": 6, "centers": make([]float64, 23), "fuzzifier": 2.0, "embedder": "",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ds.Close()
+	for _, tc := range []struct {
+		name    string
+		k, dim  int64
+		centers int
+	}{
+		{"short-centers", 4, 6, 23},
+		{"k-times-dim-wraps", 1 << 61, 8, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ds, col := openDurable(t, dir, nil)
+			if _, err := col.Sibling(fitSuffix).Insert(fitDocID, docstore.Fields{
+				"fit": "beef", "k": tc.k, "dim": tc.dim, "centers": make([]float64, tc.centers), "fuzzifier": 2.0, "embedder": "",
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ds.Close()
 
-	ds, col = openDurable(t, dir, nil)
-	before := readDir(t, dir)
-	_, err := New(idEmbedder{dim: 6}, col, Config{Seed: 1})
-	if err == nil || !strings.Contains(err.Error(), `"`+fitDocID+`"`) {
-		t.Fatalf("New = %v; want an error naming the fit document", err)
-	}
-	ds.Abort()
-	if !reflect.DeepEqual(before, readDir(t, dir)) {
-		t.Fatal("a refused open changed the directory")
+			ds, col = openDurable(t, dir, nil)
+			before := readDir(t, dir)
+			_, err := New(idEmbedder{dim: int(tc.dim)}, col, Config{Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), `"`+fitDocID+`"`) {
+				t.Fatalf("New = %v; want an error naming the fit document", err)
+			}
+			ds.Abort()
+			if !reflect.DeepEqual(before, readDir(t, dir)) {
+				t.Fatal("a refused open changed the directory")
+			}
+		})
 	}
 }
 
@@ -264,4 +276,24 @@ func TestBareWrapperKeepsFitInMemory(t *testing.T) {
 	if re.K() != 0 {
 		t.Fatal("a second service over a bare wrapper started fitted")
 	}
+}
+
+// FuzzOpenFitDocument writes arbitrary k, dim, width, centroid counts and
+// embedder identities into a store's fit document (seed corpus in
+// testdata/fuzz/FuzzOpenFitDocument) and opens a service over it: New
+// returns a service holding k centroids or an error, and never panics.
+func FuzzOpenFitDocument(f *testing.F) {
+	f.Fuzz(func(t *testing.T, k, dim, width int64, centers uint16, embedder string) {
+		col := docstore.NewStore().Collection("peaks")
+		if _, err := col.Sibling(fitSuffix).Insert(fitDocID, docstore.Fields{
+			"fit": "beef", "k": k, "dim": dim, "width": width,
+			"centers": make([]float64, centers), "fuzzifier": 2.0, "embedder": embedder,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := New(namedEmbedder{idEmbedder{dim: 8}, "pooled seed=1"}, col, Config{Seed: 1})
+		if err == nil && int64(svc.K()) != k {
+			t.Fatalf("opened a fit of k=%d as %d centroids", k, svc.K())
+		}
+	})
 }

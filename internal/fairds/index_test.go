@@ -100,9 +100,6 @@ func TestIndexParityNearestMatches(t *testing.T) {
 		idx  vecindex.Index
 	}{
 		{"flat", vecindex.NewFlat()},
-		// SplitThreshold 32 forces quantized partitions even on a small
-		// corpus; the huge NProbe keeps the probe exact.
-		{"ivf-exact", vecindex.NewIVF(vecindex.IVFConfig{SplitThreshold: 32, NProbe: 1 << 20, Seed: 5})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			indexed, scan, query := indexedAndScanPair(t, tc.idx, 120)

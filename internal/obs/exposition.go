@@ -77,8 +77,8 @@ func labelKey(labels []Label) string {
 // the ValidateExposition contract: any exposition ValidateExposition
 // accepts parses losslessly, and RenderExposition(ParseExposition(x))
 // reproduces x byte for byte for registry-rendered input. Samples with no
-// preceding # TYPE declaration, malformed label syntax, or non-numeric
-// values are errors.
+// preceding # TYPE declaration, malformed label syntax, non-numeric values,
+// and a family named like a summary's _sum or _count line are errors.
 func ParseExposition(data []byte) ([]Family, error) {
 	var fams []Family
 	byName := make(map[string]int)
@@ -101,7 +101,7 @@ func ParseExposition(data []byte) ([]Family, error) {
 			}
 			if fields[1] == "HELP" {
 				if len(fields) == 4 {
-					fams[idx].Help = unescapeHelp(fields[3])
+					fams[idx].Help = unescape(fields[3])
 				}
 				continue
 			}
@@ -135,6 +135,15 @@ func ParseExposition(data []byte) ([]Family, error) {
 	for _, f := range fams {
 		if f.Type == "" {
 			return nil, fmt.Errorf("family %q has HELP but no TYPE", f.Name)
+		}
+		// A family named like a summary's _sum or _count line would claim
+		// that line on a second parse of the rendering.
+		for _, sfx := range []string{"_sum", "_count"} {
+			if base, found := strings.CutSuffix(f.Name, sfx); found {
+				if idx, ok := byName[base]; ok && fams[idx].Type == "summary" {
+					return nil, fmt.Errorf("family %q collides with summary %q", f.Name, base)
+				}
+			}
 		}
 	}
 	return fams, nil
@@ -225,7 +234,13 @@ func parseLabels(body string) ([]Label, error) {
 		if end < 0 {
 			return nil, fmt.Errorf("unterminated label value for %q", key)
 		}
-		labels = append(labels, Label{Key: key, Value: unescapeLabel(rest[:end])})
+		// The renderer writes escapeLabel's output with %q: Unquote undoes
+		// the quoting, whatever bytes %q escaped, and unescape the rest.
+		value, err := strconv.Unquote(`"` + rest[:end] + `"`)
+		if err != nil {
+			return nil, fmt.Errorf("label value for %q is not a quoted string", key)
+		}
+		labels = append(labels, Label{Key: key, Value: unescape(value)})
 		body = strings.TrimPrefix(strings.TrimSpace(rest[end+1:]), ",")
 		body = strings.TrimSpace(body)
 	}
@@ -262,8 +277,8 @@ func RenderExposition(fams []Family) []byte {
 	return []byte(b.String())
 }
 
-// unescape reverses one layer of exposition escaping (`\\`, `\"`, `\n`)
-// in a single left-to-right pass; unknown escapes pass through verbatim.
+// unescape reverses escapeHelp and escapeLabel (`\\`, `\"`, `\n`) in
+// a single left-to-right pass; unknown escapes pass through verbatim.
 func unescape(s string) string {
 	if !strings.Contains(s, `\`) {
 		return s
@@ -291,13 +306,6 @@ func unescape(s string) string {
 	}
 	return b.String()
 }
-
-// unescapeLabel inverts the renderer's label encoding: escapeLabel
-// followed by %q quoting — two escape layers, so two unescape passes.
-func unescapeLabel(s string) string { return unescape(unescape(s)) }
-
-// unescapeHelp inverts escapeHelp's single layer.
-func unescapeHelp(s string) string { return unescape(s) }
 
 // ---------------------------------------------------------------------------
 // Federation

@@ -152,6 +152,8 @@ func TestParseExpositionRejects(t *testing.T) {
 		{"unterminated labels", "# TYPE dms_x gauge\ndms_x{a=\"b 1\n"},
 		{"double declaration", "# TYPE dms_x gauge\n# TYPE dms_x gauge\ndms_x 1\n"},
 		{"bad name", "# TYPE BadName counter\nBadName 1\n"},
+		{"label value not a quoted string", "# TYPE dms_x gauge\ndms_x{a=\"\\q\"} 1\n"},
+		{"family named like a summary line", "# TYPE dms_x summary\n# TYPE dms_x_count counter\n"},
 	}
 	for _, c := range cases {
 		if _, err := ParseExposition([]byte(c.input)); err == nil {

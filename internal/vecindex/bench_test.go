@@ -80,39 +80,6 @@ func BenchmarkNearestRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkNearestIVF times an approximate IVF query at nprobe 4 and 8 and
-// reports its recall@1 against Flat over 256 queries: the share whose IVF
-// answer is the exact nearest vector. Set it beside BenchmarkNearestFlat
-// at the same n to see what the approximation buys.
-func BenchmarkNearestIVF(b *testing.B) {
-	for _, n := range []int{1_000, 10_000, 50_000} {
-		for _, nprobe := range []int{4, 8} {
-			b.Run(fmt.Sprintf("n=%d/nprobe=%d", n, nprobe), func(b *testing.B) {
-				idx, flat := NewIVF(IVFConfig{SplitThreshold: 512, NProbe: nprobe, Seed: 3}), NewFlat()
-				benchIndex(b, idx, n)
-				benchIndex(b, flat, n)
-				rng := rand.New(rand.NewSource(5))
-				queries := make([][]float64, 256)
-				hits := 0
-				for i := range queries {
-					queries[i] = randVec(rng, 8)
-					got, _ := idx.Nearest(0, queries[i], nil)
-					if want, _ := flat.Nearest(0, queries[i], nil); got == want {
-						hits++
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, ok := idx.Nearest(0, queries[i%len(queries)], nil); !ok {
-						b.Fatal("no result")
-					}
-				}
-				b.ReportMetric(float64(hits)/float64(len(queries)), "recall@1")
-			})
-		}
-	}
-}
-
 func BenchmarkAddFlat(b *testing.B) {
 	idx := NewFlat()
 	rng := rand.New(rand.NewSource(2))

@@ -16,10 +16,9 @@ type Flat struct {
 	parts map[int]*flatPartition // cluster → slab
 	pos   map[string]flatPos     // id → location, for Remove and re-Add
 
-	queries     atomic.Int64
-	probed      atomic.Int64
-	listsProbed atomic.Int64
-	rejected    atomic.Int64
+	queries  atomic.Int64
+	probed   atomic.Int64
+	rejected atomic.Int64
 }
 
 // flatPartition is one cluster's vectors, stored row-major in a single
@@ -106,7 +105,6 @@ func (f *Flat) Nearest(cluster int, q []float64, exclude func(string) bool) (Res
 	if p == nil || len(q) != f.dim {
 		return Result{}, false
 	}
-	f.listsProbed.Add(1)
 	f.probed.Add(int64(len(p.ids)))
 	slot, d2 := scanNearest(p.vecs, p.ids, f.dim, q, exclude)
 	if slot < 0 {
@@ -143,10 +141,9 @@ func (f *Flat) Len() int {
 // Stats snapshots the index counters.
 func (f *Flat) Stats() Stats {
 	return Stats{
-		Size:        f.Len(),
-		Queries:     f.queries.Load(),
-		Probed:      f.probed.Load(),
-		ListsProbed: f.listsProbed.Load(),
-		Rejected:    f.rejected.Load(),
+		Size:     f.Len(),
+		Queries:  f.queries.Load(),
+		Probed:   f.probed.Load(),
+		Rejected: f.rejected.Load(),
 	}
 }

@@ -50,7 +50,7 @@ func TestDist2FollowsTheDocumentedOrder(t *testing.T) {
 // TestDistanceIsAPureFunctionOfTheVector is the contract the cluster's
 // exact merge rests on: one vector's Dist2 has the same bits whatever its
 // slot, however large its partition (one vector to past the fork
-// threshold), whichever index holds it and however many workers scan.
+// threshold) and however many workers scan.
 func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 	for _, dim := range []int{8, 6, 13} {
 		rng := rand.New(rand.NewSource(int64(dim)))
@@ -64,11 +64,7 @@ func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 		}
 		for _, n := range []int{1, 2, 7, 3000, pastFork(dim)} {
 			for _, slot := range []int{0, n / 2, n - 1} {
-				indexes := map[string]Index{"flat": NewFlat()}
-				if n <= 3000 { // k-means refits make a forked-size IVF slow, and its lists never fork
-					indexes["ivf-exact"] = NewIVF(IVFConfig{SplitThreshold: 64, NProbe: 1 << 20, Seed: 7})
-				}
-				for name, idx := range indexes {
+				for name, idx := range testIndexes() {
 					for i := 0; i < n; i++ {
 						id, vec := fmt.Sprintf("filler-%d", i), filler()
 						if i == slot {
@@ -176,46 +172,5 @@ func TestLazyExclusionMatchesFilterFirst(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIVFWideningUnderExclusion drives an approximate IVF (2 of its ~60
-// lists probed) with exclusion sets that leave only a handful of eligible
-// vectors: the answer is never an excluded ID, and once the probed lists
-// hold no eligible vector the widened answer is the oracle's.
-func TestIVFWideningUnderExclusion(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	entries := randEntries(rng, 4000, 8, 1)
-	idx := NewIVF(IVFConfig{SplitThreshold: 256, NProbe: 2, Seed: 9})
-	if err := idx.Rebuild(entries); err != nil {
-		t.Fatal(err)
-	}
-	widened := 0
-	for trial := 0; trial < 200; trial++ {
-		eligible := make(map[string]bool)
-		for i := 0; i < 1+trial%3; i++ {
-			eligible[entries[rng.Intn(len(entries))].ID] = true
-		}
-		excluded := make(map[string]bool)
-		for _, e := range entries {
-			if !eligible[e.ID] {
-				excluded[e.ID] = true
-			}
-		}
-		q := randVec(rng, 8)
-		before := idx.Stats().ListsProbed
-		got, ok := idx.Nearest(0, q, func(id string) bool { return excluded[id] })
-		if !ok || excluded[got.ID] {
-			t.Fatalf("trial %d: got (%v, %v) with %d eligible vectors", trial, got, ok, len(eligible))
-		}
-		if idx.Stats().ListsProbed-before > 2 { // widened: exact over the whole remainder
-			widened++
-			if want, _ := bruteNearest(entries, 0, q, excluded); got != want {
-				t.Fatalf("trial %d: widened answer %v, oracle %v", trial, got, want)
-			}
-		}
-	}
-	if widened == 0 {
-		t.Fatal("no trial widened past the probe budget")
 	}
 }

@@ -5,25 +5,18 @@
 // scanned them linearly, so lookup latency grew with history size and each
 // query crossed the wire when the store was remote. A vecindex mirrors the
 // (document ID, cluster, embedding) triples in process, in flat
-// cache-friendly float64 slabs, and answers the same query with a
-// sublinear — or at worst in-memory linear — probe.
+// cache-friendly float64 slabs, and answers the same query with an
+// in-memory scan of the cluster's slab.
 //
-// Two implementations share the Index interface:
+// Flat is the one implementation of the Index interface: exact nearest
+// neighbor by one sequential scan of the cluster's slab. fairDS has
+// already narrowed the search to one cluster, so a scan over that
+// partition is both exact and fast. Callers that wrap or substitute the
+// index (a tracing decorator, test doubles) do so through the interface.
 //
-//   - Flat: exact nearest neighbor by one sequential scan of the
-//     cluster's slab. The right default: fairDS has already narrowed the
-//     search to one cluster, so a scan over that partition is both exact
-//     and fast.
-//   - IVF: inverted-file index in the FAISS sense. Large partitions are
-//     sub-partitioned by a coarse k-means quantizer (reusing
-//     cluster.KMeans), and queries probe only the NProbe closest sublists,
-//     widening to the remaining lists only when every probed candidate is
-//     excluded. Approximate for NProbe < number of sublists, exact
-//     otherwise.
-//
-// Both support incremental Add on ingest, Remove, exclusion predicates for
-// the Fig. 9 distinct-draw loop, and full Rebuild for the §II-C reindex
-// pass. All methods are safe for concurrent use.
+// Flat supports incremental Add on ingest, Remove, exclusion predicates
+// for the Fig. 9 distinct-draw loop, and full Rebuild for the §II-C
+// reindex pass. All methods are safe for concurrent use.
 //
 // Parallelism lives across queries, not inside them: a request brings many
 // queries (one per sample), and fairds spreads those over workers, each
@@ -72,11 +65,8 @@ type Stats struct {
 	// Queries counts Nearest calls.
 	Queries int64 `json:"queries"`
 	// Probed counts vectors distance-compared across all queries; Probed /
-	// Queries is the mean per-query scan width, the number an IVF keeps
-	// sublinear.
+	// Queries is the mean per-query scan width.
 	Probed int64 `json:"probed"`
-	// ListsProbed counts inverted lists (Flat: cluster partitions) visited.
-	ListsProbed int64 `json:"lists_probed"`
 	// Rejected counts Add calls refused for a dimension mismatch.
 	Rejected int64 `json:"rejected"`
 }
@@ -206,7 +196,7 @@ func Dist2(q, v []float64) float64 {
 //
 // The distance of one vector is a pure function of (q, v, dim) — the same
 // floating-point operations in the same order for every slot, slab size,
-// worker split and index type — because routed and single-node answers
+// and worker split — because routed and single-node answers
 // are compared, and merged, by exact distance. Squared differences go to
 // four running sums, element j of the largest multiple-of-four prefix to
 // sum j mod 4 and the up-to-three remaining elements to sum 0, combined as

@@ -43,13 +43,9 @@ func bruteNearest(entries []Entry, clusterID int, q []float64, exclude map[strin
 	return best, found
 }
 
-// indexes under test; IVF with a huge NProbe is exact, IVF with a small
-// threshold exercises quantized partitions.
+// indexes under test.
 func testIndexes() map[string]Index {
-	return map[string]Index{
-		"flat":      NewFlat(),
-		"ivf-exact": NewIVF(IVFConfig{SplitThreshold: 64, NProbe: 1 << 20, Seed: 7}),
-	}
+	return map[string]Index{"flat": NewFlat()}
 }
 
 func TestParityWithBruteForce(t *testing.T) {
@@ -223,42 +219,6 @@ func TestRebuildReplacesContents(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIVFApproximateProbesFewerButWidensWhenExcluded checks the two IVF
-// behaviors the Flat index doesn't have: a small NProbe scans a fraction
-// of a quantized partition, and exclusion-exhausted probes widen instead
-// of returning nothing.
-func TestIVFApproximateProbesFewerButWidensWhenExcluded(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	entries := randEntries(rng, 4000, 8, 1)
-	idx := NewIVF(IVFConfig{SplitThreshold: 256, NProbe: 2, Seed: 9})
-	for _, e := range entries {
-		if err := idx.Add(e.ID, e.Cluster, e.Vec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := make([]float64, 8)
-	before := idx.Stats()
-	if _, ok := idx.Nearest(0, q, nil); !ok {
-		t.Fatal("no result from populated index")
-	}
-	after := idx.Stats()
-	if scanned := after.Probed - before.Probed; scanned >= int64(len(entries)) {
-		t.Fatalf("NProbe=2 scanned %d of %d vectors — quantization is not pruning", scanned, len(entries))
-	}
-	// Exclude everything: the probe must widen through all sublists and
-	// still report no result rather than stopping at the probe budget.
-	if _, ok := idx.Nearest(0, q, func(string) bool { return true }); ok {
-		t.Fatal("fully excluded cluster returned a result")
-	}
-	// Exclude all but one arbitrary ID: widening must find it no matter
-	// which sublist it landed in.
-	keep := entries[1234].ID
-	got, ok := idx.Nearest(0, q, func(id string) bool { return id != keep })
-	if !ok || got.ID != keep {
-		t.Fatalf("widening missed the only eligible ID: (%v, %v)", got, ok)
 	}
 }
 
