@@ -199,9 +199,13 @@ func TestMetricszExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	families, err := obs.ValidateExposition(body)
+	fams, err := obs.ParseExposition(body)
 	if err != nil {
 		t.Fatalf("invalid exposition:\n%s\nerror: %v", body, err)
+	}
+	families := make(map[string]int, len(fams))
+	for _, f := range fams {
+		families[f.Name] = len(f.Samples)
 	}
 
 	// Every /statsz counter has a registry family (registerMetrics).

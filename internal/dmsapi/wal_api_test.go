@@ -85,7 +85,7 @@ func TestMetricszExposesWalFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ValidateExposition(body); err != nil {
+	if _, err := obs.ParseExposition(body); err != nil {
 		t.Fatalf("invalid exposition:\n%s\nerror: %v", body, err)
 	}
 	for _, fam := range []string{

@@ -57,23 +57,14 @@ type Router struct {
 // same uptime and build-identity block dmsd's Stats does, so fleet
 // tooling (dmstop) reads one shape from both tiers.
 type RouterStats struct {
-	UptimeSeconds float64                        `json:"uptime_seconds"`
-	GoVersion     string                         `json:"go_version"`
-	Version       string                         `json:"version"`
-	Revision      string                         `json:"revision"`
-	Requests      int64                          `json:"requests"`
-	Cluster       ClusterStats                   `json:"cluster"`
-	Endpoints     map[string]RouterEndpointStats `json:"endpoints"`
-	SLO           []obs.SLOStatus                `json:"slo,omitempty"`
-}
-
-// RouterEndpointStats is one endpoint's counters in RouterStats.
-type RouterEndpointStats struct {
-	Count  int64   `json:"count"`
-	Errors int64   `json:"errors"`
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
+	UptimeSeconds float64                         `json:"uptime_seconds"`
+	GoVersion     string                          `json:"go_version"`
+	Version       string                          `json:"version"`
+	Revision      string                          `json:"revision"`
+	Requests      int64                           `json:"requests"`
+	Cluster       ClusterStats                    `json:"cluster"`
+	Endpoints     map[string]dmsapi.EndpointStats `json:"endpoints"`
+	SLO           []obs.SLOStatus                 `json:"slo,omitempty"`
 }
 
 // NewRouter builds the HTTP tier over an existing cluster client. The
@@ -220,7 +211,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
 	goVersion, version, revision := dmsapi.BuildIdentity()
-	eps := rt.EndpointStats()
 	st := RouterStats{
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 		GoVersion:     goVersion,
@@ -228,13 +218,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
 		Revision:      revision,
 		Requests:      rt.Requests(),
 		Cluster:       rt.cluster.Stats(),
-		Endpoints:     make(map[string]RouterEndpointStats, len(eps)),
+		Endpoints:     rt.EndpointStats(),
 		SLO:           rt.SLOStatus(),
-	}
-	for name, ep := range eps {
-		st.Endpoints[name] = RouterEndpointStats{
-			Count: ep.Count, Errors: ep.Errors, P50MS: ep.P50MS, P99MS: ep.P99MS, MaxMS: ep.MaxMS,
-		}
 	}
 	return dmsapi.WriteBody(w, r, st)
 }

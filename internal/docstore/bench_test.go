@@ -117,7 +117,7 @@ func BenchmarkCountWhereShards(b *testing.B) {
 	for _, shards := range []int{1, defaultShardCount()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			c := benchCollectionShards(65536, shards)
-			q := Query{Filters: []Filter{Gte("v", 1024.0)}}
+			q := Query{Filters: []Filter{Eq("cluster", 3)}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.CountWhere(q); err != nil {
@@ -235,12 +235,3 @@ func BenchmarkSampleIDs(b *testing.B) {
 }
 
 var benchSink []string
-
-func BenchmarkAllIDs(b *testing.B) {
-	c := benchCollection(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = c.AllIDs()
-	}
-	_ = fmt.Sprint(len(benchSink))
-}

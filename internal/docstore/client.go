@@ -224,52 +224,6 @@ func (c *Client) ApplyTxn(collection string, ops []TxnOp) ([]string, error) {
 	return resp.IDs, nil
 }
 
-// ClientTxn batches Add/Update/Delete operations for one all-or-nothing
-// commit over the wire — the client-side mirror of Collection.NewTxn.
-// Not safe for concurrent use.
-type ClientTxn struct {
-	c          *Client
-	collection string
-	ops        []TxnOp
-}
-
-// NewTxn starts an empty transaction against the named collection.
-func (c *Client) NewTxn(collection string) *ClientTxn {
-	return &ClientTxn{c: c, collection: collection}
-}
-
-// Add queues an insert. An empty id gets a server-assigned one.
-func (t *ClientTxn) Add(id string, f Fields) *ClientTxn {
-	t.ops = append(t.ops, TxnOp{Kind: TxnAdd, ID: id, F: f})
-	return t
-}
-
-// Update queues a field merge into an existing document.
-func (t *ClientTxn) Update(id string, f Fields) *ClientTxn {
-	t.ops = append(t.ops, TxnOp{Kind: TxnUpdate, ID: id, F: f})
-	return t
-}
-
-// Delete queues a document removal.
-func (t *ClientTxn) Delete(id string) *ClientTxn {
-	t.ops = append(t.ops, TxnOp{Kind: TxnDelete, ID: id})
-	return t
-}
-
-// Len reports the number of queued operations.
-func (t *ClientTxn) Len() int { return len(t.ops) }
-
-// Commit submits the batch. On success the queue is cleared; on error it
-// is kept, and nothing was applied server-side.
-func (t *ClientTxn) Commit() ([]string, error) {
-	ids, err := t.c.ApplyTxn(t.collection, t.ops)
-	if err != nil {
-		return nil, err
-	}
-	t.ops = nil
-	return ids, nil
-}
-
 // Get fetches one document by ID.
 func (c *Client) Get(collection, id string) (*Doc, error) {
 	resp, err := c.roundTrip(&request{Op: opGet, Collection: collection, ID: id})
@@ -300,12 +254,6 @@ func (c *Client) GetMany(collection string, ids []string) ([]*Doc, error) {
 // Update merges fields into an existing document.
 func (c *Client) Update(collection, id string, f Fields) error {
 	_, err := c.roundTrip(&request{Op: opUpdate, Collection: collection, ID: id, Fields: f})
-	return err
-}
-
-// Delete removes a document.
-func (c *Client) Delete(collection, id string) error {
-	_, err := c.roundTrip(&request{Op: opDelete, Collection: collection, ID: id})
 	return err
 }
 
@@ -354,27 +302,6 @@ func (c *Client) SampleIDs(collection string, q Query, n int, seed int64) ([]str
 // CreateHashIndex builds an equality index on the server.
 func (c *Client) CreateHashIndex(collection, field string) error {
 	_, err := c.roundTrip(&request{Op: opCreateHashIndex, Collection: collection, Field: field})
-	return err
-}
-
-// CreateOrderedIndex builds a range index on the server.
-func (c *Client) CreateOrderedIndex(collection, field string) error {
-	_, err := c.roundTrip(&request{Op: opCreateOrderedIndex, Collection: collection, Field: field})
-	return err
-}
-
-// Collections lists collection names.
-func (c *Client) Collections() ([]string, error) {
-	resp, err := c.roundTrip(&request{Op: opNames})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// Drop removes a collection.
-func (c *Client) Drop(collection string) error {
-	_, err := c.roundTrip(&request{Op: opDrop, Collection: collection})
 	return err
 }
 

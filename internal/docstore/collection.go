@@ -27,7 +27,6 @@ type Collection struct {
 	// fields. Per-shard index fragments are guarded by the shard locks.
 	idxMu      sync.Mutex
 	hashFields map[string]struct{} // guarded by idxMu
-	ordFields  map[string]struct{} // guarded by idxMu
 
 	// logger, when set, makes every write durable: each ApplyTxn commit
 	// becomes one WAL record. Installed once by DurableStore before the
@@ -45,12 +44,6 @@ type shard struct {
 	mu      sync.RWMutex
 	docs    map[string]*Doc                           // guarded by mu
 	hashIdx map[string]map[string]map[string]struct{} // guarded by mu; field → key → id set
-	ordIdx  map[string][]ordEntry                     // guarded by mu; field → sorted entries
-}
-
-type ordEntry struct {
-	key float64
-	id  string
 }
 
 // defaultShardCount picks a power of two near GOMAXPROCS, clamped to
@@ -91,13 +84,11 @@ func newCollectionShards(name string, n int) *Collection {
 		shards:     make([]*shard, p),
 		mask:       uint32(p - 1),
 		hashFields: make(map[string]struct{}),
-		ordFields:  make(map[string]struct{}),
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			docs:    make(map[string]*Doc),
 			hashIdx: make(map[string]map[string]map[string]struct{}),
-			ordIdx:  make(map[string][]ordEntry),
 		}
 	}
 	return c
@@ -166,7 +157,9 @@ func (c *Collection) Count() int {
 }
 
 // CreateHashIndex builds an equality index over field, indexing existing
-// documents. Indexing a field twice is a no-op.
+// documents. Indexing a field twice is a no-op. A value the index cannot
+// key (a slice, a byte string or nil) fails the build and rolls it back:
+// no stripe keeps a fragment, and the field stays unindexed.
 func (c *Collection) CreateHashIndex(field string) error {
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
@@ -192,70 +185,16 @@ func (c *Collection) CreateHashIndex(field string) error {
 		}
 		s.mu.Unlock()
 		if err != nil {
-			c.dropIndexFragments(field, i, indexHash)
+			for _, done := range c.shards[:i] {
+				done.mu.Lock()
+				delete(done.hashIdx, field)
+				done.mu.Unlock()
+			}
 			return err
 		}
 	}
 	c.hashFields[field] = struct{}{}
 	return c.logMeta(txnCreateHashIndex, field)
-}
-
-type indexKind uint8
-
-const (
-	indexHash indexKind = iota
-	indexOrdered
-)
-
-// dropIndexFragments removes the field's fragment of one index kind from
-// shards [0, upto) — the rollback path when index creation fails partway.
-// Only the kind being created is dropped: the same field may legitimately
-// carry the other kind from an earlier successful build.
-func (c *Collection) dropIndexFragments(field string, upto int, kind indexKind) {
-	for _, s := range c.shards[:upto] {
-		s.mu.Lock()
-		if kind == indexHash {
-			delete(s.hashIdx, field)
-		} else {
-			delete(s.ordIdx, field)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// CreateOrderedIndex builds a range index over a numeric field.
-func (c *Collection) CreateOrderedIndex(field string) error {
-	c.idxMu.Lock()
-	defer c.idxMu.Unlock()
-	if _, ok := c.ordFields[field]; ok {
-		return nil
-	}
-	for i, s := range c.shards {
-		s.mu.Lock()
-		var entries []ordEntry
-		var err error
-		for id, d := range s.docs {
-			if v, ok := d.F[field]; ok {
-				f, ok := asFloat(v)
-				if !ok {
-					err = fmt.Errorf("docstore: ordered index %s.%s: non-numeric value %T", c.name, field, v)
-					break
-				}
-				entries = append(entries, ordEntry{key: f, id: id})
-			}
-		}
-		if err == nil {
-			sortOrd(entries)
-			s.ordIdx[field] = entries
-		}
-		s.mu.Unlock()
-		if err != nil {
-			c.dropIndexFragments(field, i, indexOrdered)
-			return err
-		}
-	}
-	c.ordFields[field] = struct{}{}
-	return c.logMeta(txnCreateOrderedIndex, field)
 }
 
 // logMeta writes an index-create metadata record to the WAL so the index
@@ -276,19 +215,16 @@ func (c *Collection) logMeta(kind TxnKind, field string) error {
 	return nil
 }
 
-// Indexes lists indexed fields (hash and ordered).
-func (c *Collection) Indexes() (hash, ordered []string) {
+// Indexes lists the hash-indexed fields in sorted order.
+func (c *Collection) Indexes() []string {
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
+	hash := make([]string, 0, len(c.hashFields))
 	for f := range c.hashFields {
 		hash = append(hash, f)
 	}
-	for f := range c.ordFields {
-		ordered = append(ordered, f)
-	}
 	sort.Strings(hash)
-	sort.Strings(ordered)
-	return
+	return hash
 }
 
 // genID reserves the next sequential document ID.
@@ -313,7 +249,7 @@ func (c *Collection) Insert(id string, f Fields) (string, error) {
 // them in order — the paper's "parallel writes during the data update
 // phase" path for bulk label ingestion. The batch is one transaction (and
 // one WAL commit record on a durable store): either every document is
-// stored or none is, and no reader observes part of it.
+// stored or none is.
 func (c *Collection) InsertMany(fs []Fields) ([]string, error) {
 	ops := make([]TxnOp, len(fs))
 	for i, f := range fs {
@@ -384,8 +320,7 @@ func (c *Collection) eachShardGroup(ids []string, fn func(s *shard, positions []
 
 // Update merges fields into an existing document (set semantics), updating
 // any affected indexes. The merged document replaces the old one
-// copy-on-write, so snapshots handed out by NewReadTxn keep observing
-// the pre-update value.
+// copy-on-write, so a document a reader already holds never changes.
 func (c *Collection) Update(id string, f Fields) error {
 	_, err := c.ApplyTxn([]TxnOp{{Kind: TxnUpdate, ID: id, F: f}})
 	return err
@@ -397,9 +332,9 @@ func (c *Collection) Delete(id string) error {
 	return err
 }
 
-// Find returns copies of documents matching the query, using indexes when
-// the query's filters allow it. With Query.Project set, returned documents
-// carry only the projected fields.
+// Find returns copies of documents matching the query in ID order, using a
+// hash index when one of the query's fields has one. With Query.Project
+// set, returned documents carry only the projected fields.
 func (c *Collection) Find(q Query) ([]*Doc, error) {
 	ids, err := c.FindIDs(q)
 	if err != nil {
@@ -436,108 +371,41 @@ func (c *Collection) Find(q Query) ([]*Doc, error) {
 	return out, nil
 }
 
-// shardMatch is one shard's contribution to a query: matched IDs plus, when
-// the query sorts by a field, the sort-key value captured under the shard
-// lock so the global merge needs no re-locking.
-type shardMatch struct {
-	ids  []string
-	keys []any
-}
-
 // scanShards evaluates the query's filters on every shard in parallel and
-// returns the per-shard matches (unsorted, unpaginated).
-func (c *Collection) scanShards(q Query) []shardMatch {
-	results := make([]shardMatch, len(c.shards))
+// returns each shard's matched IDs, unsorted.
+func (c *Collection) scanShards(q Query) [][]string {
+	results := make([][]string, len(c.shards))
 	c.forEachShard(func(i int, s *shard) {
+		var ids []string
 		s.mu.RLock()
-		defer s.mu.RUnlock()
-		var m shardMatch
-		s.forEachMatchLocked(q, q.SortBy != "", func(id string, d *Doc) {
-			m.ids = append(m.ids, id)
-			if q.SortBy != "" {
-				m.keys = append(m.keys, d.F[q.SortBy])
-			}
-		})
-		results[i] = m
+		s.forEachMatchLocked(q, func(id string) { ids = append(ids, id) })
+		s.mu.RUnlock()
+		results[i] = ids
 	})
 	return results
 }
 
-// FindIDs returns the IDs of matching documents in deterministic order:
-// by the sort field (ties broken by ID) when SortBy is set, else by ID.
+// FindIDs returns the IDs of matching documents in ID order.
 func (c *Collection) FindIDs(q Query) ([]string, error) {
 	parts := c.scanShards(q)
 	total := 0
 	for _, p := range parts {
-		total += len(p.ids)
+		total += len(p)
 	}
 	matched := make([]string, 0, total)
-	if q.SortBy == "" {
-		for _, p := range parts {
-			matched = append(matched, p.ids...)
-		}
-		sortIDs(matched)
-		if q.Desc {
-			for i, j := 0, len(matched)-1; i < j; i, j = i+1, j-1 {
-				matched[i], matched[j] = matched[j], matched[i]
-			}
-		}
-	} else {
-		keys := make([]any, 0, total)
-		for _, p := range parts {
-			matched = append(matched, p.ids...)
-			keys = append(keys, p.keys...)
-		}
-		sort.Sort(&sortByKey{ids: matched, keys: keys, desc: q.Desc})
+	for _, p := range parts {
+		matched = append(matched, p...)
 	}
-
-	if q.Offset > 0 {
-		if q.Offset >= len(matched) {
-			return nil, nil
-		}
-		matched = matched[q.Offset:]
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
-	}
+	sortIDs(matched)
 	return matched, nil
-}
-
-// sortByKey orders IDs by their captured sort-key values, breaking ties
-// (and incomparable pairs) by ID so results are deterministic across runs
-// and shard layouts.
-type sortByKey struct {
-	ids  []string
-	keys []any
-	desc bool
-}
-
-func (s *sortByKey) Len() int { return len(s.ids) }
-func (s *sortByKey) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-func (s *sortByKey) Less(i, j int) bool {
-	cmp, ok := compareValues(s.keys[i], s.keys[j])
-	if !ok || cmp == 0 {
-		return s.ids[i] < s.ids[j]
-	}
-	if s.desc {
-		return cmp > 0
-	}
-	return cmp < 0
 }
 
 // CountWhere returns how many documents match the query. It counts
 // per-shard in parallel with no global sort or ID materialization.
 func (c *Collection) CountWhere(q Query) (int, error) {
-	q.Limit = 0
-	q.Offset = 0
-	q.SortBy = ""
-	parts := c.scanShards(q)
 	n := 0
-	for _, p := range parts {
-		n += len(p.ids)
+	for _, p := range c.scanShards(q) {
+		n += len(p)
 	}
 	return n, nil
 }
@@ -551,29 +419,17 @@ func (c *Collection) CountWhere(q Query) (int, error) {
 // access path under its read lock keeping only its own n lowest, and the
 // stripes' selections are merged by the same rule, so the cost is one hash
 // and one comparison per match and the result does not depend on map
-// order, stripe count, insertion order or replay history. A query with
-// SortBy, Limit or Offset draws from the FindIDs page instead. n ≤ 0 is an
+// order, stripe count, insertion order or replay history. n ≤ 0 is an
 // empty draw.
 func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if q.SortBy != "" || q.Limit > 0 || q.Offset > 0 {
-		ids, err := c.FindIDs(q)
-		if err != nil {
-			return nil, err
-		}
-		sel := newLowest(n, seed)
-		for _, id := range ids {
-			sel.offer(id)
-		}
-		return sel.ids(), nil
-	}
 	parts := make([]lowest, len(c.shards))
 	c.forEachShard(func(i int, s *shard) {
 		sel := newLowest(n, seed)
 		s.mu.RLock()
-		s.forEachMatchLocked(q, false, func(id string, _ *Doc) { sel.offer(id) })
+		s.forEachMatchLocked(q, sel.offer)
 		s.mu.RUnlock()
 		parts[i] = sel
 	})
@@ -586,31 +442,16 @@ func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	return sel.ids(), nil
 }
 
-// AllIDs returns every document ID in sorted order.
-func (c *Collection) AllIDs() []string {
-	var ids []string
-	for _, s := range c.shards {
-		s.mu.RLock()
-		for id := range s.docs {
-			ids = append(ids, id)
-		}
-		s.mu.RUnlock()
-	}
-	sortIDs(ids)
-	return ids
-}
-
-// forEachMatchLocked calls fn for every document of the shard matching all
-// of the query's filters, in no particular order, over the cheapest access
-// path: the smallest matching hash-index bucket, an ordered-index range, or
-// a full shard scan, with the filters the path did not decide evaluated on
-// each candidate. When the bucket alone decides the match and wantDoc is
-// false, fn receives a nil document and the document map is not touched.
-// Caller holds at least the shard's read lock. Different shards may pick
-// different access paths for the same query; correctness only requires
-// that each shard's candidates cover its matches.
+// forEachMatchLocked calls fn with the ID of every document of the shard
+// matching all of the query's filters, in no particular order, over the
+// cheapest access path: the smallest matching hash-index bucket or a full
+// shard scan, with the filters the path did not decide evaluated on each
+// candidate. When the bucket alone decides the match, the document map is
+// not touched. Caller holds at least the shard's read lock. Different
+// shards may pick different access paths for the same query; correctness
+// only requires that each shard's candidates cover its matches.
 // lint:holds s.mu
-func (s *shard) forEachMatchLocked(q Query, wantDoc bool, fn func(id string, d *Doc)) {
+func (s *shard) forEachMatchLocked(q Query, fn func(id string)) {
 	without := func(i int) []Filter {
 		rest := make([]Filter, 0, len(q.Filters)-1)
 		rest = append(rest, q.Filters[:i]...)
@@ -626,16 +467,13 @@ func (s *shard) forEachMatchLocked(q Query, wantDoc bool, fn func(id string, d *
 				return
 			}
 		}
-		fn(id, d)
+		fn(id)
 	}
 
 	// Equality filters on hash-indexed fields.
 	best := -1
 	var bucket map[string]struct{}
 	for i, f := range q.Filters {
-		if f.Op != OpEq {
-			continue
-		}
 		idx, ok := s.hashIdx[f.Field]
 		if !ok {
 			continue
@@ -650,44 +488,14 @@ func (s *shard) forEachMatchLocked(q Query, wantDoc bool, fn func(id string, d *
 	}
 	if best >= 0 {
 		rest := without(best)
-		if len(rest) == 0 && !wantDoc {
+		if len(rest) == 0 {
 			for id := range bucket {
-				fn(id, nil)
+				fn(id)
 			}
 			return
 		}
 		for id := range bucket {
 			visit(id, rest)
-		}
-		return
-	}
-
-	// Range filters on ordered-indexed fields.
-	for i, f := range q.Filters {
-		if f.Op != OpLt && f.Op != OpLte && f.Op != OpGt && f.Op != OpGte {
-			continue
-		}
-		entries, ok := s.ordIdx[f.Field]
-		if !ok {
-			continue
-		}
-		pivot, ok := asFloat(f.Value)
-		if !ok {
-			continue
-		}
-		switch f.Op {
-		case OpLt:
-			entries = entries[:sort.Search(len(entries), func(j int) bool { return entries[j].key >= pivot })]
-		case OpLte:
-			entries = entries[:sort.Search(len(entries), func(j int) bool { return entries[j].key > pivot })]
-		case OpGt:
-			entries = entries[sort.Search(len(entries), func(j int) bool { return entries[j].key > pivot }):]
-		case OpGte:
-			entries = entries[sort.Search(len(entries), func(j int) bool { return entries[j].key >= pivot }):]
-		}
-		rest := without(i)
-		for _, e := range entries {
-			visit(e.id, rest)
 		}
 		return
 	}
@@ -713,22 +521,6 @@ func (s *shard) indexDocLocked(collection string, d *Doc) error {
 		}
 		addToHash(idx, key, d.ID)
 	}
-	for field := range s.ordIdx {
-		v, ok := d.F[field]
-		if !ok {
-			continue
-		}
-		f, ok := asFloat(v)
-		if !ok {
-			return fmt.Errorf("docstore: ordered index %s.%s: non-numeric value %T", collection, field, v)
-		}
-		entries := s.ordIdx[field]
-		at := sort.Search(len(entries), func(j int) bool { return entries[j].key >= f })
-		entries = append(entries, ordEntry{})
-		copy(entries[at+1:], entries[at:])
-		entries[at] = ordEntry{key: f, id: d.ID}
-		s.ordIdx[field] = entries
-	}
 	return nil
 }
 
@@ -752,23 +544,6 @@ func (s *shard) unindexDocLocked(d *Doc) {
 			}
 		}
 	}
-	for field, entries := range s.ordIdx {
-		v, ok := d.F[field]
-		if !ok {
-			continue
-		}
-		f, ok := asFloat(v)
-		if !ok {
-			continue
-		}
-		lo := sort.Search(len(entries), func(j int) bool { return entries[j].key >= f })
-		for i := lo; i < len(entries) && entries[i].key == f; i++ {
-			if entries[i].id == d.ID {
-				s.ordIdx[field] = append(entries[:i], entries[i+1:]...)
-				break
-			}
-		}
-	}
 }
 
 func addToHash(idx map[string]map[string]struct{}, key, id string) {
@@ -778,13 +553,4 @@ func addToHash(idx map[string]map[string]struct{}, key, id string) {
 		idx[key] = bucket
 	}
 	bucket[id] = struct{}{}
-}
-
-func sortOrd(entries []ordEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].key != entries[j].key {
-			return entries[i].key < entries[j].key
-		}
-		return entries[i].id < entries[j].id
-	})
 }

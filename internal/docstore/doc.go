@@ -1,7 +1,6 @@
 // Package docstore is fairDMS's stand-in for MongoDB (paper §II-A): an
 // in-memory NoSQL document store with named collections, schemaless
-// JSON-like documents, primary and secondary indexes (hash for equality,
-// ordered for ranges), and concurrent reads/writes. A TCP server and a
+// JSON-like documents and concurrent reads/writes. A TCP server and a
 // pooled client make it a remote store, which is how the paper hosts
 // MongoDB across a 100 GbE link for the Figs. 6–8 storage study.
 //
@@ -9,6 +8,15 @@
 // (i) large stores, (ii) efficient lookup via embedding/cluster indexing,
 // (iii) updates for newly labeled data, (iv) parallel reads during
 // training, and (v) parallel writes during data updates.
+//
+// It offers one query shape and one write path. A Query is a conjunction
+// of equality filters (Eq), answered from a hash index when one of its
+// fields has one (CreateHashIndex) and by scan otherwise, with optional
+// field projection; results come back in document-ID order, and
+// SampleIDs draws a seeded subset of the matches. Every write is an
+// ApplyTxn batch of Add/Update/Delete ops, all-or-nothing on disk and
+// within each lock stripe; reads that span stripes lock one at a time, so
+// there is no cross-stripe snapshot.
 package docstore
 
 import (
@@ -81,49 +89,6 @@ func cloneFields(f Fields) Fields {
 	return out
 }
 
-// compareValues orders two normalized values of the same kind. Mixed
-// numeric kinds (int64 vs float64) compare numerically. It returns
-// -1, 0, or +1, and false if the values are not comparable.
-func compareValues(a, b any) (int, bool) {
-	af, aok := asFloat(a)
-	bf, bok := asFloat(b)
-	if aok && bok {
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
-	as, aok := a.(string)
-	bs, bok2 := b.(string)
-	if aok && bok2 {
-		switch {
-		case as < bs:
-			return -1, true
-		case as > bs:
-			return 1, true
-		default:
-			return 0, true
-		}
-	}
-	ab, aok := a.(bool)
-	bb, bok3 := b.(bool)
-	if aok && bok3 {
-		switch {
-		case ab == bb:
-			return 0, true
-		case !ab:
-			return -1, true
-		default:
-			return 1, true
-		}
-	}
-	return 0, false
-}
-
 // asFloat widens any numeric value — including query-supplied ints that
 // never passed through insert normalization — to float64.
 func asFloat(v any) (float64, bool) {
@@ -146,11 +111,22 @@ func asFloat(v any) (float64, bool) {
 	return 0, false
 }
 
-// valuesEqual reports whether two normalized values are equal, treating
-// int64/float64 numerically.
+// valuesEqual reports whether two normalized values are equal: numbers
+// numerically (int64 against float64 included; a NaN, being neither below
+// nor above any number, equals every one), strings and bools by ==, and
+// anything else never.
 func valuesEqual(a, b any) bool {
-	if c, ok := compareValues(a, b); ok {
-		return c == 0
+	if af, ok := asFloat(a); ok {
+		bf, ok := asFloat(b)
+		return ok && !(af < bf || af > bf)
+	}
+	switch x := a.(type) {
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case bool:
+		y, ok := b.(bool)
+		return ok && x == y
 	}
 	return false
 }

@@ -50,15 +50,14 @@ func mustFindIDs(t *testing.T, c *Collection, q Query) []string {
 	return ids
 }
 
-// drawCorpus fills a collection with a hash-indexed, an ordered-indexed
-// and an unindexed field, under explicit IDs inserted in the given order.
+// drawCorpus fills a collection with two hash-indexed fields and an
+// unindexed one, under explicit IDs inserted in the given order.
 func drawCorpus(t *testing.T, c *Collection, order []int) {
 	t.Helper()
-	if err := c.CreateHashIndex("cluster"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateOrderedIndex("t"); err != nil {
-		t.Fatal(err)
+	for _, field := range []string{"cluster", "t"} {
+		if err := c.CreateHashIndex(field); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, i := range order {
 		f := Fields{"cluster": i % 5, "t": float64(i % 37), "u": i % 3}
@@ -74,19 +73,13 @@ func TestSampleIDsEqualsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pools := []func() Filter{
 		func() Filter { return Eq("cluster", rng.Intn(6)) },
-		func() Filter { return Gt("t", float64(rng.Intn(37))) },
-		func() Filter { return Lte("t", float64(rng.Intn(37))) },
+		func() Filter { return Eq("t", float64(rng.Intn(38))) },
 		func() Filter { return Eq("u", rng.Intn(3)) }, // unindexed
-		func() Filter { return In("cluster", rng.Intn(5), rng.Intn(5)) },
 	}
 	for trial := 0; trial < 300; trial++ {
 		var q Query
-		for _, i := range rng.Perm(len(pools))[:rng.Intn(4)] {
+		for _, i := range rng.Perm(len(pools))[:rng.Intn(len(pools)+1)] {
 			q.Filters = append(q.Filters, pools[i]())
-		}
-		if trial%5 == 4 { // a page of a sorted listing is drawn from too
-			q.SortBy, q.Desc = "t", rng.Intn(2) == 0
-			q.Offset, q.Limit = rng.Intn(20), 1+rng.Intn(60)
 		}
 		matches := mustFindIDs(t, c, q)
 		seed := rng.Int63() - rng.Int63()

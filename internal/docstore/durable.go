@@ -113,7 +113,7 @@ func OpenDurable(opts DurableOptions) (*DurableStore, error) {
 		ds.replayCommit(commit)
 	}
 
-	ds.Store.attachLogger(ds, ds.logDrop)
+	ds.Store.attachLogger(ds)
 	return ds, nil
 }
 
@@ -122,11 +122,6 @@ func OpenDurable(opts DurableOptions) (*DurableStore, error) {
 // already holds, so inserts overwrite, updates and deletes of missing
 // documents are skipped (and counted), and index creation is idempotent.
 func (ds *DurableStore) replayCommit(commit walCommit) {
-	if len(commit.Ops) == 1 && commit.Ops[0].Kind == txnDropCollection {
-		ds.Store.Drop(commit.Collection)
-		ds.replayedTxns.Add(1)
-		return
-	}
 	c := ds.Store.Collection(commit.Collection)
 	for _, op := range commit.Ops {
 		switch op.Kind {
@@ -136,10 +131,6 @@ func (ds *DurableStore) replayCommit(commit walCommit) {
 			}
 		case txnCreateHashIndex:
 			if err := c.CreateHashIndex(op.ID); err != nil {
-				ds.replaySkipped.Add(1)
-			}
-		case txnCreateOrderedIndex:
-			if err := c.CreateOrderedIndex(op.ID); err != nil {
 				ds.replaySkipped.Add(1)
 			}
 		default:
@@ -175,16 +166,6 @@ func (ds *DurableStore) logTxn(rec *walCommit) (func(), error) {
 	return ds.ckptMu.RUnlock, nil
 }
 
-// logDrop records a collection drop. Store.Drop has no error surface, so
-// a failed append is swallowed: the drop applies in memory and merely
-// might resurrect on replay — the lenient, documented failure mode.
-func (ds *DurableStore) logDrop(name string) {
-	rec := walCommit{Collection: name, Ops: []TxnOp{{Kind: txnDropCollection}}}
-	if release, err := ds.logTxn(&rec); err == nil {
-		release()
-	}
-}
-
 // Compact re-logs the store's live state as a checkpoint and deletes the
 // segments it supersedes, bounding both replay time and disk growth.
 // Writers keep committing during the scan; only the rotation instant
@@ -208,12 +189,7 @@ func (ds *DurableStore) Compact() error {
 // replace, and replay re-applies them leniently and idempotently.
 func (s *Store) emitCheckpoint(emit func(payload []byte) error) error {
 	for _, name := range s.Names() {
-		s.mu.RLock()
-		c, ok := s.collections[name]
-		s.mu.RUnlock()
-		if !ok {
-			continue // dropped since Names; the drop is in the log
-		}
+		c := s.Collection(name)
 		// Published documents are never mutated (writers replace them
 		// copy-on-write), so the scan only collects pointers.
 		var docs []*Doc
@@ -238,12 +214,8 @@ func (s *Store) emitCheckpoint(emit func(payload []byte) error) error {
 			rec.Ops = rec.Ops[:0]
 			return emit(payload)
 		}
-		hash, ordered := c.Indexes()
-		for _, field := range hash {
+		for _, field := range c.Indexes() {
 			rec.Ops = append(rec.Ops, TxnOp{Kind: txnCreateHashIndex, ID: field})
-		}
-		for _, field := range ordered {
-			rec.Ops = append(rec.Ops, TxnOp{Kind: txnCreateOrderedIndex, ID: field})
 		}
 		// Emitted even without an index: this record is what brings back
 		// an empty collection and its ID sequence.

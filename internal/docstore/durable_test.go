@@ -52,7 +52,7 @@ func TestDurableRoundTripAcrossReopen(t *testing.T) {
 	if err := c.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.NewTxn().Add("c", Fields{"n": 3}).Add("d", Fields{"n": 4}).Commit(); err != nil {
+	if _, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: "c", F: Fields{"n": 3}}, {Kind: TxnAdd, ID: "d", F: Fields{"n": 4}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.Close(); err != nil {
@@ -86,7 +86,7 @@ func TestDurableReplayRebuildsIndexes(t *testing.T) {
 	if err := c.CreateHashIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateOrderedIndex("t"); err != nil {
+	if err := c.CreateHashIndex("t"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -108,25 +108,45 @@ func TestDurableReplayRebuildsIndexes(t *testing.T) {
 	if len(ids) != 7 {
 		t.Fatalf("Eq(k,1) after replay = %d ids; want 7", len(ids))
 	}
-	ids, err = c2.FindIDs(Query{Filters: []Filter{Lte("t", 9.0)}})
-	if err != nil || len(ids) != 10 {
-		t.Fatalf("Lte(t,9) after replay = %d ids, %v; want 10", len(ids), err)
+	ids, err = c2.FindIDs(Query{Filters: []Filter{Eq("t", 9)}})
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("Eq(t,9) after replay = %d ids, %v; want 1", len(ids), err)
 	}
 }
 
-func TestDurableReplayRespectsDrop(t *testing.T) {
+// TestDurableReplaySkipsUnknownKinds: a log may hold ops of kinds this
+// store no longer writes (5 built an ordered index, 6 dropped a
+// collection). Replay skips and counts each one and applies the rest.
+func TestDurableReplaySkipsUnknownKinds(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
-	ds.Collection("doomed").Insert("x", Fields{"n": 1})
-	ds.Collection("kept").Insert("y", Fields{"n": 2})
-	ds.Drop("doomed")
+	c := ds.Collection("kept")
+	if _, err := c.Insert("x", Fields{"n": 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []walCommit{
+		{Collection: "kept", Ops: []TxnOp{{Kind: 5, ID: "n"}, {Kind: TxnAdd, ID: "y", F: Fields{"n": int64(2)}}}},
+		{Collection: "kept", Ops: []TxnOp{{Kind: 6}}},
+	} {
+		release, err := ds.logTxn(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}
 	ds.Close()
 
 	ds2 := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
 	defer ds2.Close()
-	names := ds2.Names()
-	if len(names) != 1 || names[0] != "kept" {
-		t.Fatalf("collections after replay = %v; want [kept]", names)
+	c2 := ds2.Collection("kept")
+	if ids, _ := c2.FindIDs(Query{}); !equalIDs(ids, []string{"x", "y"}) {
+		t.Fatalf("ids after replay = %v; want [x y]", ids)
+	}
+	if idx := c2.Indexes(); len(idx) != 0 {
+		t.Fatalf("indexes after replay = %v; want none", idx)
+	}
+	if st := ds2.WalStats(); st.ReplaySkippedOps != 2 || st.ReplayedTxns != 3 {
+		t.Fatalf("skipped %d ops over %d txns; want 2 over 3", st.ReplaySkippedOps, st.ReplayedTxns)
 	}
 }
 
@@ -284,8 +304,7 @@ func TestCompactConcurrentWithWriters(t *testing.T) {
 }
 
 // TestSaveLoadRoundTrip: what Compact saves, OpenDurable loads — the
-// documents, both index kinds and the ID sequence, from the checkpoint
-// alone.
+// documents, the indexes and the ID sequence, from the checkpoint alone.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{})
@@ -293,7 +312,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := c.CreateHashIndex("cluster"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateOrderedIndex("t"); err != nil {
+	if err := c.CreateHashIndex("t"); err != nil {
 		t.Fatal(err)
 	}
 	var last string
@@ -320,9 +339,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if c2.Count() != 25 {
 		t.Fatalf("loaded %d docs, want 25", c2.Count())
 	}
-	hash, ordered := c2.Indexes()
-	if len(hash) != 1 || hash[0] != "cluster" || len(ordered) != 1 || ordered[0] != "t" {
-		t.Fatalf("indexes = %v / %v", hash, ordered)
+	if idx := c2.Indexes(); !equalIDs(idx, []string{"cluster", "t"}) {
+		t.Fatalf("indexes = %v", idx)
 	}
 	ids, err := c2.FindIDs(Query{Filters: []Filter{Eq("cluster", 2)}})
 	if err != nil {
@@ -331,9 +349,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(ids) != 5 {
 		t.Fatalf("cluster 2 has %d docs after reload", len(ids))
 	}
-	ids, err = c2.FindIDs(Query{Filters: []Filter{Lte("t", 9.0)}})
-	if err != nil || len(ids) != 10 {
-		t.Fatalf("Lte(t,9) after reload = %d ids, %v; want 10", len(ids), err)
+	ids, err = c2.FindIDs(Query{Filters: []Filter{Eq("t", 9)}})
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("Eq(t,9) after reload = %d ids, %v; want 1", len(ids), err)
 	}
 	d, err := c2.Get(ids[0])
 	if err != nil || !bytes.Equal(d.F["blob"].([]byte), []byte{1, 2, 3}) {
@@ -360,7 +378,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err := c.CreateHashIndex("cluster"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateOrderedIndex("t"); err != nil {
+	if err := c.CreateHashIndex("t"); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]Fields, 120)
@@ -386,7 +404,9 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if c2.Count() != 120 {
 		t.Fatalf("reloaded %d docs, want 120", c2.Count())
 	}
-	if !equalIDs(c.AllIDs(), c2.AllIDs()) {
+	before, _ := c.FindIDs(Query{})
+	after, _ := c2.FindIDs(Query{})
+	if !equalIDs(before, after) {
 		t.Fatal("IDs differ after reload")
 	}
 	for k := 0; k < 6; k++ {
@@ -397,11 +417,11 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("cluster %d differs after reload", k)
 		}
 	}
-	q := Query{Filters: []Filter{Gte("t", 100.0)}}
+	q := Query{Filters: []Filter{Eq("t", 100)}}
 	a, _ := c.FindIDs(q)
 	b, _ := c2.FindIDs(q)
-	if len(a) != 20 || !equalIDs(a, b) {
-		t.Fatalf("ordered index differs after reload: %d vs %d ids", len(a), len(b))
+	if len(a) != 1 || !equalIDs(a, b) {
+		t.Fatalf("index on t differs after reload: %v vs %v", a, b)
 	}
 	// ID sequence continues without collision.
 	id, err := c2.Insert("", Fields{"cluster": 0, "t": 999.0})

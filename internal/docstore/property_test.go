@@ -12,15 +12,15 @@ import (
 )
 
 // TestQuickRandomOpsKeepIndexesConsistent drives a collection through a
-// random sequence of inserts, updates, and deletes and verifies that both
-// index kinds agree with a brute-force replay on an unindexed collection.
+// random sequence of inserts, updates, and deletes and verifies that its
+// hash indexes agree with a brute-force replay on an unindexed collection.
 func TestQuickRandomOpsKeepIndexesConsistent(t *testing.T) {
 	f := func(ops []uint16) bool {
 		indexed := NewStore().Collection("a")
 		if err := indexed.CreateHashIndex("k"); err != nil {
 			return false
 		}
-		if err := indexed.CreateOrderedIndex("t"); err != nil {
+		if err := indexed.CreateHashIndex("t"); err != nil {
 			return false
 		}
 		plain := NewStore().Collection("b")
@@ -31,7 +31,7 @@ func TestQuickRandomOpsKeepIndexesConsistent(t *testing.T) {
 			switch op % 4 {
 			case 0, 1: // insert (weighted)
 				k := int(op>>2) % 5
-				ts := float64(op>>4) / 7
+				ts := float64((op>>4)%4) / 7
 				id := fmt.Sprintf("d%04d", len(ids))
 				if _, err := indexed.Insert(id, Fields{"k": k, "t": ts}); err != nil {
 					return false
@@ -66,25 +66,22 @@ func TestQuickRandomOpsKeepIndexesConsistent(t *testing.T) {
 		}
 
 		// Every query must agree between the indexed and plain collections.
+		var queries []Query
 		for k := 0; k < 5; k++ {
-			qi, err := indexed.FindIDs(Query{Filters: []Filter{Eq("k", k)}})
-			if err != nil {
-				return false
-			}
-			qp, err := plain.FindIDs(Query{Filters: []Filter{Eq("k", k)}})
-			if err != nil {
-				return false
-			}
-			if !equalIDs(qi, qp) {
-				return false
+			queries = append(queries, Query{Filters: []Filter{Eq("k", k)}})
+			for tn := 0; tn < 4; tn++ {
+				queries = append(queries, Query{Filters: []Filter{Eq("k", k), Eq("t", float64(tn)/7)}})
 			}
 		}
-		for _, pivot := range []float64{0.5, 2, 100} {
-			qi, err := indexed.FindIDs(Query{Filters: []Filter{Lte("t", pivot)}})
+		for tn := 0; tn < 5; tn++ {
+			queries = append(queries, Query{Filters: []Filter{Eq("t", float64(tn)/7)}})
+		}
+		for _, q := range queries {
+			qi, err := indexed.FindIDs(q)
 			if err != nil {
 				return false
 			}
-			qp, err := plain.FindIDs(Query{Filters: []Filter{Lte("t", pivot)}})
+			qp, err := plain.FindIDs(q)
 			if err != nil {
 				return false
 			}
@@ -183,11 +180,12 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 					centers[i] = float64(op) / float64(i+1)
 				}
 				f := Fields{"fit": fmt.Sprintf("%04x", op), "k": k, "dim": dim, "centers": centers, "fuzzifier": 2.0, "embedder": "e"}
-				txn := c.Sibling(".fit").NewTxn()
+				var txn []TxnOp
 				if fit != nil {
-					txn.Delete("current")
+					txn = append(txn, TxnOp{Kind: TxnDelete, ID: "current"})
 				}
-				if _, err := txn.Add("current", f).Commit(); err != nil {
+				txn = append(txn, TxnOp{Kind: TxnAdd, ID: "current", F: f})
+				if _, err := c.Sibling(".fit").ApplyTxn(txn); err != nil {
 					t.Logf("fit: %v", err)
 					return false
 				}
@@ -244,16 +242,16 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 				a := fmt.Sprintf("d%04d", len(ids))
 				b := fmt.Sprintf("d%04d", len(ids)+1)
 				n := int64(op >> 3)
-				txn := c.NewTxn().Add(a, Fields{"n": n}).Add(b, Fields{"n": n + 1})
+				txn := []TxnOp{{Kind: TxnAdd, ID: a, F: Fields{"n": n}}, {Kind: TxnAdd, ID: b, F: Fields{"n": n + 1}}}
 				victim := ""
 				if len(ids) > 0 {
 					id := ids[rng.Intn(len(ids))]
 					if _, live := model[id]; live {
-						txn.Delete(id)
+						txn = append(txn, TxnOp{Kind: TxnDelete, ID: id})
 						victim = id
 					}
 				}
-				if _, err := txn.Commit(); err != nil {
+				if _, err := c.ApplyTxn(txn); err != nil {
 					t.Logf("txn: %v", err)
 					return false
 				}

@@ -2,7 +2,11 @@ package docstore
 
 // Wire protocol between Client and Server: each connection carries a
 // stream of gob-encoded requests and responses. One persistent gob
-// encoder/decoder pair per connection amortizes type descriptors.
+// encoder/decoder pair per connection amortizes type descriptors. The ops
+// are the store's whole remote surface: ping, the writes (insert, insert
+// many, update and txn, which all commit through ApplyTxn), the reads
+// (get, get many, find, find IDs, count and sample, whose queries are
+// equality filters) and hash-index creation.
 //
 // Requests carry a connection-scoped sequence number and the server
 // echoes it back on the matching response. Because the server hands
@@ -21,15 +25,11 @@ const (
 	opGet
 	opGetMany
 	opUpdate
-	opDelete
 	opFind
 	opFindIDs
 	opCount
 	opSample
 	opCreateHashIndex
-	opCreateOrderedIndex
-	opNames
-	opDrop
 	opTxn
 )
 
@@ -49,8 +49,6 @@ func (op reqOp) opName() string {
 		return "get_many"
 	case opUpdate:
 		return "update"
-	case opDelete:
-		return "delete"
 	case opFind:
 		return "find"
 	case opFindIDs:
@@ -61,12 +59,6 @@ func (op reqOp) opName() string {
 		return "sample"
 	case opCreateHashIndex:
 		return "create_hash_index"
-	case opCreateOrderedIndex:
-		return "create_ordered_index"
-	case opNames:
-		return "names"
-	case opDrop:
-		return "drop"
 	case opTxn:
 		return "txn"
 	default:
@@ -99,5 +91,4 @@ type response struct {
 	IDs   []string
 	Docs  []Doc
 	Count int
-	Names []string
 }

@@ -1,35 +1,16 @@
 package docstore
 
-// Op is a filter comparison operator.
-type Op uint8
-
-// Supported filter operators.
-const (
-	OpEq  Op = iota + 1 // field == value
-	OpNe                // field != value
-	OpLt                // field < value
-	OpLte               // field <= value
-	OpGt                // field > value
-	OpGte               // field >= value
-	OpIn                // field ∈ values
-)
-
-// Filter is one predicate on a document field.
+// Filter is one equality predicate on a document field: it matches the
+// documents whose Field equals Value.
 type Filter struct {
-	Field  string
-	Op     Op
-	Value  any
-	Values []any // for OpIn
+	Field string
+	Value any
 }
 
-// Query is a conjunction of filters with optional ordering, limits, and
-// field projection.
+// Query is a conjunction of equality filters with optional field
+// projection. Results come back in document-ID order.
 type Query struct {
 	Filters []Filter
-	SortBy  string // field to order by ("" = order by ID)
-	Desc    bool
-	Limit   int // 0 = unlimited
-	Offset  int
 	// Project restricts returned documents to these fields (IDs are always
 	// included). Empty means all fields. Projection reduces copy and wire
 	// cost for scans that only need an index-like field (e.g. embeddings).
@@ -37,61 +18,10 @@ type Query struct {
 }
 
 // Eq builds an equality filter.
-func Eq(field string, value any) Filter { return Filter{Field: field, Op: OpEq, Value: value} }
-
-// Ne builds an inequality filter.
-func Ne(field string, value any) Filter { return Filter{Field: field, Op: OpNe, Value: value} }
-
-// Lt builds a less-than filter.
-func Lt(field string, value any) Filter { return Filter{Field: field, Op: OpLt, Value: value} }
-
-// Lte builds a less-than-or-equal filter.
-func Lte(field string, value any) Filter { return Filter{Field: field, Op: OpLte, Value: value} }
-
-// Gt builds a greater-than filter.
-func Gt(field string, value any) Filter { return Filter{Field: field, Op: OpGt, Value: value} }
-
-// Gte builds a greater-than-or-equal filter.
-func Gte(field string, value any) Filter { return Filter{Field: field, Op: OpGte, Value: value} }
-
-// In builds a membership filter.
-func In(field string, values ...any) Filter {
-	return Filter{Field: field, Op: OpIn, Values: values}
-}
+func Eq(field string, value any) Filter { return Filter{Field: field, Value: value} }
 
 // matches evaluates the filter against a document.
 func (f Filter) matches(d *Doc) bool {
 	v, ok := d.F[f.Field]
-	if !ok {
-		return false
-	}
-	switch f.Op {
-	case OpEq:
-		return valuesEqual(v, f.Value)
-	case OpNe:
-		return !valuesEqual(v, f.Value)
-	case OpIn:
-		for _, want := range f.Values {
-			if valuesEqual(v, want) {
-				return true
-			}
-		}
-		return false
-	case OpLt, OpLte, OpGt, OpGte:
-		c, ok := compareValues(v, f.Value)
-		if !ok {
-			return false
-		}
-		switch f.Op {
-		case OpLt:
-			return c < 0
-		case OpLte:
-			return c <= 0
-		case OpGt:
-			return c > 0
-		case OpGte:
-			return c >= 0
-		}
-	}
-	return false
+	return ok && valuesEqual(v, f.Value)
 }

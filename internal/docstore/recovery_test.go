@@ -15,13 +15,14 @@ import (
 // two documents plus (past the first) an update of the previous txn's
 // doc, so a partially applied txn is detectable from the recovered state.
 func crashTxn(c *Collection, i int) error {
-	txn := c.NewTxn().
-		Add(fmt.Sprintf("t%02d-a", i), Fields{"n": i}).
-		Add(fmt.Sprintf("t%02d-b", i), Fields{"n": i})
-	if i > 0 {
-		txn.Update(fmt.Sprintf("t%02d-a", i-1), Fields{"bumped": i})
+	txn := []TxnOp{
+		{Kind: TxnAdd, ID: fmt.Sprintf("t%02d-a", i), F: Fields{"n": i}},
+		{Kind: TxnAdd, ID: fmt.Sprintf("t%02d-b", i), F: Fields{"n": i}},
 	}
-	_, err := txn.Commit()
+	if i > 0 {
+		txn = append(txn, TxnOp{Kind: TxnUpdate, ID: fmt.Sprintf("t%02d-a", i-1), F: Fields{"bumped": i}})
+	}
+	_, err := c.ApplyTxn(txn)
 	return err
 }
 
@@ -286,10 +287,10 @@ func TestCrashMultiShardTxnsStayAtomic(t *testing.T) {
 		c := ds.Collection("peaks")
 		committed := 0
 		for i := 0; i < txns; i++ {
-			if _, err := c.NewTxn().
-				Add(fmt.Sprintf("t%02d-a", i), Fields{"n": i}).
-				Add(fmt.Sprintf("t%02d-b", i), Fields{"n": i}).
-				Commit(); err != nil {
+			if _, err := c.ApplyTxn([]TxnOp{
+				{Kind: TxnAdd, ID: fmt.Sprintf("t%02d-a", i), F: Fields{"n": i}},
+				{Kind: TxnAdd, ID: fmt.Sprintf("t%02d-b", i), F: Fields{"n": i}},
+			}); err != nil {
 				break
 			}
 			committed++

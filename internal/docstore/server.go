@@ -194,14 +194,7 @@ func (s *Server) handle(req *request) *response {
 		resp.Err = err.Error()
 		return resp
 	}
-	switch req.Op {
-	case opPing:
-		return resp
-	case opNames:
-		resp.Names = s.store.Names()
-		return resp
-	case opDrop:
-		s.store.Drop(req.Collection)
+	if req.Op == opPing {
 		return resp
 	}
 
@@ -243,10 +236,6 @@ func (s *Server) handle(req *request) *response {
 		if err := c.Update(req.ID, req.Fields); err != nil {
 			return fail(err)
 		}
-	case opDelete:
-		if err := c.Delete(req.ID); err != nil {
-			return fail(err)
-		}
 	case opFind:
 		ds, err := c.Find(req.Query)
 		if err != nil {
@@ -275,10 +264,6 @@ func (s *Server) handle(req *request) *response {
 		resp.IDs = ids
 	case opCreateHashIndex:
 		if err := c.CreateHashIndex(req.Field); err != nil {
-			return fail(err)
-		}
-	case opCreateOrderedIndex:
-		if err := c.CreateOrderedIndex(req.Field); err != nil {
 			return fail(err)
 		}
 	default:

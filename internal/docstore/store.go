@@ -11,7 +11,6 @@ type Store struct {
 	mu          sync.RWMutex
 	collections map[string]*Collection // guarded by mu
 	onNew       func(*Collection)      // guarded by mu; durability hook for new collections
-	onDrop      func(name string)      // guarded by mu; durability hook for drops
 }
 
 // NewStore returns an empty store.
@@ -41,24 +40,13 @@ func (s *Store) Collection(name string) *Collection {
 	return c
 }
 
-// Drop removes the named collection and all its documents.
-func (s *Store) Drop(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.collections[name]; ok && s.onDrop != nil {
-		s.onDrop(name)
-	}
-	delete(s.collections, name)
-}
-
 // attachLogger installs the durability hook on every current and future
-// collection and arranges for drops to be logged. Called once by
-// OpenDurable after replay, before the store is shared.
-func (s *Store) attachLogger(lg commitLogger, onDrop func(name string)) {
+// collection. Called once by OpenDurable after replay, before the store is
+// shared.
+func (s *Store) attachLogger(lg commitLogger) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onNew = func(c *Collection) { c.logger = lg }
-	s.onDrop = onDrop
 	for _, c := range s.collections {
 		c.logger = lg
 	}

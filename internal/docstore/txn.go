@@ -16,13 +16,11 @@ const (
 	// TxnDelete removes an existing document.
 	TxnDelete
 
-	// Metadata kinds below only ever appear inside WAL commit records
-	// (so index creation and collection drops replay after a crash);
-	// ApplyTxn rejects them, keeping the public transaction surface to
-	// the three document ops above.
+	// txnCreateHashIndex only ever appears inside WAL commit records (so
+	// index creation replays after a crash); ApplyTxn rejects it, keeping
+	// the public transaction surface to the three document ops above.
+	// Replay skips and counts any other kind.
 	txnCreateHashIndex
-	txnCreateOrderedIndex
-	txnDropCollection
 )
 
 // TxnOp is one operation of a transaction. For TxnAdd an empty ID asks
@@ -53,61 +51,17 @@ type commitLogger interface {
 	logTxn(rec *walCommit) (release func(), err error)
 }
 
-// Txn batches Add/Update/Delete operations for one all-or-nothing
-// commit. A Txn is not safe for concurrent use; build it on one
-// goroutine and Commit once. Nothing is visible — or written to the WAL
-// — until Commit.
-type Txn struct {
-	c   *Collection
-	ops []TxnOp
-}
-
-// NewTxn starts an empty transaction against the collection.
-func (c *Collection) NewTxn() *Txn { return &Txn{c: c} }
-
-// Add queues an insert. An empty id gets a sequential one at commit.
-func (t *Txn) Add(id string, f Fields) *Txn {
-	t.ops = append(t.ops, TxnOp{Kind: TxnAdd, ID: id, F: f})
-	return t
-}
-
-// Update queues a field merge into an existing document.
-func (t *Txn) Update(id string, f Fields) *Txn {
-	t.ops = append(t.ops, TxnOp{Kind: TxnUpdate, ID: id, F: f})
-	return t
-}
-
-// Delete queues a document removal.
-func (t *Txn) Delete(id string) *Txn {
-	t.ops = append(t.ops, TxnOp{Kind: TxnDelete, ID: id})
-	return t
-}
-
-// Len reports the number of queued operations.
-func (t *Txn) Len() int { return len(t.ops) }
-
-// Commit applies every queued operation atomically and returns the
-// document ID each operation targeted (assigned IDs included), aligned
-// with the queue order. On success the queue is cleared so the Txn can
-// be reused; on error nothing was applied and the queue is kept for
-// inspection or retry.
-func (t *Txn) Commit() ([]string, error) {
-	ids, err := t.c.ApplyTxn(t.ops)
-	if err != nil {
-		return nil, err
-	}
-	t.ops = nil
-	return ids, nil
-}
-
 // ApplyTxn commits ops as one all-or-nothing transaction: either every
 // operation applies and the whole batch is one durable WAL commit
 // record, or none apply and the error names the first offending
 // operation. Within the batch later operations see earlier ones (an Add
 // followed by an Update of the same ID is legal). All shards the batch
-// touches stay write-locked from validation through apply, so no reader
-// or ReadTxn ever observes a partial transaction. Returns the target
-// document ID of each op, aligned with ops.
+// touches stay write-locked from validation through apply, so the batch
+// is all-or-nothing on disk and within each stripe: a reader of one
+// stripe sees all of the batch's ops on that stripe or none. Reads that
+// span stripes (Find, FindIDs, SampleIDs) lock one stripe at a time, so
+// they can see the batch on one stripe and not yet on another. Returns
+// the target document ID of each op, aligned with ops.
 //
 // lint:holds c.shardFor(id).mu s.mu
 // (every touched shard is write-locked by lockShards before any docs
@@ -275,153 +229,5 @@ func (s *shard) checkIndexableLocked(collection string, d *Doc) error {
 			return fmt.Errorf("docstore: indexing %s.%s: %w", collection, field, err)
 		}
 	}
-	for field := range s.ordIdx {
-		v, ok := d.F[field]
-		if !ok {
-			continue
-		}
-		if _, ok := asFloat(v); !ok {
-			return fmt.Errorf("docstore: ordered index %s.%s: non-numeric value %T", collection, field, v)
-		}
-	}
 	return nil
-}
-
-// ReadTxn is a consistent point-in-time view of a collection: the
-// document set as of NewReadTxn, unaffected by writers committing
-// afterwards. Because every write path replaces documents copy-on-write
-// and multi-op transactions hold all their shard locks through apply, a
-// ReadTxn never sees half a transaction. It holds no locks after
-// construction, so writers proceed while readers iterate.
-type ReadTxn struct {
-	name string
-	docs map[string]*Doc
-}
-
-// NewReadTxn captures a consistent snapshot of the collection. The
-// capture briefly read-locks every shard simultaneously (in stripe
-// order) and clones only the ID → document map, not the documents.
-func (c *Collection) NewReadTxn() *ReadTxn {
-	for _, s := range c.shards {
-		s.mu.RLock()
-	}
-	total := 0
-	for _, s := range c.shards {
-		total += len(s.docs)
-	}
-	docs := make(map[string]*Doc, total)
-	for _, s := range c.shards {
-		for id, d := range s.docs {
-			docs[id] = d
-		}
-	}
-	for i := len(c.shards) - 1; i >= 0; i-- {
-		c.shards[i].mu.RUnlock()
-	}
-	return &ReadTxn{name: c.name, docs: docs}
-}
-
-// Count reports the snapshot's document count.
-func (r *ReadTxn) Count() int { return len(r.docs) }
-
-// Get returns a copy of the snapshot's document with the given ID.
-func (r *ReadTxn) Get(id string) (*Doc, error) {
-	d, ok := r.docs[id]
-	if !ok {
-		return nil, fmt.Errorf("docstore: id %q not found in collection %q", id, r.name)
-	}
-	return &Doc{ID: d.ID, F: cloneFields(d.F)}, nil
-}
-
-// GetMany returns copies of the snapshot's documents, in order, erroring
-// on the first missing ID.
-func (r *ReadTxn) GetMany(ids []string) ([]*Doc, error) {
-	out := make([]*Doc, len(ids))
-	for i, id := range ids {
-		d, ok := r.docs[id]
-		if !ok {
-			return nil, fmt.Errorf("docstore: id %q not found in collection %q", id, r.name)
-		}
-		out[i] = &Doc{ID: d.ID, F: cloneFields(d.F)}
-	}
-	return out, nil
-}
-
-// AllIDs returns every snapshot document ID in sorted order.
-func (r *ReadTxn) AllIDs() []string {
-	ids := make([]string, 0, len(r.docs))
-	for id := range r.docs {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	return ids
-}
-
-// FindIDs evaluates the query against the snapshot by full scan (no
-// index acceleration — indexes move on with the live collection) with
-// the same ordering, pagination, and determinism as Collection.FindIDs.
-func (r *ReadTxn) FindIDs(q Query) ([]string, error) {
-	var matched []string
-	var keys []any
-	for id, d := range r.docs {
-		ok := true
-		for _, f := range q.Filters {
-			if !f.matches(d) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		matched = append(matched, id)
-		if q.SortBy != "" {
-			keys = append(keys, d.F[q.SortBy])
-		}
-	}
-	if q.SortBy == "" {
-		sortIDs(matched)
-		if q.Desc {
-			for i, j := 0, len(matched)-1; i < j; i, j = i+1, j-1 {
-				matched[i], matched[j] = matched[j], matched[i]
-			}
-		}
-	} else {
-		sort.Sort(&sortByKey{ids: matched, keys: keys, desc: q.Desc})
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(matched) {
-			return nil, nil
-		}
-		matched = matched[q.Offset:]
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
-	}
-	return matched, nil
-}
-
-// Find returns copies of snapshot documents matching the query,
-// honoring Query.Project.
-func (r *ReadTxn) Find(q Query) ([]*Doc, error) {
-	ids, err := r.FindIDs(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Doc, len(ids))
-	for i, id := range ids {
-		d := r.docs[id]
-		if len(q.Project) == 0 {
-			out[i] = &Doc{ID: d.ID, F: cloneFields(d.F)}
-			continue
-		}
-		f := make(Fields, len(q.Project))
-		for _, field := range q.Project {
-			if v, ok := d.F[field]; ok {
-				f[field] = v
-			}
-		}
-		out[i] = &Doc{ID: d.ID, F: f}
-	}
-	return out, nil
 }

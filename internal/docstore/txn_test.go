@@ -69,7 +69,7 @@ func TestApplyTxnIsAllOrNothing(t *testing.T) {
 
 func TestApplyTxnValidatesIndexability(t *testing.T) {
 	c := NewStore().Collection("peaks")
-	if err := c.CreateOrderedIndex("t"); err != nil {
+	if err := c.CreateHashIndex("t"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Insert("ok", Fields{"t": 1.0}); err != nil {
@@ -77,106 +77,20 @@ func TestApplyTxnValidatesIndexability(t *testing.T) {
 	}
 	_, err := c.ApplyTxn([]TxnOp{
 		{Kind: TxnAdd, ID: "fine", F: Fields{"t": 2.0}},
-		{Kind: TxnAdd, ID: "bad", F: Fields{"t": "not-a-number"}},
+		{Kind: TxnAdd, ID: "bad", F: Fields{"t": []float64{3}}},
 	})
 	if err == nil {
-		t.Fatal("non-numeric value slipped past an ordered index")
+		t.Fatal("unindexable value slipped past a hash index")
 	}
 	if _, gerr := c.Get("fine"); gerr == nil {
 		t.Fatal("fine leaked from a txn rejected by index validation")
 	}
 	// Index stayed consistent: query still answers.
-	ids, err := c.FindIDs(Query{Filters: []Filter{Lte("t", 5.0)}})
+	ids, err := c.FindIDs(Query{Filters: []Filter{Eq("t", 1)}})
 	if err != nil || len(ids) != 1 || ids[0] != "ok" {
 		t.Fatalf("index query after failed txn = %v, %v", ids, err)
 	}
 }
-
-func TestTxnBuilderCommit(t *testing.T) {
-	c := NewStore().Collection("peaks")
-	txn := c.NewTxn().Add("x", Fields{"n": 1}).Add("y", Fields{"n": 2}).Update("x", Fields{"n": 3})
-	if txn.Len() != 3 {
-		t.Fatalf("Len = %d; want 3", txn.Len())
-	}
-	ids, err := txn.Commit()
-	if err != nil || len(ids) != 3 {
-		t.Fatalf("Commit = %v, %v", ids, err)
-	}
-	if txn.Len() != 0 {
-		t.Fatal("ops not cleared after successful commit")
-	}
-	if d, _ := c.Get("x"); d.F["n"] != int64(3) {
-		t.Fatalf("x.n = %v; want 3 (later op sees earlier ones)", d.F["n"])
-	}
-
-	// A failed commit keeps the ops for inspection or retry.
-	bad := c.NewTxn().Delete("ghost")
-	if _, err := bad.Commit(); err == nil {
-		t.Fatal("deleting a missing doc should fail")
-	}
-	if bad.Len() != 1 {
-		t.Fatal("failed commit cleared the ops")
-	}
-}
-
-func TestReadTxnSeesConsistentViewWhileWritersProceed(t *testing.T) {
-	c := NewStore().Collection("peaks")
-	for i := 0; i < 100; i++ {
-		if _, err := c.Insert("", Fields{"n": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt := c.NewReadTxn()
-	if rt.Count() != 100 {
-		t.Fatalf("snapshot count = %d; want 100", rt.Count())
-	}
-
-	// Writers proceed underneath; the snapshot must not move.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				c.Insert("", Fields{"n": 1000 + w*50 + i})
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if rt.Count() != 100 {
-		t.Fatalf("snapshot count moved to %d after concurrent writes", rt.Count())
-	}
-	if c.Count() != 300 {
-		t.Fatalf("live count = %d; want 300", c.Count())
-	}
-	ids, err := rt.FindIDs(Query{Filters: []Filter{Lte("n", 99.0)}})
-	if err != nil || len(ids) != 100 {
-		t.Fatalf("snapshot FindIDs = %d ids, %v; want 100", len(ids), err)
-	}
-}
-
-func TestReadTxnUnaffectedByUpdateAndDelete(t *testing.T) {
-	c := NewStore().Collection("peaks")
-	if _, err := c.Insert("a", Fields{"n": 1}); err != nil {
-		t.Fatal(err)
-	}
-	rt := c.NewReadTxn()
-	if err := c.Update("a", Fields{"n": 2}); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := rt.Get("a"); err != nil || d.F["n"] != int64(1) {
-		t.Fatalf("snapshot sees n=%v, %v; want the pre-update 1", d.F["n"], err)
-	}
-	if err := c.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Get("a"); err != nil {
-		t.Fatal("snapshot lost a doc deleted after the snapshot was taken")
-	}
-}
-
-// --- Wire-level transaction tests ---
 
 func TestTxnOverWire(t *testing.T) {
 	srv, addr := startTestServer(t, ServerConfig{})
@@ -186,11 +100,11 @@ func TestTxnOverWire(t *testing.T) {
 	}
 	defer cl.Close()
 
-	ids, err := cl.NewTxn("peaks").
-		Add("a", Fields{"n": 1}).
-		Add("", Fields{"n": 2}).
-		Update("a", Fields{"n": 10}).
-		Commit()
+	ids, err := cl.ApplyTxn("peaks", []TxnOp{
+		{Kind: TxnAdd, ID: "a", F: Fields{"n": 1}},
+		{Kind: TxnAdd, F: Fields{"n": 2}},
+		{Kind: TxnUpdate, ID: "a", F: Fields{"n": 10}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,8 +162,9 @@ func (s *Service) prepare(ctx context.Context, samples []*codec.Sample) prepared
 
 // commit embeds the prepared survivors in one pass, assigns their
 // clusters, stores them with one InsertMany — one transaction, and one WAL
-// commit record on a durable store, so no reader observes part of a call —
-// and writes their IDs into ids at their input indices.
+// commit record on a durable store, so a call is stored whole or not at
+// all, on disk and on each lock stripe — and writes their IDs into ids at
+// their input indices.
 func (s *Service) commit(ctx context.Context, samples []*codec.Sample, p prepared, dataset string, ids []string) error {
 	if len(p.valid) == 0 {
 		return nil

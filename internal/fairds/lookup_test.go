@@ -109,7 +109,11 @@ func TestLookupIsDrawThenOneFetch(t *testing.T) {
 // a miss, with order and Missing unchanged.
 func TestPartialFetchIsOneBatchUntilAMiss(t *testing.T) {
 	svc, store, coll := countedService(t)
-	ids := coll.AllIDs()[:10]
+	all, err := coll.FindIDs(docstore.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := all[:10]
 	ctx := context.Background()
 
 	got, missing, err := svc.SamplesByIDContext(ctx, ids, true)

@@ -137,18 +137,26 @@ func NewZoo() *Zoo {
 // state fails the open with an error naming it; nothing is rewritten, so
 // the store is left exactly as found.
 func OpenZoo(store Store) (*Zoo, error) {
-	docs, err := store.Find(docstore.Query{SortBy: "seq"})
+	docs, err := store.Find(docstore.Query{})
 	if err != nil {
 		return nil, fmt.Errorf("fairms: reading model documents: %w", err)
 	}
-	z := &Zoo{store: store, records: make(map[string]*Record, len(docs)), clock: time.Now}
-	for _, d := range docs {
-		r, seq, err := recordFromDoc(d)
-		if err != nil {
+	type loaded struct {
+		r   *Record
+		seq int64
+	}
+	recs := make([]loaded, len(docs))
+	for i, d := range docs {
+		if recs[i].r, recs[i].seq, err = recordFromDoc(d); err != nil {
 			return nil, fmt.Errorf("fairms: model document %q: %w", d.ID, err)
 		}
+	}
+	// Find returns ID order, so the stable sort breaks seq ties by ID.
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+	z := &Zoo{store: store, records: make(map[string]*Record, len(recs)), clock: time.Now}
+	for _, l := range recs {
 		//lint:ignore guardedby z is not yet shared
-		z.records[r.ID], z.order, z.seq = r, append(z.order, r.ID), max(z.seq, seq)
+		z.records[l.r.ID], z.order, z.seq = l.r, append(z.order, l.r.ID), max(z.seq, l.seq)
 	}
 	return z, nil
 }

@@ -1,7 +1,10 @@
 package fairms
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -209,4 +212,64 @@ func TestSaveFailureLeavesOriginal(t *testing.T) {
 	if z.Len() != 1 || openZoo(t, col).Len() != 1 {
 		t.Fatal("the retried model is not in both the zoo and the store")
 	}
+}
+
+// FuzzOpenZoo writes up to four arbitrary model documents into an
+// in-memory collection (seed corpus in testdata/fuzz/FuzzOpenZoo) and
+// opens a zoo over it. Document i (of n) has ID "m<n-i>" and seq
+// seq+step·(i mod 3), so seqs tie, rise and fall against ID order; omit
+// drops fields from every document (bit 0 state, 1 pdf, 2 meta, 3 fit,
+// 4 added_at, 5 seq). pdf is read as little-endian float64s and meta as
+// newline-separated strings, so an odd count of them is reachable.
+// OpenZoo returns an error or a zoo holding every document in (seq, ID)
+// order, and never panics.
+func FuzzOpenZoo(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n, omit uint8, state, pdf []byte, meta, fit string, seq int64, step int8, addedAt int64) {
+		n %= 5
+		var pdfVals []float64
+		for b := pdf; len(b) >= 8; b = b[8:] {
+			pdfVals = append(pdfVals, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		}
+		var metaVals []string
+		if meta != "" {
+			metaVals = strings.Split(meta, "\n")
+		}
+		col := docstore.NewStore().Collection("peaks.zoo")
+		seqOf := make(map[string]int64, n)
+		for i := 0; i < int(n); i++ {
+			id := fmt.Sprintf("m%d", int(n)-i)
+			docSeq := seq + int64(step)*int64(i%3)
+			all := docstore.Fields{
+				"state": state, "pdf": pdfVals, "meta": metaVals,
+				"fit": fit, "added_at": addedAt, "seq": docSeq,
+			}
+			fields := docstore.Fields{}
+			for bit, name := range []string{"state", "pdf", "meta", "fit", "added_at", "seq"} {
+				if omit&(1<<bit) == 0 {
+					fields[name] = all[name]
+				}
+			}
+			if _, ok := fields["seq"]; !ok {
+				docSeq = 0
+			}
+			if _, err := col.Insert(id, fields); err != nil {
+				t.Fatal(err)
+			}
+			seqOf[id] = docSeq
+		}
+		z, err := OpenZoo(col)
+		if err != nil {
+			return
+		}
+		ids := z.IDs()
+		if z.Len() != int(n) || len(ids) != int(n) {
+			t.Fatalf("opened %d documents as a zoo of %d (%d ids)", n, z.Len(), len(ids))
+		}
+		for i := 1; i < len(ids); i++ {
+			a, b := ids[i-1], ids[i]
+			if seqOf[a] > seqOf[b] || (seqOf[a] == seqOf[b] && a >= b) {
+				t.Fatalf("zoo order %v: %s (seq %d) before %s (seq %d)", ids, a, seqOf[a], b, seqOf[b])
+			}
+		}
+	})
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // This file is the structured side of the Prometheus-text contract:
-// ValidateExposition (registry.go) checks that an exposition is well
-// formed; ParseExposition turns one into a typed model that can be
-// relabeled, merged, and re-rendered; RenderExposition is its inverse.
+// ParseExposition checks that an exposition is well formed and turns it
+// into a typed model that can be relabeled, merged, and re-rendered;
+// RenderExposition is its inverse.
 // Federate builds the fleet view the cluster router serves: every shard's
 // families re-exposed with a node label, plus dms_fleet_* aggregates.
 
@@ -73,12 +73,15 @@ func labelKey(labels []Label) string {
 }
 
 // ParseExposition parses Prometheus text exposition (version 0.0.4, the
-// dialect WritePrometheus emits) into its family model — the inverse of
-// the ValidateExposition contract: any exposition ValidateExposition
-// accepts parses losslessly, and RenderExposition(ParseExposition(x))
-// reproduces x byte for byte for registry-rendered input. Samples with no
-// preceding # TYPE declaration, malformed label syntax, non-numeric values,
-// and a family named like a summary's _sum or _count line are errors.
+// dialect WritePrometheus emits) into its family model, and is the one
+// check that an exposition is well formed: every sample belongs to a
+// family declared by a # TYPE line (a summary's _sum and _count lines
+// included), family names are lowercase_snake, types are counter, gauge
+// or summary, and no family is declared twice. Samples with no preceding
+// # TYPE declaration, malformed label syntax, non-numeric values, and a
+// family named like a summary's _sum or _count line are errors.
+// RenderExposition(ParseExposition(x)) reproduces x byte for byte for
+// registry-rendered input.
 func ParseExposition(data []byte) ([]Family, error) {
 	var fams []Family
 	byName := make(map[string]int)
@@ -356,8 +359,8 @@ type scalarSeries struct {
 // (bucket increments commute) and _sum/_count add exactly. Family
 // metadata (help, type) comes from the first node exposing the family; a
 // same-named family with a conflicting type on a later node is skipped.
-// Output families are sorted by name and the result always passes
-// ValidateExposition.
+// Output families are sorted by name and the rendered result always
+// passes ParseExposition.
 func Federate(nodes []NodeExposition) []Family {
 	type agg struct {
 		typ       string

@@ -160,9 +160,13 @@ func TestRegistryExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	counts, err := ValidateExposition(buf.Bytes())
+	fams, err := ParseExposition(buf.Bytes())
 	if err != nil {
 		t.Fatalf("exposition not well formed: %v\n%s", err, out)
+	}
+	counts := make(map[string]int, len(fams))
+	for _, f := range fams {
+		counts[f.Name] = len(f.Samples)
 	}
 	for fam, want := range map[string]int{
 		"dms_test_total":      1,
@@ -263,7 +267,7 @@ func TestRegistryRace(t *testing.T) {
 		if err := r.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ValidateExposition(buf.Bytes()); err != nil {
+		if _, err := ParseExposition(buf.Bytes()); err != nil {
 			t.Fatalf("scrape %d not well formed: %v", i, err)
 		}
 	}
@@ -280,8 +284,8 @@ func TestValidateExpositionRejects(t *testing.T) {
 		"unknown type":   "# TYPE dms_x histogram2\ndms_x 1\n",
 		"malformed type": "# TYPE dms_x\n",
 	} {
-		if _, err := ValidateExposition([]byte(bad)); err == nil {
-			t.Errorf("%s: ValidateExposition accepted %q", name, bad)
+		if _, err := ParseExposition([]byte(bad)); err == nil {
+			t.Errorf("%s: ParseExposition accepted %q", name, bad)
 		}
 	}
 }

@@ -304,69 +304,3 @@ func ValidName(s string) bool {
 	}
 	return true
 }
-
-// ValidateExposition parses Prometheus text exposition and checks it is
-// well formed: every sample belongs to a declared # TYPE family (allowing
-// the _sum/_count suffixes and quantile label of summaries), names are
-// lowercase_snake, values parse as floats, and no family is declared
-// twice. It returns sample counts per family. Shared by the metricsz
-// contract tests.
-func ValidateExposition(data []byte) (map[string]int, error) {
-	families := make(map[string]string) // name → type
-	counts := make(map[string]int)
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimRight(line, "\r")
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				return nil, fmt.Errorf("line %d: malformed comment %q", ln+1, line)
-			}
-			if fields[1] == "TYPE" {
-				if len(fields) != 4 {
-					return nil, fmt.Errorf("line %d: malformed TYPE line %q", ln+1, line)
-				}
-				name, typ := fields[2], fields[3]
-				if _, dup := families[name]; dup {
-					return nil, fmt.Errorf("line %d: family %q declared twice", ln+1, name)
-				}
-				if typ != "counter" && typ != "gauge" && typ != "summary" {
-					return nil, fmt.Errorf("line %d: unknown type %q", ln+1, typ)
-				}
-				if !ValidName(name) {
-					return nil, fmt.Errorf("line %d: metric name %q not lowercase_snake", ln+1, name)
-				}
-				families[name] = typ
-			}
-			continue
-		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		fam := name
-		if _, ok := families[fam]; !ok {
-			for _, suffix := range []string{"_sum", "_count"} {
-				if base, found := strings.CutSuffix(name, suffix); found {
-					if families[base] == "summary" {
-						fam = base
-						break
-					}
-				}
-			}
-		}
-		typ, ok := families[fam]
-		if !ok {
-			return nil, fmt.Errorf("line %d: sample %q has no # TYPE declaration", ln+1, name)
-		}
-		_ = typ
-		val := line[strings.LastIndex(line, " ")+1:]
-		if _, err := strconv.ParseFloat(val, 64); err != nil {
-			return nil, fmt.Errorf("line %d: bad sample value %q: %v", ln+1, val, err)
-		}
-		counts[fam]++
-	}
-	return counts, nil
-}

@@ -149,7 +149,7 @@ func TestSLOBurnRates(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if _, err := ValidateExposition(buf.Bytes()); err != nil {
+	if _, err := ParseExposition(buf.Bytes()); err != nil {
 		t.Errorf("slo exposition invalid: %v", err)
 	}
 }
