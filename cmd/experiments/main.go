@@ -1,9 +1,10 @@
 // Command experiments regenerates the data behind every figure of the
-// fairDMS paper's evaluation (§III) and prints the series as text tables.
+// fairDMS paper's evaluation (§III) and the two §IV ablations (embedder
+// and label retrieval), and prints the series as text tables.
 //
 // Usage:
 //
-//	experiments [-fig all|2|6|7|8|9|10|11|12|13|14|15|16] [-full] [-seed N]
+//	experiments [-fig all|2|6|...|16|ablate-embed|ablate-retrieval] [-full] [-seed N]
 //
 // The default "quick" scale runs every figure in a few minutes on a laptop;
 // -full uses paper-sized parameters where feasible (larger patches, more
@@ -24,7 +25,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (2, 6-16, or all)")
+	fig := flag.String("fig", "all", "figure to regenerate (2, 6-16, ablate-embed, ablate-retrieval, or all)")
 	full := flag.Bool("full", false, "paper-scale parameters (slower)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	flag.Parse()
@@ -129,5 +130,11 @@ func main() {
 			cfg.Clusters = 10
 		}
 		return experiments.Fig16(cfg)
+	})
+	run("ablate-embed", func() (interface{ Table() string }, error) {
+		return experiments.EmbedAblation(experiments.EmbedAblationConfig{Seed: *seed})
+	})
+	run("ablate-retrieval", func() (interface{ Table() string }, error) {
+		return experiments.RetrievalAblation(experiments.RetrievalAblationConfig{Seed: *seed})
 	})
 }

@@ -185,18 +185,6 @@ func (km *KMeans) Predict(data [][]float64) []int {
 	return assign
 }
 
-// PredictOne returns the nearest center for a single sample and its
-// squared distance.
-func (km *KMeans) PredictOne(x []float64) (int, float64) {
-	best, bestK := math.Inf(1), 0
-	for k, c := range km.Centers {
-		if d := tensor.SquaredDistance(x, c); d < best {
-			best, bestK = d, k
-		}
-	}
-	return bestK, best
-}
-
 // K returns the number of clusters.
 func (km *KMeans) K() int { return len(km.Centers) }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fairdms/internal/tensor"
 )
 
 // blobs generates n points around each of the given centers with the given
@@ -76,6 +78,8 @@ func TestFitDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// TestPredictOneMatchesPredict holds Predict's batched assignment to the
+// one-sample definition: the nearest center, ties to the lower index.
 func TestPredictOneMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data, _ := blobs(rng, [][]float64{{0, 0}, {8, 8}}, 20, 0.4)
@@ -85,12 +89,14 @@ func TestPredictOneMatchesPredict(t *testing.T) {
 	}
 	batch := km.Predict(data)
 	for i, row := range data {
-		one, d := km.PredictOne(row)
-		if one != batch[i] {
-			t.Fatalf("sample %d: PredictOne %d != Predict %d", i, one, batch[i])
+		best, one := math.Inf(1), 0
+		for k, c := range km.Centers {
+			if d := tensor.SquaredDistance(row, c); d < best {
+				best, one = d, k
+			}
 		}
-		if d < 0 {
-			t.Fatal("negative squared distance")
+		if one != batch[i] {
+			t.Fatalf("sample %d: nearest center %d != Predict %d", i, one, batch[i])
 		}
 	}
 }

@@ -108,15 +108,6 @@ func New(ds Dataset, cfg Config) (*Loader, error) {
 	return &Loader{ds: ds, cfg: cfg}, nil
 }
 
-// Batches returns the number of batches per epoch.
-func (l *Loader) Batches() int {
-	n := l.ds.Len() / l.cfg.BatchSize
-	if !l.cfg.DropLast && l.ds.Len()%l.cfg.BatchSize != 0 {
-		n++
-	}
-	return n
-}
-
 // Epoch launches the worker pool for one epoch and returns a channel of
 // batches delivered in order. The caller must drain the channel (or read
 // until it sees an error) so the workers can exit; the channel closes when

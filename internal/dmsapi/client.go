@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"fairdms/internal/codec"
@@ -24,23 +23,17 @@ import (
 // requests share a handful of TCP streams, the docstore client-pool idea
 // applied to HTTP) and retries requests that failed at the transport
 // level — connection refused/reset, broken keep-alive — with linear
-// backoff, rotating through the WithSeeds fallback addresses when more
-// than one server is known. HTTP-level errors (4xx/5xx) are never
-// retried: the server answered, the answer was no. Note the retry
-// semantics for Ingest/AddModel: a response lost after the server
-// committed the write can surface a duplicate-side effect on retry; the
-// server's duplicate-ID rejection on AddModel makes that visible rather
-// than silent. Safe for concurrent use.
+// backoff. HTTP-level errors (4xx/5xx) are never retried: the server
+// answered, the answer was no. Note the retry semantics for
+// Ingest/AddModel: a response lost after the server committed the write
+// can surface a duplicate-side effect on retry; the server's duplicate-ID
+// rejection on AddModel makes that visible rather than silent. Safe for
+// concurrent use.
 type Client struct {
-	bases   []string // base URLs; cur indexes the currently preferred one
-	cur     atomic.Int32
+	base    string // "http://host:port"
 	hc      *http.Client
 	retries int
 	backoff time.Duration
-
-	sample  int
-	onTrace func(op string, dump obs.TraceDump)
-	nreq    atomic.Uint64
 }
 
 // NewClient builds a client for the server at addr ("host:port"),
@@ -52,19 +45,10 @@ func NewClient(addr string, opts ...Option) (*Client, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	bases := make([]string, 0, 1+len(o.seeds))
-	bases = append(bases, "http://"+addr)
-	for _, s := range o.seeds {
-		if s != "" && s != addr {
-			bases = append(bases, "http://"+s)
-		}
-	}
 	c := &Client{
-		bases:   bases,
+		base:    "http://" + addr,
 		retries: o.retries,
 		backoff: o.backoff,
-		sample:  o.traceSample,
-		onTrace: o.onTrace,
 		hc: &http.Client{
 			Timeout: o.timeout,
 			Transport: &http.Transport{
@@ -147,16 +131,6 @@ func (c *Client) Nearest(samples []*codec.Sample, distinct bool) ([]Match, error
 	var out NearestResponse
 	err := c.postJSON(PathNearest, NearestRequest{Samples: FromCodecSlice(samples), Distinct: distinct}, &out)
 	return out.Matches, err
-}
-
-// NearestExcluding is Nearest with an exclusion list of document IDs that
-// must not be matched, returning the full response (including the
-// cluster-mode Degraded flag).
-func (c *Client) NearestExcluding(ctx context.Context, samples []*codec.Sample, distinct bool, exclude []string) (NearestResponse, error) {
-	var out NearestResponse
-	err := c.DoJSON(ctx, "POST", PathNearest,
-		NearestRequest{Samples: FromCodecSlice(samples), Distinct: distinct, Exclude: exclude}, &out)
-	return out, err
 }
 
 // Fit explicitly fits the server's clustering model with k clusters on
@@ -396,34 +370,17 @@ func (c *Client) getJSON(path string, out any) error {
 }
 
 // doRetry performs one HTTP exchange, retrying transport-level failures
-// with linear backoff and rotating to the next seed address on each such
-// failure. The request body is a byte slice (not a stream) precisely so
-// each retry can resend it from the start. It returns the 2xx response
-// body — a fresh buffer each time, which decoded samples may alias — and
-// its Content-Type.
+// with linear backoff. The request body is a byte slice (not a stream)
+// precisely so each retry can resend it from the start. It returns the
+// 2xx response body — a fresh buffer each time, which decoded samples may
+// alias — and its Content-Type.
 //
-// Tracing takes one of two shapes:
-//   - joined: ctx already carries a trace (a router handling a traced
-//     request, or any caller inside an obs span). Round-trip spans open
-//     in that trace, and a sampled trace additionally sends the trace
-//     header and grafts the server's trailer tree back in.
-//   - sampled cadence: no trace in ctx, and this request is the Nth of
-//     the WithTraceSample cadence. A fresh client_request root is built
-//     and the merged dump goes to onTrace whatever the outcome, so failed
-//     exchanges are visible too (just without a server subtree).
+// When ctx carries a trace (a router handling a traced request, or any
+// caller inside an obs span), round-trip spans open in that trace, and a
+// sampled trace additionally sends the trace header and grafts the
+// server's trailer tree back in.
 func (c *Client) doRetry(ctx context.Context, method, path string, body Body, accept string) ([]byte, string, error) {
 	tr := obs.FromContext(ctx)
-	joined := tr != nil
-	if !joined && c.sample > 0 && c.onTrace != nil && c.nreq.Add(1)%uint64(c.sample) == 0 {
-		var root *obs.Span
-		tr = obs.NewTrace("", true)
-		ctx = obs.NewContext(ctx, tr)
-		ctx, root = obs.StartSpan(ctx, "client_request")
-		defer func() {
-			root.End()
-			c.onTrace(method+" "+path, tr.Dump())
-		}()
-	}
 	sampled := tr.Sampled()
 
 	var lastErr error
@@ -435,12 +392,11 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body Body, ac
 			case <-time.After(time.Duration(attempt) * c.backoff):
 			}
 		}
-		base := c.bases[int(c.cur.Load())%len(c.bases)]
 		var payload io.Reader
 		if body.Data != nil {
 			payload = bytes.NewReader(body.Data)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, base+path, payload)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, payload)
 		if err != nil {
 			return nil, "", err
 		}
@@ -458,7 +414,6 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body Body, ac
 		if err != nil {
 			att.End()
 			lastErr = err // transport-level: connection refused/reset, timeout
-			c.rotate()
 			continue
 		}
 		data, err := readSized(resp.Body, resp.ContentLength)
@@ -466,7 +421,6 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body Body, ac
 		att.End()
 		if err != nil {
 			lastErr = err // response truncated mid-stream
-			c.rotate()
 			continue
 		}
 		// Trailers are populated only once the body is fully consumed; a
@@ -483,12 +437,4 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body Body, ac
 		return data, resp.Header.Get("Content-Type"), nil
 	}
 	return nil, "", fmt.Errorf("dmsapi: %s %s failed after %d attempts: %w", method, path, c.retries+1, lastErr)
-}
-
-// rotate moves the preferred base to the next seed after a transport
-// failure (a no-op for single-address clients).
-func (c *Client) rotate() {
-	if len(c.bases) > 1 {
-		c.cur.Store((c.cur.Load() + 1) % int32(len(c.bases)))
-	}
 }

@@ -155,31 +155,3 @@ func TestNewClientOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestClientSeedFailover checks WithSeeds: a client dialed at a dead
-// address rotates to a live seed on the transport failure and the
-// request succeeds — the cluster-deployment story for surviving a dead
-// router.
-func TestClientSeedFailover(t *testing.T) {
-	srv, _ := startServer(t, ServerConfig{})
-	live := srv.Addr()
-
-	// 127.0.0.1:1 refuses connections immediately; WithoutPing defers the
-	// first contact to the request itself.
-	c, err := NewClient("127.0.0.1:1",
-		WithoutPing(),
-		WithSeeds(live),
-		WithRetry(2, time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	h, err := c.Health()
-	if err != nil {
-		t.Fatalf("seed failover did not recover the request: %v", err)
-	}
-	if h.Status == "" {
-		t.Fatal("failover health response is empty")
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,29 +15,19 @@ import (
 	"fairdms/internal/obs"
 )
 
-// traceSink collects sampled client traces keyed by "METHOD /path".
-type traceSink struct {
-	mu  sync.Mutex
-	got map[string][]obs.TraceDump
-}
-
-func (s *traceSink) add(op string, d obs.TraceDump) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.got == nil {
-		s.got = make(map[string][]obs.TraceDump)
+// traced posts in to path inside a sampled obs trace rooted at a
+// client_request span — the joined shape a router's shard call has — and
+// returns the trace, the server's span tree grafted under the round trip.
+func traced(t *testing.T, c *Client, path string, in, out any) obs.TraceDump {
+	t.Helper()
+	tr := obs.NewTrace("", true)
+	ctx, root := obs.StartSpan(obs.NewContext(context.Background(), tr), "client_request")
+	err := c.DoJSON(ctx, "POST", path, in, out)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.got[op] = append(s.got[op], d)
-}
-
-func (s *traceSink) last(op string) (obs.TraceDump, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ds := s.got[op]
-	if len(ds) == 0 {
-		return obs.TraceDump{}, false
-	}
-	return ds[len(ds)-1], true
+	return tr.Dump()
 }
 
 // spanIndex returns the index of the first span with the given name, or -1.
@@ -64,10 +53,10 @@ func hasAncestor(d obs.TraceDump, i, anc int) bool {
 
 // TestTraceSpansThreeTiers runs the full deployment shape — a docstore TCP
 // server, a dmsapi server using it through fairds.RemoteCollection, and a
-// sampling client — and checks that one sampled request comes back as a
-// single contiguous span tree: the client's spans, the server's grafted
-// under the round trip, and the fairds stage spans under the server's
-// request root.
+// client inside a sampled trace — and checks that one sampled request
+// comes back as a single contiguous span tree: the client's spans, the
+// server's grafted under the round trip, and the fairds stage spans under
+// the server's request root.
 func TestTraceSpansThreeTiers(t *testing.T) {
 	dsrv := docstore.NewServer(docstore.NewStore(), docstore.ServerConfig{})
 	daddr, err := dsrv.Listen("127.0.0.1:0")
@@ -85,28 +74,14 @@ func TestTraceSpansThreeTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _ := startServer(t, ServerConfig{DS: svc})
-	sink := &traceSink{}
-	client, err := NewClient(srv.Addr(), WithTraceSample(1, sink.add))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Close)
+	_, client := startServer(t, ServerConfig{DS: svc})
 
 	a, _ := twoRegimes(5, 24)
-	if _, err := client.Ingest("regime-a", a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Nearest(a[:3], false); err != nil {
-		t.Fatal(err)
-	}
+	ingest := traced(t, client, PathIngest, IngestRequest{Dataset: "regime-a", Samples: FromCodecSlice(a)}, &IngestResponse{})
+	nearest := traced(t, client, PathNearest, NearestRequest{Samples: FromCodecSlice(a[:3])}, &NearestResponse{})
 
 	// The ingest trace must reach the store round trip: the store_insert
 	// stage runs inside fairds but spans the docstore TCP exchange.
-	ingest, ok := sink.last("POST " + PathIngest)
-	if !ok {
-		t.Fatal("no trace sampled for ingest")
-	}
 	assertContiguous(t, "ingest", ingest)
 	for _, name := range []string{"client_request", "http_roundtrip", "request", "embed", "store_insert"} {
 		if spanIndex(ingest, name) < 0 {
@@ -114,10 +89,6 @@ func TestTraceSpansThreeTiers(t *testing.T) {
 		}
 	}
 
-	nearest, ok := sink.last("POST " + PathNearest)
-	if !ok {
-		t.Fatal("no trace sampled for nearest")
-	}
 	assertContiguous(t, "nearest", nearest)
 	// At least four named stages spanning client → server → fairds.
 	want := []string{"client_request", "http_roundtrip", "request", "embed"}

@@ -1,10 +1,6 @@
 package dmsapi
 
-import (
-	"time"
-
-	"fairdms/internal/obs"
-)
+import "time"
 
 // Option tunes a Client built by NewClient: options compose, keep the
 // defaults in one place, and extend without breaking call sites.
@@ -13,14 +9,11 @@ type Option func(*clientOptions)
 // clientOptions is the resolved option set; NewClient applies defaults
 // first, then the caller's options in order (later options win).
 type clientOptions struct {
-	retries     int
-	backoff     time.Duration
-	timeout     time.Duration
-	poolSize    int
-	traceSample int
-	onTrace     func(op string, dump obs.TraceDump)
-	seeds       []string
-	ping        bool
+	retries  int
+	backoff  time.Duration
+	timeout  time.Duration
+	poolSize int
+	ping     bool
 }
 
 func defaultOptions() clientOptions {
@@ -63,30 +56,6 @@ func WithPool(n int) Option {
 			o.poolSize = n
 		}
 	}
-}
-
-// WithTraceSample traces every nth request end to end: the client builds
-// a span tree around the exchange, asks the server for its span tree back
-// (X-Dms-Trace request header, span trailer on the response), and grafts
-// the server's tree under the round-trip span — one contiguous view from
-// client_request down to the fairds stages. onTrace receives each sampled
-// request's merged tree with op "METHOD /path"; it is called
-// synchronously on the requesting goroutine after the response is
-// consumed, so keep it cheap. n <= 0 or a nil onTrace disables sampling.
-func WithTraceSample(n int, onTrace func(op string, dump obs.TraceDump)) Option {
-	return func(o *clientOptions) {
-		o.traceSample = n
-		o.onTrace = onTrace
-	}
-}
-
-// WithSeeds adds fallback server addresses ("host:port"). The client
-// talks to one server at a time and rotates to the next seed on a
-// transport-level failure, so a cluster deployment can list every router
-// (or every shard of a replicated tier) and survive any one of them
-// dying. The dial address is always the first candidate.
-func WithSeeds(addrs ...string) Option {
-	return func(o *clientOptions) { o.seeds = append(o.seeds, addrs...) }
 }
 
 // WithoutPing skips the constructor's /healthz probe, letting a client be

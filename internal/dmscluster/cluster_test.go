@@ -260,8 +260,14 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 
 	// Nearest, plain and distinct: per-position distances equal (document
 	// IDs live in different namespaces, so distance is the comparable).
+	refNearest := func(samples []*codec.Sample, distinct bool, exclude []string) (dmsapi.NearestResponse, error) {
+		var out dmsapi.NearestResponse
+		err := ref.DoJSON(ctx, "POST", dmsapi.PathNearest,
+			dmsapi.NearestRequest{Samples: dmsapi.FromCodecSlice(samples), Distinct: distinct, Exclude: exclude}, &out)
+		return out, err
+	}
 	for _, distinct := range []bool{false, true} {
-		singleNear, err := ref.NearestExcluding(ctx, queries, distinct, nil)
+		singleNear, err := refNearest(queries, distinct, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +301,7 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 	// Exclusion predicates travel the wire: excluding each side's best
 	// match for a query yields the same next-best distance.
 	q0 := queries[:1]
-	singleBest, err := ref.NearestExcluding(ctx, q0, false, nil)
+	singleBest, err := refNearest(q0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +309,7 @@ func TestClusterMergeEqualsSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleNext, err := ref.NearestExcluding(ctx, q0, false, []string{singleBest.Matches[0].DocID})
+	singleNext, err := refNearest(q0, false, []string{singleBest.Matches[0].DocID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,8 +689,8 @@ func TestClusterTrainRouting(t *testing.T) {
 }
 
 // TestRouterFourTierTrace checks end-to-end trace propagation through
-// the standalone router: a sampled client request produces ONE
-// contiguous span tree covering client → router → every shard.
+// the standalone router: a client request inside a sampled trace produces
+// ONE contiguous span tree covering client → router → every shard.
 func TestRouterFourTierTrace(t *testing.T) {
 	ctx := context.Background()
 	cluster, _ := startCluster(t, 2, dmscluster.Config{BootstrapK: 3, Seed: 1, ProbeInterval: -1})
@@ -699,13 +705,7 @@ func TestRouterFourTierTrace(t *testing.T) {
 		router.Shutdown(sctx)
 	})
 
-	var mu sync.Mutex
-	var dumps []obs.TraceDump
-	client, err := dmsapi.NewClient(addr, dmsapi.WithTraceSample(1, func(op string, d obs.TraceDump) {
-		mu.Lock()
-		dumps = append(dumps, d)
-		mu.Unlock()
-	}))
+	client, err := dmsapi.NewClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,17 +716,15 @@ func TestRouterFourTierTrace(t *testing.T) {
 		t.Fatalf("ingest through router: err=%v, doc errors=%v", err, resp.Errors)
 	}
 	// A fan-out read: certainty and pdf ask one shard only.
-	if _, err := client.Nearest(corpus[40:48], false); err != nil {
+	tr := obs.NewTrace("", true)
+	tctx, root := obs.StartSpan(obs.NewContext(ctx, tr), "client_request")
+	err = client.DoJSON(tctx, "POST", dmsapi.PathNearest,
+		dmsapi.NearestRequest{Samples: dmsapi.FromCodecSlice(corpus[40:48])}, &dmsapi.NearestResponse{})
+	root.End()
+	if err != nil {
 		t.Fatal(err)
 	}
-	_ = ctx
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(dumps) == 0 {
-		t.Fatal("no trace dumps collected")
-	}
-	d := dumps[len(dumps)-1] // the nearest request
+	d := tr.Dump() // the nearest request
 
 	// Contiguity: exactly one root, every parent index in range.
 	roots := 0

@@ -70,11 +70,6 @@ func NewRing(n, vnodes int) *Ring {
 // N returns the shard count.
 func (r *Ring) N() int { return r.n }
 
-// Owner returns the shard index owning key.
-func (r *Ring) Owner(key string) int {
-	return r.owner[r.find(hash64(key))]
-}
-
 // Successors returns the distinct shard indices encountered walking the
 // ring clockwise from key's position: the owner first, then each
 // fail-open fallback in preference order. Always length N.

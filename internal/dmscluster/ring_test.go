@@ -13,8 +13,8 @@ func TestRingDeterminism(t *testing.T) {
 	b := NewRing(5, 0)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("doc-%d", i)
-		if a.Owner(key) != b.Owner(key) {
-			t.Fatalf("key %q owner differs across identical rings: %d vs %d", key, a.Owner(key), b.Owner(key))
+		if a.Successors(key)[0] != b.Successors(key)[0] {
+			t.Fatalf("key %q owner differs across identical rings: %d vs %d", key, a.Successors(key)[0], b.Successors(key)[0])
 		}
 	}
 }
@@ -26,7 +26,7 @@ func TestRingDistribution(t *testing.T) {
 	r := NewRing(n, 0)
 	counts := make([]int, n)
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("doc-%d", i))]++
+		counts[r.Successors(fmt.Sprintf("doc-%d", i))[0]]++
 	}
 	fair := keys / n
 	for shard, c := range counts {
@@ -48,8 +48,8 @@ func TestRingSuccessors(t *testing.T) {
 		if len(succ) != n {
 			t.Fatalf("key %q: successor list has %d entries, want %d", key, len(succ), n)
 		}
-		if succ[0] != r.Owner(key) {
-			t.Fatalf("key %q: successors start at %d, owner is %d", key, succ[0], r.Owner(key))
+		if owner := r.owner[r.find(hash64(key))]; succ[0] != owner {
+			t.Fatalf("key %q: successors start at %d, owner is %d", key, succ[0], owner)
 		}
 		seen := make(map[int]bool)
 		for _, s := range succ {

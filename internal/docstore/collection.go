@@ -111,9 +111,6 @@ func (c *Collection) shardFor(id string) *shard {
 	return c.shards[c.shardIndexFor(id)]
 }
 
-// NumShards reports the stripe count.
-func (c *Collection) NumShards() int { return len(c.shards) }
-
 // forEachShard runs fn once per shard, in parallel when the collection has
 // more than one stripe. fn receives the shard index and must do its own
 // locking.

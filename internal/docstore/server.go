@@ -87,13 +87,6 @@ func (s *Server) Listen(addr string) (string, error) {
 // Requests reports how many requests have been served.
 func (s *Server) Requests() int64 { return s.served.Load() }
 
-// OpenConns reports how many client connections are currently live.
-func (s *Server) OpenConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 // PeakConns reports the highest number of simultaneously live client
 // connections seen since the server started — the observable a client
 // pool-size cap is asserted against.

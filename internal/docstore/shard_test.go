@@ -14,11 +14,11 @@ func TestShardCountIsPowerOfTwo(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
 		c := newCollectionShards("x", want.ask)
-		if c.NumShards() != want.got {
-			t.Fatalf("shards(%d) = %d, want %d", want.ask, c.NumShards(), want.got)
+		if len(c.shards) != want.got {
+			t.Fatalf("shards(%d) = %d, want %d", want.ask, len(c.shards), want.got)
 		}
 	}
-	if n := newCollection("x").NumShards(); n&(n-1) != 0 || n < 1 {
+	if n := len(newCollection("x").shards); n&(n-1) != 0 || n < 1 {
 		t.Fatalf("default shard count %d is not a power of two", n)
 	}
 }

@@ -20,7 +20,6 @@ func TestEmbedConcurrentUse(t *testing.T) {
 	aug := ImageAugmenter{H: 1, W: in, Noise: 0.01}.View
 	embedders := map[string]Embedder{
 		"autoencoder": NewAutoencoder(rng, in, hidden, dim),
-		"simclr":      NewSimCLR(rng, in, hidden, dim, dim, aug, 0.5),
 		"byol":        NewBYOL(rng, in, hidden, dim, aug, 0.99),
 		"scaled":      Scaled{E: NewAutoencoder(rng, in, hidden, dim), Factor: 0.5},
 	}

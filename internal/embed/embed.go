@@ -2,11 +2,10 @@
 // the heart of fairDS (paper §II-A, §II-C): an Embedder turns bulky detector
 // images into compact feature vectors such that semantically similar images
 // land close together, enabling cluster-based retrieval of similar labeled
-// data. Three built-in methods mirror the paper's menu:
+// data. Two built-in methods mirror the paper's menu:
 //
 //   - Autoencoder — reconstruction bottleneck. Sensitive to pixel-wise
 //     differences; the paper reports it fails on rotated Bragg peaks (§IV).
-//   - SimCLR — contrastive NT-Xent over augmented view pairs.
 //   - BYOL — bootstrap-your-own-latent with an EMA target network; trained
 //     to be invariant to physics-inspired augmentations (rotations, flips,
 //     noise), which fixed the Bragg indexing failure in the paper.
@@ -247,105 +246,6 @@ func (a *Autoencoder) Train(x *tensor.Tensor, cfg TrainConfig) []float64 {
 			opt.Step()
 			total += loss
 			batches++
-		}
-		losses = append(losses, total/float64(batches))
-	}
-	return losses
-}
-
-// ---------------------------------------------------------------------------
-// SimCLR
-
-// SimCLR learns embeddings contrastively: two augmented views of each image
-// must agree (NT-Xent) against all other batch members as negatives.
-type SimCLR struct {
-	enc  *nn.Model // backbone: input → dim (the embedding)
-	proj *nn.Model // projection head: dim → projDim (loss space)
-	aug  Augment
-	dim  int
-	temp float64
-}
-
-// NewSimCLR builds a SimCLR embedder with the given augmentation policy.
-func NewSimCLR(rng *rand.Rand, in, hidden, dim, projDim int, aug Augment, temperature float64) *SimCLR {
-	if temperature <= 0 {
-		temperature = 0.5
-	}
-	return &SimCLR{
-		enc: nn.Sequential(
-			nn.NewLinear(rng, in, hidden), nn.NewReLU(),
-			nn.NewLinear(rng, hidden, dim), nn.NewTanh(),
-		),
-		proj: nn.Sequential(
-			nn.NewLinear(rng, dim, projDim), nn.NewReLU(),
-			nn.NewLinear(rng, projDim, projDim),
-		),
-		aug: aug, dim: dim, temp: temperature,
-	}
-}
-
-// Dim returns the embedding dimensionality.
-func (s *SimCLR) Dim() int { return s.dim }
-
-// Embed returns backbone outputs (projection head is training-only, as in
-// the original method).
-func (s *SimCLR) Embed(x *tensor.Tensor) *tensor.Tensor {
-	return s.enc.Forward(x, false)
-}
-
-// Train minimizes NT-Xent over view pairs and returns per-epoch losses.
-// Both views pass through the network as one concatenated batch so a single
-// forward/backward updates shared weights.
-func (s *SimCLR) Train(x *tensor.Tensor, cfg TrainConfig) []float64 {
-	cfg.defaults(x.Dim(0))
-	params := append(s.enc.Params(), s.proj.Params()...)
-	opt := nn.NewAdam(params, cfg.LR)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := x.Dim(0)
-	perm := rng.Perm(n)
-	var losses []float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		total, batches := 0.0, 0
-		for lo := 0; lo < n; lo += cfg.BatchSize {
-			hi := min(lo+cfg.BatchSize, n)
-			if hi-lo < 2 {
-				continue // NT-Xent needs at least one negative
-			}
-			bx := nn.Gather(x, perm[lo:hi])
-			b := bx.Dim(0)
-			va := makeViews(rng, bx, s.aug)
-			vb := makeViews(rng, bx, s.aug)
-			// Concatenate views: rows [0,b) are view A, [b,2b) view B.
-			cat := tensor.New(2*b, bx.Dim(1))
-			for i := 0; i < b; i++ {
-				copy(cat.Row(i), va.Row(i))
-				copy(cat.Row(b+i), vb.Row(i))
-			}
-			opt.ZeroGrad()
-			h := s.enc.Forward(cat, true)
-			z := s.proj.Forward(h, true)
-			za := tensor.New(b, z.Dim(1))
-			zb := tensor.New(b, z.Dim(1))
-			for i := 0; i < b; i++ {
-				copy(za.Row(i), z.Row(i))
-				copy(zb.Row(i), z.Row(b+i))
-			}
-			loss, ga, gb := nn.NTXent(za, zb, s.temp)
-			gz := tensor.New(2*b, z.Dim(1))
-			for i := 0; i < b; i++ {
-				copy(gz.Row(i), ga.Row(i))
-				copy(gz.Row(b+i), gb.Row(i))
-			}
-			gh := s.proj.Backward(gz)
-			s.enc.Backward(gh)
-			opt.Step()
-			total += loss
-			batches++
-		}
-		if batches == 0 {
-			losses = append(losses, math.NaN())
-			continue
 		}
 		losses = append(losses, total/float64(batches))
 	}

@@ -78,21 +78,6 @@ func TestAutoencoderTrainsAndSeparatesRegimes(t *testing.T) {
 	}
 }
 
-func TestSimCLRTrainsAndSeparatesRegimes(t *testing.T) {
-	x, labels := twoRegimeData(t, 32, 4)
-	rng := rand.New(rand.NewSource(5))
-	aug := ImageAugmenter{H: 11, W: 11, Noise: 0.1, ScaleRange: 0.1}
-	s := NewSimCLR(rng, x.Dim(1), 64, 8, 16, aug.View, 0.5)
-	losses := s.Train(x, TrainConfig{Epochs: 15, BatchSize: 16, LR: 1e-3, Seed: 6})
-	if losses[len(losses)-1] >= losses[0] {
-		t.Fatalf("SimCLR loss did not fall: %g -> %g", losses[0], losses[len(losses)-1])
-	}
-	z := EmbedRows(s, x)
-	if sep := separation(z, labels); sep < 1.1 {
-		t.Fatalf("SimCLR separation %g, want > 1.1", sep)
-	}
-}
-
 func TestBYOLTrainsAndSeparatesRegimes(t *testing.T) {
 	x, labels := twoRegimeData(t, 32, 7)
 	rng := rand.New(rand.NewSource(8))

@@ -88,35 +88,6 @@ func (r *ErrJSDResult) MeanCorrelation() float64 {
 	return stats.Mean(rs)
 }
 
-// BestIsAccurate reports the fraction of test datasets where the
-// JSD-closest model is also within the top-2 most accurate — the property
-// that makes fairMS's ranking useful.
-func (r *ErrJSDResult) BestIsAccurate() float64 {
-	hits := 0
-	for _, s := range r.Series {
-		bestJSD, bestErr := 0, 0
-		for i, p := range s.Points {
-			if p.JSD < s.Points[bestJSD].JSD {
-				bestJSD = i
-			}
-			if p.Error < s.Points[bestErr].Error {
-				bestErr = i
-			}
-		}
-		// Rank of the JSD-best model by error.
-		rank := 0
-		for _, p := range s.Points {
-			if p.Error < s.Points[bestJSD].Error {
-				rank++
-			}
-		}
-		if rank <= 1 {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(r.Series))
-}
-
 // ErrVsJSD builds the drifting sequence, trains one model per early
 // dataset, then scores every model against each late (held-out) dataset.
 func ErrVsJSD(cfg ErrJSDConfig) (*ErrJSDResult, error) {

@@ -646,14 +646,8 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 // DatasetSamples fetches and decodes every stored sample ingested under
 // the given dataset tag — the selector the server-side trainer resolves a
 // "train on scan X" job against without the samples crossing the wire
-// again.
-func (s *Service) DatasetSamples(dataset string) ([]*codec.Sample, error) {
-	return s.DatasetSamplesContext(context.Background(), dataset)
-}
-
-// DatasetSamplesContext is DatasetSamples with trace-span stages
-// (store_scan, decode) — the trainer's data-resolution path.
-func (s *Service) DatasetSamplesContext(ctx context.Context, dataset string) ([]*codec.Sample, error) {
+// again. The fetch and the decode are the store_scan and decode spans.
+func (s *Service) DatasetSamples(ctx context.Context, dataset string) ([]*codec.Sample, error) {
 	if dataset == "" {
 		return nil, errors.New("fairds: empty dataset tag")
 	}

@@ -385,17 +385,6 @@ func (z *Zoo) Recommend(input stats.PDF) (*Ranked, error) {
 	return &best, nil
 }
 
-// RecommendWithThreshold applies the paper's distance threshold: it returns
-// (recommendation, true) when the best model's JSD is within maxJSD, and
-// (nil, false) when the caller should train from scratch instead.
-func (z *Zoo) RecommendWithThreshold(input stats.PDF, maxJSD float64) (*Ranked, bool) {
-	best, ok, err := z.BestFit("", input)
-	if err != nil || !ok || best.JSD > maxJSD {
-		return nil, false
-	}
-	return &best, true
-}
-
 // BestMedianWorst returns the best, median, and worst ranked models for an
 // input PDF — the FineTune-B/M/W comparison of Figs. 13–14.
 func (z *Zoo) BestMedianWorst(input stats.PDF) (best, median, worst *Ranked, err error) {

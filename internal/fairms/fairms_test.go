@@ -147,17 +147,21 @@ func TestRecommendEmptyZoo(t *testing.T) {
 	}
 }
 
+// TestRecommendWithThreshold runs the paper's distance threshold the way
+// the trainer applies MaxJSD: warm-start from BestFit's model only when
+// its JSD is within the threshold.
 func TestRecommendWithThreshold(t *testing.T) {
 	z := NewZoo()
 	z.Add("far", dummyState(1), stats.PDF{0.02, 0.98}, nil)
 	// Query nearly disjoint from the only model.
-	if _, ok := z.RecommendWithThreshold(stats.PDF{0.98, 0.02}, 0.1); ok {
-		t.Fatal("threshold should have rejected the distant model")
+	q := stats.PDF{0.98, 0.02}
+	if rec, ok, err := z.BestFit("", q); err != nil || !ok || rec.JSD <= 0.1 {
+		t.Fatalf("threshold should have rejected the distant model: %+v ok=%v err=%v", rec, ok, err)
 	}
 	z.Add("near", dummyState(2), stats.PDF{0.9, 0.1}, nil)
-	rec, ok := z.RecommendWithThreshold(stats.PDF{0.98, 0.02}, 0.1)
-	if !ok || rec.Record.ID != "near" {
-		t.Fatalf("rec = %+v ok = %v", rec, ok)
+	rec, ok, err := z.BestFit("", q)
+	if err != nil || !ok || rec.JSD > 0.1 || rec.Record.ID != "near" {
+		t.Fatalf("rec = %+v ok = %v err = %v", rec, ok, err)
 	}
 }
 

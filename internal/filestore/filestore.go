@@ -93,21 +93,6 @@ func (s *Store) Append(sample *codec.Sample) (int, error) {
 	return idx, nil
 }
 
-// AppendAll writes samples in order, returning the index of the first.
-func (s *Store) AppendAll(samples []*codec.Sample) (int, error) {
-	first := -1
-	for _, smp := range samples {
-		idx, err := s.Append(smp)
-		if err != nil {
-			return first, err
-		}
-		if first < 0 {
-			first = idx
-		}
-	}
-	return first, nil
-}
-
 // Get reads sample i. Concurrent Gets are safe and parallel.
 func (s *Store) Get(i int) (*codec.Sample, error) {
 	if i < 0 || i >= s.Len() {

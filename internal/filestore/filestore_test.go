@@ -46,8 +46,10 @@ func TestOpenExistingStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendAll([]*codec.Sample{sample(1), sample(2)}); err != nil {
-		t.Fatal(err)
+	for _, smp := range []*codec.Sample{sample(1), sample(2)} {
+		if _, err := s.Append(smp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2, err := Open(dir)
 	if err != nil {

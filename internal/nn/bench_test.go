@@ -46,16 +46,6 @@ func BenchmarkForwardBackwardBraggLike(b *testing.B) {
 	}
 }
 
-func BenchmarkNTXent(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	za := tensor.Randn(rng, 1, 32, 16)
-	zb := tensor.Randn(rng, 1, 32, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NTXent(za, zb, 0.5)
-	}
-}
-
 func BenchmarkStateDictRoundTrip(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	m := braggLikeNet(rng)

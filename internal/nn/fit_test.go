@@ -12,7 +12,7 @@ import (
 // serialFit is the reference Fit is held to: one forward, one loss and one
 // backward over each whole mini-batch, on the model, through the exported
 // Forward and Backward — the loop Fit ran before it cut steps into blocks.
-func serialFit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, epochs, batch int, seed int64) (trainLoss, valLoss []float64) {
+func serialFit(model *Model, opt *Adam, x, y, valX, valY *tensor.Tensor, epochs, batch int, seed int64) (trainLoss, valLoss []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := x.Dim(0)
 	perm := make([]int, n)

@@ -32,7 +32,7 @@ func hookFixture(seed int64) (model *Model, x, y *tensor.Tensor) {
 func TestFitHookParity(t *testing.T) {
 	base, x, y := hookFixture(7)
 	cfg := TrainConfig{Epochs: 12, BatchSize: 16, Seed: 3}
-	ref := Fit(base, NewSGD(base.Params(), 0.05, 0, 0), x, y, x, y, cfg)
+	ref := Fit(base, NewAdam(base.Params(), 0.05), x, y, x, y, cfg)
 
 	hooked, _, _ := hookFixture(7)
 	var epochs []int
@@ -41,7 +41,7 @@ func TestFitHookParity(t *testing.T) {
 		return true
 	}
 	cfg.Stop = func() bool { return false }
-	got := Fit(hooked, NewSGD(hooked.Params(), 0.05, 0, 0), x, y, x, y, cfg)
+	got := Fit(hooked, NewAdam(hooked.Params(), 0.05), x, y, x, y, cfg)
 
 	if got.Epochs != ref.Epochs || got.Converged != ref.Converged || got.Stopped {
 		t.Fatalf("hooked run diverged: got %+v want %+v", got, ref)
@@ -65,7 +65,7 @@ func TestFitHookParity(t *testing.T) {
 // TestFitOnEpochStops asserts a false return ends training after that epoch.
 func TestFitOnEpochStops(t *testing.T) {
 	model, x, y := hookFixture(11)
-	res := Fit(model, NewSGD(model.Params(), 0.05, 0, 0), x, y, x, y, TrainConfig{
+	res := Fit(model, NewAdam(model.Params(), 0.05), x, y, x, y, TrainConfig{
 		Epochs: 50, BatchSize: 16, Seed: 3,
 		OnEpoch: func(epoch int, _, _ float64) bool { return epoch < 4 },
 	})
@@ -82,7 +82,7 @@ func TestFitOnEpochStops(t *testing.T) {
 func TestFitStopAbortsMidEpoch(t *testing.T) {
 	model, x, y := hookFixture(13)
 	calls := 0
-	res := Fit(model, NewSGD(model.Params(), 0.05, 0, 0), x, y, x, y, TrainConfig{
+	res := Fit(model, NewAdam(model.Params(), 0.05), x, y, x, y, TrainConfig{
 		Epochs: 50, BatchSize: 8, Seed: 3,
 		Stop: func() bool { calls++; return calls > 10 }, // trips mid-epoch 2 (8 batches/epoch)
 	})

@@ -1,5 +1,5 @@
 // Package nn is a compact neural-network library over the tensor substrate:
-// layers with hand-written backpropagation, losses, and optimizers. It stands
+// layers with hand-written backpropagation, the MSE loss and Adam. It stands
 // in for the PyTorch stack the fairDMS paper trains BraggNN, CookieNetAE,
 // and the self-supervised embedding models with.
 //
@@ -222,15 +222,6 @@ func (m *Model) ZeroGrad() {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
-}
-
-// NumParams returns the total number of scalar parameters.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.Len()
-	}
-	return n
 }
 
 // heInit fills w with Kaiming-He normal initialization for fanIn inputs.

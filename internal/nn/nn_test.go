@@ -221,93 +221,6 @@ func TestMSEKnownValue(t *testing.T) {
 	}
 }
 
-func TestBCEGradientNumeric(t *testing.T) {
-	pred := tensor.FromSlice([]float64{0.3, 0.8, 0.5}, 1, 3)
-	target := tensor.FromSlice([]float64{0, 1, 1}, 1, 3)
-	_, grad := BCE(pred, target)
-	pd := pred.Data()
-	for i := range pd {
-		want := numericGrad(func() float64 {
-			l, _ := BCE(pred, target)
-			return l
-		}, &pd[i])
-		if math.Abs(want-grad.Data()[i]) > 1e-5 {
-			t.Fatalf("BCE grad[%d] = %g, numeric %g", i, grad.Data()[i], want)
-		}
-	}
-}
-
-func TestL1GradientSigns(t *testing.T) {
-	pred := tensor.FromSlice([]float64{2, -3}, 1, 2)
-	target := tensor.FromSlice([]float64{0, 0}, 1, 2)
-	loss, grad := L1(pred, target)
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("L1 = %g, want 2.5", loss)
-	}
-	if grad.At(0, 0) <= 0 || grad.At(0, 1) >= 0 {
-		t.Fatalf("L1 grad signs wrong: %v", grad.Data())
-	}
-}
-
-func TestNTXentGradientNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	za := tensor.Randn(rng, 1, 3, 4)
-	zb := tensor.Randn(rng, 1, 3, 4)
-	_, ga, gb := NTXent(za, zb, 0.5)
-
-	zad := za.Data()
-	for i := 0; i < len(zad); i += 3 {
-		want := numericGrad(func() float64 {
-			l, _, _ := NTXent(za, zb, 0.5)
-			return l
-		}, &zad[i])
-		if math.Abs(want-ga.Data()[i]) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("NTXent ga[%d] = %g, numeric %g", i, ga.Data()[i], want)
-		}
-	}
-	zbd := zb.Data()
-	for i := 0; i < len(zbd); i += 3 {
-		want := numericGrad(func() float64 {
-			l, _, _ := NTXent(za, zb, 0.5)
-			return l
-		}, &zbd[i])
-		if math.Abs(want-gb.Data()[i]) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("NTXent gb[%d] = %g, numeric %g", i, gb.Data()[i], want)
-		}
-	}
-}
-
-func TestNTXentPositivePairsReduceLoss(t *testing.T) {
-	// Identical views should yield lower loss than random views.
-	rng := rand.New(rand.NewSource(10))
-	z := tensor.Randn(rng, 1, 8, 6)
-	same, _, _ := NTXent(z, z.Clone(), 0.5)
-	other := tensor.Randn(rng, 1, 8, 6)
-	diff, _, _ := NTXent(z, other, 0.5)
-	if same >= diff {
-		t.Fatalf("loss(identical views) %g >= loss(random views) %g", same, diff)
-	}
-}
-
-func TestSGDReducesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	model := Sequential(NewLinear(rng, 2, 8), NewTanh(), NewLinear(rng, 8, 1))
-	opt := NewSGD(model.Params(), 0.1, 0.9, 0)
-
-	// Learn y = x0 + x1.
-	x := tensor.Randn(rng, 1, 64, 2)
-	y := tensor.New(64, 1)
-	for i := 0; i < 64; i++ {
-		y.Set(x.At(i, 0)+x.At(i, 1), i, 0)
-	}
-	first := Evaluate(model, x, y, MSE)
-	res := Fit(model, opt, x, y, x, y, TrainConfig{Epochs: 60, BatchSize: 16, Seed: 1})
-	last := res.ValLoss[len(res.ValLoss)-1]
-	if last >= first/10 {
-		t.Fatalf("SGD did not learn: %g -> %g", first, last)
-	}
-}
-
 func TestAdamReducesLossFasterThanNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	model := Sequential(NewLinear(rng, 3, 16), NewReLU(), NewLinear(rng, 16, 1))
@@ -347,7 +260,7 @@ func TestFitPatienceStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	model := Sequential(NewLinear(rng, 2, 1))
 	// Zero learning rate: no improvement, so patience must fire.
-	opt := NewSGD(model.Params(), 0, 0, 0)
+	opt := NewAdam(model.Params(), 0)
 	x := tensor.Randn(rng, 1, 16, 2)
 	y := tensor.Randn(rng, 1, 16, 1)
 	res := Fit(model, opt, x, y, x, y, TrainConfig{Epochs: 100, BatchSize: 4, Patience: 3, Seed: 4})
@@ -447,13 +360,5 @@ func TestGatherRows(t *testing.T) {
 	b := Gather(x, []int{2, 0})
 	if b.At(0, 0) != 5 || b.At(1, 1) != 2 {
 		t.Fatalf("Gather = %v", b.Data())
-	}
-}
-
-func TestNumParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	m := Sequential(NewLinear(rng, 3, 4)) // 3*4 weights + 4 biases
-	if n := m.NumParams(); n != 16 {
-		t.Fatalf("NumParams = %d, want 16", n)
 	}
 }

@@ -7,63 +7,6 @@ import (
 	"fairdms/internal/tensor"
 )
 
-// Optimizer updates model parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched.
-	Step()
-	// ZeroGrad clears all tracked gradients.
-	ZeroGrad()
-	// SetLR changes the learning rate (fine-tuning uses a smaller one).
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight decay.
-type SGD struct {
-	params   []*Param
-	lr       float64
-	momentum float64
-	decay    float64
-	velocity []*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*Param, lr, momentum, weightDecay float64) *SGD {
-	v := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		v[i] = tensor.New(p.Value.Shape()...)
-	}
-	return &SGD{params: params, lr: lr, momentum: momentum, decay: weightDecay, velocity: v}
-}
-
-// Step applies v = μv - lr·(g + λw); w += v.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		vd := s.velocity[i].Data()
-		wd := p.Value.Data()
-		gd := p.Grad.Data()
-		for j := range wd {
-			g := gd[j] + float64(s.decay*wd[j])
-			vd[j] = float64(s.momentum*vd[j]) - float64(s.lr*g)
-			wd[j] += vd[j]
-		}
-	}
-}
-
-// ZeroGrad clears all parameter gradients.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// SetLR changes the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR reports the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	params []*Param
@@ -118,9 +61,3 @@ func (a *Adam) ZeroGrad() {
 		p.ZeroGrad()
 	}
 }
-
-// SetLR changes the learning rate.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR reports the current learning rate.
-func (a *Adam) LR() float64 { return a.lr }

@@ -20,7 +20,7 @@ type TrainConfig struct {
 	ClipNorm   float64 // gradient clipping threshold (0 disables)
 	Seed       int64   // shuffling seed
 	// Loss (default MSE) must be a row mean — the mean over the batch's
-	// rows of a per-row loss, as MSE, BCE and L1 are: Fit splits a batch
+	// rows of a per-row loss, as MSE is: Fit splits a batch
 	// into row blocks and weights each block's loss and gradient by its
 	// share of the rows, which adds up to the batch's only for a row mean.
 	Loss LossFunc
@@ -91,7 +91,7 @@ func GatherInto(dst, x *tensor.Tensor, rows []int) *tensor.Tensor {
 // after a fit are the same bytes at any GOMAXPROCS. A Dropout draws from
 // its own generator in block 0 and, in every other block, from a generator
 // seeded from that one on the caller before the fork.
-func Fit(model *Model, opt Optimizer, x, y, valX, valY *tensor.Tensor, cfg TrainConfig) *TrainResult {
+func Fit(model *Model, opt *Adam, x, y, valX, valY *tensor.Tensor, cfg TrainConfig) *TrainResult {
 	if cfg.Loss == nil {
 		cfg.Loss = MSE
 	}

@@ -138,6 +138,20 @@ func TestDumpEncodeDecodeGraft(t *testing.T) {
 	if _, ok := DecodeDump("{not json"); ok {
 		t.Error("malformed dump decoded")
 	}
+
+	// A remote span naming itself or a later span as parent is re-rooted
+	// under at, as an out-of-range parent is, not grafted as a cycle.
+	hostile, ok := DecodeDump(`{"spans":[{"name":"a","parent":0},{"name":"b","parent":2},{"name":"c","parent":1}]}`)
+	if !ok {
+		t.Fatal("hostile dump did not decode")
+	}
+	one := TraceDump{Spans: []SpanDump{{Name: "root", Parent: -1}}}
+	got := Graft(one, 0, hostile)
+	for i, want := range []int{-1, 0, 0, 2} {
+		if got.Spans[i].Parent != want {
+			t.Errorf("span %d (%s) parent = %d, want %d", i, got.Spans[i].Name, got.Spans[i].Parent, want)
+		}
+	}
 }
 
 func TestRegistryExposition(t *testing.T) {

@@ -290,9 +290,12 @@ func (d TraceDump) SpanNames() []string {
 // the remote tree sits inside the local parent's timeline. It is how the
 // client merges the server's trailer dump under its own round-trip span
 // to produce one contiguous tree. An at of -1 keeps remote roots as
-// roots.
+// roots. A remote span whose parent is not an earlier remote span — out
+// of range, itself or a later one, none of which a Trace dumps — counts
+// as a root too, so a hostile trailer cannot graft a cycle: every parent
+// in the result is -1 or an earlier index, provided local's are.
 func Graft(local TraceDump, at int, remote TraceDump) TraceDump {
-	if at >= len(local.Spans) {
+	if at < 0 || at >= len(local.Spans) {
 		at = -1
 	}
 	base := len(local.Spans)
@@ -303,7 +306,7 @@ func Graft(local TraceDump, at int, remote TraceDump) TraceDump {
 	out := local
 	out.Spans = append(out.Spans[:len(out.Spans):len(out.Spans)], make([]SpanDump, len(remote.Spans))...)
 	for i, sp := range remote.Spans {
-		if sp.Parent >= 0 && sp.Parent < len(remote.Spans) {
+		if sp.Parent >= 0 && sp.Parent < i {
 			sp.Parent += base
 		} else {
 			sp.Parent = at

@@ -11,12 +11,7 @@
 // §III-H comparison tables.
 package simcluster
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"time"
-)
+import "time"
 
 // Platform is a named pool of cores.
 type Platform struct {
@@ -55,52 +50,4 @@ func MeasurePerTask(task func(), n int) time.Duration {
 		task()
 	}
 	return time.Since(start) / time.Duration(n)
-}
-
-// RunParallel executes tasks on up to workers goroutines (default: host
-// cores) and returns the elapsed wall time. It is the honest local
-// execution path used when the task count is small enough to run for real.
-func RunParallel(tasks []func(), workers int) time.Duration {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	start := time.Now()
-	ch := make(chan func())
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range ch {
-				t()
-			}
-		}()
-	}
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
-	wg.Wait()
-	return time.Since(start)
-}
-
-// Extrapolation reports a calibrated estimate for one platform.
-type Extrapolation struct {
-	Platform Platform
-	PerTask  time.Duration // measured mean per-task time on this host
-	Tasks    int
-	Wall     time.Duration // estimated wall time on the platform
-}
-
-// String formats the estimate for experiment reports.
-func (e Extrapolation) String() string {
-	return fmt.Sprintf("%s: %d tasks × %v/task ⇒ %v wall (%d cores, perfect scaling)",
-		e.Platform.Name, e.Tasks, e.PerTask, e.Wall, e.Platform.Cores)
-}
-
-// Extrapolate calibrates per-task cost by running sampleN real executions
-// of task on this host, then estimates wall time for nTasks on the platform.
-func Extrapolate(p Platform, task func(), sampleN, nTasks int) Extrapolation {
-	per := MeasurePerTask(task, sampleN)
-	return Extrapolation{Platform: p, PerTask: per, Tasks: nTasks, Wall: p.EstimateWallTime(nTasks, per)}
 }

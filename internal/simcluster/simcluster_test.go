@@ -1,7 +1,6 @@
 package simcluster
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,39 +43,6 @@ func TestMeasurePerTaskCounts(t *testing.T) {
 	MeasurePerTask(func() { runs.Add(1) }, 0)
 	if runs.Load() != 1 {
 		t.Fatalf("clamped run count = %d", runs.Load())
-	}
-}
-
-func TestRunParallelExecutesAll(t *testing.T) {
-	var runs atomic.Int64
-	tasks := make([]func(), 25)
-	for i := range tasks {
-		tasks[i] = func() { runs.Add(1) }
-	}
-	RunParallel(tasks, 4)
-	if runs.Load() != 25 {
-		t.Fatalf("ran %d of 25 tasks", runs.Load())
-	}
-	// Default worker count.
-	runs.Store(0)
-	RunParallel(tasks[:5], 0)
-	if runs.Load() != 5 {
-		t.Fatalf("default workers ran %d of 5", runs.Load())
-	}
-}
-
-func TestExtrapolateEndToEnd(t *testing.T) {
-	e := Extrapolate(Workstation80, func() { time.Sleep(time.Microsecond) }, 3, 800)
-	if e.Tasks != 800 || e.Platform.Cores != 80 {
-		t.Fatalf("extrapolation fields wrong: %+v", e)
-	}
-	// 800 tasks / 80 cores = 10 waves.
-	if e.Wall != 10*e.PerTask {
-		t.Fatalf("wall %v != 10 × %v", e.Wall, e.PerTask)
-	}
-	s := e.String()
-	if !strings.Contains(s, "Voigt-80") || !strings.Contains(s, "800 tasks") {
-		t.Fatalf("String() = %q", s)
 	}
 }
 

@@ -90,37 +90,6 @@ func (p PDF) Validate() error {
 	return nil
 }
 
-// Entropy returns the Shannon entropy of p in nats.
-func (p PDF) Entropy() float64 {
-	h := 0.0
-	for _, v := range p {
-		if v > 0 {
-			h -= float64(v * math.Log(v))
-		}
-	}
-	return h
-}
-
-// KLDivergence returns D_KL(p ‖ q) in bits (log base 2). Bins where p has
-// mass but q does not contribute +Inf, matching the information-theoretic
-// definition; callers that need a bounded metric should use JSDivergence.
-func KLDivergence(p, q PDF) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("stats: KL between PDFs of different lengths %d vs %d", len(p), len(q)))
-	}
-	d := 0.0
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1)
-		}
-		d += float64(p[i] * math.Log2(p[i]/q[i]))
-	}
-	return d
-}
-
 // JSDivergence returns the Jensen–Shannon divergence between p and q in bits.
 // It is symmetric and bounded in [0, 1]: 0 for identical distributions and 1
 // for distributions with disjoint support. This is the metric fairMS uses to
@@ -154,10 +123,6 @@ func JSDivergence(p, q PDF) float64 {
 	}
 	return d
 }
-
-// JSDistance returns the Jensen–Shannon distance, the square root of the
-// divergence, which satisfies the triangle inequality.
-func JSDistance(p, q PDF) float64 { return math.Sqrt(JSDivergence(p, q)) }
 
 // Percentile returns the q-th percentile (0 <= q <= 100) of xs using linear
 // interpolation between closest ranks. It does not modify xs.

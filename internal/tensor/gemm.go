@@ -8,8 +8,8 @@ import (
 
 // The three matrix products of a dense layer and its backward pass — a·b,
 // aᵀ·b and a·bᵀ — over row-major slices, written into a destination the
-// caller owns. Each has one kernel; MatMul, MatMulTransA and MatMulTransB
-// allocate a result and call the same code. The kernels allocate nothing,
+// caller owns. Each has one kernel; MatMul allocates a result and calls
+// the same code. The kernels allocate nothing,
 // keep at least four independent sums in flight, and hand contiguous blocks
 // of destination rows to goroutines only when forkWorkers says the product
 // is worth a fork. Every destination element is summed by one goroutine in

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // binaryCheck panics unless a and b share a shape.
 func binaryCheck(op string, a, b *Tensor) {
@@ -51,15 +48,6 @@ func AddInPlace(a, b *Tensor) *Tensor {
 	return a
 }
 
-// AxpyInPlace computes a += alpha*b and returns a.
-func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) *Tensor {
-	binaryCheck("AxpyInPlace", a, b)
-	for i := range a.data {
-		a.data[i] += float64(alpha * b.data[i])
-	}
-	return a
-}
-
 // Scale returns alpha * a.
 func Scale(a *Tensor, alpha float64) *Tensor {
 	out := New(a.shape...)
@@ -84,14 +72,6 @@ func Apply(a *Tensor, f func(float64) float64) *Tensor {
 		out.data[i] = f(a.data[i])
 	}
 	return out
-}
-
-// ApplyInPlace applies f element-wise in place and returns a.
-func ApplyInPlace(a *Tensor, f func(float64) float64) *Tensor {
-	for i := range a.data {
-		a.data[i] = f(a.data[i])
-	}
-	return a
 }
 
 // Sum returns the sum of all elements.
@@ -126,21 +106,6 @@ func (t *Tensor) Max() (float64, int) {
 	return best, at
 }
 
-// Min returns the minimum element and its flat index.
-// It panics on an empty tensor.
-func (t *Tensor) Min() (float64, int) {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	best, at := t.data[0], 0
-	for i, v := range t.data {
-		if v < best {
-			best, at = v, i
-		}
-	}
-	return best, at
-}
-
 // Dot returns the inner product of two equal-shape tensors.
 func Dot(a, b *Tensor) float64 {
 	binaryCheck("Dot", a, b)
@@ -149,11 +114,6 @@ func Dot(a, b *Tensor) float64 {
 		s += float64(a.data[i] * b.data[i])
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm.
-func (t *Tensor) Norm2() float64 {
-	return math.Sqrt(Dot(t, t))
 }
 
 // MatMul returns the matrix product of two 2-D tensors, a (m×k) by b (k×n).
@@ -168,37 +128,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	out := New(m, n)
 	gemm(kernelNN, out.data, a.data, b.data, m, k, n, true)
-	return out
-}
-
-// MatMulTransB returns a × bᵀ for 2-D a (m×k) and b (n×k).
-// It avoids materializing the transpose.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB needs 2-D operands, got %v × %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v × %vᵀ", a.shape, b.shape))
-	}
-	out := New(m, n)
-	gemm(kernelNT, out.data, a.data, b.data, m, k, n, true)
-	return out
-}
-
-// MatMulTransA returns aᵀ × b for 2-D a (k×m) and b (k×n).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA needs 2-D operands, got %vᵀ × %v", a.shape, b.shape))
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %vᵀ × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	gemm(kernelTN, out.data, a.data, b.data, m, k, n, true)
 	return out
 }
 

@@ -10,8 +10,8 @@
 //
 // The matrix products live in gemm.go: one destination-writing kernel each
 // for a·b, aᵀ·b and a·bᵀ (MatMulInto, MatMulTransAInto, MatMulTransBInto;
-// overwrite or accumulate, no allocation), with MatMul, MatMulTransA and
-// MatMulTransB as allocate-then-call wrappers. Whether a kernel — or a
+// overwrite or accumulate, no allocation), with MatMul as an
+// allocate-then-call wrapper. Whether a kernel — or a
 // caller's loop, through ParallelWork — runs on several goroutines is
 // decided from its work (m·k·n against ForkWork), never from its row count
 // alone, and the split is by whole output rows, so results do not depend on
@@ -126,35 +126,6 @@ func (t *Tensor) Clone() *Tensor {
 	d := make([]float64, len(t.data))
 	copy(d, t.data)
 	return &Tensor{shape: append([]int(nil), t.shape...), data: d}
-}
-
-// Reshape returns a tensor sharing t's data with a new shape of equal element
-// count. One dimension may be -1, which is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
-	infer := -1
-	n := 1
-	for i, d := range shape {
-		if d == -1 {
-			if infer >= 0 {
-				panic("tensor: Reshape with more than one inferred dimension")
-			}
-			infer = i
-			continue
-		}
-		n *= d
-	}
-	if infer >= 0 {
-		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		shape[infer] = len(t.data) / n
-		n *= shape[infer]
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.data), shape, n))
-	}
-	return &Tensor{shape: shape, data: t.data}
 }
 
 // index converts multi-dimensional indices to a flat offset.

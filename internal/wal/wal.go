@@ -518,9 +518,6 @@ func (l *Log) syncLoop(interval time.Duration) {
 	}
 }
 
-// LastLSN returns the most recently allocated LSN.
-func (l *Log) LastLSN() uint64 { return l.lsn.Load() }
-
 // Policy returns the fsync policy the log was opened with.
 func (l *Log) Policy() Policy { return l.policy }
 

@@ -66,8 +66,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 					t.Fatalf("record %d = {%d %q}; want {%d %q}", i, r.LSN, r.Payload, lsns[i], want[i])
 				}
 			}
-			if l2.LastLSN() != lsns[len(lsns)-1] {
-				t.Fatalf("LastLSN after replay = %d; want %d", l2.LastLSN(), lsns[len(lsns)-1])
+			if l2.lsn.Load() != lsns[len(lsns)-1] {
+				t.Fatalf("last LSN after replay = %d; want %d", l2.lsn.Load(), lsns[len(lsns)-1])
 			}
 		})
 	}
@@ -310,8 +310,8 @@ func TestCheckpointReplaysBeforeTheLogAboveIt(t *testing.T) {
 	if got, want := fmt.Sprint(payloads(recs)), "[state-2 state-1 d e]"; got != want {
 		t.Fatalf("replay = %s; want %s", got, want)
 	}
-	if recs[2].LSN != lsns[0] || recs[3].LSN != lsns[1] || l2.LastLSN() != lsns[1] {
-		t.Fatalf("log LSNs = %d, %d (last %d); want %v", recs[2].LSN, recs[3].LSN, l2.LastLSN(), lsns)
+	if recs[2].LSN != lsns[0] || recs[3].LSN != lsns[1] || l2.lsn.Load() != lsns[1] {
+		t.Fatalf("log LSNs = %d, %d (last %d); want %v", recs[2].LSN, recs[3].LSN, l2.lsn.Load(), lsns)
 	}
 }
 
@@ -367,8 +367,8 @@ func TestLSNStaysAboveCutOfEmptiedLog(t *testing.T) {
 		t.Fatalf("replay = %v; want only the checkpoint record", payloads(recs))
 	}
 	cut := lsns[len(lsns)-1]
-	if l2.LastLSN() != cut {
-		t.Fatalf("LastLSN after reopening an emptied log = %d; want the cut %d", l2.LastLSN(), cut)
+	if l2.lsn.Load() != cut {
+		t.Fatalf("last LSN after reopening an emptied log = %d; want the cut %d", l2.lsn.Load(), cut)
 	}
 	if lsn, err := l2.Append([]byte("x")); err != nil || lsn != cut+1 {
 		t.Fatalf("next append = %d, %v; want %d", lsn, err, cut+1)
