@@ -1,16 +1,17 @@
-// Command fairdms runs the paper's end-to-end orchestrated workflow
-// (Fig. 5 + §III-C): a Globus-Flows-style DAG coordinates funcX-style
-// function execution and simulated Globus transfers between an
-// "experimental facility" endpoint and an "HPC" endpoint:
-//
-//	acquire (facility) ──► transfer-data ──► rapid-train (hpc) ──► transfer-model ──► deploy (facility)
-//
-// The rapid-train action is fairDMS proper: certainty check, PDF-matched
-// label retrieval, JSD model recommendation, fine-tuning, zoo update.
+// Command fairdms runs the paper's Fig. 5 update once per scan of a
+// simulated drifting Bragg experiment: the rapid-train action (certainty
+// check, PDF-matched label retrieval, JSD model recommendation,
+// fine-tuning, zoo update), then the scan's ingest, so it is historical
+// data for the next one. Each scan prints one line of what was measured:
+// labels retrieved and the lookup's time, the foundation and its JSD (or
+// scratch), and the training time; a scan whose model a long-lived daemon
+// already holds says it was reused. The paper runs this update through
+// Globus Flows, funcX and Globus transfer (§III-C); here it is a plain
+// loop that calls the services over HTTP.
 //
 // Usage:
 //
-//	fairdms [-scans N] [-peaks N] [-dms addr] [-server-train] [-timescale f]
+//	fairdms [-scans N] [-peaks N] [-dms addr] [-server-train]
 //
 // The workflow always reaches the fairDMS services over HTTP, through a
 // dmsapi.Client. With -dms they are a dmsd daemon (or a dmsrouter in front
@@ -28,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -45,13 +45,10 @@ import (
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
-	"fairdms/internal/flow"
-	"fairdms/internal/funcx"
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
 	"fairdms/internal/trainer"
-	"fairdms/internal/transfer"
 )
 
 const patch = 9
@@ -64,6 +61,7 @@ type report struct {
 	Foundation string  // zoo ID of the fine-tuning foundation ("" if scratch)
 	JSD        float64 // divergence of the foundation's training data
 	TrainTime  time.Duration
+	Reused     bool // the scan's model was already registered: nothing trained
 }
 
 func main() {
@@ -74,8 +72,7 @@ func main() {
 
 // run is main with the command line passed in and failures of the
 // workflow returned, so a test (and CI, through the exit status) can drive
-// the client against a live service. Wiring that can only fail on a
-// programming error still exits through check.
+// the client against a live service.
 func run(args []string) error {
 	fs := flag.NewFlagSet("fairdms", flag.ExitOnError)
 	scans := fs.Int("scans", 10, "number of scans in the simulated experiment")
@@ -83,7 +80,6 @@ func run(args []string) error {
 	dmsAddr := fs.String("dms", "", "external dmsd or dmsrouter address (empty = serve the services in-process)")
 	serverTrain := fs.Bool("server-train", false,
 		"train server-side via async /v1/train jobs (the services warm-start and register)")
-	timescale := fs.Float64("timescale", 0.001, "transfer time compression (0 = no sleeping)")
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage, as flag.Parse did
 
 	rng := rand.New(rand.NewSource(41))
@@ -126,124 +122,21 @@ func run(args []string) error {
 	}
 	log.Printf("fairdms: using fairDMS services at %s (%s)", addr, mode)
 
-	// --- Orchestration fabric -------------------------------------------
-	facility := transfer.NewEndpoint("facility")
-	hpc := transfer.NewEndpoint("hpc")
-	mover := transfer.NewService(*timescale)
-	// 100 GbE facility↔HPC link, as in the paper's testbed.
-	mover.SetLink("facility", "hpc", transfer.Link{Bandwidth: 12.5e9, Latency: 500 * time.Microsecond})
-	mover.SetLink("hpc", "facility", transfer.Link{Bandwidth: 12.5e9, Latency: 500 * time.Microsecond})
-
-	registry := funcx.NewRegistry()
-	check(registry.Register("acquire", func(ctx context.Context, in any) (any, error) {
-		scan := in.(int)
-		// Serialize the scan to the facility endpoint, as the detector would.
-		var buf bytes.Buffer
-		for _, s := range seq[scan] {
-			raw, err := (codec.Block{}).Encode(s)
-			if err != nil {
-				return nil, err
-			}
-			var lenb [4]byte
-			putU32(lenb[:], uint32(len(raw)))
-			buf.Write(lenb[:])
-			buf.Write(raw)
-		}
-		facility.Put(blobName(scan), buf.Bytes())
-		return len(seq[scan]), nil
-	}))
-	check(registry.Register("rapid-train", func(ctx context.Context, in any) (any, error) {
-		scan := in.(int)
-		raw, err := hpc.Get(blobName(scan))
-		if err != nil {
-			return nil, err
-		}
-		samples, err := decodeBlob(raw)
-		if err != nil {
-			return nil, err
-		}
-		model, rep, err := svc.rapidTrain(scan, samples)
-		if err != nil {
-			return nil, err
-		}
-		state, err := model.State().Bytes()
-		if err != nil {
-			return nil, err
-		}
-		hpc.Put(modelName(scan), state)
-		return rep, nil
-	}))
-
-	edge := funcx.NewEndpoint("facility-edge", registry, 1, 8)
-	defer edge.Close()
-	compute := funcx.NewEndpoint("hpc-compute", registry, 2, 8)
-	defer compute.Close()
-
-	// --- Per-scan workflow ----------------------------------------------
 	for scan := 3; scan < *scans; scan++ {
-		wf := flow.New(fmt.Sprintf("update-scan-%02d", scan))
-		wf.Add(flow.Action{
-			Name: "acquire",
-			Run: func(ctx context.Context, rc *flow.RunContext) error {
-				n, err := edge.Call(ctx, "acquire", scan)
-				if err != nil {
-					return err
-				}
-				rc.Set("acquired", n)
-				return nil
-			},
-		})
-		wf.Add(flow.Action{
-			Name: "transfer-data", DependsOn: []string{"acquire"}, Retries: 2,
-			Run: func(ctx context.Context, rc *flow.RunContext) error {
-				res, err := mover.Transfer(ctx, facility, hpc, blobName(scan))
-				if err != nil {
-					return err
-				}
-				rc.Set("data-transfer", res)
-				return nil
-			},
-		})
-		wf.Add(flow.Action{
-			Name: "rapid-train", DependsOn: []string{"transfer-data"},
-			Run: func(ctx context.Context, rc *flow.RunContext) error {
-				rep, err := compute.Call(ctx, "rapid-train", scan)
-				if err != nil {
-					return err
-				}
-				rc.Set("report", rep)
-				return nil
-			},
-		})
-		wf.Add(flow.Action{
-			Name: "transfer-model", DependsOn: []string{"rapid-train"}, Retries: 2,
-			Run: func(ctx context.Context, rc *flow.RunContext) error {
-				_, err := mover.Transfer(ctx, hpc, facility, modelName(scan))
-				return err
-			},
-		})
-		wf.Add(flow.Action{
-			Name: "deploy", DependsOn: []string{"transfer-model"},
-			Run: func(ctx context.Context, rc *flow.RunContext) error {
-				return nil // the facility would hot-swap the surrogate here
-			},
-		})
-
-		rc := flow.NewRunContext()
-		report, err := wf.Execute(context.Background(), rc)
+		rep, err := svc.rapidTrain(scan, seq[scan])
 		if err != nil {
 			return err
 		}
-		rep := mustReport(rc)
-		xfer, _ := rc.Get("data-transfer")
-		mode := "fine-tuned " + rep.Foundation
-		if !rep.FineTuned {
-			mode = "scratch"
+		train := fmt.Sprintf("scratch | train %v", rep.TrainTime.Round(time.Millisecond))
+		switch {
+		case rep.Reused:
+			train = "reused the registered model, not trained"
+		case rep.FineTuned:
+			train = fmt.Sprintf("fine-tuned %s (JSD %.4f) | train %v",
+				rep.Foundation, rep.JSD, rep.TrainTime.Round(time.Millisecond))
 		}
-		fmt.Printf("scan %02d: flow %v | data %s | labels %d in %v | %s (JSD %.4f) | train %v\n",
-			scan, report.Duration.Round(time.Millisecond),
-			transferSummary(xfer), rep.Labeled, rep.LabelTime.Round(time.Millisecond),
-			mode, rep.JSD, rep.TrainTime.Round(time.Millisecond))
+		fmt.Printf("scan %02d: labels %d in %v | %s\n",
+			scan, rep.Labeled, rep.LabelTime.Round(time.Millisecond), train)
 
 		// Scan data becomes historical for subsequent scans.
 		if err := svc.ingest(scan, seq[scan]); err != nil {
@@ -350,31 +243,31 @@ func addModelTolerateDuplicate(client *dmsapi.Client, id string, state *nn.State
 // shard, where the loser fails or finds no checkpoint to download yet. It
 // moves onto /v1/train once model registration is idempotent and
 // train-registered models reach every shard (both open in ROADMAP.md).
-func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *report, error) {
+func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*report, error) {
 	if svc.serverTrain {
 		return svc.rapidTrainServer(scan, samples)
 	}
 	rep, labeled, err := svc.lookup(samples)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pdf, err := svc.client.PDF(samples)
 	if err != nil {
-		return nil, nil, fmt.Errorf("remote pdf: %w", err)
+		return nil, fmt.Errorf("remote pdf: %w", err)
 	}
 
 	model := models.NewBraggNN(svc.rng, patch).Net
 	rec, err := svc.client.Recommend(pdf, trainer.DefaultJSDThreshold)
 	if err != nil {
-		return nil, nil, fmt.Errorf("remote recommend: %w", err)
+		return nil, fmt.Errorf("remote recommend: %w", err)
 	}
 	if rec.OK {
 		sd, err := svc.client.Checkpoint(rec.ID)
 		if err != nil {
-			return nil, nil, fmt.Errorf("remote checkpoint %s: %w", rec.ID, err)
+			return nil, fmt.Errorf("remote checkpoint %s: %w", rec.ID, err)
 		}
 		if err := model.LoadState(sd); err != nil {
-			return nil, nil, fmt.Errorf("loading foundation %q: %w", rec.ID, err)
+			return nil, fmt.Errorf("loading foundation %q: %w", rec.ID, err)
 		}
 		rep.FineTuned = true
 		rep.Foundation = rec.ID
@@ -383,7 +276,7 @@ func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *
 
 	x, err := fairds.Collate(labeled)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	helper := &models.BraggNN{Patch: patch}
 	y := helper.Targets(labelTensor(labeled))
@@ -394,12 +287,12 @@ func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*nn.Model, *
 	id := fmt.Sprintf("braggnn-scan%02d", scan)
 	dup, err := addModelTolerateDuplicate(svc.client, id, model.State(), pdf, map[string]string{"scan": fmt.Sprint(scan)})
 	if err != nil {
-		return nil, nil, fmt.Errorf("registering %s: %w", id, err)
+		return nil, fmt.Errorf("registering %s: %w", id, err)
 	}
 	if dup {
 		log.Printf("fairdms: daemon already holds %s, keeping its copy", id)
 	}
-	return model, rep, nil
+	return rep, nil
 }
 
 // lookup is the start both paths share: the certainty check and the
@@ -421,12 +314,13 @@ func (svc *services) lookup(samples []*codec.Sample) (*report, []*codec.Sample, 
 // pseudo-labeling Lookup (so both paths train on the same PDF-matched
 // historical labels and report comparable numbers), then one /v1/train
 // job computes the PDF, picks the warm-start foundation, trains, and
-// registers the checkpoint with lineage — the workflow waits for it and
-// downloads the result for deploy.
-func (svc *services) rapidTrainServer(scan int, samples []*codec.Sample) (*nn.Model, *report, error) {
+// registers the checkpoint with lineage — the workflow waits for it,
+// downloads the checkpoint and loads it, so one that does not load fails
+// the run.
+func (svc *services) rapidTrainServer(scan int, samples []*codec.Sample) (*report, error) {
 	rep, labeled, err := svc.lookup(samples)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	id := fmt.Sprintf("braggnn-scan%02d", scan)
@@ -444,14 +338,14 @@ func (svc *services) rapidTrainServer(scan int, samples []*codec.Sample) (*nn.Mo
 	case errors.Is(err, dmsapi.ErrDuplicateModel):
 		// A re-run against a long-lived daemon finds the scan's model
 		// already registered (409 at submit, nothing trained); reuse it like
-		// the local path does. The report stays empty rather than claiming
-		// training numbers for the previous run's model we actually deploy.
+		// the local path does, and claim no training numbers for it.
 		log.Printf("fairdms: daemon already holds %s, reusing its copy", id)
+		rep.Reused = true
 		if sd, err = svc.client.Checkpoint(id); err != nil {
-			return nil, nil, fmt.Errorf("fetching existing %s: %w", id, err)
+			return nil, fmt.Errorf("fetching existing %s: %w", id, err)
 		}
 	case err != nil:
-		return nil, nil, fmt.Errorf("server train job: %w", err)
+		return nil, fmt.Errorf("server train job: %w", err)
 	default:
 		rep.FineTuned = job.Warm
 		rep.Foundation = job.Foundation
@@ -463,9 +357,9 @@ func (svc *services) rapidTrainServer(scan int, samples []*codec.Sample) (*nn.Mo
 
 	model := models.NewBraggNN(svc.rng, patch).Net
 	if err := model.LoadState(sd); err != nil {
-		return nil, nil, fmt.Errorf("loading server-trained %s: %w", id, err)
+		return nil, fmt.Errorf("loading server-trained %s: %w", id, err)
 	}
-	return model, rep, nil
+	return rep, nil
 }
 
 func (svc *services) ingest(scan int, samples []*codec.Sample) error {
@@ -481,40 +375,6 @@ func (svc *services) summary() string {
 	return fmt.Sprintf("zoo holds %d models, store holds %d samples", h.Models, h.Samples)
 }
 
-// ---------------------------------------------------------------------------
-
-func blobName(scan int) string  { return fmt.Sprintf("scan-%02d.dat", scan) }
-func modelName(scan int) string { return fmt.Sprintf("model-%02d.sd", scan) }
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func decodeBlob(raw []byte) ([]*codec.Sample, error) {
-	var out []*codec.Sample
-	for len(raw) >= 4 {
-		n := int(getU32(raw[:4]))
-		raw = raw[4:]
-		if len(raw) < n {
-			return nil, fmt.Errorf("fairdms: truncated scan blob")
-		}
-		s, err := (codec.Block{}).Decode(raw[:n])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-		raw = raw[n:]
-	}
-	return out, nil
-}
-
 func labelTensor(samples []*codec.Sample) *tensor.Tensor {
 	y := tensor.New(len(samples), 2)
 	for i, s := range samples {
@@ -522,27 +382,4 @@ func labelTensor(samples []*codec.Sample) *tensor.Tensor {
 		y.Set(s.Label[1], i, 1)
 	}
 	return y
-}
-
-func mustReport(rc *flow.RunContext) *report {
-	v := rc.MustGet("report")
-	rep, ok := v.(*report)
-	if !ok {
-		log.Fatalf("fairdms: unexpected report type %T", v)
-	}
-	return rep
-}
-
-func transferSummary(v any) string {
-	res, ok := v.(*transfer.Result)
-	if !ok {
-		return "?"
-	}
-	return fmt.Sprintf("%dB in %v (modeled)", res.Bytes, res.Modeled.Round(time.Microsecond))
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

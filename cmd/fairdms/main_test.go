@@ -55,8 +55,8 @@ func startServer(t *testing.T, trainWorkers int) (string, *dmsapi.Client) {
 // train a checkpoint that cannot be registered.
 func TestRemoteWorkflow(t *testing.T) {
 	for _, args := range [][]string{
-		{"-scans", "5", "-timescale", "0"},
-		{"-scans", "5", "-timescale", "0", "-server-train"},
+		{"-scans", "5"},
+		{"-scans", "5", "-server-train"},
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("fairdms %v: %v", args, err)
@@ -73,9 +73,9 @@ func TestRemoteWorkflow(t *testing.T) {
 		wantModels int   // zoo size afterwards: warm-up model + one per scan
 		wantJobs   int64 // train jobs completed so far
 	}{
-		{[]string{"-dms", addr, "-scans", "4", "-timescale", "0"}, 2, 0},
-		{[]string{"-dms", addr, "-scans", "5", "-timescale", "0", "-server-train"}, 3, 1},
-		{[]string{"-dms", addr, "-scans", "5", "-timescale", "0", "-server-train"}, 3, 1},
+		{[]string{"-dms", addr, "-scans", "4"}, 2, 0},
+		{[]string{"-dms", addr, "-scans", "5", "-server-train"}, 3, 1},
+		{[]string{"-dms", addr, "-scans", "5", "-server-train"}, 3, 1},
 	} {
 		if err := run(step.args); err != nil {
 			t.Fatalf("fairdms %v: %v", step.args, err)
@@ -104,7 +104,7 @@ func TestRemoteWorkflow(t *testing.T) {
 // quietly deploying nothing.
 func TestServerTrainNeedsTrainingPlane(t *testing.T) {
 	addr, _ := startServer(t, 0)
-	err := run([]string{"-dms", addr, "-scans", "4", "-timescale", "0", "-server-train"})
+	err := run([]string{"-dms", addr, "-scans", "4", "-server-train"})
 	if !errors.Is(err, dmsapi.ErrNotFound) {
 		t.Fatalf("-server-train without a training plane: got %v, want the train route's 404", err)
 	}

@@ -42,10 +42,6 @@ var testOnlyKeep = map[string]string{
 
 	"analyzers/anzkit.Loader.Import": "implements types.Importer",
 
-	"funcx.Endpoint.Executed":      "the flow/funcx/transfer item (ROADMAP 15) owns it",
-	"transfer.Endpoint.Has":        "the flow/funcx/transfer item (ROADMAP 15) owns it",
-	"transfer.Service.TransferAll": "the flow/funcx/transfer item (ROADMAP 15) owns it",
-
 	"dmsapi.Client.IngestBatch": "typed client of the production batch route, used by dmsapi and dmscluster tests",
 	"dmsapi.Client.ServerStats": "leaves with /statsz (ROADMAP 3)",
 	"fairms.Record.WarmStarted": "hides the meta encoding; three packages' tests read it",

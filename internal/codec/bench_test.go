@@ -55,9 +55,10 @@ func BenchmarkDecodeBlosc(b *testing.B)  { benchDecode(b, Block{}) }
 
 func BenchmarkShuffleBytes(b *testing.B) {
 	data := make([]byte, 128*128*2)
+	dst := make([]byte, len(data))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shuffleBytes(data, 2)
+		shuffleBytesInto(dst, data, 2)
 	}
 	b.SetBytes(int64(len(data)))
 }

@@ -50,6 +50,9 @@ func (d Dtype) Size() int {
 	panic(fmt.Sprintf("codec: unknown dtype %d", d))
 }
 
+// known reports whether d is one of the supported element types.
+func (d Dtype) known() bool { return d >= U8 && d <= F64 }
+
 // String names the dtype.
 func (d Dtype) String() string {
 	switch d {
@@ -83,9 +86,29 @@ func (s *Sample) Elems() int {
 	return n
 }
 
+// payloadLen is the payload length the shape and dtype imply, Elems() *
+// Dtype.Size(); false if the dtype is unknown, a dimension is negative or
+// the length overflows an int.
+func (s *Sample) payloadLen() (int, bool) {
+	if !s.Dtype.known() {
+		return 0, false
+	}
+	n := s.Dtype.Size()
+	for _, d := range s.Shape {
+		if d < 0 || (d > 0 && n > math.MaxInt/d) {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
 // Validate checks payload length against shape and dtype.
 func (s *Sample) Validate() error {
-	want := s.Elems() * s.Dtype.Size()
+	want, ok := s.payloadLen()
+	if !ok {
+		return fmt.Errorf("codec: sample shape %v dtype %s has no valid payload length", s.Shape, s.Dtype)
+	}
 	if len(s.Data) != want {
 		return fmt.Errorf("codec: sample payload %d bytes, shape %v dtype %s needs %d",
 			len(s.Data), s.Shape, s.Dtype, want)
@@ -338,6 +361,11 @@ func (c Block) minCompress() int {
 // unchanged (flag unset = compressed).
 const storedFlag = 1 << 31
 
+// maxDeflateRatio bounds how many raw bytes one DEFLATE byte can expand to
+// (a 258-byte match coded in two bits), which is how Decode bounds a
+// compressed block's raw span by the bytes it carries.
+const maxDeflateRatio = 1032
+
 // flateWriters pools *flate.Writer instances per compression level: each
 // NewWriter allocates ~1.5 MB of hash-table state, which made per-document
 // Encode calls GC-bound on high-rate ingest (the allocation profile of a
@@ -508,6 +536,9 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	}
 	nl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
+	if len(b) < off+8*nl {
+		return nil, fmt.Errorf("codec: block: truncated label")
+	}
 	for i := 0; i < nl; i++ {
 		s.Label = append(s.Label, math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
 		off += 8
@@ -515,31 +546,50 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	if len(b) < off+12 {
 		return nil, fmt.Errorf("codec: block: truncated frame")
 	}
-	rawLen := int(binary.LittleEndian.Uint64(b[off:]))
+	// Everything that sizes an allocation is checked against the frame
+	// first: the payload length against shape and dtype, the block count
+	// against the payload length, the block table against the bytes
+	// present, and each block's raw span against the bytes it carries (a
+	// stored block exactly, a compressed one by DEFLATE's largest ratio),
+	// so the payload is about maxDeflateRatio times the frame at most.
+	rawLen, ok := s.payloadLen()
+	if got := binary.LittleEndian.Uint64(b[off:]); !ok || got != uint64(rawLen) {
+		return nil, fmt.Errorf("codec: block: payload length %d does not match shape %v dtype %s", got, s.Shape, s.Dtype)
+	}
 	off += 8
-	nblocks := int(binary.LittleEndian.Uint32(b[off:]))
+	bs := c.blockSize()
+	nblocks := rawLen / bs
+	if rawLen%bs != 0 || nblocks == 0 {
+		nblocks++
+	}
+	if got := binary.LittleEndian.Uint32(b[off:]); uint64(got) != uint64(nblocks) {
+		return nil, fmt.Errorf("codec: block: %d blocks for a %d-byte payload, want %d", got, rawLen, nblocks)
+	}
 	off += 4
+	if (len(b)-off)/4 < nblocks {
+		return nil, fmt.Errorf("codec: block: truncated block table")
+	}
 	sizes := make([]int, nblocks)
 	rawBlk := make([]bool, nblocks)
 	for i := range sizes {
-		if len(b) < off+4 {
-			return nil, fmt.Errorf("codec: block: truncated block table")
-		}
 		entry := binary.LittleEndian.Uint32(b[off:])
 		rawBlk[i] = entry&storedFlag != 0
 		sizes[i] = int(entry &^ storedFlag)
 		off += 4
+		span := min(bs, rawLen-i*bs)
+		if rawBlk[i] && sizes[i] != span || !rawBlk[i] && sizes[i] < span/maxDeflateRatio {
+			return nil, fmt.Errorf("codec: block: block %d carries %d bytes for %d raw", i, sizes[i], span)
+		}
 	}
 	blocks := make([][]byte, nblocks)
 	for i, sz := range sizes {
-		if len(b) < off+sz {
+		if len(b)-off < sz {
 			return nil, fmt.Errorf("codec: block: truncated block %d", i)
 		}
 		blocks[i] = b[off : off+sz]
 		off += sz
 	}
 
-	bs := c.blockSize()
 	shuffled := make([]byte, rawLen)
 	decodeBlock := func(i int) error {
 		lo := i * bs
@@ -548,9 +598,6 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 			hi = rawLen
 		}
 		if rawBlk[i] {
-			if len(blocks[i]) != hi-lo {
-				return fmt.Errorf("stored block %d is %d bytes, want %d", i, len(blocks[i]), hi-lo)
-			}
 			copy(shuffled[lo:hi], blocks[i])
 			return nil
 		}
@@ -606,20 +653,9 @@ func acquireShuffleBuf(n int) *[]byte {
 	return &b
 }
 
-// shuffleBytes regroups the payload so byte k of every element is
-// contiguous: Blosc's shuffle filter, which makes detector data with small
-// dynamic range highly compressible.
-func shuffleBytes(data []byte, width int) []byte {
-	if width <= 1 {
-		return append([]byte(nil), data...)
-	}
-	out := make([]byte, len(data))
-	shuffleBytesInto(out, data, width)
-	return out
-}
-
-// shuffleBytesInto is shuffleBytes with a caller-provided destination
-// (len(dst) >= len(data)), for pooled scratch buffers.
+// shuffleBytesInto regroups the payload into dst (len(dst) >= len(data))
+// so byte k of every element is contiguous: Blosc's shuffle filter, which
+// makes detector data with small dynamic range highly compressible.
 func shuffleBytesInto(dst, data []byte, width int) {
 	n := len(data) / width
 	for k := 0; k < width; k++ {
@@ -632,7 +668,7 @@ func shuffleBytesInto(dst, data []byte, width int) {
 	copy(dst[n*width:len(data)], data[n*width:])
 }
 
-// unshuffleBytes inverts shuffleBytes.
+// unshuffleBytes inverts shuffleBytesInto.
 func unshuffleBytes(data []byte, width int) []byte {
 	if width <= 1 {
 		return append([]byte(nil), data...)

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -109,9 +110,21 @@ func TestValidateCatchesBadPayload(t *testing.T) {
 }
 
 func TestDecodeGarbageFails(t *testing.T) {
-	for _, c := range codecsUnderTest() {
-		if _, err := c.Decode([]byte{1, 2, 3}); err == nil {
-			t.Fatalf("%s decoded garbage without error", c.Name())
+	// huge is a 4 MiB Block frame claiming a 64 GiB u8 payload in 2^20
+	// empty compressed blocks: it passes the shape, length and table-size
+	// checks and must fail before the payload is allocated.
+	const rawLen, nblocks = 1 << 36, 1 << 20 // 64 KiB blocks
+	huge := []byte{rawMagic, byte(U8), 1}
+	huge = binary.LittleEndian.AppendUint64(huge, rawLen)
+	huge = append(huge, 0, 0) // no label
+	huge = binary.LittleEndian.AppendUint64(huge, rawLen)
+	huge = binary.LittleEndian.AppendUint32(huge, nblocks)
+	huge = append(huge, make([]byte, 4*nblocks)...)
+	for name, b := range map[string][]byte{"three bytes": {1, 2, 3}, "64 GiB claim": huge} {
+		for _, c := range codecsUnderTest() {
+			if _, err := c.Decode(b); err == nil {
+				t.Fatalf("%s: %s decoded garbage without error", name, c.Name())
+			}
 		}
 	}
 }
@@ -150,7 +163,9 @@ func TestBlockCompressesLowEntropyData(t *testing.T) {
 func TestShuffleUnshuffleInverse(t *testing.T) {
 	f := func(data []byte, widthSeed uint8) bool {
 		width := int(widthSeed%8) + 1
-		out := unshuffleBytes(shuffleBytes(data, width), width)
+		sh := make([]byte, len(data))
+		shuffleBytesInto(sh, data, width)
+		out := unshuffleBytes(sh, width)
 		return bytes.Equal(out, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -166,7 +181,8 @@ func TestShuffleGroupsHighBytes(t *testing.T) {
 		data[2*i] = byte(i + 1) // low byte
 		data[2*i+1] = 0         // high byte
 	}
-	sh := shuffleBytes(data, 2)
+	sh := make([]byte, len(data))
+	shuffleBytesInto(sh, data, 2)
 	for i := 4; i < 8; i++ {
 		if sh[i] != 0 {
 			t.Fatalf("shuffled = %v, high bytes not grouped", sh)

@@ -12,7 +12,6 @@ import (
 	"fairdms/internal/fairms"
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
-	"fairdms/internal/stats"
 	"fairdms/internal/tensor"
 )
 
@@ -269,17 +268,3 @@ func (e *cookieEnv) datasetTensors(i int) (*tensor.Tensor, *tensor.Tensor) {
 
 // scaleCookie maps 8-bit detector counts into [0, 1].
 func scaleCookie(x *tensor.Tensor) *tensor.Tensor { return models.ScaleInputs(x) }
-
-// meanPDF is a diagnostic helper returning the average PDF across datasets.
-func meanPDF(pdfs []stats.PDF) stats.PDF {
-	if len(pdfs) == 0 {
-		return nil
-	}
-	out := make(stats.PDF, len(pdfs[0]))
-	for _, p := range pdfs {
-		for i, v := range p {
-			out[i] += v
-		}
-	}
-	return out.Normalize()
-}

@@ -1,7 +1,7 @@
 // Package integration exercises fairDMS across module boundaries the way a
 // deployment would: remote document store over TCP, self-supervised
-// embeddings, a zoo kept in that store, workflow orchestration, and the end-to-end
-// rapid-training path.
+// embeddings, a zoo kept in that store, and the end-to-end rapid-training
+// path.
 package integration
 
 import (
@@ -17,13 +17,10 @@ import (
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
-	"fairdms/internal/flow"
-	"fairdms/internal/funcx"
 	"fairdms/internal/models"
 	"fairdms/internal/nn"
 	"fairdms/internal/tensor"
 	"fairdms/internal/trainer"
-	"fairdms/internal/transfer"
 )
 
 const patch = 9
@@ -181,6 +178,9 @@ func TestRapidTrainOverRemoteStore(t *testing.T) {
 	if !st.Warm || st.Foundation != "foundation" {
 		t.Fatalf("expected fine-tuning from the seeded foundation, got %+v", st)
 	}
+	if _, err := sys.zoo.Get("updated"); err != nil {
+		t.Fatalf("updated model missing from zoo: %v", err)
+	}
 	// The updated surrogate is accurate on the new data.
 	x, y := mustTensors(t, sys.seq[3])
 	final := &models.BraggNN{Net: model, Patch: patch}
@@ -261,131 +261,4 @@ func TestZooPersistenceAcrossRestart(t *testing.T) {
 	if err := m.Net.LoadState(ranked[0].Record.State); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestOrchestratedUpdateFlow(t *testing.T) {
-	// The cmd/fairdms workflow in miniature: acquire → transfer →
-	// rapid-train → transfer-model, driven by the flow engine with funcx
-	// endpoints and the simulated mover.
-	sys := buildRemoteSystem(t, false)
-	seq := sys.seq
-
-	facility := transfer.NewEndpoint("facility")
-	hpc := transfer.NewEndpoint("hpc")
-	mover := transfer.NewService(0)
-	registry := funcx.NewRegistry()
-
-	if err := registry.Register("acquire", func(ctx context.Context, in any) (any, error) {
-		var payload []byte
-		for _, s := range seq[3] {
-			raw, err := (codec.Raw{}).Encode(s)
-			if err != nil {
-				return nil, err
-			}
-			var lenb [4]byte
-			lenb[0], lenb[1], lenb[2], lenb[3] = byte(len(raw)), byte(len(raw)>>8), byte(len(raw)>>16), byte(len(raw)>>24)
-			payload = append(payload, lenb[:]...)
-			payload = append(payload, raw...)
-		}
-		facility.Put("scan.dat", payload)
-		return len(seq[3]), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := registry.Register("rapid-train", func(ctx context.Context, in any) (any, error) {
-		raw, err := hpc.Get("scan.dat")
-		if err != nil {
-			return nil, err
-		}
-		var samples []*codec.Sample
-		for len(raw) >= 4 {
-			n := int(raw[0]) | int(raw[1])<<8 | int(raw[2])<<16 | int(raw[3])<<24
-			raw = raw[4:]
-			s, err := (codec.Raw{}).Decode(raw[:n])
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, s)
-			raw = raw[n:]
-		}
-		model, st, err := sys.rapidTrain(samples, "flow-model")
-		if err != nil {
-			return nil, err
-		}
-		state, err := model.State().Bytes()
-		if err != nil {
-			return nil, err
-		}
-		hpc.Put("model.sd", state)
-		return st, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	edge := funcx.NewEndpoint("edge", registry, 1, 4)
-	defer edge.Close()
-	compute := funcx.NewEndpoint("compute", registry, 1, 4)
-	defer compute.Close()
-
-	wf := flow.New("update")
-	wf.Add(flow.Action{Name: "acquire", Run: func(ctx context.Context, rc *flow.RunContext) error {
-		_, err := edge.Call(ctx, "acquire", nil)
-		return err
-	}})
-	wf.Add(flow.Action{Name: "transfer-data", DependsOn: []string{"acquire"}, Retries: 1,
-		Run: func(ctx context.Context, rc *flow.RunContext) error {
-			_, err := mover.Transfer(ctx, facility, hpc, "scan.dat")
-			return err
-		}})
-	wf.Add(flow.Action{Name: "rapid-train", DependsOn: []string{"transfer-data"},
-		Run: func(ctx context.Context, rc *flow.RunContext) error {
-			rep, err := compute.Call(ctx, "rapid-train", nil)
-			if err != nil {
-				return err
-			}
-			rc.Set("report", rep)
-			return nil
-		}})
-	wf.Add(flow.Action{Name: "transfer-model", DependsOn: []string{"rapid-train"},
-		Run: func(ctx context.Context, rc *flow.RunContext) error {
-			_, err := mover.Transfer(ctx, hpc, facility, "model.sd")
-			return err
-		}})
-
-	rc := flow.NewRunContext()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	report, err := wf.Execute(ctx, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, a := range report.Actions {
-		if a.State != flow.Succeeded {
-			t.Fatalf("action %s finished %s", name, a.State)
-		}
-	}
-	st, ok := rc.MustGet("report").(*trainer.Status)
-	if !ok {
-		t.Fatalf("unexpected report type")
-	}
-	if !st.Warm {
-		t.Fatal("orchestrated run did not fine-tune")
-	}
-	// The model arrived back at the facility and deserializes.
-	raw, err := facility.Get("model.sd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := nn.StateDictFromBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := models.NewBraggNN(sys.rng, patch)
-	if err := m.Net.LoadState(sd); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.zoo.Get("flow-model"); err != nil {
-		t.Fatal("flow-trained model missing from zoo")
-	}
-	_ = fmt.Sprint(report.Duration)
 }

@@ -50,7 +50,7 @@ func TestJSDivergenceMatchesTwoPassOracle(t *testing.T) {
 				p[i] = rng.Float64()
 			}
 		}
-		return p.Normalize()
+		return normalize(p)
 	}
 	for trial := range 2000 {
 		k := 1 + rng.Intn(64)

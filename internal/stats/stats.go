@@ -13,8 +13,7 @@ import (
 )
 
 // PDF is a discrete probability distribution over a fixed number of bins
-// (in fairDMS, over cluster IDs). Entries are non-negative and sum to 1
-// after Normalize.
+// (in fairDMS, over cluster IDs). Entries are non-negative and sum to 1.
 type PDF []float64
 
 // NewPDFFromCounts builds a normalized PDF over k bins from integer counts.
@@ -51,24 +50,6 @@ func NewPDFFromAssignments(labels []int, k int) PDF {
 		}
 	}
 	return NewPDFFromCounts(counts, k)
-}
-
-// Normalize scales p in place to sum to 1. A zero-sum PDF becomes uniform.
-func (p PDF) Normalize() PDF {
-	s := 0.0
-	for _, v := range p {
-		s += v
-	}
-	if s <= 0 {
-		for i := range p {
-			p[i] = 1 / float64(len(p))
-		}
-		return p
-	}
-	for i := range p {
-		p[i] /= s
-	}
-	return p
 }
 
 // Validate returns an error unless p is a proper distribution (non-negative,

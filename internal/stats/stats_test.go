@@ -36,15 +36,6 @@ func TestNewPDFFromAssignments(t *testing.T) {
 	}
 }
 
-func TestNormalizeZeroBecomesUniform(t *testing.T) {
-	p := PDF{0, 0, 0}.Normalize()
-	for _, v := range p {
-		if math.Abs(v-1.0/3) > 1e-12 {
-			t.Fatalf("PDF = %v", p)
-		}
-	}
-}
-
 func TestValidateRejectsNegative(t *testing.T) {
 	if err := (PDF{1.5, -0.5}).Validate(); err == nil {
 		t.Fatal("expected error for negative mass")
@@ -84,7 +75,7 @@ func TestQuickJSDProperties(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64()
 		}
-		return p.Normalize()
+		return normalize(p)
 	}
 	f := func(kSeed uint8) bool {
 		k := int(kSeed%7) + 2
@@ -108,7 +99,7 @@ func TestJSDistanceTriangleInequality(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64()
 		}
-		return p.Normalize()
+		return normalize(p)
 	}
 	// The Jensen–Shannon distance, √JSD, is a metric.
 	dist := func(a, b PDF) float64 { return math.Sqrt(JSDivergence(a, b)) }
@@ -206,4 +197,21 @@ func TestElbowPointErrors(t *testing.T) {
 	if _, err := ElbowPoint([]float64{1, 1, 1}, []float64{2, 2, 2}); err == nil {
 		t.Fatal("expected error for degenerate curve")
 	}
+}
+
+// normalize scales p in place to sum to 1, for building random PDFs. A
+// zero-sum p becomes uniform.
+func normalize(p PDF) PDF {
+	s := 0.0
+	for _, v := range p {
+		s += v
+	}
+	for i := range p {
+		if s <= 0 {
+			p[i] = 1 / float64(len(p))
+		} else {
+			p[i] /= s
+		}
+	}
+	return p
 }
