@@ -35,7 +35,7 @@
 // (docstore.OpenDurable): every write is logged before it is applied,
 // startup replays the checkpoint and the log above it, a background loop
 // compacts the log into a fresh checkpoint, and the wal counters surface on
-// /statsz and /metricsz. -fsync picks the durability/latency trade
+// /metricsz as the dms_wal_* families. -fsync picks the durability/latency trade
 // (always, interval, off).
 //
 // Requests run through the request pipeline dmsd shares with dmsrouter
@@ -261,7 +261,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("dmsd: listen: %v", err)
 	}
-	logger.Info("serving", "addr", bound, "max_inflight", *maxInflight, "cache", *cacheSize)
+	logger.Info("serving", "addr", bound, "max_inflight", *maxInflight, "cache", *cacheSize,
+		"train_workers", *trainWorkers, "train_queue", *trainQueue)
 
 	stopCompact := make(chan struct{})
 	var compactWG sync.WaitGroup
@@ -287,7 +288,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	logger.Info("shutting down", "requests", srv.Requests(), "shed", srv.Shed())
+	logger.Info("shutting down", "requests", srv.Requests(), "shed", srv.Shed(), "in_flight", srv.InFlight())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -13,8 +13,9 @@
 // Membership is static with active health probing: a dead shard is
 // ejected after -fail-after consecutive failures, ingest routes around
 // it, reads merge the survivors (responses flagged "degraded"), and a
-// recovered shard is re-admitted automatically. /statsz reports
-// per-node health and the membership epoch; /metricsz serves the
+// recovered shard is re-admitted automatically. /metricsz serves the
+// router's own families — per-node health (dms_router_node_*{node}), the
+// membership epoch, uptime and build identity — followed by the
 // federated fleet exposition (every healthy shard's families relabeled
 // with node=<addr> plus dms_fleet_* aggregates); /debug/tracez serves
 // tail-retained span trees for slow, errored, and degraded requests; and

@@ -1,8 +1,10 @@
 // Command dmstop is a live terminal dashboard for a fairDMS fleet: it
-// polls a dmsrouter's /statsz (and each shard's, via the router's
-// membership list) and redraws one screen of per-shard health, RPS,
-// latency quantiles, WAL lag, ejections, and SLO burn rates. Pointed at
-// a single dmsd instead, it shows that daemon's endpoint table.
+// scrapes a dmsrouter's /metricsz once per frame and redraws one screen of
+// per-shard health, RPS, latency quantiles, WAL lag, ejections, and SLO
+// burn rates. The router's federated exposition already carries every
+// healthy shard's series under node=<addr>, so one request covers the
+// fleet. Pointed at a single dmsd instead, it shows that daemon's
+// endpoint table.
 //
 // Built on stdlib only — plain ANSI clear-and-redraw, no terminal
 // library — so it runs anywhere the daemons do.
@@ -18,9 +20,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -28,199 +30,222 @@ import (
 	"time"
 
 	"fairdms/internal/dmsapi"
-	"fairdms/internal/dmscluster"
+	"fairdms/internal/obs"
 )
 
-// poller fetches and joins the fleet state, remembering the previous
-// request counters so RPS is a true delta between polls.
+// poller scrapes one address, remembering the previous request counters
+// so RPS is a true delta between polls.
 type poller struct {
 	addr     string
 	client   *http.Client
 	lastPoll time.Time
-	lastReqs map[string]int64 // addr (or "" for the router) → requests at lastPoll
+	lastReqs map[string]float64 // node (or "" for the polled tier) → requests at lastPoll
 }
 
 func newPoller(addr string, timeout time.Duration) *poller {
 	return &poller{
 		addr:     addr,
 		client:   &http.Client{Timeout: timeout},
-		lastReqs: make(map[string]int64),
+		lastReqs: make(map[string]float64),
 	}
 }
 
-func (p *poller) getJSON(addr, path string, v any) error {
-	resp, err := p.client.Get("http://" + addr + path)
+// scrape fetches and parses the polled tier's /metricsz: the frame's one
+// HTTP request.
+func (p *poller) scrape() (expo, error) {
+	resp, err := p.client.Get("http://" + p.addr + dmsapi.PathMetrics)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s%s: %s", addr, path, resp.Status)
+		return nil, fmt.Errorf("GET %s%s: %s", p.addr, dmsapi.PathMetrics, resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	fams, err := obs.ParseExposition(body)
+	if err != nil {
+		return nil, err
+	}
+	e := make(expo, len(fams))
+	for _, f := range fams {
+		e[f.Name] = f
+	}
+	return e, nil
 }
 
 // rps converts a request counter into requests/second: delta against the
 // previous poll when there is one, lifetime average otherwise.
-func (p *poller) rps(key string, requests int64, uptime float64, now time.Time) float64 {
+func (p *poller) rps(key string, requests, uptime float64, now time.Time) float64 {
 	prev, seen := p.lastReqs[key]
 	p.lastReqs[key] = requests
 	if seen && !p.lastPoll.IsZero() {
 		if dt := now.Sub(p.lastPoll).Seconds(); dt > 0 {
-			return float64(requests-prev) / dt
+			return (requests - prev) / dt
 		}
 	}
 	if uptime > 0 {
-		return float64(requests) / uptime
+		return requests / uptime
 	}
 	return 0
 }
 
-// walLag reports the shard's unsynced WAL appends (appends - syncs): a
-// growing lag means the fsync loop is falling behind the write rate.
-func walLag(ws *dmsapi.WalStats) string {
-	if ws == nil || !ws.Enabled {
-		return "-"
+// expo is one scrape, its families by name.
+type expo map[string]obs.Family
+
+// sample returns the line of family name with the given suffix ("" or a
+// summary's "_count") whose label set is exactly labels, given as
+// key, value pairs.
+func (e expo) sample(name, suffix string, labels ...string) (float64, bool) {
+next:
+	for _, s := range e[name].Samples {
+		if s.Suffix != suffix || 2*len(s.Labels) != len(labels) {
+			continue
+		}
+		for i := 0; i < len(labels); i += 2 {
+			if s.Get(labels[i]) != labels[i+1] {
+				continue next
+			}
+		}
+		return s.Value, true
 	}
-	lag := ws.Appends - ws.Syncs
-	if lag < 0 {
-		lag = 0
-	}
-	return fmt.Sprintf("%d", lag)
+	return 0, false
 }
 
-func fmtMS(v float64) string { return fmt.Sprintf("%.2f", v) }
+// value is sample for a family whose absence reads as zero.
+func (e expo) value(name string, labels ...string) float64 {
+	v, _ := e.sample(name, "", labels...)
+	return v
+}
 
-// render draws one frame into a builder; the caller decides whether to
-// clear the screen first.
+// render draws one frame from one scrape into a builder; the caller
+// decides whether to clear the screen first. A router is told from a
+// dmsd by its dms_router_shards family.
 func render(b *strings.Builder, p *poller, now time.Time) error {
-	// The router's RouterStats and a bare dmsd's Stats share field names
-	// but differ in shape; probe for the cluster block to tell them apart.
-	var probe struct {
-		Cluster *dmscluster.ClusterStats `json:"cluster"`
-	}
-	raw := json.RawMessage{}
-	if err := p.getJSON(p.addr, dmsapi.PathStats, &raw); err != nil {
+	e, err := p.scrape()
+	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return err
+	if _, ok := e["dms_router_shards"]; ok {
+		renderCluster(b, p, e, now)
+	} else {
+		renderSingle(b, p, e, now)
 	}
-	if probe.Cluster == nil || probe.Cluster.Shards == 0 {
-		var st dmsapi.Stats
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return err
-		}
-		renderSingle(b, p, st, now)
-		return nil
-	}
-	var st dmscluster.RouterStats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return err
-	}
-	renderCluster(b, p, st, now)
 	return nil
 }
 
-func header(b *strings.Builder, kind, addr string, uptime float64, version, revision string) {
-	rev := revision
-	if len(rev) > 10 {
-		rev = rev[:10]
+func header(b *strings.Builder, e expo, kind, addr, pre string) {
+	var version, revision string
+	if f := e[pre+"build_info"]; len(f.Samples) > 0 {
+		version, revision = f.Samples[0].Get("version"), f.Samples[0].Get("revision")
 	}
-	fmt.Fprintf(b, "dmstop · %s %s · up %s · build %s@%s\n\n",
-		kind, addr, (time.Duration(uptime) * time.Second).String(), version, rev)
+	if len(revision) > 10 {
+		revision = revision[:10]
+	}
+	up := time.Duration(e.value(pre+"uptime_seconds")) * time.Second
+	fmt.Fprintf(b, "dmstop · %s %s · up %s · build %s@%s\n\n", kind, addr, up, version, revision)
 }
 
-func renderCluster(b *strings.Builder, p *poller, st dmscluster.RouterStats, now time.Time) {
-	header(b, "router", p.addr, st.UptimeSeconds, st.Version, st.Revision)
-	fmt.Fprintf(b, "cluster: epoch %d · %d/%d shards healthy · %d degraded responses · %d reroutes · router %.1f rps\n\n",
-		st.Cluster.Epoch, st.Cluster.HealthyShards, st.Cluster.Shards,
-		st.Cluster.DegradedResponses, st.Cluster.Reroutes,
-		p.rps("", st.Requests, st.UptimeSeconds, now))
+func fmtMS(seconds float64) string { return fmt.Sprintf("%.2f", seconds*1e3) }
 
-	// Shards: the router's health view joined with each live shard's own
-	// /statsz for RPS, latency, and WAL lag.
+// walLag reports a dmsd's unsynced WAL appends (appends - syncs), "-"
+// without a WAL: a growing lag means the fsync loop is falling behind the
+// write rate. node selects a shard's series in a federated scrape.
+func walLag(e expo, node ...string) string {
+	appends, ok := e.sample("dms_wal_appends_total", "", node...)
+	if !ok {
+		return "-"
+	}
+	return fmt.Sprintf("%d", int64(max(appends-e.value("dms_wal_syncs_total", node...), 0)))
+}
+
+func renderCluster(b *strings.Builder, p *poller, e expo, now time.Time) {
+	header(b, e, "router", p.addr, "dms_router_")
+	fmt.Fprintf(b, "cluster: epoch %d · %d/%d shards healthy · %d degraded responses · %d reroutes · router %.1f rps\n\n",
+		int64(e.value("dms_router_membership_epoch")),
+		int64(e.value("dms_router_healthy_shards")), int64(e.value("dms_router_shards")),
+		int64(e.value("dms_router_degraded_responses_total")), int64(e.value("dms_router_reroutes_total")),
+		p.rps("", e.value("dms_router_requests_total"), e.value("dms_router_uptime_seconds"), now))
+
+	// Shards: the router's health view joined with each live shard's
+	// federated series for RPS, latency, and WAL lag (absent while the
+	// shard is ejected).
 	fmt.Fprintf(b, "%-22s %-8s %-6s %9s %9s %9s %9s %8s %5s\n",
 		"SHARD", "HEALTH", "FAILS", "RPS", "P50 MS", "P99 MS", "P999 MS", "WAL LAG", "EJECT")
-	for _, ns := range st.Cluster.Nodes {
-		// Each shard row joins the router's health view with the shard's
-		// own /statsz (skipped while the shard is ejected).
-		var shardStats *dmsapi.Stats
-		if ns.Healthy {
-			var ss dmsapi.Stats
-			if err := p.getJSON(ns.Addr, dmsapi.PathStats, &ss); err == nil {
-				shardStats = &ss
-			}
-		}
+	for _, s := range e["dms_router_node_healthy"].Samples {
+		addr := s.Get(obs.NodeLabel)
 		health := "ok"
-		if !ns.Healthy {
+		if s.Value == 0 {
 			health = "DOWN"
 		}
 		rps, p50, p99, p999, lag := "-", "-", "-", "-", "-"
-		if s := shardStats; s != nil {
-			rps = fmt.Sprintf("%.1f", p.rps(ns.Addr, s.Requests, s.UptimeSeconds, now))
-			var agg dmsapi.EndpointStats
+		if reqs, ok := e.sample("dms_requests_total", "", obs.NodeLabel, addr); ok {
+			rps = fmt.Sprintf("%.1f", p.rps(addr, reqs, e.value("dms_uptime_seconds", obs.NodeLabel, addr), now))
 			// Worst-case view across endpoints: the slowest quantile any
 			// endpoint reports this poll.
-			for _, ep := range s.Endpoints {
-				agg.P50MS = max(agg.P50MS, ep.P50MS)
-				agg.P99MS = max(agg.P99MS, ep.P99MS)
-				agg.P999MS = max(agg.P999MS, ep.P999MS)
+			worst := map[string]float64{}
+			for _, l := range e["dms_endpoint_latency_seconds"].Samples {
+				if q := l.Get("quantile"); q != "" && l.Get(obs.NodeLabel) == addr {
+					worst[q] = max(worst[q], l.Value)
+				}
 			}
-			p50, p99, p999 = fmtMS(agg.P50MS), fmtMS(agg.P99MS), fmtMS(agg.P999MS)
-			lag = walLag(s.Wal)
+			p50, p99, p999 = fmtMS(worst["0.5"]), fmtMS(worst["0.99"]), fmtMS(worst["0.999"])
+			lag = walLag(e, obs.NodeLabel, addr)
 		}
 		fmt.Fprintf(b, "%-22s %-8s %-6d %9s %9s %9s %9s %8s %5d\n",
-			ns.Addr, health, ns.ConsecutiveFails, rps, p50, p99, p999, lag, ns.Ejections)
+			addr, health, int64(e.value("dms_router_node_consecutive_fails", obs.NodeLabel, addr)),
+			rps, p50, p99, p999, lag, int64(e.value("dms_router_node_ejections_total", obs.NodeLabel, addr)))
 	}
 
-	// Router endpoint table (top by request count).
 	b.WriteString("\n")
-	fmt.Fprintf(b, "%-22s %10s %8s %9s %9s %9s\n", "ENDPOINT", "COUNT", "ERRORS", "P50 MS", "P99 MS", "MAX MS")
-	names := make([]string, 0, len(st.Endpoints))
-	for name, ep := range st.Endpoints {
-		if ep.Count > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Slice(names, func(i, j int) bool { return st.Endpoints[names[i]].Count > st.Endpoints[names[j]].Count })
-	for _, name := range names {
-		ep := st.Endpoints[name]
-		fmt.Fprintf(b, "%-22s %10d %8d %9s %9s %9s\n",
-			name, ep.Count, ep.Errors, fmtMS(ep.P50MS), fmtMS(ep.P99MS), fmtMS(ep.MaxMS))
-	}
+	endpointTable(b, e, "dms_router_")
 
-	if len(st.SLO) > 0 {
+	if slos := e["dms_slo_budget"].Samples; len(slos) > 0 {
 		b.WriteString("\n")
 		fmt.Fprintf(b, "%-28s %10s %10s %10s %8s\n", "SLO", "BUDGET", "FAST BURN", "SLOW BURN", "STATE")
-		for _, s := range st.SLO {
+		for _, s := range slos {
+			id := s.Get("objective")
+			fast := e.value("dms_slo_fast_burn", "objective", id)
 			state := "ok"
-			if s.Breaching {
+			if fast > 1 {
 				state = "BREACH"
 			}
 			fmt.Fprintf(b, "%-28s %10.4f %10.2f %10.2f %8s\n",
-				s.Objective, s.Budget, s.FastBurn, s.SlowBurn, state)
+				id, s.Value, fast, e.value("dms_slo_slow_burn", "objective", id), state)
 		}
 	}
 }
 
-func renderSingle(b *strings.Builder, p *poller, st dmsapi.Stats, now time.Time) {
-	header(b, "dmsd", p.addr, st.UptimeSeconds, st.Version, st.Revision)
+func renderSingle(b *strings.Builder, p *poller, e expo, now time.Time) {
+	header(b, e, "dmsd", p.addr, "dms_")
 	fmt.Fprintf(b, "%.1f rps · %d in flight · %d shed · wal lag %s\n\n",
-		p.rps("", st.Requests, st.UptimeSeconds, now), st.InFlight, st.Shed, walLag(st.Wal))
-	fmt.Fprintf(b, "%-22s %10s %8s %9s %9s %9s %9s\n",
-		"ENDPOINT", "COUNT", "ERRORS", "P50 MS", "P99 MS", "P999 MS", "MAX MS")
-	names := make([]string, 0, len(st.Endpoints))
-	for name, ep := range st.Endpoints {
-		if ep.Count > 0 {
-			names = append(names, name)
+		p.rps("", e.value("dms_requests_total"), e.value("dms_uptime_seconds"), now),
+		int64(e.value("dms_in_flight")), int64(e.value("dms_shed_total")), walLag(e))
+	endpointTable(b, e, "dms_")
+}
+
+// endpointTable lists the tier's endpoints that have served requests,
+// busiest first.
+func endpointTable(b *strings.Builder, e expo, pre string) {
+	fmt.Fprintf(b, "%-22s %10s %8s %9s %9s %9s\n", "ENDPOINT", "COUNT", "ERRORS", "P50 MS", "P99 MS", "P999 MS")
+	lat := pre + "endpoint_latency_seconds"
+	type row struct {
+		name  string
+		count float64
+	}
+	var rows []row
+	for _, s := range e[lat].Samples {
+		if s.Suffix == "_count" && s.Value > 0 {
+			rows = append(rows, row{s.Get("endpoint"), s.Value})
 		}
 	}
-	sort.Slice(names, func(i, j int) bool { return st.Endpoints[names[i]].Count > st.Endpoints[names[j]].Count })
-	for _, name := range names {
-		ep := st.Endpoints[name]
-		fmt.Fprintf(b, "%-22s %10d %8d %9s %9s %9s %9s\n",
-			name, ep.Count, ep.Errors, fmtMS(ep.P50MS), fmtMS(ep.P99MS), fmtMS(ep.P999MS), fmtMS(ep.MaxMS))
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].count > rows[j].count })
+	for _, r := range rows {
+		q := func(q string) string { return fmtMS(e.value(lat, "endpoint", r.name, "quantile", q)) }
+		fmt.Fprintf(b, "%-22s %10d %8d %9s %9s %9s\n", r.name, int64(r.count),
+			int64(e.value(pre+"endpoint_errors_total", "endpoint", r.name)), q("0.5"), q("0.99"), q("0.999"))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
+	"fairdms/internal/obs"
 )
 
 // startServer runs a dmsd-shaped server (unfitted, bootstrap on first
@@ -87,15 +89,33 @@ func TestRemoteWorkflow(t *testing.T) {
 		if h.Models != step.wantModels {
 			t.Fatalf("after fairdms %v the zoo holds %d models, want %d", step.args, h.Models, step.wantModels)
 		}
-		st, err := client.ServerStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Train == nil || st.Train.Failed != 0 || st.Train.Completed != step.wantJobs || st.Train.Submitted != step.wantJobs {
-			t.Fatalf("after fairdms %v the train gauges read %+v, want %d submitted and completed, none failed",
-				step.args, st.Train, step.wantJobs)
+		tc := trainCounters(t, client)
+		if _, ok := tc["dms_train_submitted_total"]; !ok || tc["dms_train_failed_total"] != 0 ||
+			tc["dms_train_completed_total"] != float64(step.wantJobs) || tc["dms_train_submitted_total"] != float64(step.wantJobs) {
+			t.Fatalf("after fairdms %v the train counters read %v, want %d submitted and completed, none failed",
+				step.args, tc, step.wantJobs)
 		}
 	}
+}
+
+// trainCounters reads the daemon's dms_train_* families off /metricsz.
+func trainCounters(t *testing.T, c *dmsapi.Client) map[string]float64 {
+	t.Helper()
+	body, err := c.DoRaw(context.Background(), "GET", dmsapi.PathMetrics, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, f := range fams {
+		if strings.HasPrefix(f.Name, "dms_train_") && len(f.Samples) == 1 {
+			out[f.Name] = f.Samples[0].Value
+		}
+	}
+	return out
 }
 
 // TestServerTrainNeedsTrainingPlane pins the failure the dmsd smoke relies

@@ -43,7 +43,6 @@ var testOnlyKeep = map[string]string{
 	"analyzers/anzkit.Loader.Import": "implements types.Importer",
 
 	"dmsapi.Client.IngestBatch": "typed client of the production batch route, used by dmsapi and dmscluster tests",
-	"dmsapi.Client.ServerStats": "leaves with /statsz (ROADMAP 3)",
 	"fairms.Record.WarmStarted": "hides the meta encoding; three packages' tests read it",
 	"obs.TraceDump.SpanNames":   "three packages' tests use it",
 	"stats.StdDev":              "datagen's tests use it",

@@ -301,13 +301,22 @@ func (Gob) Encode(s *Sample) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode gob-decodes and re-quantizes to the original dtype.
+// Decode gob-decodes and re-quantizes to the original dtype. The stream
+// is untrusted: an unknown dtype, or values that do not fill the shape,
+// is an error.
 func (Gob) Decode(b []byte) (*Sample, error) {
 	var gs gobSample
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&gs); err != nil {
 		return nil, fmt.Errorf("codec: gob decode: %w", err)
 	}
-	s := SampleFromFloats(gs.Values, gs.Shape, Dtype(gs.Dtype), gs.Label)
+	dt := Dtype(gs.Dtype)
+	if !dt.known() {
+		return nil, fmt.Errorf("codec: gob decode: unknown dtype %d", gs.Dtype)
+	}
+	s := SampleFromFloats(gs.Values, gs.Shape, dt, gs.Label)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

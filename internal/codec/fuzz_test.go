@@ -8,18 +8,19 @@ import (
 	"testing"
 )
 
-// FuzzBlockDecode feeds arbitrary frames to the Block and Raw decoders
-// (seed corpus in testdata/fuzz/FuzzBlockDecode: frames with a label
-// count past the end, more blocks than the payload needs, a payload
-// length with bit 63 set, an unknown dtype, and an 89-byte frame that
-// claims a 1 MiB payload). Whatever the bytes, a decoder returns an error
+// FuzzBlockDecode feeds arbitrary frames to the Block, Raw and Gob
+// decoders (seed corpus in testdata/fuzz/FuzzBlockDecode: frames with a
+// label count past the end, more blocks than the payload needs, a payload
+// length with bit 63 set, an unknown dtype, an 89-byte frame that claims
+// a 1 MiB payload, and gob streams with dtype 9 and with one value for a
+// four-element u16 shape). Whatever the bytes, a decoder returns an error
 // or a sample that passes Validate, and a sample it accepts survives its
 // re-encode and decode unchanged.
 func FuzzBlockDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dt := range []Dtype{U8, U16, F32, F64} {
 		s := randomSample(rng, dt, []int{3, 4})
-		for _, c := range []Codec{Raw{}, Block{}, Block{MinCompress: -1}} {
+		for _, c := range []Codec{Raw{}, Block{}, Block{MinCompress: -1}, Gob{}} {
 			enc, err := c.Encode(s)
 			if err != nil {
 				f.Fatal(err)
@@ -28,7 +29,7 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []Codec{Block{}, Raw{}} {
+		for _, c := range []Codec{Block{}, Raw{}, Gob{}} {
 			s, err := c.Decode(data)
 			if err != nil {
 				continue

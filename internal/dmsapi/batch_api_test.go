@@ -10,7 +10,7 @@ import (
 
 // TestIngestBatchEndToEnd drives the batch endpoint over real TCP: the
 // first batch bootstrap-fits the clustering model, every document commits,
-// and the store and /statsz reflect it.
+// and the store and /metricsz reflect it.
 func TestIngestBatchEndToEnd(t *testing.T) {
 	_, client := startServer(t, ServerConfig{})
 	a, b := twoRegimes(21, 50)
@@ -45,13 +45,11 @@ func TestIngestBatchEndToEnd(t *testing.T) {
 	if h.K == 0 {
 		t.Fatal("batch ingest did not bootstrap the clustering model")
 	}
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := st.Endpoints["data.ingest_batch"]
-	if ep.Count != 2 || ep.Errors != 0 {
-		t.Fatalf("ingest_batch endpoint stats = %+v, want 2 clean requests", ep)
+	m := scrape(t, client)
+	count := m[`dms_endpoint_latency_seconds_count{endpoint="data.ingest_batch"}`]
+	errs := m[`dms_endpoint_errors_total{endpoint="data.ingest_batch"}`]
+	if count != 2 || errs != 0 {
+		t.Fatalf("ingest_batch endpoint: %v requests, %v errors, want 2 clean requests", count, errs)
 	}
 }
 
@@ -146,8 +144,8 @@ func TestIngestBatchEmptyIsBadRequest(t *testing.T) {
 	}
 }
 
-// TestStatsHistogramPercentiles: /statsz carries per-endpoint latency
-// percentiles from the bucketed histogram, ordered p50 ≤ p95 ≤ p99 ≤ max.
+// TestStatsHistogramPercentiles: /metricsz carries per-endpoint latency
+// quantiles from the bucketed histogram, ordered p50 ≤ p95 ≤ p99 ≤ p999.
 func TestStatsHistogramPercentiles(t *testing.T) {
 	_, client := startServer(t, ServerConfig{})
 	a, _ := twoRegimes(26, 30)
@@ -159,24 +157,20 @@ func TestStatsHistogramPercentiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, client)
+	const series = `dms_endpoint_latency_seconds`
+	q := func(q string) float64 { return m[series+`{endpoint="data.certainty",quantile="`+q+`"}`] }
+	if n := m[series+`_count{endpoint="data.certainty"}`]; n != 20 {
+		t.Fatalf("certainty count = %v, want 20", n)
 	}
-	ep := st.Endpoints["data.certainty"]
-	if ep.Count != 20 {
-		t.Fatalf("certainty count = %d, want 20", ep.Count)
+	p50, p95, p99, p999 := q("0.5"), q("0.95"), q("0.99"), q("0.999")
+	if p50 <= 0 {
+		t.Fatalf("p50 = %g, want > 0", p50)
 	}
-	if ep.P50MS <= 0 {
-		t.Fatalf("p50 = %g, want > 0", ep.P50MS)
+	if p50 > p95 || p95 > p99 || p99 > p999 {
+		t.Fatalf("quantiles out of order: p50=%g p95=%g p99=%g p999=%g", p50, p95, p99, p999)
 	}
-	if ep.P50MS > ep.P95MS || ep.P95MS > ep.P99MS {
-		t.Fatalf("percentiles out of order: p50=%g p95=%g p99=%g", ep.P50MS, ep.P95MS, ep.P99MS)
-	}
-	if ep.P99MS > ep.MaxMS*1.01 {
-		t.Fatalf("p99 %g exceeds max %g", ep.P99MS, ep.MaxMS)
-	}
-	if ep.AverageMS <= 0 || ep.TotalMS <= 0 {
-		t.Fatalf("avg/total not populated: %+v", ep)
+	if sum := m[series+`_sum{endpoint="data.certainty"}`]; sum <= 0 {
+		t.Fatalf("latency sum not populated: %g", sum)
 	}
 }

@@ -19,7 +19,7 @@ import (
 //     (singleflight),
 //  2. memoization: completed results are kept in a bounded LRU so repeat
 //     queries skip the compute entirely,
-//  3. observability: hit/miss/coalesce/eviction counters feed /statsz.
+//  3. observability: hit/miss/coalesce/eviction counters feed /metricsz.
 //
 // A capacity of zero disables memoization but keeps coalescing — in-flight
 // duplicates still collapse to one compute, results just aren't retained.
@@ -122,15 +122,4 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// stats snapshots the counters.
-func (c *cache) stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Size:      c.len(),
-		Evictions: c.evictions.Load(),
-	}
 }

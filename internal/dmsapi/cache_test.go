@@ -20,9 +20,8 @@ func TestCacheHitAndEviction(t *testing.T) {
 		}
 	}
 	// "a" was most recently used before "c" arrived, so "b" was evicted.
-	st := c.stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 || st.Size != 2 {
-		t.Fatalf("stats = %+v", st)
+	if c.hits.Load() != 1 || c.misses.Load() != 3 || c.evictions.Load() != 1 || c.len() != 2 {
+		t.Fatalf("hits %d, misses %d, evictions %d, size %d", c.hits.Load(), c.misses.Load(), c.evictions.Load(), c.len())
 	}
 	calls := 0
 	c.do(context.Background(), "b", func(context.Context) (any, error) { calls++; return "b", nil })
@@ -73,9 +72,8 @@ func TestCacheCoalescesConcurrentCalls(t *testing.T) {
 			t.Fatalf("caller %d got %v", i, v)
 		}
 	}
-	st := c.stats()
-	if st.Coalesced+st.Hits != 9 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
+	if c.coalesced.Load()+c.hits.Load() != 9 || c.misses.Load() != 1 {
+		t.Fatalf("coalesced %d, hits %d, misses %d", c.coalesced.Load(), c.hits.Load(), c.misses.Load())
 	}
 }
 
@@ -134,7 +132,7 @@ func TestCacheZeroCapacityCoalescesOnly(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("zero-capacity cache memoized (calls = %d)", calls)
 	}
-	if st := c.stats(); st.Size != 0 {
-		t.Fatalf("stats = %+v", st)
+	if n := c.len(); n != 0 {
+		t.Fatalf("size = %d", n)
 	}
 }

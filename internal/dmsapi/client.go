@@ -79,13 +79,6 @@ func (c *Client) Health() (HealthResponse, error) {
 	return out, err
 }
 
-// ServerStats fetches the server's /statsz counters.
-func (c *Client) ServerStats() (Stats, error) {
-	var out Stats
-	err := c.getJSON(PathStats, &out)
-	return out, err
-}
-
 // Close releases idle keep-alive connections.
 func (c *Client) Close() { c.hc.CloseIdleConnections() }
 

@@ -369,7 +369,7 @@ func TestSheddingReturns429(t *testing.T) {
 // TestRecommendCaching checks the LRU + generation-invalidation behavior
 // through the HTTP path: repeat queries hit, zoo changes invalidate.
 func TestRecommendCaching(t *testing.T) {
-	srv, client := startServer(t, ServerConfig{})
+	_, client := startServer(t, ServerConfig{})
 	if err := client.AddModel("m1", dummyState(1), stats.PDF{0.5, 0.5}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +380,11 @@ func TestRecommendCaching(t *testing.T) {
 	if _, err := client.Recommend(query, 0); err != nil {
 		t.Fatal(err)
 	}
-	cs := srv.Stats().Cache
-	if cs.Hits < 1 {
-		t.Fatalf("repeat query did not hit the cache: %+v", cs)
+	m := scrape(t, client)
+	if m["dms_cache_hits_total"] < 1 {
+		t.Fatalf("repeat query did not hit the cache: %v hits", m["dms_cache_hits_total"])
 	}
-	missesBefore := cs.Misses
+	missesBefore := m["dms_cache_misses_total"]
 
 	// Adding a model bumps the zoo generation: the cached recommendation
 	// is stale and must be recomputed.
@@ -398,8 +398,8 @@ func TestRecommendCaching(t *testing.T) {
 	if rec.ID != "m2" {
 		t.Fatalf("stale recommendation served after zoo change: %+v", rec)
 	}
-	if srv.Stats().Cache.Misses != missesBefore+1 {
-		t.Fatalf("expected a fresh compute after invalidation: %+v", srv.Stats().Cache)
+	if misses := scrape(t, client)["dms_cache_misses_total"]; misses != missesBefore+1 {
+		t.Fatalf("expected a fresh compute after invalidation: %v misses, want %v", misses, missesBefore+1)
 	}
 }
 
@@ -532,16 +532,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if _, err := client.Health(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests == 0 || st.Endpoints["healthz"].Count == 0 {
-		t.Fatalf("stats = %+v", st)
+	m := scrape(t, client)
+	if m["dms_requests_total"] == 0 || m[`dms_endpoint_latency_seconds_count{endpoint="healthz"}`] == 0 {
+		t.Fatalf("metrics = %v", m)
 	}
 }
 
-// TestStatsReportsVectorIndex checks that /statsz surfaces the data
+// TestStatsReportsVectorIndex checks that /metricsz surfaces the data
 // service's vector-index counters: after an ingest and a nearest query,
 // the index must be enabled, ready, sized to the store, and credited with
 // the query.
@@ -558,22 +555,19 @@ func TestStatsReportsVectorIndex(t *testing.T) {
 	if len(matches) != 4 || !matches[0].Found {
 		t.Fatalf("nearest = %+v", matches)
 	}
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, client)
+	if m["dms_index_ready"] != 1 {
+		t.Fatalf("index should be ready: dms_index_ready = %v", m["dms_index_ready"])
 	}
-	idx := st.Index
-	if !idx.Ready {
-		t.Fatalf("index should be ready: %+v", idx)
+	if size := m["dms_index_size"]; size != float64(len(a)) {
+		t.Fatalf("index size = %v, want %d", size, len(a))
 	}
-	if idx.Size != len(a) {
-		t.Fatalf("index size = %d, want %d", idx.Size, len(a))
+	if m["dms_index_hits_total"] == 0 || m["dms_index_misses_total"] != 0 || m["dms_index_probed_total"] == 0 {
+		t.Fatalf("nearest query should have hit the index: hits %v, misses %v, probed %v",
+			m["dms_index_hits_total"], m["dms_index_misses_total"], m["dms_index_probed_total"])
 	}
-	if idx.Hits == 0 || idx.Misses != 0 || idx.Probed == 0 {
-		t.Fatalf("nearest query should have hit the index: %+v", idx)
-	}
-	if idx.Corrupt != 0 {
-		t.Fatalf("unexpected corrupt count: %+v", idx)
+	if c := m["dms_index_corrupt_total"]; c != 0 {
+		t.Fatalf("unexpected corrupt count: %v", c)
 	}
 }
 

@@ -3,6 +3,7 @@ package dmsapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -14,6 +15,36 @@ import (
 	"fairdms/internal/fairds"
 	"fairdms/internal/obs"
 )
+
+// scrape reads /metricsz through c and flattens it to series → value,
+// a series keyed by its family name, sample suffix and labels in
+// exposition order: dms_endpoint_latency_seconds_count{endpoint="healthz"}.
+func scrape(t *testing.T, c *Client) map[string]float64 {
+	t.Helper()
+	body, err := c.DoRaw(context.Background(), "GET", PathMetrics, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(body)
+	if err != nil {
+		t.Fatalf("invalid exposition:\n%s\nerror: %v", body, err)
+	}
+	out := make(map[string]float64)
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			key := f.Name + s.Suffix
+			if len(s.Labels) > 0 {
+				parts := make([]string, len(s.Labels))
+				for i, l := range s.Labels {
+					parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+				}
+				key += "{" + strings.Join(parts, ",") + "}"
+			}
+			out[key] = s.Value
+		}
+	}
+	return out
+}
 
 // traced posts in to path inside a sampled obs trace rooted at a
 // client_request span — the joined shape a router's shard call has — and
@@ -138,9 +169,9 @@ func assertContiguous(t *testing.T, label string, d obs.TraceDump) {
 }
 
 // TestMetricszExposition scrapes /metricsz after live traffic and checks
-// the response is valid Prometheus text carrying every /statsz counter
-// family, including the per-endpoint vectors and (with training enabled)
-// the trainer counters.
+// the response is valid Prometheus text carrying every server family,
+// including the build identity, the per-endpoint vectors and (with
+// training enabled) the trainer counters.
 func TestMetricszExposition(t *testing.T) {
 	srv, client := startServer(t, ServerConfig{TrainWorkers: 1})
 	a, _ := twoRegimes(13, 24)
@@ -179,9 +210,8 @@ func TestMetricszExposition(t *testing.T) {
 		families[f.Name] = len(f.Samples)
 	}
 
-	// Every /statsz counter has a registry family (registerMetrics).
 	want := []string{
-		"dms_uptime_seconds", "dms_requests_total", "dms_shed_total",
+		"dms_uptime_seconds", "dms_build_info", "dms_requests_total", "dms_shed_total",
 		"dms_in_flight", "dms_cluster_k",
 		"dms_cache_hits_total", "dms_cache_misses_total", "dms_cache_coalesced_total",
 		"dms_cache_evictions_total", "dms_cache_size",
@@ -201,9 +231,8 @@ func TestMetricszExposition(t *testing.T) {
 		}
 	}
 
-	// The scrape and /statsz read the same atomics: the requests counter
-	// in the exposition must cover at least the requests /statsz saw when
-	// the traffic above ran.
+	// The scrape and the server's own accessor read the same atomic: the
+	// requests counter in the exposition must match what Requests saw.
 	var exported float64
 	for _, line := range strings.Split(string(body), "\n") {
 		if v, ok := strings.CutPrefix(line, "dms_requests_total "); ok {
@@ -216,8 +245,8 @@ func TestMetricszExposition(t *testing.T) {
 	if exported < 3 {
 		t.Errorf("dms_requests_total = %v after >=3 requests", exported)
 	}
-	if got := srv.Stats().Requests; float64(got) < exported-1 { // scrape itself may add one
-		t.Errorf("statsz requests %d disagrees with exposition %v", got, exported)
+	if got := srv.Requests(); float64(got) < exported-1 { // scrape itself may add one
+		t.Errorf("Requests() = %d disagrees with exposition %v", got, exported)
 	}
 }
 
@@ -257,9 +286,7 @@ func TestTracezRetainsSlowOperations(t *testing.T) {
 	if job, err = client.WaitTrain(job.ID, 5*time.Millisecond, time.Minute); err != nil || job.State != "done" {
 		t.Fatalf("train job: state %q, err %v", job.State, err)
 	}
-	if _, err := client.ServerStats(); err != nil {
-		t.Fatal(err)
-	}
+	scrape(t, client)
 	if _, err := client.PDF(trainMeanSamples(18, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +325,7 @@ func TestTracezRetainsSlowOperations(t *testing.T) {
 			t.Errorf("ring never saw %s: %v", op, seen)
 		}
 	}
-	for _, op := range []string{"healthz", "statsz", "metricsz", "tracez"} {
+	for _, op := range []string{"healthz", "metricsz", "tracez"} {
 		if seen[op] {
 			t.Errorf("meta endpoint %s was retained", op)
 		}
@@ -366,7 +393,7 @@ func TestTracezDisabledIs404(t *testing.T) {
 	}
 }
 
-// TestStatsBuildInfo checks /statsz identifies the running build and
+// TestStatsBuildInfo checks /metricsz identifies the running build and
 // reports the tail percentile.
 func TestStatsBuildInfo(t *testing.T) {
 	_, client := startServer(t, ServerConfig{})
@@ -375,21 +402,36 @@ func TestStatsBuildInfo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.ServerStats()
+	body, err := client.DoRaw(context.Background(), "GET", PathMetrics, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GoVersion == "" || st.GoVersion == "unknown" {
-		t.Errorf("go_version = %q", st.GoVersion)
+	fams, err := obs.ParseExposition(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Version == "" || st.Revision == "" {
-		t.Errorf("version %q / revision %q must at least be \"unknown\"", st.Version, st.Revision)
+	var build *obs.SampleLine
+	for _, f := range fams {
+		if f.Name == "dms_build_info" && len(f.Samples) == 1 {
+			build = &f.Samples[0]
+		}
 	}
-	if st.UptimeSeconds <= 0 {
-		t.Errorf("uptime_seconds = %v", st.UptimeSeconds)
+	if build == nil || build.Value != 1 {
+		t.Fatalf("dms_build_info missing or not one constant series: %+v", build)
 	}
-	ep := st.Endpoints["healthz"]
-	if ep.P999MS <= 0 || ep.P999MS < ep.P99MS {
-		t.Errorf("healthz p999=%v p99=%v after %d requests", ep.P999MS, ep.P99MS, ep.Count)
+	if v := build.Get("go_version"); v == "" || v == "unknown" {
+		t.Errorf("go_version = %q", v)
+	}
+	if build.Get("version") == "" || build.Get("revision") == "" {
+		t.Errorf("version %q / revision %q must at least be \"unknown\"", build.Get("version"), build.Get("revision"))
+	}
+	m := scrape(t, client)
+	if up := m["dms_uptime_seconds"]; up <= 0 {
+		t.Errorf("dms_uptime_seconds = %v", up)
+	}
+	p99 := m[`dms_endpoint_latency_seconds{endpoint="healthz",quantile="0.99"}`]
+	p999 := m[`dms_endpoint_latency_seconds{endpoint="healthz",quantile="0.999"}`]
+	if p999 <= 0 || p999 < p99 {
+		t.Errorf("healthz p999=%v p99=%v after %v requests", p999, p99, m[`dms_endpoint_latency_seconds_count{endpoint="healthz"}`])
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"fairdms/internal/hdrhist"
 	"fairdms/internal/obs"
 )
 
@@ -62,14 +63,14 @@ type PipelineConfig struct {
 type RouteFlags uint8
 
 const (
-	// ShedExempt routes bypass admission control: health, stats and the
+	// ShedExempt routes bypass admission control: health and the
 	// scrape/debug surfaces must answer exactly when the server is
 	// saturated, and a queued train submit or a cancel costs nothing to
 	// admit.
 	ShedExempt RouteFlags = 1 << iota
 	// Meta routes are a tier's own observability surfaces. They are never
 	// SLO-scored, retained, or traced on the ring's behalf, so a dashboard
-	// polling /statsz cannot burn an error budget or wash real traces out
+	// polling /metricsz cannot burn an error budget or wash real traces out
 	// of the ring.
 	Meta
 )
@@ -100,7 +101,6 @@ type Pipeline struct {
 	shed     atomic.Int64
 	requests atomic.Int64
 
-	endpoints map[string]*endpointMetrics
 	epErrors  *obs.CounterVec
 	epLatency *obs.HistogramVec
 
@@ -108,33 +108,29 @@ type Pipeline struct {
 	http *http.Server
 }
 
-// endpointMetrics are one route's series. Both live in the registry, so
-// /statsz and /metricsz read the very same atomics; the histogram is
-// lock-free, so neither the request path nor a scrape serializes on a
-// stats lock.
-type endpointMetrics struct {
-	errors *obs.Counter
-	hist   *hdrhist.Histogram
-}
-
 // NewPipeline builds the request path with its own routing table and
-// metrics registry, and mounts GET /debug/tracez on it.
+// metrics registry, and mounts GET /debug/tracez on it. The registry
+// starts with the tier's identity — <prefix>uptime_seconds and
+// <prefix>build_info — and its request-path series.
 func NewPipeline(cfg PipelineConfig) *Pipeline {
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	p := &Pipeline{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		reg:       obs.NewRegistry(),
-		slo:       obs.NewSLOEvaluator(cfg.SLOs),
-		ring:      obs.NewTraceLog(cfg.TraceRing),
-		endpoints: make(map[string]*endpointMetrics),
+		cfg:  cfg,
+		mux:  http.NewServeMux(),
+		reg:  obs.NewRegistry(),
+		slo:  obs.NewSLOEvaluator(cfg.SLOs),
+		ring: obs.NewTraceLog(cfg.TraceRing),
 	}
 	if cfg.MaxInFlight > 0 {
 		p.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
 	pre := cfg.MetricPrefix
+	start := time.Now()
+	p.reg.GaugeFunc(pre+"uptime_seconds", "seconds since the tier started",
+		func() float64 { return time.Since(start).Seconds() })
+	p.reg.Info(pre+"build_info", "the running build: Go toolchain, main-module version, VCS revision", buildInfo()...)
 	p.reg.CounterFunc(pre+"requests_total", "requests handled (shed excluded)", p.requests.Load)
 	p.reg.CounterFunc(pre+"shed_total", "requests rejected with 429 by admission control", p.shed.Load)
 	p.reg.GaugeFunc(pre+"in_flight", "requests currently being handled",
@@ -160,8 +156,10 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 // if Retain keeps it (tail-based sampling: decide after the outcome is
 // known).
 func (p *Pipeline) Handle(pattern, name string, flags RouteFlags, h HandlerFunc) {
-	m := &endpointMetrics{errors: p.epErrors.With(name), hist: p.epLatency.With(name)}
-	p.endpoints[name] = m
+	// The route's error counter and latency histogram: registry members,
+	// the histogram lock-free, so neither the request path nor a scrape
+	// serializes on a stats lock.
+	errs, hist := p.epErrors.With(name), p.epLatency.With(name)
 	shed := p.sem != nil && flags&ShedExempt == 0
 	meta := flags&Meta != 0
 	p.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -202,12 +200,12 @@ func (p *Pipeline) Handle(pattern, name string, flags RouteFlags, h HandlerFunc)
 		err := h(w, r)
 		d := time.Since(begin)
 		root.End()
-		m.hist.Record(d)
+		hist.Record(d)
 		if sampled {
 			w.Header().Set(obs.SpanHeader, obs.EncodeDump(tr.Dump()))
 		}
 		if err != nil {
-			m.errors.Inc()
+			errs.Inc()
 			p.logFailure(name, r, d, err)
 			WriteStatusError(w, err)
 		}
@@ -303,32 +301,28 @@ func (p *Pipeline) Shed() int64 { return p.shed.Load() }
 func (p *Pipeline) InFlight() int { return int(p.inFlight.Load()) }
 
 // SLOStatus evaluates every objective now and refreshes the dms_slo_*
-// burn gauges; call it before rendering /statsz or /metricsz.
+// burn gauges; call it before rendering /metricsz.
 func (p *Pipeline) SLOStatus() []obs.SLOStatus { return p.slo.Status() }
 
-// EndpointStats snapshots every route's counters and latency percentiles.
-func (p *Pipeline) EndpointStats() map[string]EndpointStats {
-	eps := make(map[string]EndpointStats, len(p.endpoints))
-	for name, m := range p.endpoints {
-		snap := m.hist.Snapshot()
-		total := float64(snap.SumNS) / 1e6
-		ep := EndpointStats{
-			Count:   snap.Count,
-			Errors:  m.errors.Value(),
-			TotalMS: total,
-			MaxMS:   float64(snap.MaxNS) / 1e6,
-			P50MS:   durMS(snap.Quantile(0.50)),
-			P95MS:   durMS(snap.Quantile(0.95)),
-			P99MS:   durMS(snap.Quantile(0.99)),
-			P999MS:  durMS(snap.Quantile(0.999)),
+// buildInfo reads the running binary's identity once: the Go toolchain,
+// the main-module version and the VCS revision when built from a
+// checkout, each "unknown" when the build carries no such metadata (go
+// test binaries, for one).
+var buildInfo = sync.OnceValue(func() []obs.Label {
+	goVersion, version, revision := "unknown", "unknown", "unknown"
+	if info, ok := debug.ReadBuildInfo(); ok {
+		goVersion = info.GoVersion
+		if v := info.Main.Version; v != "" {
+			version = v
 		}
-		if snap.Count > 0 {
-			ep.AverageMS = total / float64(snap.Count)
+		for _, kv := range info.Settings {
+			if kv.Key == "vcs.revision" {
+				revision = kv.Value
+			}
 		}
-		eps[name] = ep
 	}
-	return eps
-}
+	return []obs.Label{{Key: "go_version", Value: goVersion}, {Key: "version", Value: version}, {Key: "revision", Value: revision}}
+})
 
 // Listen binds to addr ("127.0.0.1:0" picks a free port) and starts
 // serving in a background goroutine. It returns the bound address.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
+	"fairdms/internal/docstore"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
 	"fairdms/internal/nn"
@@ -42,7 +42,7 @@ type ServerConfig struct {
 	Zoo *fairms.Zoo
 	// MaxInFlight bounds concurrently handled requests; excess load is shed
 	// with 429 so a burst degrades into fast rejections instead of a pileup
-	// (health and stats endpoints are exempt). Zero means
+	// (health and metrics endpoints are exempt). Zero means
 	// defaultMaxInFlight; negative means unlimited.
 	MaxInFlight int
 	// CacheSize bounds the LRU of completed recommend/PDF results. Zero
@@ -79,11 +79,10 @@ type ServerConfig struct {
 	// profiling surface should not be reachable on every deployment).
 	EnablePprof bool
 	// WalStats, when non-nil, surfaces the durability counters of a
-	// WAL-backed document store on /statsz (the "wal" key) and /metricsz
-	// (the dms_wal_* families) — docstore.DurableStore.WalStats fits as is.
-	// The daemon installs it when it runs the store in WAL-durable mode;
-	// nil omits the surface entirely.
-	WalStats func() WalStats
+	// WAL-backed document store on /metricsz (the dms_wal_* families) —
+	// docstore.DurableStore.WalStats fits as is. The daemon installs it
+	// when it runs the store in WAL-durable mode; nil omits the families.
+	WalStats func() docstore.WalStats
 	// Logger receives request failures (5xx at warn, 4xx at debug) and
 	// fit / training-job lifecycle events; nil silences them.
 	Logger *obs.Logger
@@ -92,14 +91,13 @@ type ServerConfig struct {
 // Server exposes a fairds.Service and fairms.Zoo over HTTP. It is
 // production-shaped: bounded in-flight concurrency with 429 shedding, a
 // coalescing LRU cache on the hot read paths (recommend, PDF), per-endpoint
-// request/error/latency counters surfaced at /statsz, and graceful
+// request/error/latency series surfaced at /metricsz, and graceful
 // shutdown. The request path itself — admission, tracing, metrics, the
 // error envelope, /debug/tracez, the listener — is the embedded Pipeline,
 // the same code dmsrouter runs. Safe for concurrent use.
 type Server struct {
 	*Pipeline
-	cfg   ServerConfig
-	start time.Time
+	cfg ServerConfig
 
 	// dsMu guards the fairds.Service: the bootstrap fit mutates its
 	// clustering model, everything else only reads it. fairms.Zoo locks
@@ -156,7 +154,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		Pipeline: NewPipeline(pc),
 		cfg:      cfg,
-		start:    time.Now(),
 		cache:    newCache(max(cfg.CacheSize, 0)),
 	}
 	s.mirrorFit()
@@ -176,7 +173,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.Handle("POST "+PathRecommend, "models.recommend", 0, s.handleRecommend)
 	s.Handle("GET "+PathCheckpoint, "models.checkpoint", 0, s.handleCheckpoint)
 	s.Handle("GET "+PathHealth, "healthz", ShedExempt|Meta, s.handleHealth)
-	s.Handle("GET "+PathStats, "statsz", ShedExempt|Meta, s.handleStats)
 	s.Handle("GET "+PathMetrics, "metricsz", ShedExempt|Meta, s.handleMetrics)
 	if cfg.EnablePprof {
 		mux := s.Handler()
@@ -234,15 +230,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // disabled) — used by the daemon and tests.
 func (s *Server) Trainer() *trainer.Manager { return s.trainer }
 
-// registerMetrics mirrors every /statsz counter the server owns into the
-// Prometheus registry. Cache and index counters stay owned by their
-// existing atomics and are read through closures — one source of truth,
-// two exposition formats. The request, shed, in-flight, retention and
-// per-endpoint series are the pipeline's.
+// registerMetrics exposes the server's own counters on /metricsz. Cache,
+// index, train and WAL counters stay owned by their existing atomics and
+// are read through closures at scrape time. The identity, request, shed,
+// in-flight, retention and per-endpoint series are the pipeline's.
 func (s *Server) registerMetrics() {
 	r := s.Registry()
-	r.GaugeFunc("dms_uptime_seconds", "seconds since server start",
-		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("dms_cluster_k", "fitted cluster count (0 = awaiting bootstrap)",
 		func() float64 { return float64(s.clusterK.Load()) })
 
@@ -311,25 +304,33 @@ func (s *Server) registerMetrics() {
 	}
 
 	if s.cfg.WalStats != nil {
-		walStat := func(pick func(WalStats) int64) func() int64 {
+		walStat := func(pick func(docstore.WalStats) int64) func() int64 {
 			return func() int64 { return pick(s.cfg.WalStats()) }
 		}
 		r.CounterFunc("dms_wal_appends_total", "WAL records appended",
-			walStat(func(w WalStats) int64 { return w.Appends }))
+			walStat(func(w docstore.WalStats) int64 { return w.Appends }))
 		r.CounterFunc("dms_wal_bytes_total", "WAL bytes appended",
-			walStat(func(w WalStats) int64 { return w.AppendedBytes }))
+			walStat(func(w docstore.WalStats) int64 { return w.AppendedBytes }))
 		r.CounterFunc("dms_wal_syncs_total", "WAL fsync calls",
-			walStat(func(w WalStats) int64 { return w.Syncs }))
+			walStat(func(w docstore.WalStats) int64 { return w.Syncs }))
 		r.CounterFunc("dms_wal_replays_total", "WAL segment replays at startup",
-			walStat(func(w WalStats) int64 { return w.Replays }))
+			walStat(func(w docstore.WalStats) int64 { return w.Replays }))
 		r.CounterFunc("dms_wal_replayed_records_total", "WAL records replayed at startup",
-			walStat(func(w WalStats) int64 { return w.ReplayedRecords }))
+			walStat(func(w docstore.WalStats) int64 { return w.ReplayedRecords }))
 		r.CounterFunc("dms_wal_torn_truncations_total", "torn WAL tails truncated during replay",
-			walStat(func(w WalStats) int64 { return w.TornTruncations }))
+			walStat(func(w docstore.WalStats) int64 { return w.TornTruncations }))
 		r.CounterFunc("dms_wal_corrupt_records_total", "corrupt WAL records truncated during replay",
-			walStat(func(w WalStats) int64 { return w.CorruptRecords }))
+			walStat(func(w docstore.WalStats) int64 { return w.CorruptRecords }))
 		r.CounterFunc("dms_wal_compactions_total", "WAL compactions folded into the snapshot",
-			walStat(func(w WalStats) int64 { return w.Compactions }))
+			walStat(func(w docstore.WalStats) int64 { return w.Compactions }))
+		r.CounterFunc("dms_wal_replayed_txns_total", "store transactions re-applied from the WAL at startup",
+			walStat(func(w docstore.WalStats) int64 { return w.ReplayedTxns }))
+		r.CounterFunc("dms_wal_replay_skipped_ops_total", "replayed WAL operations skipped: undecodable, or already in the checkpoint",
+			walStat(func(w docstore.WalStats) int64 { return w.ReplaySkippedOps }))
+		r.CounterFunc("dms_wal_rotations_total", "WAL segment rotations",
+			walStat(func(w docstore.WalStats) int64 { return w.Rotations }))
+		r.CounterFunc("dms_wal_segments_removed_total", "WAL segments deleted once folded into the checkpoint",
+			walStat(func(w docstore.WalStats) int64 { return w.SegmentsRemoved }))
 	}
 }
 
@@ -345,65 +346,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return httpErr
-}
-
-// buildInfo reads the running binary's identity once: Go toolchain,
-// main-module version, and VCS revision (when built from a checkout).
-var buildInfo = sync.OnceValue(func() (bi struct{ goVersion, version, revision string }) {
-	bi.goVersion, bi.version, bi.revision = "unknown", "unknown", "unknown"
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return bi
-	}
-	bi.goVersion = info.GoVersion
-	if v := info.Main.Version; v != "" {
-		bi.version = v
-	}
-	for _, kv := range info.Settings {
-		if kv.Key == "vcs.revision" {
-			bi.revision = kv.Value
-		}
-	}
-	return bi
-})
-
-// BuildIdentity reports the running binary's identity (Go toolchain,
-// main-module version, VCS revision) — the same block dmsd's /statsz
-// carries, exported so the cluster router reports it too.
-func BuildIdentity() (goVersion, version, revision string) {
-	bi := buildInfo()
-	return bi.goVersion, bi.version, bi.revision
-}
-
-// Stats snapshots the server counters (the /statsz payload).
-func (s *Server) Stats() Stats {
-	var ts *TrainStats
-	if s.trainer != nil {
-		snap := s.trainer.Stats()
-		ts = &snap
-	}
-	var ws *WalStats
-	if s.cfg.WalStats != nil {
-		snap := s.cfg.WalStats()
-		ws = &snap
-	}
-	bi := buildInfo()
-	return Stats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		GoVersion:     bi.goVersion,
-		Version:       bi.version,
-		Revision:      bi.revision,
-		InFlight:      s.InFlight(),
-		Shed:          s.Shed(),
-		Requests:      s.Requests(),
-		Cache:         s.cache.stats(),
-		// IndexStats is atomically counted inside the data service, so no
-		// dsMu here — /statsz answers even during a bootstrap fit.
-		Index:     s.cfg.DS.IndexStats(),
-		Train:     ts,
-		Wal:       ws,
-		Endpoints: s.EndpointStats(),
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -993,13 +935,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	return WriteBody(w, r, s.Stats())
-}
-
-// handleMetrics serves the Prometheus text exposition. Every /statsz
-// counter is a registry member (registerMetrics), so the two surfaces
-// always agree.
+// handleMetrics serves the Prometheus text exposition: the pipeline's
+// families and the server's own (registerMetrics).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	return s.reg.WritePrometheus(w)

@@ -1,7 +1,6 @@
 package dmsapi
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"testing"
@@ -13,36 +12,6 @@ import (
 	"fairdms/internal/stats"
 	"fairdms/internal/wal"
 )
-
-// TestStatszCounterBlocksKeepTheirBytes pins the "index" and "wal" blocks of
-// /statsz to the bytes the server wrote while dmsapi kept its own copies of
-// the two structs (recorded at commit 671ba5a), less the index block's
-// "enabled", which went with the option to turn the index off, and its
-// partition counter, which went with the approximate index: the aliases of
-// fairds.IndexStats and docstore.WalStats must not have moved a tag.
-func TestStatszCounterBlocksKeepTheirBytes(t *testing.T) {
-	st := Stats{
-		Index: IndexStats{Ready: true, Size: 3, Hits: 4, Misses: 5, Probed: 6, Corrupt: 8},
-		Wal: &WalStats{Enabled: true, Policy: "always", Appends: 1, AppendedBytes: 2, Syncs: 3, Replays: 4,
-			ReplayedRecords: 5, ReplayedTxns: 6, ReplaySkippedOps: 7, TornTruncations: 8, CorruptRecords: 9,
-			Rotations: 10, Compactions: 11, SegmentsRemoved: 12},
-	}
-	for name, c := range map[string]struct {
-		v    any
-		want string
-	}{
-		"index": {st.Index, `{"ready":true,"size":3,"hits":4,"misses":5,"probed":6,"corrupt":8}`},
-		"wal":   {st.Wal, `{"enabled":true,"policy":"always","appends":1,"appended_bytes":2,"syncs":3,"replays":4,"replayed_records":5,"replayed_txns":6,"replay_skipped_ops":7,"torn_truncations":8,"corrupt_records":9,"rotations":10,"compactions":11,"segments_removed":12}`},
-	} {
-		got, err := json.Marshal(c.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != c.want {
-			t.Errorf("/statsz %q block changed\n got  %s\n want %s", name, got, c.want)
-		}
-	}
-}
 
 // TestHealthReportsFit: /healthz carries the fit id — empty while
 // unfitted, the data service's own afterwards — and a registered model is

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,10 +53,10 @@ func trainRequest(modelID string) TrainRequest {
 // client ingests a dataset, submits a cold training job against its tag,
 // then runs RapidTrain on the same data — which warm-starts from the
 // first job's checkpoint, converges in fewer epochs (Figs. 13–14),
-// registers with parent lineage, and surfaces in the /statsz train block.
+// registers with parent lineage, and surfaces in the dms_train_* families.
 func TestTrainEndToEnd(t *testing.T) {
 	zoo := fairms.NewZoo()
-	_, client := startServer(t, ServerConfig{Zoo: zoo, TrainWorkers: 2})
+	srv, client := startServer(t, ServerConfig{Zoo: zoo, TrainWorkers: 2})
 
 	if _, err := client.Ingest("scan-00", trainMeanSamples(1, 80)); err != nil {
 		t.Fatal(err)
@@ -132,20 +133,17 @@ func TestTrainEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /statsz surfaces the train gauges.
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
+	// /metricsz surfaces the train counters; the pool size is
+	// configuration, which the trainer reports.
+	m := scrape(t, client)
+	if m["dms_train_submitted_total"] != 2 || m["dms_train_completed_total"] != 2 ||
+		m["dms_train_warm_starts_total"] != 1 || m["dms_train_cold_starts_total"] != 1 {
+		t.Fatalf("train counters: submitted %v, completed %v, warm %v, cold %v",
+			m["dms_train_submitted_total"], m["dms_train_completed_total"],
+			m["dms_train_warm_starts_total"], m["dms_train_cold_starts_total"])
 	}
-	if st.Train == nil {
-		t.Fatal("/statsz has no train block with training enabled")
-	}
-	if st.Train.Submitted != 2 || st.Train.Completed != 2 ||
-		st.Train.WarmStarts != 1 || st.Train.ColdStarts != 1 {
-		t.Fatalf("train gauges %+v", st.Train)
-	}
-	if st.Train.Workers != 2 {
-		t.Fatalf("train workers %d, want 2", st.Train.Workers)
+	if w := srv.Trainer().Stats().Workers; w != 2 {
+		t.Fatalf("train workers %d, want 2", w)
 	}
 }
 
@@ -196,12 +194,8 @@ func TestTrainQueueSaturationAndCancel(t *testing.T) {
 		t.Fatalf("third submit should shed with 429, got %v", err)
 	}
 
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Train == nil || st.Train.QueueDepth != 1 || st.Train.Active != 1 {
-		t.Fatalf("train gauges under saturation: %+v", st.Train)
+	if m := scrape(t, client); m["dms_train_queue_depth"] != 1 || m["dms_train_active"] != 1 {
+		t.Fatalf("train gauges under saturation: queue depth %v, active %v", m["dms_train_queue_depth"], m["dms_train_active"])
 	}
 
 	for _, id := range []string{queued.ID, running.ID} {
@@ -258,8 +252,8 @@ func TestTrainRejections(t *testing.T) {
 	if list, err := client.TrainJobs(); err != nil || len(list) != 0 {
 		t.Fatalf("rejected submissions left jobs behind: %+v, err %v", list, err)
 	}
-	if st, err := client.ServerStats(); err != nil || st.Train == nil || st.Train.Submitted != 0 {
-		t.Fatalf("rejected submissions counted as submitted: %+v, err %v", st.Train, err)
+	if n, ok := scrape(t, client)["dms_train_submitted_total"]; !ok || n != 0 {
+		t.Fatalf("rejected submissions counted as submitted: %v (present %v)", n, ok)
 	}
 	// POST /v1/train/{id} without the :cancel action is not a route.
 	if err = client.postJSON("/v1/train/job-000001", struct{}{}, &TrainJob{}); !errors.As(err, &se) || se.Code != http.StatusNotFound {
@@ -271,12 +265,10 @@ func TestTrainRejections(t *testing.T) {
 	if _, err := disabled.SubmitTrain(TrainRequest{Dataset: "scan-00", Model: "mlp"}); !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("disabled training: want 404, got %v", err)
 	}
-	stats, err := disabled.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Train != nil {
-		t.Fatal("/statsz train block present with training disabled")
+	for series := range scrape(t, disabled) {
+		if strings.HasPrefix(series, "dms_train_") {
+			t.Fatalf("%s present with training disabled", series)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 //   - Server, a production-shaped HTTP front end with bounded in-flight
 //     concurrency (429 shedding), singleflight coalescing plus a small LRU
 //     for hot recommend/PDF queries, request/latency/cache counters on
-//     /statsz, and graceful shutdown;
+//     /metricsz, and graceful shutdown;
 //   - Client, a typed Go client with connection reuse and
 //     retry-on-connection-error.
 //
@@ -28,8 +28,6 @@ import (
 	"time"
 
 	"fairdms/internal/codec"
-	"fairdms/internal/docstore"
-	"fairdms/internal/fairds"
 	"fairdms/internal/obs"
 	"fairdms/internal/trainer"
 )
@@ -52,7 +50,6 @@ const (
 	PathTrainJob    = "/v1/train/{id}"
 	PathTrainCancel = "/v1/train/{id}:cancel"
 	PathHealth      = "/healthz"
-	PathStats       = "/statsz"
 	PathMetrics     = "/metricsz"
 	PathTraces      = "/debug/tracez"
 )
@@ -395,13 +392,6 @@ func TrainWait(r *http.Request) (time.Duration, error) {
 	return min(d, MaxTrainWait), nil
 }
 
-// TrainStats reports the training subsystem's gauges: pool geometry,
-// live queue depth and active jobs, and lifetime submitted/completed/
-// failed/canceled plus warm-vs-cold start counts. It aliases
-// trainer.Stats — the json tags live there — so a gauge added to the
-// trainer reaches /statsz without a hand-kept mirror drifting.
-type TrainStats = trainer.Stats
-
 // HealthResponse is the body of GET /healthz.
 type HealthResponse struct {
 	Status string `json:"status"`
@@ -412,68 +402,6 @@ type HealthResponse struct {
 	Fit     string `json:"fit"`
 	Models  int    `json:"models"`  // zoo entries
 	Samples int    `json:"samples"` // labeled samples in the data store
-}
-
-// Stats is the body of GET /statsz: a point-in-time snapshot of server
-// counters. The full schema is documented in docs/ARCHITECTURE.md; the
-// same counters are exported in Prometheus text form at /metricsz.
-type Stats struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// GoVersion/Version/Revision identify the running build (from
-	// runtime/debug.ReadBuildInfo): the Go toolchain, the main-module
-	// version, and the VCS revision when the binary was built from a
-	// checkout. "unknown" when the build carries no such metadata (e.g.
-	// go test binaries).
-	GoVersion string     `json:"go_version"`
-	Version   string     `json:"version"`
-	Revision  string     `json:"revision"`
-	InFlight  int        `json:"in_flight"`
-	Shed      int64      `json:"shed"` // 429s returned
-	Requests  int64      `json:"requests"`
-	Cache     CacheStats `json:"cache"`
-	Index     IndexStats `json:"index"`
-	// Train is present when the server embeds the training subsystem
-	// (ServerConfig.TrainWorkers > 0).
-	Train *TrainStats `json:"train,omitempty"`
-	// Wal is present when the server fronts a WAL-durable document store
-	// (ServerConfig.WalStats hook installed).
-	Wal       *WalStats                `json:"wal,omitempty"`
-	Endpoints map[string]EndpointStats `json:"endpoints"`
-}
-
-// WalStats reports the durability plane of a WAL-backed document store.
-// Like TrainStats it aliases the owning package's type — the json tags
-// live on docstore.WalStats — so a counter added there reaches /statsz
-// without a hand-kept mirror.
-type WalStats = docstore.WalStats
-
-// IndexStats reports the data service's vector-index coverage and
-// effectiveness; an alias of fairds.IndexStats for the same reason.
-type IndexStats = fairds.IndexStats
-
-// CacheStats reports coalescing-cache effectiveness.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"` // callers that piggybacked on an in-flight compute
-	Size      int   `json:"size"`
-	Evictions int64 `json:"evictions"`
-}
-
-// EndpointStats reports per-endpoint request counters plus streaming
-// latency percentiles from a lock-free bucketed histogram (~3% resolution).
-// The histogram is recorded into by every in-flight request and snapshotted
-// with atomic loads, so /statsz never stalls the request path.
-type EndpointStats struct {
-	Count     int64   `json:"count"`
-	Errors    int64   `json:"errors"`
-	TotalMS   float64 `json:"total_ms"`
-	MaxMS     float64 `json:"max_ms"`
-	AverageMS float64 `json:"avg_ms"`
-	P50MS     float64 `json:"p50_ms"`
-	P95MS     float64 `json:"p95_ms"`
-	P99MS     float64 `json:"p99_ms"`
-	P999MS    float64 `json:"p999_ms"`
 }
 
 // TracezResponse is the body of GET /debug/tracez on both tiers: the

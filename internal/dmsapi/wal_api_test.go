@@ -31,40 +31,35 @@ func startDurableServer(t *testing.T) (*Server, *Client, *docstore.DurableStore)
 }
 
 // TestStatsReportsWal: after ingesting through a WAL-durable store, the
-// wal key appears on /statsz with live append counters.
+// dms_wal_* families on /metricsz carry live append counters. The fsync
+// policy is configuration, not a counter; the store reports it.
 func TestStatsReportsWal(t *testing.T) {
-	_, client, _ := startDurableServer(t)
+	_, client, ds := startDurableServer(t)
 	a, _ := twoRegimes(17, 24)
 	if _, err := client.Ingest("regime-a", a); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
+	if ws := ds.WalStats(); !ws.Enabled || ws.Policy != "always" {
+		t.Fatalf("wal stats = %+v; want enabled with policy always", ws)
 	}
-	if st.Wal == nil {
-		t.Fatal("stats.wal missing on a WAL-backed server")
-	}
-	if !st.Wal.Enabled || st.Wal.Policy != "always" {
-		t.Fatalf("wal stats = %+v; want enabled with policy always", st.Wal)
-	}
-	if st.Wal.Appends == 0 || st.Wal.AppendedBytes == 0 || st.Wal.Syncs == 0 {
-		t.Fatalf("ingest produced no WAL traffic: %+v", st.Wal)
+	m := scrape(t, client)
+	if m["dms_wal_appends_total"] == 0 || m["dms_wal_bytes_total"] == 0 || m["dms_wal_syncs_total"] == 0 {
+		t.Fatalf("ingest produced no WAL traffic: appends %v, bytes %v, syncs %v",
+			m["dms_wal_appends_total"], m["dms_wal_bytes_total"], m["dms_wal_syncs_total"])
 	}
 }
 
-// TestStatsOmitsWalWithoutHook: a plain in-memory server has no wal key.
+// TestStatsOmitsWalWithoutHook: a plain in-memory server has no
+// dms_wal_* series.
 func TestStatsOmitsWalWithoutHook(t *testing.T) {
 	_, client := startServer(t, ServerConfig{})
 	if _, err := client.Health(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Wal != nil {
-		t.Fatalf("stats.wal = %+v on a memory-only server; want absent", st.Wal)
+	for series := range scrape(t, client) {
+		if strings.HasPrefix(series, "dms_wal_") {
+			t.Fatalf("%s on a memory-only server; want absent", series)
+		}
 	}
 }
 
@@ -92,7 +87,9 @@ func TestMetricszExposesWalFamilies(t *testing.T) {
 		"dms_wal_appends_total", "dms_wal_bytes_total", "dms_wal_syncs_total",
 		"dms_wal_replays_total", "dms_wal_replayed_records_total",
 		"dms_wal_torn_truncations_total", "dms_wal_corrupt_records_total",
-		"dms_wal_compactions_total",
+		"dms_wal_compactions_total", "dms_wal_replayed_txns_total",
+		"dms_wal_replay_skipped_ops_total", "dms_wal_rotations_total",
+		"dms_wal_segments_removed_total",
 	} {
 		if !strings.Contains(string(body), "# TYPE "+fam+" counter") {
 			t.Errorf("family %s missing from /metricsz", fam)

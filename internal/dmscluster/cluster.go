@@ -259,25 +259,23 @@ func (c *Cluster) healthyNodes() []*node {
 
 // NodeStatus is one shard's health view in ClusterStats.
 type NodeStatus struct {
-	Addr             string `json:"addr"`
-	Healthy          bool   `json:"healthy"`
-	ConsecutiveFails int    `json:"consecutive_fails"`
-	Ejections        int64  `json:"ejections"`
-	LastError        string `json:"last_error,omitempty"`
+	Addr             string
+	Healthy          bool
+	ConsecutiveFails int
+	Ejections        int64
+	LastError        string
 }
 
-// ClusterStats is the cluster-membership block of the router's /statsz:
-// per-node health, the membership epoch, and the routing tier's own
-// serving counters.
+// ClusterStats is the smart client's membership view: per-node health,
+// the membership epoch, and the routing tier's own serving counters. The
+// router exports the same counters as dms_router_* families.
 type ClusterStats struct {
-	Epoch             int64        `json:"epoch"`
-	Shards            int          `json:"shards"`
-	HealthyShards     int          `json:"healthy_shards"`
-	UnhealthyShards   int          `json:"unhealthy_shards"`
-	Fitted            bool         `json:"fitted"`
-	DegradedResponses int64        `json:"degraded_responses"`
-	Reroutes          int64        `json:"reroutes"`
-	Nodes             []NodeStatus `json:"nodes"`
+	Epoch             int64
+	Shards            int
+	HealthyShards     int
+	DegradedResponses int64
+	Reroutes          int64
+	Nodes             []NodeStatus
 }
 
 // Stats snapshots the cluster's membership and serving counters.
@@ -285,7 +283,6 @@ func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{
 		Epoch:             c.epoch.Load(),
 		Shards:            len(c.nodes),
-		Fitted:            c.fitted.Load(),
 		DegradedResponses: c.degraded.Load(),
 		Reroutes:          c.reroutes.Load(),
 		Nodes:             make([]NodeStatus, len(c.nodes)),
@@ -297,8 +294,6 @@ func (c *Cluster) Stats() ClusterStats {
 		healthy := n.healthy.Load()
 		if healthy {
 			st.HealthyShards++
-		} else {
-			st.UnhealthyShards++
 		}
 		st.Nodes[i] = NodeStatus{
 			Addr:             n.addr,

@@ -520,7 +520,7 @@ func TestClusterDegradedReads(t *testing.T) {
 	}
 
 	st := cluster.Stats()
-	if st.UnhealthyShards != 1 || st.HealthyShards != 2 {
+	if st.Shards-st.HealthyShards != 1 || st.HealthyShards != 2 {
 		t.Fatalf("membership after shard loss: %+v", st)
 	}
 	if st.Epoch == 0 {
@@ -892,29 +892,32 @@ func TestClusterChaos(t *testing.T) {
 	}
 
 	// The router still serves, flags degradation, and reports the
-	// ejection on /statsz.
-	resp, err := seedClient.DoRaw(context.Background(), "GET", dmsapi.PathStats, nil)
+	// ejection on /metricsz.
+	resp, err := seedClient.DoRaw(context.Background(), "GET", dmsapi.PathMetrics, nil)
 	if err != nil {
-		t.Fatalf("router /statsz after chaos: %v", err)
+		t.Fatalf("router /metricsz after chaos: %v", err)
 	}
-	var st dmscluster.RouterStats
-	if err := json.Unmarshal(resp, &st); err != nil {
-		t.Fatalf("decoding router stats: %v", err)
+	fams, err := obs.ParseExposition(resp)
+	if err != nil {
+		t.Fatalf("parsing router exposition: %v", err)
 	}
-	if st.Cluster.UnhealthyShards != 1 || st.Cluster.HealthyShards != 2 {
-		t.Fatalf("router stats after kill: %+v", st.Cluster)
+	shards, _ := sampleValue(fams, "dms_router_shards", "", "")
+	healthy, _ := sampleValue(fams, "dms_router_healthy_shards", "", "")
+	if shards-healthy != 1 || healthy != 2 {
+		t.Fatalf("router membership after kill: %v of %v shards healthy", healthy, shards)
 	}
-	if st.Cluster.Epoch == 0 {
+	if epoch, _ := sampleValue(fams, "dms_router_membership_epoch", "", ""); epoch == 0 {
 		t.Fatal("shard kill did not bump the membership epoch")
 	}
 	ejected := false
-	for _, n := range st.Cluster.Nodes {
-		if !n.Healthy && n.Ejections > 0 {
+	for _, s := range findFam(fams, "dms_router_node_healthy").Samples {
+		ej, _ := sampleValue(fams, "dms_router_node_ejections_total", obs.NodeLabel, s.Get(obs.NodeLabel))
+		if s.Value == 0 && ej > 0 {
 			ejected = true
 		}
 	}
 	if !ejected {
-		t.Fatalf("no node reports an ejection: %+v", st.Cluster.Nodes)
+		t.Fatalf("no node reports an ejection:\n%s", resp)
 	}
 
 	cert, err := seedClient.DoRaw(context.Background(), "GET", dmsapi.PathHealth, nil)

@@ -39,11 +39,42 @@ func findFam(fams []obs.Family, name string) *obs.Family {
 	return nil
 }
 
+// sampleValue is the value of family name's sample labeled key=value
+// (its first sample when key is ""), and whether there is one.
+func sampleValue(fams []obs.Family, name, key, value string) (float64, bool) {
+	if f := findFam(fams, name); f != nil {
+		for _, s := range f.Samples {
+			if key == "" || s.Get(key) == value {
+				return s.Value, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// federatedNodes is the set of node labels on the shard series of a
+// router scrape — every family but the router's own dms_router_* ones,
+// whose per-node health names every configured shard, live or not.
+func federatedNodes(fams []obs.Family) map[string]bool {
+	nodes := make(map[string]bool)
+	for _, f := range fams {
+		if strings.HasPrefix(f.Name, "dms_router_") {
+			continue
+		}
+		for _, s := range f.Samples {
+			if n := s.Get(obs.NodeLabel); n != "" {
+				nodes[n] = true
+			}
+		}
+	}
+	return nodes
+}
+
 // TestRouterObservabilityPlane is the end-to-end acceptance test for the
 // fleet observability plane: one federated /metricsz scrape carries every
 // shard's series node-labeled plus dms_fleet_* aggregates; killing a
 // shard mid-workload leaves degraded and errored traces in /debug/tracez,
-// burns the SLO error budget visibly in /statsz and dms_slo_* families,
+// burns the SLO error budget visibly in the dms_slo_* families,
 // and ages the dead shard's series out of the next scrape.
 func TestRouterObservabilityPlane(t *testing.T) {
 	ctx := context.Background()
@@ -103,9 +134,13 @@ func TestRouterObservabilityPlane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("federated exposition invalid: %v", err)
 	}
+	federated := federatedNodes(fams)
 	for _, sa := range shardAddrs {
-		if !strings.Contains(string(body), `node="`+sa+`"`) {
+		if !federated[sa] {
 			t.Fatalf("federated exposition has no series for shard %s", sa)
+		}
+		if v, ok := sampleValue(fams, "dms_router_node_healthy", obs.NodeLabel, sa); !ok || v != 1 {
+			t.Fatalf("dms_router_node_healthy{node=%q} = %v (present %v), want 1", sa, v, ok)
 		}
 	}
 	perNode := findFam(fams, "dms_requests_total")
@@ -196,32 +231,30 @@ func TestRouterObservabilityPlane(t *testing.T) {
 	}
 
 	// SLO burn: one error among the certainty requests blows the 1%
-	// budget, so the fast burn must exceed 1 and flag breaching.
-	var stats dmscluster.RouterStats
-	code, body = httpGet(t, addr, dmsapi.PathStats)
+	// budget, so the fast burn must exceed 1 and the scrape that sees it
+	// count a breach. The router's identity rides the same scrape.
+	code, body = httpGet(t, addr, dmsapi.PathMetrics)
 	if code != http.StatusOK {
-		t.Fatalf("GET /statsz: status %d", code)
+		t.Fatalf("GET /metricsz: status %d", code)
 	}
-	if err := json.Unmarshal(body, &stats); err != nil {
+	if fams, err = obs.ParseExposition(body); err != nil {
 		t.Fatal(err)
 	}
-	if stats.UptimeSeconds <= 0 || stats.GoVersion == "" {
-		t.Fatalf("statsz identity block incomplete: uptime=%v go=%q", stats.UptimeSeconds, stats.GoVersion)
+	up, _ := sampleValue(fams, "dms_router_uptime_seconds", "", "")
+	build := findFam(fams, "dms_router_build_info")
+	if up <= 0 || build == nil || len(build.Samples) != 1 || build.Samples[0].Get("go_version") == "" {
+		t.Fatalf("router identity incomplete: uptime=%v build=%+v", up, build)
 	}
-	if len(stats.SLO) != 3 {
-		t.Fatalf("statsz slo block has %d objectives, want 3: %+v", len(stats.SLO), stats.SLO)
+	if budget := findFam(fams, "dms_slo_budget"); budget == nil || len(budget.Samples) != 3 {
+		t.Fatalf("dms_slo_budget covers %+v, want 3 objectives", budget)
 	}
-	var errObj *obs.SLOStatus
-	for i := range stats.SLO {
-		if stats.SLO[i].ID == "certainty_err" {
-			errObj = &stats.SLO[i]
-		}
+	fast, ok := sampleValue(fams, "dms_slo_fast_burn", "objective", "certainty_err")
+	if !ok {
+		t.Fatal("certainty_err objective missing from dms_slo_fast_burn")
 	}
-	if errObj == nil {
-		t.Fatalf("certainty_err objective missing: %+v", stats.SLO)
-	}
-	if errObj.FastBurn <= 1 || !errObj.Breaching {
-		t.Fatalf("certainty error budget should be burning: %+v", errObj)
+	breaches, _ := sampleValue(fams, "dms_slo_breaches_total", "objective", "certainty_err")
+	if fast <= 1 || breaches == 0 {
+		t.Fatalf("certainty error budget should be burning: fast burn %v, breaches %v", fast, breaches)
 	}
 
 	// Phase 3: the dead shard's series age out — the next scrape covers
@@ -240,15 +273,19 @@ func TestRouterObservabilityPlane(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /metricsz after kill: status %d", code)
 	}
-	if _, err := obs.ParseExposition(body); err != nil {
+	if fams, err = obs.ParseExposition(body); err != nil {
 		t.Fatalf("post-kill exposition invalid: %v", err)
 	}
-	if strings.Contains(string(body), `node="`+dead+`"`) {
+	federated = federatedNodes(fams)
+	if federated[dead] {
 		t.Fatalf("dead shard %s still present in federated exposition", dead)
+	}
+	if v, ok := sampleValue(fams, "dms_router_node_healthy", obs.NodeLabel, dead); !ok || v != 0 {
+		t.Fatalf("dms_router_node_healthy{node=%q} = %v (present %v), want 0", dead, v, ok)
 	}
 	live := 0
 	for _, sa := range shardAddrs {
-		if sa != dead && strings.Contains(string(body), `node="`+sa+`"`) {
+		if sa != dead && federated[sa] {
 			live++
 		}
 	}

@@ -41,30 +41,15 @@ type RouterConfig struct {
 // and merge lives on Cluster, and the request path (tracing, metrics,
 // error envelope, SLO scoring, /debug/tracez, the listener) is the
 // embedded dmsapi.Pipeline, the same code dmsd runs, so a client cannot
-// tell the tiers apart. The router's own additions are /statsz with
-// per-node health and the membership epoch, and a federated /metricsz
-// merging every healthy shard's exposition under its own. X-Dms-Trace
-// propagates through the shard calls, so a sampled client sees one
-// contiguous span tree across client, router, and shards.
+// tell the tiers apart. The router's own addition is a federated
+// /metricsz: its membership families (per-node health, the membership
+// epoch) with every healthy shard's exposition merged under them.
+// X-Dms-Trace propagates through the shard calls, so a sampled client
+// sees one contiguous span tree across client, router, and shards.
 type Router struct {
 	*dmsapi.Pipeline
 	cluster *Cluster
 	cfg     RouterConfig
-	start   time.Time
-}
-
-// RouterStats is the body of the router's GET /statsz. It carries the
-// same uptime and build-identity block dmsd's Stats does, so fleet
-// tooling (dmstop) reads one shape from both tiers.
-type RouterStats struct {
-	UptimeSeconds float64                         `json:"uptime_seconds"`
-	GoVersion     string                          `json:"go_version"`
-	Version       string                          `json:"version"`
-	Revision      string                          `json:"revision"`
-	Requests      int64                           `json:"requests"`
-	Cluster       ClusterStats                    `json:"cluster"`
-	Endpoints     map[string]dmsapi.EndpointStats `json:"endpoints"`
-	SLO           []obs.SLOStatus                 `json:"slo,omitempty"`
 }
 
 // NewRouter builds the HTTP tier over an existing cluster client. The
@@ -89,7 +74,6 @@ func newRouter(c *Cluster, cfg RouterConfig, maxBodyBytes int64) *Router {
 		}),
 		cluster: c,
 		cfg:     cfg,
-		start:   time.Now(),
 	}
 	rt.registerMetrics()
 
@@ -108,7 +92,6 @@ func newRouter(c *Cluster, cfg RouterConfig, maxBodyBytes int64) *Router {
 	rt.Handle("GET "+dmsapi.PathTrainJob, "train.get", dmsapi.ShedExempt, rt.handleTrainGet) // a wait= long-poll holds no admission slot
 	rt.Handle("POST "+dmsapi.PathTrainJob, "train.cancel", 0, rt.handleTrainCancel)
 	rt.Handle("GET "+dmsapi.PathHealth, "healthz", dmsapi.Meta, rt.handleHealth)
-	rt.Handle("GET "+dmsapi.PathStats, "statsz", dmsapi.Meta, rt.handleStats)
 	rt.Handle("GET "+dmsapi.PathMetrics, "metricsz", dmsapi.Meta, rt.handleMetrics)
 	return rt
 }
@@ -125,6 +108,21 @@ func (rt *Router) registerMetrics() {
 		rt.cluster.degraded.Load)
 	r.CounterFunc("dms_router_reroutes_total", "ingest sub-batches rerouted off their hash owner",
 		rt.cluster.reroutes.Load)
+	// Per-node health is read at scrape time from the atomics the probe
+	// loop and the serving paths already keep.
+	healthy := r.GaugeVec("dms_router_node_healthy", "1 while the shard is admitted by health probing", "node")
+	fails := r.GaugeVec("dms_router_node_consecutive_fails", "the shard's current run of failed probes and calls", "node")
+	ejections := r.CounterVec("dms_router_node_ejections_total", "times the shard was ejected", "node")
+	for _, n := range rt.cluster.nodes {
+		healthy.Func(n.addr, func() float64 {
+			if n.healthy.Load() {
+				return 1
+			}
+			return 0
+		})
+		fails.Func(n.addr, func() float64 { return float64(n.fails.Load()) })
+		ejections.Func(n.addr, n.ejections.Load)
+	}
 }
 
 // ingest serves the non-batch endpoint, which is all-or-nothing on a
@@ -207,21 +205,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	return dmsapi.WriteBody(w, r, resp)
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) error {
-	goVersion, version, revision := dmsapi.BuildIdentity()
-	st := RouterStats{
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		GoVersion:     goVersion,
-		Version:       version,
-		Revision:      revision,
-		Requests:      rt.Requests(),
-		Cluster:       rt.cluster.Stats(),
-		Endpoints:     rt.EndpointStats(),
-		SLO:           rt.SLOStatus(),
-	}
-	return dmsapi.WriteBody(w, r, st)
 }
 
 // handleMetrics serves the federated exposition: the router's own

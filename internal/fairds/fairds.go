@@ -865,27 +865,27 @@ func (s *Service) SetEmbedder(e embed.Embedder) error {
 func (s *Service) indexReady() bool { return s.idxReady.Load() }
 
 // IndexStats describes the vector index's coverage and effectiveness — the
-// fairDS slice of the /statsz payload.
+// dms_index_* families of dmsd's /metricsz.
 type IndexStats struct {
 	// Ready reports whether the index covers the store (queries probe it);
 	// false means nearest-label queries are falling back to store scans.
-	Ready bool `json:"ready"`
+	Ready bool
 	// Size is the number of indexed vectors.
-	Size int `json:"size"`
+	Size int
 	// Hits counts nearest-label queries answered by the index; Misses
 	// counts queries that fell back to a store scan.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits   int64
+	Misses int64
 	// Probed counts vectors distance-compared by the index; Probed/Hits is
 	// the mean in-memory scan width.
-	Probed int64 `json:"probed"`
+	Probed int64
 	// Corrupt counts corrupt-document observations: every time a scan,
 	// warm, or index add encounters a document whose embedding or cluster
 	// fields are missing, mistyped, or of the wrong dimensionality — data
 	// that silently degraded lookups before it was counted. A cold service
 	// re-observes the same document on every scan, so treat this as a
 	// rate signal, not a distinct-document census.
-	Corrupt int64 `json:"corrupt"`
+	Corrupt int64
 }
 
 // IndexStats snapshots the vector-index counters. Safe to call

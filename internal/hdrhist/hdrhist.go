@@ -3,7 +3,7 @@
 // (each power-of-two range split into 32 linear sub-buckets, ~3% relative
 // error), every bucket is an atomic counter, and both the record path and
 // the snapshot path run without taking a lock. One histogram instance is
-// shared by all request goroutines of an endpoint (dmsapi /statsz) and by
+// shared by all request goroutines of an endpoint (dmsapi /metricsz) and by
 // every training worker (trainer's epoch times), so both the write path
 // and the read path must never serialize traffic.
 //

@@ -80,7 +80,7 @@ func TestEmptyAndSingleValue(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringRecording is the /statsz regression test: snapshotting
+// TestSnapshotDuringRecording is the /metricsz regression test: snapshotting
 // must not race with in-flight recording (run under -race), and every
 // snapshot must be internally sane — count never decreasing, quantiles
 // within the recorded value range.

@@ -10,7 +10,8 @@ import (
 
 // buildTestRegistry populates a registry with one family of every series
 // shape: plain counter, counter func, gauge func, settable gauge, labeled
-// counter vec, labeled gauge vec, plain summary, labeled summary vec.
+// counter vec, labeled gauge vec, func-backed members of both vecs, an
+// info gauge, plain summary, labeled summary vec.
 func buildTestRegistry() *Registry {
 	reg := NewRegistry()
 	c := reg.Counter("dms_requests_total", "Requests served.")
@@ -24,6 +25,9 @@ func buildTestRegistry() *Registry {
 	cv.With("models.recommend").Add(5)
 	gv := reg.GaugeVec("dms_shard_epoch", "Ring epoch by shard.", "shard")
 	gv.With("n1").Set(4)
+	gv.Func("n2", func() float64 { return 0 })
+	cv.Func("data.pdf", func() int64 { return 9 })
+	reg.Info("dms_build_info", "The running build.", Label{"go_version", "go1.24"}, Label{"revision", `a"b\c`})
 	h := reg.Histogram("dms_request_seconds", "Request latency.")
 	h.Record(3 * time.Millisecond)
 	h.Record(9 * time.Millisecond)
@@ -63,8 +67,9 @@ func TestParseExpositionLossless(t *testing.T) {
 		{"dms_wal_appends_total", "counter", 1},
 		{"dms_goroutines", "gauge", 1},
 		{"dms_in_flight", "gauge", 1},
-		{"dms_errors_total", "counter", 2},
-		{"dms_shard_epoch", "gauge", 1},
+		{"dms_errors_total", "counter", 3},
+		{"dms_shard_epoch", "gauge", 2},
+		{"dms_build_info", "gauge", 1},
 		{"dms_request_seconds", "summary", len(quantiles) + 2},
 		{"dms_op_seconds", "summary", len(quantiles) + 2},
 	}
@@ -91,6 +96,9 @@ func TestParseExpositionLossless(t *testing.T) {
 	errs := byName["dms_errors_total"]
 	if got := errs.Samples[0].Get("endpoint"); got != "data.nearest" {
 		t.Errorf("vec label = %q, want data.nearest", got)
+	}
+	if info := byName["dms_build_info"].Samples[0]; info.Value != 1 || info.Get("revision") != `a"b\c` {
+		t.Errorf("info series = %+v, want 1 with its labels intact", info)
 	}
 	sum := byName["dms_request_seconds"]
 	var sawSum, sawCount, sawQ bool

@@ -168,6 +168,15 @@ func TestRegistryExposition(t *testing.T) {
 	vec.With("data.ingest").Add(3)
 	hv := r.HistogramVec("dms_ep_seconds", "per endpoint latency", "endpoint")
 	hv.With("models.recommend").Record(10 * time.Millisecond)
+	healthy := true
+	r.GaugeVec("dms_node_up", "per node", "node").Func("n1", func() float64 {
+		if healthy {
+			return 1
+		}
+		return 0
+	})
+	vec.Func("data.pdf", func() int64 { return 5 })
+	r.Info("dms_build_info", "identity", Label{"go_version", "go1.24"}, Label{"version", "v1.2.3"})
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -187,8 +196,10 @@ func TestRegistryExposition(t *testing.T) {
 		"dms_func_total":      1,
 		"dms_depth":           1,
 		"dms_latency_seconds": 6, // 4 quantiles + sum + count
-		"dms_ep_total":        2,
+		"dms_ep_total":        3,
 		"dms_ep_seconds":      6,
+		"dms_node_up":         1,
+		"dms_build_info":      1,
 	} {
 		if counts[fam] != want {
 			t.Errorf("family %s has %d samples, want %d\n%s", fam, counts[fam], want, out)
@@ -203,10 +214,22 @@ func TestRegistryExposition(t *testing.T) {
 		`dms_ep_total{endpoint="data.ingest"} 3`,
 		"dms_latency_seconds_count 2",
 		`quantile="0.999"`,
+		`dms_ep_total{endpoint="data.pdf"} 5`,
+		`dms_node_up{node="n1"} 1`,
+		`dms_build_info{go_version="go1.24",version="v1.2.3"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// A func-backed series is read at every scrape, not at registration.
+	healthy = false
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `dms_node_up{node="n1"} 0`) {
+		t.Errorf("func-backed series did not follow its source:\n%s", buf.String())
 	}
 }
 
@@ -217,6 +240,7 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic(t, "uppercase name", func() { r.Counter("Bad_Name", "x") })
 	mustPanic(t, "dashed name", func() { r.Counter("bad-name", "x") })
 	mustPanic(t, "bad label", func() { r.CounterVec("dms_vec_total", "x", "Bad") })
+	mustPanic(t, "bad info label", func() { r.Info("dms_info", "x", Label{"Bad", "v"}) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {

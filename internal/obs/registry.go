@@ -60,8 +60,11 @@ type family struct {
 
 	mu     sync.Mutex
 	order  []string
-	series map[string]any // *Counter | *Gauge | func() int64 | func() float64 | *hdrhist.Histogram
+	series map[string]any // *Counter | *Gauge | func() int64 | func() float64 | *hdrhist.Histogram | infoLabels
 }
+
+// infoLabels is the rendered label set of an Info family's one series.
+type infoLabels string
 
 // Counter is a monotonically increasing metric.
 type Counter struct{ v atomic.Int64 }
@@ -93,6 +96,10 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
+// Func adds the series for a label value read from fn at exposition time:
+// CounterFunc for one member of the family.
+func (v *CounterVec) Func(value string, fn func() int64) { v.f.get(value, func() any { return fn }) }
+
 // GaugeVec is a gauge family keyed by one label.
 type GaugeVec struct{ f *family }
 
@@ -101,6 +108,10 @@ func (v *GaugeVec) With(value string) *Gauge {
 	g, _ := v.f.get(value, func() any { return &Gauge{} }).(*Gauge)
 	return g
 }
+
+// Func adds the series for a label value read from fn at exposition time:
+// GaugeFunc for one member of the family.
+func (v *GaugeVec) Func(value string, fn func() float64) { v.f.get(value, func() any { return fn }) }
 
 // HistogramVec is a latency-summary family keyed by one label. Each
 // series is an hdrhist.Histogram recording nanoseconds and exposed as a
@@ -181,6 +192,21 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
+// Info registers a constant gauge of value 1 whose labels carry an
+// identity, such as the running build's: name{k1="v1",k2="v2"} 1.
+func (r *Registry) Info(name, help string, labels ...Label) {
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		if !ValidName(l.Key) {
+			panic(fmt.Sprintf("obs: invalid label name %q (want lowercase_snake)", l.Key))
+		}
+		parts[i] = fmt.Sprintf("%s=%q", l.Key, escapeLabel(l.Value))
+	}
+	f := r.register(name, help, typeGauge, "")
+	f.series[""] = infoLabels(strings.Join(parts, ","))
+	f.order = []string{""}
+}
+
 // GaugeVec registers a settable gauge family keyed by label.
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	return &GaugeVec{f: r.register(name, help, typeGauge, label)}
@@ -245,6 +271,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelPairs(f.label, lv, "", 0), formatFloat(s()))
 			case *Gauge:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelPairs(f.label, lv, "", 0), formatFloat(s.Value()))
+			case infoLabels:
+				fmt.Fprintf(&b, "%s{%s} 1\n", f.name, s)
 			case *hdrhist.Histogram:
 				snap := s.Snapshot()
 				for _, q := range quantiles {

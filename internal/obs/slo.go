@@ -120,16 +120,16 @@ func (s SLO) MatchesEndpoint(name string) bool {
 	return name == s.Endpoint || strings.HasSuffix(name, "."+s.Endpoint)
 }
 
-// SLOStatus is one objective's current evaluation, surfaced on /statsz.
+// SLOStatus is one objective's current evaluation.
 type SLOStatus struct {
-	Objective string  `json:"objective"` // e.g. "nearest:p99<5ms"
-	ID        string  `json:"id"`        // e.g. "nearest_p99"
-	Budget    float64 `json:"budget"`    // allowed bad fraction
-	FastBurn  float64 `json:"fast_burn"` // burn over the fast window
-	SlowBurn  float64 `json:"slow_burn"` // burn over the slow window
-	FastTotal int64   `json:"fast_total"`
-	SlowTotal int64   `json:"slow_total"`
-	Breaching bool    `json:"breaching"` // fast burn > 1
+	Objective string  // e.g. "nearest:p99<5ms"
+	ID        string  // e.g. "nearest_p99"
+	Budget    float64 // allowed bad fraction
+	FastBurn  float64 // burn over the fast window
+	SlowBurn  float64 // burn over the slow window
+	FastTotal int64
+	SlowTotal int64
+	Breaching bool // fast burn > 1
 }
 
 // sloBucket is one second of per-objective observations.
@@ -244,8 +244,8 @@ func burn(total, bad int64, budget float64) float64 {
 }
 
 // Status evaluates every objective now and, when Register was called,
-// refreshes the burn gauges. Call it from /statsz and /metricsz handlers
-// so scraped gauges are current.
+// refreshes the burn gauges. Call it from the /metricsz handler so
+// scraped gauges are current.
 func (e *SLOEvaluator) Status() []SLOStatus {
 	if e == nil {
 		return nil

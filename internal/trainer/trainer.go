@@ -257,19 +257,19 @@ type Config struct {
 	Logger *obs.Logger
 }
 
-// Stats is a point-in-time snapshot of the manager's gauges — the train
-// block of /statsz.
+// Stats is a point-in-time snapshot of the manager's gauges — the
+// dms_train_* families of dmsd's /metricsz.
 type Stats struct {
-	Workers    int   `json:"workers"`
-	QueueCap   int   `json:"queue_cap"`
-	QueueDepth int   `json:"queue_depth"`
-	Active     int   `json:"active"`
-	Submitted  int64 `json:"submitted"`
-	Completed  int64 `json:"completed"`
-	Failed     int64 `json:"failed"`
-	Canceled   int64 `json:"canceled"`
-	WarmStarts int64 `json:"warm_starts"`
-	ColdStarts int64 `json:"cold_starts"`
+	Workers    int
+	QueueCap   int
+	QueueDepth int
+	Active     int
+	Submitted  int64
+	Completed  int64
+	Failed     int64
+	Canceled   int64
+	WarmStarts int64
+	ColdStarts int64
 }
 
 // Manager runs training jobs on a bounded worker pool. Safe for
