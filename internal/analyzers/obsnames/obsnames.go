@@ -26,9 +26,11 @@ var Analyzer = &anzkit.Analyzer{
 	Run:  run,
 }
 
-// nameArg maps obs call names to the index of their name argument.
-// Registration calls additionally participate in the once-per-package
-// check; StartSpan names recur freely (one per request).
+// registrations maps the *obs.Registry methods that register a metric to
+// the index of their name argument. They additionally participate in the
+// once-per-package check; StartSpan names recur freely (one per request).
+// A method is one of them only on a *Registry receiver: other obs types
+// share these names (Logger.Info takes a log message, not a metric name).
 var registrations = map[string]int{
 	"Counter":      0,
 	"CounterFunc":  0,
@@ -38,6 +40,7 @@ var registrations = map[string]int{
 	"CounterVec":   0,
 	"GaugeVec":     0,
 	"HistogramVec": 0,
+	"Info":         0,
 }
 
 // labelArg is the label-name position of the vector registrations.
@@ -66,7 +69,7 @@ func run(pass *anzkit.Pass) error {
 				}
 			default:
 				idx, isReg := registrations[fn.Name()]
-				if !isReg {
+				if !isReg || !onRegistry(fn) {
 					return true
 				}
 				if li, pos, ok := literalArg(call, labelArg[fn.Name()]); ok && labelArg[fn.Name()] > 0 && !obs.ValidName(li) {
@@ -106,6 +109,20 @@ func literalArg(call *ast.CallExpr, i int) (string, token.Pos, bool) {
 		return "", token.NoPos, false
 	}
 	return s, lit.Pos(), true
+}
+
+// onRegistry reports whether fn is a method with a *Registry receiver.
+func onRegistry(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	ptr, ok := recv.Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Registry"
 }
 
 func calleeFunc(pass *anzkit.Pass, call *ast.CallExpr) *types.Func {

@@ -5,6 +5,8 @@ package obs
 import "context"
 
 type Registry struct{}
+type Logger struct{}
+type Label struct{ Key, Value string }
 
 type Counter struct{}
 type Gauge struct{}
@@ -22,6 +24,9 @@ func (r *Registry) Histogram(name, help string) *Histogram              { return
 func (r *Registry) CounterVec(name, help, label string) *CounterVec     { return nil }
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec         { return nil }
 func (r *Registry) HistogramVec(name, help, label string) *HistogramVec { return nil }
+func (r *Registry) Info(name, help string, labels ...Label)             {}
+
+func (l *Logger) Info(msg string, kv ...any) {}
 
 func (v *CounterVec) With(value string) *Counter { return nil }
 func (v *GaugeVec) With(value string) *Gauge     { return nil }

@@ -300,9 +300,9 @@ func (p *Pipeline) Shed() int64 { return p.shed.Load() }
 // InFlight reports how many requests are being handled right now.
 func (p *Pipeline) InFlight() int { return int(p.inFlight.Load()) }
 
-// SLOStatus evaluates every objective now and refreshes the dms_slo_*
+// RefreshSLO evaluates every objective now and refreshes the dms_slo_*
 // burn gauges; call it before rendering /metricsz.
-func (p *Pipeline) SLOStatus() []obs.SLOStatus { return p.slo.Status() }
+func (p *Pipeline) RefreshSLO() { p.slo.Refresh() }
 
 // buildInfo reads the running binary's identity once: the Go toolchain,
 // the main-module version and the VCS revision when built from a

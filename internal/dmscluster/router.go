@@ -214,7 +214,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) error {
 // never collide with the router's own (dms_* vs dms_router_*), so the
 // concatenation stays a valid exposition.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	rt.SLOStatus() // refresh burn-rate gauges before rendering
+	rt.RefreshSLO()
 	var b strings.Builder
 	if err := rt.Registry().WritePrometheus(&b); err != nil {
 		// obs surfaces report ErrDisabled for switched-off subsystems;

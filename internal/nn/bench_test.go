@@ -102,3 +102,21 @@ func BenchmarkLeakyReLUTrainStep(b *testing.B) {
 		r.Backward(g)
 	}
 }
+
+// BenchmarkConvBlockTrainStep is BraggNN's front end over a batch of 16:
+// conv → LeakyReLU → 3×3 max-pool forward, then back to the conv's weight
+// and bias gradients, as a fit's step runs it (the first layer computes no
+// input gradient).
+func BenchmarkConvBlockTrainStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	conv := NewConv2d(rng, tensor.ConvDims{InC: 1, InH: 15, InW: 15, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8)
+	relu, pool := NewLeakyReLU(0.01), NewMaxPool2d(8, 15, 15, 3)
+	x := tensor.Randn(rng, 1, 16, 225)
+	g := tensor.Randn(rng, 1, 16, pool.OutFeatures())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Forward(relu.Forward(conv.Forward(x, true), true), true)
+		conv.backward(relu.Backward(pool.Backward(g)), false)
+	}
+}

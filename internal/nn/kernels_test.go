@@ -124,9 +124,9 @@ func TestAdamAVX2MatchesPortable(t *testing.T) {
 	}
 }
 
-// branchyPool is the plain form of MaxPool2d.poolSample's window walk: a
-// branch on v > best, the first maximum kept on a tie, a NaN never taken.
-// It returns the window maxima and the input position of each.
+// branchyPool is the plain form of MaxPool2d's window walk: a branch on
+// v > best, the first maximum kept on a tie, a NaN never taken. It returns
+// the window maxima and the input position of each.
 func branchyPool(p *MaxPool2d, xrow []float64) (out []float64, arg []int) {
 	for c := 0; c < p.C; c++ {
 		for y := 0; y < p.H/p.Size; y++ {
@@ -147,11 +147,13 @@ func branchyPool(p *MaxPool2d, xrow []float64) (out []float64, arg []int) {
 	return out, arg
 }
 
-// TestMaxPoolMatchesBranchyOracle holds the branch-free select to the
-// branchy walk: outputs (train and eval) and argmax bit for bit, and the
-// gradient routed to the same positions. Inputs draw from a few values, so
-// windows hold ties, -Inf, all-equal windows and NaN both first and later
-// in a window.
+// TestMaxPoolMatchesBranchyOracle holds the layer's select, simd.MaxPool on
+// this host's kernel path (AVX2 where the CPU has it), to the branchy walk:
+// outputs (train and eval) and argmax bit for bit, and the gradient routed
+// to the same positions. Inputs draw from a few values, so windows hold
+// ties, -Inf, all-equal windows and NaN both first and later in a window.
+// The geometries give whole four-window groups (200, 12, 4) and a tail of
+// three (75).
 func TestMaxPoolMatchesBranchyOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	values := []float64{-2, -1, 0, math.Copysign(0, -1), 1, 1, 3, math.Inf(-1), math.Inf(1), math.NaN()}
@@ -243,6 +245,146 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(10, c.f); got != 0 {
 			t.Errorf("%s allocates %.0f times per step", c.name, got)
+		}
+	}
+}
+
+// gradPattern fills one sample's outC × (outH·outW) conv-output gradient.
+type gradPattern struct {
+	name string
+	fill func(rng *rand.Rand, g []float64, outC, outH, outW int)
+}
+
+// poolShaped keeps one entry per size×size window of each channel's map,
+// as a max-pool's backward leaves it, and ±0 everywhere else; windows cut
+// by the map's edge keep one too. A kept entry is an edge value with
+// probability edge.
+func poolShaped(size int, edge float64) func(rng *rand.Rand, g []float64, outC, outH, outW int) {
+	return func(rng *rand.Rand, g []float64, outC, outH, outW int) {
+		for i := range g {
+			g[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+		}
+		for c := 0; c < outC; c++ {
+			for y := 0; y < outH; y += size {
+				for z := 0; z < outW; z += size {
+					yy, zz := y+rng.Intn(min(size, outH-y)), z+rng.Intn(min(size, outW-z))
+					v := rng.NormFloat64()
+					if rng.Float64() < edge {
+						v = edgeValues[rng.Intn(len(edgeValues))]
+					}
+					g[c*outH*outW+yy*outW+zz] = v
+				}
+			}
+		}
+	}
+}
+
+// TestConvParamGradsMatchDense holds Conv2d's weight and bias gradients to
+// the dense product tensor.MatMulTransBInto(g, colᵀ) and the plain row sums
+// of g, bit for bit, whichever path a channel takes: rows with no zeros,
+// all zeros (+0 and −0), max-pool-shaped 1-in-9 and 1-in-4 rows with ±0
+// between, with edge values kept, and with the last three columns set (the
+// pair loop's odd last step and dot4's tail), and rows just under and over
+// the density at which the sparse path stops. The geometries give every
+// number of rows past the last group of four (colRows mod 4 of 1, 2, 0 and
+// 3), odd and even column counts, and unpadded ones, whose last rows read
+// real pixels at the last columns. A batch of three finite samples runs
+// each case, and then a batch of one sample with a NaN and an Inf pixel:
+// its columns are not finite, so it must take the dense product, and a
+// skipped 0·Inf would show as a missing NaN. (It runs alone because its NaN
+// reaches every weight gradient and would hide the other samples' bits.)
+func TestConvParamGradsMatchDense(t *testing.T) {
+	patterns := []gradPattern{
+		{"no zeros", func(rng *rand.Rand, g []float64, _, _, _ int) {
+			for i := range g {
+				g[i] = rng.NormFloat64()
+			}
+		}},
+		{"all zeros", func(rng *rand.Rand, g []float64, _, _, _ int) {
+			for i := range g {
+				g[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
+		}},
+		{"1 in 9", poolShaped(3, 0)},
+		{"1 in 4", poolShaped(2, 0)},
+		{"1 in 9, edge values", poolShaped(3, 0.3)},
+		{"1 in 9, last three columns", func(rng *rand.Rand, g []float64, outC, outH, outW int) {
+			poolShaped(3, 0)(rng, g, outC, outH, outW)
+			k := outH * outW
+			for c := 1; c <= outC; c++ { // the odd last step and dot4's tail read them
+				g[c*k-1], g[c*k-2], g[c*k-3] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			}
+		}},
+		{"density at and past a quarter", func(rng *rand.Rand, g []float64, outC, outH, outW int) {
+			k := outH * outW
+			clear(g)
+			for c := 0; c < outC; c++ {
+				for _, p := range rng.Perm(k)[:k/4+c%2] {
+					g[c*k+p] = rng.NormFloat64()
+				}
+			}
+		}},
+	}
+	rng := rand.New(rand.NewSource(65))
+	for _, geo := range []struct {
+		dims tensor.ConvDims
+		outC int
+	}{
+		{tensor.ConvDims{InC: 1, InH: 15, InW: 15, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8}, // BraggNN: 9 rows, 225 columns
+		{tensor.ConvDims{InC: 2, InH: 9, InW: 9, KH: 3, KW: 3, Stride: 1, Pad: 0}, 3},   // 18 rows, 49 columns
+		{tensor.ConvDims{InC: 3, InH: 7, InW: 6, KH: 2, KW: 2, Stride: 1, Pad: 0}, 4},   // 12 rows, 30 columns
+		{tensor.ConvDims{InC: 3, InH: 11, InW: 11, KH: 3, KW: 3, Stride: 2, Pad: 0}, 5}, // 27 rows, 25 columns
+		{tensor.ConvDims{InC: 1, InH: 9, InW: 11, KH: 3, KW: 3, Stride: 1, Pad: 0}, 2},  // 9 rows, 63 columns
+	} {
+		d := geo.dims
+		colRows, colCols := d.InC*d.KH*d.KW, d.OutH()*d.OutW()
+		for i := 0; i < 2*len(patterns); i++ {
+			pat, finite := patterns[i/2], i%2 == 0
+			batch := 3
+			if !finite {
+				batch = 1
+			}
+			conv := NewConv2d(rng, d, geo.outC)
+			x := tensor.Randn(rng, 1, batch, conv.InFeatures())
+			if !finite {
+				xd := x.Data()
+				xd[rng.Intn(len(xd))], xd[rng.Intn(len(xd))] = math.NaN(), math.Inf(-1)
+			}
+			grad := tensor.New(batch, conv.OutFeatures())
+			for i := 0; i < batch; i++ {
+				pat.fill(rng, grad.Row(i), geo.outC, d.OutH(), d.OutW())
+			}
+			conv.Forward(x, true)
+			for _, p := range conv.Params() {
+				p.ZeroGrad()
+			}
+			conv.backward(grad, false)
+			wantDW, wantDB := make([]float64, geo.outC*colRows), make([]float64, geo.outC)
+			col := make([]float64, colRows*colCols)
+			for i := 0; i < batch; i++ {
+				tensor.Im2Col(x.Row(i), d, col)
+				g := grad.Row(i)
+				tensor.MatMulTransBInto(wantDW, g, col, geo.outC, colCols, colRows, true)
+				for oc := range wantDB {
+					s := 0.0
+					for _, v := range g[oc*colCols : (oc+1)*colCols] {
+						s += v
+					}
+					wantDB[oc] += s
+				}
+			}
+			what := fmt.Sprintf("%+v outC %d, %s, finite %v", d, geo.outC, pat.name, finite)
+			for i, f := range conv.finite[:batch] {
+				if f != finite {
+					t.Fatalf("%s: sample %d finite %v", what, i, f)
+				}
+			}
+			if err := sameBits(conv.w.Grad.Data(), wantDW); err != nil {
+				t.Fatalf("%s: weight gradient %v", what, err)
+			}
+			if err := sameBits(conv.b.Grad.Data(), wantDB); err != nil {
+				t.Fatalf("%s: bias gradient %v", what, err)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,18 +119,6 @@ func (s SLO) MatchesEndpoint(name string) bool {
 	return name == s.Endpoint || strings.HasSuffix(name, "."+s.Endpoint)
 }
 
-// SLOStatus is one objective's current evaluation.
-type SLOStatus struct {
-	Objective string  // e.g. "nearest:p99<5ms"
-	ID        string  // e.g. "nearest_p99"
-	Budget    float64 // allowed bad fraction
-	FastBurn  float64 // burn over the fast window
-	SlowBurn  float64 // burn over the slow window
-	FastTotal int64
-	SlowTotal int64
-	Breaching bool // fast burn > 1
-}
-
 // sloBucket is one second of per-objective observations.
 type sloBucket struct {
 	sec   int64 // unix second this bucket covers
@@ -140,10 +127,15 @@ type sloBucket struct {
 }
 
 // sloSeries is the rolling per-objective window: a ring of one-second
-// buckets sized to the slow window.
+// buckets sized to the slow window. id is slo.ID(), and fast, slow and
+// breaches are its members of the burn families once Register has run.
 type sloSeries struct {
 	slo     SLO
+	id      string
 	buckets []sloBucket
+
+	fast, slow *Gauge
+	breaches   *Counter
 }
 
 func (s *sloSeries) observe(sec int64, bad bool) {
@@ -176,11 +168,6 @@ type SLOEvaluator struct {
 	mu     sync.Mutex
 	series []*sloSeries
 	now    func() time.Time // injectable clock for tests
-
-	target   *GaugeVec
-	fastBurn *GaugeVec
-	slowBurn *GaugeVec
-	breaches *CounterVec
 }
 
 // NewSLOEvaluator builds an evaluator for the given objectives. Returns
@@ -192,7 +179,7 @@ func NewSLOEvaluator(slos []SLO) *SLOEvaluator {
 	e := &SLOEvaluator{now: time.Now}
 	n := int(sloSlowWindow / time.Second)
 	for _, s := range slos {
-		e.series = append(e.series, &sloSeries{slo: s, buckets: make([]sloBucket, n)})
+		e.series = append(e.series, &sloSeries{slo: s, id: s.ID(), buckets: make([]sloBucket, n)})
 	}
 	return e
 }
@@ -203,12 +190,15 @@ func (e *SLOEvaluator) Register(reg *Registry) {
 	if e == nil {
 		return
 	}
-	e.target = reg.GaugeVec("dms_slo_budget", "Allowed bad-request fraction per objective.", "objective")
-	e.fastBurn = reg.GaugeVec("dms_slo_fast_burn", "Error-budget burn rate over the fast (1m) window.", "objective")
-	e.slowBurn = reg.GaugeVec("dms_slo_slow_burn", "Error-budget burn rate over the slow (10m) window.", "objective")
-	e.breaches = reg.CounterVec("dms_slo_breaches_total", "Evaluations that observed a fast-window burn rate above 1.", "objective")
+	target := reg.GaugeVec("dms_slo_budget", "Allowed bad-request fraction per objective.", "objective")
+	fast := reg.GaugeVec("dms_slo_fast_burn", "Error-budget burn rate over the fast (1m) window.", "objective")
+	slow := reg.GaugeVec("dms_slo_slow_burn", "Error-budget burn rate over the slow (10m) window.", "objective")
+	breaches := reg.CounterVec("dms_slo_breaches_total", "Evaluations that observed a fast-window burn rate above 1.", "objective")
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, s := range e.series {
-		e.target.With(s.slo.ID()).Set(s.slo.Budget())
+		target.With(s.id).Set(s.slo.Budget())
+		s.fast, s.slow, s.breaches = fast.With(s.id), slow.With(s.id), breaches.With(s.id)
 	}
 }
 
@@ -243,40 +233,29 @@ func burn(total, bad int64, budget float64) float64 {
 	return (float64(bad) / float64(total)) / budget
 }
 
-// Status evaluates every objective now and, when Register was called,
-// refreshes the burn gauges. Call it from the /metricsz handler so
-// scraped gauges are current.
-func (e *SLOEvaluator) Status() []SLOStatus {
+// Refresh evaluates every objective now and sets its burn gauges, counting
+// a breach when the fast window burns faster than the budget allows. Call
+// it from the /metricsz handler so scraped gauges are current. Before
+// Register it does nothing, and it allocates nothing.
+func (e *SLOEvaluator) Refresh() {
 	if e == nil {
-		return nil
+		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sec := e.now().Unix()
-	out := make([]SLOStatus, 0, len(e.series))
 	for _, s := range e.series {
+		if s.fast == nil {
+			return
+		}
 		budget := s.slo.Budget()
 		ft, fb := s.window(sec, sloFastWindow)
 		st, sb := s.window(sec, sloSlowWindow)
-		status := SLOStatus{
-			Objective: s.slo.String(),
-			ID:        s.slo.ID(),
-			Budget:    budget,
-			FastBurn:  burn(ft, fb, budget),
-			SlowBurn:  burn(st, sb, budget),
-			FastTotal: ft,
-			SlowTotal: st,
+		fast := burn(ft, fb, budget)
+		s.fast.Set(fast)
+		s.slow.Set(burn(st, sb, budget))
+		if fast > 1 {
+			s.breaches.Add(1)
 		}
-		status.Breaching = status.FastBurn > 1
-		if e.fastBurn != nil {
-			e.fastBurn.With(status.ID).Set(status.FastBurn)
-			e.slowBurn.With(status.ID).Set(status.SlowBurn)
-			if status.Breaching {
-				e.breaches.With(status.ID).Add(1)
-			}
-		}
-		out = append(out, status)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -70,6 +70,22 @@ func TestSLOMatchesEndpoint(t *testing.T) {
 	}
 }
 
+// sloReading is one objective's burn gauges and breach count.
+type sloReading struct {
+	fast, slow float64
+	breaches   int64
+}
+
+// refreshed refreshes e and reads every objective's gauges, by ID.
+func refreshed(e *SLOEvaluator) map[string]sloReading {
+	e.Refresh()
+	out := make(map[string]sloReading)
+	for _, s := range e.series {
+		out[s.id] = sloReading{s.fast.Value(), s.slow.Value(), s.breaches.Value()}
+	}
+	return out
+}
+
 // TestSLOBurnRates drives the evaluator with a fake clock and pins the
 // burn math: burn = bad-fraction / budget over each window.
 func TestSLOBurnRates(t *testing.T) {
@@ -91,51 +107,39 @@ func TestSLOBurnRates(t *testing.T) {
 		}
 		e.Observe("data.nearest", dur, i < 2)
 	}
-	status := e.Status()
-	if len(status) != 2 {
-		t.Fatalf("got %d statuses, want 2", len(status))
+	b := refreshed(e)
+	if len(b) != 2 {
+		t.Fatalf("got %d objectives, want 2", len(b))
 	}
-	var latency, errs SLOStatus
-	for _, s := range status {
-		if s.ID == "nearest_p99" {
-			latency = s
-		} else {
-			errs = s
-		}
+	// 10% bad against a 1% budget: burn 10 on both windows, a breach.
+	if l := b["nearest_p99"]; !near(l.fast, 10) || !near(l.slow, 10) || l.breaches != 1 {
+		t.Errorf("latency objective = %+v, want burn 10 and one breach", l)
 	}
-	// 10% bad against a 1% budget: burn 10 on both windows.
-	if !near(latency.FastBurn, 10) || !near(latency.SlowBurn, 10) || !latency.Breaching {
-		t.Errorf("latency status = %+v, want burn 10 breaching", latency)
-	}
-	// 2% errors against a 1% budget: burn 2.
-	if !near(errs.FastBurn, 2) || !errs.Breaching {
-		t.Errorf("err status = %+v, want burn 2", errs)
+	// 2% errors against a 1% budget: burn 2, a breach.
+	if e := b["nearest_err"]; !near(e.fast, 2) || e.breaches != 1 {
+		t.Errorf("err objective = %+v, want burn 2 and one breach", e)
 	}
 
 	// Two minutes later the fast window is clean but the slow window still
-	// sees the spike.
+	// sees the spike; a refresh that burns no faster than the budget counts
+	// no breach.
 	clock = clock.Add(2 * time.Minute)
 	for i := 0; i < 100; i++ {
 		e.Observe("data.nearest", time.Millisecond, false)
 	}
-	status = e.Status()
-	for _, s := range status {
-		if s.ID == "nearest_p99" {
-			if s.FastBurn != 0 || s.Breaching {
-				t.Errorf("fast window did not recover: %+v", s)
-			}
-			if !near(s.SlowBurn, 5) { // 10 bad / 200 total / 0.01
-				t.Errorf("slow burn = %v, want 5", s.SlowBurn)
-			}
-		}
+	if l := refreshed(e)["nearest_p99"]; l.fast != 0 || l.breaches != 1 || !near(l.slow, 5) { // 10 bad / 200 total / 0.01
+		t.Errorf("latency objective = %+v, want fast burn 0, slow burn 5, still one breach", l)
 	}
 
 	// Eleven minutes later everything has aged out.
 	clock = clock.Add(11 * time.Minute)
-	for _, s := range e.Status() {
-		if s.FastBurn != 0 || s.SlowBurn != 0 || s.FastTotal != 0 {
-			t.Errorf("window did not age out: %+v", s)
+	for id, r := range refreshed(e) {
+		if r.fast != 0 || r.slow != 0 {
+			t.Errorf("%s window did not age out: %+v", id, r)
 		}
+	}
+	if n := testing.AllocsPerRun(10, e.Refresh); n != 0 {
+		t.Errorf("Refresh allocates %.0f times", n)
 	}
 
 	// The registered gauges expose the burn values.
@@ -159,9 +163,7 @@ func TestSLOEvaluatorNil(t *testing.T) {
 	var e *SLOEvaluator
 	e.Observe("x", time.Second, true)
 	e.Register(NewRegistry())
-	if s := e.Status(); s != nil {
-		t.Errorf("nil evaluator Status = %v", s)
-	}
+	e.Refresh()
 	if NewSLOEvaluator(nil) != nil {
 		t.Error("empty objective list should disable the evaluator")
 	}

@@ -1,9 +1,11 @@
 // Package simd holds the module's vector kernels: the row updates and
-// paired dots of tensor's matrix products, nn's LeakyReLU and Adam element
-// updates, and vecindex's dim-8 distance check. Each is one function over
-// float64 slices. On amd64 with AVX2 it runs assembly over the largest
-// whole-vector prefix and its Go loop over the rest; everywhere else the Go
-// loop runs over everything. Callers never see which path ran.
+// paired dots of tensor's matrix products, nn's LeakyReLU, max-pool select
+// and Adam element updates, the non-zero scan and paired dots at listed
+// pairs of nn's conv gradient, and vecindex's dim-8 distance check. Each is
+// one function over float64 slices. On amd64 with AVX2 it runs assembly
+// over the largest whole-vector prefix and its Go loop over the rest;
+// everywhere else the Go loop runs over everything. Callers never see which
+// path ran.
 //
 // The contract is bits: the assembly performs the Go loop's operations in
 // the Go loop's order, with no fused multiply-add, so both paths give the
@@ -77,6 +79,38 @@ func DotPairs4(sums *[8]float64, a, b0, b1, b2, b3 []float64) {
 	*sums = [8]float64{s0, t0, s1, t1, s2, t2, s3, t3}
 }
 
+// DotPairs4At is DotPairs4's pair loop at the listed pairs only: for each p
+// in pairs, in order, s_j adds a[p]·b_j[p] and t_j adds a[p+1]·b_j[p+1],
+// from zero, and sums is (s0, t0, s1, t1, s2, t2, s3, t3). A caller that
+// lists, ascending, every pair where a is non-zero gets DotPairs4's bits
+// when every b_j is finite there: its sums start at +0, so they never turn
+// −0, and the products it skips are ±0, which change no such sum. Every p
+// must be at least 0 with p+1 inside a, or the call panics.
+func DotPairs4At(sums *[8]float64, a, b0, b1, b2, b3 []float64, pairs []int) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	if useAVX2 && len(pairs) > 0 {
+		// The assembly stops at the first pair that does not fit in a; the
+		// Go loop's indexing checks its own.
+		if len(a) < 2 || dotPairs4AtAVX2(sums, a, b0, b1, b2, b3, pairs) != len(pairs) {
+			panic("simd: DotPairs4At pair outside a")
+		}
+		return
+	}
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	for _, p := range pairs {
+		a0, a1 := a[p], a[p+1]
+		s0 += float64(a0 * b0[p])
+		t0 += float64(a1 * b0[p+1])
+		s1 += float64(a0 * b1[p])
+		t1 += float64(a1 * b1[p+1])
+		s2 += float64(a0 * b2[p])
+		t2 += float64(a1 * b2[p+1])
+		s3 += float64(a0 * b3[p])
+		t3 += float64(a1 * b3[p+1])
+	}
+	*sums = [8]float64{s0, t0, s1, t1, s2, t2, s3, t3}
+}
+
 // positive is 1 for v > 0 and 0 otherwise (NaN included). It compiles to a
 // flag-to-register move, so indexing a two-entry slope table with it (the
 // &1 at the call site shows the compiler the index is in range) selects a
@@ -102,6 +136,90 @@ func Leaky(dst, x, g []float64, alpha float64) {
 	for ; i < len(dst); i++ {
 		dst[i] = g[i] * slope[positive(x[i])&1]
 	}
+}
+
+// MaxPool is a max-pool's select over windows of x: for each window i it
+// visits x[base[i]+off] for off in offs, in that order, and writes the
+// running maximum to dst[i] and, when at is not nil, base[i] plus the
+// offset it came from to at[i]. A later element replaces the running
+// maximum only when it is greater, an ordered comparison, so the first
+// maximum wins a tie, a NaN never replaces the running maximum and a NaN
+// first in its window stays. offs must not be empty, and base, offs and
+// every base[i]+off must index x, or the call panics.
+//
+// The Go loop has no data-dependent branch: the sign of a trained network's
+// activations is close to a coin flip to the branch predictor. The running
+// maximum is kept as its bits, so both updates are integer moves, and the
+// compiler (go1.24, amd64; check with -gcflags=-S) emits UCOMISD and two
+// CMOVQHI for the if. The AVX2 path runs four windows at once, one per
+// lane.
+func MaxPool(dst []float64, at []int, x []float64, base, offs []int) {
+	base = base[:len(dst)]
+	if at != nil {
+		at = at[:len(dst)]
+	}
+	span := 0
+	for _, off := range offs {
+		if off < 0 {
+			panic("simd: MaxPool offset below zero")
+		}
+		span = max(span, off+1)
+	}
+	first, rest := offs[0], offs[1:]
+	i := 0
+	if useAVX2 && len(dst) >= 4 {
+		// The assembly checks each base against the largest one whose
+		// window ends inside x; the Go loop's indexing checks its own.
+		last := len(x) - span
+		if last < 0 || maxPoolAVX2(dst, at, x, base, offs, last) != len(dst)&^3 {
+			panic("simd: MaxPool window outside x")
+		}
+		i = len(dst) &^ 3
+	}
+	for ; i < len(dst); i++ {
+		win := x[base[i]:]
+		best, bestAt := math.Float64bits(win[first]), first
+		for _, off := range rest {
+			v := win[off]
+			vb := math.Float64bits(v)
+			if v > math.Float64frombits(best) {
+				best, bestAt = vb, off
+			}
+		}
+		dst[i] = math.Float64frombits(best)
+		if at != nil {
+			at[i] = base[i] + bestAt
+		}
+	}
+}
+
+// nonzero is 1 for v ≠ 0 (NaN included) and 0 for ±0, without a jump, as
+// positive is.
+func nonzero(v float64) int {
+	if v != 0 {
+		return 1
+	}
+	return 0
+}
+
+// NonZero writes the positions of x's non-zero elements (NaN included, ±0
+// not) into idx in ascending order and returns how many there are. idx must
+// be at least as long as x. It has no data-dependent branch: the Go loop
+// stores every position and moves past it only when the element is
+// non-zero; the AVX2 path stores four positions at a time, compacted by a
+// table, and moves past as many as are non-zero.
+func NonZero(idx []int, x []float64) int {
+	idx = idx[:len(x)]
+	n, p := 0, 0
+	if useAVX2 {
+		n = nonZeroAVX2(idx, x)
+		p = len(x) &^ 3
+	}
+	for ; p < len(x); p++ {
+		idx[n] = p
+		n += nonzero(x[p])
+	}
+	return n
 }
 
 // Adam is Adam's element update with the bias corrections folded into lrc1

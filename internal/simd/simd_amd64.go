@@ -26,7 +26,9 @@ func xgetbv() (eax, edx uint32)
 
 // The kernels below are the exported functions' vector prefixes: each
 // covers the largest whole number of four-element vectors (Dist8First's,
-// of four-vector groups; DotPairs4's, of pairs) and leaves the rest to the
+// of four-vector groups; DotPairs4's, of pairs; MaxPool's, of four-window
+// groups; NonZero's returns how many positions it wrote; DotPairs4At's
+// covers every listed pair) and leaves the rest to the
 // exported function's Go loop, which has already cut every slice to the
 // length that sets the prefix.
 
@@ -40,7 +42,16 @@ func addRowAVX2(orow, b []float64, c float64)
 func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64)
 
 //go:noescape
+func dotPairs4AtAVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64, pairs []int) int
+
+//go:noescape
 func leakyAVX2(dst, x, g []float64, alpha float64)
+
+//go:noescape
+func maxPoolAVX2(dst []float64, at []int, x []float64, base, offs []int, last int) int
+
+//go:noescape
+func nonZeroAVX2(idx []int, x []float64) int
 
 //go:noescape
 func adamAVX2(w, m, v, g []float64, decay, b1, nb1, b2, nb2, lrc1, ic2, eps float64)

@@ -117,6 +117,54 @@ pairsdone:
 	VZEROUPPER
 	RET
 
+// func dotPairs4AtAVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64, pairs []int) int
+//
+// dotPairs4AVX2's step, at the pair each entry of pairs starts rather than
+// at every pair in turn. A pair that does not fit in a (p+1 at or past
+// len(a), or p below zero) ends the loop before it is read, and the result,
+// the pairs done, tells the caller.
+TEXT ·dotPairs4AtAVX2(SB), NOSPLIT, $0-160
+	MOVQ sums+0(FP), DI
+	MOVQ a_base+8(FP), SI
+	MOVQ b0_base+32(FP), R8
+	MOVQ b1_base+56(FP), R9
+	MOVQ b2_base+80(FP), R10
+	MOVQ b3_base+104(FP), R11
+	MOVQ pairs_base+128(FP), DX
+	MOVQ pairs_len+136(FP), CX
+	MOVQ a_len+16(FP), R12
+	DECQ R12 // a pair starts below len(a)-1
+	MOVQ CX, R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	TESTQ CX, CX
+	JZ    atdone
+
+atloop:
+	MOVQ           (DX), AX
+	CMPQ           AX, R12 // unsigned: a negative p is past it too
+	JAE            atdone
+	VBROADCASTF128 (SI)(AX*8), Y2          // a[p] a[p+1] a[p] a[p+1]
+	VMOVUPD        (R8)(AX*8), X3          // b0[p] b0[p+1]
+	VINSERTF128    $1, (R9)(AX*8), Y3, Y3  // b1[p] b1[p+1]
+	VMULPD         Y2, Y3, Y3
+	VADDPD         Y3, Y0, Y0
+	VMOVUPD        (R10)(AX*8), X4         // b2[p] b2[p+1]
+	VINSERTF128    $1, (R11)(AX*8), Y4, Y4 // b3[p] b3[p+1]
+	VMULPD         Y2, Y4, Y4
+	VADDPD         Y4, Y1, Y1
+	ADDQ           $8, DX
+	DECQ           CX
+	JNZ            atloop
+
+atdone:
+	SUBQ    CX, R13 // the pairs done
+	MOVQ    R13, ret+152(FP)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET
+
 // func leakyAVX2(dst, x, g []float64, alpha float64)
 //
 // The slope is selected by mask, not by branch: x > 0 (ordered, so a NaN
@@ -147,6 +195,222 @@ leakyloop:
 	JNZ       leakyloop
 
 leakydone:
+	VZEROUPPER
+	RET
+
+// func maxPoolAVX2(dst []float64, at []int, x []float64, base, offs []int, last int) int
+//
+// One group is four windows, one per lane: BX, R11, R12 and R13 point at
+// their corners in x, Y0 holds their bases, Y4 the running maxima and Y1
+// the offsets they came from. An offset's four elements are broadcast and
+// blended into one vector (loads and blends, no shuffles). VMAXPD's
+// src1 > src2 ? src1 : src2, with v as src1, is the Go loop's update of the
+// running maximum, NaN and signed zeros included (an ordered comparison, a
+// NaN on either side keeps best); the mask of the same comparison, GT_OQ,
+// selects the offset. A base above last, or below zero, ends the loop
+// before its group is read, and the result, the windows done, tells the
+// caller.
+TEXT ·maxPoolAVX2(SB), NOSPLIT, $0-136
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+48(FP), SI
+	MOVQ base_base+72(FP), R8
+	MOVQ offs_base+96(FP), R9
+	MOVQ offs_len+104(FP), R10
+	XORQ AX, AX // the group's first window
+	SHRQ $2, CX
+	JZ   pooldone
+
+poolgroup:
+	VMOVDQU      (R8)(AX*8), Y0 // base[i..i+3]
+	MOVQ         (R8)(AX*8), BX
+	MOVQ         8(R8)(AX*8), R11
+	MOVQ         16(R8)(AX*8), R12
+	MOVQ         24(R8)(AX*8), R13
+	MOVQ         last+120(FP), DX
+	CMPQ         BX, DX // unsigned: a negative base is above last too
+	JA           pooldone
+	CMPQ         R11, DX
+	JA           pooldone
+	CMPQ         R12, DX
+	JA           pooldone
+	CMPQ         R13, DX
+	JA           pooldone
+	LEAQ         (SI)(BX*8), BX
+	LEAQ         (SI)(R11*8), R11
+	LEAQ         (SI)(R12*8), R12
+	LEAQ         (SI)(R13*8), R13
+	MOVQ         (R9), DX        // offs[0]
+	VPBROADCASTQ (R9), Y1
+	VBROADCASTSD (BX)(DX*8), Y4
+	VBROADCASTSD (R11)(DX*8), Y9
+	VBLENDPD     $2, Y9, Y4, Y4
+	VBROADCASTSD (R12)(DX*8), Y9
+	VBLENDPD     $4, Y9, Y4, Y4
+	VBROADCASTSD (R13)(DX*8), Y9
+	VBLENDPD     $8, Y9, Y4, Y4  // best: the windows' first elements
+	MOVQ         $1, DI
+
+pooloff:
+	CMPQ         DI, R10
+	JGE          poolstore
+	MOVQ         (R9)(DI*8), DX  // off
+	VPBROADCASTQ (R9)(DI*8), Y5
+	VBROADCASTSD (BX)(DX*8), Y6
+	VBROADCASTSD (R11)(DX*8), Y9
+	VBLENDPD     $2, Y9, Y6, Y6
+	VBROADCASTSD (R12)(DX*8), Y9
+	VBLENDPD     $4, Y9, Y6, Y6
+	VBROADCASTSD (R13)(DX*8), Y9
+	VBLENDPD     $8, Y9, Y6, Y6  // v
+	VCMPPD       $0x1e, Y4, Y6, Y7 // GT_OQ: v > best
+	VMAXPD       Y4, Y6, Y4      // best = v > best ? v : best
+	VBLENDVPD    Y7, Y5, Y1, Y1  // its offset likewise
+	INCQ         DI
+	JMP          pooloff
+
+poolstore:
+	MOVQ    dst_base+0(FP), DI
+	VMOVUPD Y4, (DI)(AX*8)
+	MOVQ    at_base+24(FP), DX
+	TESTQ   DX, DX
+	JZ      poolnext // at is nil
+	VPADDQ  Y1, Y0, Y1
+	VMOVDQU Y1, (DX)(AX*8)
+
+poolnext:
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  poolgroup
+
+pooldone:
+	MOVQ AX, ret+128(FP)
+	VZEROUPPER
+	RET
+
+// nonZeroLanes lists, for each 4-bit mask, the lanes of its set bits in
+// ascending order (unused entries 0), and nonZeroCount how many there are.
+DATA nonZeroLanes<>+0(SB)/8, $0
+DATA nonZeroLanes<>+8(SB)/8, $0
+DATA nonZeroLanes<>+16(SB)/8, $0
+DATA nonZeroLanes<>+24(SB)/8, $0
+DATA nonZeroLanes<>+32(SB)/8, $0
+DATA nonZeroLanes<>+40(SB)/8, $0
+DATA nonZeroLanes<>+48(SB)/8, $0
+DATA nonZeroLanes<>+56(SB)/8, $0
+DATA nonZeroLanes<>+64(SB)/8, $1
+DATA nonZeroLanes<>+72(SB)/8, $0
+DATA nonZeroLanes<>+80(SB)/8, $0
+DATA nonZeroLanes<>+88(SB)/8, $0
+DATA nonZeroLanes<>+96(SB)/8, $0
+DATA nonZeroLanes<>+104(SB)/8, $1
+DATA nonZeroLanes<>+112(SB)/8, $0
+DATA nonZeroLanes<>+120(SB)/8, $0
+DATA nonZeroLanes<>+128(SB)/8, $2
+DATA nonZeroLanes<>+136(SB)/8, $0
+DATA nonZeroLanes<>+144(SB)/8, $0
+DATA nonZeroLanes<>+152(SB)/8, $0
+DATA nonZeroLanes<>+160(SB)/8, $0
+DATA nonZeroLanes<>+168(SB)/8, $2
+DATA nonZeroLanes<>+176(SB)/8, $0
+DATA nonZeroLanes<>+184(SB)/8, $0
+DATA nonZeroLanes<>+192(SB)/8, $1
+DATA nonZeroLanes<>+200(SB)/8, $2
+DATA nonZeroLanes<>+208(SB)/8, $0
+DATA nonZeroLanes<>+216(SB)/8, $0
+DATA nonZeroLanes<>+224(SB)/8, $0
+DATA nonZeroLanes<>+232(SB)/8, $1
+DATA nonZeroLanes<>+240(SB)/8, $2
+DATA nonZeroLanes<>+248(SB)/8, $0
+DATA nonZeroLanes<>+256(SB)/8, $3
+DATA nonZeroLanes<>+264(SB)/8, $0
+DATA nonZeroLanes<>+272(SB)/8, $0
+DATA nonZeroLanes<>+280(SB)/8, $0
+DATA nonZeroLanes<>+288(SB)/8, $0
+DATA nonZeroLanes<>+296(SB)/8, $3
+DATA nonZeroLanes<>+304(SB)/8, $0
+DATA nonZeroLanes<>+312(SB)/8, $0
+DATA nonZeroLanes<>+320(SB)/8, $1
+DATA nonZeroLanes<>+328(SB)/8, $3
+DATA nonZeroLanes<>+336(SB)/8, $0
+DATA nonZeroLanes<>+344(SB)/8, $0
+DATA nonZeroLanes<>+352(SB)/8, $0
+DATA nonZeroLanes<>+360(SB)/8, $1
+DATA nonZeroLanes<>+368(SB)/8, $3
+DATA nonZeroLanes<>+376(SB)/8, $0
+DATA nonZeroLanes<>+384(SB)/8, $2
+DATA nonZeroLanes<>+392(SB)/8, $3
+DATA nonZeroLanes<>+400(SB)/8, $0
+DATA nonZeroLanes<>+408(SB)/8, $0
+DATA nonZeroLanes<>+416(SB)/8, $0
+DATA nonZeroLanes<>+424(SB)/8, $2
+DATA nonZeroLanes<>+432(SB)/8, $3
+DATA nonZeroLanes<>+440(SB)/8, $0
+DATA nonZeroLanes<>+448(SB)/8, $1
+DATA nonZeroLanes<>+456(SB)/8, $2
+DATA nonZeroLanes<>+464(SB)/8, $3
+DATA nonZeroLanes<>+472(SB)/8, $0
+DATA nonZeroLanes<>+480(SB)/8, $0
+DATA nonZeroLanes<>+488(SB)/8, $1
+DATA nonZeroLanes<>+496(SB)/8, $2
+DATA nonZeroLanes<>+504(SB)/8, $3
+GLOBL nonZeroLanes<>(SB), RODATA|NOPTR, $512
+DATA nonZeroCount<>+0(SB)/1, $0
+DATA nonZeroCount<>+1(SB)/1, $1
+DATA nonZeroCount<>+2(SB)/1, $1
+DATA nonZeroCount<>+3(SB)/1, $2
+DATA nonZeroCount<>+4(SB)/1, $1
+DATA nonZeroCount<>+5(SB)/1, $2
+DATA nonZeroCount<>+6(SB)/1, $2
+DATA nonZeroCount<>+7(SB)/1, $3
+DATA nonZeroCount<>+8(SB)/1, $1
+DATA nonZeroCount<>+9(SB)/1, $2
+DATA nonZeroCount<>+10(SB)/1, $2
+DATA nonZeroCount<>+11(SB)/1, $3
+DATA nonZeroCount<>+12(SB)/1, $2
+DATA nonZeroCount<>+13(SB)/1, $3
+DATA nonZeroCount<>+14(SB)/1, $3
+DATA nonZeroCount<>+15(SB)/1, $4
+GLOBL nonZeroCount<>(SB), RODATA|NOPTR, $16
+
+// func nonZeroAVX2(idx []int, x []float64) int
+//
+// Four elements at a time: NEQ_UQ (unordered or not equal, so a NaN counts
+// and ±0 do not, as x != 0 in Go) gives a 4-bit mask; the mask's lane list
+// plus the group's position is stored at idx[n] in one 32-byte store, and n
+// moves on by the mask's count. n is at most the group's position, so the
+// store stays inside idx[:len(x)].
+TEXT ·nonZeroAVX2(SB), NOSPLIT, $0-56
+	MOVQ idx_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	LEAQ nonZeroLanes<>(SB), R8
+	LEAQ nonZeroCount<>(SB), R9
+	XORQ BX, BX // n
+	SHRQ $2, CX
+	JZ   nzdone
+	XORQ AX, AX // the group's position
+	VXORPD Y0, Y0, Y0
+	MOVQ  $4, DX
+	VMOVQ DX, X1
+	VPBROADCASTQ X1, Y1 // 4, 4, 4, 4
+	VPXOR Y2, Y2, Y2    // the group's position in every lane
+
+nzloop:
+	VCMPPD    $0x04, (SI)(AX*8), Y0, Y3 // NEQ_UQ: x != 0
+	VMOVMSKPD Y3, DX
+	MOVQ      DX, R10
+	SHLQ      $5, R10
+	VPADDQ    (R8)(R10*1), Y2, Y4
+	VMOVDQU   Y4, (DI)(BX*8)
+	MOVBQZX   (R9)(DX*1), DX
+	ADDQ      DX, BX
+	VPADDQ    Y1, Y2, Y2
+	ADDQ      $4, AX
+	DECQ      CX
+	JNZ       nzloop
+
+nzdone:
+	MOVQ BX, ret+48(FP)
 	VZEROUPPER
 	RET
 

@@ -98,15 +98,16 @@ func seeded(rng *rand.Rand, density int) *draw {
 	return &draw{shape: shape, vals: vals, state: rng.Uint64()}
 }
 
-// operands are one kernel case: the slices it reads and writes, and its
-// scalars.
+// operands are one kernel case: the slices it reads and writes, its
+// scalars, and the index slices it only reads.
 type operands struct {
-	s [][]float64
-	f []float64
+	s    [][]float64
+	f    []float64
+	ints [][]int
 }
 
 func (o operands) clone() operands {
-	c := operands{f: o.f}
+	c := operands{f: o.f, ints: o.ints}
 	for _, s := range o.s {
 		c.s = append(c.s, slices.Clone(s))
 	}
@@ -134,6 +135,26 @@ func dist8(q, v []float64) float64 {
 		s[j] = float64(d*d) + float64(e*e)
 	}
 	return (s[0] + s[1]) + (s[2] + s[3])
+}
+
+// poolWindows returns the window corners and element offsets of a
+// non-overlapping size×size max-pool over a c×h×w map, as nn.MaxPool2d
+// builds them: corners channel by channel and row by row, offsets row by
+// row from the corner.
+func poolWindows(c, h, w, size int) (base, offs []int) {
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y += size {
+			for z := 0; z < w; z += size {
+				base = append(base, ch*h*w+y*w+z)
+			}
+		}
+	}
+	for dy := 0; dy < size; dy++ {
+		for dz := 0; dz < size; dz++ {
+			offs = append(offs, dy*w+dz)
+		}
+	}
+	return base, offs
 }
 
 // kernels is the table the seeded test, the fuzzer and the corpus index:
@@ -216,6 +237,68 @@ var kernels = []kernel{
 		return operands{s: [][]float64{q, slab}, f: []float64{bound}}
 	}, func(o operands) []float64 {
 		return []float64{float64(Dist8First((*[8]float64)(o.s[0]), o.s[1], o.f[0]))}
+	}},
+	{"MaxPool", func(d *draw) operands {
+		c, size, oh, ow := 1+d.pick(3), 1+d.pick(4), 1+d.pick(6), 1+d.pick(9)
+		kind, withAt := d.pick(3), d.pick(2)
+		base, offs := poolWindows(c, oh*size, ow*size, size)
+		x := d.slice(c * oh * size * ow * size)
+		if kind > 0 { // three values, so windows tie; kind 2 makes one NaN, first in some windows, later in others
+			palette := d.slice(3)
+			if kind == 2 {
+				palette[0] = math.NaN()
+			}
+			for i := range x {
+				x[i] = palette[int(d.normal()+4)*3/8]
+			}
+		}
+		return operands{s: [][]float64{make([]float64, len(base)), x}, f: []float64{float64(withAt)}, ints: [][]int{base, offs}}
+	}, func(o operands) []float64 {
+		dst, at := o.s[0], []int(nil)
+		if o.f[0] == 1 {
+			at = make([]int, len(dst))
+		}
+		MaxPool(dst, at, o.s[1], o.ints[0], o.ints[1])
+		out := slices.Clone(dst)
+		for _, a := range at {
+			out = append(out, float64(a))
+		}
+		return out
+	}},
+	{"NonZero", func(d *draw) operands {
+		n, zeros := d.pick(301), d.pick(4)
+		x := d.slice(n)
+		for i := range x { // a share of ±0 that rises with zeros: none, 1 in 4, 1 in 2, 8 in 9
+			if u := d.normal() + 4; u < []float64{0, 2, 4, 64.0 / 9}[zeros] {
+				x[i] = math.Copysign(0, u-1)
+			}
+		}
+		return operands{s: [][]float64{x}}
+	}, func(o operands) []float64 {
+		idx := make([]int, len(o.s[0]))
+		n := NonZero(idx, o.s[0])
+		out := []float64{float64(n)}
+		for _, p := range idx[:n] {
+			out = append(out, float64(p))
+		}
+		return out
+	}},
+	{"DotPairs4At", func(d *draw) operands {
+		s := d.slices(5, d.pick(301))
+		var pairs []int // every pair in turn, some, or some twice and out of order
+		for p, kind := 0, d.pick(3); p+1 < len(s[0]); p += 2 {
+			if kind == 0 || d.normal() < -2 {
+				pairs = append(pairs, p)
+			}
+			if kind == 2 && d.normal() > 3 {
+				pairs = append(pairs, p/2&^1)
+			}
+		}
+		return operands{s: s, ints: [][]int{pairs}}
+	}, func(o operands) []float64 {
+		var sums [8]float64
+		DotPairs4At(&sums, o.s[0], o.s[1], o.s[2], o.s[3], o.s[4], o.ints[0])
+		return sums[:]
 	}},
 }
 
@@ -385,6 +468,16 @@ func kernelCalls(n int) []kernelCall {
 	s := d.slices(5, n)
 	slab := d.slice(8 * n)
 	var sums [8]float64
+	fmap, pooled := d.slice(8*225), make([]float64, 200)
+	base, offs := poolWindows(8, 15, 15, 3)
+	at := make([]int, len(base))
+	grad, pos, pairs := make([]float64, n), make([]int, n), []int(nil)
+	for i := 0; i < n; i += 9 { // one non-zero in nine, as behind a 3×3 max-pool
+		grad[i] = 1
+		if i+1 < n {
+			pairs = append(pairs, i&^1)
+		}
+	}
 	return []kernelCall{
 		{"AddRows4", func() { AddRows4(s[0], s[1], s[2], s[3], s[4], 1, 2, 3, 4) }},
 		{"AddRow", func() { AddRow(s[0], s[1], 0.5) }},
@@ -392,6 +485,9 @@ func kernelCalls(n int) []kernelCall {
 		{"Leaky", func() { Leaky(s[0], s[1], s[2], 0.01) }},
 		{"Adam", func() { Adam(s[0], s[1], s[2], s[3], 0, 0.9, 0.1, 0.999, 1e-3, 1e-3, 1, 1e-8) }},
 		{"Dist8First", func() { Dist8First((*[8]float64)(s[4]), slab, 0) }},
+		{"MaxPool", func() { MaxPool(pooled, at, fmap, base, offs) }},
+		{"NonZero", func() { NonZero(pos, grad) }},
+		{"DotPairs4At", func() { DotPairs4At(&sums, grad, s[1], s[2], s[3], s[4], pairs) }},
 	}
 }
 
@@ -411,6 +507,7 @@ func TestKernelsAllocateNothing(t *testing.T) {
 // BenchmarkKernels times each kernel on each path this host has, at 225
 // elements — a BraggNN feature map's row — and 225 vectors for Dist8First,
 // which never finds one below its bound of 0 and so scans them all.
+// MaxPool selects a BraggNN sample's 200 3×3 windows over its 8×15×15 map.
 func BenchmarkKernels(b *testing.B) {
 	defer func(old bool) { useAVX2 = old }(useAVX2)
 	for _, c := range kernelCalls(225) {
@@ -426,7 +523,9 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // TestShortOperandsPanic: an operand shorter than the first slice is a
-// bounds panic on both paths, never a read past its end.
+// bounds panic on both paths, never a read past its end. MaxPool's window
+// at 4 reaches element 7 of a 7-element x, and DotPairs4At's pair at 7
+// element 8 of an 8-element a.
 func TestShortOperandsPanic(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
 	onPaths(t, func(t *testing.T) {
@@ -436,6 +535,14 @@ func TestShortOperandsPanic(t *testing.T) {
 			"DotPairs4": func() { DotPairs4(new([8]float64), long, long, short, long, long) },
 			"Leaky":     func() { Leaky(long, long, short, 1) },
 			"Adam":      func() { Adam(long, long, short, long, 0, 0, 0, 0, 0, 0, 0, 0) },
+			"MaxPool":   func() { MaxPool(long[:4], nil, short, []int{0, 1, 2, 4}, []int{0, 1, 2, 3}) },
+			"NonZero":   func() { NonZero(make([]int, 7), long) },
+			"DotPairs4At": func() {
+				DotPairs4At(new([8]float64), long, long, long, long, long, []int{0, 6, 7})
+			},
+			"DotPairs4At short b": func() { DotPairs4At(new([8]float64), long, long, short, long, long, []int{0}) },
+			"DotPairs4At below a": func() { DotPairs4At(new([8]float64), long, long, long, long, long, []int{0, -2}) },
+			"MaxPool below x":     func() { MaxPool(long[:4], nil, long, []int{0, 0, 0, -1}, []int{0, 1}) },
 		} {
 			func() {
 				defer func() {

@@ -392,6 +392,9 @@ func TestIm2ColCol2ImMatchNaive(t *testing.T) {
 		{InC: 1, InH: 5, InW: 8, KH: 1, KW: 1, Stride: 3, Pad: 0},
 		{InC: 1, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 3}, // padding wider than the kernel
 		{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, Stride: 3, Pad: 2},
+		{InC: 2, InH: 5, InW: 4, KH: 3, KW: 5, Stride: 1, Pad: 2}, // as wide as the image, taller
+		{InC: 2, InH: 2, InW: 3, KH: 9, KW: 9, Stride: 1, Pad: 4}, // as wide as the image, padding wider than it
+		{InC: 3, InH: 4, InW: 6, KH: 1, KW: 1, Stride: 1, Pad: 0},
 	} {
 		d.Validate()
 		img := randSlice(rng, d.InC*d.InH*d.InW)
