@@ -19,11 +19,10 @@
 // client action; a restart under other -seed / -embed-* flags than the fit
 // was recorded under is refused. With neither, all three are memory only.
 //
-// At startup the daemon warms the in-process vector index from the store's
-// persisted embeddings (no embedder pass needed), so a daemon adopting a
-// pre-populated dstore serves nearest-label queries from memory from the
-// first request instead of scanning the store over the wire until a
-// reindex.
+// Opening the data service builds its in-process vector index from the
+// store's persisted embeddings (no embedder pass needed), so a daemon that
+// adopts a filled store or dstore serves nearest-label queries from memory
+// from the first request; a store it cannot read stops it at startup.
 //
 // The daemon also embeds the server-side rapid-train subsystem
 // (internal/trainer): /v1/train jobs warm-start from the zoo's
@@ -201,16 +200,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("dmsd: building data service: %v", err)
 	}
-	// Warm from the store's persisted embeddings: a daemon adopting a
-	// pre-populated store answers nearest-label queries from memory
-	// immediately. Non-fatal — a failed warm just leaves the store-scan
-	// fallback in place.
-	if n, err := ds.WarmIndex(); err != nil {
-		logger.Warn("vector index warm failed; store-scan fallback stays active", "err", err)
-	} else if n > 0 || ds.CorruptEmbeddings() > 0 {
-		logger.Info("vector index warmed",
-			"embeddings", n, "corrupt_skipped", ds.CorruptEmbeddings())
-	}
 
 	zoo := fairms.NewZoo()
 	if zooStore != nil {
@@ -219,7 +208,9 @@ func main() {
 		}
 	}
 	if ds.K() > 0 || zoo.Len() > 0 {
-		logger.Info("service state restored from the store", "k", ds.K(), "fit", ds.FitID(), "models", zoo.Len())
+		is := ds.IndexStats()
+		logger.Info("service state restored from the store", "k", ds.K(), "fit", ds.FitID(), "models", zoo.Len(),
+			"embeddings", is.Size, "corrupt_skipped", is.Corrupt)
 	}
 
 	cfg := dmsapi.ServerConfig{

@@ -37,8 +37,7 @@ var testOnlyKeep = map[string]string{
 	"experiments.Fig16Result.MinAfterTrigger":    "result predicate: shape tests and the quality golden's -check read it",
 	"experiments.Fig16Result.MinBeforePostDrift": "result predicate: shape tests and the quality golden's -check read it",
 
-	"fairds.Service.SetEmbedder": "the served-embedder item (ROADMAP 5) gives it a caller",
-	"fairds.Service.Reindex":     "the served-embedder item (ROADMAP 5) gives it a caller",
+	"fairds.Service.Reindex": "the served-embedder item (ROADMAP 5) gives it a caller",
 
 	"analyzers/anzkit.Loader.Import": "implements types.Importer",
 

@@ -128,8 +128,8 @@ func TestTraceSpansThreeTiers(t *testing.T) {
 			t.Errorf("nearest trace missing span %q (have %v)", name, nearest.SpanNames())
 		}
 	}
-	if spanIndex(nearest, "index_probe") < 0 && spanIndex(nearest, "store_scan") < 0 {
-		t.Errorf("nearest trace has neither index_probe nor store_scan: %v", nearest.SpanNames())
+	if spanIndex(nearest, "index_probe") < 0 {
+		t.Errorf("nearest trace has no index_probe: %v", nearest.SpanNames())
 	}
 	if n := len(nearest.SpanNames()); n < 4 {
 		t.Fatalf("nearest trace has %d named stages, want >= 4: %v", n, nearest.SpanNames())
@@ -215,9 +215,8 @@ func TestMetricszExposition(t *testing.T) {
 		"dms_in_flight", "dms_cluster_k",
 		"dms_cache_hits_total", "dms_cache_misses_total", "dms_cache_coalesced_total",
 		"dms_cache_evictions_total", "dms_cache_size",
-		"dms_index_ready", "dms_index_size", "dms_index_hits_total",
-		"dms_index_misses_total", "dms_index_probed_total",
-		"dms_index_corrupt_total",
+		"dms_index_size", "dms_index_hits_total",
+		"dms_index_probed_total", "dms_index_corrupt_total",
 		"dms_retained_traces_total",
 		"dms_train_submitted_total", "dms_train_completed_total",
 		"dms_train_failed_total", "dms_train_canceled_total",

@@ -246,24 +246,15 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc("dms_cache_size", "retained cache entries",
 		func() float64 { return float64(s.cache.len()) })
 
-	// IndexStats reads only atomics inside the data service, so scrapes
-	// never contend with queries or the bootstrap fit.
-	r.GaugeFunc("dms_index_ready", "1 when the vector index covers the store",
-		func() float64 {
-			if s.cfg.DS.IndexStats().Ready {
-				return 1
-			}
-			return 0
-		})
+	// IndexStats reads the index's counters under its read lock at most,
+	// so scrapes never wait on queries or the bootstrap fit.
 	r.GaugeFunc("dms_index_size", "indexed vectors",
 		func() float64 { return float64(s.cfg.DS.IndexStats().Size) })
-	r.CounterFunc("dms_index_hits_total", "nearest-label queries answered by the index",
+	r.CounterFunc("dms_index_hits_total", "nearest-label probes, one per queried sample",
 		func() int64 { return s.cfg.DS.IndexStats().Hits })
-	r.CounterFunc("dms_index_misses_total", "nearest-label queries that fell back to a store scan",
-		func() int64 { return s.cfg.DS.IndexStats().Misses })
 	r.CounterFunc("dms_index_probed_total", "vectors distance-compared by the index",
 		func() int64 { return s.cfg.DS.IndexStats().Probed })
-	r.CounterFunc("dms_index_corrupt_total", "corrupt stored-document observations",
+	r.CounterFunc("dms_index_corrupt_total", "stored documents left out of the index as corrupt",
 		func() int64 { return s.cfg.DS.IndexStats().Corrupt })
 
 	if s.cfg.TrainWorkers > 0 {

@@ -176,7 +176,7 @@ func (s *Service) commit(ctx context.Context, samples []*codec.Sample, p prepare
 	for row, i := range p.valid {
 		samples[i].FloatsInto(x.Row(row))
 	}
-	rows, err := s.embedRows(x)
+	rows, err := s.embedRows(s.embedder, x)
 	tensor.Release(x)
 	if err != nil {
 		// Another request gave the service another width meanwhile.
@@ -205,20 +205,14 @@ func (s *Service) commit(ctx context.Context, samples []*codec.Sample, p prepare
 	for row, i := range p.valid {
 		ids[i] = stored[row]
 	}
-	// A cold index is skipped entirely: it needs a wholesale WarmIndex or
-	// Reindex anyway, and after SetEmbedder the new-dimension rows would
-	// only produce a flood of false "corrupt" rejections.
-	if s.indexReady() {
-		_, sp = obs.StartSpan(ctx, "index_add")
-		for row, id := range stored {
-			if err := s.idx.Add(id, assign[row], rows[row]); err != nil {
-				// The store write already succeeded; an index refusal (a
-				// dimension drift the caller never reconciled via Reindex)
-				// degrades that document to fallback-only lookup.
-				s.noteCorrupt(id, err)
-			}
+	_, sp = obs.StartSpan(ctx, "index_add")
+	for row, id := range stored {
+		if s.idx.Add(id, assign[row], rows[row]) != nil {
+			// The store write already succeeded; a document the index
+			// refuses (a dimension mismatch) is stored but never matched.
+			s.corrupt.Add(1)
 		}
-		sp.End()
 	}
+	sp.End()
 	return nil
 }

@@ -90,31 +90,22 @@ func BenchmarkLookupLabeled4k(b *testing.B) { benchLookup(b, 4000) }
 func BenchmarkLookupLabeled32k(b *testing.B) { benchLookup(b, 32768) }
 
 // BenchmarkNearest is a one-sample nearest search (match only, no payload
-// fetch) at store sizes 1k/10k/50k, store-scan fallback vs the
-// in-process vector index. The scan path — a service whose index an
-// embedder swap has cooled — re-fetches every embedding in the predicted
-// cluster from the store per query; the indexed path probes memory.
+// fetch) at store sizes 1k/10k/50k: one probe of the in-process vector
+// index.
 func BenchmarkNearest(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{1_000, 10_000, 50_000} {
-		for _, mode := range []string{"scan", "flat"} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
-				svc, query := benchService(b, n)
-				if mode == "scan" {
-					if err := svc.SetEmbedder(svc.embedder); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("flat/n=%d", n), func(b *testing.B) {
+			svc, query := benchService(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := i % len(query)
+				if _, err := svc.NearestMatchesExcluding(ctx, query[q:q+1], false, nil); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q := i % len(query)
-					if _, err := svc.NearestMatchesExcluding(ctx, query[q:q+1], false, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(n), "store-size")
-			})
-		}
+			}
+			b.ReportMetric(float64(n), "store-size")
+		})
 	}
 }
 

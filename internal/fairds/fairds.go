@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"runtime"
 	"sync"
@@ -101,12 +100,6 @@ func (r RemoteCollection) Sibling(suffix string) RemoteCollection {
 	return RemoteCollection{Client: r.Client, Name: r.Name + suffix}
 }
 
-// CountChecked is Count with the RPC error preserved, so callers that must
-// distinguish "empty" from "unreachable" (the New readiness decision) can.
-func (r RemoteCollection) CountChecked() (int, error) {
-	return r.Client.Count(r.Name, docstore.Query{})
-}
-
 // Count forwards to the remote collection.
 func (r RemoteCollection) Count() int {
 	n, err := r.Client.Count(r.Name, docstore.Query{})
@@ -127,13 +120,10 @@ type Config struct {
 	Fuzzifier float64
 	// Seed drives clustering and sampling determinism.
 	Seed int64
-	// Index is the in-process vector index consulted by the nearest-label
-	// paths (vecindex.NewFlat by default; a caller may wrap it, e.g. to
+	// Index is the in-process vector index that answers nearest-label
+	// queries (vecindex.NewFlat by default; a caller may wrap it, e.g. to
 	// trace its calls).
 	Index vecindex.Index
-	// Logger receives corrupt-embedding and index-maintenance warnings;
-	// nil silences them.
-	Logger *log.Logger
 }
 
 func (c *Config) defaults() {
@@ -171,18 +161,11 @@ type Service struct {
 	// with a *WidthError before it reaches the embedder.
 	width atomic.Int64
 
-	// idx mirrors (doc ID, cluster, embedding) in process so nearest-label
-	// queries probe memory instead of scanning the store over the wire.
-	// idxReady reports whether the index covers the store: true from the
-	// start for a store born empty (ingests keep it current), and after
-	// WarmIndex or Reindex otherwise. While false, nearest-label queries
-	// fall back to the brute-force store scan.
-	idx      vecindex.Index
-	idxReady atomic.Bool
-
-	idxHits   atomic.Int64 // nearest-label queries answered by the index
-	idxMisses atomic.Int64 // queries that fell back to a store scan
-	corrupt   atomic.Int64 // stored embeddings rejected as corrupt
+	// idx mirrors (doc ID, cluster, embedding) in process; nearest-label
+	// queries probe it and never scan the store. It covers what the store
+	// held when New opened it, plus what this service ingests or reindexes.
+	idx     vecindex.Index
+	corrupt atomic.Int64 // stored documents left out of idx as corrupt
 }
 
 // New builds a data service over an embedder and a store. A store that
@@ -191,6 +174,12 @@ type Service struct {
 // lookups with no client action; New refuses a document recorded under
 // another embedder. Otherwise the model starts unset: call FitClusters
 // (system plane) before lookups.
+//
+// New builds the vector index from the store's persisted embeddings and
+// cluster fields, with no embedder pass; a store it cannot read fails it.
+// From then on the index covers what the store held at open, plus what this
+// service ingests or reindexes: a document another writer adds to a shared
+// store later is not matched by this service.
 func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error) {
 	if embedder == nil {
 		return nil, errors.New("fairds: nil embedder")
@@ -212,20 +201,35 @@ func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error)
 	if s.idx == nil {
 		s.idx = vecindex.NewFlat()
 	}
-	// A store that is empty at construction stays covered by ingests alone;
-	// a pre-populated one needs WarmIndex (or Reindex) first. Crucially,
-	// "empty" must not be confused with "unreachable": a remote store whose
-	// count RPC failed must start cold, or the index would confidently
-	// answer no-neighbor for every existing document.
-	s.idxReady.Store(storeKnownEmpty(store))
+	if err := s.loadIndex(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
-// countChecker is an optional DataStore upgrade: a Count that can report
-// failure. RemoteCollection implements it; a local *docstore.Collection
-// cannot fail and does not need to.
-type countChecker interface {
-	CountChecked() (int, error)
+// loadIndex fills the vector index from the store's persisted embedding
+// and cluster fields. A document whose fields are missing, mistyped, or of
+// the wrong dimensionality is counted as corrupt and left out.
+func (s *Service) loadIndex() error {
+	docs, err := s.store.Find(docstore.Query{Project: []string{"embedding", "cluster"}})
+	if err != nil {
+		return fmt.Errorf("fairds: loading vector index: %w", err)
+	}
+	dim := s.embedder.Dim()
+	entries := make([]vecindex.Entry, 0, len(docs))
+	for _, d := range docs {
+		emb, embOK := d.F["embedding"].([]float64)
+		k, kOK := d.F["cluster"].(int64)
+		if !embOK || len(emb) != dim || !kOK || k < 0 {
+			s.corrupt.Add(1)
+			continue
+		}
+		entries = append(entries, vecindex.Entry{ID: d.ID, Cluster: int(k), Vec: emb})
+	}
+	if err := s.idx.Rebuild(entries); err != nil {
+		return fmt.Errorf("fairds: loading vector index: %w", err)
+	}
+	return nil
 }
 
 // TxnStore is an optional DataStore upgrade: a backend that can commit a
@@ -235,16 +239,6 @@ type countChecker interface {
 // is already one such transaction on both.
 type TxnStore interface {
 	ApplyTxn(ops []docstore.TxnOp) ([]string, error)
-}
-
-// storeKnownEmpty reports whether the store is verifiably empty —
-// errors count as "unknown", never as empty.
-func storeKnownEmpty(store DataStore) bool {
-	if cc, ok := store.(countChecker); ok {
-		n, err := cc.CountChecked()
-		return err == nil && n == 0
-	}
-	return store.Count() == 0
 }
 
 // Embedder returns the configured embedding module.
@@ -268,7 +262,7 @@ func (s *Service) K() int {
 // FitClusters (system plane) fits the clustering module on the embeddings
 // of x, choosing K automatically by the elbow method.
 func (s *Service) FitClusters(x *tensor.Tensor) error {
-	rows, err := s.embedRows(x)
+	rows, err := s.embedRows(s.embedder, x)
 	if err != nil {
 		return err
 	}
@@ -276,7 +270,7 @@ func (s *Service) FitClusters(x *tensor.Tensor) error {
 	if err != nil {
 		return fmt.Errorf("fairds: selecting K: %w", err)
 	}
-	if err := s.publishFit(km, x.Dim(1)); err != nil {
+	if err := s.publishFit(s.embedder, km, x.Dim(1)); err != nil {
 		return err
 	}
 	s.wss = wss
@@ -287,7 +281,7 @@ func (s *Service) FitClusters(x *tensor.Tensor) error {
 // for experiments that pin the cluster count (the paper uses 15 for the
 // Bragg data in Figs. 12 and 16).
 func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
-	rows, err := s.embedRows(x)
+	rows, err := s.embedRows(s.embedder, x)
 	if err != nil {
 		return err
 	}
@@ -295,7 +289,7 @@ func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
 	if err != nil {
 		return fmt.Errorf("fairds: fitting %d clusters: %w", k, err)
 	}
-	if err := s.publishFit(km, x.Dim(1)); err != nil {
+	if err := s.publishFit(s.embedder, km, x.Dim(1)); err != nil {
 		return err
 	}
 	s.wss = nil
@@ -327,25 +321,26 @@ func (e *WidthError) Error() string {
 	return fmt.Sprintf("fairds: samples have %d elements, this service was fitted and ingested with %d", e.Got, e.Want)
 }
 
-// embedRows is the one way a batch reaches the embedder: it refuses x when
-// the service knows another width, and otherwise embeds it. The rows are
-// views of the embedder's result, which the caller may keep.
-func (s *Service) embedRows(x *tensor.Tensor) ([][]float64, error) {
+// embedRows is the one way a batch reaches an embedder — the service's,
+// or the one Reindex is installing: it refuses x when the service knows
+// another width, and otherwise embeds it with e. The rows are views of the
+// embedder's result, which the caller may keep.
+func (s *Service) embedRows(e embed.Embedder, x *tensor.Tensor) ([][]float64, error) {
 	if known := s.width.Load(); known != 0 && known != int64(x.Dim(1)) {
 		return nil, &WidthError{Got: x.Dim(1), Want: int(known)}
 	}
-	return embed.EmbedRows(s.embedder, x), nil
+	return embed.EmbedRows(e, x), nil
 }
 
-// embedSamples collates samples into a pooled tensor, embeds it through
-// embedRows and releases it.
-func (s *Service) embedSamples(samples []*codec.Sample) ([][]float64, error) {
+// embedSamples collates samples into a pooled tensor, embeds it with e
+// through embedRows and releases it.
+func (s *Service) embedSamples(e embed.Embedder, samples []*codec.Sample) ([][]float64, error) {
 	x, err := collate(samples)
 	if err != nil {
 		return nil, err
 	}
 	defer tensor.Release(x)
-	return s.embedRows(x)
+	return s.embedRows(e, x)
 }
 
 // claimWidth gives a service without a width — one restored from a fit
@@ -370,7 +365,7 @@ func (s *Service) DatasetPDFContext(ctx context.Context, x *tensor.Tensor) (stat
 		return nil, err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	rows, err := s.embedRows(x)
+	rows, err := s.embedRows(s.embedder, x)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -398,7 +393,7 @@ func (s *Service) CertaintyContext(ctx context.Context, x *tensor.Tensor, thresh
 		return 0, err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	rows, err := s.embedRows(x)
+	rows, err := s.embedRows(s.embedder, x)
 	sp.End()
 	if err != nil {
 		return 0, err
@@ -494,17 +489,17 @@ type Match struct {
 }
 
 // NearestMatches finds the nearest labeled historical document for every
-// input sample using one batched embedding pass and one projected
-// embedding scan per touched cluster. With distinct=true, each document is
-// matched at most once (greedy, in input order). Payloads are not fetched;
-// use GetSamples on the IDs the caller decides to reuse. This is the
-// high-throughput path for Fig. 9-style bulk label reuse.
+// input sample using one batched embedding pass and one vector-index probe
+// per sample, within the sample's predicted cluster. With distinct=true,
+// each document is matched at most once (greedy, in input order). Payloads
+// are not fetched; use GetSamples on the IDs the caller decides to reuse.
+// This is the high-throughput path for Fig. 9-style bulk label reuse.
 func (s *Service) NearestMatches(samples []*codec.Sample, distinct bool) ([]Match, error) {
 	return s.NearestMatchesContext(context.Background(), samples, distinct)
 }
 
 // NearestMatchesContext is NearestMatches with trace-span stages: embed,
-// then index_probe (warm index) or store_scan (cold fallback).
+// then index_probe.
 func (s *Service) NearestMatchesContext(ctx context.Context, samples []*codec.Sample, distinct bool) ([]Match, error) {
 	return s.NearestMatchesExcluding(ctx, samples, distinct, nil)
 }
@@ -520,7 +515,7 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 		return nil, err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
-	rows, err := s.embedSamples(samples)
+	rows, err := s.embedSamples(s.embedder, samples)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -528,7 +523,7 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 	assign := s.km.Predict(rows)
 	sp.End()
 
-	// used is the exclusion set the scans consult. Only a distinct draw
+	// used is the exclusion set the probes consult. Only a distinct draw
 	// grows it, so only then is the caller's set copied.
 	used := exclude
 	if distinct {
@@ -538,108 +533,52 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 		}
 	}
 	out := make([]Match, len(samples))
-
-	if s.indexReady() {
-		// In-process probes: one index query per sample, no store traffic.
-		s.idxHits.Add(int64(len(samples)))
-		_, sp := obs.StartSpan(ctx, "index_probe")
-		defer sp.End()
-		var skip func(string) bool
-		if distinct || len(used) > 0 {
-			skip = func(id string) bool { return used[id] }
+	_, sp = obs.StartSpan(ctx, "index_probe")
+	defer sp.End()
+	var skip func(string) bool
+	if distinct || len(used) > 0 {
+		skip = func(id string) bool { return used[id] }
+	}
+	probe := func(i int) string {
+		res, ok := s.idx.Nearest(assign[i], rows[i], skip)
+		if !ok {
+			out[i] = Match{Dist: math.Inf(1)}
+			return ""
 		}
-		probe := func(i int) string {
-			res, ok := s.idx.Nearest(assign[i], rows[i], skip)
-			if !ok {
-				out[i] = Match{Dist: math.Inf(1)}
-				return ""
-			}
-			out[i] = Match{DocID: res.ID, Dist: math.Sqrt(res.Dist2)}
-			return res.ID
-		}
-		if distinct {
-			// Greedy in input order: each draw sees the ones before it.
-			for i := range samples {
-				if id := probe(i); id != "" {
-					used[id] = true
-				}
-			}
-			return out, nil
-		}
-		// Independent probes: spread the request's samples over workers
-		// when its scan work — samples × mean partition size × dim, in the
-		// float64 elements vecindex.ForkElems is stated in — gives each
-		// worker enough to pay for its goroutine. The caller is worker 0.
-		work := len(samples) * (s.idx.Len() / s.km.K()) * len(rows[0])
-		workers := min(runtime.GOMAXPROCS(0), len(samples), work/vecindex.ForkElems)
-		var next atomic.Int64
-		drain := func() {
-			for i := int(next.Add(1)) - 1; i < len(samples); i = int(next.Add(1)) - 1 {
-				probe(i)
+		out[i] = Match{DocID: res.ID, Dist: math.Sqrt(res.Dist2)}
+		return res.ID
+	}
+	if distinct {
+		// Greedy in input order: each draw sees the ones before it.
+		for i := range samples {
+			if id := probe(i); id != "" {
+				used[id] = true
 			}
 		}
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				drain()
-			}()
-		}
-		drain()
-		wg.Wait()
 		return out, nil
 	}
-
-	// Cold fallback: one projected scan per distinct cluster.
-	s.idxMisses.Add(int64(len(samples)))
-	_, scanSpan := obs.StartSpan(ctx, "store_scan")
-	defer scanSpan.End()
-	type entry struct {
-		id  string
-		emb []float64
+	// Independent probes: spread the request's samples over workers when
+	// its scan work — samples × mean partition size × dim, in the float64
+	// elements vecindex.ForkElems is stated in — gives each worker enough
+	// to pay for its goroutine. The caller is worker 0.
+	work := len(samples) * (s.idx.Len() / s.km.K()) * len(rows[0])
+	workers := min(runtime.GOMAXPROCS(0), len(samples), work/vecindex.ForkElems)
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < len(samples); i = int(next.Add(1)) - 1 {
+			probe(i)
+		}
 	}
-	clusterDocs := make(map[int][]entry)
-	for i, k := range assign {
-		if _, done := clusterDocs[k]; done {
-			continue
-		}
-		docs, err := s.store.Find(docstore.Query{
-			Filters: []docstore.Filter{docstore.Eq("cluster", k)},
-			Project: []string{"embedding"},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fairds: scanning cluster %d: %w", k, err)
-		}
-		var entries []entry
-		for _, d := range docs {
-			emb, ok := embedding(d, len(rows[i]))
-			if !ok {
-				s.noteCorrupt(d.ID, errBadEmbedding)
-				continue
-			}
-			entries = append(entries, entry{id: d.ID, emb: emb})
-		}
-		clusterDocs[k] = entries
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
 	}
-
-	for i := range samples {
-		best := math.Inf(1)
-		bestID := ""
-		for _, e := range clusterDocs[assign[i]] {
-			if used[e.id] {
-				continue
-			}
-			if d := vecindex.Dist2(rows[i], e.emb); d < best {
-				best = d
-				bestID = e.id
-			}
-		}
-		if bestID != "" && distinct {
-			used[bestID] = true
-		}
-		out[i] = Match{DocID: bestID, Dist: math.Sqrt(best)}
-	}
+	drain()
+	wg.Wait()
 	return out, nil
 }
 
@@ -729,13 +668,26 @@ func (s *Service) SamplesByIDContext(ctx context.Context, ids []string, partial 
 // StoreCount reports how many labeled samples the store holds.
 func (s *Service) StoreCount() int { return s.store.Count() }
 
-// Reindex is the system-plane maintenance pass of paper §II-C: after the
-// embedding model has been retrained (or replaced via SetEmbedder), every
-// stored document's embedding is recomputed, the clustering model is refit
-// with k clusters on the refreshed embeddings, and each document's cluster
-// assignment is updated in place. Batched in chunks so memory stays
-// bounded on large stores. Returns the number of documents reindexed.
-func (s *Service) Reindex(k int) (int, error) {
+// Reindex is the system-plane maintenance pass of paper §II-C, run after
+// the embedding model has been retrained: every stored document is
+// re-embedded with e, the clustering model is refit with k clusters on the
+// refreshed embeddings, each document's embedding and cluster are written
+// back in place, and the vector index is rebuilt from them. Batched in
+// chunks so memory stays bounded on large stores. Returns the number of
+// documents reindexed.
+//
+// On success e, the refit and the rebuilt index are installed together:
+// under the caller's lock (publishFit's), no query embeds with one model
+// and probes the embeddings of another. An error up to the fit commit
+// leaves the service on its previous embedder, fit and index; documents
+// already written back keep what e gave them, so run Reindex again. A
+// failed rebuild — vecindex.Flat refuses only vectors of mixed
+// dimensions, which one embedder does not produce — leaves e and the refit
+// installed over the previous index.
+func (s *Service) Reindex(e embed.Embedder, k int) (int, error) {
+	if e == nil {
+		return 0, errors.New("fairds: nil embedder")
+	}
 	ids, err := s.store.FindIDs(docstore.Query{})
 	if err != nil {
 		return 0, fmt.Errorf("fairds: reindex scan: %w", err)
@@ -749,10 +701,7 @@ func (s *Service) Reindex(k int) (int, error) {
 	embeddings := make([][]float64, len(ids))
 	width := 0
 	for lo := 0; lo < len(ids); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
+		hi := min(lo+chunk, len(ids))
 		docs, err := s.store.GetMany(ids[lo:hi])
 		if err != nil {
 			return 0, fmt.Errorf("fairds: reindex fetch: %w", err)
@@ -765,7 +714,7 @@ func (s *Service) Reindex(k int) (int, error) {
 			}
 			samples[i] = smp
 		}
-		rows, err := s.embedSamples(samples)
+		rows, err := s.embedSamples(e, samples)
 		if err != nil {
 			return 0, err
 		}
@@ -790,146 +739,50 @@ func (s *Service) Reindex(k int) (int, error) {
 			return i, fmt.Errorf("fairds: reindex update %s: %w", id, err)
 		}
 	}
-	if err := s.publishFit(km, width); err != nil {
+	if err := s.publishFit(e, km, width); err != nil {
 		return len(ids), err
 	}
 	s.wss = nil
 
-	// The vector index is rebuilt from the same refreshed embeddings and
-	// assignments, so it covers the store again even if it was cold or
-	// stale (e.g. after SetEmbedder).
 	entries := make([]vecindex.Entry, len(ids))
 	for i, id := range ids {
 		entries[i] = vecindex.Entry{ID: id, Cluster: assign[i], Vec: embeddings[i]}
 	}
 	if err := s.idx.Rebuild(entries); err != nil {
-		s.idxReady.Store(false)
 		return len(ids), fmt.Errorf("fairds: reindex vector index: %w", err)
 	}
-	s.idxReady.Store(true)
 	return len(ids), nil
 }
 
-// WarmIndex populates the in-process vector index from the store's
-// persisted embedding and cluster fields — no embedder pass needed, which
-// is what lets a freshly started daemon adopt an existing store cheaply.
-// Documents whose fields are missing, mistyped, or of the wrong
-// dimensionality are counted as corrupt and skipped (the brute-force scan
-// would skip them too). Returns the number of vectors indexed. Complete
-// the warm before serving ingests: a cold service skips index maintenance,
-// so documents ingested while WarmIndex is mid-flight may miss both its
-// snapshot and the index.
-func (s *Service) WarmIndex() (int, error) {
-	docs, err := s.store.Find(docstore.Query{Project: []string{"embedding", "cluster"}})
-	if err != nil {
-		return 0, fmt.Errorf("fairds: warming index: %w", err)
-	}
-	dim := s.embedder.Dim()
-	entries := make([]vecindex.Entry, 0, len(docs))
-	for _, d := range docs {
-		emb, ok := embedding(d, dim)
-		if !ok {
-			s.noteCorrupt(d.ID, errBadEmbedding)
-			continue
-		}
-		k, ok := d.F["cluster"].(int64)
-		if !ok || k < 0 {
-			s.noteCorrupt(d.ID, errBadCluster)
-			continue
-		}
-		entries = append(entries, vecindex.Entry{ID: d.ID, Cluster: int(k), Vec: emb})
-	}
-	if err := s.idx.Rebuild(entries); err != nil {
-		return 0, fmt.Errorf("fairds: warming index: %w", err)
-	}
-	s.idxReady.Store(true)
-	return len(entries), nil
-}
-
-// SetEmbedder swaps the embedding module (e.g. after system-plane
-// retraining). Callers must Reindex afterwards so stored embeddings,
-// cluster assignments, and the vector index match the new model; until
-// then the vector index is marked cold and lookups fall back to scanning
-// the store.
-func (s *Service) SetEmbedder(e embed.Embedder) error {
-	if e == nil {
-		return errors.New("fairds: nil embedder")
-	}
-	s.embedder = e
-	s.idxReady.Store(false)
-	return nil
-}
-
-// indexReady reports whether the vector index can answer for the whole
-// store.
-func (s *Service) indexReady() bool { return s.idxReady.Load() }
-
-// IndexStats describes the vector index's coverage and effectiveness — the
+// IndexStats describes the vector index's size and effectiveness — the
 // dms_index_* families of dmsd's /metricsz.
 type IndexStats struct {
-	// Ready reports whether the index covers the store (queries probe it);
-	// false means nearest-label queries are falling back to store scans.
-	Ready bool
 	// Size is the number of indexed vectors.
 	Size int
-	// Hits counts nearest-label queries answered by the index; Misses
-	// counts queries that fell back to a store scan.
-	Hits   int64
-	Misses int64
+	// Hits counts nearest-label probes, one per queried sample.
+	Hits int64
 	// Probed counts vectors distance-compared by the index; Probed/Hits is
 	// the mean in-memory scan width.
 	Probed int64
-	// Corrupt counts corrupt-document observations: every time a scan,
-	// warm, or index add encounters a document whose embedding or cluster
-	// fields are missing, mistyped, or of the wrong dimensionality — data
-	// that silently degraded lookups before it was counted. A cold service
-	// re-observes the same document on every scan, so treat this as a
-	// rate signal, not a distinct-document census.
+	// Corrupt counts the stored documents left out of the index: at open,
+	// those whose embedding or cluster fields are missing, mistyped, or of
+	// the wrong dimensionality; since, ingested ones the index refused.
+	// Each document is counted once.
 	Corrupt int64
 }
 
 // IndexStats snapshots the vector-index counters. Safe to call
 // concurrently with queries and ingests.
 func (s *Service) IndexStats() IndexStats {
-	// Index-level Rejected is not folded in: every rejected Add already
-	// passed through noteCorrupt, so Corrupt covers it.
+	// Index-level Rejected is not folded in: every rejected Add is already
+	// counted in corrupt.
 	is := s.idx.Stats()
 	return IndexStats{
-		Ready:   s.indexReady(),
 		Size:    is.Size,
-		Hits:    s.idxHits.Load(),
-		Misses:  s.idxMisses.Load(),
+		Hits:    is.Queries,
 		Probed:  is.Probed,
 		Corrupt: s.corrupt.Load(),
 	}
-}
-
-// CorruptEmbeddings reports how many times a stored document with corrupt
-// embedding or cluster fields has been observed since the service started
-// (see IndexStats.Corrupt for the exact counting semantics).
-func (s *Service) CorruptEmbeddings() int64 { return s.corrupt.Load() }
-
-var (
-	errBadEmbedding = errors.New("embedding field missing, mistyped, or of the wrong dimensionality")
-	errBadCluster   = errors.New("cluster field missing, mistyped, or negative")
-)
-
-// noteCorrupt counts (and, with a Logger, reports) a document whose
-// stored fields cannot participate in nearest-label lookup. Before this
-// accounting such documents were silently skipped, which made data
-// corruption look like "no close neighbor".
-func (s *Service) noteCorrupt(id string, why error) {
-	s.corrupt.Add(1)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("fairds: corrupt document %s: %v", id, why)
-	}
-}
-
-// embedding extracts a document's embedding field, requiring the expected
-// dimensionality.
-func embedding(d *docstore.Doc, dim int) ([]float64, bool) {
-	emb, ok := d.F["embedding"].([]float64)
-	return emb, ok && len(emb) == dim
 }
 
 // decodeDoc decodes the payload field of a stored document.

@@ -315,11 +315,8 @@ func TestReindexAfterEmbedderSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Swap in a different embedder (wider dim) and reindex with a new K.
-	if err := svc.SetEmbedder(idEmbedder{dim: 10}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := svc.Reindex(5)
+	// Reindex under a different embedder (wider dim) with a new K.
+	n, err := svc.Reindex(idEmbedder{dim: 10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,14 +353,14 @@ func TestReindexEmptyStoreFails(t *testing.T) {
 	if err := svc.FitClustersK(x, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Reindex(2); err == nil {
+	if _, err := svc.Reindex(svc.Embedder(), 2); err == nil {
 		t.Fatal("expected error reindexing empty store")
 	}
 }
 
-func TestSetEmbedderNil(t *testing.T) {
+func TestReindexNilEmbedder(t *testing.T) {
 	svc := newService(t)
-	if err := svc.SetEmbedder(nil); err == nil {
+	if _, err := svc.Reindex(nil, 2); err == nil {
 		t.Fatal("expected error for nil embedder")
 	}
 }

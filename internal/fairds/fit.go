@@ -9,6 +9,7 @@ import (
 
 	"fairdms/internal/cluster"
 	"fairdms/internal/docstore"
+	"fairdms/internal/embed"
 )
 
 // The fitted clustering model is kept as one document, fitDocID, in the
@@ -55,8 +56,8 @@ type identifier interface {
 	Identity() string
 }
 
-func (s *Service) embedderIdentity() string {
-	if id, ok := s.embedder.(identifier); ok {
+func identityOf(e embed.Embedder) string {
+	if id, ok := e.(identifier); ok {
 		return id.Identity()
 	}
 	return ""
@@ -83,13 +84,14 @@ func fitIDOf(centers [][]float64) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// publishFit is the one place a fitted model becomes the service's: the fit
-// document is committed first and km assigned only after, so a failed or
-// torn write leaves the service — and, after a crash, the store — on the
-// previous fit, never on half of one. width is the element count of the
-// samples km was fitted on. Callers hold whatever lock guards km (the
-// dmsapi server's dsMu write side).
-func (s *Service) publishFit(km *cluster.KMeans, width int) error {
+// publishFit is the one place a fitted model becomes the service's, with
+// the embedder e it was fitted under: the fit document is committed first
+// and e and km assigned only after, so a failed or torn write leaves the
+// service — and, after a crash, the store — on the previous fit, never on
+// half of one. width is the element count of the samples km was fitted on.
+// Callers hold whatever lock guards km (the dmsapi server's dsMu write
+// side).
+func (s *Service) publishFit(e embed.Embedder, km *cluster.KMeans, width int) error {
 	id := fitIDOf(km.Centers)
 	if s.fits != nil {
 		dim := len(km.Centers[0])
@@ -103,7 +105,7 @@ func (s *Service) publishFit(km *cluster.KMeans, width int) error {
 			"dim":       dim,
 			"centers":   flat,
 			"fuzzifier": s.cfg.Fuzzifier,
-			"embedder":  s.embedderIdentity(),
+			"embedder":  identityOf(e),
 			"width":     width,
 		}}}
 		if s.fitID != "" {
@@ -114,7 +116,7 @@ func (s *Service) publishFit(km *cluster.KMeans, width int) error {
 			return fmt.Errorf("fairds: storing fit %s: %w", id, err)
 		}
 	}
-	s.km, s.fitID = km, id
+	s.embedder, s.km, s.fitID = e, km, id
 	s.width.Store(int64(width))
 	return nil
 }
@@ -150,7 +152,7 @@ func (s *Service) restoreFit() error {
 		return bad("centroids have dimension %d, the configured embedder %d", dim, s.embedder.Dim())
 	}
 	recorded, _ := d.F["embedder"].(string)
-	if mine := s.embedderIdentity(); recorded != "" && mine != "" && recorded != mine {
+	if mine := identityOf(s.embedder); recorded != "" && mine != "" && recorded != mine {
 		return bad("recorded under embedder %q, this service is configured with %q — the stored embeddings and centroids belong to the recorded one", recorded, mine)
 	}
 	// A document written before the field existed has no width: the first

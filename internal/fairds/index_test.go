@@ -3,97 +3,111 @@ package fairds
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"fairdms/internal/codec"
 	"fairdms/internal/docstore"
+	"fairdms/internal/embed"
 	"fairdms/internal/vecindex"
 )
 
-// unreachableCountStore models a remote store whose count RPC fails: the
-// plain Count necessarily swallows the error and reports 0.
-type unreachableCountStore struct{ DataStore }
+// unreadableStore models a store whose queries fail; as a bare wrapper it
+// names no fit collection, so New reaches the index load.
+type unreadableStore struct{ DataStore }
 
-func (unreachableCountStore) Count() int                 { return 0 }
-func (unreachableCountStore) CountChecked() (int, error) { return 0, errors.New("store unreachable") }
+func (unreadableStore) Find(docstore.Query) ([]*docstore.Doc, error) {
+	return nil, errors.New("store unreachable")
+}
 
-// TestUnreachableStoreStartsCold pins the New readiness decision: a store
-// whose emptiness cannot be verified must leave the index cold (store-scan
-// fallback), not "ready" over an empty index that would answer no-neighbor
-// for every existing document.
-func TestUnreachableStoreStartsCold(t *testing.T) {
+// TestNewFailsOnUnreadableStore pins that the index is built when the
+// service opens: a store New cannot read fails it, instead of leaving a
+// service whose empty index would answer no-neighbor for every stored
+// document.
+func TestNewFailsOnUnreadableStore(t *testing.T) {
 	backing := docstore.NewStore().Collection("peaks")
-	svc, err := New(idEmbedder{dim: 6}, unreachableCountStore{backing}, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := New(idEmbedder{dim: 6}, unreadableStore{backing}, Config{Seed: 1}); err == nil {
+		t.Fatal("New succeeded over a store it could not read")
 	}
-	if svc.IndexStats().Ready {
-		t.Fatal("index claims readiness over a store it could not count")
-	}
-	// The same store reporting a verified empty count starts ready.
-	svc2, err := New(idEmbedder{dim: 6}, backing, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !svc2.IndexStats().Ready {
-		t.Fatal("verifiably empty store should start ready")
+	if _, err := New(idEmbedder{dim: 6}, backing, Config{Seed: 1}); err != nil {
+		t.Fatalf("the same store, readable: %v", err)
 	}
 }
 
-// indexedAndScanPair builds two services over the same physical store and
-// identical clustering: one answering nearest-label queries from the
-// vector index, and one opened over the filled store and never warmed,
-// which scans the store as a restarted daemon does before WarmIndex. The
-// pair is the parity fixture — on identical data the two must agree
-// exactly.
-func indexedAndScanPair(t *testing.T, idx vecindex.Index, n int) (indexed, scan *Service, query []*codec.Sample) {
+// bruteNearest is the reference the index is held to: per-cluster Find of
+// the stored embeddings, then the first strictly nearest by vecindex.Dist2
+// among those not in exclude — growing exclude with each match when
+// distinct. exclude is mutated.
+func bruteNearest(t *testing.T, svc *Service, samples []*codec.Sample, distinct bool, exclude map[string]bool) []Match {
 	t.Helper()
-	store := docstore.NewStore().Collection("peaks")
-	indexed, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1, Index: idx})
+	x := mustCollate(t, samples)
+	rows := embed.EmbedRows(svc.embedder, x)
+	assign := svc.km.Predict(rows)
+	out := make([]Match, len(samples))
+	for i, k := range assign {
+		docs, err := svc.store.Find(docstore.Query{
+			Filters: []docstore.Filter{docstore.Eq("cluster", k)},
+			Project: []string{"embedding"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, bestID := math.Inf(1), ""
+		for _, d := range docs {
+			emb, ok := d.F["embedding"].([]float64)
+			if !ok || len(emb) != len(rows[i]) || exclude[d.ID] {
+				continue
+			}
+			if d2 := vecindex.Dist2(rows[i], emb); d2 < best {
+				best, bestID = d2, d.ID
+			}
+		}
+		if bestID != "" && distinct {
+			exclude[bestID] = true
+		}
+		out[i] = Match{DocID: bestID, Dist: math.Sqrt(best)}
+	}
+	return out
+}
+
+// parityFixture builds a service over a store it fills itself — a fit on
+// n historical samples, then their ingest — and a shuffled query of both
+// regimes.
+func parityFixture(t *testing.T, idx vecindex.Index, n int) (svc *Service, query []*codec.Sample) {
+	t.Helper()
+	svc, err := New(idEmbedder{dim: 6}, docstore.NewStore().Collection("peaks"), Config{Seed: 1, Index: idx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := twoRegimes(3, n/2)
 	hist := append(append([]*codec.Sample{}, a...), b...)
-	x, err := Collate(hist)
-	if err != nil {
+	if err := svc.FitClustersK(mustCollate(t, hist), 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := indexed.FitClustersK(x, 4); err != nil {
+	if _, err := svc.IngestLabeled(hist, "hist"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := indexed.IngestLabeled(hist, "hist"); err != nil {
-		t.Fatal(err)
-	}
-	if !indexed.IndexStats().Ready {
-		t.Fatal("index not ready after ingest into a store born empty")
-	}
-
-	scan, err = New(idEmbedder{dim: 6}, store, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.IndexStats().Ready {
-		t.Fatal("a service opened over a filled store claims index coverage before WarmIndex")
-	}
-	// Same rows, same K, same seed — the deterministic fit yields identical
-	// centroids, so both services predict identical query clusters.
-	if err := scan.FitClustersK(x, 4); err != nil {
-		t.Fatal(err)
-	}
-
 	rng := rand.New(rand.NewSource(9))
 	qa, qb := twoRegimes(17, 8)
 	query = append(append([]*codec.Sample{}, qa...), qb...)
 	rng.Shuffle(len(query), func(i, j int) { query[i], query[j] = query[j], query[i] })
-	return indexed, scan, query
+	return svc, query
 }
 
-// TestIndexParityNearestMatches is the acceptance parity check: on the
-// same corpus, the indexed path and the store-scan path return identical
-// nearest IDs and distances, with and without distinct draws.
+func requireSameMatches(t *testing.T, what string, got, want []Match) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s sample %d: index %+v != reference %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestIndexParityNearestMatches is the acceptance parity check: the
+// index's nearest IDs and distances are the brute-force reference's, with
+// and without distinct draws, and every queried sample is one probe.
 func TestIndexParityNearestMatches(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -102,119 +116,74 @@ func TestIndexParityNearestMatches(t *testing.T) {
 		{"flat", vecindex.NewFlat()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			indexed, scan, query := indexedAndScanPair(t, tc.idx, 120)
+			svc, query := parityFixture(t, tc.idx, 120)
 			for _, distinct := range []bool{false, true} {
-				got, err := indexed.NearestMatches(query, distinct)
+				got, err := svc.NearestMatches(query, distinct)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := scan.NearestMatches(query, distinct)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("distinct=%v sample %d: indexed %+v != scan %+v", distinct, i, got[i], want[i])
-					}
-				}
+				want := bruteNearest(t, svc, query, distinct, map[string]bool{})
+				requireSameMatches(t, fmt.Sprintf("distinct=%v", distinct), got, want)
 			}
-			st := indexed.IndexStats()
-			if st.Hits == 0 || st.Misses != 0 {
-				t.Fatalf("indexed service should have answered from the index: %+v", st)
+			if st := svc.IndexStats(); st.Hits != int64(2*len(query)) || st.Probed == 0 {
+				t.Fatalf("two %d-sample queries left %+v", len(query), st)
 			}
 		})
 	}
 }
 
 // TestIndexParityExcludingDraws runs the Fig. 9 distinct-draw loop — one
-// sample, its earlier draws excluded — through NearestMatchesExcluding on
-// both paths and requires identical draws.
+// sample, its earlier draws excluded — through NearestMatchesExcluding and
+// requires the reference's draws until the cluster runs dry.
 func TestIndexParityExcludingDraws(t *testing.T) {
-	indexed, scan, query := indexedAndScanPair(t, vecindex.NewFlat(), 60)
-	exclI := map[string]bool{}
-	exclS := map[string]bool{}
-	for draw := 0; draw < 20; draw++ {
-		mI, err := indexed.NearestMatchesExcluding(context.Background(), query[:1], false, exclI)
+	svc, query := parityFixture(t, vecindex.NewFlat(), 60)
+	excl := map[string]bool{}
+	for draw := 0; draw <= 60; draw++ {
+		got, err := svc.NearestMatchesExcluding(context.Background(), query[:1], false, excl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mS, err := scan.NearestMatchesExcluding(context.Background(), query[:1], false, exclS)
+		want := bruteNearest(t, svc, query[:1], false, excl)
+		requireSameMatches(t, "draw", got, want)
+		if got[0].DocID == "" {
+			return
+		}
+		excl[got[0].DocID] = true
+	}
+	t.Fatal("61 draws from a 60-document store never ran dry")
+}
+
+// TestReopenedServiceAnswersAsIngester models a daemon restart: a new
+// service over the filled store indexes all of it when it opens and
+// answers exactly as the service that ingested it.
+func TestReopenedServiceAnswersAsIngester(t *testing.T) {
+	ingester, query := parityFixture(t, vecindex.NewFlat(), 80)
+	store := ingester.store
+
+	reopened, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := reopened.IndexStats(); st.Size != store.Count() || st.Corrupt != 0 {
+		t.Fatalf("reopened over %d documents: %+v", store.Count(), st)
+	}
+	for _, distinct := range []bool{false, true} {
+		want, err := ingester.NearestMatches(query, distinct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idI, distI, idS, distS := mI[0].DocID, mI[0].Dist, mS[0].DocID, mS[0].Dist
-		if idI != idS || distI != distS {
-			t.Fatalf("draw %d: indexed (%s, %g) != scan (%s, %g)", draw, idI, distI, idS, distS)
+		got, err := reopened.NearestMatches(query, distinct)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if idI == "" {
-			break
-		}
-		exclI[idI] = true
-		exclS[idS] = true
+		requireSameMatches(t, fmt.Sprintf("reopened, distinct=%v", distinct), got, want)
 	}
 }
 
-// TestWarmIndexAdoptsPrePopulatedStore models a daemon restart: a new
-// service over an already-filled store starts cold (scans), and WarmIndex
-// flips it to in-memory probes with the same answers.
-func TestWarmIndexAdoptsPrePopulatedStore(t *testing.T) {
-	indexed, _, query := indexedAndScanPair(t, vecindex.NewFlat(), 80)
-	store := indexed.store
-
-	adopted, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted.IndexStats().Ready {
-		t.Fatal("index claims to cover a store it has never read")
-	}
-	a, b := twoRegimes(3, 40)
-	x, err := Collate(append(append([]*codec.Sample{}, a...), b...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := adopted.FitClustersK(x, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	cold, err := adopted.NearestMatches(query, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := adopted.IndexStats(); st.Misses == 0 || st.Hits != 0 {
-		t.Fatalf("cold service should have scanned the store: %+v", st)
-	}
-
-	n, err := adopted.WarmIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != store.Count() {
-		t.Fatalf("warmed %d vectors, store holds %d", n, store.Count())
-	}
-	st := adopted.IndexStats()
-	if !st.Ready || st.Size != n {
-		t.Fatalf("after warm: %+v", st)
-	}
-
-	warm, err := adopted.NearestMatches(query, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cold {
-		if warm[i] != cold[i] {
-			t.Fatalf("sample %d: warm %+v != cold %+v", i, warm[i], cold[i])
-		}
-	}
-	if st := adopted.IndexStats(); st.Hits == 0 {
-		t.Fatalf("warm service should have hit the index: %+v", st)
-	}
-}
-
-// TestCorruptEmbeddingsCounted plants documents with missing, mistyped,
-// and wrong-dimension embedding fields. The store-scan fallback and
-// WarmIndex must count them as corrupt (not silently skip), and lookups
-// must still return the best healthy document.
+// TestCorruptEmbeddingsCounted plants documents with wrong-dimension and
+// missing embedding fields. Opening a service over the store must count
+// each once and leave it out of the index; lookups still return the best
+// healthy document, and do not count the planted ones again.
 func TestCorruptEmbeddingsCounted(t *testing.T) {
 	store := docstore.NewStore().Collection("peaks")
 	svc, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1})
@@ -223,23 +192,14 @@ func TestCorruptEmbeddingsCounted(t *testing.T) {
 	}
 	a, b := twoRegimes(3, 30)
 	hist := append(append([]*codec.Sample{}, a...), b...)
-	x, err := Collate(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.FitClustersK(x, 3); err != nil {
+	if err := svc.FitClustersK(mustCollate(t, hist), 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.IngestLabeled(hist, "hist"); err != nil {
 		t.Fatal(err)
 	}
-	// An embedder swap cools the index, so lookups scan the store.
-	if err := svc.SetEmbedder(idEmbedder{dim: 6}); err != nil {
-		t.Fatal(err)
-	}
-
-	// One corrupt document per cluster so every query cluster sees them:
-	// a wrong-dimension embedding and a missing one.
+	// One corrupt document of each kind per cluster, so every query
+	// cluster holds them.
 	for k := 0; k < svc.K(); k++ {
 		if _, err := store.InsertMany([]docstore.Fields{
 			{"cluster": k, "embedding": []float64{1, 2}, "payload": []byte{0}},
@@ -249,78 +209,44 @@ func TestCorruptEmbeddingsCounted(t *testing.T) {
 		}
 	}
 
-	m, err := svc.NearestMatchesExcluding(context.Background(), a[:1], false, nil)
+	reopened, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(2 * svc.K())
+	if st := reopened.IndexStats(); st.Corrupt != want || st.Size != len(hist) {
+		t.Fatalf("opened with %+v, want %d corrupt and the %d healthy documents indexed", st, want, len(hist))
+	}
+	m, err := reopened.NearestMatchesExcluding(context.Background(), a[:1], false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m[0].DocID == "" || math.IsInf(m[0].Dist, 1) {
 		t.Fatal("corrupt documents masked the healthy nearest neighbor")
 	}
-	if got := svc.CorruptEmbeddings(); got != 2 {
-		t.Fatalf("CorruptEmbeddings = %d after one-cluster scan, want 2", got)
-	}
-	if _, err := svc.NearestMatches(a[:4], false); err != nil {
+	if _, err := reopened.NearestMatches(a[:4], false); err != nil {
 		t.Fatal(err)
 	}
-	// NearestMatches scanned at least one cluster again; the exact count
-	// depends on cluster spread, so just require growth past the first scan.
-	if got := svc.CorruptEmbeddings(); got <= 2 {
-		t.Fatalf("CorruptEmbeddings = %d after NearestMatches, want > 2", got)
-	}
-
-	// WarmIndex on a fresh indexed service over the same store skips and
-	// counts every planted document.
-	adopted, err := New(idEmbedder{dim: 6}, store, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := adopted.WarmIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(hist) {
-		t.Fatalf("warmed %d, want the %d healthy documents", n, len(hist))
-	}
-	if got, want := adopted.CorruptEmbeddings(), int64(2*svc.K()); got != want {
-		t.Fatalf("CorruptEmbeddings after warm = %d, want %d", got, want)
+	if got := reopened.IndexStats().Corrupt; got != want {
+		t.Fatalf("Corrupt = %d after queries, want it to stay %d", got, want)
 	}
 }
 
 // TestReindexRebuildsIndexAfterEmbedderSwap checks the §II-C maintenance
-// path: SetEmbedder cools the index, Reindex rebuilds it against the new
-// embedding space and the indexed answers again match a store scan.
+// path: Reindex installs the new embedder with an index rebuilt in its
+// space, and the indexed answers match the reference over the rewritten
+// store.
 func TestReindexRebuildsIndexAfterEmbedderSwap(t *testing.T) {
-	indexed, _, query := indexedAndScanPair(t, vecindex.NewFlat(), 60)
-	if err := indexed.SetEmbedder(idEmbedder{dim: 4}); err != nil {
+	svc, query := parityFixture(t, vecindex.NewFlat(), 60)
+	if _, err := svc.Reindex(idEmbedder{dim: 4}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if indexed.IndexStats().Ready {
-		t.Fatal("index still claims coverage after an embedder swap")
+	if st := svc.IndexStats(); st.Size != svc.StoreCount() || svc.Embedder().Dim() != 4 {
+		t.Fatalf("after reindex: %+v, embedder dim %d", st, svc.Embedder().Dim())
 	}
-	if _, err := indexed.Reindex(3); err != nil {
-		t.Fatal(err)
-	}
-	st := indexed.IndexStats()
-	if !st.Ready || st.Size != indexed.StoreCount() {
-		t.Fatalf("after reindex: %+v", st)
-	}
-
-	scan, err := New(idEmbedder{dim: 4}, indexed.store, Config{Seed: 1})
+	got, err := svc.NearestMatches(query, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan.km = indexed.km // same refitted clustering
-	got, err := indexed.NearestMatches(query, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scan.NearestMatches(query, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d after reindex: indexed %+v != scan %+v", i, got[i], want[i])
-		}
-	}
+	requireSameMatches(t, "after reindex", got, bruteNearest(t, svc, query, false, map[string]bool{}))
 }

@@ -88,10 +88,10 @@ func TestCollatedInputOutlivesTheEmbed(t *testing.T) {
 		}
 	}
 	check("after ingest")
-	if _, err := plain.Reindex(4); err != nil {
+	if _, err := plain.Reindex(plain.Embedder(), 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := poisoned.Reindex(4); err != nil {
+	if _, err := poisoned.Reindex(poisoned.Embedder(), 4); err != nil {
 		t.Fatal(err)
 	}
 	check("after reindex")

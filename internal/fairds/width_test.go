@@ -158,7 +158,7 @@ func TestFailedFirstIngestClaimsNoWidth(t *testing.T) {
 		if _, err := svc.Certainty(mustCollate(t, small), 0.5); err != nil {
 			t.Fatalf("batch=%v: a read of the real width: %v", batch, err)
 		}
-		if _, err := svc.Reindex(2); err != nil {
+		if _, err := svc.Reindex(svc.Embedder(), 2); err != nil {
 			t.Fatalf("batch=%v: reindex: %v", batch, err)
 		}
 		_, err = svc.Certainty(mustCollate(t, big), 0.5)

@@ -1,12 +1,11 @@
 // Package vecindex provides the in-memory vector index behind fairDS's
 // nearest-label reuse (paper §II-A, "efficient lookup by embedding
-// indexing"). Before this package, every nearest-neighbor query re-fetched
-// all embeddings of the predicted cluster from the document store and
-// scanned them linearly, so lookup latency grew with history size and each
-// query crossed the wire when the store was remote. A vecindex mirrors the
-// (document ID, cluster, embedding) triples in process, in flat
-// cache-friendly float64 slabs, and answers the same query with an
-// in-memory scan of the cluster's slab.
+// indexing"): the second level of the two-level search, after the sample's
+// cluster is known. An index mirrors the (document ID, cluster, embedding)
+// triples of the labeled store in process, in flat cache-friendly float64
+// slabs, one per cluster, and answers a nearest-neighbor query with an
+// in-memory scan of the cluster's slab, with no call to the store, local
+// or remote.
 //
 // Flat is the one implementation of the Index interface: exact nearest
 // neighbor by one sequential scan of the cluster's slab. fairDS has
@@ -183,9 +182,9 @@ func scanNearest(vecs []float64, ids []string, dim int, q []float64, exclude fun
 }
 
 // Dist2 is the squared Euclidean distance every index scan computes for
-// one vector, exported so a caller scanning outside an index (the fairds
-// store-scan fallback, tests' brute-force oracles) gets the same bits. It
-// is a pure function of (q, v): see scanRange. len(v) must equal len(q).
+// one vector, exported so the brute-force oracles that tests hold an index
+// to (here and in fairds) compute the same bits. It is a pure function of
+// (q, v): see scanRange. len(v) must equal len(q).
 func Dist2(q, v []float64) float64 {
 	_, d2 := scanRange(v[:len(q)], nil, len(q), q, nil, 0, 1)
 	return d2
