@@ -236,6 +236,115 @@ func TestLookupBeforeBootstrapIsConflict(t *testing.T) {
 	}
 }
 
+// gatedEmbedder is idEmbedder whose first Embed closes entered and then
+// waits for release: the fit that call belongs to is parked inside it.
+type gatedEmbedder struct {
+	idEmbedder
+	first            sync.Once
+	entered, release chan struct{}
+}
+
+func (e *gatedEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
+	e.first.Do(func() {
+		close(e.entered)
+		<-e.release
+	})
+	return e.idEmbedder.Embed(x)
+}
+
+// TestReadsDuringBootstrapFitAreNotFitted parks a bootstrap ingest inside
+// its fit's embed. Meanwhile /healthz reports k 0 and a certainty read is
+// answered 409 not_fitted at once instead of queueing behind the fit; a
+// second ingest waits, then lands under the same one fit.
+func TestReadsDuringBootstrapFitAreNotFitted(t *testing.T) {
+	const bootstrapK = 4
+	gate := &gatedEmbedder{idEmbedder: idEmbedder{dim: 6}, entered: make(chan struct{}), release: make(chan struct{})}
+	ds, err := fairds.New(gate, docstore.NewStore().Collection("peaks"), fairds.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, client := startServer(t, ServerConfig{DS: ds, BootstrapK: bootstrapK})
+	var released sync.Once
+	release := func() { released.Do(func() { close(gate.release) }) }
+	t.Cleanup(release) // before the server's shutdown: cleanups run last-in first-out
+	a, b := twoRegimes(12, 16)
+
+	ingested := make(chan error, 2)
+	go func() {
+		_, err := client.Ingest("first", a)
+		ingested <- err
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the bootstrap ingest never reached the embedder")
+	}
+
+	within := func(what string, call func() error) error {
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited on the bootstrap fit", what)
+			return nil
+		}
+	}
+	var health HealthResponse
+	err = within("/healthz", func() (err error) {
+		health, err = client.Health()
+		return err
+	})
+	if err != nil || health.K != 0 || health.Fit != "" {
+		t.Fatalf("/healthz during the fit: %+v, %v; want k 0 and no fit", health, err)
+	}
+	err = within("certainty", func() error {
+		_, err := client.Certainty(a[:4], 0)
+		return err
+	})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || se.ErrCode != CodeNotFitted {
+		t.Fatalf("certainty during the fit: %v; want 409 %s", err, CodeNotFitted)
+	}
+
+	go func() {
+		_, err := client.Ingest("second", b)
+		ingested <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.InFlight() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second ingest never reached the server")
+		}
+	}
+	release()
+	for range 2 {
+		if err := <-ingested; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One fit: the one the first batch gives alone.
+	ref := newDataService(t)
+	x, err := fairds.Collate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.FitClustersK(x, bootstrapK); err != nil {
+		t.Fatal(err)
+	}
+	health, err = client.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if health.K != bootstrapK || health.Fit != ref.FitID() || health.Samples != len(a)+len(b) {
+		t.Fatalf("/healthz after both ingests: %+v; want k %d, fit %s, %d samples", health, bootstrapK, ref.FitID(), len(a)+len(b))
+	}
+	if got := scrape(t, client)["dms_cluster_k"]; got != bootstrapK {
+		t.Fatalf("dms_cluster_k = %v, want %d", got, bootstrapK)
+	}
+}
+
 func TestRecommendThresholdAndEmptyZoo(t *testing.T) {
 	_, client := startServer(t, ServerConfig{})
 	rec, err := client.Recommend(stats.PDF{0.5, 0.5}, 0)

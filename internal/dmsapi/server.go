@@ -99,29 +99,23 @@ type Server struct {
 	*Pipeline
 	cfg ServerConfig
 
-	// dsMu guards the fairds.Service: the bootstrap fit mutates its
-	// clustering model, everything else only reads it. fairms.Zoo locks
-	// internally and needs no guarding here.
-	dsMu sync.RWMutex
-	// clusterK and fitID mirror DS.K() and DS.FitID() so /healthz never
-	// waits on dsMu — the bootstrap fit holds it exclusively for a full
-	// k-means run, and a liveness probe stalling exactly then would get the
-	// daemon killed mid-bootstrap.
-	clusterK atomic.Int64
-	fitID    atomic.Pointer[string]
+	// fitMu keeps the bootstrap a single fit: ensureClusters and handleFit
+	// hold it from their unfitted check through the fit. The data service
+	// and the zoo lock internally, and a read during the fit is answered
+	// 409 not_fitted at once.
+	fitMu sync.Mutex
 
 	cache *cache
-	// zooGen/clusterGen version the cache keyspace: adding a model
-	// invalidates recommend results, refitting clusters invalidates PDF
+	// zooGen and the data service's fit id version the cache keyspace:
+	// adding a model invalidates recommend results, a fit invalidates PDF
 	// results and — models of another fit no longer rank — recommend
-	// results too. Bumping the generation orphans stale entries, which age
-	// out of the LRU.
-	zooGen     atomic.Uint64
-	clusterGen atomic.Uint64
+	// results too. A new version orphans stale entries, which age out of
+	// the LRU.
+	zooGen atomic.Uint64
 
 	// trainer is the embedded training-job subsystem (nil when
-	// TrainWorkers == 0). Its jobs read the data service under dsMu's
-	// read side and bump zooGen when a checkpoint lands in the zoo.
+	// TrainWorkers == 0). Its jobs bump zooGen when a checkpoint lands in
+	// the zoo.
 	trainer *trainer.Manager
 }
 
@@ -156,7 +150,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:      cfg,
 		cache:    newCache(max(cfg.CacheSize, 0)),
 	}
-	s.mirrorFit()
 	s.registerMetrics()
 
 	s.Handle("POST "+PathIngest, "data.ingest", 0, s.handleIngest)
@@ -189,9 +182,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			Zoo:     cfg.Zoo,
 			Workers: cfg.TrainWorkers,
 			Queue:   cfg.TrainQueue,
-			// Jobs read the data service under the same lock the bootstrap
-			// fit takes exclusively, so a fit never races a running job.
-			Guard: &s.dsMu,
 			// A checkpoint landing in the zoo invalidates memoized
 			// recommend results exactly like a client-side model add.
 			OnRegister: func(string) { s.zooGen.Add(1) },
@@ -237,7 +227,7 @@ func (s *Server) Trainer() *trainer.Manager { return s.trainer }
 func (s *Server) registerMetrics() {
 	r := s.Registry()
 	r.GaugeFunc("dms_cluster_k", "fitted cluster count (0 = awaiting bootstrap)",
-		func() float64 { return float64(s.clusterK.Load()) })
+		func() float64 { return float64(s.cfg.DS.K()) })
 
 	r.CounterFunc("dms_cache_hits_total", "coalescing-cache hits", s.cache.hits.Load)
 	r.CounterFunc("dms_cache_misses_total", "coalescing-cache misses", s.cache.misses.Load)
@@ -354,9 +344,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if err := s.ensureClusters(samples); err != nil {
 		return err
 	}
-	s.dsMu.RLock()
 	ids, err := s.cfg.DS.IngestLabeledContext(r.Context(), samples, req.Dataset)
-	s.dsMu.RUnlock()
 	if err != nil {
 		return serviceError(err)
 	}
@@ -419,9 +407,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 		if err := s.ensureClusters(fitSet); err != nil {
 			return err
 		}
-		s.dsMu.RLock()
 		res, err := s.cfg.DS.IngestLabeledBatchContext(r.Context(), valid, req.Dataset, fairds.BatchOptions{})
-		s.dsMu.RUnlock()
 		if err != nil {
 			return serviceError(err)
 		}
@@ -443,25 +429,22 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 
 // ensureClusters performs the bootstrap fit: a daemon that started with an
 // empty store fits its clustering module on the first ingested batch.
+// Concurrent first ingests wait on fitMu and land under the one fit.
 func (s *Server) ensureClusters(samples []*codec.Sample) error {
-	s.dsMu.RLock()
-	fitted := s.cfg.DS.K() > 0
-	s.dsMu.RUnlock()
-	if fitted || s.cfg.BootstrapK <= 0 {
+	if s.cfg.BootstrapK <= 0 || s.cfg.DS.K() > 0 {
 		return nil
 	}
-	s.dsMu.Lock()
-	defer s.dsMu.Unlock()
+	s.fitMu.Lock()
+	defer s.fitMu.Unlock()
 	if s.cfg.DS.K() > 0 { // raced with another bootstrapper
 		return nil
 	}
 	return s.fitLocked("ingest", samples, s.cfg.BootstrapK)
 }
 
-// fitLocked fits the clustering model with k clusters on samples and
-// publishes the result to everything that mirrors it: the /healthz
-// mirrors and the cache generation. The caller holds dsMu's write side and
-// has checked the service is unfitted; op prefixes a 400.
+// fitLocked fits the clustering model with k clusters on samples. The
+// caller holds fitMu and has checked the service is unfitted; op prefixes
+// a 400.
 func (s *Server) fitLocked(op string, samples []*codec.Sample, k int) error {
 	x, err := fairds.Collate(samples)
 	if err != nil {
@@ -472,19 +455,8 @@ func (s *Server) fitLocked(op string, samples []*codec.Sample, k int) error {
 	if err != nil {
 		return serviceError(err)
 	}
-	s.mirrorFit()
-	s.clusterGen.Add(1)
 	s.cfg.Logger.Info("fitted clusters", "via", op, "k", k, "fit", s.cfg.DS.FitID(), "samples", len(samples))
 	return nil
-}
-
-// mirrorFit copies the data service's K and fit id into the lock-free
-// mirrors. Called at construction (a store that held a fit document starts
-// fitted) and under dsMu's write side after a fit.
-func (s *Server) mirrorFit() {
-	s.clusterK.Store(int64(s.cfg.DS.K()))
-	id := s.cfg.DS.FitID()
-	s.fitID.Store(&id)
 }
 
 func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
@@ -504,9 +476,7 @@ func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
 	if threshold <= 0 {
 		threshold = fairds.DefaultMembershipCut
 	}
-	s.dsMu.RLock()
 	cert, err := s.cfg.DS.CertaintyContext(r.Context(), x, threshold)
-	s.dsMu.RUnlock()
 	tensor.Release(x)
 	if err != nil {
 		return serviceError(err)
@@ -527,9 +497,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "lookup: %v", err)
 	}
-	s.dsMu.RLock()
 	labeled, err := s.cfg.DS.LookupLabeledContext(r.Context(), x)
-	s.dsMu.RUnlock()
 	tensor.Release(x)
 	if err != nil {
 		return serviceError(err)
@@ -553,9 +521,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
 			exclude[id] = true
 		}
 	}
-	s.dsMu.RLock()
 	matches, err := s.cfg.DS.NearestMatchesExcluding(r.Context(), samples, req.Distinct, exclude)
-	s.dsMu.RUnlock()
 	if err != nil {
 		return serviceError(err)
 	}
@@ -575,7 +541,7 @@ func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 	}
 	// The encoding is part of the key: it decides how the bytes are read.
 	contentType := r.Header.Get("Content-Type")
-	key := fmt.Sprintf("pdf:%d:%t:%s", s.clusterGen.Load(), isFrames(contentType), bodyHash(body))
+	key := fmt.Sprintf("pdf:%s:%t:%s", s.cfg.DS.FitID(), isFrames(contentType), bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
 		var req PDFRequest
 		_, sp := obs.StartSpan(ctx, "decode")
@@ -592,9 +558,7 @@ func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "pdf: %v", err)
 		}
-		s.dsMu.RLock()
-		pdf, err := s.cfg.DS.DatasetPDFContext(ctx, x)
-		s.dsMu.RUnlock()
+		pdf, _, err := s.cfg.DS.DatasetPDFContext(ctx, x)
 		tensor.Release(x)
 		if err != nil {
 			return nil, serviceError(err)
@@ -624,8 +588,8 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	s.dsMu.Lock()
-	defer s.dsMu.Unlock()
+	s.fitMu.Lock()
+	defer s.fitMu.Unlock()
 	if k := s.cfg.DS.K(); k > 0 {
 		return WriteBody(w, r, FitResponse{K: k})
 	}
@@ -645,9 +609,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
 	if len(req.IDs) == 0 {
 		return errf(http.StatusBadRequest, "samples: empty id list")
 	}
-	s.dsMu.RLock()
 	samples, missing, err := s.cfg.DS.SamplesByIDContext(r.Context(), req.IDs, req.Partial)
-	s.dsMu.RUnlock()
 	if err != nil {
 		if !req.Partial {
 			// A miss on the strict path is the caller naming an unknown
@@ -675,9 +637,7 @@ func (s *Server) handleDraw(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "draw: %v", err)
 	}
-	s.dsMu.RLock()
 	counts, ids, err := s.cfg.DS.LookupDrawContext(r.Context(), x, req.Seed)
-	s.dsMu.RUnlock()
 	tensor.Release(x)
 	if err != nil {
 		return serviceError(err)
@@ -707,7 +667,7 @@ func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) error {
 		meta[k] = v
 	}
 	delete(meta, fairms.MetaFit)
-	if fit := *s.fitID.Load(); fit != "" {
+	if fit := s.cfg.DS.FitID(); fit != "" {
 		meta[fairms.MetaFit] = fit
 	}
 	if err := s.cfg.Zoo.Add(req.ID, sd, req.PDF, meta); err != nil {
@@ -745,14 +705,15 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	key := fmt.Sprintf("rec:%d:%d:%s", s.zooGen.Load(), s.clusterGen.Load(), bodyHash(body))
+	fit := s.cfg.DS.FitID()
+	key := fmt.Sprintf("rec:%d:%s:%s", s.zooGen.Load(), fit, bodyHash(body))
 	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
 		var req RecommendRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, errf(http.StatusBadRequest, "recommend: decoding request: %v", err)
 		}
 		_, sp := obs.StartSpan(ctx, "zoo_rank")
-		best, ok, err := s.cfg.Zoo.BestFit(*s.fitID.Load(), req.PDF)
+		best, ok, err := s.cfg.Zoo.BestFit(fit, req.PDF)
 		sp.End()
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "%v", err)
@@ -806,7 +767,7 @@ func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error
 	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
-	if s.clusterK.Load() == 0 {
+	if s.cfg.DS.K() == 0 {
 		return errc(http.StatusConflict, CodeNotFitted, "train: %v", fairds.ErrNotFitted)
 	}
 	spec := trainer.Spec{
@@ -914,13 +875,12 @@ func wireTrainJob(st *trainer.Status, withCurves bool) TrainJob {
 // Operational handlers
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
-	// No dsMu here: clusterK is the server's own mirror, and StoreCount
-	// only touches the internally synchronized store — so liveness answers
-	// even while a bootstrap fit holds dsMu exclusively.
+	// K and FitID wait only for a fit's publish, never for its k-means run,
+	// so liveness answers while a bootstrap fit runs.
 	return WriteBody(w, r, HealthResponse{
 		Status:  "ok",
-		K:       int(s.clusterK.Load()),
-		Fit:     *s.fitID.Load(),
+		K:       s.cfg.DS.K(),
+		Fit:     s.cfg.DS.FitID(),
 		Models:  s.cfg.Zoo.Len(),
 		Samples: s.cfg.DS.StoreCount(),
 	})

@@ -64,6 +64,8 @@ func (s *Service) IngestLabeled(samples []*codec.Sample, dataset string) ([]stri
 // cannot encode — fails the call before anything is written, and the
 // error names the lowest such index. The store commit is one transaction.
 func (s *Service) IngestLabeledContext(ctx context.Context, samples []*codec.Sample, dataset string) ([]string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.requireClusters(); err != nil {
 		return nil, err
 	}
@@ -88,6 +90,8 @@ func (s *Service) IngestLabeledContext(ctx context.Context, samples []*codec.Sam
 // every surviving document and stores none of them. The returned error is
 // reserved for whole-call problems (unfitted clustering model).
 func (s *Service) IngestLabeledBatchContext(ctx context.Context, samples []*codec.Sample, dataset string, _ BatchOptions) (BatchResult, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.requireClusters(); err != nil {
 		return BatchResult{}, err
 	}
@@ -165,6 +169,8 @@ func (s *Service) prepare(ctx context.Context, samples []*codec.Sample) prepared
 // commit record on a durable store, so a call is stored whole or not at
 // all, on disk and on each lock stripe — and writes their IDs into ids at
 // their input indices.
+//
+// lint:holds s.mu
 func (s *Service) commit(ctx context.Context, samples []*codec.Sample, p prepared, dataset string, ids []string) error {
 	if len(p.valid) == 0 {
 		return nil

@@ -141,19 +141,30 @@ func (c *Config) defaults() {
 	}
 }
 
-// Service is a configured FAIR data service instance.
+// Service is a configured FAIR data service instance. It is safe for
+// concurrent use, fits and reindexes included, and needs no lock of its
+// caller's. Queries and ingests each see one fit: the embedder, clustering
+// model and fit id as one publishFit installed them. A fit or Reindex
+// embeds and runs k-means beside them and waits only for the calls under
+// way when it publishes; a call before the first fit gets ErrNotFitted at
+// once. Fits and reindexes are not ordered against each other: run one at
+// a time, or the last to publish wins.
 type Service struct {
-	cfg      Config
-	embedder embed.Embedder
-	store    DataStore
-	km       *cluster.KMeans
-	wss      []float64 // WSS curve from the last SelectK run
+	cfg   Config
+	store DataStore
+
+	// mu guards the fit. Queries and ingests hold its read side for the
+	// whole call; publishFit holds the write side to install a fit.
+	mu       sync.RWMutex
+	embedder embed.Embedder  // guarded by mu
+	km       *cluster.KMeans // guarded by mu
+	wss      []float64       // guarded by mu; WSS curve from the last SelectK run
+	fitID    string          // guarded by mu; identifies km ("" while unfitted)
 
 	// fits is where the fitted model is kept as a document (fit.go): the
 	// sibling collection "<collection>.fit" of store, nil when store cannot
-	// name one. fitID identifies km ("" while unfitted).
-	fits  fitStore
-	fitID string
+	// name one.
+	fits fitStore
 
 	// width is the number of elements per sample the service was fitted or
 	// ingested with, 0 while it has been neither (or was restored from a fit
@@ -201,7 +212,7 @@ func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error)
 	if s.idx == nil {
 		s.idx = vecindex.NewFlat()
 	}
-	if err := s.loadIndex(); err != nil {
+	if err := s.loadIndex(embedder.Dim()); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -209,13 +220,12 @@ func New(embedder embed.Embedder, store DataStore, cfg Config) (*Service, error)
 
 // loadIndex fills the vector index from the store's persisted embedding
 // and cluster fields. A document whose fields are missing, mistyped, or of
-// the wrong dimensionality is counted as corrupt and left out.
-func (s *Service) loadIndex() error {
+// another dimensionality than dim is counted as corrupt and left out.
+func (s *Service) loadIndex(dim int) error {
 	docs, err := s.store.Find(docstore.Query{Project: []string{"embedding", "cluster"}})
 	if err != nil {
 		return fmt.Errorf("fairds: loading vector index: %w", err)
 	}
-	dim := s.embedder.Dim()
 	entries := make([]vecindex.Entry, 0, len(docs))
 	for _, d := range docs {
 		emb, embOK := d.F["embedding"].([]float64)
@@ -241,18 +251,32 @@ type TxnStore interface {
 	ApplyTxn(ops []docstore.TxnOp) ([]string, error)
 }
 
-// Embedder returns the configured embedding module.
-func (s *Service) Embedder() embed.Embedder { return s.embedder }
+// Embedder returns the embedding module of the current fit.
+func (s *Service) Embedder() embed.Embedder {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.embedder
+}
 
 // Clusters returns the fitted clustering model (nil before FitClusters).
-func (s *Service) Clusters() *cluster.KMeans { return s.km }
+func (s *Service) Clusters() *cluster.KMeans {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.km
+}
 
 // WSSCurve returns the within-cluster-sum-of-squares curve from the last
 // automatic K selection, for elbow diagnostics.
-func (s *Service) WSSCurve() []float64 { return append([]float64(nil), s.wss...) }
+func (s *Service) WSSCurve() []float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]float64(nil), s.wss...)
+}
 
 // K returns the current cluster count (0 before FitClusters).
 func (s *Service) K() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.km == nil {
 		return 0
 	}
@@ -262,7 +286,8 @@ func (s *Service) K() int {
 // FitClusters (system plane) fits the clustering module on the embeddings
 // of x, choosing K automatically by the elbow method.
 func (s *Service) FitClusters(x *tensor.Tensor) error {
-	rows, err := s.embedRows(s.embedder, x)
+	e := s.Embedder()
+	rows, err := s.embedRows(e, x)
 	if err != nil {
 		return err
 	}
@@ -270,18 +295,15 @@ func (s *Service) FitClusters(x *tensor.Tensor) error {
 	if err != nil {
 		return fmt.Errorf("fairds: selecting K: %w", err)
 	}
-	if err := s.publishFit(s.embedder, km, x.Dim(1)); err != nil {
-		return err
-	}
-	s.wss = wss
-	return nil
+	return s.publishFit(e, km, wss, x.Dim(1), nil)
 }
 
 // FitClustersK (system plane) fits the clustering module with a fixed K,
 // for experiments that pin the cluster count (the paper uses 15 for the
 // Bragg data in Figs. 12 and 16).
 func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
-	rows, err := s.embedRows(s.embedder, x)
+	e := s.Embedder()
+	rows, err := s.embedRows(e, x)
 	if err != nil {
 		return err
 	}
@@ -289,11 +311,7 @@ func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
 	if err != nil {
 		return fmt.Errorf("fairds: fitting %d clusters: %w", k, err)
 	}
-	if err := s.publishFit(s.embedder, km, x.Dim(1)); err != nil {
-		return err
-	}
-	s.wss = nil
-	return nil
+	return s.publishFit(e, km, nil, x.Dim(1), nil)
 }
 
 // ErrNotFitted is returned by lookup paths called before FitClusters; it
@@ -301,6 +319,8 @@ func (s *Service) FitClustersK(x *tensor.Tensor, k int) error {
 var ErrNotFitted = errors.New("fairds: clustering model not fitted (run FitClusters first)")
 
 // requireClusters guards lookup paths.
+//
+// lint:holds s.mu
 func (s *Service) requireClusters() error {
 	if s.km == nil {
 		return ErrNotFitted
@@ -356,23 +376,34 @@ func (s *Service) claimWidth(w int) {
 // the fraction of its samples assigned to each cluster. This compact
 // signature is what fairMS indexes models by.
 func (s *Service) DatasetPDF(x *tensor.Tensor) (stats.PDF, error) {
-	return s.DatasetPDFContext(context.Background(), x)
+	pdf, _, err := s.DatasetPDFContext(context.Background(), x)
+	return pdf, err
 }
 
-// DatasetPDFContext is DatasetPDF with trace-span stages (embed, pdf).
-func (s *Service) DatasetPDFContext(ctx context.Context, x *tensor.Tensor) (stats.PDF, error) {
+// DatasetPDFContext is DatasetPDF with trace-span stages (embed, pdf). It
+// also returns the id of the fit the PDF was computed under, read with it.
+func (s *Service) DatasetPDFContext(ctx context.Context, x *tensor.Tensor) (pdf stats.PDF, fitID string, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.datasetPDF(ctx, x)
+}
+
+// datasetPDF is DatasetPDFContext for a caller that holds the read side.
+//
+// lint:holds s.mu
+func (s *Service) datasetPDF(ctx context.Context, x *tensor.Tensor) (stats.PDF, string, error) {
 	if err := s.requireClusters(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	_, sp := obs.StartSpan(ctx, "embed")
 	rows, err := s.embedRows(s.embedder, x)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	_, sp = obs.StartSpan(ctx, "pdf")
 	defer sp.End()
-	return s.km.PDF(rows), nil
+	return s.km.PDF(rows), s.fitID, nil
 }
 
 // DefaultMembershipCut is the fuzzy-membership level at which an
@@ -389,6 +420,8 @@ func (s *Service) Certainty(x *tensor.Tensor, threshold float64) (float64, error
 // CertaintyContext is Certainty with trace-span stages (embed,
 // certainty).
 func (s *Service) CertaintyContext(ctx context.Context, x *tensor.Tensor, threshold float64) (float64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.requireClusters(); err != nil {
 		return 0, err
 	}
@@ -451,7 +484,9 @@ func (s *Service) LookupLabeledContext(ctx context.Context, x *tensor.Tensor) ([
 // the shards' draws are parts of one ranking the router can merge by
 // recomputing docstore.DrawRank.
 func (s *Service) LookupDrawContext(ctx context.Context, x *tensor.Tensor, seed int64) (counts []int, drawn [][]string, err error) {
-	pdf, err := s.DatasetPDFContext(ctx, x)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	pdf, _, err := s.datasetPDF(ctx, x)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -511,6 +546,8 @@ func (s *Service) NearestMatchesContext(ctx context.Context, samples []*codec.Sa
 // re-querying conflicted samples with the globally-taken IDs excluded.
 // exclude is read, not mutated.
 func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.Sample, distinct bool, exclude map[string]bool) ([]Match, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.requireClusters(); err != nil {
 		return nil, err
 	}
@@ -676,14 +713,16 @@ func (s *Service) StoreCount() int { return s.store.Count() }
 // chunks so memory stays bounded on large stores. Returns the number of
 // documents reindexed.
 //
-// On success e, the refit and the rebuilt index are installed together:
-// under the caller's lock (publishFit's), no query embeds with one model
-// and probes the embeddings of another. An error up to the fit commit
-// leaves the service on its previous embedder, fit and index; documents
-// already written back keep what e gave them, so run Reindex again. A
-// failed rebuild — vecindex.Flat refuses only vectors of mixed
-// dimensions, which one embedder does not produce — leaves e and the refit
-// installed over the previous index.
+// The passes and the refit run beside queries and ingests; e, the refit
+// and the rebuilt index are then installed together in publishFit's write
+// section, so no query embeds with one model and probes the embeddings of
+// another. A document ingested while the passes run is stored under the
+// previous embedder and fit, and the rebuilt index leaves it out until the
+// next Reindex. An error up to the fit commit leaves the service on its
+// previous embedder, fit and index; documents already written back keep
+// what e gave them, so run Reindex again. A failed rebuild — vecindex.Flat
+// refuses only vectors of mixed dimensions, which one embedder does not
+// produce — leaves e and the refit installed over the previous index.
 func (s *Service) Reindex(e embed.Embedder, k int) (int, error) {
 	if e == nil {
 		return 0, errors.New("fairds: nil embedder")
@@ -739,19 +778,11 @@ func (s *Service) Reindex(e embed.Embedder, k int) (int, error) {
 			return i, fmt.Errorf("fairds: reindex update %s: %w", id, err)
 		}
 	}
-	if err := s.publishFit(e, km, width); err != nil {
-		return len(ids), err
-	}
-	s.wss = nil
-
 	entries := make([]vecindex.Entry, len(ids))
 	for i, id := range ids {
 		entries[i] = vecindex.Entry{ID: id, Cluster: assign[i], Vec: embeddings[i]}
 	}
-	if err := s.idx.Rebuild(entries); err != nil {
-		return len(ids), fmt.Errorf("fairds: reindex vector index: %w", err)
-	}
-	return len(ids), nil
+	return len(ids), s.publishFit(e, km, nil, width, entries)
 }
 
 // IndexStats describes the vector index's size and effectiveness — the

@@ -10,6 +10,7 @@ import (
 	"fairdms/internal/cluster"
 	"fairdms/internal/docstore"
 	"fairdms/internal/embed"
+	"fairdms/internal/vecindex"
 )
 
 // The fitted clustering model is kept as one document, fitDocID, in the
@@ -68,7 +69,11 @@ func identityOf(e embed.Embedder) string {
 // seed agree on it and a refit — same K or not — changes it. It is "" while
 // unfitted. fairMS stamps it on every model so a PDF is only ever ranked
 // against PDFs computed under the same centroids.
-func (s *Service) FitID() string { return s.fitID }
+func (s *Service) FitID() string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.fitID
+}
 
 func fitIDOf(centers [][]float64) string {
 	h := sha256.New()
@@ -85,14 +90,17 @@ func fitIDOf(centers [][]float64) string {
 }
 
 // publishFit is the one place a fitted model becomes the service's, with
-// the embedder e it was fitted under: the fit document is committed first
-// and e and km assigned only after, so a failed or torn write leaves the
-// service — and, after a crash, the store — on the previous fit, never on
-// half of one. width is the element count of the samples km was fitted on.
-// Callers hold whatever lock guards km (the dmsapi server's dsMu write
-// side).
-func (s *Service) publishFit(e embed.Embedder, km *cluster.KMeans, width int) error {
+// the embedder e it was fitted under, its elbow curve wss (nil for a fixed
+// K) and, from Reindex, the index entries of the re-embedded store: the fit
+// document is committed first and the rest installed only after, so a
+// failed or torn write leaves the service — and, after a crash, the store
+// — on the previous fit, never on half of one. width is the element count
+// of the samples km was fitted on. It holds mu's write side for the commit
+// and the install only: the embedding and k-means work is done by then.
+func (s *Service) publishFit(e embed.Embedder, km *cluster.KMeans, wss []float64, width int, entries []vecindex.Entry) error {
 	id := fitIDOf(km.Centers)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.fits != nil {
 		dim := len(km.Centers[0])
 		flat := make([]float64, 0, len(km.Centers)*dim)
@@ -116,8 +124,13 @@ func (s *Service) publishFit(e embed.Embedder, km *cluster.KMeans, width int) er
 			return fmt.Errorf("fairds: storing fit %s: %w", id, err)
 		}
 	}
-	s.embedder, s.km, s.fitID = e, km, id
+	s.embedder, s.km, s.wss, s.fitID = e, km, wss, id
 	s.width.Store(int64(width))
+	if entries != nil {
+		if err := s.idx.Rebuild(entries); err != nil {
+			return fmt.Errorf("fairds: rebuilding vector index: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -128,6 +141,8 @@ func (s *Service) restoreFit() error {
 	if s.fits == nil {
 		return nil
 	}
+	s.mu.Lock() // uncontended: New has not returned s yet
+	defer s.mu.Unlock()
 	docs, err := s.fits.Find(docstore.Query{})
 	if err != nil {
 		return fmt.Errorf("fairds: reading fit document: %w", err)

@@ -231,14 +231,11 @@ type Config struct {
 	// Queue bounds jobs waiting for a worker; Submit past it returns
 	// ErrQueueFull (default DefaultQueue).
 	Queue int
-	// History bounds retained jobs: once the total exceeds it, the oldest
+	// history bounds retained jobs: once the total exceeds it, the oldest
 	// terminal jobs (and their loss curves) are forgotten, so a long-lived
 	// daemon's memory stays flat under sustained train load. Live jobs are
-	// never pruned (default DefaultHistory).
-	History int
-	// Guard, when set, is read-locked around every data-service call so
-	// jobs never race an exclusive DS mutation (the dmsapi bootstrap fit).
-	Guard *sync.RWMutex
+	// never pruned. Zero means DefaultHistory; only tests set it.
+	history int
 	// OnRegister, when set, fires after a job's checkpoint lands in the
 	// zoo — the dmsapi server uses it to invalidate its recommend cache.
 	OnRegister func(modelID string)
@@ -320,8 +317,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = DefaultQueue
 	}
-	if cfg.History <= 0 {
-		cfg.History = DefaultHistory
+	if cfg.history <= 0 {
+		cfg.history = DefaultHistory
 	}
 	m := &Manager{
 		cfg:  cfg,
@@ -697,7 +694,7 @@ func (m *Manager) countTerminal(state State) {
 func (m *Manager) pruneHistory() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	excess := len(m.order) - m.cfg.History
+	excess := len(m.order) - m.cfg.history
 	if excess <= 0 {
 		return
 	}
@@ -715,16 +712,6 @@ func (m *Manager) pruneHistory() {
 		kept = append(kept, id)
 	}
 	m.order = kept
-}
-
-// readLocked runs fn under the external read guard (if any) — the same
-// lock the dmsapi server's bootstrap fit takes exclusively.
-func (m *Manager) readLocked(fn func() error) error {
-	if m.cfg.Guard != nil {
-		m.cfg.Guard.RLock()
-		defer m.cfg.Guard.RUnlock()
-	}
-	return fn()
 }
 
 // run executes the paper's rapid-train action for one job. It returns
@@ -762,11 +749,7 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	samples := spec.Samples
 	if len(samples) == 0 {
 		rctx, sp := obs.StartSpan(ctx, "resolve_data")
-		err := m.readLocked(func() error {
-			var err error
-			samples, err = m.cfg.DS.DatasetSamples(rctx, spec.Dataset)
-			return err
-		})
+		samples, err = m.cfg.DS.DatasetSamples(rctx, spec.Dataset)
 		sp.End()
 		if err != nil {
 			return false, err
@@ -795,16 +778,10 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	}
 
 	// The dataset's cluster PDF — both the warm-start query key and the
-	// signature the finished checkpoint is registered under — and, read
-	// under the same lock, the id of the fit it was computed under.
-	var pdf []float64
-	var fit string
+	// signature the finished checkpoint is registered under — and the id of
+	// the fit it was computed under.
 	pctx, sp := obs.StartSpan(ctx, "pdf")
-	err = m.readLocked(func() error {
-		p, err := m.cfg.DS.DatasetPDFContext(pctx, x)
-		pdf, fit = p, m.cfg.DS.FitID()
-		return err
-	})
+	pdf, fit, err := m.cfg.DS.DatasetPDFContext(pctx, x)
 	sp.End()
 	if err != nil {
 		return false, err

@@ -504,7 +504,7 @@ func TestHistoryPruning(t *testing.T) {
 	if err := ds.FitClustersK(x, 2); err != nil {
 		t.Fatal(err)
 	}
-	m := start(t, Config{DS: ds, Zoo: fairms.NewZoo(), Workers: 1, Queue: 8, History: 3})
+	m := start(t, Config{DS: ds, Zoo: fairms.NewZoo(), Workers: 1, Queue: 8, history: 3})
 
 	spec := mlpSpec(meanSamples(9, 16))
 	spec.Epochs = 1
