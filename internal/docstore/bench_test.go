@@ -208,29 +208,34 @@ func benchRemote(b *testing.B, pool int) {
 func BenchmarkRemoteGetPool1(b *testing.B) { benchRemote(b, 1) }
 func BenchmarkRemoteGetPool8(b *testing.B) { benchRemote(b, 8) }
 
-// BenchmarkSampleIDs is one cluster's draw: a 256-member bucket, and the
-// serve_scan shape (32,768 documents over 7 clusters, so ~4,700 members)
-// at the per-cluster count of a 64-sample and of a 512-sample lookup's
-// largest cluster.
+// BenchmarkSampleIDs is one bucket's draw over 2 stripes: 4 Ki and 32 Ki
+// members (serve_scan's corpus is 32 Ki documents), drawing n = 8, about
+// one cluster's share of a 64-sample lookup, and n = 64. A lookup draws
+// under a fixed seed, so from the second draw on it reads the stripes'
+// draw slabs; seeds=cycled draws under a new seed each time, the cost of
+// a draw whose slab must be built.
 func BenchmarkSampleIDs(b *testing.B) {
-	for _, tc := range []struct{ docs, clusters, n int }{
-		{4096, 16, 32},
-		{32768, 7, 10},
-		{32768, 7, 512},
-	} {
-		b.Run(fmt.Sprintf("docs=%d/clusters=%d/n=%d", tc.docs, tc.clusters, tc.n), func(b *testing.B) {
-			c := benchCollectionClusters(tc.docs, defaultShardCount(), tc.clusters)
-			q := Query{Filters: []Filter{Eq("cluster", 5)}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids, err := c.SampleIDs(q, tc.n, int64(i))
-				if err != nil || len(ids) != tc.n {
-					b.Fatalf("drew %d of %d: %v", len(ids), tc.n, err)
-				}
-				benchSink = ids
+	for _, docs := range []int{4096, 32768} {
+		c := benchCollectionClusters(docs, 2, 1)
+		q := Query{Filters: []Filter{Eq("cluster", 0)}}
+		for _, n := range []int{8, 64} {
+			for _, seeds := range []string{"fixed", "cycled"} {
+				b.Run(fmt.Sprintf("docs=%d/n=%d/seeds=%s", docs, n, seeds), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						seed := int64(1)
+						if seeds == "cycled" {
+							seed = int64(i)
+						}
+						ids, err := c.SampleIDs(q, n, seed)
+						if err != nil || len(ids) != n {
+							b.Fatalf("drew %d of %d: %v", len(ids), n, err)
+						}
+						benchSink = ids
+					}
+				})
 			}
-		})
+		}
 	}
 }
 

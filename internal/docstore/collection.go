@@ -42,8 +42,13 @@ type Collection struct {
 // fragment of every secondary index.
 type shard struct {
 	mu      sync.RWMutex
-	docs    map[string]*Doc                           // guarded by mu
-	hashIdx map[string]map[string]map[string]struct{} // guarded by mu; field → key → id set
+	docs    map[string]*Doc               // guarded by mu
+	hashIdx map[string]map[string]*bucket // guarded by mu; field → key → members
+
+	// drawMu lets draws install and drop draw slabs (bucket.draws) under
+	// mu's read side; writers, who hold mu's write side, need not take it.
+	drawMu sync.Mutex
+	slabs  int // guarded by drawMu; slabs installed since the last drop, at least as many as are held
 }
 
 // defaultShardCount picks a power of two near GOMAXPROCS, clamped to
@@ -88,7 +93,7 @@ func newCollectionShards(name string, n int) *Collection {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			docs:    make(map[string]*Doc),
-			hashIdx: make(map[string]map[string]map[string]struct{}),
+			hashIdx: make(map[string]map[string]*bucket),
 		}
 	}
 	return c
@@ -165,7 +170,7 @@ func (c *Collection) CreateHashIndex(field string) error {
 	}
 	for i, s := range c.shards {
 		s.mu.Lock()
-		idx := make(map[string]map[string]struct{})
+		idx := make(map[string]*bucket)
 		var err error
 		for id, d := range s.docs {
 			if v, ok := d.F[field]; ok {
@@ -412,12 +417,16 @@ func (c *Collection) CountWhere(q Query) (int, error) {
 // (DrawRank(seed, id), id), sorted by ID. fairDS uses this to draw labeled
 // historical samples per cluster according to the input dataset's PDF.
 //
-// Nothing is listed to draw from it: each lock stripe walks the query's
-// access path under its read lock keeping only its own n lowest, and the
-// stripes' selections are merged by the same rule, so the cost is one hash
-// and one comparison per match and the result does not depend on map
-// order, stripe count, insertion order or replay history. n ≤ 0 is an
-// empty draw.
+// Nothing is listed to draw from it: each lock stripe keeps only its own n
+// lowest under its read lock, and the stripes' selections are merged by
+// the same rule, so the result does not depend on map order, stripe count,
+// insertion order or replay history. When the query has an equality
+// filter on a hash-indexed field, a stripe draws from that bucket's draw
+// slab, the members' ranks under seed kept beside their IDs: the draw
+// hashes nothing and walks no map, one comparison per member, and the
+// query's other filters are checked only on a member whose rank would
+// enter the selection. A query with no indexed filter hashes each match of
+// a full scan. n ≤ 0 is an empty draw.
 func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	if n <= 0 {
 		return nil, nil
@@ -426,7 +435,7 @@ func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	c.forEachShard(func(i int, s *shard) {
 		sel := newLowest(n, seed)
 		s.mu.RLock()
-		s.forEachMatchLocked(q, sel.offer)
+		s.drawLocked(q, &sel, seed)
 		s.mu.RUnlock()
 		parts[i] = sel
 	})
@@ -439,6 +448,30 @@ func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	return sel.ids(), nil
 }
 
+// indexedBucketLocked picks the query's index access path: the position of
+// the equality filter on a hash-indexed field whose bucket is smallest, and
+// that bucket (nil when no document of the stripe has the key). at is -1
+// when no filter can use an index. Caller holds at least the shard's read
+// lock.
+// lint:holds s.mu
+func (s *shard) indexedBucketLocked(q Query) (at int, b *bucket) {
+	at = -1
+	for i, f := range q.Filters {
+		idx, ok := s.hashIdx[f.Field]
+		if !ok {
+			continue
+		}
+		key, err := indexKey(f.Value)
+		if err != nil {
+			continue
+		}
+		if kb := idx[key]; at < 0 || kb.size() < b.size() {
+			at, b = i, kb
+		}
+	}
+	return at, b
+}
+
 // forEachMatchLocked calls fn with the ID of every document of the shard
 // matching all of the query's filters, in no particular order, over the
 // cheapest access path: the smallest matching hash-index bucket or a full
@@ -449,58 +482,121 @@ func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 // only requires that each shard's candidates cover its matches.
 // lint:holds s.mu
 func (s *shard) forEachMatchLocked(q Query, fn func(id string)) {
-	without := func(i int) []Filter {
-		rest := make([]Filter, 0, len(q.Filters)-1)
-		rest = append(rest, q.Filters[:i]...)
-		return append(rest, q.Filters[i+1:]...)
-	}
-	visit := func(id string, rest []Filter) {
-		d := s.docs[id]
-		if d == nil {
-			return
-		}
-		for _, f := range rest {
-			if !f.matches(d) {
-				return
-			}
-		}
-		fn(id)
-	}
-
-	// Equality filters on hash-indexed fields.
-	best := -1
-	var bucket map[string]struct{}
-	for i, f := range q.Filters {
-		idx, ok := s.hashIdx[f.Field]
-		if !ok {
-			continue
-		}
-		key, err := indexKey(f.Value)
-		if err != nil {
-			continue
-		}
-		if b := idx[key]; best < 0 || len(b) < len(bucket) {
-			best, bucket = i, b
-		}
-	}
-	if best >= 0 {
-		rest := without(best)
-		if len(rest) == 0 {
-			for id := range bucket {
+	at, b := s.indexedBucketLocked(q)
+	if at < 0 {
+		for id, d := range s.docs {
+			if matchesAll(d, q.Filters) {
 				fn(id)
 			}
-			return
-		}
-		for id := range bucket {
-			visit(id, rest)
 		}
 		return
 	}
-
-	// Full shard scan.
-	for id := range s.docs {
-		visit(id, q.Filters)
+	if b == nil {
+		return
 	}
+	rest := without(q.Filters, at)
+	for _, id := range b.ids {
+		if len(rest) == 0 || matchesAll(s.docs[id], rest) {
+			fn(id)
+		}
+	}
+}
+
+// drawLocked offers sel the shard's matches of the query, drawing under
+// seed. Over an index bucket it reads the bucket's draw slab and checks the
+// other filters only on a member whose rank sel may take; without one it
+// hashes every match of a full scan. Caller holds at least the shard's read
+// lock.
+// lint:holds s.mu
+func (s *shard) drawLocked(q Query, sel *lowest, seed int64) {
+	at, b := s.indexedBucketLocked(q)
+	if at < 0 {
+		s.forEachMatchLocked(q, sel.offer)
+		return
+	}
+	if b == nil {
+		return
+	}
+	rest := without(q.Filters, at)
+	for i, r := range s.slabLocked(b, seed) {
+		if !sel.mayTake(r) {
+			continue
+		}
+		if id := b.ids[i]; len(rest) == 0 || matchesAll(s.docs[id], rest) {
+			sel.add(ranked{rank: r, id: id})
+		}
+	}
+}
+
+// maxDrawSlabs caps the draw slabs one stripe holds. fairDS draws cluster
+// k under seed+k, so the lookups under one seed need a slab per occupied
+// cluster (its fits have at most 10 by default), and 32 leaves room for
+// three such seeds. Past the cap the stripe drops every slab it holds: a
+// caller who draws under ever new seeds costs one hash per member per
+// draw, as a draw without slabs does, and the stripe never holds more than
+// 32 slabs of 8 bytes per member.
+const maxDrawSlabs = 32
+
+// slabLocked returns b's draw slab for seed: the DrawRank under seed of
+// each of b.ids, aligned with it. The first draw under a seed computes it
+// and installs it under drawMu; the caller's read lock keeps writers, and
+// so any change to b.ids, out meanwhile, and from then on the writers keep
+// the slab aligned (bucket.add, bucket.remove).
+// lint:holds s.mu
+func (s *shard) slabLocked(b *bucket, seed int64) []uint64 {
+	s.drawMu.Lock()
+	ranks, ok := b.draws[seed]
+	s.drawMu.Unlock()
+	if ok {
+		return ranks
+	}
+	state := drawState(seed)
+	ranks = make([]uint64, len(b.ids))
+	for i, id := range b.ids {
+		ranks[i] = rankOf(state, id)
+	}
+	s.drawMu.Lock()
+	defer s.drawMu.Unlock()
+	if built, ok := b.draws[seed]; ok { // a concurrent draw installed it first
+		return built
+	}
+	if s.slabs >= maxDrawSlabs {
+		for _, idx := range s.hashIdx {
+			for _, kb := range idx {
+				kb.draws = nil
+			}
+		}
+		s.slabs = 0
+	}
+	if b.draws == nil {
+		b.draws = make(map[int64][]uint64)
+	}
+	b.draws[seed] = ranks
+	s.slabs++
+	return ranks
+}
+
+// without returns the filters other than the one at position i.
+func without(fs []Filter, i int) []Filter {
+	if len(fs) == 1 {
+		return nil
+	}
+	rest := make([]Filter, 0, len(fs)-1)
+	rest = append(rest, fs[:i]...)
+	return append(rest, fs[i+1:]...)
+}
+
+// matchesAll reports whether d is a document matching every filter.
+func matchesAll(d *Doc, fs []Filter) bool {
+	if d == nil {
+		return false
+	}
+	for _, f := range fs {
+		if !f.matches(d) {
+			return false
+		}
+	}
+	return true
 }
 
 // indexDocLocked adds the document to every index fragment covering its
@@ -534,20 +630,72 @@ func (s *shard) unindexDocLocked(d *Doc) {
 		if err != nil {
 			continue
 		}
-		if bucket, ok := idx[key]; ok {
-			delete(bucket, d.ID)
-			if len(bucket) == 0 {
+		if b, ok := idx[key]; ok {
+			b.remove(d.ID)
+			if len(b.ids) == 0 {
 				delete(idx, key)
 			}
 		}
 	}
 }
 
-func addToHash(idx map[string]map[string]struct{}, key, id string) {
-	bucket, ok := idx[key]
+func addToHash(idx map[string]*bucket, key, id string) {
+	b, ok := idx[key]
 	if !ok {
-		bucket = make(map[string]struct{})
-		idx[key] = bucket
+		b = &bucket{pos: make(map[string]int)}
+		idx[key] = b
 	}
-	bucket[id] = struct{}{}
+	b.add(id)
+}
+
+// bucket is one key's members in a stripe's fragment of a hash index. The
+// IDs sit in a slice, so walking a bucket touches no map; pos finds an
+// ID's place in it, and removal moves the last member into the gap.
+type bucket struct {
+	ids []string
+	pos map[string]int
+	// draws holds the bucket's draw slabs: for a seed, the DrawRank of
+	// every member, aligned with ids. Writers keep each slab aligned under
+	// the stripe's write lock; draws install and drop slabs under its read
+	// lock and drawMu (shard.slabLocked).
+	draws map[int64][]uint64
+}
+
+func (b *bucket) size() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.ids)
+}
+
+// add appends id to the bucket and its rank to each slab; an ID already
+// there is left as it is.
+func (b *bucket) add(id string) {
+	if _, ok := b.pos[id]; ok {
+		return
+	}
+	b.pos[id] = len(b.ids)
+	b.ids = append(b.ids, id)
+	for seed, ranks := range b.draws {
+		b.draws[seed] = append(ranks, DrawRank(seed, id))
+	}
+}
+
+// remove takes id out of the bucket and each slab, moving the last member
+// into its place; an absent ID is a no-op.
+func (b *bucket) remove(id string) {
+	i, ok := b.pos[id]
+	if !ok {
+		return
+	}
+	last := len(b.ids) - 1
+	moved := b.ids[last]
+	b.ids[i], b.pos[moved] = moved, i
+	b.ids[last] = ""
+	b.ids = b.ids[:last]
+	delete(b.pos, id)
+	for seed, ranks := range b.draws {
+		ranks[i] = ranks[last]
+		b.draws[seed] = ranks[:last]
+	}
 }

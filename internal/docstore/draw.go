@@ -8,6 +8,14 @@ package docstore
 // stripe, a whole collection and a router merging several stores' draws
 // all apply the same function and agree, whatever the map order, stripe
 // count, insertion order or replay history.
+//
+// A lock stripe keeps a draw slab for each (hash-indexed field, key, seed)
+// it has drawn from: the bucket's members' ranks under the seed, in a
+// []uint64 beside the bucket's ID slice. The first draw under a seed
+// builds it, every write keeps it aligned, and later draws under that seed
+// read the ranks instead of re-hashing the bucket's IDs. fairDS draws each
+// cluster under one seed per lookup configuration, so a lookup's draw costs
+// one comparison per member. A stripe holds at most maxDrawSlabs slabs.
 
 // DrawRank is the rank SampleIDs orders a document by: a seeded 64-bit mix
 // of the ID bytes (FNV-1a from a seed-derived state, murmur3 finaliser).
@@ -52,8 +60,8 @@ func (a ranked) less(b ranked) bool {
 
 // lowest keeps the n lowest-ranked of the candidates offered to it in
 // O(n) space: a plain slice until it holds n, a max-heap from then on, so
-// a candidate that does not displace the current worst costs one hash and
-// one comparison.
+// a candidate that does not displace the current worst costs one
+// comparison, plus one hash when its rank is not yet known (offer).
 type lowest struct {
 	n     int
 	state uint64
@@ -62,6 +70,12 @@ type lowest struct {
 
 func newLowest(n int, seed int64) lowest {
 	return lowest{n: n, state: drawState(seed)}
+}
+
+// mayTake reports whether a candidate of rank r could enter the selection,
+// before its ID is looked at.
+func (l *lowest) mayTake(r uint64) bool {
+	return len(l.kept) < l.n || r <= l.kept[0].rank
 }
 
 func (l *lowest) offer(id string) {

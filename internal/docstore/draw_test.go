@@ -292,3 +292,113 @@ func TestSampleNonPositiveOverTheWire(t *testing.T) {
 		t.Fatalf("SampleIDs after the bad frames = %v, %v", ids, err)
 	}
 }
+
+// TestSampleIDsTracksWrites: once a draw has built its slabs, every kind
+// of write keeps them true. Inserts, batch inserts and transactions that
+// add, delete and move documents between buckets are each followed by
+// draws under the slabs' seed and under one never used before, for an
+// indexed filter, an indexed plus an unindexed one, and no filter.
+func TestSampleIDsTracksWrites(t *testing.T) {
+	c := newCollectionShards("x", 4)
+	drawCorpus(t, c, rand.New(rand.NewSource(5)).Perm(200))
+	queries := []Query{
+		{Filters: []Filter{Eq("cluster", 2)}},
+		{Filters: []Filter{Eq("cluster", 3), Eq("u", 1)}},
+		{},
+	}
+	// Slabs built before a write are the ones it must keep true; the
+	// fresh seed's are built after it.
+	old := []int64{11, 12, 13}
+	check := func(step string, fresh int64) {
+		t.Helper()
+		for _, q := range queries {
+			matches := mustFindIDs(t, c, q)
+			for _, s := range append(old, fresh) {
+				for _, n := range []int{1, 4, 9, len(matches) / 2, len(matches) + 1} {
+					if got, want := mustDraw(t, c, q, n, s), oracleDraw(t, matches, n, s); !slices.Equal(got, want) {
+						t.Fatalf("%s: query %+v n=%d seed=%d:\n got %v\nwant %v", step, q, n, s, got, want)
+					}
+				}
+			}
+		}
+	}
+	check("before any write", old[0])
+
+	rng := rand.New(rand.NewSource(6))
+	fields := func() Fields {
+		i := rng.Intn(1000)
+		return Fields{"cluster": i % 5, "t": float64(i % 37), "u": i % 3}
+	}
+	live := func() string { // a member of a bucket the queries draw from
+		ids := mustFindIDs(t, c, Query{Filters: []Filter{Eq("cluster", 2+rng.Intn(2))}})
+		return ids[rng.Intn(len(ids))]
+	}
+	next := 0
+	newID := func() string { next++; return fmt.Sprintf("new-%04d", next) }
+	for step := 0; step < 50; step++ {
+		var err error
+		switch step % 5 {
+		case 0:
+			_, err = c.Insert(newID(), fields())
+		case 1:
+			_, err = c.InsertMany([]Fields{fields(), fields(), fields(), fields()})
+		case 2: // adds beside a delete
+			_, err = c.ApplyTxn([]TxnOp{
+				{Kind: TxnAdd, ID: newID(), F: fields()},
+				{Kind: TxnDelete, ID: live()},
+				{Kind: TxnAdd, ID: newID(), F: fields()},
+			})
+		case 3: // moves a document to another bucket, by update
+			_, err = c.ApplyTxn([]TxnOp{{Kind: TxnUpdate, ID: live(), F: Fields{"cluster": rng.Intn(5), "u": rng.Intn(3)}}})
+		case 4: // and by delete and re-add under the same ID
+			id := live()
+			_, err = c.ApplyTxn([]TxnOp{{Kind: TxnDelete, ID: id}, {Kind: TxnAdd, ID: id, F: fields()}})
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		check(fmt.Sprintf("after step %d", step), 1000+int64(step))
+	}
+}
+
+// heldSlabs counts the draw slabs a stripe holds.
+func heldSlabs(s *shard) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, idx := range s.hashIdx {
+		for _, b := range idx {
+			n += len(b.draws)
+		}
+	}
+	return n
+}
+
+// TestSampleIDsSlabCap: draws under more seeds than a stripe keeps slabs
+// for leave every stripe at or under the cap, and every answer, under a new
+// seed or one whose slab was dropped, is still the oracle's.
+func TestSampleIDsSlabCap(t *testing.T) {
+	c := newCollectionShards("x", 2)
+	drawCorpus(t, c, rand.New(rand.NewSource(7)).Perm(300))
+	queries := []Query{
+		{Filters: []Filter{Eq("cluster", 1)}},
+		{Filters: []Filter{Eq("t", 4.0)}},
+	}
+	for round := 0; round < 2; round++ {
+		for seed := int64(0); seed < 2*maxDrawSlabs; seed++ {
+			for _, q := range queries {
+				if got, want := mustDraw(t, c, q, 5, seed), oracleDraw(t, mustFindIDs(t, c, q), 5, seed); !slices.Equal(got, want) {
+					t.Fatalf("round %d query %+v seed %d: got %v, want %v", round, q, seed, got, want)
+				}
+			}
+			for i, s := range c.shards {
+				if held := heldSlabs(s); held == 0 || held > maxDrawSlabs {
+					t.Fatalf("round %d seed %d: stripe %d holds %d slabs; want 1 to %d", round, seed, i, held, maxDrawSlabs)
+				}
+			}
+		}
+		if _, err := c.Insert("", Fields{"cluster": 1, "t": 4.0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

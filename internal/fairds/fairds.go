@@ -447,7 +447,11 @@ func (s *Service) CertaintyContext(ctx context.Context, x *tensor.Tensor, thresh
 // remote and shard locks when it is local — and one GetSamples call
 // fetches them all, K+1 store round trips in total. Results are assembled
 // in cluster order, sorted by ID within a cluster, so output is
-// deterministic regardless of completion order.
+// deterministic regardless of completion order. A lookup draws cluster k
+// under the configured seed plus k every time, so from the first lookup on
+// each store stripe answers from its draw slab for that cluster and seed
+// (docstore.Collection.SampleIDs): the draw re-hashes no document ID, and
+// costs a comparison per cluster member.
 func (s *Service) LookupLabeled(x *tensor.Tensor) ([]*codec.Sample, error) {
 	return s.LookupLabeledContext(context.Background(), x)
 }

@@ -63,6 +63,10 @@ type Record struct {
 	TrainPDF stats.PDF
 	Meta     map[string]string
 	AddedAt  time.Time
+
+	// fit is Meta[MetaFit] as the zoo received it (Add, OpenZoo), so a
+	// ranking scan reads no map per model.
+	fit string
 }
 
 // Parent returns the zoo ID of the checkpoint this model was warm-started
@@ -122,7 +126,7 @@ type Zoo struct {
 
 	mu      sync.RWMutex
 	records map[string]*Record // guarded by mu
-	order   []string           // guarded by mu; insertion order for deterministic iteration
+	order   []*Record          // guarded by mu; insertion order for deterministic iteration
 	clock   func() time.Time
 }
 
@@ -156,7 +160,7 @@ func OpenZoo(store Store) (*Zoo, error) {
 	z := &Zoo{store: store, records: make(map[string]*Record, len(recs)), clock: time.Now}
 	for _, l := range recs {
 		//lint:ignore guardedby z is not yet shared
-		z.records[l.r.ID], z.order, z.seq = l.r, append(z.order, l.r.ID), max(z.seq, l.seq)
+		z.records[l.r.ID], z.order, z.seq = l.r, append(z.order, l.r), max(z.seq, l.seq)
 	}
 	return z, nil
 }
@@ -218,7 +222,7 @@ func recordFromDoc(d *docstore.Doc) (*Record, int64, error) {
 	addedAt, _ := d.F["added_at"].(int64)
 	seq, _ := d.F["seq"].(int64)
 	return &Record{
-		ID: d.ID, State: state, TrainPDF: pdf, Meta: meta, AddedAt: time.Unix(0, addedAt),
+		ID: d.ID, State: state, TrainPDF: pdf, Meta: meta, AddedAt: time.Unix(0, addedAt), fit: meta[MetaFit],
 	}, seq, nil
 }
 
@@ -254,7 +258,7 @@ func (z *Zoo) Add(id string, state *nn.StateDict, trainPDF stats.PDF, meta map[s
 	r := &Record{
 		ID: id, State: state,
 		TrainPDF: append(stats.PDF(nil), trainPDF...),
-		Meta:     m, AddedAt: z.clock(),
+		Meta:     m, AddedAt: z.clock(), fit: m[MetaFit],
 	}
 
 	z.addMu.Lock()
@@ -277,7 +281,7 @@ func (z *Zoo) Add(id string, state *nn.StateDict, trainPDF stats.PDF, meta map[s
 	}
 	z.mu.Lock()
 	z.records[id] = r
-	z.order = append(z.order, id)
+	z.order = append(z.order, r)
 	z.mu.Unlock()
 	return nil
 }
@@ -304,7 +308,11 @@ func (z *Zoo) Len() int {
 func (z *Zoo) IDs() []string {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return append([]string(nil), z.order...)
+	ids := make([]string, len(z.order))
+	for i, r := range z.order {
+		ids[i] = r.ID
+	}
+	return ids
 }
 
 // Rank is RankFit with no fit named.
@@ -355,10 +363,9 @@ func (z *Zoo) scan(fit string, input stats.PDF, f func(r *Record, jsd float64)) 
 	}
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	for _, id := range z.order {
-		r := z.records[id]
+	for _, r := range z.order {
 		if fit != "" {
-			if rf := r.Fit(); rf != "" && rf != fit {
+			if r.fit != "" && r.fit != fit {
 				continue
 			}
 		}
