@@ -68,7 +68,7 @@ type crashStack struct {
 // service, zoo. Any error is the caller's to judge — during the faulted run
 // it is the injected crash, on the reopen it is a failed test.
 func openCrashStack(dir string, policy wal.Policy, fs fsx.FS) (*crashStack, error) {
-	durable, err := docstore.OpenDurable(docstore.DurableOptions{Dir: dir, Policy: policy, WalShards: 1, FS: fs})
+	durable, err := docstore.OpenDurable(docstore.DurableOptions{Dir: dir, Policy: policy, FS: fs})
 	if err != nil {
 		return nil, err
 	}

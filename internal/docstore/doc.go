@@ -23,6 +23,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Fields holds a document's named values. Supported value types are the
@@ -144,15 +145,19 @@ func indexKey(v any) (string, error) {
 	case int64:
 		// All numerics share one key space so int64(3) and float64(3)
 		// hash identically, matching valuesEqual's numeric semantics.
-		return fmt.Sprintf("n:%g", float64(x)), nil
+		return numKey(float64(x)), nil
 	case float64:
-		return fmt.Sprintf("n:%g", x), nil
+		return numKey(x), nil
 	case bool:
-		return fmt.Sprintf("b:%t", x), nil
+		return "b:" + strconv.FormatBool(x), nil
 	default:
 		return "", fmt.Errorf("docstore: cannot index value of type %T", v)
 	}
 }
+
+// numKey is the index key of a number: the shortest decimal that reads
+// back as x, the string fmt's %g gives, without fmt's reflection.
+func numKey(x float64) string { return "n:" + strconv.FormatFloat(x, 'g', -1, 64) }
 
 // sortIDs sorts document IDs for deterministic results.
 func sortIDs(ids []string) { sort.Strings(ids) }

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -533,6 +534,31 @@ func TestValueComparisons(t *testing.T) {
 	} {
 		if got := valuesEqual(tc.a, tc.b); got != tc.want {
 			t.Errorf("valuesEqual(%#v, %#v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+// TestIndexKeyMatchesPrintfG holds indexKey's strconv formatting to the
+// fmt.Sprintf("n:%g") / ("b:%t") strings it replaced: hash-index buckets
+// are keyed by them and a draw ranks what a bucket holds, so a changed
+// string would change which documents a draw returns.
+func TestIndexKeyMatchesPrintfG(t *testing.T) {
+	nums := []any{
+		0.0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1e21, 1e20, 1e-5, 1e-4, 123456.0, 1234567.0, 0.1, 1.0 / 3,
+		float64(1<<53 + 1), int64(1<<53 + 1), int64(math.MinInt64), int64(math.MaxInt64),
+		int64(0), int64(-7), 3, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	for _, v := range nums {
+		f, _ := asFloat(v)
+		want := fmt.Sprintf("n:%g", f)
+		if got, err := indexKey(v); err != nil || got != want {
+			t.Errorf("indexKey(%T %v) = %q, %v; want %q", v, v, got, err, want)
+		}
+	}
+	for _, b := range []bool{true, false} {
+		if got, err := indexKey(b); err != nil || got != fmt.Sprintf("b:%t", b) {
+			t.Errorf("indexKey(%v) = %q, %v", b, got, err)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fairdms/internal/fsx"
 	"fairdms/internal/wal"
@@ -24,10 +23,6 @@ type DurableOptions struct {
 	Dir string
 	// Policy is the WAL fsync policy (default wal.SyncAlways).
 	Policy wal.Policy
-	// Interval is the background fsync period under wal.SyncInterval.
-	Interval time.Duration
-	// WalShards is the number of WAL segment files (default 4).
-	WalShards int
 	// FS substitutes a filesystem; tests inject faults through it.
 	FS fsx.FS
 }
@@ -41,7 +36,6 @@ type DurableOptions struct {
 // automatically.
 type DurableStore struct {
 	*Store
-	dir string
 	log *wal.Log
 
 	// ckptMu fences commits against the compaction cut: every commit
@@ -89,17 +83,12 @@ func OpenDurable(opts DurableOptions) (*DurableStore, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("docstore: durable store needs a directory")
 	}
-	lg, records, err := wal.Open(opts.Dir, wal.Options{
-		Shards:   opts.WalShards,
-		Policy:   opts.Policy,
-		Interval: opts.Interval,
-		FS:       opts.FS,
-	})
+	lg, records, err := wal.Open(opts.Dir, wal.Options{Policy: opts.Policy, FS: opts.FS})
 	if err != nil {
 		return nil, fmt.Errorf("docstore: %w", err)
 	}
 
-	ds := &DurableStore{Store: NewStore(), dir: opts.Dir, log: lg}
+	ds := &DurableStore{Store: NewStore(), log: lg}
 	for _, rec := range records {
 		var commit walCommit
 		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&commit); err != nil {
@@ -272,9 +261,6 @@ func (ds *DurableStore) Close() error {
 func (ds *DurableStore) Abort() {
 	ds.log.Abort()
 }
-
-// Dir returns the durable directory.
-func (ds *DurableStore) Dir() string { return ds.dir }
 
 // replayOp applies one document op leniently and reports whether it had
 // effect. Used only during replay (single-goroutine, store not yet

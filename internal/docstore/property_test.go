@@ -121,7 +121,7 @@ func equalIDs(a, b []string) bool {
 func TestQuickWALReplayMatchesModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		dir := t.TempDir()
-		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 2})
+		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 		if err != nil {
 			t.Logf("open: %v", err)
 			return false
@@ -262,7 +262,7 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 				}
 			case 6: // crash (no flush) and reopen: replay must equal model
 				ds.Abort()
-				ds, err = OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 2})
+				ds, err = OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 				if err != nil {
 					t.Logf("reopen after abort: %v", err)
 					return false
@@ -277,7 +277,7 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 				}
 				if op>>3%2 == 0 {
 					ds.Abort()
-					ds, err = OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 2})
+					ds, err = OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 					if err != nil {
 						t.Logf("reopen after compact: %v", err)
 						return false

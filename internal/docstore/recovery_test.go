@@ -67,7 +67,7 @@ func matchesModel(c *Collection, model map[string]Fields) error {
 func workloadBytes(t *testing.T, txns int) int64 {
 	t.Helper()
 	dir := t.TempDir()
-	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways, WalShards: 1})
+	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
 	for i := 0; i < txns; i++ {
 		if err := crashTxn(ds.Collection("peaks"), i); err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestCrashSweepCommittedSurviveUncommittedVanish(t *testing.T) {
 			for cut := int64(1); cut <= total; cut += step {
 				dir := t.TempDir()
 				ffs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: cut, DropUnsynced: dropUnsynced})
-				ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 1, FS: ffs})
+				ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, FS: ffs})
 				committed := 0
 				if err == nil {
 					for i := 0; i < txns; i++ {
@@ -135,7 +135,7 @@ func TestCrashSweepCommittedSurviveUncommittedVanish(t *testing.T) {
 				}
 
 				// Recover on the real filesystem, as a restarted process would.
-				rec, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 1})
+				rec, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 				if err != nil {
 					t.Fatalf("cut %d: recovery open failed: %v", cut, err)
 				}
@@ -177,7 +177,7 @@ func TestCrashSweepSyncOffStillPrefixConsistent(t *testing.T) {
 	for cut := int64(1); cut <= total; cut += step {
 		dir := t.TempDir()
 		ffs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: cut, DropUnsynced: true})
-		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncOff, WalShards: 1, FS: ffs})
+		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncOff, FS: ffs})
 		committed := 0
 		if err == nil {
 			for i := 0; i < txns; i++ {
@@ -189,7 +189,7 @@ func TestCrashSweepSyncOffStillPrefixConsistent(t *testing.T) {
 			ds.Abort()
 		}
 
-		rec, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncOff, WalShards: 1})
+		rec, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncOff})
 		if err != nil {
 			t.Fatalf("cut %d: recovery open failed: %v", cut, err)
 		}
@@ -229,7 +229,7 @@ func TestCrashSweepPolicyFromEnv(t *testing.T) {
 			for cut := int64(1); cut <= total; cut += 13 {
 				dir := t.TempDir()
 				ffs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: cut, DropUnsynced: true})
-				ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: policy, WalShards: 1, FS: ffs})
+				ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: policy, FS: ffs})
 				committed := 0
 				if err == nil {
 					for i := 0; i < txns; i++ {
@@ -241,7 +241,7 @@ func TestCrashSweepPolicyFromEnv(t *testing.T) {
 					ds.Abort()
 				}
 
-				rec, err := OpenDurable(DurableOptions{Dir: dir, WalShards: 1})
+				rec, err := OpenDurable(DurableOptions{Dir: dir})
 				if err != nil {
 					t.Fatalf("cut %d: recovery open failed: %v", cut, err)
 				}
@@ -272,15 +272,17 @@ func TestCrashSweepPolicyFromEnv(t *testing.T) {
 	}
 }
 
-// TestCrashMultiShardTxnsStayAtomic: records striped over several WAL
-// shards must still recover transaction-atomically — for every txn,
-// either both of its documents are present or neither is.
+// TestCrashMultiShardTxnsStayAtomic: two-document transactions, with the
+// power cut at byte offsets spread over six commits, must recover
+// transaction-atomically — for every txn, either both of its documents
+// are present or neither is. (The name is from when the log striped its
+// records over several segment files; it now writes one per generation.)
 func TestCrashMultiShardTxnsStayAtomic(t *testing.T) {
 	const txns = 6
 	for _, cut := range []int64{64, 200, 400, 700, 1000, 1500, 2200} {
 		dir := t.TempDir()
 		ffs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: cut, DropUnsynced: true})
-		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 4, FS: ffs})
+		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, FS: ffs})
 		if err != nil {
 			continue // crashed inside Open; nothing to assert
 		}
@@ -297,7 +299,7 @@ func TestCrashMultiShardTxnsStayAtomic(t *testing.T) {
 		}
 		ds.Abort()
 
-		rec, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 4})
+		rec, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 		if err != nil {
 			t.Fatalf("cut %d: recovery open failed: %v", cut, err)
 		}
@@ -323,7 +325,7 @@ func TestTornWriteMatrixAtStoreLevel(t *testing.T) {
 	const txns = 3
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
-		ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways, WalShards: 1})
+		ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
 		for i := 0; i < txns; i++ {
 			if err := crashTxn(ds.Collection("peaks"), i); err != nil {
 				t.Fatal(err)
@@ -367,7 +369,7 @@ func TestTornWriteMatrixAtStoreLevel(t *testing.T) {
 			if err := os.WriteFile(segPath(t, dir), full[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			rec, err := OpenDurable(DurableOptions{Dir: dir, WalShards: 1})
+			rec, err := OpenDurable(DurableOptions{Dir: dir})
 			if err != nil {
 				t.Fatalf("cut %d: open: %v", cut, err)
 			}
@@ -390,7 +392,7 @@ func TestTornWriteMatrixAtStoreLevel(t *testing.T) {
 			if err := os.WriteFile(segPath(t, dir), mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			rec, err := OpenDurable(DurableOptions{Dir: dir, WalShards: 1})
+			rec, err := OpenDurable(DurableOptions{Dir: dir})
 			if err != nil {
 				t.Fatalf("flip at %d: open: %v", pos, err)
 			}
@@ -452,7 +454,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 	// returns how many inserts were acknowledged. arm runs just before the
 	// second compaction.
 	workload := func(dir string, fsys fsx.FS, arm func()) (acked int) {
-		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, WalShards: 1, FS: fsys})
+		ds, err := OpenDurable(DurableOptions{Dir: dir, Policy: wal.SyncAlways, FS: fsys})
 		if err != nil {
 			return 0
 		}
@@ -478,7 +480,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 	// of the crashed compaction is gone.
 	recovered := func(t *testing.T, what, dir string, acked int) {
 		t.Helper()
-		rec, err := OpenDurable(DurableOptions{Dir: dir, WalShards: 1})
+		rec, err := OpenDurable(DurableOptions{Dir: dir})
 		if err != nil {
 			t.Fatalf("%s: recovery after crashed compaction failed: %v", what, err)
 		}
@@ -500,7 +502,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 	// Everything before the first compaction is the plain crash sweeps'
 	// ground; start where it starts.
 	probeDir := t.TempDir()
-	probe := openDurable(t, probeDir, DurableOptions{Policy: wal.SyncAlways, WalShards: 1})
+	probe := openDurable(t, probeDir, DurableOptions{Policy: wal.SyncAlways})
 	for i := 0; i < rounds[0]; i++ {
 		if _, err := probe.Collection("peaks").Insert(fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
 			t.Fatal(err)
@@ -544,7 +546,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 			recovered(t, fmt.Sprintf("step %d", n), dir, acked)
 			// The recovery itself compacted nothing; make sure the directory
 			// it left still compacts and reopens.
-			again := openDurable(t, dir, DurableOptions{WalShards: 1})
+			again := openDurable(t, dir, DurableOptions{})
 			if _, err := again.Collection("peaks").Insert("after", Fields{"n": -1}); err != nil {
 				t.Fatal(err)
 			}

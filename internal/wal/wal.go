@@ -3,18 +3,19 @@
 //
 //	[u32 length][u32 CRC32-C][u64 LSN][payload]
 //
-// (all little-endian; the checksum covers LSN and payload) appended to a
-// small fixed set of segment files so concurrent committers rarely share
-// a file lock. Every append is stamped with a log sequence number from
-// one global counter, which gives replay a total order across segments:
-// Open merge-sorts recovered records by LSN, and truncates each segment
-// at the first torn or corrupt record rather than failing startup — a
-// crash mid-append loses at most the record being written.
+// (all little-endian; the checksum covers LSN and payload) appended to
+// one segment file per generation. An append takes its log sequence
+// number under the same lock that writes its frame, so a segment holds
+// LSNs in order and generations follow each other: whatever a crash cuts
+// off the tail, what is left is a prefix of the commits. Open truncates
+// each segment at the first torn or corrupt record rather than failing
+// startup — a crash mid-append loses at most the record being written.
 //
 // Durability is a policy knob: SyncAlways fsyncs on every append (commit
 // acknowledgement implies durability), SyncInterval fsyncs on a
 // background tick (bounded loss window), SyncOff leaves flushing to the
-// OS (crash-consistent but lossy).
+// OS (crash-consistent but lossy). Under every policy a power cut
+// recovers an LSN prefix: commits may be lost, never reordered.
 //
 // Checkpoint bounds the log: it rotates to a fresh segment generation,
 // has the caller re-emit its whole state as records into one checkpoint
@@ -114,20 +115,20 @@ const (
 	// reader for it exists, and a directory holding one has no log below
 	// it either, so Open refuses rather than start empty.
 	legacySnapshotName = "snapshot.gz"
+
+	// syncPeriod is SyncInterval's background fsync period: the longest a
+	// commit waits to become durable under that policy, so the most a
+	// power cut can lose. It costs at most 20 fsyncs a second, and none
+	// while the log is idle (Sync skips a clean segment).
+	syncPeriod = 50 * time.Millisecond
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures Open.
 type Options struct {
-	// Shards is the number of segment files records are striped over
-	// (default 4). More shards mean less append-lock contention.
-	Shards int
 	// Policy is the fsync policy (default SyncAlways).
 	Policy Policy
-	// Interval is the background fsync period under SyncInterval
-	// (default 50ms).
-	Interval time.Duration
 	// FS is the filesystem (default the real one).
 	FS fsx.FS
 }
@@ -156,20 +157,21 @@ type Log struct {
 	dir    string
 	fs     fsx.FS
 	policy Policy
-	lsn    atomic.Uint64 // last allocated LSN
-	gen    atomic.Uint64 // current segment generation
+	lsn    atomic.Uint64 // last allocated LSN; advanced only under mu
 	closed atomic.Bool
+
+	// mu serializes appends, syncs, rotation and close. An append takes
+	// its LSN and writes its frame under it, which is what keeps the
+	// segment in LSN order.
+	mu    sync.Mutex
+	f     fsx.File // guarded by mu; the current generation's segment
+	gen   uint64   // guarded by mu; current segment generation
+	dirty bool     // guarded by mu; written bytes not yet fsynced
 
 	// ckptMu serializes whole checkpoints (a periodic compactor racing a
 	// shutdown compaction must queue, not interleave).
 	ckptMu sync.Mutex
 	cut    uint64 // guarded by ckptMu; LSN the checkpoint on disk covers
-
-	shards []*logShard
-
-	// rotMu serializes rotation and close against each other; appends
-	// take only their shard lock (rotation takes all shard locks).
-	rotMu sync.Mutex
 
 	stop chan struct{} // closes the interval syncer
 	done chan struct{}
@@ -185,15 +187,10 @@ type Log struct {
 	segmentsRemoved atomic.Int64
 }
 
-// logShard is one segment file of the current generation.
-type logShard struct {
-	mu    sync.Mutex
-	f     fsx.File // guarded by mu
-	path  string   // guarded by mu
-	dirty bool     // guarded by mu; written bytes not yet fsynced
-}
-
 // segmentName formats a segment filename; parseSegmentName inverts it.
+// The log writes shard 0 only: other shard numbers are what a writer that
+// striped each generation over several files left behind, and still
+// replay.
 func segmentName(shard int, gen uint64) string {
 	return fmt.Sprintf("wal-%04d-%08d.log", shard, gen)
 }
@@ -212,18 +209,12 @@ func parseSegmentName(name string) (shard int, gen uint64, ok bool) {
 
 // Open recovers dir and returns the log positioned for appends plus the
 // records to re-apply, in order: the checkpoint's as written, then the
-// log's sorted by LSN. Torn or corrupt log tails are truncated off their
+// log's in LSN order. Torn or corrupt log tails are truncated off their
 // segment (and counted) rather than failing the open; a damaged
 // checkpoint, or a directory compacted before checkpoints existed, fails
 // it. Appends go to a fresh segment generation, so replay never rereads
 // bytes written after this Open.
 func Open(dir string, opt Options) (*Log, []Record, error) {
-	if opt.Shards < 1 {
-		opt.Shards = 4
-	}
-	if opt.Interval <= 0 {
-		opt.Interval = 50 * time.Millisecond
-	}
 	fsys := opt.FS
 	if fsys == nil {
 		fsys = fsx.OS{}
@@ -236,7 +227,6 @@ func Open(dir string, opt Options) (*Log, []Record, error) {
 		dir:    dir,
 		fs:     fsys,
 		policy: opt.Policy,
-		shards: make([]*logShard, opt.Shards),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -245,24 +235,13 @@ func Open(dir string, opt Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l.gen.Store(maxGen + 1)
-	for i := range l.shards {
-		sh := &logShard{path: filepath.Join(dir, segmentName(i, l.gen.Load()))}
-		f, err := fsys.OpenFile(sh.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			l.closeShards()
-			return nil, nil, fmt.Errorf("wal: open segment %s: %w", sh.path, err)
-		}
-		sh.f = f
-		if _, err := f.Write([]byte(magic)); err != nil {
-			l.closeShards()
-			return nil, nil, fmt.Errorf("wal: write segment header %s: %w", sh.path, err)
-		}
-		l.shards[i] = sh
+	l.gen = maxGen + 1
+	if l.f, err = l.openSegment(l.gen); err != nil {
+		return nil, nil, err
 	}
 
 	if opt.Policy == SyncInterval {
-		go l.syncLoop(opt.Interval)
+		go l.syncLoop()
 	} else {
 		close(l.done)
 	}
@@ -341,6 +320,9 @@ func (l *Log) replay() ([]Record, uint64, error) {
 		}
 		records = append(records, recs...)
 	}
+	// One generation's segment is already in LSN order and ReadDir lists
+	// generations in order; the sort orders a directory whose generations
+	// were striped over several files.
 	logged := records[fromCheckpoint:]
 	sort.Slice(logged, func(i, j int) bool { return logged[i].LSN < logged[j].LSN })
 	if stale {
@@ -452,31 +434,28 @@ func appendFrame(dst []byte, lsn uint64, payload []byte) []byte {
 }
 
 // Append frames payload as one record, stamps it with the next LSN, and
-// writes it to the LSN's segment shard. Under SyncAlways it returns only
+// writes it to the current segment. Under SyncAlways it returns only
 // after the record is fsynced.
 func (l *Log) Append(payload []byte) (uint64, error) {
+	buf := make([]byte, 0, recHeaderSize+len(payload))
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed.Load() {
 		return 0, errors.New("wal: log closed")
 	}
-	lsn := l.lsn.Add(1)
-	sh := l.shards[int(lsn%uint64(len(l.shards)))]
-
-	frame := appendFrame(make([]byte, 0, recHeaderSize+len(payload)), lsn, payload)
-
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if l.closed.Load() {
-		return 0, errors.New("wal: log closed")
-	}
-	if _, err := sh.f.Write(frame); err != nil {
+	lsn := l.lsn.Load() + 1
+	frame := appendFrame(buf, lsn, payload)
+	if _, err := l.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	sh.dirty = true
+	l.lsn.Store(lsn)
+	l.dirty = true
 	if l.policy == SyncAlways {
-		if err := sh.f.Sync(); err != nil {
+		if err := l.f.Sync(); err != nil {
 			return 0, fmt.Errorf("wal: sync: %w", err)
 		}
-		sh.dirty = false
+		l.dirty = false
 		l.syncs.Add(1)
 	}
 	l.appends.Add(1)
@@ -484,29 +463,25 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Sync flushes and fsyncs every dirty shard.
+// Sync fsyncs the current segment if anything was written since the
+// last fsync.
 func (l *Log) Sync() error {
-	var firstErr error
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		if sh.dirty && sh.f != nil {
-			if err := sh.f.Sync(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				sh.dirty = false
-				l.syncs.Add(1)
-			}
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.dirty || l.closed.Load() {
+		return nil
 	}
-	return firstErr
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.dirty = false
+	l.syncs.Add(1)
+	return nil
 }
 
-func (l *Log) syncLoop(interval time.Duration) {
+func (l *Log) syncLoop() {
 	defer close(l.done)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(syncPeriod)
 	defer t.Stop()
 	for {
 		select {
@@ -579,48 +554,48 @@ func (l *Log) Checkpoint(fence sync.Locker, write func(emit func(payload []byte)
 	return true, nil
 }
 
-// rotate fsyncs and closes the current segment generation and opens a
-// fresh one; subsequent appends land in the new generation. It returns
-// the new generation number: every record appended before the call lives
-// in a generation strictly below it.
+// rotate fsyncs and closes the current segment and opens the next
+// generation's; subsequent appends land there. It returns the new
+// generation number: every record appended before the call lives in a
+// generation strictly below it.
 func (l *Log) rotate() (uint64, error) {
-	l.rotMu.Lock()
-	defer l.rotMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed.Load() {
 		return 0, errors.New("wal: log closed")
 	}
-	for _, sh := range l.shards {
-		sh.mu.Lock()
+	if err := l.f.Sync(); err != nil {
+		return 0, fmt.Errorf("wal: rotate sync: %w", err)
 	}
-	defer func() {
-		for i := len(l.shards) - 1; i >= 0; i-- {
-			l.shards[i].mu.Unlock()
-		}
-	}()
-	gen := l.gen.Load() + 1
-	for i, sh := range l.shards {
-		if err := sh.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: rotate sync %s: %w", sh.path, err)
-		}
-		if err := sh.f.Close(); err != nil {
-			return 0, fmt.Errorf("wal: rotate close %s: %w", sh.path, err)
-		}
-		sh.dirty = false
-		path := filepath.Join(l.dir, segmentName(i, gen))
-		f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return 0, fmt.Errorf("wal: rotate open %s: %w", path, err)
-		}
-		if _, err := f.Write([]byte(magic)); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("wal: rotate header %s: %w", path, err)
-		}
-		sh.f = f
-		sh.path = path
+	f, err := l.openSegment(l.gen + 1)
+	if err != nil {
+		return 0, err
 	}
-	l.gen.Store(gen)
+	old := l.f
+	l.f, l.dirty = f, false
+	l.gen++
 	l.rotations.Add(1)
-	return gen, nil
+	if err := old.Close(); err != nil {
+		return 0, fmt.Errorf("wal: rotate close: %w", err)
+	}
+	return l.gen, nil
+}
+
+// openSegment creates generation gen's segment and writes its header. A
+// segment whose header did not make it is removed, so the generation can
+// be tried again.
+func (l *Log) openSegment(gen uint64) (fsx.File, error) {
+	path := filepath.Join(l.dir, segmentName(0, gen))
+	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open segment %s: %w", path, err)
+	}
+	if _, err := f.Write([]byte(magic)); err != nil {
+		f.Close()
+		l.fs.Remove(path)
+		return nil, fmt.Errorf("wal: write segment header %s: %w", path, err)
+	}
+	return f, nil
 }
 
 // supersede deletes every segment file of a generation below gen, the
@@ -663,57 +638,33 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close stops the background syncer, fsyncs every shard, and closes the
-// segment files. A clean close is durable regardless of policy.
+// Close stops the background syncer, fsyncs the segment, and closes it.
+// A clean close is durable regardless of policy.
 func (l *Log) Close() error {
-	l.rotMu.Lock()
-	defer l.rotMu.Unlock()
 	if !l.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(l.stop)
 	<-l.done
-	var firstErr error
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		if sh.f != nil {
-			if err := sh.f.Sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := sh.f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			sh.f = nil
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.f.Sync(); err != nil {
+		l.f.Close()
+		return err
 	}
-	return firstErr
+	return l.f.Close()
 }
 
 // Abort closes the log without flushing or fsyncing — the crash path.
 // Tests use it to abandon a log exactly as a dying process would, leaving
 // whatever the OS (or the fault-injection layer) already accepted.
 func (l *Log) Abort() {
-	l.rotMu.Lock()
-	defer l.rotMu.Unlock()
 	if !l.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(l.stop)
 	<-l.done
-	l.closeShards()
-}
-
-func (l *Log) closeShards() {
-	for _, sh := range l.shards {
-		if sh == nil {
-			continue
-		}
-		sh.mu.Lock()
-		if sh.f != nil {
-			sh.f.Close()
-			sh.f = nil
-		}
-		sh.mu.Unlock()
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.f.Close()
 }

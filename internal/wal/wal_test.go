@@ -37,55 +37,133 @@ func appendAll(t *testing.T, l *Log, payloads ...string) []uint64 {
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			l, recs := mustOpen(t, dir, Options{Shards: shards, Policy: SyncAlways})
-			if len(recs) != 0 {
-				t.Fatalf("fresh log replayed %d records", len(recs))
-			}
-			want := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-			lsns := appendAll(t, l, want...)
-			for i := 1; i < len(lsns); i++ {
-				if lsns[i] != lsns[i-1]+1 {
-					t.Fatalf("LSNs not contiguous: %v", lsns)
-				}
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
+	dir := t.TempDir()
+	l, recs := mustOpen(t, dir, Options{Policy: SyncAlways})
+	if len(recs) != 0 {
+		t.Fatalf("fresh log replayed %d records", len(recs))
+	}
+	want := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+	lsns := appendAll(t, l, want...)
+	for i := 1; i < len(lsns); i++ {
+		if lsns[i] != lsns[i-1]+1 {
+			t.Fatalf("LSNs not contiguous: %v", lsns)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-			l2, recs := mustOpen(t, dir, Options{Shards: shards, Policy: SyncAlways})
-			defer l2.Close()
-			if len(recs) != len(want) {
-				t.Fatalf("replayed %d records; want %d", len(recs), len(want))
-			}
-			for i, r := range recs {
-				// Replay is sorted by LSN: the global commit order.
-				if r.LSN != lsns[i] || string(r.Payload) != want[i] {
-					t.Fatalf("record %d = {%d %q}; want {%d %q}", i, r.LSN, r.Payload, lsns[i], want[i])
-				}
-			}
-			if l2.lsn.Load() != lsns[len(lsns)-1] {
-				t.Fatalf("last LSN after replay = %d; want %d", l2.lsn.Load(), lsns[len(lsns)-1])
-			}
-		})
+	l2, recs := mustOpen(t, dir, Options{Policy: SyncAlways})
+	defer l2.Close()
+	if len(recs) != len(want) {
+		t.Fatalf("replayed %d records; want %d", len(recs), len(want))
+	}
+	for i, r := range recs {
+		// Replay is in LSN order: the global commit order.
+		if r.LSN != lsns[i] || string(r.Payload) != want[i] {
+			t.Fatalf("record %d = {%d %q}; want {%d %q}", i, r.LSN, r.Payload, lsns[i], want[i])
+		}
+	}
+	if l2.lsn.Load() != lsns[len(lsns)-1] {
+		t.Fatalf("last LSN after replay = %d; want %d", l2.lsn.Load(), lsns[len(lsns)-1])
 	}
 }
 
+// TestReplaySurvivesShardCountChange: a directory written when the log
+// striped each generation over four segment files by LSN still replays,
+// in LSN order, and the next append carries on after its last LSN.
 func TestReplaySurvivesShardCountChange(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 4, Policy: SyncAlways})
-	appendAll(t, l, "a", "b", "c", "d", "e", "f")
+	const shards, gen = 4, 1
+	want := []string{"a", "b", "c", "d", "e", "f"}
+	images := make([][]byte, shards)
+	for i := range images {
+		images[i] = []byte(magic)
+	}
+	for i, p := range want {
+		lsn := uint64(i + 1)
+		images[lsn%shards] = appendFrame(images[lsn%shards], lsn, []byte(p))
+	}
+	for i, image := range images {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(i, gen)), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, recs := mustOpen(t, dir, Options{Policy: SyncAlways})
+	if got := fmt.Sprint(payloads(recs)); got != fmt.Sprint(want) {
+		t.Fatalf("replay = %s; want %v", got, want)
+	}
+	for i, r := range recs {
+		if r.LSN != uint64(i+1) {
+			t.Fatalf("record %d has LSN %d; want %d", i, r.LSN, i+1)
+		}
+	}
+	if next := appendAll(t, l, "g")[0]; next != uint64(len(want)+1) {
+		t.Fatalf("next append got LSN %d; want %d", next, len(want)+1)
+	}
 	l.Close()
 
-	// Reopening with a different shard count must still replay everything:
-	// old segments are scanned wholesale, only new appends use the new
-	// striping.
-	l2, recs := mustOpen(t, dir, Options{Shards: 2, Policy: SyncAlways})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
-	if len(recs) != 6 {
-		t.Fatalf("replayed %d; want 6", len(recs))
+	if got := fmt.Sprint(payloads(recs)); got != "[a b c d e f g]" {
+		t.Fatalf("replay after one more append = %s; want [a b c d e f g]", got)
+	}
+}
+
+// TestPowerCutLeavesAnLSNPrefix: concurrent committers racing a syncer
+// (what SyncInterval's background tick does), then a power cut that
+// drops every unsynced byte. What replays must be LSNs 1..n with none
+// missing: a commit never survives while one stamped before it is lost.
+func TestPowerCutLeavesAnLSNPrefix(t *testing.T) {
+	const runs, writers, perWriter = 15, 4, 50
+	for run := 0; run < runs; run++ {
+		dir := t.TempDir()
+		fs := fsx.NewFaultFS(fsx.FaultPlan{DropUnsynced: true})
+		l, _ := mustOpen(t, dir, Options{Policy: SyncOff, FS: fs})
+		var appenders sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			appenders.Add(1)
+			go func() {
+				defer appenders.Done()
+				for i := 0; i < perWriter; i++ {
+					if _, err := l.Append([]byte("commit")); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		stop := make(chan struct{})
+		synced := make(chan struct{})
+		go func() {
+			defer close(synced)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if err := l.Sync(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+		appenders.Wait()
+		close(stop)
+		<-synced
+		fs.Crash()
+		l.Abort()
+
+		l2, recs := mustOpen(t, dir, Options{})
+		for i, r := range recs {
+			if r.LSN != uint64(i+1) {
+				t.Fatalf("run %d: record %d of %d recovered has LSN %d; want %d (an earlier commit was lost)",
+					run, i, len(recs), r.LSN, i+1)
+			}
+		}
+		l2.Close()
 	}
 }
 
@@ -110,7 +188,7 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 	// a copy truncated at every byte length. At every cut point the
 	// replayed prefix must be exactly the records whose frames fit.
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 1, Policy: SyncAlways})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
 	payloads := []string{"first-record", "second", "third-and-longest-record"}
 	appendAll(t, l, payloads...)
 	l.Close()
@@ -139,7 +217,7 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, segmentName(0, 1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l2, recs := mustOpen(t, sub, Options{Shards: 1})
+		l2, recs := mustOpen(t, sub, Options{})
 		// Complete records strictly below the cut survive.
 		want := 0
 		for i := 1; i < len(boundaries); i++ {
@@ -174,7 +252,7 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 
 func TestCorruptRecordTruncatesAndCounts(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 1, Policy: SyncAlways})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
 	appendAll(t, l, "keep-me", "flip-me", "lost-with-the-corruption")
 	l.Close()
 
@@ -190,7 +268,7 @@ func TestCorruptRecordTruncatesAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	if len(recs) != 1 || string(recs[0].Payload) != "keep-me" {
 		t.Fatalf("replay after bit flip = %v; want just keep-me", recs)
@@ -214,7 +292,7 @@ func TestGarbageHeaderIgnoresSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 1)), []byte("not-a-wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, recs := mustOpen(t, dir, Options{Shards: 1})
+	l, recs := mustOpen(t, dir, Options{})
 	defer l.Close()
 	if len(recs) != 0 {
 		t.Fatalf("replayed %d records from garbage", len(recs))
@@ -226,7 +304,7 @@ func TestGarbageHeaderIgnoresSegment(t *testing.T) {
 
 func TestRotateAndRemoveSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 2, Policy: SyncAlways})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
 	defer l.Close()
 	appendAll(t, l, "old-1", "old-2", "old-3")
 	gen, err := l.rotate()
@@ -248,7 +326,7 @@ func TestRotateAndRemoveSegments(t *testing.T) {
 
 	// Only post-rotation records remain for the next replay.
 	l.Close()
-	l2, recs := mustOpen(t, dir, Options{Shards: 2})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	got := map[string]bool{}
 	for _, r := range recs {
@@ -287,13 +365,13 @@ func payloads(recs []Record) []string {
 
 func TestCheckpointReplaysBeforeTheLogAboveIt(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 2, Policy: SyncAlways})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
 	appendAll(t, l, "a", "b", "c")
 	if !checkpoint(t, l, "state-2", "state-1") {
 		t.Fatal("checkpoint of a written log reported nothing to do")
 	}
 	for _, name := range walSegments(t, dir) {
-		if _, g, _ := parseSegmentName(name); g < l.gen.Load() {
+		if _, g, _ := parseSegmentName(name); g < l.gen {
 			t.Fatalf("superseded segment %s survived the checkpoint", name)
 		}
 	}
@@ -303,7 +381,7 @@ func TestCheckpointReplaysBeforeTheLogAboveIt(t *testing.T) {
 	lsns := appendAll(t, l, "d", "e")
 	l.Close()
 
-	l2, recs := mustOpen(t, dir, Options{Shards: 2})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	// The checkpoint's records come back as written (not sorted), then the
 	// log's in LSN order; a, b and c exist only inside the checkpoint.
@@ -320,7 +398,7 @@ func TestCheckpointReplaysBeforeTheLogAboveIt(t *testing.T) {
 // before a restart.
 func TestIdleCheckpointIsNoOp(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 1})
+	l, _ := mustOpen(t, dir, Options{})
 	if checkpoint(t, l, "never-written") {
 		t.Fatal("checkpoint of a never-written log wrote something")
 	}
@@ -340,7 +418,7 @@ func TestIdleCheckpointIsNoOp(t *testing.T) {
 	}
 	l.Close()
 
-	l2, _ := mustOpen(t, dir, Options{Shards: 1})
+	l2, _ := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	if checkpoint(t, l2, "must-not-be-asked-for") {
 		t.Fatal("checkpoint right after reopening a compacted log rewrote it")
@@ -356,12 +434,12 @@ func TestIdleCheckpointIsNoOp(t *testing.T) {
 // record behind must still keep LSNs from repeating after a reopen.
 func TestLSNStaysAboveCutOfEmptiedLog(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 1})
+	l, _ := mustOpen(t, dir, Options{})
 	lsns := appendAll(t, l, "a", "b", "c")
 	checkpoint(t, l, "state")
 	l.Close()
 
-	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	if len(recs) != 1 || string(recs[0].Payload) != "state" {
 		t.Fatalf("replay = %v; want only the checkpoint record", payloads(recs))
@@ -381,7 +459,7 @@ func TestLSNStaysAboveCutOfEmptiedLog(t *testing.T) {
 // committed state.
 func TestDamagedCheckpointFailsOpen(t *testing.T) {
 	ref := t.TempDir()
-	l, _ := mustOpen(t, ref, Options{Shards: 1})
+	l, _ := mustOpen(t, ref, Options{})
 	appendAll(t, l, "a", "b")
 	checkpoint(t, l, "state-one", "state-two", "state-three")
 	l.Close()
@@ -395,7 +473,7 @@ func TestDamagedCheckpointFailsOpen(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, checkpointName), image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, recs, err := Open(dir, Options{Shards: 1})
+		l, recs, err := Open(dir, Options{})
 		if err == nil {
 			l.Close()
 			t.Fatalf("%s: Open succeeded with records %v", what, payloads(recs))
@@ -446,7 +524,7 @@ func TestOpenRefusesPreCheckpointDirectory(t *testing.T) {
 // the rename) and superseded segments (died after it).
 func TestOpenFinishesInterruptedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 1})
+	l, _ := mustOpen(t, dir, Options{})
 	appendAll(t, l, "a")
 	checkpoint(t, l, "state")
 	l.Close()
@@ -460,7 +538,7 @@ func TestOpenFinishesInterruptedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	if got := fmt.Sprint(payloads(recs)); got != "[state]" {
 		t.Fatalf("replay = %s; want [state] (the superseded record must not come back)", got)
@@ -491,7 +569,7 @@ func TestParsePolicy(t *testing.T) {
 func TestSyncIntervalEventuallySyncs(t *testing.T) {
 	dir := t.TempDir()
 	fs := fsx.NewFaultFS(fsx.FaultPlan{DropUnsynced: true})
-	l, _ := mustOpen(t, dir, Options{Shards: 1, Policy: SyncInterval, Interval: 5 * time.Millisecond, FS: fs})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncInterval, FS: fs})
 	appendAll(t, l, "interval-synced")
 	deadline := time.Now().Add(2 * time.Second)
 	for l.Stats().Syncs == 0 {
@@ -504,7 +582,7 @@ func TestSyncIntervalEventuallySyncs(t *testing.T) {
 	// durable, so a crash loses nothing.
 	fs.Crash()
 	l.Abort()
-	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	if len(recs) != 1 || string(recs[0].Payload) != "interval-synced" {
 		t.Fatalf("replay = %v; want the interval-synced record", recs)
@@ -514,13 +592,13 @@ func TestSyncIntervalEventuallySyncs(t *testing.T) {
 func TestCleanCloseIsDurableUnderSyncOff(t *testing.T) {
 	dir := t.TempDir()
 	fs := fsx.NewFaultFS(fsx.FaultPlan{DropUnsynced: true})
-	l, _ := mustOpen(t, dir, Options{Shards: 1, Policy: SyncOff, FS: fs})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncOff, FS: fs})
 	appendAll(t, l, "flushed-at-close")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash()
-	l2, recs := mustOpen(t, dir, Options{Shards: 1})
+	l2, recs := mustOpen(t, dir, Options{})
 	defer l2.Close()
 	if len(recs) != 1 {
 		t.Fatalf("replay after clean close = %d records; want 1", len(recs))
@@ -530,7 +608,7 @@ func TestCleanCloseIsDurableUnderSyncOff(t *testing.T) {
 func TestAppendAfterCrashFails(t *testing.T) {
 	dir := t.TempDir()
 	fs := fsx.NewFaultFS(fsx.FaultPlan{CrashAfterBytes: 1 << 20})
-	l, _ := mustOpen(t, dir, Options{Shards: 1, Policy: SyncAlways, FS: fs})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways, FS: fs})
 	defer l.Abort()
 	fs.Crash()
 	if _, err := l.Append([]byte("x")); !errors.Is(err, fsx.ErrInjectedCrash) {
@@ -540,7 +618,7 @@ func TestAppendAfterCrashFails(t *testing.T) {
 
 func TestStatsCountAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Shards: 1, Policy: SyncAlways})
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
 	defer l.Close()
 	appendAll(t, l, "aa", "bbbb")
 	st := l.Stats()
@@ -560,7 +638,7 @@ func BenchmarkAppend(b *testing.B) {
 	for _, pol := range []Policy{SyncOff, SyncInterval} {
 		b.Run(pol.String(), func(b *testing.B) {
 			dir := b.TempDir()
-			l, _, err := Open(dir, Options{Shards: 4, Policy: pol, Interval: 50 * time.Millisecond})
+			l, _, err := Open(dir, Options{Policy: pol})
 			if err != nil {
 				b.Fatal(err)
 			}
