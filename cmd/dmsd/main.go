@@ -28,7 +28,7 @@
 // (internal/trainer): /v1/train jobs warm-start from the zoo's
 // recommended checkpoint and register their result back with lineage
 // metadata, running on a bounded worker pool (-train-workers) with a
-// bounded queue (-train-queue; saturation sheds with 429).
+// queue of eight waiting jobs (saturation sheds with 429).
 //
 // With -wal-dir the in-process store is opened WAL-durable
 // (docstore.OpenDurable): every write is logged before it is applied,
@@ -48,9 +48,12 @@
 //	dmsd [-addr host:port] [-store addr] [-collection name] [-node-id id]
 //	     [-wal-dir path] [-fsync always|interval|off] [-compact-interval 1m]
 //	     [-k 8] [-embed-dim 8] [-embed-hidden 64] [-embed-scale 1]
-//	     [-seed 1] [-max-inflight 64] [-cache 128] [-max-batch 8192]
-//	     [-train-workers 2] [-train-queue 8]
+//	     [-seed 1] [-train-workers 2]
 //	     [-slow-threshold 250ms] [-pprof] [-log-level info]
+//
+// Admission (64 requests in flight, then 429), the result cache (128
+// entries) and the ingest:batch cap (8192 documents, then 413) are
+// dmsapi.ServerConfig's defaults.
 package main
 
 import (
@@ -130,11 +133,7 @@ func main() {
 	embedHidden := flag.Int("embed-hidden", 64, "embedder hidden width")
 	embedScale := flag.Float64("embed-scale", 1, "input scale factor (e.g. 1/255 for 8-bit images)")
 	seed := flag.Int64("seed", 1, "determinism seed for embedder init and sampling")
-	maxInflight := flag.Int("max-inflight", 64, "in-flight request bound before 429 shedding (<0 = unlimited)")
-	cacheSize := flag.Int("cache", 128, "LRU capacity for hot recommend/PDF results (<0 = coalescing only)")
-	maxBatch := flag.Int("max-batch", 8192, "documents per ingest:batch request before 413 (<0 = unlimited)")
 	trainWorkers := flag.Int("train-workers", 2, "parallel server-side training jobs (0 disables /v1/train)")
-	trainQueue := flag.Int("train-queue", 8, "queued training jobs before submissions shed with 429")
 	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "failed requests and ones at least this slow keep their span tree at /debug/tracez (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "minimum log level for daemon events and request failures (5xx warn, 4xx debug): debug, info, warn, error")
@@ -215,12 +214,8 @@ func main() {
 
 	cfg := dmsapi.ServerConfig{
 		DS: ds, Zoo: zoo,
-		MaxInFlight:   *maxInflight,
-		CacheSize:     *cacheSize,
-		MaxBatchDocs:  *maxBatch,
 		BootstrapK:    *k,
 		TrainWorkers:  *trainWorkers,
-		TrainQueue:    *trainQueue,
 		SlowThreshold: *slowThreshold,
 		EnablePprof:   *enablePprof,
 		Logger:        logger,
@@ -252,8 +247,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("dmsd: listen: %v", err)
 	}
-	logger.Info("serving", "addr", bound, "max_inflight", *maxInflight, "cache", *cacheSize,
-		"train_workers", *trainWorkers, "train_queue", *trainQueue)
+	logger.Info("serving", "addr", bound, "train_workers", *trainWorkers)
 
 	stopCompact := make(chan struct{})
 	var compactWG sync.WaitGroup

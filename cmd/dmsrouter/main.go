@@ -10,16 +10,17 @@
 // unfitted cluster is bootstrapped by the first ingest: with -k > 0 the
 // router fits every shard's clustering model on that same full batch.
 //
-// Membership is static with active health probing: a dead shard is
-// ejected after -fail-after consecutive failures, ingest routes around
-// it, reads merge the survivors (responses flagged "degraded"), and a
-// recovered shard is re-admitted automatically. /metricsz serves the
+// Membership is static with active health probing every -probe-interval:
+// a dead shard is ejected after two consecutive failures, ingest routes
+// around it, reads merge the survivors (responses flagged "degraded"),
+// and a recovered shard is re-admitted automatically. /metricsz serves the
 // router's own families — per-node health (dms_router_node_*{node}), the
 // membership epoch, uptime and build identity — followed by the
 // federated fleet exposition (every healthy shard's families relabeled
 // with node=<addr> plus dms_fleet_* aggregates); /debug/tracez serves
-// tail-retained span trees for slow, errored, and degraded requests; and
-// -slo objectives surface as dms_slo_* burn-rate families.
+// the last 256 span trees of errored and degraded requests and of
+// requests slower than 250ms; and -slo objectives surface as dms_slo_*
+// burn-rate families.
 //
 // Usage:
 //
@@ -29,7 +30,7 @@
 //	dmsrouter -addr 127.0.0.1:7718 \
 //	          -shards 127.0.0.1:7801,127.0.0.1:7802,127.0.0.1:7803 \
 //	          -k 8 -seed 1 \
-//	          -slo 'nearest:p99<50ms,err<1%' -trace-ring 256
+//	          -slo 'nearest:p99<50ms,err<1%'
 package main
 
 import (
@@ -46,21 +47,21 @@ import (
 	"fairdms/internal/obs"
 )
 
+// Trace retention on /debug/tracez: the ring's size and the latency from
+// which a clean request is kept.
+const (
+	traceRing = 256
+	traceSlow = 250 * time.Millisecond
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7718", "listen address")
 	shardsFlag := flag.String("shards", "", "comma-separated dmsd shard addresses, in ring order (required)")
 	k := flag.Int("k", 8, "cluster count for the coordinated bootstrap fit on the first ingest (0 = shards must be pre-fitted)")
 	seed := flag.Int64("seed", 1, "determinism seed for the lookup merge's sampling; must match the shards' -seed")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default 128)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "active health-probe cadence (negative disables; serving failures still eject)")
-	failAfter := flag.Int("fail-after", 2, "consecutive failures before a shard is ejected")
-	retries := flag.Int("retries", 1, "per-shard HTTP retry count")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-shard HTTP exchange timeout")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	sloSpec := flag.String("slo", "", "per-endpoint objectives, e.g. 'nearest:p99<5ms,err<0.1%;recommend:p95<20ms' (empty disables the SLO layer)")
-	traceRing := flag.Int("trace-ring", 256, "tail-based trace retention ring size (0 disables /debug/tracez)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "retain any request slower than this, even when it succeeded (0 = only errored/degraded)")
-	scrapeTimeout := flag.Duration("scrape-timeout", 2*time.Second, "per-request fleet metrics scrape budget for the federated /metricsz")
 	flag.Parse()
 
 	if *shardsFlag == "" {
@@ -86,13 +87,9 @@ func main() {
 
 	cluster, err := dmscluster.New(dmscluster.Config{
 		Shards:        shards,
-		Vnodes:        *vnodes,
 		BootstrapK:    *k,
 		Seed:          *seed,
 		ProbeInterval: *probeInterval,
-		FailAfter:     *failAfter,
-		Retries:       *retries,
-		Timeout:       *timeout,
 		Logger:        logger,
 	})
 	if err != nil {
@@ -102,17 +99,16 @@ func main() {
 	defer cluster.Close()
 
 	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{
-		Logger:        logger,
-		SLOs:          slos,
-		TraceRing:     *traceRing,
-		TraceSlow:     *traceSlow,
-		ScrapeTimeout: *scrapeTimeout,
+		Logger:    logger,
+		SLOs:      slos,
+		TraceRing: traceRing,
+		TraceSlow: traceSlow,
 	})
 	bound, err := router.Listen(*addr)
 	if err != nil {
 		log.Fatalf("dmsrouter: listen: %v", err)
 	}
-	logger.Info("serving", "addr", bound, "shards", len(shards), "slos", len(slos), "trace_ring", *traceRing)
+	logger.Info("serving", "addr", bound, "shards", len(shards), "slos", len(slos))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -1,7 +1,7 @@
 // Package fsyncrename enforces crash-safe persistence: code that writes
 // files must follow the tmp+fsync+rename discipline the repo's snapshot
-// paths rely on (docstore.Store.Save, fairms.Zoo.Save — now factored into
-// internal/fsx). Concretely, per function:
+// paths rely on (fsx.WriteAtomic, and the WAL checkpoint that
+// wal.Log writes through fsx.WriteAtomicFS). Concretely, per function:
 //
 //   - os.WriteFile is always flagged: it cannot fsync, so a crash after
 //     rename (or mid-write, without a rename) can surface a truncated or

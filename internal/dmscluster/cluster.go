@@ -12,15 +12,21 @@ import (
 	"fairdms/internal/obs"
 )
 
+// Per-shard exchange tuning. The cluster layer adds its own fail-open, so
+// per-call retries stay small to bound fan-out tail latency.
+const (
+	probeTimeout = 500 * time.Millisecond // bounds one health probe
+	shardRetries = 1
+	shardBackoff = 25 * time.Millisecond
+	shardTimeout = 30 * time.Second // bounds each per-shard HTTP exchange
+)
+
 // Config wires a Cluster to its shard set and tunes its behavior.
 type Config struct {
 	// Shards lists the dmsd addresses ("host:port"), in ring order.
 	// Required, at least one. Every shard must run with the same -seed
 	// and a distinct -node-id (distinct document-ID namespaces).
 	Shards []string
-	// Vnodes is the virtual-node count per shard on the hash ring
-	// (default 128).
-	Vnodes int
 	// BootstrapK, when positive, lets the cluster start against unfitted
 	// shards: the first ingest fits every shard's clustering model on
 	// that same full batch (coordinated bootstrap), so the replicated
@@ -36,45 +42,21 @@ type Config struct {
 	// negative disables active probing — serving-path failures still
 	// eject).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 500ms).
-	ProbeTimeout time.Duration
 	// FailAfter is the consecutive-failure count that ejects a shard
 	// (default 2). Probe failures and serving-path transport failures
 	// both count; any success resets.
 	FailAfter int
-	// Retries/Backoff tune each per-shard HTTP exchange (defaults 1 and
-	// 25ms — the cluster layer adds its own fail-open, so per-call
-	// retries stay small to bound fan-out tail latency).
-	Retries int
-	Backoff time.Duration
-	// Timeout bounds each per-shard HTTP exchange (default 30s).
-	Timeout time.Duration
 	// Logger receives membership transitions and reroutes as leveled
 	// key=value events; nil silences.
 	Logger *obs.Logger
 }
 
 func (c *Config) defaults() {
-	if c.Vnodes <= 0 {
-		c.Vnodes = defaultVnodes
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
-	}
-	if c.Retries <= 0 {
-		c.Retries = 1
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 25 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
 	}
 }
 
@@ -130,14 +112,14 @@ func New(cfg Config) (*Cluster, error) {
 	cfg.defaults()
 	c := &Cluster{
 		cfg:  cfg,
-		ring: NewRing(len(cfg.Shards), cfg.Vnodes),
+		ring: NewRing(len(cfg.Shards)),
 		stop: make(chan struct{}),
 	}
 	for i, addr := range cfg.Shards {
 		cl, err := dmsapi.NewClient(addr,
 			dmsapi.WithoutPing(),
-			dmsapi.WithRetry(cfg.Retries, cfg.Backoff),
-			dmsapi.WithTimeout(cfg.Timeout),
+			dmsapi.WithRetry(shardRetries, shardBackoff),
+			dmsapi.WithTimeout(shardTimeout),
 		)
 		if err != nil {
 			return nil, fmt.Errorf("dmscluster: shard %d (%s): %w", i, addr, err)
@@ -195,7 +177,7 @@ func (c *Cluster) probeAll() {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			var hr dmsapi.HealthResponse
 			if err := n.client.DoJSON(ctx, "GET", dmsapi.PathHealth, nil, &hr); err != nil {

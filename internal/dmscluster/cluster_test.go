@@ -815,8 +815,6 @@ func TestClusterChaos(t *testing.T) {
 		Seed:          1,
 		ProbeInterval: 25 * time.Millisecond,
 		FailAfter:     2,
-		Retries:       1,
-		Backoff:       5 * time.Millisecond,
 	})
 	cluster.Start()
 	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{})

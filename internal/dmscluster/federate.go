@@ -14,10 +14,10 @@ import (
 // set live, so an ejected shard's series age out of the merged exposition
 // the moment health probing drops it — no TTL bookkeeping.
 
-// defaultScrapeTimeout bounds one fleet scrape; a shard slower than this
-// is simply absent from that scrape (and the transport failure counts
+// scrapeTimeout bounds one fleet scrape; a shard slower than this is
+// simply absent from that scrape (and the transport failure counts
 // against its health like any serving call).
-const defaultScrapeTimeout = 2 * time.Second
+const scrapeTimeout = 2 * time.Second
 
 // ScrapeFleet fetches and parses every healthy shard's /metricsz
 // concurrently, returning one NodeExposition per shard that answered
@@ -25,11 +25,8 @@ const defaultScrapeTimeout = 2 * time.Second
 // the one name the routing tier knows shards by. Transport failures are
 // charged against shard health; parse failures are not (the shard
 // answered; its exposition is just unusable this scrape).
-func (c *Cluster) ScrapeFleet(ctx context.Context, timeout time.Duration) []obs.NodeExposition {
-	if timeout <= 0 {
-		timeout = defaultScrapeTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+func (c *Cluster) ScrapeFleet(ctx context.Context) []obs.NodeExposition {
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 
 	nodes := c.healthyNodes()

@@ -22,10 +22,12 @@ import (
 	"sort"
 )
 
-// defaultVnodes is the number of virtual nodes per shard on the ring.
-// 128 keeps the max/min load ratio within a few percent for small N
-// while the ring stays tiny (N*128 entries, binary-searched).
-const defaultVnodes = 128
+// vnodes is the number of virtual nodes per shard on the ring. 128 keeps
+// the max/min load ratio within a few percent for small N while the ring
+// stays tiny (N*128 entries, binary-searched). It is part of the routing
+// function: changing it re-homes stored documents, which
+// TestRingOwnersArePinned catches.
+const vnodes = 128
 
 // Ring is a consistent-hash ring over shard indices with virtual nodes.
 // It is immutable after construction — membership changes in this tier
@@ -38,12 +40,8 @@ type Ring struct {
 	n      int
 }
 
-// NewRing builds a ring over n shards with the given virtual nodes per
-// shard (<= 0 uses the default 128).
-func NewRing(n, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// NewRing builds a ring over n shards, vnodes virtual nodes each.
+func NewRing(n int) *Ring {
 	r := &Ring{
 		hashes: make([]uint64, 0, n*vnodes),
 		owner:  make([]int, 0, n*vnodes),

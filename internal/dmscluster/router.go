@@ -30,9 +30,6 @@ type RouterConfig struct {
 	// tree is retained even when it succeeded cleanly. Zero or negative
 	// means only errored and degraded requests are retained.
 	TraceSlow time.Duration
-	// ScrapeTimeout bounds the per-request fleet metrics scrape behind
-	// the federated /metricsz (default 2s).
-	ScrapeTimeout time.Duration
 }
 
 // Router serves the dmsapi /v1 surface over HTTP on top of a Cluster:
@@ -49,7 +46,6 @@ type RouterConfig struct {
 type Router struct {
 	*dmsapi.Pipeline
 	cluster *Cluster
-	cfg     RouterConfig
 }
 
 // NewRouter builds the HTTP tier over an existing cluster client. The
@@ -73,7 +69,6 @@ func newRouter(c *Cluster, cfg RouterConfig, maxBodyBytes int64) *Router {
 			Logger:       cfg.Logger,
 		}),
 		cluster: c,
-		cfg:     cfg,
 	}
 	rt.registerMetrics()
 
@@ -224,7 +219,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		}
 		return &dmsapi.StatusError{Code: http.StatusInternalServerError, ErrCode: dmsapi.CodeInternal, Message: "metrics export: " + err.Error()}
 	}
-	fleet := obs.Federate(rt.cluster.ScrapeFleet(r.Context(), rt.cfg.ScrapeTimeout))
+	fleet := obs.Federate(rt.cluster.ScrapeFleet(r.Context()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		return err

@@ -807,7 +807,7 @@ func (c *Cluster) TrainJob(ctx context.Context, id string, wait time.Duration) (
 		return dmsapi.TrainJob{}, err
 	}
 	var job dmsapi.TrainJob
-	path := dmsapi.TrainJobPath(raw, min(wait, c.cfg.Timeout/2))
+	path := dmsapi.TrainJobPath(raw, min(wait, shardTimeout/2))
 	if err := n.client.DoJSON(ctx, "GET", path, nil, &job); err != nil {
 		c.shardFailure(n, err)
 		return dmsapi.TrainJob{}, err

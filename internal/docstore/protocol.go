@@ -9,12 +9,14 @@ package docstore
 // equality filters) and hash-index creation.
 //
 // Requests carry a connection-scoped sequence number and the server
-// echoes it back on the matching response. Because the server hands
-// decoded requests to a per-connection worker pool, responses may come
-// back in a different order than the requests were sent; clients MUST
-// match responses to requests by Seq rather than by position. A client
-// that pipelines several requests on one connection therefore no longer
-// pays head-of-line blocking for a slow query.
+// echoes it back on the matching response. The server decodes ahead of
+// its handlers and runs each request on a per-connection worker pool, so
+// a peer that pipelines requests on one connection may get the responses
+// back in completion order and must match them by Seq. Client does not
+// pipeline: it keeps one request in flight per connection (acquire,
+// encode, decode, release), takes its concurrency from its connection
+// pool, and uses the echoed Seq only to detect a desynchronized stream,
+// whose connection it discards.
 
 type reqOp uint8
 

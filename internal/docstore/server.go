@@ -12,9 +12,10 @@ import (
 	"time"
 )
 
-// defaultConnWorkers is the per-connection request concurrency when
-// ServerConfig.ConnWorkers is zero.
-const defaultConnWorkers = 8
+// connWorkers bounds how many requests from one connection are handled
+// concurrently. Client keeps one request in flight per connection, so
+// only a peer that pipelines requests reaches this bound.
+const connWorkers = 8
 
 // ServerConfig tunes a document-store server.
 type ServerConfig struct {
@@ -22,12 +23,6 @@ type ServerConfig struct {
 	// paper's remote (100 GbE) MongoDB placement in benchmarks. Zero means
 	// no added delay.
 	Latency time.Duration
-	// ConnWorkers bounds how many requests from one connection are handled
-	// concurrently. Pipelined requests are dispatched to this per-connection
-	// worker pool and responses are matched by sequence number, so a slow
-	// Find does not head-of-line-block a fast Get behind it. Zero means
-	// defaultConnWorkers; 1 restores strictly sequential handling.
-	ConnWorkers int
 	// FaultRate, if positive, is the probability that the server abruptly
 	// drops a connection after serving a request — failure injection for
 	// client-resilience tests.
@@ -39,10 +34,11 @@ type ServerConfig struct {
 }
 
 // Server exposes a Store over TCP. Each accepted connection is served by
-// its own goroutine, and each connection's requests are dispatched to a
-// bounded worker pool, so parallel clients (and pipelined requests within
-// one connection) read and write concurrently — the store's shard locks
-// are the only serialization point.
+// its own goroutine, so parallel clients — each Client connection carries
+// one request at a time — read and write concurrently; the store's shard
+// locks are the only serialization point. A connection's requests run on
+// a bounded worker pool, so a peer that pipelines them on one connection
+// is served concurrently too.
 type Server struct {
 	store *Store
 	cfg   ServerConfig
@@ -60,9 +56,6 @@ type Server struct {
 
 // NewServer wraps store with a protocol server; call Serve to start.
 func NewServer(store *Store, cfg ServerConfig) *Server {
-	if cfg.ConnWorkers <= 0 {
-		cfg.ConnWorkers = defaultConnWorkers
-	}
 	return &Server{
 		store:   store,
 		cfg:     cfg,
@@ -121,8 +114,9 @@ func (s *Server) acceptLoop() {
 
 // serveConn decodes requests off the connection and hands each to the
 // per-connection worker pool. The decode loop never waits on request
-// handling (only on pool admission), so up to ConnWorkers pipelined
-// requests run concurrently; responses carry the request's Seq and are
+// handling (only on pool admission): a Client's connection carries one
+// request at a time, but a peer that pipelines gets up to connWorkers of
+// them run concurrently. Responses carry the request's Seq and are
 // serialized onto the connection by a write mutex in completion order.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -137,7 +131,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	var wmu sync.Mutex
-	pool := make(chan struct{}, s.cfg.ConnWorkers)
+	pool := make(chan struct{}, connWorkers)
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {

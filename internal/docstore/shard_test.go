@@ -207,14 +207,14 @@ func TestClientPoolIsHardCap(t *testing.T) {
 }
 
 // TestServerHandlesPipelinedRequestsConcurrently speaks the wire protocol
-// directly: K requests pipelined on one connection against a server with
-// per-request latency must complete in roughly one latency period (worker
-// pool), not K of them (sequential), and every response's Seq must match a
-// request.
+// directly, as a peer that pipelines (Client does not): K requests on one
+// connection against a server with per-request latency must complete in
+// roughly one latency period (the connWorkers pool, K ≤ connWorkers), not K
+// of them (sequential), and every response's Seq must match a request.
 func TestServerHandlesPipelinedRequestsConcurrently(t *testing.T) {
 	const latency = 100 * time.Millisecond
 	const k = 4
-	_, addr := startTestServer(t, ServerConfig{Latency: latency, ConnWorkers: k})
+	_, addr := startTestServer(t, ServerConfig{Latency: latency})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
