@@ -13,6 +13,8 @@
 //
 //	fairdms [-scans N] [-peaks N] [-dms addr] [-server-train]
 //
+// -scans counts the three warm-up scans, so it is at least 3.
+//
 // The workflow always reaches the fairDMS services over HTTP, through a
 // dmsapi.Client. With -dms they are a dmsd daemon (or a dmsrouter in front
 // of several); without it, fairdms serves them itself on a loopback port:
@@ -64,8 +66,21 @@ type report struct {
 	Reused     bool // the scan's model was already registered: nothing trained
 }
 
+// warmupScans is the number of scans the workflow ingests before its
+// first rapid-train action; -scans must cover them.
+const warmupScans = 3
+
+// errUsage marks a command line whose flags parse but that the workflow
+// cannot run; main exits 2 on it, as for a flag that does not parse.
+var errUsage = errors.New("usage")
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	err := run(os.Args[1:])
+	if errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, "fairdms:", err)
+		os.Exit(2)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 }
@@ -81,6 +96,10 @@ func run(args []string) error {
 	serverTrain := fs.Bool("server-train", false,
 		"train server-side via async /v1/train jobs (the services warm-start and register)")
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage, as flag.Parse did
+	if *scans < warmupScans {
+		fs.Usage()
+		return fmt.Errorf("%w: -scans %d: the workflow needs at least the %d warm-up scans", errUsage, *scans, warmupScans)
+	}
 
 	rng := rand.New(rand.NewSource(41))
 	schedule := datagen.DefaultBraggDrift(*scans * 6 / 10)
@@ -89,7 +108,7 @@ func run(args []string) error {
 	seq := schedule.BraggExperiment(42, *scans, *peaks)
 
 	var warmup []*codec.Sample
-	for i := 0; i < 3; i++ {
+	for i := 0; i < warmupScans; i++ {
 		warmup = append(warmup, seq[i]...)
 	}
 
@@ -122,7 +141,7 @@ func run(args []string) error {
 	}
 	log.Printf("fairdms: using fairDMS services at %s (%s)", addr, mode)
 
-	for scan := 3; scan < *scans; scan++ {
+	for scan := warmupScans; scan < *scans; scan++ {
 		rep, err := svc.rapidTrain(scan, seq[scan])
 		if err != nil {
 			return err

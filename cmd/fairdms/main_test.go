@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -127,5 +129,28 @@ func TestServerTrainNeedsTrainingPlane(t *testing.T) {
 	err := run([]string{"-dms", addr, "-scans", "4", "-server-train"})
 	if !errors.Is(err, dmsapi.ErrNotFound) {
 		t.Fatalf("-server-train without a training plane: got %v, want the train route's 404", err)
+	}
+}
+
+// TestTooFewScansIsAUsageError: a run shorter than the warm-up scans has
+// no workflow to run. run says so without touching the scans, and the
+// command exits 2 with the usage, as for a flag that does not parse.
+func TestTooFewScansIsAUsageError(t *testing.T) {
+	if args := os.Getenv("FAIRDMS_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"fairdms"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, n := range []string{"2", "0", "-1"} {
+		if err := run([]string{"-scans", n}); !errors.Is(err, errUsage) {
+			t.Errorf("-scans %s: %v, want a usage error", n, err)
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTooFewScansIsAUsageError$")
+	cmd.Env = append(os.Environ(), "FAIRDMS_TEST_MAIN_ARGS=-scans 2")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-scans 2") {
+		t.Fatalf("fairdms -scans 2: %v, output:\n%s", err, out)
 	}
 }

@@ -92,8 +92,9 @@ func marshalBody(v any) (data []byte, contentType string, err error) {
 	return data, contentTypeJSON, err
 }
 
-// unmarshalBody decodes a body into v by its Content-Type: frames when the
-// header says so, JSON for anything else (including no header at all).
+// unmarshalBody decodes a request body into v by its Content-Type: frames
+// when the header says so, JSON for anything else (including no header at
+// all).
 func unmarshalBody(contentType string, body []byte, v any) error {
 	if isFrames(contentType) {
 		return decodeFrames(body, v)

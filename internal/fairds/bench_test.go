@@ -9,6 +9,7 @@ import (
 	"fairdms/internal/codec"
 	"fairdms/internal/datagen"
 	"fairdms/internal/docstore"
+	"fairdms/internal/embed"
 	"fairdms/internal/tensor"
 )
 
@@ -121,6 +122,53 @@ func BenchmarkNearestMatches(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNearestMatchesServed is serve_scan's nearest request on the
+// data and embedder dmsd serves it with: 32,768 patch-11 Bragg samples,
+// embedded by the untrained autoencoder (hidden 64, dim 8, seed 1),
+// clustered with k 8 fit on the first 256-sample batch and ingested in
+// such batches, queried 64 samples at a time. It reports the distances a
+// query computes; BenchmarkNearestMatches's benchEmbedder data is the
+// shape where the radius window prunes least.
+func BenchmarkNearestMatchesServed(b *testing.B) {
+	const batch = 256
+	rng := rand.New(rand.NewSource(1))
+	regime := datagen.DefaultBraggRegime()
+	regime.Patch = 11
+	hist := regime.Generate(rng, 32_768)
+	e := embed.NewAutoencoder(rand.New(rand.NewSource(1)), regime.Patch*regime.Patch, 64, 8)
+	svc, err := New(e, docstore.NewStore().Collection("bench"), Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := Collate(hist[:batch])
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.FitClustersK(x, 8); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < len(hist); lo += batch {
+		if _, err := svc.IngestLabeled(hist[lo:lo+batch], "bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := make([][]*codec.Sample, 16)
+	for i := range queries {
+		queries[i] = regime.Generate(rng, 64)
+	}
+	before := svc.IndexStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.NearestMatches(queries[i%len(queries)], false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := svc.IndexStats()
+	b.ReportMetric(float64(after.Probed-before.Probed)/float64(after.Hits-before.Hits), "probed/query")
 }
 
 func BenchmarkDatasetPDF(b *testing.B) {

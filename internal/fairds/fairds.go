@@ -601,7 +601,9 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 	// Independent probes: spread the request's samples over workers when
 	// its scan work — samples × mean partition size × dim, in the float64
 	// elements vecindex.ForkElems is stated in — gives each worker enough
-	// to pay for its goroutine. The caller is worker 0.
+	// to pay for its goroutine. A query scans only a radius window of its
+	// partition, so this overstates the work; ForkElems records why the
+	// spread stays. The caller is worker 0.
 	work := len(samples) * (s.idx.Len() / s.km.K()) * len(rows[0])
 	workers := min(runtime.GOMAXPROCS(0), len(samples), work/vecindex.ForkElems)
 	var next atomic.Int64

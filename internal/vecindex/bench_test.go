@@ -24,9 +24,9 @@ func benchIndex(b *testing.B, idx Index, n int) []float64 {
 	return q
 }
 
-// BenchmarkNearestFlat is the single-query scan at partition sizes on both
-// sides of ForkElems (65,536 dim-8 vectors): run it with -cpu 1,2 to see
-// the fork's cost and gain — the numbers recorded on the constant.
+// BenchmarkNearestFlat is the single-query search at partition sizes from
+// 1,000 to 100,000 unclustered dim-8 vectors, where the radius window
+// covers most of the partition.
 func BenchmarkNearestFlat(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 50_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

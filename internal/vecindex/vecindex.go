@@ -7,11 +7,15 @@
 // in-memory scan of the cluster's slab, with no call to the store, local
 // or remote.
 //
-// Flat is the one implementation of the Index interface: exact nearest
-// neighbor by one sequential scan of the cluster's slab. fairDS has
-// already narrowed the search to one cluster, so a scan over that
-// partition is both exact and fast. Callers that wrap or substitute the
-// index (a tracing decorator, test doubles) do so through the interface.
+// Flat is the one implementation of the Index interface, and it is exact.
+// Each cluster's slab is kept in radius order: sorted by each vector's
+// distance from the partition's pivot, with the vectors added since the
+// last merge in an unsorted tail. By the triangle inequality a vector
+// whose radius differs from the query's by more than the best distance so
+// far cannot be nearer, so a query scans the tail and only the window of
+// the sorted run around its own radius, narrowing the window as it finds
+// nearer vectors. Callers that wrap or substitute the index (a tracing
+// decorator, test doubles) do so through the interface.
 //
 // Flat supports incremental Add on ingest, Remove, exclusion predicates
 // for the Fig. 9 distinct-draw loop, and full Rebuild for the §II-C
@@ -19,11 +23,12 @@
 //
 // Parallelism lives across queries, not inside them: a request brings many
 // queries (one per sample), and fairds spreads those over workers, each
-// calling Nearest. A query splits its own scan across goroutines only when
-// a single slab is past 2×ForkElems. Either way the distance reported for
-// a vector is Dist2 of it — a pure function of the query and the vector —
-// so answers do not depend on worker counts, and distances from different
-// shards of a cluster can be compared and merged exactly.
+// calling Nearest on its own goroutine. Every distance a scan computes is
+// Dist2 of the query and the vector — a pure function of the two — and
+// ties go to the lowest slot whatever order the rows are stored in, so
+// answers do not depend on worker counts, merges or the window, and
+// distances from different shards of a cluster can be compared and merged
+// exactly.
 //
 // A dim-8 scan — the served embedder's width — checks four vectors at a
 // time with simd.Dist8First, which runs in AVX2 where the CPU has it and
@@ -35,8 +40,6 @@ package vecindex
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fairdms/internal/simd"
 )
@@ -63,8 +66,9 @@ type Stats struct {
 	Size int `json:"size"`
 	// Queries counts Nearest calls.
 	Queries int64 `json:"queries"`
-	// Probed counts vectors distance-compared across all queries; Probed /
-	// Queries is the mean per-query scan width.
+	// Probed counts the distances computed across all queries: a query's
+	// tail and the rows of its radius window, not its whole partition.
+	// Probed / Queries is the mean per-query scan width.
 	Probed int64 `json:"probed"`
 	// Rejected counts Add calls refused for a dimension mismatch.
 	Rejected int64 `json:"rejected"`
@@ -107,79 +111,24 @@ func dimError(got, want int) error {
 
 // ForkElems is the smallest share of scan work, in float64 elements
 // (vectors × dim — what a worker streams, whatever the dimension), worth
-// handing to its own goroutine. scanNearest splits a slab only when every
-// worker gets at least this much, so a slab below 2×ForkElems is scanned
-// by the caller; fairds applies the same measure to a whole request
-// (queries × vectors × dim) when it spreads queries over workers.
+// handing to its own goroutine. fairds spreads a request's queries over
+// workers only when the request's work — queries × mean partition size ×
+// dim — gives each worker at least this much. A query itself never forks.
 //
-// Chosen from BenchmarkNearestFlat, dim 8, 2 vCPUs (Xeon 2.1 GHz VM),
-// go1.24, the AVX2 scan; µs per query, median of six runs, unforked
-// (-cpu 1) against a forced 2-worker split (-cpu 2 with this constant
-// lowered):
+// Measured across a request's queries (fairds.BenchmarkNearestMatches
+// shape, 4,096-vector partitions, dim 8, 2 vCPUs, Xeon 2.1 GHz VM, go1.24,
+// full-partition scans; µs per request, one worker against two): 4
+// queries (128 Ki elements) 32 → 40 µs, 8 queries 56 → 72 µs, 16 queries
+// 151 → 146 µs, 32 queries 327 → 245 µs, 64 queries 522 → 464 µs.
 //
-//	vectors  elements  unforked  split in 2
-//	  1,000     8 Ki      1.4       3.1
-//	  4,096    32 Ki      5.8       8.6
-//	 10,000    78 Ki       12        15
-//	 16,384   128 Ki       21        23
-//	 24,576   192 Ki       39        35
-//	 32,768   256 Ki       66        50
-//	 50,000   391 Ki      123        69
-//	100,000   781 Ki      239       164
-//
-// The split starts to pay between 192 Ki and 256 Ki elements per slab —
-// 96 to 128 Ki per worker — where it did for the scalar loop: in cache the
-// kernel is 3.3× faster, but past 128 Ki elements (1 MiB) a scan waits on
-// memory, and a second core brings a second cache. Starting and joining a
-// goroutine costs about what scanning 40 Ki elements in cache does. Across a request's queries
-// (fairds.BenchmarkNearestMatches shape, 4,096-vector partitions, same
-// method) the break-even did move, to about 512 Ki elements: 4 queries
-// (128 Ki elements) 32 → 40 µs, 8 queries 56 → 72 µs, 16 queries 151 →
-// 146 µs, 32 queries 327 → 245 µs, 64 queries 522 → 464 µs. The constant
-// stays at the slab split's break-even; a request of 256 to 512 Ki
-// elements — none of the benchmark's workloads — gives up ~15 µs to its
-// fork.
+// The measure counts whole partitions, so now that a query scans only its
+// radius window (about 660 of serve_scan's 5,468-vector partitions) it
+// overstates a request's work. Six pairs of 10 s fairbench serve_scan
+// runs, the spread against one worker, same host: read_p90_ms median 1.10
+// against 1.09, nearest_p50_ms 0.98 against 1.01, ops_s 1,255 against
+// 1,264, each inside the runs' own spread. The spread neither pays nor
+// costs there, and stays.
 const ForkElems = 128 << 10
-
-// scanNearest finds the closest vector to q in a flat slab of len(ids)
-// vectors of the given dim, skipping excluded IDs. It splits the slab
-// across goroutines only when each gets at least ForkElems elements. Ties
-// break toward the lowest slot, so results are deterministic regardless
-// of worker count and scheduling. Returns the winning slot (-1 if none)
-// and its squared distance.
-func scanNearest(vecs []float64, ids []string, dim int, q []float64, exclude func(string) bool) (int, float64) {
-	n := len(ids)
-	workers := min(runtime.GOMAXPROCS(0), n*dim/ForkElems)
-	if workers < 2 {
-		return scanRange(vecs, ids, dim, q, exclude, 0, n)
-	}
-	type best struct {
-		slot  int
-		dist2 float64
-	}
-	results := make([]best, workers)
-	chunk := (n + workers - 1) / workers
-	// Every share goes to a new goroutine and the caller waits: keeping one
-	// share for the caller leaves the other in its P's run-next slot, which
-	// idle Ps are slow to steal from (n=50,000: 196 µs against 132 µs).
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			slot, d2 := scanRange(vecs, ids, dim, q, exclude, w*chunk, min((w+1)*chunk, n))
-			results[w] = best{slot: slot, dist2: d2}
-		}(w)
-	}
-	wg.Wait()
-	bestSlot, bestD2 := -1, 0.0
-	for _, r := range results { // in worker order = slot order, so ties keep the lowest slot
-		if r.slot >= 0 && (bestSlot < 0 || r.dist2 < bestD2) {
-			bestSlot, bestD2 = r.slot, r.dist2
-		}
-	}
-	return bestSlot, bestD2
-}
 
 // Dist2 is the squared Euclidean distance every index scan computes for
 // one vector, exported so the brute-force oracles that tests hold an index
@@ -191,11 +140,11 @@ func Dist2(q, v []float64) float64 {
 }
 
 // scanRange is the one distance kernel: the sequential scan of slots
-// [lo, hi) of a slab, behind scanNearest and Dist2.
+// [lo, hi) of a slab, behind Dist2.
 //
 // The distance of one vector is a pure function of (q, v, dim) — the same
 // floating-point operations in the same order for every slot, slab size,
-// and worker split — because routed and single-node answers
+// and scan order — because routed and single-node answers
 // are compared, and merged, by exact distance. Squared differences go to
 // four running sums, element j of the largest multiple-of-four prefix to
 // sum j mod 4 and the up-to-three remaining elements to sum 0, combined as
