@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"crypto/rand"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -177,12 +178,24 @@ func (c *Client) roundTripUninstrumented(req *request) (*response, error) {
 		}
 		c.release(cc)
 		if resp.Err != "" {
-			return nil, errors.New(resp.Err)
+			return nil, &remoteError{msg: resp.Err, conflict: resp.Conflict}
 		}
 		return &resp, nil
 	}
 	return nil, fmt.Errorf("docstore: request failed after retry: %w", lastErr)
 }
+
+// remoteError is a failure the server reported, as the client returns
+// it: the server's message, matching ErrConflict under errors.Is when the
+// server's error did.
+type remoteError struct {
+	msg      string
+	conflict bool
+}
+
+func (e *remoteError) Error() string { return e.msg }
+
+func (e *remoteError) Is(target error) bool { return e.conflict && target == ErrConflict }
 
 // Ping verifies connectivity.
 func (c *Client) Ping() error {
@@ -191,7 +204,13 @@ func (c *Client) Ping() error {
 }
 
 // Insert stores a document in the named collection, returning its ID.
+// An empty id is replaced by a random 128-bit one before the first
+// attempt, so a retry re-sends the same id and the document lands once
+// (see ApplyTxn).
 func (c *Client) Insert(collection, id string, f Fields) (string, error) {
+	if id == "" {
+		id = rand.Text()
+	}
 	resp, err := c.roundTrip(&request{Op: opInsert, Collection: collection, ID: id, Fields: f})
 	if err != nil {
 		return "", err
@@ -199,9 +218,14 @@ func (c *Client) Insert(collection, id string, f Fields) (string, error) {
 	return resp.ID, nil
 }
 
-// InsertMany bulk-inserts documents, returning their IDs in order.
+// InsertMany bulk-inserts documents under random 128-bit IDs chosen
+// before the first attempt, returning the IDs in order.
 func (c *Client) InsertMany(collection string, batch []Fields) ([]string, error) {
-	resp, err := c.roundTrip(&request{Op: opInsertMany, Collection: collection, Batch: batch})
+	ids := make([]string, len(batch))
+	for i := range ids {
+		ids[i] = rand.Text()
+	}
+	resp, err := c.roundTrip(&request{Op: opInsertMany, Collection: collection, IDs: ids, Batch: batch})
 	if err != nil {
 		return nil, err
 	}
@@ -210,14 +234,21 @@ func (c *Client) InsertMany(collection string, batch []Fields) ([]string, error)
 
 // ApplyTxn commits ops against the named collection as one
 // all-or-nothing transaction (one WAL commit record on a durable
-// server), returning each op's target document ID in order. Note the
-// client retries once on a broken pooled connection: if the connection
-// dies after the server applied the transaction but before the response
-// arrived, the retry can re-submit it — the guarantee over the wire is
-// atomicity, not exactly-once (a re-submitted Add with explicit IDs
-// fails as a duplicate; with generated IDs it can double-insert).
+// server), returning each op's target document ID in order. The client
+// retries once on a broken pooled connection, so a transaction whose
+// reply was lost is sent again. Its adds land once all the same: each
+// Add without an ID gets a random 128-bit one before the first attempt,
+// and the server takes an Add that names a document with the same
+// fields as done. A re-sent Update or Delete is applied again.
 func (c *Client) ApplyTxn(collection string, ops []TxnOp) ([]string, error) {
-	resp, err := c.roundTrip(&request{Op: opTxn, Collection: collection, Ops: ops})
+	named := make([]TxnOp, len(ops))
+	for i, op := range ops {
+		if op.Kind == TxnAdd && op.ID == "" {
+			op.ID = rand.Text()
+		}
+		named[i] = op
+	}
+	resp, err := c.roundTrip(&request{Op: opTxn, Collection: collection, Ops: named})
 	if err != nil {
 		return nil, err
 	}

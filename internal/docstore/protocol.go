@@ -84,13 +84,15 @@ type request struct {
 	Ops        []TxnOp
 }
 
-// response is the server→client message. Err is empty on success. Seq
-// echoes the request's sequence number.
+// response is the server→client message. Err is empty on success, and
+// Conflict marks an Err that wraps ErrConflict. Seq echoes the request's
+// sequence number.
 type response struct {
-	Seq   uint64
-	Err   string
-	ID    string
-	IDs   []string
-	Docs  []Doc
-	Count int
+	Seq      uint64
+	Err      string
+	Conflict bool
+	ID       string
+	IDs      []string
+	Docs     []Doc
+	Count    int
 }

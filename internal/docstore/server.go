@@ -3,6 +3,7 @@ package docstore
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"math/rand"
@@ -179,6 +180,7 @@ func (s *Server) handle(req *request) *response {
 	resp := &response{}
 	fail := func(err error) *response {
 		resp.Err = err.Error()
+		resp.Conflict = errors.Is(err, ErrConflict)
 		return resp
 	}
 	if req.Op == opPing {
@@ -194,7 +196,17 @@ func (s *Server) handle(req *request) *response {
 		}
 		resp.ID = id
 	case opInsertMany:
-		ids, err := c.InsertMany(req.Batch)
+		if len(req.IDs) > 0 && len(req.IDs) != len(req.Batch) {
+			return fail(fmt.Errorf("docstore: insert many: %d ids for %d documents", len(req.IDs), len(req.Batch)))
+		}
+		ops := make([]TxnOp, len(req.Batch))
+		for i, f := range req.Batch {
+			ops[i] = TxnOp{Kind: TxnAdd, F: f}
+			if len(req.IDs) > 0 {
+				ops[i].ID = req.IDs[i]
+			}
+		}
+		ids, err := c.ApplyTxn(ops)
 		if err != nil {
 			return fail(err)
 		}

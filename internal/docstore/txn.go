@@ -1,9 +1,19 @@
 package docstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
+
+// ErrConflict marks an add that names an existing document with
+// different fields. An add that names one with the same fields is a
+// re-sent write and succeeds without applying again. Errors from a
+// Client match it under errors.Is too.
+var ErrConflict = errors.New("docstore: id names a document with other fields")
 
 // TxnKind discriminates the operations a transaction can carry.
 type TxnKind uint8
@@ -24,8 +34,9 @@ const (
 )
 
 // TxnOp is one operation of a transaction. For TxnAdd an empty ID asks
-// the collection to assign a sequential one; TxnUpdate and TxnDelete
-// require the ID. F is ignored for TxnDelete.
+// the collection to assign a sequential one, and an ID that names a
+// document with the same fields makes the add a no-op; TxnUpdate and
+// TxnDelete require the ID. F is ignored for TxnDelete.
 type TxnOp struct {
 	Kind TxnKind
 	ID   string
@@ -62,6 +73,11 @@ type commitLogger interface {
 // span stripes (Find, FindIDs, SampleIDs) lock one stripe at a time, so
 // they can see the batch on one stripe and not yet on another. Returns
 // the target document ID of each op, aligned with ops.
+//
+// An Add whose ID already names a document with the same fields (after
+// normalization) succeeds without applying or logging anything: a write
+// re-sent after its reply was lost lands once. With different fields it
+// fails with an error wrapping ErrConflict, and the batch applies nothing.
 //
 // lint:holds c.shardFor(id).mu s.mu
 // (every touched shard is write-locked by lockShards before any docs
@@ -115,6 +131,7 @@ func (c *Collection) ApplyTxn(ops []TxnOp) ([]string, error) {
 	// with a nil doc is a tombstone.
 	type pending struct{ d *Doc }
 	over := make(map[string]*pending, len(staged))
+	logged := make([]TxnOp, 0, len(staged)) // staged minus re-sent adds
 	lookup := func(id string) (*Doc, bool) {
 		if p, ok := over[id]; ok {
 			return p.d, p.d != nil
@@ -125,8 +142,11 @@ func (c *Collection) ApplyTxn(ops []TxnOp) ([]string, error) {
 	for i, op := range staged {
 		switch op.Kind {
 		case TxnAdd:
-			if _, exists := lookup(op.ID); exists {
-				return nil, fmt.Errorf("docstore: txn op %d: duplicate id %q in collection %q", i, op.ID, c.name)
+			if cur, exists := lookup(op.ID); exists {
+				if sameFields(cur.F, op.F) {
+					continue
+				}
+				return nil, fmt.Errorf("docstore: txn op %d: duplicate id %q in collection %q: %w", i, op.ID, c.name, ErrConflict)
 			}
 			d := &Doc{ID: op.ID, F: op.F}
 			if err := c.shardFor(op.ID).checkIndexableLocked(c.name, d); err != nil {
@@ -153,13 +173,14 @@ func (c *Collection) ApplyTxn(ops []TxnOp) ([]string, error) {
 			}
 			over[op.ID] = &pending{}
 		}
+		logged = append(logged, op)
 	}
 
 	// Durability point: one WAL commit record for the whole batch. The
 	// release callback ends the checkpoint-exclusion window after the
 	// in-memory apply below.
-	if c.logger != nil {
-		rec := walCommit{Collection: c.name, NextID: c.nextID.Load(), Ops: staged}
+	if c.logger != nil && len(logged) > 0 {
+		rec := walCommit{Collection: c.name, NextID: c.nextID.Load(), Ops: logged}
 		release, err := c.logger.logTxn(&rec)
 		if err != nil {
 			return nil, err
@@ -230,4 +251,40 @@ func (s *shard) checkIndexableLocked(collection string, d *Doc) error {
 		}
 	}
 	return nil
+}
+
+// sameFields reports whether two normalized field sets hold the same
+// values, floats compared bit for bit: the test that tells a re-sent add
+// from a conflicting one.
+func sameFields(a, b Fields) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, av := range a {
+		bv, ok := b[k]
+		if !ok || !sameValue(av, bv) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameValue(a, b any) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && sameBits(x, y)
+	case []float64:
+		y, ok := b.([]float64)
+		return ok && slices.EqualFunc(x, y, sameBits)
+	case []byte:
+		y, ok := b.([]byte)
+		return ok && bytes.Equal(x, y)
+	case []string:
+		y, ok := b.([]string)
+		return ok && slices.Equal(x, y)
+	default: // nil, string, int64 and bool compare as values
+		return a == b
+	}
 }

@@ -1,11 +1,15 @@
 package docstore
 
 import (
+	"errors"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+
+	"fairdms/internal/wal"
 )
 
 func TestApplyTxnAllOps(t *testing.T) {
@@ -201,5 +205,64 @@ func TestTxnSurvivesMidTxnConnectionDrop(t *testing.T) {
 		if _, err := c.Get(id); err != nil {
 			t.Fatalf("doc %s missing after retried txn: %v", id, err)
 		}
+	}
+}
+
+// TestReSentAddLandsOnce: an add naming a document with the same fields
+// is a re-sent write. It succeeds, applies nothing and appends no WAL
+// record; with other fields it is a conflict and its batch applies
+// nothing, in process and over the wire.
+func TestReSentAddLandsOnce(t *testing.T) {
+	ds := openDurable(t, t.TempDir(), DurableOptions{Policy: wal.SyncAlways})
+	defer ds.Close()
+	c := ds.Collection("peaks")
+	f := Fields{"n": 1, "x": math.NaN(), "v": []float64{math.Copysign(0, -1), 2}, "b": []byte{}, "s": []string{"a"}}
+	for try := 0; try < 2; try++ {
+		ids, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: "a", F: f}, {Kind: TxnAdd, ID: "a", F: f}})
+		if err != nil || len(ids) != 2 || ids[0] != "a" || ids[1] != "a" {
+			t.Fatalf("try %d: ids = %v, err = %v", try, ids, err)
+		}
+	}
+	if n := ds.WalStats().Appends; n != 1 {
+		t.Fatalf("WAL appends = %d; want 1 (re-sent adds log nothing)", n)
+	}
+	if c.Count() != 1 {
+		t.Fatalf("count = %d; want 1", c.Count())
+	}
+
+	more := cloneFields(f)
+	more["t"] = true
+	for _, other := range []Fields{{"n": 2}, {"n": 1.0, "x": math.NaN()}, {}, more} {
+		_, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: "b", F: Fields{"n": 3}}, {Kind: TxnAdd, ID: "a", F: other}})
+		if !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), "duplicate id") {
+			t.Fatalf("add of a with %v: err = %v; want a duplicate-id ErrConflict", other, err)
+		}
+	}
+	if _, err := c.Get("b"); err == nil {
+		t.Fatal("b leaked from a batch holding a conflict")
+	}
+
+	_, addr := startTestServer(t, ServerConfig{})
+	cl, err := Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	id, err := cl.Insert("peaks", "", Fields{"n": 1})
+	if err != nil || id == "" {
+		t.Fatalf("insert: id %q, err %v", id, err)
+	}
+	if again, err := cl.Insert("peaks", id, Fields{"n": 1}); err != nil || again != id {
+		t.Fatalf("re-sent insert: id %q, err %v; want %q, nil", again, err, id)
+	}
+	if _, err := cl.Insert("peaks", id, Fields{"n": 2}); !errors.Is(err, ErrConflict) {
+		t.Fatalf("conflicting insert over the wire: err = %v; want ErrConflict", err)
+	}
+	ids, err := cl.InsertMany("peaks", []Fields{{"n": 1}, {"n": 1}})
+	if err != nil || len(ids) != 2 || ids[0] == ids[1] || ids[0] == id {
+		t.Fatalf("InsertMany ids = %v, err %v; want two new distinct ids", ids, err)
+	}
+	if n, err := cl.Count("peaks", Query{}); err != nil || n != 3 {
+		t.Fatalf("count over the wire = %d, %v; want 3", n, err)
 	}
 }
