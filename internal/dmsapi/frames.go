@@ -31,7 +31,7 @@ import (
 //
 // The decoder only frames: it checks the magic, that every declared count
 // fits in what is left of the body, and that nothing trails the last
-// sample. Dtype, shape and payload length are decodeSample's to validate,
+// sample. Dtype, shape and payload length are DecodeSample's to validate,
 // exactly as for a JSON body. Decoded Data aliases the body buffer, so a
 // body buffer is never pooled or reused.
 

@@ -375,7 +375,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 	valid := make([]*codec.Sample, 0, len(req.Samples))
 	validIdx := make([]int, 0, len(req.Samples))
 	for i := range req.Samples {
-		smp, err := decodeSample(req.Samples[i])
+		smp, err := DecodeSample(req.Samples[i])
 		if err != nil {
 			resp.Errors = append(resp.Errors, DocError{Index: i, Error: err.Error()})
 			continue
@@ -927,7 +927,7 @@ func decodeSamples(ws []Sample) ([]*codec.Sample, error) {
 	}
 	out := make([]*codec.Sample, len(ws))
 	for i := range ws {
-		s, err := decodeSample(ws[i])
+		s, err := DecodeSample(ws[i])
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "sample %d: %v", i, err)
 		}
@@ -936,10 +936,11 @@ func decodeSamples(ws []Sample) ([]*codec.Sample, error) {
 	return out, nil
 }
 
-// decodeSample converts and validates one untrusted wire sample. The batch
+// DecodeSample converts and validates one untrusted wire sample. The batch
 // endpoint calls it per document so one bad sample yields a DocError
-// instead of failing the whole request.
-func decodeSample(w Sample) (*codec.Sample, error) {
+// instead of failing the whole request; dmsrouter calls it on every sample
+// of an all-or-nothing ingest before scattering any of them.
+func DecodeSample(w Sample) (*codec.Sample, error) {
 	if d := codec.Dtype(w.Dtype); d < codec.U8 || d > codec.F64 {
 		return nil, fmt.Errorf("unknown dtype %d", w.Dtype)
 	}

@@ -122,8 +122,24 @@ func (rt *Router) registerMetrics() {
 
 // ingest serves the non-batch endpoint, which is all-or-nothing on a
 // single node; the router preserves that contract over the batch-shaped
-// scatter.
+// scatter. A shard commits the valid rest of a sub-batch, so every sample
+// is checked here, as dmsd checks it, before any is sent: a malformed
+// sample or one of another width than sample 0 refuses the request whole.
 func (rt *Router) ingest(ctx context.Context, req dmsapi.IngestRequest) (dmsapi.IngestResponse, error) {
+	width := 0
+	for i, w := range req.Samples {
+		smp, err := dmsapi.DecodeSample(w)
+		if err == nil && i > 0 && smp.Elems() != width {
+			err = fmt.Errorf("%d elements, sample 0 has %d", smp.Elems(), width)
+		}
+		if err != nil {
+			return dmsapi.IngestResponse{}, &dmsapi.StatusError{
+				Code: http.StatusBadRequest, ErrCode: dmsapi.CodeBadRequest,
+				Message: fmt.Sprintf("sample %d: %v", i, err),
+			}
+		}
+		width = smp.Elems()
+	}
 	resp, err := rt.cluster.Ingest(ctx, dmsapi.IngestBatchRequest{Dataset: req.Dataset, Samples: req.Samples})
 	if err != nil {
 		return dmsapi.IngestResponse{}, err

@@ -9,14 +9,11 @@ package docstore
 // equality filters) and hash-index creation.
 //
 // Requests carry a connection-scoped sequence number and the server
-// echoes it back on the matching response. The server decodes ahead of
-// its handlers and runs each request on a per-connection worker pool, so
-// a peer that pipelines requests on one connection may get the responses
-// back in completion order and must match them by Seq. Client does not
-// pipeline: it keeps one request in flight per connection (acquire,
-// encode, decode, release), takes its concurrency from its connection
-// pool, and uses the echoed Seq only to detect a desynchronized stream,
-// whose connection it discards.
+// echoes it back on the matching response. The server serves a
+// connection's requests one at a time, in order. Client keeps one request
+// in flight per connection (acquire, encode, decode, release), takes its
+// concurrency from its connection pool, and uses the echoed Seq to detect
+// a desynchronized stream, whose connection it discards.
 
 type reqOp uint8
 

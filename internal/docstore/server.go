@@ -13,11 +13,6 @@ import (
 	"time"
 )
 
-// connWorkers bounds how many requests from one connection are handled
-// concurrently. Client keeps one request in flight per connection, so
-// only a peer that pipelines requests reaches this bound.
-const connWorkers = 8
-
 // ServerConfig tunes a document-store server.
 type ServerConfig struct {
 	// Latency is an artificial per-request delay, used to emulate the
@@ -35,11 +30,9 @@ type ServerConfig struct {
 }
 
 // Server exposes a Store over TCP. Each accepted connection is served by
-// its own goroutine, so parallel clients — each Client connection carries
-// one request at a time — read and write concurrently; the store's shard
-// locks are the only serialization point. A connection's requests run on
-// a bounded worker pool, so a peer that pipelines them on one connection
-// is served concurrently too.
+// its own goroutine, one request at a time, so parallel clients — each
+// Client connection carries one request at a time — read and write
+// concurrently; the store's shard locks are the only serialization point.
 type Server struct {
 	store *Store
 	cfg   ServerConfig
@@ -113,17 +106,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn decodes requests off the connection and hands each to the
-// per-connection worker pool. The decode loop never waits on request
-// handling (only on pool admission): a Client's connection carries one
-// request at a time, but a peer that pipelines gets up to connWorkers of
-// them run concurrently. Responses carry the request's Seq and are
-// serialized onto the connection by a write mutex in completion order.
+// serveConn serves the connection's requests one at a time, in order:
+// decode, handle, encode the response with the request's Seq, then (under
+// fault injection) maybe drop the connection. Client keeps one request in
+// flight per connection and takes its concurrency from its connection
+// pool, so concurrent clients are served by concurrent connections.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	var handlers sync.WaitGroup
 	defer func() {
-		handlers.Wait()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -131,8 +121,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex
-	pool := make(chan struct{}, connWorkers)
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
@@ -141,38 +129,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		pool <- struct{}{}
-		handlers.Add(1)
-		go func(req request) {
-			defer func() {
-				<-pool
-				handlers.Done()
-			}()
-			if s.cfg.Latency > 0 {
-				time.Sleep(s.cfg.Latency)
+		if s.cfg.Latency > 0 {
+			time.Sleep(s.cfg.Latency)
+		}
+		resp := s.handle(&req)
+		resp.Seq = req.Seq
+		s.served.Add(1)
+		if err := enc.Encode(resp); err != nil {
+			if s.cfg.Logger != nil {
+				s.cfg.Logger.Printf("docstore server: encode: %v", err)
 			}
-			resp := s.handle(&req)
-			resp.Seq = req.Seq
-			s.served.Add(1)
-			wmu.Lock()
-			err := enc.Encode(resp)
-			wmu.Unlock()
-			if err != nil {
-				if s.cfg.Logger != nil {
-					s.cfg.Logger.Printf("docstore server: encode: %v", err)
-				}
-				conn.Close() // unblocks the decode loop
-				return
+			return
+		}
+		if s.cfg.FaultRate > 0 {
+			s.faultMu.Lock()
+			drop := s.faultRN.Float64() < s.cfg.FaultRate
+			s.faultMu.Unlock()
+			if drop {
+				return // abruptly drop the connection
 			}
-			if s.cfg.FaultRate > 0 {
-				s.faultMu.Lock()
-				drop := s.faultRN.Float64() < s.cfg.FaultRate
-				s.faultMu.Unlock()
-				if drop {
-					conn.Close() // abruptly drop the connection
-				}
-			}
-		}(req)
+		}
 	}
 }
 

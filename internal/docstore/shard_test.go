@@ -1,12 +1,9 @@
 package docstore
 
 import (
-	"encoding/gob"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestShardCountIsPowerOfTwo(t *testing.T) {
@@ -203,49 +200,6 @@ func TestClientPoolIsHardCap(t *testing.T) {
 	n, err := cl.Count("c", Query{})
 	if err != nil || n != workers*perWorker {
 		t.Fatalf("count = %d err=%v", n, err)
-	}
-}
-
-// TestServerHandlesPipelinedRequestsConcurrently speaks the wire protocol
-// directly, as a peer that pipelines (Client does not): K requests on one
-// connection against a server with per-request latency must complete in
-// roughly one latency period (the connWorkers pool, K ≤ connWorkers), not K
-// of them (sequential), and every response's Seq must match a request.
-func TestServerHandlesPipelinedRequestsConcurrently(t *testing.T) {
-	const latency = 100 * time.Millisecond
-	const k = 4
-	_, addr := startTestServer(t, ServerConfig{Latency: latency})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	start := time.Now()
-	for i := 1; i <= k; i++ {
-		if err := enc.Encode(&request{Seq: uint64(i), Op: opPing}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < k; i++ {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err != "" {
-			t.Fatalf("ping %d: %s", resp.Seq, resp.Err)
-		}
-		if resp.Seq < 1 || resp.Seq > k || seen[resp.Seq] {
-			t.Fatalf("bad or duplicate response seq %d", resp.Seq)
-		}
-		seen[resp.Seq] = true
-	}
-	elapsed := time.Since(start)
-	if sequential := time.Duration(k) * latency; elapsed >= sequential-latency/2 {
-		t.Fatalf("pipelined requests took %v; sequential handling would take %v", elapsed, sequential)
 	}
 }
 

@@ -111,8 +111,7 @@ func BenchmarkNearest(b *testing.B) {
 }
 
 // BenchmarkNearestMatches is the serve_scan request: 64 samples against a
-// 32k corpus in 8 clusters (~4k-vector partitions). Run it with -cpu 1,2
-// to see what spreading the request's probes over workers buys.
+// 32k corpus in 8 clusters (~4k-vector partitions).
 func BenchmarkNearestMatches(b *testing.B) {
 	svc, query := benchService(b, 32_768)
 	b.ReportAllocs()

@@ -93,23 +93,29 @@ func TestRefitBesideServing(t *testing.T) {
 			return nil
 		},
 	}
+	// The fits start only once every reader has completed one call: at
+	// GOMAXPROCS 1 the writer would otherwise finish before any reader ran.
+	// A reader releases the barrier after its first call, failed or not.
+	var started sync.WaitGroup
+	started.Add(len(readers))
 	for _, read := range readers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			err := read(0)
+			started.Done()
+			for i := 1; err == nil; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := read(i); err != nil {
-					t.Error(err)
-					return
-				}
+				err = read(i)
 			}
+			t.Error(err)
 		}()
 	}
+	started.Wait()
 
 	err := func() error {
 		for round := 0; round < 4; round++ {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -580,48 +579,19 @@ func (s *Service) NearestMatchesExcluding(ctx context.Context, samples []*codec.
 	if distinct || len(used) > 0 {
 		skip = func(id string) bool { return used[id] }
 	}
-	probe := func(i int) string {
+	// One probe per sample, in input order on this goroutine; a distinct
+	// draw is greedy, so each sees the ones before it.
+	for i := range samples {
 		res, ok := s.idx.Nearest(assign[i], rows[i], skip)
 		if !ok {
 			out[i] = Match{Dist: math.Inf(1)}
-			return ""
+			continue
 		}
 		out[i] = Match{DocID: res.ID, Dist: math.Sqrt(res.Dist2)}
-		return res.ID
-	}
-	if distinct {
-		// Greedy in input order: each draw sees the ones before it.
-		for i := range samples {
-			if id := probe(i); id != "" {
-				used[id] = true
-			}
-		}
-		return out, nil
-	}
-	// Independent probes: spread the request's samples over workers when
-	// its scan work — samples × mean partition size × dim, in the float64
-	// elements vecindex.ForkElems is stated in — gives each worker enough
-	// to pay for its goroutine. A query scans only a radius window of its
-	// partition, so this overstates the work; ForkElems records why the
-	// spread stays. The caller is worker 0.
-	work := len(samples) * (s.idx.Len() / s.km.K()) * len(rows[0])
-	workers := min(runtime.GOMAXPROCS(0), len(samples), work/vecindex.ForkElems)
-	var next atomic.Int64
-	drain := func() {
-		for i := int(next.Add(1)) - 1; i < len(samples); i = int(next.Add(1)) - 1 {
-			probe(i)
+		if distinct {
+			used[res.ID] = true
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
 	return out, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"fairdms/internal/codec"
 	"fairdms/internal/docstore"
@@ -14,49 +13,21 @@ import (
 )
 
 // seamIndex decorates the Nearest seam the way fairbench's tracer does,
-// counting calls and noticing when two are in flight at once. With hold
-// set, a call waits for a second one to arrive, which makes "the request
-// was spread over workers" an event rather than a race.
+// counting calls.
 type seamIndex struct {
 	vecindex.Index
-	hold     bool
-	calls    atomic.Int64
-	inflight atomic.Int64
-	once     sync.Once
-	overlap  chan struct{} // closed when two Nearest calls overlap
+	calls atomic.Int64
 }
 
-func newSeamIndex() *seamIndex {
-	return &seamIndex{Index: vecindex.NewFlat(), overlap: make(chan struct{})}
-}
+func newSeamIndex() *seamIndex { return &seamIndex{Index: vecindex.NewFlat()} }
 
 func (x *seamIndex) Nearest(cluster int, q []float64, exclude func(string) bool) (vecindex.Result, bool) {
 	x.calls.Add(1)
-	if x.inflight.Add(1) == 2 {
-		x.once.Do(func() { close(x.overlap) })
-	}
-	defer x.inflight.Add(-1)
-	if x.hold {
-		select {
-		case <-x.overlap:
-		case <-time.After(5 * time.Second):
-		}
-	}
 	return x.Index.Nearest(cluster, q, exclude)
 }
 
-func (x *seamIndex) overlapped() bool {
-	select {
-	case <-x.overlap:
-		return true
-	default:
-		return false
-	}
-}
-
-// scanSizedService ingests a corpus whose partitions (~2,000 6-dim vectors
-// in each of 4 clusters) make a 64-sample request worth spreading over
-// workers and an 8-sample one not.
+// scanSizedService ingests 8,000 6-dim vectors in 4 clusters (~2,000 a
+// partition) and returns a 64-sample request, the size serve_scan sends.
 func scanSizedService(t *testing.T, idx vecindex.Index) (*Service, []*codec.Sample) {
 	t.Helper()
 	svc, err := New(idEmbedder{dim: 6}, docstore.NewStore().Collection("peaks"), Config{Seed: 1, Index: idx})
@@ -74,9 +45,6 @@ func scanSizedService(t *testing.T, idx vecindex.Index) (*Service, []*codec.Samp
 	}
 	if _, err := svc.IngestLabeled(hist, "hist"); err != nil {
 		t.Fatal(err)
-	}
-	if work := 64 * (len(hist) / 4) * 6; work < 2*vecindex.ForkElems {
-		t.Fatalf("fixture too small to fan out: %d elements of scan work", work)
 	}
 	qa, qb := twoRegimes(17, 32)
 	return svc, append(qa, qb...)
@@ -132,40 +100,8 @@ func TestNearestMatchesIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
-// TestFanOutFollowsTheWork pins when a request's probes run side by side:
-// never on one processor, never for a distinct draw or a small request,
-// and always for a scan-sized plain request on several processors.
-func TestFanOutFollowsTheWork(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		procs    int
-		samples  int
-		distinct bool
-		want     bool
-	}{
-		{"one processor", 1, 64, false, false},
-		{"distinct draw", 4, 64, true, false},
-		{"small request", 4, 8, false, false},
-		{"scan-sized request", 4, 64, false, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			idx := newSeamIndex()
-			svc, query := scanSizedService(t, idx)
-			idx.hold = tc.want // only wait for an overlap that must come
-			atProcs(tc.procs, func() {
-				if _, err := svc.NearestMatches(query[:tc.samples], tc.distinct); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got := idx.overlapped(); got != tc.want {
-				t.Fatalf("probes overlapped = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestNearestMatchesDuringIngest runs fanned-out reads beside batch
-// ingest; its assertions are modest, the race detector is the judge.
+// TestNearestMatchesDuringIngest runs reads beside batch ingest; its
+// assertions are modest, the race detector is the judge.
 func TestNearestMatchesDuringIngest(t *testing.T) {
 	svc, query := scanSizedService(t, vecindex.NewFlat())
 	atProcs(4, func() {

@@ -38,10 +38,7 @@ type system struct {
 	rng   *rand.Rand
 }
 
-// buildRemoteSystem assembles a system. Over the healthy link the zoo is
-// kept in the store too; the faulty link keeps a memory-only zoo (the
-// client's retry after a dropped connection can re-send a commit that
-// already applied — ROADMAP item 3).
+// buildRemoteSystem assembles a system, its zoo kept in the store too.
 func buildRemoteSystem(t *testing.T, faulty bool) *system {
 	t.Helper()
 	cfg := docstore.ServerConfig{}
@@ -90,11 +87,9 @@ func buildRemoteSystem(t *testing.T, faulty bool) *system {
 		t.Fatal(err)
 	}
 
-	zoo := fairms.NewZoo()
-	if !faulty {
-		if zoo, err = fairms.OpenZoo(store.Sibling(".zoo")); err != nil {
-			t.Fatal(err)
-		}
+	zoo, err := fairms.OpenZoo(store.Sibling(".zoo"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	m := models.NewBraggNN(rng, patch)
 	hy := labelTensor(hist)

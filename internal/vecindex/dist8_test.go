@@ -130,8 +130,8 @@ func FuzzScanRange(f *testing.F) {
 	})
 }
 
-// TestScanAllocatesNothing holds a query below the fork threshold, with
-// and without an exclusion set, to zero allocations.
+// TestScanAllocatesNothing holds a query, with and without an exclusion
+// set, to zero allocations.
 func TestScanAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	idx := NewFlat()

@@ -16,8 +16,8 @@ import (
 // unsorted tail behind that run. A query scans the tail in full and, of
 // the run, only the window of radii that the triangle inequality cannot
 // rule out; see search. Queries take a read lock, so concurrent Nearest
-// calls — a request's queries, spread over workers by fairds — proceed in
-// parallel; Add/Remove/Rebuild serialize briefly.
+// calls — concurrent requests' queries — proceed in parallel;
+// Add/Remove/Rebuild serialize briefly.
 type Flat struct {
 	mu    sync.RWMutex
 	dim   int                    // 0 until the first Add/Rebuild fixes it

@@ -32,9 +32,6 @@ func withProcs(procs int, f func()) {
 	f()
 }
 
-// pastFork is a partition size whose slab splits across workers.
-func pastFork(dim int) int { return 2*ForkElems/dim + 3 }
-
 func TestDist2FollowsTheDocumentedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for dim := 1; dim <= 19; dim++ {
@@ -49,8 +46,8 @@ func TestDist2FollowsTheDocumentedOrder(t *testing.T) {
 
 // TestDistanceIsAPureFunctionOfTheVector is the contract the cluster's
 // exact merge rests on: one vector's Dist2 has the same bits whatever its
-// slot, however large its partition (one vector to past the fork
-// threshold) and however many workers scan.
+// slot, however large its partition (one vector to 20,167–43,693 of
+// them) and at any GOMAXPROCS.
 func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 	for _, dim := range []int{8, 6, 13} {
 		rng := rand.New(rand.NewSource(int64(dim)))
@@ -62,7 +59,8 @@ func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 			v[0] += 100
 			return v
 		}
-		for _, n := range []int{1, 2, 7, 3000, pastFork(dim)} {
+		large := map[int]int{8: 32771, 6: 43693, 13: 20167}[dim]
+		for _, n := range []int{1, 2, 7, 3000, large} {
 			for _, slot := range []int{0, n / 2, n - 1} {
 				for name, idx := range testIndexes() {
 					for i := 0; i < n; i++ {
@@ -89,15 +87,15 @@ func TestDistanceIsAPureFunctionOfTheVector(t *testing.T) {
 	}
 }
 
-// TestTiesBreakToTheLowestSlot plants one vector at several slots — on
-// both sides of a worker boundary when the slab forks — and requires the
-// lowest eligible slot to win.
+// TestTiesBreakToTheLowestSlot plants one vector at several slots, from
+// the front of the partition to its back, and requires the lowest
+// eligible slot to win.
 func TestTiesBreakToTheLowestSlot(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const dim = 8
 	twin, q := randVec(rng, dim), randVec(rng, dim)
-	for _, n := range []int{64, pastFork(dim)} {
-		twins := []int{5, n / 4, n/2 + 1, n - 2} // with 2–4 workers, in different chunks
+	for _, n := range []int{64, 32771} {
+		twins := []int{5, n / 4, n/2 + 1, n - 2}
 		isTwin := make(map[int]bool)
 		for _, s := range twins {
 			isTwin[s] = true

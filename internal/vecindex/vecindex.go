@@ -21,14 +21,12 @@
 // for the Fig. 9 distinct-draw loop, and full Rebuild for the §II-C
 // reindex pass. All methods are safe for concurrent use.
 //
-// Parallelism lives across queries, not inside them: a request brings many
-// queries (one per sample), and fairds spreads those over workers, each
-// calling Nearest on its own goroutine. Every distance a scan computes is
-// Dist2 of the query and the vector — a pure function of the two — and
-// ties go to the lowest slot whatever order the rows are stored in, so
-// answers do not depend on worker counts, merges or the window, and
-// distances from different shards of a cluster can be compared and merged
-// exactly.
+// A query never forks; concurrent requests call Nearest on their own
+// goroutines. Every distance a scan computes is Dist2 of the query and the
+// vector — a pure function of the two — and ties go to the lowest slot
+// whatever order the rows are stored in, so answers do not depend on
+// GOMAXPROCS, merges or the window, and distances from different shards of
+// a cluster can be compared and merged exactly.
 //
 // A dim-8 scan — the served embedder's width — checks four vectors at a
 // time with simd.Dist8First, which runs in AVX2 where the CPU has it and
@@ -108,27 +106,6 @@ var ErrDimMismatch = errors.New("vecindex: vector dimension mismatch")
 func dimError(got, want int) error {
 	return fmt.Errorf("%w: got %d, index holds %d-dimensional vectors", ErrDimMismatch, got, want)
 }
-
-// ForkElems is the smallest share of scan work, in float64 elements
-// (vectors × dim — what a worker streams, whatever the dimension), worth
-// handing to its own goroutine. fairds spreads a request's queries over
-// workers only when the request's work — queries × mean partition size ×
-// dim — gives each worker at least this much. A query itself never forks.
-//
-// Measured across a request's queries (fairds.BenchmarkNearestMatches
-// shape, 4,096-vector partitions, dim 8, 2 vCPUs, Xeon 2.1 GHz VM, go1.24,
-// full-partition scans; µs per request, one worker against two): 4
-// queries (128 Ki elements) 32 → 40 µs, 8 queries 56 → 72 µs, 16 queries
-// 151 → 146 µs, 32 queries 327 → 245 µs, 64 queries 522 → 464 µs.
-//
-// The measure counts whole partitions, so now that a query scans only its
-// radius window (about 660 of serve_scan's 5,468-vector partitions) it
-// overstates a request's work. Six pairs of 10 s fairbench serve_scan
-// runs, the spread against one worker, same host: read_p90_ms median 1.10
-// against 1.09, nearest_p50_ms 0.98 against 1.01, ops_s 1,255 against
-// 1,264, each inside the runs' own spread. The spread neither pays nor
-// costs there, and stays.
-const ForkElems = 128 << 10
 
 // Dist2 is the squared Euclidean distance every index scan computes for
 // one vector, exported so the brute-force oracles that tests hold an index
