@@ -256,12 +256,13 @@ func addModelTolerateDuplicate(client *dmsapi.Client, id string, state *nn.State
 // is set, it fine-tunes here through trainer.Fit, the fit step a /v1/train
 // job runs, with the spec rapidTrainServer submits. It registers
 // through POST /v1/models rather than submitting a /v1/train job because
-// of the CI cluster smoke, which runs several of these clients at once
-// through a dmsrouter: they register the same model ids, a duplicate add
-// is a 409 each client tolerates, but two same-id train jobs land on one
-// shard, where the loser fails or finds no checkpoint to download yet. It
-// moves onto /v1/train once model registration is idempotent and
-// train-registered models reach every shard (both open in ROADMAP.md).
+// several of these clients may run at once through a dmsrouter, as four do
+// in internal/e2e's cluster test: they register the same model ids, a
+// duplicate add is a 409 each client tolerates, but two same-id train jobs
+// land on one shard, where the loser fails or finds no checkpoint to
+// download yet. It moves onto /v1/train once model registration is
+// idempotent and train-registered models reach every shard (both open in
+// ROADMAP.md).
 func (svc *services) rapidTrain(scan int, samples []*codec.Sample) (*report, error) {
 	if svc.serverTrain {
 		return svc.rapidTrainServer(scan, samples)

@@ -50,9 +50,10 @@ func startServer(t *testing.T, trainWorkers int) (string, *dmsapi.Client) {
 	return addr, client
 }
 
-// TestRemoteWorkflow drives the client the CI smokes stand on: first with
-// no -dms, against the services fairdms serves itself, then against an
-// in-process dmsd-shaped server — the Fig. 5 workflow with local
+// TestRemoteWorkflow drives, in process, the client internal/e2e runs
+// against the real daemons: first with no -dms, against the services
+// fairdms serves itself, then against an in-process dmsd-shaped server —
+// the Fig. 5 workflow with local
 // fine-tuning, then with server-side training, then the server-side run
 // again against the same (now populated) server — the re-run must reuse
 // the scan's registered model through the submit-time 409 rather than
@@ -120,10 +121,10 @@ func trainCounters(t *testing.T, c *dmsapi.Client) map[string]float64 {
 	return out
 }
 
-// TestServerTrainNeedsTrainingPlane pins the failure the dmsd smoke relies
-// on: against a daemon with no training plane (-train-workers 0) the
-// -server-train run returns an error — a non-zero exit — instead of
-// quietly deploying nothing.
+// TestServerTrainNeedsTrainingPlane pins the failure that gives
+// internal/e2e's -server-train runs their meaning: against a daemon with
+// no training plane (-train-workers 0) the -server-train run returns an
+// error — a non-zero exit — instead of quietly deploying nothing.
 func TestServerTrainNeedsTrainingPlane(t *testing.T) {
 	addr, _ := startServer(t, 0)
 	err := run([]string{"-dms", addr, "-scans", "4", "-server-train"})

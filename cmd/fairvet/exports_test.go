@@ -29,13 +29,11 @@ var testOnlyKeep = map[string]string{
 	"fsx.NewFaultFS":    "fixture: the crash sweeps cut writes through it",
 	"fsx.FaultFS.Crash": "fixture: the crash sweeps drop unsynced state through it",
 
-	"experiments.CurveSet.EpochsTo":              "result predicate: shape tests and the quality golden's -check read it",
-	"experiments.CurvesResult.BAlwaysFirst":      "result predicate: shape tests and the quality golden's -check read it",
-	"experiments.ErrJSDResult.MeanCorrelation":   "result predicate: shape tests and the quality golden's -check read it",
-	"experiments.Fig02Result.ErrorRise":          "result predicate: shape tests and the quality golden's -check read it",
-	"experiments.Fig02Result.UncertaintyRise":    "result predicate: shape tests and the quality golden's -check read it",
-	"experiments.Fig16Result.MinAfterTrigger":    "result predicate: shape tests and the quality golden's -check read it",
-	"experiments.Fig16Result.MinBeforePostDrift": "result predicate: shape tests and the quality golden's -check read it",
+	"experiments.CurvesResult.BAlwaysFirst":      "result predicate: a shape test in experiments_test.go reads it",
+	"experiments.ErrJSDResult.MeanCorrelation":   "result predicate: a shape test in experiments_test.go reads it",
+	"experiments.Fig02Result.ErrorRise":          "result predicate: a shape test in experiments_test.go reads it",
+	"experiments.Fig02Result.UncertaintyRise":    "result predicate: a shape test in experiments_test.go reads it",
+	"experiments.Fig16Result.MinBeforePostDrift": "result predicate: a shape test in experiments_test.go reads it",
 
 	"fairds.Service.Reindex": "the served-embedder item (ROADMAP 5) gives it a caller",
 

@@ -57,22 +57,6 @@ type CurveSet struct {
 	Curves      map[string][]float64 // strategy → per-epoch validation loss
 }
 
-// EpochsTo returns how many epochs each strategy needs to reach the target
-// validation loss (-1 if never reached).
-func (c *CurveSet) EpochsTo(target float64) map[string]int {
-	out := make(map[string]int, len(c.Curves))
-	for s, curve := range c.Curves {
-		out[s] = -1
-		for i, v := range curve {
-			if v <= target {
-				out[s] = i + 1
-				break
-			}
-		}
-	}
-	return out
-}
-
 // CurvesResult covers all test datasets.
 type CurvesResult struct {
 	App  App

@@ -97,23 +97,6 @@ func (r *Fig16Result) Table() string {
 	return fmt.Sprintf("Fig. 16 — clustering certainty without vs with the %.0f%% trigger\n%s", 100*r.TriggerAt, t)
 }
 
-// MinAfterTrigger returns the lowest post-warmup certainty of the
-// refreshed series — the paper's claim is that it stays high.
-func (r *Fig16Result) MinAfterTrigger() float64 {
-	lo := 1.0
-	for i, v := range r.After {
-		// Certainty is allowed to dip at the trigger dataset itself; the
-		// refresh restores it afterwards.
-		if i < len(r.Before) && contains(r.Triggers, i) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-	}
-	return lo
-}
-
 // MinBeforePostDrift returns the lowest post-drift certainty of the static
 // series — the collapse the trigger mechanism exists to catch.
 func (r *Fig16Result) MinBeforePostDrift() float64 {
@@ -124,15 +107,6 @@ func (r *Fig16Result) MinBeforePostDrift() float64 {
 		}
 	}
 	return lo
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // fig16Pipeline bundles an embedder + fairDS refreshed on demand.

@@ -731,26 +731,37 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	// when someone is listening (cfg.OnTrace), otherwise every span call
 	// below no-ops on a nil trace. The defer fires on every terminal path —
 	// done, failed, canceled, even a panic unwinding through runSafely.
+	// The stages hand over: stage opens the next stage's span before it
+	// ends the current one and its open child, so no statement of the job
+	// runs between two stage spans.
 	var tr *obs.Trace
 	if m.cfg.OnTrace != nil {
 		tr = obs.NewTrace("", false)
 	}
-	ctx := obs.NewContext(j.ctx, tr)
-	ctx, root := obs.StartSpan(ctx, "train_job")
 	jobStart := time.Now()
+	var root, cur, sub *obs.Span
+	ctx := obs.NewContext(j.ctx, tr)
+	stage := func(name string) context.Context {
+		sctx, next := obs.StartSpan(ctx, name) // ctx is the root's by now
+		sub.End()
+		cur.End()
+		cur, sub = next, nil
+		return sctx
+	}
 	defer func() {
+		sub.End()
+		cur.End()
 		root.End()
 		if tr != nil {
 			m.cfg.OnTrace(time.Since(jobStart), err, tr)
 		}
 	}()
+	ctx, root = obs.StartSpan(ctx, "train_job") // the first stage follows at once
 
 	// Resolve the training set: inline samples or a stored dataset tag.
 	samples := spec.Samples
 	if len(samples) == 0 {
-		rctx, sp := obs.StartSpan(ctx, "resolve_data")
-		samples, err = m.cfg.DS.DatasetSamples(rctx, spec.Dataset)
-		sp.End()
+		samples, err = m.cfg.DS.DatasetSamples(stage("resolve_data"), spec.Dataset)
 		if err != nil {
 			return false, err
 		}
@@ -770,9 +781,8 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		return false, fmt.Errorf("trainer: %d labeled samples is not enough to train on (need >= 2)", len(samples))
 	}
 
-	_, sp := obs.StartSpan(ctx, "collate")
+	stage("collate")
 	x, y, model, err := collate(spec, samples)
-	sp.End()
 	if err != nil {
 		return false, err
 	}
@@ -780,9 +790,7 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	// The dataset's cluster PDF — both the warm-start query key and the
 	// signature the finished checkpoint is registered under — and the id of
 	// the fit it was computed under.
-	pctx, sp := obs.StartSpan(ctx, "pdf")
-	pdf, fit, err := m.cfg.DS.DatasetPDFContext(pctx, x)
-	sp.End()
+	pdf, fit, err := m.cfg.DS.DatasetPDFContext(stage("pdf"), x)
 	if err != nil {
 		return false, err
 	}
@@ -794,9 +802,8 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	foundation := ""
 	jsd := 0.0
 	if spec.MaxJSD > 0 {
-		_, sp := obs.StartSpan(ctx, "recommend")
+		stage("recommend")
 		rec, ok, _ := m.cfg.Zoo.BestFit(fit, pdf) // pdf is the data service's own: valid
-		sp.End()
 		if ok && rec.JSD <= spec.MaxJSD {
 			if err := model.LoadState(rec.Record.State); err != nil {
 				m.cfg.Logger.Warn("foundation incompatible, cold-starting",
@@ -819,11 +826,13 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		m.coldStarts.Add(1)
 	}
 
-	// The fit span takes the split with it, and holds one child span per
-	// epoch: Fit has no epoch-start hook, so a traced job opens each epoch's
-	// span at the epoch's first Stop poll and OnEpoch closes it.
-	fctx, fitSpan := obs.StartSpan(ctx, "fit")
-	var epochSpan *obs.Span
+	// One epoch span per epoch run, handed over the same way. Fit has no
+	// epoch-start hook, so the first opens with the fit (taking the split
+	// and the optimiser's set-up), and the first Stop poll after OnEpoch
+	// opens the next (billing each shuffle to the epoch before it).
+	fctx := stage("fit")
+	_, sub = obs.StartSpan(fctx, "epoch")
+	epochDone := false
 	epochStart := time.Now()
 	res := Fit(model, x, y, warm, spec, func(epoch int, trainLoss, valLoss float64) bool {
 		if m.epochHist != nil {
@@ -831,8 +840,7 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 			m.epochHist.Record(now.Sub(epochStart))
 			epochStart = now
 		}
-		epochSpan.End()
-		epochSpan = nil
+		epochDone = true
 		j.mu.Lock()
 		j.status.Epochs = epoch
 		j.status.TrainLoss = append(j.status.TrainLoss, trainLoss)
@@ -840,13 +848,13 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		j.mu.Unlock()
 		return true
 	}, func() bool {
-		if tr != nil && epochSpan == nil {
-			_, epochSpan = obs.StartSpan(fctx, "epoch")
+		if epochDone {
+			_, next := obs.StartSpan(fctx, "epoch")
+			sub.End()
+			sub, epochDone = next, false
 		}
 		return j.ctx.Err() != nil
 	})
-	epochSpan.End() // an epoch a cancel cut short
-	fitSpan.End()
 	// The commit point: a cancel observed here (or earlier, mid-epoch)
 	// stops cleanly with nothing registered; past it, the job registers
 	// and completes as done even if a cancel races the finish.
@@ -854,6 +862,12 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 		return false, nil
 	}
 
+	// Register the checkpoint with its lineage — what makes the zoo a
+	// provenance graph, not just a flat index. The reserved keys are
+	// always owned by the trainer: user-supplied values are dropped even
+	// when a key does not apply (a cold start must not inherit a bogus
+	// "parent").
+	stage("register")
 	convergedAt := 0
 	if res.Converged {
 		convergedAt = res.ConvergedAt(spec.TargetLoss)
@@ -862,14 +876,6 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	j.status.Converged = res.Converged
 	j.status.ConvergedAt = convergedAt
 	j.mu.Unlock()
-
-	// Register the checkpoint with its lineage — what makes the zoo a
-	// provenance graph, not just a flat index. The reserved keys are
-	// always owned by the trainer: user-supplied values are dropped even
-	// when a key does not apply (a cold start must not inherit a bogus
-	// "parent").
-	_, sp = obs.StartSpan(ctx, "register")
-	defer sp.End()
 	modelID := spec.ModelID
 	if modelID == "" {
 		modelID = j.status.ID + "-model"
