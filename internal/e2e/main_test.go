@@ -161,15 +161,9 @@ func serve(t *testing.T, name string, args ...string) (*proc, *dmsapi.Client) {
 	}
 }
 
-// kill sends SIGKILL and reaps the process; a process already reaped is
-// left alone.
+// kill sends SIGKILL and waits until the process is reaped.
 func (p *proc) kill() {
-	select {
-	case <-p.done:
-		return
-	default:
-	}
-	_ = p.cmd.Process.Kill() // an exit racing the kill is fine: done reaps it
+	_ = p.cmd.Process.Kill() // fails only for a process that already exited, which done reaps
 	<-p.done
 }
 
