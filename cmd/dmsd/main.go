@@ -243,6 +243,10 @@ func main() {
 			rpcLat.With(op).Record(d)
 		})
 	}
+	// Armed before Listen: once the serving line is logged, a SIGTERM
+	// takes the shutdown path below, never Go's default exit.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		log.Fatalf("dmsd: listen: %v", err)
@@ -270,8 +274,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	logger.Info("shutting down", "requests", srv.Requests(), "shed", srv.Shed(), "in_flight", srv.InFlight())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -104,14 +104,16 @@ func main() {
 		TraceRing: traceRing,
 		TraceSlow: traceSlow,
 	})
+	// Armed before Listen: once the serving line is logged, a SIGTERM
+	// takes the shutdown path below, never Go's default exit.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	bound, err := router.Listen(*addr)
 	if err != nil {
 		log.Fatalf("dmsrouter: listen: %v", err)
 	}
 	logger.Info("serving", "addr", bound, "shards", len(shards), "slos", len(slos))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	st := cluster.Stats()
 	logger.Info("shutting down",

@@ -58,6 +58,10 @@ func main() {
 		logger = log.Default()
 	}
 	srv := docstore.NewServer(store, docstore.ServerConfig{Latency: *latency, Logger: logger})
+	// Armed before Listen: once the serving line is logged, a SIGTERM
+	// takes the shutdown path below, never Go's default exit.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		log.Fatalf("dstore: listen: %v", err)
@@ -88,8 +92,6 @@ func main() {
 		close(stopped)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	close(stop)
 	<-stopped

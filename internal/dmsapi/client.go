@@ -294,10 +294,10 @@ func (c *Client) RapidTrain(req TrainRequest, timeout time.Duration) (TrainJob, 
 
 // DoJSON performs one typed exchange (encode in → request → decode the
 // 2xx body into out; nil in sends no body, nil out discards the body). The
-// name is historical: a value that carries samples travels frame-encoded
-// (see ContentTypeFrames) — in when it has a Samples field, the response
-// when out has one and the server honours the Accept header — and
-// everything else as JSON. It is the context-aware exported transport the
+// name is historical: a value that carries samples or matches travels
+// frame-encoded (see ContentTypeFrames) — in when it has such a field, the
+// response when out has one and the server honours the Accept header —
+// and everything else as JSON. It is the context-aware exported transport the
 // cluster tier is built on: when ctx carries a sampled obs trace, the
 // exchange joins it — the round-trip span opens under the caller's
 // current span, the trace ID rides the request header, and the server's
@@ -335,7 +335,7 @@ func EncodeBody(in any) (Body, error) {
 // DoBody is DoJSON with the request body already encoded.
 func (c *Client) DoBody(ctx context.Context, method, path string, body Body, out any) error {
 	accept := ""
-	if carriesSamples(reflect.TypeOf(out)) {
+	if carriesFrames(reflect.TypeOf(out)) {
 		accept = ContentTypeFrames
 	}
 	data, contentType, err := c.doRetry(ctx, method, path, body, accept)
@@ -425,11 +425,10 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body Body, ac
 		}
 		// Trailers are populated only once the body is fully consumed; a
 		// missing or malformed trailer (fixed-length responses drop it)
-		// just means no server subtree.
+		// just means no server subtree. The trailer is decoded only if
+		// the trace is dumped.
 		if sampled {
-			if d, ok := obs.DecodeDump(resp.Trailer.Get(obs.SpanHeader)); ok {
-				tr.AttachRemote(att.Index(), d)
-			}
+			tr.AttachRemote(att.Index(), resp.Trailer.Get(obs.SpanHeader))
 		}
 		if resp.StatusCode/100 != 2 {
 			return nil, "", statusError(resp.StatusCode, data)

@@ -12,28 +12,34 @@ import (
 )
 
 // The frame encoding is the binary body form of the wire structs that
-// carry []Sample — what client, dmsd and dmsrouter say to each other, so
-// that sample payloads cross a hop as bytes instead of base64 inside JSON
-// (which encoding/json decodes at ~110 MB/s). JSON stays the interoperable
-// form of the whole API; a body is framed only when its Content-Type (or,
-// for a response, the request's Accept) names ContentTypeFrames.
+// carry []Sample or []Match — what client, dmsd and dmsrouter say to each
+// other, so that sample payloads cross a hop as bytes instead of base64
+// inside JSON (which encoding/json decodes at ~110 MB/s), and a nearest
+// answer's match list is read without encoding/json (79 allocations for
+// 64 matches, 6 framed). JSON stays the interoperable form of the whole
+// API; a body is framed only when its Content-Type (or, for a response,
+// the request's Accept) names ContentTypeFrames.
 //
 // Layout, all integers little-endian:
 //
 //	"FDF1"                     magic
-//	u32 n · n bytes            the struct's own JSON with Samples nil
-//	u32 count                  samples
-//	count ×
+//	u32 n · n bytes            the struct's own JSON with Samples (Matches) nil
+//	u32 count                  samples (matches)
+//	count × sample
 //	  u8  dtype
 //	  u32 ndim  · ndim × i64   shape
 //	  u32 nlab  · nlab × f64   label
 //	  u32 len   · len bytes    data
+//	count × match
+//	  u8  found                0 or 1
+//	  u64 dist                 float64 bits
+//	  u32 len   · len bytes    doc id
 //
 // The decoder only frames: it checks the magic, that every declared count
-// fits in what is left of the body, and that nothing trails the last
-// sample. Dtype, shape and payload length are DecodeSample's to validate,
-// exactly as for a JSON body. Decoded Data aliases the body buffer, so a
-// body buffer is never pooled or reused.
+// fits in what is left of the body, that a found flag is 0 or 1, and that
+// nothing trails the last sample or match. Dtype, shape and payload length
+// are DecodeSample's to validate, exactly as for a JSON body. Decoded Data
+// aliases the body buffer, so a body buffer is never pooled or reused.
 
 // ContentTypeFrames is the media type of a frame-encoded body.
 const ContentTypeFrames = "application/vnd.fairdms.frames"
@@ -41,38 +47,59 @@ const ContentTypeFrames = "application/vnd.fairdms.frames"
 const (
 	contentTypeJSON = "application/json"
 	frameMagic      = "FDF1"
-	// frameSampleMin is the encoded size of a sample with no shape, label
-	// or data: what bounds a declared count by the bytes that remain.
+	// frameSampleMin and frameMatchMin are the encoded sizes of a sample
+	// with no shape, label or data and of a match with no id: what bounds a
+	// declared count by the bytes that remain.
 	frameSampleMin = 1 + 4 + 4 + 4
+	frameMatchMin  = 1 + 8 + 4
 	// frameArenaChunk is how many shape or label elements one arena
 	// allocation holds at most.
 	frameArenaChunk = 256
 )
 
-var samplesType = reflect.TypeOf([]Sample(nil))
+var (
+	samplesType = reflect.TypeOf([]Sample(nil))
+	matchesType = reflect.TypeOf([]Match(nil))
+)
 
-// carriesSamples reports whether t (a wire struct or a pointer to one) has
-// a Samples []Sample field — the property that selects the frame encoding.
-func carriesSamples(t reflect.Type) bool {
+// framedField returns the index of t's framed field — Samples []Sample or
+// Matches []Match — when t is a wire struct (or a pointer to one) that has
+// one: the property that selects the frame encoding.
+func framedField(t reflect.Type) (int, bool) {
 	if t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
 	if t == nil || t.Kind() != reflect.Struct {
-		return false
+		return 0, false
 	}
-	f, ok := t.FieldByName("Samples")
-	return ok && f.Type == samplesType
+	if f, ok := t.FieldByName("Samples"); ok && f.Type == samplesType {
+		return f.Index[0], true
+	}
+	if f, ok := t.FieldByName("Matches"); ok && f.Type == matchesType {
+		return f.Index[0], true
+	}
+	return 0, false
 }
 
-// sampleSlot returns the address of the Samples field of the wire struct p
-// points to, or nil when p is not a pointer to a struct that carries
-// samples.
-func sampleSlot(p any) *[]Sample {
+// carriesFrames reports whether values of t travel framed.
+func carriesFrames(t reflect.Type) bool {
+	_, ok := framedField(t)
+	return ok
+}
+
+// frameSlot returns the address of the framed field of the wire struct p
+// points to — a *[]Sample or a *[]Match — or nil when p is not a pointer
+// to a struct that carries one.
+func frameSlot(p any) any {
 	rv := reflect.ValueOf(p)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() || !carriesSamples(rv.Type()) {
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return nil
 	}
-	return rv.Elem().FieldByName("Samples").Addr().Interface().(*[]Sample)
+	i, ok := framedField(rv.Type())
+	if !ok {
+		return nil
+	}
+	return rv.Elem().Field(i).Addr().Interface()
 }
 
 // isFrames reports whether a Content-Type header names the frame encoding.
@@ -81,10 +108,11 @@ func isFrames(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mt), ContentTypeFrames)
 }
 
-// marshalBody encodes v as a request body — frames when v carries samples,
-// JSON otherwise — and returns the Content-Type to send it under.
+// marshalBody encodes v as a request body — frames when v carries samples
+// or matches, JSON otherwise — and returns the Content-Type to send it
+// under.
 func marshalBody(v any) (data []byte, contentType string, err error) {
-	if carriesSamples(reflect.TypeOf(v)) {
+	if carriesFrames(reflect.TypeOf(v)) {
 		data, err = encodeFrames(v)
 		return data, ContentTypeFrames, err
 	}
@@ -105,17 +133,22 @@ func unmarshalBody(contentType string, body []byte, v any) error {
 }
 
 // encodeFrames frames v, a wire struct (or pointer to one) that carries
-// samples. v is not modified.
+// samples or matches. v is not modified.
 func encodeFrames(v any) ([]byte, error) {
 	rv := reflect.Indirect(reflect.ValueOf(v))
-	if !rv.IsValid() || !carriesSamples(rv.Type()) {
-		return nil, fmt.Errorf("frames: %T carries no samples", v)
+	if !rv.IsValid() || !carriesFrames(rv.Type()) {
+		return nil, fmt.Errorf("frames: %T carries no samples or matches", v)
 	}
 	cp := reflect.New(rv.Type())
 	cp.Elem().Set(rv)
-	slot := sampleSlot(cp.Interface())
-	samples := *slot
-	*slot = nil
+	var samples []Sample
+	var matches []Match
+	switch slot := frameSlot(cp.Interface()).(type) {
+	case *[]Sample:
+		samples, *slot = *slot, nil
+	case *[]Match:
+		matches, *slot = *slot, nil
+	}
 	hdr, err := json.Marshal(cp.Interface())
 	if err != nil {
 		return nil, err
@@ -126,6 +159,9 @@ func encodeFrames(v any) ([]byte, error) {
 		s := &samples[i]
 		size += frameSampleMin + 8*len(s.Shape) + 8*len(s.Label) + len(s.Data)
 	}
+	for i := range matches {
+		size += frameMatchMin + len(matches[i].DocID)
+	}
 	if uint64(size) > math.MaxUint32 {
 		// Every length field is a u32 and each is at most the whole body.
 		return nil, errors.New("frames: body over 4 GiB")
@@ -135,7 +171,7 @@ func encodeFrames(v any) ([]byte, error) {
 	buf = append(buf, frameMagic...)
 	buf = le.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
-	buf = le.AppendUint32(buf, uint32(len(samples)))
+	buf = le.AppendUint32(buf, uint32(len(samples)+len(matches)))
 	for i := range samples {
 		s := &samples[i]
 		buf = append(buf, s.Dtype)
@@ -149,6 +185,17 @@ func encodeFrames(v any) ([]byte, error) {
 		}
 		buf = le.AppendUint32(buf, uint32(len(s.Data)))
 		buf = append(buf, s.Data...)
+	}
+	for i := range matches {
+		m := &matches[i]
+		var found byte
+		if m.Found {
+			found = 1
+		}
+		buf = append(buf, found)
+		buf = le.AppendUint64(buf, math.Float64bits(m.Dist))
+		buf = le.AppendUint32(buf, uint32(len(m.DocID)))
+		buf = append(buf, m.DocID...)
 	}
 	return buf, nil
 }
@@ -208,12 +255,13 @@ func (a *frameArena[T]) get(n, bodyLeft int) []T {
 }
 
 // decodeFrames decodes a frame body into v, a pointer to a wire struct
-// that carries samples. The header fills v as a JSON body would; the
-// samples replace v's Samples, their Data aliasing body.
+// that carries samples or matches. The header fills v as a JSON body
+// would; the section replaces v's Samples (their Data aliasing body) or
+// Matches.
 func decodeFrames(body []byte, v any) error {
-	slot := sampleSlot(v)
+	slot := frameSlot(v)
 	if slot == nil {
-		return fmt.Errorf("frames: %T carries no samples, send it as JSON", v)
+		return fmt.Errorf("frames: %T carries no samples or matches, send it as JSON", v)
 	}
 	c := frameCursor{b: body}
 	if string(c.take(len(frameMagic))) != frameMagic {
@@ -224,17 +272,45 @@ func decodeFrames(body []byte, v any) error {
 	if c.short {
 		return errors.New("frames: truncated header")
 	}
-	if uint64(count) > uint64(len(c.b)/frameSampleMin) {
-		return fmt.Errorf("frames: %d samples declared in %d bytes", count, len(c.b))
+	item, items, least := "sample", "samples", frameSampleMin
+	if _, ok := slot.(*[]Match); ok {
+		item, items, least = "match", "matches", frameMatchMin
+	}
+	if uint64(count) > uint64(len(c.b)/least) {
+		return fmt.Errorf("frames: %d %s declared in %d bytes", count, items, len(c.b))
 	}
 	if err := json.Unmarshal(hdr, v); err != nil {
 		return fmt.Errorf("frames: header: %w", err)
 	}
-	le := binary.LittleEndian
-	var samples []Sample // nil for an empty batch, as a JSON body without the field decodes
-	if count > 0 {
-		samples = make([]Sample, count)
+	switch slot := slot.(type) {
+	case *[]Sample:
+		samples, err := decodeSamplesSection(&c, int(count))
+		if err != nil {
+			return err
+		}
+		*slot = samples
+	case *[]Match:
+		matches, err := decodeMatchesSection(&c, int(count))
+		if err != nil {
+			return err
+		}
+		*slot = matches
 	}
+	if len(c.b) > 0 {
+		return fmt.Errorf("frames: %d bytes after the last %s", len(c.b), item)
+	}
+	return nil
+}
+
+// decodeSamplesSection reads count samples, count already checked against
+// the bytes left. An empty section is nil, as a JSON body without the
+// field decodes.
+func decodeSamplesSection(c *frameCursor, count int) ([]Sample, error) {
+	if count == 0 {
+		return nil, nil
+	}
+	le := binary.LittleEndian
+	samples := make([]Sample, count)
 	var ints frameArena[int]
 	var floats frameArena[float64]
 	for i := range samples {
@@ -260,12 +336,42 @@ func decodeFrames(body []byte, v any) error {
 		}
 		s.Data = c.take(int(c.u32()))
 		if c.short {
-			return fmt.Errorf("frames: truncated at sample %d of %d", i, count)
+			return nil, fmt.Errorf("frames: truncated at sample %d of %d", i, count)
 		}
 	}
-	if len(c.b) > 0 {
-		return fmt.Errorf("frames: %d bytes after the last sample", len(c.b))
+	return samples, nil
+}
+
+// decodeMatchesSection reads count matches, count already checked against
+// the bytes left. Every doc id is a substring of one string, built in a
+// buffer sized once: the ids of a well-formed section are exactly the
+// bytes its fixed fields leave, so the buffer is never grown.
+func decodeMatchesSection(c *frameCursor, count int) ([]Match, error) {
+	if count == 0 {
+		return nil, nil
 	}
-	*slot = samples
-	return nil
+	matches := make([]Match, count)
+	var ids strings.Builder
+	ids.Grow(len(c.b) - count*frameMatchMin)
+	for i := range matches {
+		m := &matches[i]
+		fixed := c.take(1 + 8)
+		id := c.take(int(c.u32()))
+		if c.short {
+			return nil, fmt.Errorf("frames: truncated at match %d of %d", i, count)
+		}
+		if fixed[0] > 1 {
+			return nil, fmt.Errorf("frames: match %d: found flag %d", i, fixed[0])
+		}
+		m.Found = fixed[0] == 1
+		m.Dist = math.Float64frombits(binary.LittleEndian.Uint64(fixed[1:]))
+		if len(id) > 0 {
+			// A Builder's bytes are never written again once appended, so
+			// each id may view them while later ones are added.
+			ids.Write(id)
+			all := ids.String()
+			m.DocID = all[len(all)-len(id):]
+		}
+	}
+	return matches, nil
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -18,8 +19,9 @@ import (
 	"fairdms/internal/codec"
 )
 
-// frameCarriers builds a zero value of each wire type that carries
-// samples, in a fixed order the fuzz target indexes.
+// frameCarriers builds a zero value of each wire type that travels framed
+// — the eleven that carry samples, then the one that carries matches — in
+// a fixed order the fuzz target indexes.
 var frameCarriers = []func() any{
 	func() any { return new(IngestRequest) },
 	func() any { return new(IngestBatchRequest) },
@@ -32,27 +34,41 @@ var frameCarriers = []func() any{
 	func() any { return new(TrainRequest) },
 	func() any { return new(LookupResponse) },
 	func() any { return new(SamplesResponse) },
+	func() any { return new(NearestResponse) },
+}
+
+// sampleSlot and matchSlot return the framed field of the wire struct p
+// points to, or nil when it is not a field of their type.
+func sampleSlot(p any) *[]Sample {
+	s, _ := frameSlot(p).(*[]Sample)
+	return s
+}
+
+func matchSlot(p any) *[]Match {
+	m, _ := frameSlot(p).(*[]Match)
+	return m
 }
 
 // TestFrameCarriersAreTheElevenSampleTypes pins which wire types the frame
 // encoding is selected for: the ones with a Samples []Sample field, found
-// by reflection, are exactly the listed eleven.
+// by reflection, are exactly the listed eleven, and NearestResponse, the
+// one with a Matches []Match field, is the twelfth.
 func TestFrameCarriersAreTheElevenSampleTypes(t *testing.T) {
-	if len(frameCarriers) != 11 {
-		t.Fatalf("%d carriers listed, want 11", len(frameCarriers))
+	if len(frameCarriers) != 12 {
+		t.Fatalf("%d carriers listed, want 12", len(frameCarriers))
 	}
-	for _, mk := range frameCarriers {
-		if v := mk(); sampleSlot(v) == nil {
-			t.Errorf("%T does not carry samples", v)
+	for i, mk := range frameCarriers {
+		if v := mk(); (sampleSlot(v) == nil) != (i == 11) || (matchSlot(v) == nil) != (i != 11) {
+			t.Errorf("%T: carrier %d frames %T", v, i, frameSlot(v))
 		}
 	}
 	for _, v := range []any{
 		new(SamplesRequest), new(DrawResponse), new(RecommendRequest), new(AddModelRequest),
-		new(IngestResponse), new(IngestBatchResponse), new(CertaintyResponse), new(NearestResponse),
+		new(IngestResponse), new(IngestBatchResponse), new(CertaintyResponse),
 		new(PDFResponse), new(FitResponse), new(TrainJob), new(HealthResponse), new(struct{}), nil,
 	} {
-		if sampleSlot(v) != nil {
-			t.Errorf("%T carries samples", v)
+		if frameSlot(v) != nil {
+			t.Errorf("%T travels framed", v)
 		}
 		if _, ct, err := marshalBody(v); err != nil || ct != contentTypeJSON {
 			t.Errorf("%T: sent as %q (err %v), want JSON", v, ct, err)
@@ -90,6 +106,33 @@ func randomSamples(rng *rand.Rand, n int) []Sample {
 	return out
 }
 
+// randomMatches draws n matches: found and not, ids empty, short and
+// multi-byte, and distances JSON cannot carry.
+func randomMatches(rng *rand.Rand, n int) []Match {
+	out := make([]Match, n)
+	for i := range out {
+		m := &out[i]
+		if m.Found = rng.Intn(4) > 0; m.Found {
+			m.DocID = fmt.Sprintf("shard%d/%x·", rng.Intn(3), rng.Int63())[:rng.Intn(12)]
+			m.Dist = rng.ExpFloat64()
+		}
+	}
+	if n > 0 && rng.Intn(2) == 0 {
+		out[0].Dist = math.NaN()
+		out[n-1].Dist = math.Copysign(0, -1)
+	}
+	return out
+}
+
+// fill sets a carrier's framed field to n random samples or matches.
+func fill(v any, rng *rand.Rand, n int) {
+	if m := matchSlot(v); m != nil {
+		*m = randomMatches(rng, n)
+		return
+	}
+	*sampleSlot(v) = randomSamples(rng, n)
+}
+
 // withHeader sets the non-sample fields a carrier has, so a round trip
 // exercises the header too.
 func withHeader(v any, rng *rand.Rand) {
@@ -110,12 +153,26 @@ func withHeader(v any, rng *rand.Rand) {
 		v.Degraded = true
 	case *SamplesResponse:
 		v.Missing = []string{"gone"}
+	case *NearestResponse:
+		v.Degraded = true
 	}
 }
 
 // sameBits compares two decoded carriers, floats by bit pattern (NaN
-// labels survive a frame) and nil equal to empty.
+// labels and distances survive a frame) and nil equal to empty.
 func sameBits(a, b any) bool {
+	if am := matchSlot(a); am != nil {
+		x, y := *am, *matchSlot(b)
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i].Found != y[i].Found || x[i].DocID != y[i].DocID || math.Float64bits(x[i].Dist) != math.Float64bits(y[i].Dist) {
+				return false
+			}
+		}
+		return sameHeader(a, b)
+	}
 	as, bs := *sampleSlot(a), *sampleSlot(b)
 	if len(as) != len(bs) {
 		return false
@@ -136,24 +193,34 @@ func sameBits(a, b any) bool {
 			}
 		}
 	}
+	return sameHeader(a, b)
+}
+
+// sameHeader compares two carriers with their framed fields cleared.
+func sameHeader(a, b any) bool {
 	ac, bc := reflect.New(reflect.TypeOf(a).Elem()), reflect.New(reflect.TypeOf(b).Elem())
 	ac.Elem().Set(reflect.ValueOf(a).Elem())
 	bc.Elem().Set(reflect.ValueOf(b).Elem())
-	*sampleSlot(ac.Interface()), *sampleSlot(bc.Interface()) = nil, nil
+	for _, c := range []reflect.Value{ac, bc} {
+		i, _ := framedField(c.Type())
+		f := c.Elem().Field(i)
+		f.Set(reflect.Zero(f.Type()))
+	}
 	return reflect.DeepEqual(ac.Interface(), bc.Interface())
 }
 
 // TestFramesRoundTrip is the codec's property test: for every carrier and
-// random batches — zero samples, zero-length labels, no dimensions, values
-// JSON cannot carry — decode(encode(v)) == v, encode(decode(b)) == b,
-// encoding does not touch v, and decoded payloads alias the body.
+// random batches — zero samples or matches, zero-length labels and ids, no
+// dimensions, values JSON cannot carry — decode(encode(v)) == v,
+// encode(decode(b)) == b, encoding does not touch v, and decoded payloads
+// alias the body.
 func TestFramesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 200; round++ {
 		for kind, mk := range frameCarriers {
 			in := mk()
 			withHeader(in, rng)
-			*sampleSlot(in) = randomSamples(rng, rng.Intn(6))
+			fill(in, rng, rng.Intn(6))
 			before := fmt.Sprintf("%#v", in)
 
 			body, err := encodeFrames(in)
@@ -177,6 +244,9 @@ func TestFramesRoundTrip(t *testing.T) {
 			byValue, err := encodeFrames(reflect.ValueOf(in).Elem().Interface())
 			if err != nil || !bytes.Equal(byValue, body) {
 				t.Fatalf("%T: a value encodes differently from a pointer to it (err %v)", in, err)
+			}
+			if sampleSlot(out) == nil {
+				continue
 			}
 			for i, s := range *sampleSlot(out) {
 				if len(s.Data) == 0 {
@@ -220,6 +290,15 @@ func (b *frameBody) sample(s Sample) *frameBody {
 	return b.u32(uint32(len(s.Data))).raw(s.Data)
 }
 
+func (b *frameBody) match(m Match) *frameBody {
+	var found byte
+	if m.Found {
+		found = 1
+	}
+	b.raw([]byte{found}).raw(binary.LittleEndian.AppendUint64(nil, math.Float64bits(m.Dist)))
+	return b.u32(uint32(len(m.DocID))).raw([]byte(m.DocID))
+}
+
 func newFrameBody(header string, count uint32) *frameBody {
 	return new(frameBody).raw([]byte(frameMagic)).u32(uint32(len(header))).raw([]byte(header)).u32(count)
 }
@@ -228,6 +307,24 @@ var frameSeedSamples = []Sample{
 	{Shape: []int{2, 2}, Dtype: uint8(codec.F32), Data: bytes.Repeat([]byte{1, 2, 3, 4}, 4), Label: []float64{0.25, -3}},
 	{Shape: []int{3}, Dtype: uint8(codec.U8), Data: []byte{7, 8, 9}},
 	{},
+}
+
+var frameSeedMatches = []Match{{DocID: "enc/3", Dist: 0.125, Found: true}, {}, {DocID: "b/17", Dist: 2, Found: true}}
+
+// nearest64Body is a 64-match NearestResponse built field by field, as a
+// serve_scan nearest answers: found and not, ids of different lengths.
+func nearest64Body() (*frameBody, NearestResponse) {
+	var resp NearestResponse
+	body := newFrameBody(`{"matches":null}`, 64)
+	for i := range 64 {
+		m := Match{DocID: fmt.Sprintf("s%d/%08x%d", i%3, 7919*i, i), Dist: float64(i) / 7, Found: i%9 != 4}
+		if !m.Found {
+			m = Match{}
+		}
+		resp.Matches = append(resp.Matches, m)
+		body.match(m)
+	}
+	return body, resp
 }
 
 // hugeCountBody declares 2³²−1 samples and holds none.
@@ -239,19 +336,25 @@ func hugeCountBody() []byte {
 // untrusted bytes. kind picks the wire type decoded into. Whatever the
 // body: no panic; memory allocated is bounded by the body's length, not by
 // the counts it declares; and an accepted body re-encodes to itself — the
-// sample section byte for byte, the JSON header up to the encoder's own
-// spelling of it, which is then a fixed point.
+// sample or match section byte for byte, the JSON header up to the
+// encoder's own spelling of it, which is then a fixed point.
 //
-// Seeds: here, a valid body of each of the eleven types, with and without
-// a trailing byte, one body cut at every field boundary, and headers that
-// are not the encoder's; in testdata/fuzz/FuzzDecodeFrames, by name, a
-// count, ndim, label count, data length and header length of MaxUint32.
+// Seeds: here, a valid body of each of the twelve types, with and without
+// a trailing byte, a sample body and a 64-match body each cut at every
+// field boundary, and headers that are not the encoder's; in
+// testdata/fuzz/FuzzDecodeFrames, by name, a count, ndim, label count,
+// data length and header length of MaxUint32, and a match count and id
+// length of MaxUint32.
 func FuzzDecodeFrames(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for kind, mk := range frameCarriers {
 		v := mk()
 		withHeader(v, rng)
-		*sampleSlot(v) = frameSeedSamples
+		if m := matchSlot(v); m != nil {
+			*m = frameSeedMatches
+		} else {
+			*sampleSlot(v) = frameSeedSamples
+		}
 		body, err := encodeFrames(v)
 		if err != nil {
 			f.Fatal(err)
@@ -275,6 +378,18 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(uint8(4), newFrameBody(` { "exclude" : ["x"] , "unknown" : 1 } `, 1).sample(Sample{}).buf)  // a header spelled otherwise
 	f.Add(uint8(0), []byte(`{"samples":[]}`))                                                         // JSON sent as frames
 	f.Add(uint8(200), newFrameBody(`{}`, 0).buf)                                                      // kind wraps around
+
+	const nearestKind = 11
+	nearest, resp := nearest64Body()
+	if enc, err := encodeFrames(resp); err != nil || !bytes.Equal(enc, nearest.buf) {
+		f.Fatalf("the encoder does not lay matches out as documented (err %v)", err)
+	}
+	f.Add(uint8(nearestKind), nearest.buf)
+	f.Add(uint8(nearestKind), append(bytes.Clone(nearest.buf), 0))
+	for _, cut := range nearest.cuts {
+		f.Add(uint8(nearestKind), bytes.Clone(nearest.buf[:cut]))
+	}
+	f.Add(uint8(nearestKind), newFrameBody(`{}`, 1).raw([]byte{2}).raw(make([]byte, 8)).u32(0).buf) // found flag 2
 
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		mk := frameCarriers[int(kind)%len(frameCarriers)]
@@ -353,41 +468,90 @@ func wireBatch(n, side int) []Sample {
 
 // BenchmarkWire is the wire layer's recorded benchmark: one sample-carrying
 // body at the three request sizes the workloads send (serve_hot's 8×11²,
-// serve_scan's 64×11², update_cycle's 512×15²), in both encodings, each
-// way. MB/s is of the encoded body.
+// serve_scan's 64×11², update_cycle's 512×15²), and serve_scan's 64-match
+// nearest answer, in both encodings, each way. MB/s is of the encoded body.
 func BenchmarkWire(b *testing.B) {
+	type body struct {
+		name string
+		v    any
+		mk   func() any
+	}
+	var bodies []body
 	for _, size := range []struct{ n, side int }{{8, 11}, {64, 11}, {512, 15}} {
-		req := LookupResponse{Samples: wireBatch(size.n, size.side)}
+		bodies = append(bodies, body{fmt.Sprintf("%dx%d²", size.n, size.side),
+			LookupResponse{Samples: wireBatch(size.n, size.side)}, func() any { return new(LookupResponse) }})
+	}
+	_, nearest := nearest64Body()
+	bodies = append(bodies, body{"matches64", nearest, func() any { return new(NearestResponse) }})
+	for _, bd := range bodies {
 		for _, enc := range []struct {
 			name, contentType string
 			marshal           func(any) ([]byte, error)
 		}{{"json", contentTypeJSON, json.Marshal}, {"frames", ContentTypeFrames, encodeFrames}} {
-			body, err := enc.marshal(req)
+			data, err := enc.marshal(bd.v)
 			if err != nil {
 				b.Fatal(err)
 			}
 			contentType := enc.contentType
-			name := fmt.Sprintf("%dx%d²/%s", size.n, size.side, enc.name)
+			name := bd.name + "/" + enc.name
 			b.Run(name+"/encode", func(b *testing.B) {
-				b.SetBytes(int64(len(body)))
+				b.SetBytes(int64(len(data)))
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := enc.marshal(req); err != nil {
+					if _, err := enc.marshal(bd.v); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(name+"/decode", func(b *testing.B) {
-				b.SetBytes(int64(len(body)))
+				b.SetBytes(int64(len(data)))
 				b.ReportAllocs()
 				for b.Loop() {
-					var out LookupResponse
-					if err := unmarshalBody(contentType, body, &out); err != nil {
+					if err := unmarshalBody(contentType, data, bd.mk()); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation counts mean nothing.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestDecodeMatchesAllocations pins what reading serve_scan's 64-match
+// nearest answer costs, a count that does not move with the host: 6
+// allocations — the match slice, one buffer for every doc id, and 4 in
+// encoding/json for the header — where the JSON body took 79. The ceiling
+// is that count plus 2 of headroom for a Go release's encoding/json.
+func TestDecodeMatchesAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	nearest, want := nearest64Body()
+	var got NearestResponse
+	allocs := testing.AllocsPerRun(100, func() {
+		got = NearestResponse{}
+		if err := decodeFrames(nearest.buf, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	const ceiling = 6 + 2
+	if allocs > ceiling {
+		t.Fatalf("decoding a framed 64-match body: %v allocations, want at most %d", allocs, ceiling)
 	}
 }
 

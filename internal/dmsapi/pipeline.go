@@ -446,12 +446,12 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // WriteBody writes v as the 200 response to r: framed when v carries
-// samples and the request's Accept names ContentTypeFrames, as JSON
-// otherwise — what every caller but dmsapi.Client gets.
+// samples or matches and the request's Accept names ContentTypeFrames, as
+// JSON otherwise — what every caller but dmsapi.Client gets.
 func WriteBody(w http.ResponseWriter, r *http.Request, v any) error {
 	_, sp := obs.StartSpan(r.Context(), "encode")
 	defer sp.End()
-	if strings.Contains(r.Header.Get("Accept"), ContentTypeFrames) && carriesSamples(reflect.TypeOf(v)) {
+	if strings.Contains(r.Header.Get("Accept"), ContentTypeFrames) && carriesFrames(reflect.TypeOf(v)) {
 		body, err := encodeFrames(v)
 		if err != nil {
 			return err

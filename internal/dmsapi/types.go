@@ -17,8 +17,8 @@
 // Checkpoints travel as gob-encoded nn.StateDict blobs (an octet-stream
 // body on /v1/models/{id}/checkpoint). Everything else is JSON to any
 // caller; between Client, dmsd and dmsrouter the bodies that carry samples
-// travel frame-encoded instead (frames.go), chosen per request by
-// Content-Type and Accept.
+// or matches travel frame-encoded instead (frames.go), chosen per request
+// by Content-Type and Accept.
 package dmsapi
 
 import (

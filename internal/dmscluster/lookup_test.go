@@ -280,10 +280,10 @@ func TestLookupSurvivesDeleteBetweenRounds(t *testing.T) {
 	}
 }
 
-// BenchmarkLookup is one routed 64-sample lookup over three in-process
-// shards holding 32k documents; shard-reqs/op is the scatter cost the
-// two-round design bounds at 2 × shards.
-func BenchmarkLookup(b *testing.B) {
+// benchCluster is the routed-read benchmarks' fixture: three in-process
+// shards holding 32k documents, 64 query samples, and a count of the
+// requests the shards have served.
+func benchCluster(b *testing.B) (*dmscluster.Cluster, []dmsapi.Sample, func() int64) {
 	ctx := context.Background()
 	all := braggCorpus(47, 32768+64)
 	corpus, queries := all[:32768], dmsapi.FromCodecSlice(all[32768:])
@@ -300,6 +300,15 @@ func BenchmarkLookup(b *testing.B) {
 		}
 		return n
 	}
+	return cluster, queries, requests
+}
+
+// BenchmarkLookup is one routed 64-sample lookup over three in-process
+// shards holding 32k documents; shard-reqs/op is the scatter cost the
+// two-round design bounds at 2 × shards.
+func BenchmarkLookup(b *testing.B) {
+	ctx := context.Background()
+	cluster, queries, requests := benchCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	before := requests()
@@ -307,6 +316,23 @@ func BenchmarkLookup(b *testing.B) {
 		resp, err := cluster.Lookup(ctx, dmsapi.LookupRequest{Samples: queries})
 		if err != nil || len(resp.Samples) != len(queries) {
 			b.Fatalf("lookup: %d samples, err %v", len(resp.Samples), err)
+		}
+	}
+	b.ReportMetric(float64(requests()-before)/float64(b.N), "shard-reqs/op")
+}
+
+// BenchmarkNearest is one routed 64-sample nearest on BenchmarkLookup's
+// fixture: one scatter round, a match list from each shard, one merge.
+func BenchmarkNearest(b *testing.B) {
+	ctx := context.Background()
+	cluster, queries, requests := benchCluster(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := requests()
+	for i := 0; i < b.N; i++ {
+		resp, err := cluster.Nearest(ctx, dmsapi.NearestRequest{Samples: queries})
+		if err != nil || len(resp.Matches) != len(queries) {
+			b.Fatalf("nearest: %d matches, err %v", len(resp.Matches), err)
 		}
 	}
 	b.ReportMetric(float64(requests()-before)/float64(b.N), "shard-reqs/op")

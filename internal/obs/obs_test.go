@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,40 @@ func TestDumpEncodeDecodeGraft(t *testing.T) {
 		if got.Spans[i].Parent != want {
 			t.Errorf("span %d (%s) parent = %d, want %d", i, got.Spans[i].Name, got.Spans[i].Parent, want)
 		}
+	}
+}
+
+// TestAttachRemoteGraftsAtDump: a remote tree attached as its trailer
+// value is grafted when the trace is dumped, exactly as an eager decode and
+// Graft would place it; a malformed, empty or span-less value grafts
+// nothing and leaves the local tree as it was.
+func TestAttachRemoteGraftsAtDump(t *testing.T) {
+	server := NewTrace("bb22", true)
+	_, sroot := StartSpan(NewContext(context.Background(), server), "request")
+	sroot.End()
+	trailer := EncodeDump(server.Dump())
+
+	client := NewTrace("bb22", true)
+	cctx, cr := StartSpan(NewContext(context.Background(), client), "route")
+	_, rt := StartSpan(cctx, "http_roundtrip")
+	rt.End()
+	cr.End()
+	local := client.Dump()
+
+	for _, bad := range []string{"", "{not json", `{"spans":[]}`, trailer[:len(trailer)-1]} {
+		client.AttachRemote(rt.Index(), bad)
+	}
+	if got := client.Dump(); !reflect.DeepEqual(got, local) {
+		t.Fatalf("malformed trailers grafted spans:\n got  %+v\n want %+v", got, local)
+	}
+
+	client.AttachRemote(rt.Index(), trailer)
+	remote, ok := DecodeDump(trailer)
+	if !ok {
+		t.Fatal("the server's own trailer does not decode")
+	}
+	if got, want := client.Dump(), Graft(local, rt.Index(), remote); !reflect.DeepEqual(got, want) {
+		t.Fatalf("graft at dump:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -59,10 +59,10 @@ type Trace struct {
 }
 
 // graftData is a remote tier's span tree waiting to be spliced into the
-// local tree at Dump time.
+// local tree at Dump time, still in its SpanHeader encoding.
 type graftData struct {
 	at     int
-	remote TraceDump
+	remote string
 }
 
 type spanData struct {
@@ -214,14 +214,17 @@ type SpanDump struct {
 	DurUS   int64  `json:"dur_us"`
 }
 
-// AttachRemote records a remote tier's span tree to be grafted under the
-// local span at index at when the trace is dumped — how a middle tier
-// (e.g. the cluster router forwarding to shards) splices each shard's
-// trailer dump into the tree it returns on its own trailer. at indexes
-// the local trace's own spans (Span.Index of the round-trip span the
-// remote call ran under). Nil-safe.
-func (t *Trace) AttachRemote(at int, remote TraceDump) {
-	if t == nil || len(remote.Spans) == 0 {
+// AttachRemote records a remote tier's span tree — a SpanHeader value, as
+// EncodeDump wrote it — to be grafted under the local span at index at
+// when the trace is dumped: how a middle tier (e.g. the cluster router
+// forwarding to shards) splices each shard's trailer dump into the tree
+// it returns on its own trailer. at indexes the local trace's own spans
+// (Span.Index of the round-trip span the remote call ran under). The
+// value is decoded only by Dump, so a trace that is never dumped — a
+// router's ring-only trace of a fast request — never parses it; a
+// malformed value grafts nothing. Nil-safe.
+func (t *Trace) AttachRemote(at int, remote string) {
+	if t == nil || remote == "" {
 		return
 	}
 	t.mu.Lock()
@@ -255,7 +258,9 @@ func (t *Trace) Dump() TraceDump {
 	// at — an index into the local span list — stays valid across
 	// successive grafts.
 	for _, g := range t.grafts {
-		d = Graft(d, g.at, g.remote)
+		if remote, ok := DecodeDump(g.remote); ok && len(remote.Spans) > 0 {
+			d = Graft(d, g.at, remote)
+		}
 	}
 	return d
 }
