@@ -56,6 +56,11 @@ func NewClient(addr string, opts ...Option) (*Client, error) {
 				MaxIdleConns:        o.poolSize,
 				MaxIdleConnsPerHost: o.poolSize,
 				IdleConnTimeout:     90 * time.Second,
+				// net/http copies a body larger than the write buffer to
+				// the socket through a fresh buffer of up to 32 KiB per
+				// request. 64 KiB holds a 64-sample 11×11 body, the size
+				// of a nearest or lookup read and of its shard scatter.
+				WriteBufferSize: 64 << 10,
 			},
 		},
 	}
