@@ -302,9 +302,9 @@ func (c *Client) RapidTrain(req TrainRequest, timeout time.Duration) (TrainJob, 
 // name is historical: a value that carries samples or matches travels
 // frame-encoded (see ContentTypeFrames) — in when it has such a field, the
 // response when out has one and the server honours the Accept header —
-// and everything else as JSON. It is the context-aware exported transport the
-// cluster tier is built on: when ctx carries a sampled obs trace, the
-// exchange joins it — the round-trip span opens under the caller's
+// and everything else as JSON. It is the context-aware exported
+// transport the cluster tier is built on: when ctx carries a sampled obs
+// trace, the exchange joins it — the round-trip span opens under the caller's
 // current span, the trace ID rides the request header, and the server's
 // trailer span tree is attached back into the caller's trace — so client →
 // router → shard produces one contiguous tree. Non-2xx responses decode
