@@ -53,6 +53,23 @@ func BenchmarkDecodeRaw(b *testing.B)    { benchDecode(b, Raw{}) }
 func BenchmarkDecodePickle(b *testing.B) { benchDecode(b, Gob{}) }
 func BenchmarkDecodeBlosc(b *testing.B)  { benchDecode(b, Block{}) }
 
+// BenchmarkDecodeBloscPatch decodes the served shape: a labelled 15×15
+// f32 Bragg patch, whose 900-byte payload is one stored block.
+func BenchmarkDecodeBloscPatch(b *testing.B) {
+	s := randomSample(rand.New(rand.NewSource(1)), F32, []int{15, 15})
+	enc, err := Block{}.Encode(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := (Block{}).Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(s.Data)))
+}
+
 func BenchmarkShuffleBytes(b *testing.B) {
 	data := make([]byte, 128*128*2)
 	dst := make([]byte, len(data))

@@ -326,7 +326,9 @@ func (Gob) Decode(b []byte) (*Sample, error) {
 // Block is a Blosc-style codec: the payload is byte-shuffled (transposed so
 // byte k of every element is contiguous, which groups zero high bytes of
 // detector data), split into fixed-size blocks, and each block DEFLATE-
-// compressed. Blocks are processed in parallel on encode and decode.
+// compressed. Blocks are processed in parallel on encode and decode. A
+// payload under MinCompress is one stored block, and decodes in one pass,
+// unshuffled straight from the frame into the payload.
 type Block struct {
 	// BlockSize is the uncompressed bytes per block; 0 means 64 KiB.
 	BlockSize int
@@ -528,7 +530,11 @@ func (c Block) Encode(s *Sample) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode decompresses blocks in parallel and unshuffles.
+// Decode checks the frame, then decodes its blocks into a fresh payload. A
+// frame of one stored block, what every payload under MinCompress is,
+// decodes in one pass: the unshuffle reads the frame and writes the
+// payload, with no copy between. Other frames inflate their blocks, in
+// parallel when there are several (see inflate).
 func (c Block) Decode(b []byte) (*Sample, error) {
 	if len(b) < 3 || b[0] != rawMagic {
 		return nil, fmt.Errorf("codec: block: bad header")
@@ -539,8 +545,11 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	if len(b) < off+8*ndim+2 {
 		return nil, fmt.Errorf("codec: block: truncated shape")
 	}
-	for i := 0; i < ndim; i++ {
-		s.Shape = append(s.Shape, int(binary.LittleEndian.Uint64(b[off:])))
+	if ndim > 0 {
+		s.Shape = make([]int, ndim)
+	}
+	for i := range s.Shape {
+		s.Shape[i] = int(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
 	nl := int(binary.LittleEndian.Uint16(b[off:]))
@@ -548,8 +557,11 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	if len(b) < off+8*nl {
 		return nil, fmt.Errorf("codec: block: truncated label")
 	}
-	for i := 0; i < nl; i++ {
-		s.Label = append(s.Label, math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
+	if nl > 0 {
+		s.Label = make([]float64, nl)
+	}
+	for i := range s.Label {
+		s.Label[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
 	if len(b) < off+12 {
@@ -578,35 +590,65 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	if (len(b)-off)/4 < nblocks {
 		return nil, fmt.Errorf("codec: block: truncated block table")
 	}
-	sizes := make([]int, nblocks)
-	rawBlk := make([]bool, nblocks)
-	for i := range sizes {
-		entry := binary.LittleEndian.Uint32(b[off:])
-		rawBlk[i] = entry&storedFlag != 0
-		sizes[i] = int(entry &^ storedFlag)
-		off += 4
+	table := b[off : off+4*nblocks]
+	off += 4 * nblocks
+	for i := range nblocks {
 		span := min(bs, rawLen-i*bs)
-		if rawBlk[i] && sizes[i] != span || !rawBlk[i] && sizes[i] < span/maxDeflateRatio {
-			return nil, fmt.Errorf("codec: block: block %d carries %d bytes for %d raw", i, sizes[i], span)
+		if sz, stored := blockEntry(table, i); stored && sz != span || !stored && sz < span/maxDeflateRatio {
+			return nil, fmt.Errorf("codec: block: block %d carries %d bytes for %d raw", i, sz, span)
 		}
 	}
-	blocks := make([][]byte, nblocks)
-	for i, sz := range sizes {
+	body := off
+	for i := range nblocks {
+		sz, _ := blockEntry(table, i)
 		if len(b)-off < sz {
 			return nil, fmt.Errorf("codec: block: truncated block %d", i)
 		}
-		blocks[i] = b[off : off+sz]
 		off += sz
 	}
 
-	shuffled := make([]byte, rawLen)
+	width := s.Dtype.Size()
+	s.Data = make([]byte, rawLen)
+	if _, stored := blockEntry(table, 0); nblocks == 1 && stored {
+		unshuffleInto(s.Data, b[body:off], width)
+	} else if err := inflate(s.Data, b[body:off], table, bs, width); err != nil {
+		return nil, fmt.Errorf("codec: block decode: %w", err)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// blockEntry reads entry i of a frame's block table: the bytes the block
+// carries and whether they are stored rather than compressed.
+func blockEntry(table []byte, i int) (size int, stored bool) {
+	entry := binary.LittleEndian.Uint32(table[4*i:])
+	return int(entry &^ storedFlag), entry&storedFlag != 0
+}
+
+// inflate decodes the blocks body holds back to back, as table describes
+// them, bs raw bytes each but the last, in parallel when there are several,
+// and unshuffles them into dst. A byte-wide payload needs no unshuffle, so
+// its blocks decode into dst itself; wider ones go through a pooled
+// shuffled buffer.
+func inflate(dst, body, table []byte, bs, width int) error {
+	shuffled := dst
+	if width > 1 {
+		scratch := acquireShuffleBuf(len(dst))
+		defer shuffleBufs.Put(scratch)
+		shuffled = (*scratch)[:len(dst)]
+	}
+	nblocks := len(table) / 4
+	blocks := make([][]byte, nblocks)
+	for i := range blocks {
+		sz, _ := blockEntry(table, i)
+		blocks[i], body = body[:sz], body[sz:]
+	}
 	decodeBlock := func(i int) error {
 		lo := i * bs
-		hi := lo + bs
-		if hi > rawLen {
-			hi = rawLen
-		}
-		if rawBlk[i] {
+		hi := min(lo+bs, len(dst))
+		if _, stored := blockEntry(table, i); stored {
 			copy(shuffled[lo:hi], blocks[i])
 			return nil
 		}
@@ -622,7 +664,7 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	}
 	if nblocks == 1 {
 		if err := decodeBlock(0); err != nil {
-			return nil, fmt.Errorf("codec: block decode: %w", err)
+			return err
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -637,15 +679,14 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return nil, fmt.Errorf("codec: block decode: %w", err)
+				return err
 			}
 		}
 	}
-	s.Data = unshuffleBytes(shuffled, s.Dtype.Size())
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if width > 1 {
+		unshuffleInto(dst, shuffled, width)
 	}
-	return s, nil
+	return nil
 }
 
 // shuffleBufs pools Encode's transient shuffle scratch: the shuffled bytes
@@ -677,19 +718,46 @@ func shuffleBytesInto(dst, data []byte, width int) {
 	copy(dst[n*width:len(data)], data[n*width:])
 }
 
-// unshuffleBytes inverts shuffleBytesInto.
-func unshuffleBytes(data []byte, width int) []byte {
-	if width <= 1 {
-		return append([]byte(nil), data...)
-	}
-	n := len(data) / width
-	out := make([]byte, len(data))
-	for k := 0; k < width; k++ {
-		base := k * n
-		for i := 0; i < n; i++ {
-			out[i*width+k] = data[base+i]
+// unshuffleInto inverts shuffleBytesInto, writing len(dst) bytes from
+// data (as long as dst). Widths 2, 4 and 8 assemble each element from its
+// byte planes as one word and store it once.
+func unshuffleInto(dst, data []byte, width int) {
+	data = data[:len(dst)]
+	n := len(dst) / width
+	switch width {
+	case 1:
+		copy(dst, data)
+		return
+	case 2:
+		p0, p1 := data[:n], data[n:2*n]
+		p1 = p1[:len(p0)]
+		for i := range p0 {
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(p0[i])|uint16(p1[i])<<8)
+		}
+	case 4:
+		p0, p1, p2, p3 := data[:n], data[n:2*n], data[2*n:3*n], data[3*n:4*n]
+		p1, p2, p3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)]
+		for i := range p0 {
+			binary.LittleEndian.PutUint32(dst[4*i:],
+				uint32(p0[i])|uint32(p1[i])<<8|uint32(p2[i])<<16|uint32(p3[i])<<24)
+		}
+	case 8:
+		p0, p1, p2, p3 := data[:n], data[n:2*n], data[2*n:3*n], data[3*n:4*n]
+		p4, p5, p6, p7 := data[4*n:5*n], data[5*n:6*n], data[6*n:7*n], data[7*n:8*n]
+		p1, p2, p3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)]
+		p4, p5, p6, p7 = p4[:len(p0)], p5[:len(p0)], p6[:len(p0)], p7[:len(p0)]
+		for i := range p0 {
+			binary.LittleEndian.PutUint64(dst[8*i:],
+				uint64(p0[i])|uint64(p1[i])<<8|uint64(p2[i])<<16|uint64(p3[i])<<24|
+					uint64(p4[i])<<32|uint64(p5[i])<<40|uint64(p6[i])<<48|uint64(p7[i])<<56)
+		}
+	default:
+		for k := 0; k < width; k++ {
+			base := k * n
+			for i := 0; i < n; i++ {
+				dst[i*width+k] = data[base+i]
+			}
 		}
 	}
-	copy(out[n*width:], data[n*width:])
-	return out
+	copy(dst[n*width:], data[n*width:])
 }

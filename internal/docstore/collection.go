@@ -272,10 +272,17 @@ func (c *Collection) Get(id string) (*Doc, error) {
 	return &Doc{ID: d.ID, F: cloneFields(d.F)}, nil
 }
 
-// GetMany returns copies of the documents with the given IDs, in order.
-// Missing IDs produce an error naming the first absent one. IDs are
-// fetched shard-by-shard, so the result is not a single atomic snapshot
-// under concurrent writers.
+// GetMany returns the documents with the given IDs, in order. Missing IDs
+// produce an error naming the first absent one. IDs are fetched
+// shard-by-shard, so the result is not a single atomic snapshot under
+// concurrent writers.
+//
+// The documents are the store's own, not copies: a stored document is
+// never modified, because every write replaces it whole (copy-on-write:
+// an update merges into a fresh field map), so a document a reader holds
+// keeps the fields it was read with. The caller must treat it as
+// read-only, its field map and slice values included; Get returns a copy
+// that may be changed.
 func (c *Collection) GetMany(ids []string) ([]*Doc, error) {
 	out := make([]*Doc, len(ids))
 	missing := -1
@@ -290,7 +297,7 @@ func (c *Collection) GetMany(ids []string) ([]*Doc, error) {
 				}
 				continue
 			}
-			out[i] = &Doc{ID: d.ID, F: cloneFields(d.F)}
+			out[i] = d
 		}
 	})
 	if missing >= 0 {
@@ -377,10 +384,11 @@ func (c *Collection) Find(q Query) ([]*Doc, error) {
 // returns each shard's matched IDs, unsorted.
 func (c *Collection) scanShards(q Query) [][]string {
 	results := make([][]string, len(c.shards))
+	keys := filterKeys(q)
 	c.forEachShard(func(i int, s *shard) {
 		var ids []string
 		s.mu.RLock()
-		s.forEachMatchLocked(q, func(id string) { ids = append(ids, id) })
+		s.forEachMatchLocked(q, keys, func(id string) { ids = append(ids, id) })
 		s.mu.RUnlock()
 		results[i] = ids
 	})
@@ -426,16 +434,18 @@ func (c *Collection) CountWhere(q Query) (int, error) {
 // hashes nothing and walks no map, one comparison per member, and the
 // query's other filters are checked only on a member whose rank would
 // enter the selection. A query with no indexed filter hashes each match of
-// a full scan. n ≤ 0 is an empty draw.
+// a full scan. The filters' index keys are made once per call, not per
+// stripe. n ≤ 0 is an empty draw.
 func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	parts := make([]lowest, len(c.shards))
+	keys := filterKeys(q)
 	c.forEachShard(func(i int, s *shard) {
 		sel := newLowest(n, seed)
 		s.mu.RLock()
-		s.drawLocked(q, &sel, seed)
+		s.drawLocked(q, keys, &sel, seed)
 		s.mu.RUnlock()
 		parts[i] = sel
 	})
@@ -448,24 +458,30 @@ func (c *Collection) SampleIDs(q Query, n int, seed int64) ([]string, error) {
 	return sel.ids(), nil
 }
 
+// filterKeys returns the index key of each of q's filter values, "" for a
+// value no index can hold (every key indexKey makes is non-empty).
+func filterKeys(q Query) []string {
+	keys := make([]string, len(q.Filters))
+	for i, f := range q.Filters {
+		keys[i], _ = indexKey(f.Value)
+	}
+	return keys
+}
+
 // indexedBucketLocked picks the query's index access path: the position of
 // the equality filter on a hash-indexed field whose bucket is smallest, and
-// that bucket (nil when no document of the stripe has the key). at is -1
-// when no filter can use an index. Caller holds at least the shard's read
-// lock.
+// that bucket (nil when no document of the stripe has the key). keys are
+// the filters' index keys (filterKeys). at is -1 when no filter can use an
+// index. Caller holds at least the shard's read lock.
 // lint:holds s.mu
-func (s *shard) indexedBucketLocked(q Query) (at int, b *bucket) {
+func (s *shard) indexedBucketLocked(q Query, keys []string) (at int, b *bucket) {
 	at = -1
 	for i, f := range q.Filters {
 		idx, ok := s.hashIdx[f.Field]
-		if !ok {
+		if !ok || keys[i] == "" {
 			continue
 		}
-		key, err := indexKey(f.Value)
-		if err != nil {
-			continue
-		}
-		if kb := idx[key]; at < 0 || kb.size() < b.size() {
+		if kb := idx[keys[i]]; at < 0 || kb.size() < b.size() {
 			at, b = i, kb
 		}
 	}
@@ -479,10 +495,11 @@ func (s *shard) indexedBucketLocked(q Query) (at int, b *bucket) {
 // candidate. When the bucket alone decides the match, the document map is
 // not touched. Caller holds at least the shard's read lock. Different
 // shards may pick different access paths for the same query; correctness
-// only requires that each shard's candidates cover its matches.
+// only requires that each shard's candidates cover its matches. keys are
+// the filters' index keys (filterKeys).
 // lint:holds s.mu
-func (s *shard) forEachMatchLocked(q Query, fn func(id string)) {
-	at, b := s.indexedBucketLocked(q)
+func (s *shard) forEachMatchLocked(q Query, keys []string, fn func(id string)) {
+	at, b := s.indexedBucketLocked(q, keys)
 	if at < 0 {
 		for id, d := range s.docs {
 			if matchesAll(d, q.Filters) {
@@ -505,13 +522,13 @@ func (s *shard) forEachMatchLocked(q Query, fn func(id string)) {
 // drawLocked offers sel the shard's matches of the query, drawing under
 // seed. Over an index bucket it reads the bucket's draw slab and checks the
 // other filters only on a member whose rank sel may take; without one it
-// hashes every match of a full scan. Caller holds at least the shard's read
-// lock.
+// hashes every match of a full scan. keys are the filters' index keys
+// (filterKeys). Caller holds at least the shard's read lock.
 // lint:holds s.mu
-func (s *shard) drawLocked(q Query, sel *lowest, seed int64) {
-	at, b := s.indexedBucketLocked(q)
+func (s *shard) drawLocked(q Query, keys []string, sel *lowest, seed int64) {
+	at, b := s.indexedBucketLocked(q, keys)
 	if at < 0 {
-		s.forEachMatchLocked(q, sel.offer)
+		s.forEachMatchLocked(q, keys, sel.offer)
 		return
 	}
 	if b == nil {

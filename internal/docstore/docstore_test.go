@@ -55,6 +55,106 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestGetManyDocumentsAreCopyOnWrite: GetMany hands out the store's own
+// documents, so no write may change one a reader holds. An update merges
+// into a fresh field map and a delete drops the document from the store;
+// the documents read before keep exactly their fields, indexed ones
+// included, and a later GetMany sees the writes.
+func TestGetManyDocumentsAreCopyOnWrite(t *testing.T) {
+	c := NewStore().Collection("x")
+	if err := c.CreateHashIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := c.InsertMany([]Fields{{"k": 1, "v": "a"}, {"k": 2, "v": "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := c.GetMany(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Update(ids[0], Fields{"k": 5, "v": "a2", "w": 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Fields{{"k": int64(1), "v": "a"}, {"k": int64(2), "v": "b"}} {
+		if f := held[i].F; len(f) != len(want) || f["k"] != want["k"] || f["v"] != want["v"] || held[i].ID != ids[i] {
+			t.Fatalf("document %s held across writes reads %v, want %v", ids[i], f, want)
+		}
+	}
+	now, err := c.GetMany(ids[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := now[0].F; f["k"] != int64(5) || f["v"] != "a2" || f["w"] != int64(3) {
+		t.Fatalf("GetMany after the update reads %v", f)
+	}
+	if _, err := c.GetMany(ids[1:]); err == nil {
+		t.Fatal("GetMany found a deleted document")
+	}
+}
+
+// TestGetManyDocumentsStayPutUnderWrites reads every field of documents
+// GetMany returned while writers update and re-add the same IDs. Under
+// -race a write into a document a reader holds is a reported race; without
+// it, each held document must keep the value it was read with.
+func TestGetManyDocumentsStayPutUnderWrites(t *testing.T) {
+	c := NewStore().Collection("x")
+	if err := c.CreateHashIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 16; i++ {
+		id, err := c.Insert(fmt.Sprintf("d%02d", i), Fields{"k": i % 3, "v": int64(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 1; n <= 200; n++ {
+				id := ids[(n*7+w)%len(ids)]
+				if err := c.Update(id, Fields{"k": n % 3, "v": int64(n)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				docs, err := c.GetMany(ids)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := make([]any, len(docs))
+				for i, d := range docs {
+					seen[i] = d.F["v"]
+					for range d.F { // every field, under the race detector's eye
+					}
+				}
+				for i, d := range docs {
+					if d.F["v"] != seen[i] {
+						t.Errorf("document %s changed from %v to %v while held", d.ID, seen[i], d.F["v"])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestUpdateMergesAndDeleteRemoves(t *testing.T) {
 	c := NewStore().Collection("x")
 	id, _ := c.Insert("", Fields{"a": 1, "b": 2})

@@ -197,3 +197,55 @@ func BenchmarkIngestLabeled(b *testing.B) {
 		}
 	}
 }
+
+// lookup512Fixture is update_cycle's labelled corpus and one of its
+// lookups, on the embedder dmsd serves: 16 scans of 512 15×15 f32 Bragg
+// patches (8,192 documents) along datagen's drift schedule, embedded by
+// embed.Scaled over the untrained autoencoder 225→64→8 (factor 1, seed 1),
+// clustered with k 8 fit on the first 256-sample batch and ingested in such
+// batches, and 512 unlabelled samples of the first drifted scan.
+func lookup512Fixture(tb testing.TB) (*Service, *tensor.Tensor) {
+	tb.Helper()
+	const scans, scanDocs, batch = 16, 512, 256
+	sched := datagen.DefaultBraggDrift(scans)
+	rng := rand.New(rand.NewSource(1))
+	e := embed.Scaled{E: embed.NewAutoencoder(rand.New(rand.NewSource(1)), 225, 64, 8), Factor: 1}
+	svc, err := New(e, docstore.NewStore().Collection("bench"), Config{Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < scans; i++ {
+		scan := sched.RegimeAt(i).Generate(rng, scanDocs)
+		for lo := 0; lo < len(scan); lo += batch {
+			if i == 0 && lo == 0 {
+				x, err := Collate(scan[:batch])
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if err := svc.FitClustersK(x, 8); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if _, err := svc.IngestLabeled(scan[lo:lo+batch], fmt.Sprintf("scan-%02d", i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	qx, err := Collate(sched.RegimeAt(scans).Generate(rng, 512))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return svc, qx
+}
+
+// BenchmarkLookupLabeled512 is update_cycle's pseudo-labelling lookup
+// (lookup512Fixture): a draw of 512 documents, their fetch and decode.
+func BenchmarkLookupLabeled512(b *testing.B) {
+	svc, qx := lookup512Fixture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := svc.LookupLabeled(qx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,11 +1,13 @@
-// Package simd holds the module's vector kernels: the row updates and
+// Package simd holds the module's vector kernels: the row update and the
 // paired dots of tensor's matrix products, nn's LeakyReLU, max-pool select
 // and Adam element updates, the non-zero scan and paired dots at listed
 // pairs of nn's conv gradient, and vecindex's dim-8 distance check. Each is
-// one function over float64 slices. On amd64 with AVX2 it runs assembly
-// over the largest whole-vector prefix and its Go loop over the rest;
-// everywhere else the Go loop runs over everything. Callers never see which
-// path ran.
+// one function over float64 slices. The row update takes a whole output row
+// and all k rows of b it sums, so a product makes one call per output row
+// and the AVX2 path holds the row's sums in registers across k. On amd64
+// with AVX2 a kernel runs assembly over the largest whole-vector prefix and
+// its Go loop over the rest; everywhere else the Go loop runs over
+// everything. Callers never see which path ran.
 //
 // The contract is bits: the assembly performs the Go loop's operations in
 // the Go loop's order, with no fused multiply-add, so both paths give the
@@ -17,7 +19,8 @@
 // which bits.
 //
 // Every kernel allocates nothing, and every slice argument must be at least
-// as long as the one that sets the length (the first), or the call panics.
+// as long as the one that sets the length (the first), or the call panics;
+// AddScaledRows's operands are sized by its k and stride as well.
 package simd
 
 import "math"
@@ -26,30 +29,59 @@ import "math"
 // portable loops on the same host.
 var useAVX2 = hasAVX2()
 
-// AddRows4 adds four scaled rows to o: o[j] + (((c0·b0[j] + c1·b1[j]) +
-// c2·b2[j]) + c3·b3[j]), each product rounded before it is added.
-func AddRows4(o, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64) {
-	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+// AddScaledRows is a matrix product's row update: it adds Σ_p c_p·b_p to o,
+// where b_p is row p of b, a row-major k×len(o) matrix, and c_p =
+// c[p·stride]. Rows go in blocks of four, o[j] + (((c0·b0[j] + c1·b1[j]) +
+// c2·b2[j]) + c3·b3[j]), each product rounded before it is added, then the
+// last k mod 4 rows one at a time, o[j] + c·b[j]. A block whose four
+// coefficients all equal zero (±0) is skipped, and so is a last row whose
+// coefficient does, so a zero coefficient never meets an infinite or NaN
+// element of b. The AVX2 path keeps a run of o's elements in registers
+// across all k rows and stores it once; every element sees the same
+// operations in the same order either way. b must hold k·len(o) elements
+// and c at least (k−1)·stride+1, or the call panics.
+func AddScaledRows(o, b, c []float64, k, stride int) {
+	n := len(o)
+	if k <= 0 || n == 0 {
+		return
+	}
+	b = b[:k*n]
+	_ = c[(k-1)*stride]
 	j := 0
 	if useAVX2 {
-		addRows4AVX2(o, b0, b1, b2, b3, c0, c1, c2, c3)
-		j = len(o) &^ 3
+		addScaledRowsAVX2(o, b, c, k, stride)
+		j = n &^ 3
 	}
-	for ; j < len(o); j++ {
-		o[j] += float64(c0*b0[j]) + float64(c1*b1[j]) + float64(c2*b2[j]) + float64(c3*b3[j])
+	if j == n {
+		return
 	}
-}
-
-// AddRow adds one scaled row to o: o[j] + c·b[j].
-func AddRow(o, b []float64, c float64) {
-	b = b[:len(o)]
-	j := 0
-	if useAVX2 {
-		addRowAVX2(o, b, c)
-		j = len(o) &^ 3
+	// The Go loop covers columns [j, n): all of o, or the AVX2 path's tail.
+	o = o[j:]
+	off, p := 0, 0
+	for ; p+4 <= k; p += 4 {
+		c0, c1, c2, c3 := c[off], c[off+stride], c[off+2*stride], c[off+3*stride]
+		off += 4 * stride
+		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
+			continue
+		}
+		b0 := b[p*n+j : (p+1)*n][:len(o)]
+		b1 := b[(p+1)*n+j : (p+2)*n][:len(o)]
+		b2 := b[(p+2)*n+j : (p+3)*n][:len(o)]
+		b3 := b[(p+3)*n+j : (p+4)*n][:len(o)]
+		for i := range o {
+			o[i] += float64(c0*b0[i]) + float64(c1*b1[i]) + float64(c2*b2[i]) + float64(c3*b3[i])
+		}
 	}
-	for ; j < len(o); j++ {
-		o[j] += float64(c * b[j])
+	for ; p < k; p++ {
+		cp := c[off]
+		off += stride
+		if cp == 0 {
+			continue
+		}
+		bp := b[p*n+j : (p+1)*n][:len(o)]
+		for i := range o {
+			o[i] += float64(cp * bp[i])
+		}
 	}
 }
 

@@ -25,18 +25,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // The kernels below are the exported functions' vector prefixes: each
-// covers the largest whole number of four-element vectors (Dist8First's,
-// of four-vector groups; DotPairs4's, of pairs; MaxPool's, of four-window
-// groups; NonZero's returns how many positions it wrote; DotPairs4At's
-// covers every listed pair) and leaves the rest to the
-// exported function's Go loop, which has already cut every slice to the
-// length that sets the prefix.
+// covers the largest whole number of four-element vectors (AddScaledRows's,
+// of o's, over all k rows; Dist8First's, of four-vector groups;
+// DotPairs4's, of pairs; MaxPool's, of four-window groups; NonZero's
+// returns how many positions it wrote; DotPairs4At's covers every listed
+// pair) and leaves the rest to the exported function's Go loop, which has
+// already cut every slice to the length that sets the prefix.
 
 //go:noescape
-func addRows4AVX2(orow, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64)
-
-//go:noescape
-func addRowAVX2(orow, b []float64, c float64)
+func addScaledRowsAVX2(o, b, c []float64, k, stride int)
 
 //go:noescape
 func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64)

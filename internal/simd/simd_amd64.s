@@ -19,61 +19,174 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func addRows4AVX2(orow, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64)
+// COEFS4 loads the block's coefficients c[p], c[p+s], c[p+2s] and c[p+3s]
+// from R12 (s, in bytes, in BX) into X0..X3 and moves R12 four on. When all
+// four equal zero (EQ_OQ: ±0 do, a NaN does not) it jumps to skip;
+// otherwise it broadcasts them to Y0..Y3 and points R14 and R10 at rows p+2
+// and p+3 of b (row p at R11, a row's bytes in R9).
+#define COEFS4(skip) \
+	VMOVSD       (R12), X0; \
+	VMOVSD       (R12)(BX*1), X1; \
+	LEAQ         (R12)(BX*2), R12; \
+	VMOVSD       (R12), X2; \
+	VMOVSD       (R12)(BX*1), X3; \
+	LEAQ         (R12)(BX*2), R12; \
+	VUNPCKLPD    X1, X0, X4; \
+	VUNPCKLPD    X3, X2, X5; \
+	VINSERTF128  $1, X5, Y4, Y4; \
+	VCMPPD       $0x00, Y7, Y4, Y4; \
+	VMOVMSKPD    Y4, AX; \
+	CMPQ         AX, $15; \
+	JEQ          skip; \
+	VBROADCASTSD X0, Y0; \
+	VBROADCASTSD X1, Y1; \
+	VBROADCASTSD X2, Y2; \
+	VBROADCASTSD X3, Y3; \
+	LEAQ         (R11)(R9*2), R14; \
+	LEAQ         (R14)(R9*1), R10
+
+// ROWS4 adds ((c0·b_p + c1·b_{p+1}) + c2·b_{p+2}) + c3·b_{p+3}, over the
+// vector at byte offset off of the tile, to acc.
+#define ROWS4(off, acc) \
+	VMULPD off(R11), Y0, Y4; \
+	VMULPD off(R11)(R9*1), Y1, Y5; \
+	VADDPD Y5, Y4, Y4; \
+	VMULPD off(R14), Y2, Y5; \
+	VADDPD Y5, Y4, Y4; \
+	VMULPD off(R10), Y3, Y5; \
+	VADDPD Y5, Y4, Y4; \
+	VADDPD Y4, acc, acc
+
+// COEF1 loads c[p] from R12 into X0 and moves R12 one on. When it equals
+// zero (EQ_OQ) it jumps to skip; otherwise it broadcasts it to Y0.
+#define COEF1(skip) \
+	VMOVSD       (R12), X0; \
+	ADDQ         BX, R12; \
+	VCMPSD       $0x00, X7, X0, X4; \
+	VMOVQ        X4, AX; \
+	TESTQ        AX, AX; \
+	JNZ          skip; \
+	VBROADCASTSD X0, Y0
+
+// ROW1 adds c·b_p, over the vector at byte offset off of the tile, to acc.
+#define ROW1(off, acc) \
+	VMULPD off(R11), Y0, Y4; \
+	VADDPD Y4, acc, acc
+
+// func addScaledRowsAVX2(o, b, c []float64, k, stride int)
 //
-// No FMA: each product is rounded before it is added, as in the Go loop.
-TEXT ·addRows4AVX2(SB), NOSPLIT, $0-152
-	MOVQ orow_base+0(FP), DI
-	MOVQ orow_len+8(FP), CX
-	MOVQ b0_base+24(FP), R8
-	MOVQ b1_base+48(FP), R9
-	MOVQ b2_base+72(FP), R10
-	MOVQ b3_base+96(FP), R11
-	VBROADCASTSD c0+120(FP), Y0
-	VBROADCASTSD c1+128(FP), Y1
-	VBROADCASTSD c2+136(FP), Y2
-	VBROADCASTSD c3+144(FP), Y3
-	SHRQ $2, CX
-	JZ   done
-	XORQ AX, AX
+// Column tiles of four vectors, then of one, cover o's whole vectors. A
+// tile's sums stay in Y8..Y11 over all k rows of b and are stored once:
+// each block of four rows adds ((c0·b0 + c1·b1) + c2·b2) + c3·b3, then each
+// of the last k mod 4 rows adds c·b, and a block of zero coefficients, or a
+// last row's zero coefficient, is skipped. Every element sees the Go loop's
+// operations in its order. No FMA.
+TEXT ·addScaledRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ   o_base+0(FP), DI
+	MOVQ   o_len+8(FP), CX
+	MOVQ   b_base+24(FP), R8
+	MOVQ   c_base+48(FP), SI
+	MOVQ   k+72(FP), DX
+	MOVQ   stride+80(FP), BX
+	SHLQ   $3, BX // coefficient stride, in bytes
+	MOVQ   CX, R9
+	SHLQ   $3, R9 // a row of b, in bytes
+	SHRQ   $2, CX // o's whole vectors
+	VXORPD Y7, Y7, Y7
 
-loop:
-	VMULPD (R8)(AX*8), Y0, Y4  // c0·b0
-	VMULPD (R9)(AX*8), Y1, Y5  // c1·b1
-	VADDPD Y5, Y4, Y4
-	VMULPD (R10)(AX*8), Y2, Y5 // c2·b2
-	VADDPD Y5, Y4, Y4
-	VMULPD (R11)(AX*8), Y3, Y5 // c3·b3
-	VADDPD Y5, Y4, Y4
-	VADDPD (DI)(AX*8), Y4, Y4  // orow + sum
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	DECQ CX
-	JNZ  loop
+tile4:
+	CMPQ    CX, $4
+	JLT     tile1
+	VMOVUPD 0(DI), Y8
+	VMOVUPD 32(DI), Y9
+	VMOVUPD 64(DI), Y10
+	VMOVUPD 96(DI), Y11
+	MOVQ    R8, R11 // row p of b, at the tile
+	MOVQ    SI, R12 // c_p
+	MOVQ    DX, R13
+	SHRQ    $2, R13 // blocks of four rows
+	JZ      t4rest
 
-done:
-	VZEROUPPER
-	RET
+t4block:
+	COEFS4(t4skip)
+	ROWS4(0, Y8)
+	ROWS4(32, Y9)
+	ROWS4(64, Y10)
+	ROWS4(96, Y11)
 
-// func addRowAVX2(orow, b []float64, c float64)
-TEXT ·addRowAVX2(SB), NOSPLIT, $0-56
-	MOVQ orow_base+0(FP), DI
-	MOVQ orow_len+8(FP), CX
-	MOVQ b_base+24(FP), SI
-	VBROADCASTSD c+48(FP), Y0
-	SHRQ $2, CX
-	JZ   rowdone
-	XORQ AX, AX
+t4skip:
+	LEAQ (R11)(R9*4), R11
+	DECQ R13
+	JNZ  t4block
 
-rowloop:
-	VMULPD  (SI)(AX*8), Y0, Y1 // c·b
-	VADDPD  (DI)(AX*8), Y1, Y1 // orow + c·b
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ    $4, AX
+t4rest:
+	MOVQ DX, R13
+	ANDQ $3, R13
+	JZ   t4store
+
+t4row:
+	COEF1(t4next)
+	ROW1(0, Y8)
+	ROW1(32, Y9)
+	ROW1(64, Y10)
+	ROW1(96, Y11)
+
+t4next:
+	ADDQ R9, R11
+	DECQ R13
+	JNZ  t4row
+
+t4store:
+	VMOVUPD Y8, 0(DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, 64(DI)
+	VMOVUPD Y11, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R8
+	SUBQ    $4, CX
+	JMP     tile4
+
+tile1:
+	TESTQ   CX, CX
+	JZ      rowsdone
+	VMOVUPD 0(DI), Y8
+	MOVQ    R8, R11
+	MOVQ    SI, R12
+	MOVQ    DX, R13
+	SHRQ    $2, R13
+	JZ      t1rest
+
+t1block:
+	COEFS4(t1skip)
+	ROWS4(0, Y8)
+
+t1skip:
+	LEAQ (R11)(R9*4), R11
+	DECQ R13
+	JNZ  t1block
+
+t1rest:
+	MOVQ DX, R13
+	ANDQ $3, R13
+	JZ   t1store
+
+t1row:
+	COEF1(t1next)
+	ROW1(0, Y8)
+
+t1next:
+	ADDQ R9, R11
+	DECQ R13
+	JNZ  t1row
+
+t1store:
+	VMOVUPD Y8, 0(DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
 	DECQ    CX
-	JNZ     rowloop
+	JMP     tile1
 
-rowdone:
+rowsdone:
 	VZEROUPPER
 	RET
 

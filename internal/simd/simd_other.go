@@ -5,9 +5,8 @@ package simd
 // hasAVX2 is false off amd64: the Go loops are the only path.
 func hasAVX2() bool { return false }
 
-func addRows4AVX2(orow, b0, b1, b2, b3 []float64, c0, c1, c2, c3 float64) { panic(offAMD64) }
-func addRowAVX2(orow, b []float64, c float64)                             { panic(offAMD64) }
-func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64)         { panic(offAMD64) }
+func addScaledRowsAVX2(o, b, c []float64, k, stride int)          { panic(offAMD64) }
+func dotPairs4AVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64) { panic(offAMD64) }
 func dotPairs4AtAVX2(sums *[8]float64, a, b0, b1, b2, b3 []float64, pairs []int) int {
 	panic(offAMD64)
 }

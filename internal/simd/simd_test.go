@@ -122,6 +122,68 @@ type kernel struct {
 	run  func(o operands) []float64
 }
 
+// refs holds, by kernel name, a spelled-out loop that computes what run
+// returns; both paths of such a kernel must give its bits as well.
+var refs = map[string]func(o operands) []float64{
+	"AddScaledRows":        refRows,
+	"AddScaledRowsStrided": refRows,
+}
+
+// rowCase draws an AddScaledRows case, o (n), b (k×n) and c, with a
+// coefficient stride below maxStride: n up to 70 and k up to 40 reach every
+// n mod 16, n mod 4 and k mod 4, k = 0 included. zeros sets blocks of four
+// coefficients, or single ones, to ±0 (a zero block of b's rows is skipped,
+// so an infinite or NaN row under it is never read into o); otherwise the
+// coefficients come from the draw, edge values included.
+func rowCase(maxStride int) func(d *draw) operands {
+	return func(d *draw) operands {
+		n, k, stride, zeros := d.pick(71), d.pick(41), 1+d.pick(maxStride), d.pick(4)
+		o, b, c := d.slice(n), d.slice(k*n), d.slice(max(k*stride, 1))
+		for p := 0; p < k; p++ {
+			switch u := d.normal(); {
+			case zeros == 1 && (p/4)%2 == 0, zeros == 2 && u < 0, zeros == 3:
+				c[p*stride] = math.Copysign(0, u)
+			}
+		}
+		return operands{s: [][]float64{o, b, c}, ints: [][]int{{k, stride}}}
+	}
+}
+
+func runRows(o operands) []float64 {
+	AddScaledRows(o.s[0], o.s[1], o.s[2], o.ints[0][0], o.ints[0][1])
+	return o.s[0]
+}
+
+// refRows spells AddScaledRows out as two row loops run in turn: for each
+// block of four rows whose coefficients are not all zero, o[j] + (((c0·b0[j]
+// + c1·b1[j]) + c2·b2[j]) + c3·b3[j]), then for each last row whose
+// coefficient is not zero, o[j] + c·b[j].
+func refRows(op operands) []float64 {
+	o, b, c := op.s[0], op.s[1], op.s[2]
+	k, stride, n := op.ints[0][0], op.ints[0][1], len(op.s[0])
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		c0, c1, c2, c3 := c[p*stride], c[(p+1)*stride], c[(p+2)*stride], c[(p+3)*stride]
+		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
+			continue
+		}
+		b0, b1, b2, b3 := b[p*n:], b[(p+1)*n:], b[(p+2)*n:], b[(p+3)*n:]
+		for j := range o {
+			o[j] += float64(c0*b0[j]) + float64(c1*b1[j]) + float64(c2*b2[j]) + float64(c3*b3[j])
+		}
+	}
+	for ; p < k; p++ {
+		cp := c[p*stride]
+		if cp == 0 {
+			continue
+		}
+		for j := range o {
+			o[j] += float64(cp * b[p*n+j])
+		}
+	}
+	return o
+}
+
 // leakyAlphas are LeakyReLU slopes that show a swapped select: a slope of
 // 0 erases the negative side, −1.5 flips its sign and 1e308 overflows it.
 var leakyAlphas = []float64{0.01, 0.2, 0, -1.5, 1e308}
@@ -160,20 +222,8 @@ func poolWindows(c, h, w, size int) (base, offs []int) {
 // kernels is the table the seeded test, the fuzzer and the corpus index:
 // append, never reorder.
 var kernels = []kernel{
-	{"AddRows4", func(d *draw) operands {
-		n := d.pick(301)
-		return operands{s: d.slices(5, n), f: d.slice(4)}
-	}, func(o operands) []float64 {
-		AddRows4(o.s[0], o.s[1], o.s[2], o.s[3], o.s[4], o.f[0], o.f[1], o.f[2], o.f[3])
-		return o.s[0]
-	}},
-	{"AddRow", func(d *draw) operands {
-		n := d.pick(301)
-		return operands{s: d.slices(2, n), f: d.slice(1)}
-	}, func(o operands) []float64 {
-		AddRow(o.s[0], o.s[1], o.f[0])
-		return o.s[0]
-	}},
+	{"AddScaledRows", rowCase(1), runRows},
+	{"AddScaledRowsStrided", rowCase(5), runRows},
 	{"DotPairs4", func(d *draw) operands {
 		return operands{s: d.slices(5, d.pick(301))}
 	}, func(o operands) []float64 {
@@ -314,12 +364,20 @@ func sameBits(got, want []float64) int {
 }
 
 // checkPaths runs k on the portable path and on the AVX2 path, each on its
-// own copy of c, and fails t unless the outputs have the same bits.
+// own copy of c, and fails t unless the outputs have the same bits, and the
+// bits of k's reference loop where it has one.
 func checkPaths(t *testing.T, k kernel, c operands) {
 	t.Helper()
 	defer func(old bool) { useAVX2 = old }(useAVX2)
 	useAVX2 = false
 	want := k.run(c.clone())
+	if refLoop := refs[k.name]; refLoop != nil {
+		ref := refLoop(c.clone())
+		if i := sameBits(want, ref); i >= 0 {
+			t.Fatalf("%s over %d elements, ints %v: output %d is %x on the portable path, %x in the reference loop",
+				k.name, len(c.s[0]), c.ints, i, want[i], ref[i])
+		}
+	}
 	useAVX2 = true
 	got := k.run(c.clone())
 	if i := sameBits(got, want); i >= 0 {
@@ -462,7 +520,8 @@ type kernelCall struct {
 	f    func()
 }
 
-// kernelCalls calls each kernel at length n (Dist8First: n vectors).
+// kernelCalls calls each kernel at length n (Dist8First: n vectors;
+// AddScaledRows: a 64-element row over n rows, the embedder's first layer).
 func kernelCalls(n int) []kernelCall {
 	d := &draw{state: 1}
 	s := d.slices(5, n)
@@ -478,9 +537,9 @@ func kernelCalls(n int) []kernelCall {
 			pairs = append(pairs, i&^1)
 		}
 	}
+	rowB := d.slice(n * 64)
 	return []kernelCall{
-		{"AddRows4", func() { AddRows4(s[0], s[1], s[2], s[3], s[4], 1, 2, 3, 4) }},
-		{"AddRow", func() { AddRow(s[0], s[1], 0.5) }},
+		{"AddScaledRows", func() { AddScaledRows(s[0][:64], rowB, s[1], n, 1) }},
 		{"DotPairs4", func() { DotPairs4(&sums, s[0], s[1], s[2], s[3], s[4]) }},
 		{"Leaky", func() { Leaky(s[0], s[1], s[2], 0.01) }},
 		{"Adam", func() { Adam(s[0], s[1], s[2], s[3], 0, 0.9, 0.1, 0.999, 1e-3, 1e-3, 1, 1e-8) }},
@@ -530,13 +589,13 @@ func TestShortOperandsPanic(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
 	onPaths(t, func(t *testing.T) {
 		for name, f := range map[string]func(){
-			"AddRows4":  func() { AddRows4(long, long, long, long, short, 1, 1, 1, 1) },
-			"AddRow":    func() { AddRow(long, short, 1) },
-			"DotPairs4": func() { DotPairs4(new([8]float64), long, long, short, long, long) },
-			"Leaky":     func() { Leaky(long, long, short, 1) },
-			"Adam":      func() { Adam(long, long, short, long, 0, 0, 0, 0, 0, 0, 0, 0) },
-			"MaxPool":   func() { MaxPool(long[:4], nil, short, []int{0, 1, 2, 4}, []int{0, 1, 2, 3}) },
-			"NonZero":   func() { NonZero(make([]int, 7), long) },
+			"AddScaledRows short b": func() { AddScaledRows(long[:4], short, long, 2, 1) },
+			"AddScaledRows short c": func() { AddScaledRows(long[:4], long, short, 2, 7) },
+			"DotPairs4":             func() { DotPairs4(new([8]float64), long, long, short, long, long) },
+			"Leaky":                 func() { Leaky(long, long, short, 1) },
+			"Adam":                  func() { Adam(long, long, short, long, 0, 0, 0, 0, 0, 0, 0, 0) },
+			"MaxPool":               func() { MaxPool(long[:4], nil, short, []int{0, 1, 2, 4}, []int{0, 1, 2, 3}) },
+			"NonZero":               func() { NonZero(make([]int, 7), long) },
 			"DotPairs4At": func() {
 				DotPairs4At(new([8]float64), long, long, long, long, long, []int{0, 6, 7})
 			},

@@ -18,12 +18,12 @@ import (
 //
 // The inner loops are internal/simd's kernels, which run in AVX2 where the
 // CPU has it and give the Go loop's bits either way. a·b and aᵀ·b share
-// one row update (simd.AddRows4, simd.AddRow). a·bᵀ is dot-product shaped,
-// so its kernel (simd.DotPairs4) keeps one running sum per lane rather than
-// splitting a dot along the inner dimension, which would reorder its sums
-// and change the weights a fit produces. The loops here convert every
-// product with float64(...) before adding it, as simd's do, so no GOARCH
-// fuses one.
+// one row update, simd.AddScaledRows, called once per destination row. a·bᵀ
+// is dot-product shaped, so its kernel (simd.DotPairs4) keeps one running
+// sum per lane rather than splitting a dot along the inner dimension, which
+// would reorder its sums and change the weights a fit produces. The loops
+// here convert every product with float64(...) before adding it, as simd's
+// do, so no GOARCH fuses one.
 
 // MatMulInto computes dst = a·b, or dst += a·b when acc is set, for
 // row-major a (m×k), b (k×n) and dst (m×n).
@@ -75,42 +75,18 @@ func gemm(kern gemmKernel, dst, a, b []float64, m, k, n int, acc bool) {
 // kernelNN: dst[i] += Σ_p a[i][p]·b[p].
 func kernelNN(dst, a, b []float64, m, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		addScaledRows(dst[i*n:(i+1)*n], a, i*k, 1, k, b)
+		simd.AddScaledRows(dst[i*n:(i+1)*n], b, a[i*k:], k, 1)
 	}
 }
 
 // kernelTN: dst[i] += Σ_p a[p][i]·b[p], the same row update as kernelNN
 // with the coefficients read down a column of a.
 func kernelTN(dst, a, b []float64, m, k, n, lo, hi int) {
+	if k == 0 { // a has no column to start at, and the update adds nothing
+		return
+	}
 	for i := lo; i < hi; i++ {
-		addScaledRows(dst[i*n:(i+1)*n], a, i, m, k, b)
-	}
-}
-
-// addScaledRows adds Σ_p c[p]·b[p] to orow, where b[p] is row p of a
-// (k × len(orow)) matrix and c[p] = a[off+p·stride]. Four rows of b go into
-// each pass over orow, so the accumulator row is read and written once per
-// four products; its elements are the independent sums. A block of four
-// zero coefficients (a padded or rectified input) is skipped, and so is a
-// zero coefficient of the last k mod 4 rows, which go one at a time.
-func addScaledRows(orow, a []float64, off, stride, k int, b []float64) {
-	n := len(orow)
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		c0, c1, c2, c3 := a[off], a[off+stride], a[off+2*stride], a[off+3*stride]
-		off += 4 * stride
-		if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
-			continue
-		}
-		simd.AddRows4(orow, b[p*n:(p+1)*n], b[(p+1)*n:(p+2)*n], b[(p+2)*n:(p+3)*n], b[(p+3)*n:(p+4)*n], c0, c1, c2, c3)
-	}
-	for ; p < k; p++ {
-		c := a[off]
-		off += stride
-		if c == 0 {
-			continue
-		}
-		simd.AddRow(orow, b[p*n:(p+1)*n], c)
+		simd.AddScaledRows(dst[i*n:(i+1)*n], b, a[i:], k, m)
 	}
 }
 
