@@ -109,10 +109,13 @@ func (l *lazyEmbedder) Embed(x *tensor.Tensor) *tensor.Tensor {
 	l.mu.Lock()
 	if l.inner == nil {
 		rng := rand.New(rand.NewSource(l.seed))
-		l.inner = embed.Scaled{
-			E:      embed.NewAutoencoder(rng, x.Dim(1), l.hidden, l.dim),
-			Factor: l.scale,
+		var e embed.Embedder = embed.NewAutoencoder(rng, x.Dim(1), l.hidden, l.dim)
+		// At factor 1 the scaled copy would equal the input bit for bit,
+		// and the encoder's eval pass only reads its input.
+		if l.scale != 1 {
+			e = embed.Scaled{E: e, Factor: l.scale}
 		}
+		l.inner = e
 		logger.Info("embedder initialized", "features", x.Dim(1), "dim", l.dim)
 	}
 	e := l.inner

@@ -107,3 +107,24 @@ func TestMetricszExposesWalFamilies(t *testing.T) {
 		t.Error("dms_wal_* families present on a memory-only server")
 	}
 }
+
+// TestIngestBatchIsOneWALRecord: under fsync always, one 256-document
+// batch through the ingest-batch handler costs exactly one WAL append
+// and one fsync, the batch's one commit record. The first batch, which
+// also bootstrap-fits and logs the fit document, is left out.
+func TestIngestBatchIsOneWALRecord(t *testing.T) {
+	_, client, ds := startDurableServer(t)
+	a, b := twoRegimes(23, 256)
+	if _, err := client.IngestBatch("bootstrap", a); err != nil {
+		t.Fatal(err)
+	}
+	before := ds.WalStats()
+	resp, err := client.IngestBatch("stream", b)
+	if err != nil || resp.Inserted != len(b) {
+		t.Fatalf("batch inserted %d (errors %v), %v; want %d", resp.Inserted, resp.Errors, err, len(b))
+	}
+	after := ds.WalStats()
+	if appends, syncs := after.Appends-before.Appends, after.Syncs-before.Syncs; appends != 1 || syncs != 1 {
+		t.Fatalf("a 256-document batch made %d WAL appends and %d fsyncs; want 1 and 1", appends, syncs)
+	}
+}

@@ -38,7 +38,8 @@ type Doc struct {
 }
 
 func init() {
-	// Register field value types for gob transport.
+	// Register field value types for the gob wire protocol and for the
+	// gob WAL records older builds wrote.
 	gob.Register(map[string]any{})
 	gob.Register([]byte(nil))
 	gob.Register([]float64(nil))

@@ -1,8 +1,6 @@
 package docstore
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,8 +11,8 @@ import (
 )
 
 // checkpointChunk is how many documents one checkpoint record adds: large
-// enough that gob's per-record type preamble is noise, small enough that
-// a record stays far below the WAL's frame limit.
+// enough that a record's frame header and commit preamble are noise,
+// small enough that a record stays far below the WAL's frame limit.
 const checkpointChunk = 256
 
 // DurableOptions configures OpenDurable.
@@ -90,8 +88,8 @@ func OpenDurable(opts DurableOptions) (*DurableStore, error) {
 
 	ds := &DurableStore{Store: NewStore(), log: lg}
 	for _, rec := range records {
-		var commit walCommit
-		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&commit); err != nil {
+		commit, err := decodeCommit(rec.Payload)
+		if err != nil {
 			// The frame checksum passed, so this is a version skew or
 			// encoder bug, not disk corruption; skip rather than refuse
 			// to start, and surface it in the counters.
@@ -127,15 +125,6 @@ func (ds *DurableStore) replayCommit(commit walCommit) {
 	}
 	c.ensureNextID(commit.NextID)
 	ds.replayedTxns.Add(1)
-}
-
-// encodeCommit gob-encodes one commit, the payload of a WAL record.
-func encodeCommit(rec *walCommit) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("docstore: encoding wal commit: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // logTxn implements commitLogger: it appends the commit as one WAL record

@@ -43,6 +43,30 @@ func TestScaledMatchesScaleThenEmbed(t *testing.T) {
 	}
 }
 
+// TestAutoencoderEmbedOnlyReadsItsInput: the encoder's eval pass leaves
+// its input's bits as they were, and at factor 1 Scaled embeds exactly
+// as the bare autoencoder does. That is what lets a factor-1 deployment
+// skip Scaled's copy.
+func TestAutoencoderEmbedOnlyReadsItsInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ae := NewAutoencoder(rng, 36, 16, 4)
+	x := tensor.Randn(rng, 100, 9, 36)
+	x.Data()[5], x.Data()[50] = math.Copysign(0, -1), -1e300
+	before := x.Clone()
+	got := ae.Embed(x)
+	for i, v := range before.Data() {
+		if math.Float64bits(x.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("Embed wrote its input at %d: %g, was %g", i, x.Data()[i], v)
+		}
+	}
+	want := Scaled{E: ae, Factor: 1}.Embed(x)
+	for i, v := range want.Data() {
+		if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("element %d is %g bare, %g through Scaled at factor 1", i, got.Data()[i], v)
+		}
+	}
+}
+
 // TestEmbedRowsOwnTheirValues: EmbedRows' rows are the embedder's result,
 // not pooled storage, so they keep their values while other passes reuse
 // the pool; and each is capped at its own row, so an append cannot write
