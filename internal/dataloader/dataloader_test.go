@@ -260,11 +260,11 @@ func TestDocDatasetEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := cl.Insert("train", "", docstore.Fields{"payload": raw})
+		added, err := cl.ApplyTxn("train", []docstore.TxnOp{{Kind: docstore.TxnAdd, F: docstore.Fields{"payload": raw}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, added...)
 	}
 
 	ds := &DocDataset{Client: cl, Collection: "train", IDs: ids, Codec: enc}
@@ -300,11 +300,11 @@ func TestDocDatasetBadPayloadField(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	id, err := cl.Insert("c", "", docstore.Fields{"payload": "not bytes"})
+	ids, err := cl.ApplyTxn("c", []docstore.TxnOp{{Kind: docstore.TxnAdd, F: docstore.Fields{"payload": "not bytes"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := &DocDataset{Client: cl, Collection: "c", IDs: []string{id}, Codec: codec.Raw{}}
+	ds := &DocDataset{Client: cl, Collection: "c", IDs: ids, Codec: codec.Raw{}}
 	if _, err := ds.Get(0); err == nil {
 		t.Fatal("expected error for non-[]byte payload")
 	}

@@ -257,7 +257,7 @@ func TestLookupSurvivesDeleteBetweenRounds(t *testing.T) {
 		f.afterDraw = func(resp dmsapi.DrawResponse) {
 			for _, ids := range resp.IDs {
 				for _, id := range ids {
-					if f.store.Delete(id) == nil {
+					if _, err := f.store.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnDelete, ID: id}}); err == nil {
 						deleted.Add(1)
 					}
 				}

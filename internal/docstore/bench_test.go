@@ -29,7 +29,7 @@ func BenchmarkInsert(b *testing.B) {
 	c.CreateHashIndex("cluster")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Insert("", Fields{"cluster": i % 16, "v": i}); err != nil {
+		if _, err := insertDoc(c, "", Fields{"cluster": i % 16, "v": i}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkInsertParallelShards(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, err := c.Insert("", Fields{"cluster": i % 16, "v": float64(i)}); err != nil {
+					if _, err := insertDoc(c, "", Fields{"cluster": i % 16, "v": float64(i)}); err != nil {
 						b.Fatal(err)
 					}
 					i++
@@ -187,7 +187,7 @@ func benchRemote(b *testing.B, pool int) {
 	defer cl.Close()
 	var ids []string
 	for i := 0; i < 64; i++ {
-		id, err := cl.Insert("c", "", Fields{"payload": make([]byte, 1024)})
+		id, err := sendInsert(cl, "c", "", Fields{"payload": make([]byte, 1024)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func (c *Client) discard(cc *clientConn) {
 }
 
 // Instrument installs a hook observing every round trip: the wire op's
-// lowercase_snake name ("get_many", "insert_many", ...), its wall time —
+// lowercase_snake name ("get_many", "txn", ...), its wall time —
 // pool wait and the single broken-connection retry included, so the hook
 // sees what the caller experienced — and the outcome. The daemon uses it
 // to surface store RPC counters and latency on /metricsz. Pass nil to
@@ -203,43 +203,18 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Insert stores a document in the named collection, returning its ID.
-// An empty id is replaced by a random 128-bit one before the first
-// attempt, so a retry re-sends the same id and the document lands once
-// (see ApplyTxn).
-func (c *Client) Insert(collection, id string, f Fields) (string, error) {
-	if id == "" {
-		id = rand.Text()
-	}
-	resp, err := c.roundTrip(&request{Op: opInsert, Collection: collection, ID: id, Fields: f})
-	if err != nil {
-		return "", err
-	}
-	return resp.ID, nil
-}
-
-// InsertMany bulk-inserts documents under random 128-bit IDs chosen
-// before the first attempt, returning the IDs in order.
-func (c *Client) InsertMany(collection string, batch []Fields) ([]string, error) {
-	ids := make([]string, len(batch))
-	for i := range ids {
-		ids[i] = rand.Text()
-	}
-	resp, err := c.roundTrip(&request{Op: opInsertMany, Collection: collection, IDs: ids, Batch: batch})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
-}
-
 // ApplyTxn commits ops against the named collection as one
 // all-or-nothing transaction (one WAL commit record on a durable
-// server), returning each op's target document ID in order. The client
-// retries once on a broken pooled connection, so a transaction whose
-// reply was lost is sent again. Its adds land once all the same: each
-// Add without an ID gets a random 128-bit one before the first attempt,
-// and the server takes an Add that names a document with the same
-// fields as done. A re-sent Update or Delete is applied again.
+// server), returning each op's target document ID in order. It is the
+// client's only write. The client retries once on a broken pooled
+// connection, so a transaction whose reply was lost is sent again. Its
+// adds land once all the same: each Add without an ID gets a random
+// 128-bit one before the first attempt, and the server takes an Add that
+// names a document with the same fields as done. A re-sent Update merges
+// the same fields again, so the document ends the same, though a durable
+// server logs the commit twice. A re-sent Delete whose first attempt
+// landed fails, naming the ID: a Delete cannot tell its own landed
+// attempt from a wrong ID.
 func (c *Client) ApplyTxn(collection string, ops []TxnOp) ([]string, error) {
 	named := make([]TxnOp, len(ops))
 	for i, op := range ops {
@@ -280,12 +255,6 @@ func (c *Client) GetMany(collection string, ids []string) ([]*Doc, error) {
 		out[i] = &d
 	}
 	return out, nil
-}
-
-// Update merges fields into an existing document.
-func (c *Client) Update(collection, id string, f Fields) error {
-	_, err := c.roundTrip(&request{Op: opUpdate, Collection: collection, ID: id, Fields: f})
-	return err
 }
 
 // Find returns documents matching the query.

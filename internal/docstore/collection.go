@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -229,29 +230,22 @@ func (c *Collection) Indexes() []string {
 	return hash
 }
 
-// genID reserves the next sequential document ID.
+// genID reserves the next sequential document ID: the collection's name,
+// a dash and the sequence number zero-padded to eight digits, the bytes of
+// fmt.Sprintf("%s-%08d") in one allocation.
 func (c *Collection) genID() string {
-	return fmt.Sprintf("%s-%08d", c.name, c.nextID.Add(1))
-}
-
-// Insert stores a document. If id is empty a sequential one is assigned.
-// It returns the document's ID, or an error if the ID already exists or a
-// field type is unsupported. Like InsertMany, Update and Delete it is a
-// one-line transaction: ApplyTxn is the collection's only write path, so
-// in-memory and durable stores have one set of semantics.
-func (c *Collection) Insert(id string, f Fields) (string, error) {
-	ids, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: id, F: f}})
-	if err != nil {
-		return "", err
-	}
-	return ids[0], nil
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], c.nextID.Add(1), 10)
+	pad := max(0, 8-len(digits))
+	return c.name + "-" + "00000000"[:pad] + string(digits)
 }
 
 // InsertMany stores a batch of documents under generated IDs, returning
 // them in order — the paper's "parallel writes during the data update
-// phase" path for bulk label ingestion. The batch is one transaction (and
-// one WAL commit record on a durable store): either every document is
-// stored or none is.
+// phase" path for bulk label ingestion. The batch is one ApplyTxn
+// transaction (and one WAL commit record on a durable store): either every
+// document is stored or none is. ApplyTxn is the collection's only write
+// path, so in-memory and durable stores have one set of semantics.
 func (c *Collection) InsertMany(fs []Fields) ([]string, error) {
 	ops := make([]TxnOp, len(fs))
 	for i, f := range fs {
@@ -325,20 +319,6 @@ func (c *Collection) eachShardGroup(ids []string, fn func(s *shard, positions []
 	for s, positions := range groups {
 		fn(s, positions)
 	}
-}
-
-// Update merges fields into an existing document (set semantics), updating
-// any affected indexes. The merged document replaces the old one
-// copy-on-write, so a document a reader already holds never changes.
-func (c *Collection) Update(id string, f Fields) error {
-	_, err := c.ApplyTxn([]TxnOp{{Kind: TxnUpdate, ID: id, F: f}})
-	return err
-}
-
-// Delete removes a document.
-func (c *Collection) Delete(id string) error {
-	_, err := c.ApplyTxn([]TxnOp{{Kind: TxnDelete, ID: id}})
-	return err
 }
 
 // Find returns copies of documents matching the query in ID order, using a

@@ -271,7 +271,7 @@ func TestGobLogsStillReplay(t *testing.T) {
 		}
 	}
 	c := ds.Collection("peaks")
-	if _, err := c.Insert("new-a", Fields{"k": 1}); err != nil {
+	if _, err := insertDoc(c, "new-a", Fields{"k": 1}); err != nil {
 		t.Fatal(err)
 	}
 	logGob(walCommit{Collection: "peaks", NextID: 3, Ops: []TxnOp{
@@ -282,7 +282,7 @@ func TestGobLogsStillReplay(t *testing.T) {
 	logGob(walCommit{Collection: "peaks", NextID: 3, Ops: []TxnOp{{Kind: TxnDelete, ID: "old-b"}}})
 	logGob(walCommit{Collection: "peaks", NextID: 3, Ops: []TxnOp{{Kind: txnCreateHashIndex, ID: "k"}}})
 	logGob(walCommit{Collection: "peaks", NextID: 3, Ops: []TxnOp{{Kind: 9, ID: "x"}}})
-	if _, err := c.Insert("new-b", Fields{"k": 5, "f": 2.5}); err != nil {
+	if _, err := insertDoc(c, "new-b", Fields{"k": 5, "f": 2.5}); err != nil {
 		t.Fatal(err)
 	}
 	ds.Close()

@@ -28,7 +28,7 @@ import (
 
 // Fields holds a document's named values. Supported value types are the
 // normalized set: string, int64, float64, bool, []byte, []float64, []string.
-// Insert normalizes int and int32 to int64 and float32 to float64.
+// A write normalizes int and int32 to int64 and float32 to float64.
 type Fields map[string]any
 
 // Doc is a stored document: an immutable ID plus its fields.

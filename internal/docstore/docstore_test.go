@@ -11,7 +11,7 @@ import (
 
 func TestInsertGetRoundTrip(t *testing.T) {
 	c := NewStore().Collection("peaks")
-	id, err := c.Insert("", Fields{"cluster": 3, "score": 0.5, "name": "p1"})
+	id, err := insertDoc(c, "", Fields{"cluster": 3, "score": 0.5, "name": "p1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,26 +27,42 @@ func TestInsertGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGenIDMatchesSprintf: a generated ID has the bytes of
+// fmt.Sprintf("%s-%08d") at the padding's edges and the counter's, and
+// costs one allocation.
+func TestGenIDMatchesSprintf(t *testing.T) {
+	c := NewStore().Collection("peaks")
+	for _, n := range []uint64{0, 1, 99_999_999, 100_000_000, math.MaxUint64} {
+		c.nextID.Store(n - 1)
+		if got, want := c.genID(), fmt.Sprintf("%s-%08d", c.name, n); got != want {
+			t.Errorf("genID at %d = %q; want %q", n, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.genID() }); n != 1 {
+		t.Errorf("genID allocates %v times; want 1", n)
+	}
+}
+
 func TestInsertExplicitAndDuplicateID(t *testing.T) {
 	c := NewStore().Collection("x")
-	if _, err := c.Insert("a1", Fields{"v": 1}); err != nil {
+	if _, err := insertDoc(c, "a1", Fields{"v": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert("a1", Fields{"v": 2}); err == nil {
+	if _, err := insertDoc(c, "a1", Fields{"v": 2}); err == nil {
 		t.Fatal("expected duplicate-id error")
 	}
 }
 
 func TestInsertRejectsUnsupportedType(t *testing.T) {
 	c := NewStore().Collection("x")
-	if _, err := c.Insert("", Fields{"bad": struct{}{}}); err == nil {
+	if _, err := insertDoc(c, "", Fields{"bad": struct{}{}}); err == nil {
 		t.Fatal("expected unsupported-type error")
 	}
 }
 
 func TestGetReturnsCopy(t *testing.T) {
 	c := NewStore().Collection("x")
-	id, _ := c.Insert("", Fields{"v": 1})
+	id, _ := insertDoc(c, "", Fields{"v": 1})
 	d, _ := c.Get(id)
 	d.F["v"] = int64(99)
 	d2, _ := c.Get(id)
@@ -73,10 +89,10 @@ func TestGetManyDocumentsAreCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(ids[0], Fields{"k": 5, "v": "a2", "w": 3}); err != nil {
+	if err := updateDoc(c, ids[0], Fields{"k": 5, "v": "a2", "w": 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(ids[1]); err != nil {
+	if err := deleteDoc(c, ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []Fields{{"k": int64(1), "v": "a"}, {"k": int64(2), "v": "b"}} {
@@ -107,7 +123,7 @@ func TestGetManyDocumentsStayPutUnderWrites(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 16; i++ {
-		id, err := c.Insert(fmt.Sprintf("d%02d", i), Fields{"k": i % 3, "v": int64(0)})
+		id, err := insertDoc(c, fmt.Sprintf("d%02d", i), Fields{"k": i % 3, "v": int64(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +136,7 @@ func TestGetManyDocumentsStayPutUnderWrites(t *testing.T) {
 			defer wg.Done()
 			for n := 1; n <= 200; n++ {
 				id := ids[(n*7+w)%len(ids)]
-				if err := c.Update(id, Fields{"k": n % 3, "v": int64(n)}); err != nil {
+				if err := updateDoc(c, id, Fields{"k": n % 3, "v": int64(n)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -157,21 +173,21 @@ func TestGetManyDocumentsStayPutUnderWrites(t *testing.T) {
 
 func TestUpdateMergesAndDeleteRemoves(t *testing.T) {
 	c := NewStore().Collection("x")
-	id, _ := c.Insert("", Fields{"a": 1, "b": 2})
-	if err := c.Update(id, Fields{"b": 20, "c": 30}); err != nil {
+	id, _ := insertDoc(c, "", Fields{"a": 1, "b": 2})
+	if err := updateDoc(c, id, Fields{"b": 20, "c": 30}); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := c.Get(id)
 	if d.F["a"] != int64(1) || d.F["b"] != int64(20) || d.F["c"] != int64(30) {
 		t.Fatalf("after update: %v", d.F)
 	}
-	if err := c.Delete(id); err != nil {
+	if err := deleteDoc(c, id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get(id); err == nil {
 		t.Fatal("expected not-found after delete")
 	}
-	if err := c.Update(id, Fields{"a": 1}); err == nil {
+	if err := updateDoc(c, id, Fields{"a": 1}); err == nil {
 		t.Fatal("expected error updating deleted doc")
 	}
 }
@@ -179,7 +195,7 @@ func TestUpdateMergesAndDeleteRemoves(t *testing.T) {
 func TestFindFiltersAndOrdering(t *testing.T) {
 	c := NewStore().Collection("x")
 	for i := 0; i < 10; i++ {
-		if _, err := c.Insert("", Fields{"k": i % 3, "v": float64(i)}); err != nil {
+		if _, err := insertDoc(c, "", Fields{"k": i % 3, "v": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +231,7 @@ func TestFindFiltersAndOrdering(t *testing.T) {
 
 func TestFindMissingFieldNeverMatches(t *testing.T) {
 	c := NewStore().Collection("x")
-	c.Insert("", Fields{"a": 1})
+	insertDoc(c, "", Fields{"a": 1})
 	n, _ := c.CountWhere(Query{Filters: []Filter{Eq("missing", 1)}})
 	if n != 0 {
 		t.Fatalf("matched %d docs on missing field", n)
@@ -228,12 +244,12 @@ func TestHashIndexConsistentWithScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		c.Insert("", Fields{"cluster": i % 5, "v": i})
+		insertDoc(c, "", Fields{"cluster": i % 5, "v": i})
 	}
 	// Delete some, update some — index must track.
 	ids, _ := c.FindIDs(Query{})
-	c.Delete(ids[0])
-	c.Update(ids[1], Fields{"cluster": 99})
+	deleteDoc(c, ids[0])
+	updateDoc(c, ids[1], Fields{"cluster": 99})
 
 	for k := 0; k < 5; k++ {
 		indexed, err := c.FindIDs(Query{Filters: []Filter{Eq("cluster", k)}})
@@ -277,7 +293,7 @@ func bruteFind(c *Collection, field string, want int64) []string {
 func TestSampleIDs(t *testing.T) {
 	c := NewStore().Collection("x")
 	for i := 0; i < 20; i++ {
-		c.Insert("", Fields{"cluster": i % 2})
+		insertDoc(c, "", Fields{"cluster": i % 2})
 	}
 	ids, err := c.SampleIDs(Query{Filters: []Filter{Eq("cluster", 0)}}, 4, 7)
 	if err != nil {
@@ -339,7 +355,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := c.Insert("", Fields{"k": i % 5, "w": w}); err != nil {
+				if _, err := insertDoc(c, "", Fields{"k": i % 5, "w": w}); err != nil {
 					errs <- err
 					return
 				}
@@ -370,7 +386,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 
 func TestFindProjection(t *testing.T) {
 	c := NewStore().Collection("x")
-	id, _ := c.Insert("", Fields{"a": 1, "b": "keep", "big": []byte{1, 2, 3}})
+	id, _ := insertDoc(c, "", Fields{"a": 1, "b": "keep", "big": []byte{1, 2, 3}})
 	docs, err := c.Find(Query{Project: []string{"b"}})
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +417,7 @@ func TestFindProjectionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Insert("c", "", Fields{"keep": 1, "drop": 2}); err != nil {
+	if _, err := sendInsert(cl, "c", "", Fields{"keep": 1, "drop": 2}); err != nil {
 		t.Fatal(err)
 	}
 	docs, err := cl.Find("c", Query{Project: []string{"keep"}})
@@ -438,7 +454,7 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 			return false
 		}
 		for _, l := range labels {
-			if _, err := c.Insert("", Fields{"k": int(l % 4)}); err != nil {
+			if _, err := insertDoc(c, "", Fields{"k": int(l % 4)}); err != nil {
 				return false
 			}
 		}
@@ -488,7 +504,7 @@ func TestClientServerCRUD(t *testing.T) {
 	if err := cl.CreateHashIndex("peaks", "cluster"); err != nil {
 		t.Fatal(err)
 	}
-	id, err := cl.Insert("peaks", "", Fields{"cluster": 1, "payload": []byte{9, 8}})
+	id, err := sendInsert(cl, "peaks", "", Fields{"cluster": 1, "payload": []byte{9, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +520,7 @@ func TestClientServerCRUD(t *testing.T) {
 		t.Fatalf("payload = %v", d.F["payload"])
 	}
 
-	if err := cl.Update("peaks", id, Fields{"cluster": 2}); err != nil {
+	if err := sendUpdate(cl, "peaks", id, Fields{"cluster": 2}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := cl.Count("peaks", Query{Filters: []Filter{Eq("cluster", 2)}})
@@ -515,7 +531,7 @@ func TestClientServerCRUD(t *testing.T) {
 		t.Fatalf("count = %d", n)
 	}
 
-	ids, err := cl.InsertMany("peaks", []Fields{{"cluster": 3}, {"cluster": 3}})
+	ids, err := sendInsertMany(cl, "peaks", []Fields{{"cluster": 3}, {"cluster": 3}})
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("InsertMany ids=%v err=%v", ids, err)
 	}
@@ -553,7 +569,7 @@ func TestClientParallelRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
-				if _, err := cl.Insert("c", id, Fields{"w": w}); err != nil {
+				if _, err := sendInsert(cl, "c", id, Fields{"w": w}); err != nil {
 					errs <- err
 					return
 				}
@@ -585,7 +601,7 @@ func TestClientSurvivesInjectedConnectionDrops(t *testing.T) {
 	}
 	defer cl.Close()
 	for i := 0; i < 50; i++ {
-		if _, err := cl.Insert("c", "", Fields{"i": i}); err != nil {
+		if _, err := sendInsert(cl, "c", "", Fields{"i": i}); err != nil {
 			t.Fatalf("insert %d failed despite retry: %v", i, err)
 		}
 	}

@@ -61,7 +61,7 @@ func drawCorpus(t *testing.T, c *Collection, order []int) {
 	}
 	for _, i := range order {
 		f := Fields{"cluster": i % 5, "t": float64(i % 37), "u": i % 3}
-		if _, err := c.Insert(fmt.Sprintf("doc-%04d", i), f); err != nil {
+		if _, err := insertDoc(c, fmt.Sprintf("doc-%04d", i), f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,10 +145,10 @@ func TestDrawDecomposes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 240; i++ {
 		id, f := fmt.Sprintf("n%d-%03d", i%3, i), Fields{"cluster": i % 2}
-		if _, err := union.Insert(id, f); err != nil {
+		if _, err := insertDoc(union, id, f); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := parts[rng.Intn(len(parts))].Insert(id, f); err != nil {
+		if _, err := insertDoc(parts[rng.Intn(len(parts))], id, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestSampleIDsBesideWriters(t *testing.T) {
 					return
 				}
 				for _, id := range ids[:8] {
-					if err := c.Delete(id); err != nil {
+					if err := deleteDoc(c, id); err != nil {
 						t.Error(err)
 						return
 					}
@@ -278,7 +278,7 @@ func TestSampleNonPositiveOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.InsertMany("peaks", []Fields{{"cluster": 3}, {"cluster": 3}}); err != nil {
+	if _, err := sendInsertMany(cl, "peaks", []Fields{{"cluster": 3}, {"cluster": 3}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{-1, 0, math.MinInt} {
@@ -339,7 +339,7 @@ func TestSampleIDsTracksWrites(t *testing.T) {
 		var err error
 		switch step % 5 {
 		case 0:
-			_, err = c.Insert(newID(), fields())
+			_, err = insertDoc(c, newID(), fields())
 		case 1:
 			_, err = c.InsertMany([]Fields{fields(), fields(), fields(), fields()})
 		case 2: // adds beside a delete
@@ -397,7 +397,7 @@ func TestSampleIDsSlabCap(t *testing.T) {
 				}
 			}
 		}
-		if _, err := c.Insert("", Fields{"cluster": 1, "t": 4.0}); err != nil {
+		if _, err := insertDoc(c, "", Fields{"cluster": 1, "t": 4.0}); err != nil {
 			t.Fatal(err)
 		}
 	}

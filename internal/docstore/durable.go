@@ -177,7 +177,7 @@ func (s *Store) emitCheckpoint(emit func(payload []byte) error) error {
 			}
 			sh.mu.RUnlock()
 		}
-		// Read the ID sequence after the shard scan: a concurrent Insert
+		// Read the ID sequence after the shard scan: a concurrent Add
 		// can commit a doc with sequence N+1 while we scan, and the
 		// recorded NextID must be ≥ any captured doc's sequence number or
 		// a reopened store would re-issue it. Over-reserving (counting an

@@ -40,16 +40,16 @@ func TestDurableRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
 	c := ds.Collection("peaks")
-	if _, err := c.Insert("a", Fields{"n": 1}); err != nil {
+	if _, err := insertDoc(c, "a", Fields{"n": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert("b", Fields{"n": 2}); err != nil {
+	if _, err := insertDoc(c, "b", Fields{"n": 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update("a", Fields{"n": 10}); err != nil {
+	if err := updateDoc(c, "a", Fields{"n": 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("b"); err != nil {
+	if err := deleteDoc(c, "b"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ApplyTxn([]TxnOp{{Kind: TxnAdd, ID: "c", F: Fields{"n": 3}}, {Kind: TxnAdd, ID: "d", F: Fields{"n": 4}}}); err != nil {
@@ -90,7 +90,7 @@ func TestDurableReplayRebuildsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := c.Insert("", Fields{"k": i % 3, "t": float64(i)}); err != nil {
+		if _, err := insertDoc(c, "", Fields{"k": i % 3, "t": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestDurableReplaySkipsUnknownKinds(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
 	c := ds.Collection("kept")
-	if _, err := c.Insert("x", Fields{"n": 1}); err != nil {
+	if _, err := insertDoc(c, "x", Fields{"n": 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []walCommit{
@@ -156,7 +156,7 @@ func TestDurableNoIDReuseAfterReplay(t *testing.T) {
 	c := ds.Collection("peaks")
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := c.Insert("", Fields{"n": i})
+		id, err := insertDoc(c, "", Fields{"n": i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestDurableNoIDReuseAfterReplay(t *testing.T) {
 	}
 	// Delete them all: replay must still not hand the same IDs out again.
 	for _, id := range ids {
-		if err := c.Delete(id); err != nil {
+		if err := deleteDoc(c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestDurableNoIDReuseAfterReplay(t *testing.T) {
 		seen[id] = true
 	}
 	for i := 0; i < 5; i++ {
-		id, err := ds2.Collection("peaks").Insert("", Fields{"n": i})
+		id, err := insertDoc(ds2.Collection("peaks"), "", Fields{"n": i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestCompactFoldsWALIntoSnapshot(t *testing.T) {
 	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncAlways})
 	c := ds.Collection("peaks")
 	for i := 0; i < 50; i++ {
-		if _, err := c.Insert(fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
+		if _, err := insertDoc(c, fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestCompactFoldsWALIntoSnapshot(t *testing.T) {
 		t.Fatalf("stats after compact = %+v; want 1 compaction with segments removed", st)
 	}
 	// Post-compaction writes land in the new generation.
-	if _, err := c.Insert("post", Fields{"n": 999}); err != nil {
+	if _, err := insertDoc(c, "post", Fields{"n": 999}); err != nil {
 		t.Fatal(err)
 	}
 	ds.Close()
@@ -231,7 +231,7 @@ func TestIdleCompactIsNoOp(t *testing.T) {
 	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncOff})
 	defer ds.Close()
 	for i := 0; i < 20; i++ {
-		if _, err := ds.Collection("peaks").Insert("", Fields{"n": i}); err != nil {
+		if _, err := insertDoc(ds.Collection("peaks"), "", Fields{"n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestCompactConcurrentWithWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < docs; i++ {
-				if _, err := c.Insert(fmt.Sprintf("w%d-%03d", w, i), Fields{"n": i}); err != nil {
+				if _, err := insertDoc(c, fmt.Sprintf("w%d-%03d", w, i), Fields{"n": i}); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -317,7 +317,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	var last string
 	for i := 0; i < 26; i++ {
-		id, err := c.Insert("", Fields{"cluster": i % 5, "t": float64(i), "blob": []byte{1, 2, 3}})
+		id, err := insertDoc(c, "", Fields{"cluster": i % 5, "t": float64(i), "blob": []byte{1, 2, 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// With its newest document gone the ID sequence is no longer derivable
 	// from the documents: the checkpoint has to carry it.
-	if err := c.Delete(last); err != nil {
+	if err := deleteDoc(c, last); err != nil {
 		t.Fatal(err)
 	}
 	compactAndCrash(t, ds)
@@ -358,7 +358,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("blob after reload = %v, %v", d, err)
 	}
 	// New inserts continue the ID sequence past the deleted document.
-	id, err := c2.Insert("", Fields{"cluster": 0, "t": 99.0})
+	id, err := insertDoc(c2, "", Fields{"cluster": 0, "t": 99.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("index on t differs after reload: %v vs %v", a, b)
 	}
 	// ID sequence continues without collision.
-	id, err := c2.Insert("", Fields{"cluster": 0, "t": 999.0})
+	id, err := insertDoc(c2, "", Fields{"cluster": 0, "t": 999.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestOpenRejectsUnterminatedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{Policy: wal.SyncOff})
 	for i := 0; i < 10; i++ {
-		if _, err := ds.Collection("peaks").Insert("", Fields{"n": i}); err != nil {
+		if _, err := insertDoc(ds.Collection("peaks"), "", Fields{"n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -553,7 +553,7 @@ func TestConcurrentCompactsKeepCheckpointCoherent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < docs; i++ {
-				if _, err := c.Insert(fmt.Sprintf("w%d-%03d", w, i), Fields{"n": w*docs + i}); err != nil {
+				if _, err := insertDoc(c, fmt.Sprintf("w%d-%03d", w, i), Fields{"n": w*docs + i}); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}

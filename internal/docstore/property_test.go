@@ -33,10 +33,10 @@ func TestQuickRandomOpsKeepIndexesConsistent(t *testing.T) {
 				k := int(op>>2) % 5
 				ts := float64((op>>4)%4) / 7
 				id := fmt.Sprintf("d%04d", len(ids))
-				if _, err := indexed.Insert(id, Fields{"k": k, "t": ts}); err != nil {
+				if _, err := insertDoc(indexed, id, Fields{"k": k, "t": ts}); err != nil {
 					return false
 				}
-				if _, err := plain.Insert(id, Fields{"k": k, "t": ts}); err != nil {
+				if _, err := insertDoc(plain, id, Fields{"k": k, "t": ts}); err != nil {
 					return false
 				}
 				ids = append(ids, id)
@@ -47,8 +47,8 @@ func TestQuickRandomOpsKeepIndexesConsistent(t *testing.T) {
 				id := ids[rng.Intn(len(ids))]
 				nk := int(op>>2) % 5
 				// Both may fail if the doc was deleted; outcomes must agree.
-				e1 := indexed.Update(id, Fields{"k": nk})
-				e2 := plain.Update(id, Fields{"k": nk})
+				e1 := updateDoc(indexed, id, Fields{"k": nk})
+				e2 := updateDoc(plain, id, Fields{"k": nk})
 				if (e1 == nil) != (e2 == nil) {
 					return false
 				}
@@ -57,8 +57,8 @@ func TestQuickRandomOpsKeepIndexesConsistent(t *testing.T) {
 					continue
 				}
 				id := ids[rng.Intn(len(ids))]
-				e1 := indexed.Delete(id)
-				e2 := plain.Delete(id)
+				e1 := deleteDoc(indexed, id)
+				e2 := deleteDoc(plain, id)
 				if (e1 == nil) != (e2 == nil) {
 					return false
 				}
@@ -199,7 +199,7 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 				if fit != nil {
 					f["fit"] = fit["fit"]
 				}
-				if _, err := c.Sibling(".zoo").Insert(id, f); err != nil {
+				if _, err := insertDoc(c.Sibling(".zoo"), id, f); err != nil {
 					t.Logf("model: %v", err)
 					return false
 				}
@@ -207,7 +207,7 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 			case 0, 1, 2: // insert
 				id := fmt.Sprintf("d%04d", len(ids))
 				n := int64(op >> 3)
-				if _, err := c.Insert(id, Fields{"n": n}); err != nil {
+				if _, err := insertDoc(c, id, Fields{"n": n}); err != nil {
 					t.Logf("insert: %v", err)
 					return false
 				}
@@ -219,7 +219,7 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 				}
 				id := ids[rng.Intn(len(ids))]
 				n := int64(op >> 3)
-				err := c.Update(id, Fields{"n": n})
+				err := updateDoc(c, id, Fields{"n": n})
 				if _, live := model[id]; live != (err == nil) {
 					t.Logf("update %s: err=%v but model live=%v", id, err, live)
 					return false
@@ -232,7 +232,7 @@ func TestQuickWALReplayMatchesModel(t *testing.T) {
 					continue
 				}
 				id := ids[rng.Intn(len(ids))]
-				err := c.Delete(id)
+				err := deleteDoc(c, id)
 				if _, live := model[id]; live != (err == nil) {
 					t.Logf("delete %s: err=%v but model live=%v", id, err, live)
 					return false
@@ -300,7 +300,7 @@ func TestQuickSampleIsSubsetOfMatches(t *testing.T) {
 	c := NewStore().Collection("x")
 	c.CreateHashIndex("k")
 	for i := 0; i < 60; i++ {
-		c.Insert("", Fields{"k": i % 3})
+		insertDoc(c, "", Fields{"k": i % 3})
 	}
 	f := func(nSeed uint8, seed int64) bool {
 		n := int(nSeed % 40)

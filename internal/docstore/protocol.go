@@ -2,11 +2,11 @@ package docstore
 
 // Wire protocol between Client and Server: each connection carries a
 // stream of gob-encoded requests and responses. One persistent gob
-// encoder/decoder pair per connection amortizes type descriptors. The ops
-// are the store's whole remote surface: ping, the writes (insert, insert
-// many, update and txn, which all commit through ApplyTxn), the reads
-// (get, get many, find, find IDs, count and sample, whose queries are
-// equality filters) and hash-index creation.
+// encoder/decoder pair per connection amortizes type descriptors. The
+// nine ops are the store's whole remote surface: ping, the one write (txn,
+// an ApplyTxn batch of adds, updates and deletes), the reads (get, get
+// many, find, find IDs, count and sample, whose queries are equality
+// filters) and hash-index creation.
 //
 // Requests carry a connection-scoped sequence number and the server
 // echoes it back on the matching response. The server serves a
@@ -17,19 +17,19 @@ package docstore
 
 type reqOp uint8
 
+// The ops keep the numbers they had when the wire also carried insert (2),
+// insert many (3) and update (6): a peer that still sends one of those
+// gets "docstore: unknown operation", never another op's answer.
 const (
-	opPing reqOp = iota + 1
-	opInsert
-	opInsertMany
-	opGet
-	opGetMany
-	opUpdate
-	opFind
-	opFindIDs
-	opCount
-	opSample
-	opCreateHashIndex
-	opTxn
+	opPing            reqOp = 1
+	opGet             reqOp = 4
+	opGetMany         reqOp = 5
+	opFind            reqOp = 7
+	opFindIDs         reqOp = 8
+	opCount           reqOp = 9
+	opSample          reqOp = 10
+	opCreateHashIndex reqOp = 11
+	opTxn             reqOp = 12
 )
 
 // opName maps wire ops to the lowercase_snake names used as metric label
@@ -38,16 +38,10 @@ func (op reqOp) opName() string {
 	switch op {
 	case opPing:
 		return "ping"
-	case opInsert:
-		return "insert"
-	case opInsertMany:
-		return "insert_many"
 	case opGet:
 		return "get"
 	case opGetMany:
 		return "get_many"
-	case opUpdate:
-		return "update"
 	case opFind:
 		return "find"
 	case opFindIDs:
@@ -72,8 +66,6 @@ type request struct {
 	Collection string
 	ID         string
 	IDs        []string
-	Fields     Fields
-	Batch      []Fields
 	Query      Query
 	N          int
 	Seed       int64
@@ -88,7 +80,6 @@ type response struct {
 	Seq      uint64
 	Err      string
 	Conflict bool
-	ID       string
 	IDs      []string
 	Docs     []Doc
 	Count    int

@@ -461,7 +461,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 		defer ds.Abort()
 		for round, inserts := range rounds {
 			for i := 0; i < inserts; i++ {
-				if _, err := ds.Collection("peaks").Insert(fmt.Sprintf("d%02d", acked), Fields{"n": acked}); err != nil {
+				if _, err := insertDoc(ds.Collection("peaks"), fmt.Sprintf("d%02d", acked), Fields{"n": acked}); err != nil {
 					return acked
 				}
 				acked++
@@ -504,7 +504,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 	probeDir := t.TempDir()
 	probe := openDurable(t, probeDir, DurableOptions{Policy: wal.SyncAlways})
 	for i := 0; i < rounds[0]; i++ {
-		if _, err := probe.Collection("peaks").Insert(fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
+		if _, err := insertDoc(probe.Collection("peaks"), fmt.Sprintf("d%02d", i), Fields{"n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -547,7 +547,7 @@ func TestCrashDuringCompactionKeepsData(t *testing.T) {
 			// The recovery itself compacted nothing; make sure the directory
 			// it left still compacts and reopens.
 			again := openDurable(t, dir, DurableOptions{})
-			if _, err := again.Collection("peaks").Insert("after", Fields{"n": -1}); err != nil {
+			if _, err := insertDoc(again.Collection("peaks"), "after", Fields{"n": -1}); err != nil {
 				t.Fatal(err)
 			}
 			compactAndCrash(t, again)

@@ -3,7 +3,6 @@ package docstore
 import (
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"math/rand"
@@ -162,31 +161,14 @@ func (s *Server) handle(req *request) *response {
 	if req.Op == opPing {
 		return resp
 	}
+	// Checked before the lookup below, which would create the collection.
+	if req.Op.opName() == "unknown" {
+		resp.Err = "docstore: unknown operation"
+		return resp
+	}
 
 	c := s.store.Collection(req.Collection)
 	switch req.Op {
-	case opInsert:
-		id, err := c.Insert(req.ID, req.Fields)
-		if err != nil {
-			return fail(err)
-		}
-		resp.ID = id
-	case opInsertMany:
-		if len(req.IDs) > 0 && len(req.IDs) != len(req.Batch) {
-			return fail(fmt.Errorf("docstore: insert many: %d ids for %d documents", len(req.IDs), len(req.Batch)))
-		}
-		ops := make([]TxnOp, len(req.Batch))
-		for i, f := range req.Batch {
-			ops[i] = TxnOp{Kind: TxnAdd, F: f}
-			if len(req.IDs) > 0 {
-				ops[i].ID = req.IDs[i]
-			}
-		}
-		ids, err := c.ApplyTxn(ops)
-		if err != nil {
-			return fail(err)
-		}
-		resp.IDs = ids
 	case opTxn:
 		ids, err := c.ApplyTxn(req.Ops)
 		if err != nil {
@@ -206,10 +188,6 @@ func (s *Server) handle(req *request) *response {
 		}
 		for _, d := range ds {
 			resp.Docs = append(resp.Docs, *d)
-		}
-	case opUpdate:
-		if err := c.Update(req.ID, req.Fields); err != nil {
-			return fail(err)
 		}
 	case opFind:
 		ds, err := c.Find(req.Query)
@@ -241,8 +219,6 @@ func (s *Server) handle(req *request) *response {
 		if err := c.CreateHashIndex(req.Field); err != nil {
 			return fail(err)
 		}
-	default:
-		resp.Err = "docstore: unknown operation"
 	}
 	return resp
 }

@@ -35,12 +35,12 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			id := fmt.Sprintf("d%04d", i)
-			if _, err := c.Insert(id, Fields{"k": i % 7, "t": float64(i % 13), "v": i}); err != nil {
+			if _, err := insertDoc(c, id, Fields{"k": i % 7, "t": float64(i % 13), "v": i}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 200; i += 9 {
-			if err := c.Delete(fmt.Sprintf("d%04d", i)); err != nil {
+			if err := deleteDoc(c, fmt.Sprintf("d%04d", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -48,7 +48,7 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 			if i%9 == 0 {
 				continue // deleted above
 			}
-			if err := c.Update(fmt.Sprintf("d%04d", i), Fields{"k": 99}); err != nil {
+			if err := updateDoc(c, fmt.Sprintf("d%04d", i), Fields{"k": 99}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,20 +102,20 @@ func TestShardedConcurrentMutations(t *testing.T) {
 			defer wg.Done()
 			var mine []string
 			for i := 0; i < perWriter; i++ {
-				id, err := c.Insert("", Fields{"k": i % 5, "t": float64(i), "w": w})
+				id, err := insertDoc(c, "", Fields{"k": i % 5, "t": float64(i), "w": w})
 				if err != nil {
 					errs <- err
 					return
 				}
 				mine = append(mine, id)
 				if i%3 == 0 {
-					if err := c.Update(id, Fields{"k": (i + 1) % 5}); err != nil {
+					if err := updateDoc(c, id, Fields{"k": (i + 1) % 5}); err != nil {
 						errs <- err
 						return
 					}
 				}
 				if i%7 == 0 && len(mine) > 1 {
-					if err := c.Delete(mine[0]); err != nil {
+					if err := deleteDoc(c, mine[0]); err != nil {
 						errs <- err
 						return
 					}
@@ -178,7 +178,7 @@ func TestClientPoolIsHardCap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
-				if _, err := cl.Insert("c", id, Fields{"w": w}); err != nil {
+				if _, err := sendInsert(cl, "c", id, Fields{"w": w}); err != nil {
 					errs <- err
 					return
 				}
@@ -209,7 +209,7 @@ func TestClientPoolIsHardCap(t *testing.T) {
 func TestFailedHashIndexRollsBack(t *testing.T) {
 	c := newCollectionShards("c", 4)
 	for i := 0; i < 20; i++ {
-		if _, err := c.Insert("", Fields{"t": "label"}); err != nil {
+		if _, err := insertDoc(c, "", Fields{"t": "label"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestFailedHashIndexRollsBack(t *testing.T) {
 	for i := 0; c.shardIndexFor(bad) != 3; i++ {
 		bad = fmt.Sprintf("bad-%d", i)
 	}
-	if _, err := c.Insert(bad, Fields{"t": []float64{1, 2}}); err != nil {
+	if _, err := insertDoc(c, bad, Fields{"t": []float64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CreateHashIndex("t"); err == nil {
@@ -259,7 +259,7 @@ func TestInsertManyRollsBackAtomically(t *testing.T) {
 		t.Fatalf("failed batch left %d documents behind", n)
 	}
 	// The collection remains usable and the index consistent.
-	if _, err := c.Insert("", Fields{"t": 9.0}); err != nil {
+	if _, err := insertDoc(c, "", Fields{"t": 9.0}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := c.FindIDs(Query{Filters: []Filter{Eq("t", 9)}})

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -14,7 +15,7 @@ import (
 
 func TestApplyTxnAllOps(t *testing.T) {
 	c := NewStore().Collection("peaks")
-	if _, err := c.Insert("seed", Fields{"n": 0}); err != nil {
+	if _, err := insertDoc(c, "seed", Fields{"n": 0}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := c.ApplyTxn([]TxnOp{
@@ -43,7 +44,7 @@ func TestApplyTxnAllOps(t *testing.T) {
 
 func TestApplyTxnIsAllOrNothing(t *testing.T) {
 	c := NewStore().Collection("peaks")
-	if _, err := c.Insert("a", Fields{"n": 1}); err != nil {
+	if _, err := insertDoc(c, "a", Fields{"n": 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Op 1 is fine, op 2 updates a missing doc: nothing may apply.
@@ -76,7 +77,7 @@ func TestApplyTxnValidatesIndexability(t *testing.T) {
 	if err := c.CreateHashIndex("t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert("ok", Fields{"t": 1.0}); err != nil {
+	if _, err := insertDoc(c, "ok", Fields{"t": 1.0}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.ApplyTxn([]TxnOp{
@@ -130,7 +131,79 @@ func TestTxnOverWire(t *testing.T) {
 	if _, err := cl.Get("peaks", "c"); err == nil {
 		t.Fatal("c leaked from a failed wire txn")
 	}
+
+	// publishFit's refit pair, re-sent after a lost reply: the second
+	// commit replaces the document with the same fields again.
+	if _, err := cl.ApplyTxn("peaks.fit", []TxnOp{{Kind: TxnAdd, ID: "current", F: Fields{"fit": "cafe", "k": 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	refit := []TxnOp{{Kind: TxnDelete, ID: "current"}, {Kind: TxnAdd, ID: "current", F: Fields{"fit": "beef", "k": 2}}}
+	for try := 0; try < 2; try++ {
+		if _, err := cl.ApplyTxn("peaks.fit", refit); err != nil {
+			t.Fatalf("refit try %d: %v", try, err)
+		}
+	}
+	if d, err := cl.Get("peaks.fit", "current"); err != nil || len(d.F) != 2 || d.F["fit"] != "beef" || d.F["k"] != int64(2) {
+		t.Fatalf("fit after a re-sent refit = %v, %v; want fit=beef k=2", d, err)
+	}
+	if n, err := cl.Count("peaks.fit", Query{}); err != nil || n != 1 {
+		t.Fatalf("fit collection count = %d, %v; want 1", n, err)
+	}
+
+	// A bare Delete re-sent after its first attempt landed cannot tell that
+	// attempt from a wrong ID: it fails, naming the ID.
+	if _, err := cl.ApplyTxn("peaks", []TxnOp{{Kind: TxnDelete, ID: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ApplyTxn("peaks", []TxnOp{{Kind: TxnDelete, ID: "a"}}); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("re-sent delete of a gone document: err = %v; want one naming \"a\"", err)
+	}
 	_ = srv
+}
+
+// TestRetiredWriteOpsAreUnknown: the wire ops insert (2), insert many (3)
+// and update (6) are gone, and nothing took their numbers. A peer built
+// when they existed gets "unknown operation" for each, and nothing is
+// stored.
+func TestRetiredWriteOpsAreUnknown(t *testing.T) {
+	srv, addr := startTestServer(t, ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The request as those peers encoded it, with the fields only the
+	// retired ops read.
+	type legacyRequest struct {
+		Seq        uint64
+		Op         reqOp
+		Collection string
+		ID         string
+		IDs        []string
+		Fields     Fields
+		Batch      []Fields
+	}
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	for i, req := range []legacyRequest{
+		{Op: 2, Collection: "peaks", ID: "a", Fields: Fields{"n": int64(1)}},
+		{Op: 3, Collection: "peaks", IDs: []string{"b", "c"}, Batch: []Fields{{"n": int64(2)}, {"n": int64(3)}}},
+		{Op: 6, Collection: "peaks", ID: "a", Fields: Fields{"n": int64(4)}},
+	} {
+		req.Seq = uint64(i + 1)
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Seq != req.Seq || resp.Err != "docstore: unknown operation" {
+			t.Fatalf("op %d: seq %d, err %q; want seq %d, \"docstore: unknown operation\"", req.Op, resp.Seq, resp.Err, req.Seq)
+		}
+	}
+	if names := srv.store.Names(); len(names) != 0 {
+		t.Fatalf("store holds collections %v after retired ops; want none", names)
+	}
 }
 
 // TestTxnSurvivesMidTxnConnectionDrop routes the client through a proxy
@@ -248,17 +321,17 @@ func TestReSentAddLandsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	id, err := cl.Insert("peaks", "", Fields{"n": 1})
+	id, err := sendInsert(cl, "peaks", "", Fields{"n": 1})
 	if err != nil || id == "" {
 		t.Fatalf("insert: id %q, err %v", id, err)
 	}
-	if again, err := cl.Insert("peaks", id, Fields{"n": 1}); err != nil || again != id {
+	if again, err := sendInsert(cl, "peaks", id, Fields{"n": 1}); err != nil || again != id {
 		t.Fatalf("re-sent insert: id %q, err %v; want %q, nil", again, err, id)
 	}
-	if _, err := cl.Insert("peaks", id, Fields{"n": 2}); !errors.Is(err, ErrConflict) {
+	if _, err := sendInsert(cl, "peaks", id, Fields{"n": 2}); !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflicting insert over the wire: err = %v; want ErrConflict", err)
 	}
-	ids, err := cl.InsertMany("peaks", []Fields{{"n": 1}, {"n": 1}})
+	ids, err := sendInsertMany(cl, "peaks", []Fields{{"n": 1}, {"n": 1}})
 	if err != nil || len(ids) != 2 || ids[0] == ids[1] || ids[0] == id {
 		t.Fatalf("InsertMany ids = %v, err %v; want two new distinct ids", ids, err)
 	}

@@ -20,15 +20,27 @@ func TestThreeTiers(t *testing.T) {
 	if errs := fams["dms_store_rpc_errors_total"].Samples; len(errs) > 0 {
 		t.Errorf("failed store round trips: %+v", errs)
 	}
-	var rpcs float64
+	// The wire carries nine ops and one write among them: ingest, fit and
+	// zoo writes all travel as txn.
+	wireOps := map[string]bool{"ping": true, "get": true, "get_many": true, "find": true,
+		"find_ids": true, "count": true, "sample": true, "create_hash_index": true, "txn": true}
+	var rpcs, txns float64
 	for _, s := range fams["dms_store_rpcs_total"].Samples {
 		if s.Get("op") == "" {
 			t.Errorf("dms_store_rpcs_total sample without an op label: %+v", s)
+		} else if !wireOps[s.Get("op")] {
+			t.Errorf("dms_store_rpcs_total counts op %q, which is not a wire op", s.Get("op"))
+		}
+		if s.Get("op") == "txn" {
+			txns += s.Value
 		}
 		rpcs += s.Value
 	}
 	if rpcs == 0 {
 		t.Error("dms_store_rpcs_total counted no round trips")
+	}
+	if txns == 0 {
+		t.Error(`dms_store_rpcs_total counted no op="txn" round trips`)
 	}
 	wantValue(t, fams, 2, "dms_train_submitted_total")
 	wantValue(t, fams, 2, "dms_train_completed_total")

@@ -162,15 +162,15 @@ func StorageSweep(cfg StorageConfig) (*StorageResult, error) {
 	codecs := map[string]codec.Codec{"blosc": codec.Block{}, "pickle": codec.Gob{}}
 	docIDs := map[string][]string{}
 	for name, c := range codecs {
-		var batch []docstore.Fields
+		var batch []docstore.TxnOp
 		for _, s := range samples {
 			raw, err := c.Encode(s)
 			if err != nil {
 				return nil, fmt.Errorf("encoding for %s: %w", name, err)
 			}
-			batch = append(batch, docstore.Fields{"payload": raw})
+			batch = append(batch, docstore.TxnOp{Kind: docstore.TxnAdd, F: docstore.Fields{"payload": raw}})
 		}
-		ids, err := client.InsertMany("train-"+name, batch)
+		ids, err := client.ApplyTxn("train-"+name, batch)
 		if err != nil {
 			return nil, err
 		}

@@ -33,14 +33,16 @@ import (
 )
 
 // DataStore is the slice of docstore behaviour fairDS needs. Both a local
-// *docstore.Collection and the RemoteCollection adapter satisfy it.
+// *docstore.Collection and the RemoteCollection adapter satisfy it. Its
+// writes are transactions: ApplyTxn, and InsertMany, a transaction of
+// adds under generated IDs.
 type DataStore interface {
+	TxnStore
 	InsertMany(fs []docstore.Fields) ([]string, error)
 	GetMany(ids []string) ([]*docstore.Doc, error)
 	Find(q docstore.Query) ([]*docstore.Doc, error)
 	FindIDs(q docstore.Query) ([]string, error)
 	SampleIDs(q docstore.Query, n int, seed int64) ([]string, error)
-	Update(id string, f docstore.Fields) error
 	CreateHashIndex(field string) error
 	Count() int
 }
@@ -53,9 +55,14 @@ type RemoteCollection struct {
 	Name   string
 }
 
-// InsertMany forwards to the remote collection.
+// InsertMany commits fs to the remote collection as one transaction of
+// adds.
 func (r RemoteCollection) InsertMany(fs []docstore.Fields) ([]string, error) {
-	return r.Client.InsertMany(r.Name, fs)
+	ops := make([]docstore.TxnOp, len(fs))
+	for i, f := range fs {
+		ops[i] = docstore.TxnOp{Kind: docstore.TxnAdd, F: f}
+	}
+	return r.Client.ApplyTxn(r.Name, ops)
 }
 
 // GetMany forwards to the remote collection.
@@ -76,11 +83,6 @@ func (r RemoteCollection) FindIDs(q docstore.Query) ([]string, error) {
 // SampleIDs forwards to the remote collection.
 func (r RemoteCollection) SampleIDs(q docstore.Query, n int, seed int64) ([]string, error) {
 	return r.Client.SampleIDs(r.Name, q, n, seed)
-}
-
-// Update forwards to the remote collection.
-func (r RemoteCollection) Update(id string, f docstore.Fields) error {
-	return r.Client.Update(r.Name, id, f)
 }
 
 // CreateHashIndex forwards to the remote collection.
@@ -241,11 +243,9 @@ func (s *Service) loadIndex(dim int) error {
 	return nil
 }
 
-// TxnStore is an optional DataStore upgrade: a backend that can commit a
-// batch of operations as one all-or-nothing transaction (one WAL commit
-// record when the backing store is durable). Both *docstore.Collection
-// and RemoteCollection implement it. Ingest needs no upgrade: InsertMany
-// is already one such transaction on both.
+// TxnStore is a backend that commits a batch of operations as one
+// all-or-nothing transaction (one WAL commit record when the backing store
+// is durable): every DataStore, and the fit document's sibling collection.
 type TxnStore interface {
 	ApplyTxn(ops []docstore.TxnOp) ([]string, error)
 }
@@ -725,12 +725,13 @@ func (s *Service) Reindex(e embed.Embedder, k int) (int, error) {
 	}
 	assign := km.Predict(embeddings)
 
-	// Pass 2: write back embeddings + cluster assignments.
+	// Pass 2: write back embeddings + cluster assignments, one document
+	// per transaction.
 	for i, id := range ids {
-		err := s.store.Update(id, docstore.Fields{
+		_, err := s.store.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnUpdate, ID: id, F: docstore.Fields{
 			"embedding": embeddings[i],
 			"cluster":   assign[i],
-		})
+		}}})
 		if err != nil {
 			return i, fmt.Errorf("fairds: reindex update %s: %w", id, err)
 		}

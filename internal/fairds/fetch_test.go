@@ -98,7 +98,7 @@ func TestParallelFetchCorruptPayload(t *testing.T) {
 	svc, coll, ids := fetchService(t)
 	bad := []string{ids[40], ids[len(ids)-7]} // in the first and last blocks of any split
 	for _, id := range bad {
-		if err := coll.Update(id, docstore.Fields{"payload": []byte{0xFA, 3}}); err != nil { // a header cut short
+		if _, err := coll.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnUpdate, ID: id, F: docstore.Fields{"payload": []byte{0xFA, 3}}}}); err != nil { // a header cut short
 			t.Fatal(err)
 		}
 	}

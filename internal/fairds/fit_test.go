@@ -182,9 +182,9 @@ func TestNewRefusesMalformedFitDocument(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ds, col := openDurable(t, dir, nil)
-			if _, err := col.Sibling(fitSuffix).Insert(fitDocID, docstore.Fields{
+			if _, err := col.Sibling(fitSuffix).ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnAdd, ID: fitDocID, F: docstore.Fields{
 				"fit": "beef", "k": tc.k, "dim": tc.dim, "centers": make([]float64, tc.centers), "fuzzifier": 2.0, "embedder": "",
-			}); err != nil {
+			}}}); err != nil {
 				t.Fatal(err)
 			}
 			ds.Close()
@@ -285,10 +285,10 @@ func TestBareWrapperKeepsFitInMemory(t *testing.T) {
 func FuzzOpenFitDocument(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k, dim, width int64, centers uint16, embedder string) {
 		col := docstore.NewStore().Collection("peaks")
-		if _, err := col.Sibling(fitSuffix).Insert(fitDocID, docstore.Fields{
+		if _, err := col.Sibling(fitSuffix).ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnAdd, ID: fitDocID, F: docstore.Fields{
 			"fit": "beef", "k": k, "dim": dim, "width": width,
 			"centers": make([]float64, centers), "fuzzifier": 2.0, "embedder": embedder,
-		}); err != nil {
+		}}}); err != nil {
 			t.Fatal(err)
 		}
 		svc, err := New(namedEmbedder{idEmbedder{dim: 8}, "pooled seed=1"}, col, Config{Seed: 1})

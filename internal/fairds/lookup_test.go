@@ -124,7 +124,7 @@ func TestPartialFetchIsOneBatchUntilAMiss(t *testing.T) {
 		t.Fatalf("all present: GetMany batches %v, want one of 10", store.getMany)
 	}
 
-	if err := coll.Delete(ids[3]); err != nil {
+	if _, err := coll.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnDelete, ID: ids[3]}}); err != nil {
 		t.Fatal(err)
 	}
 	asked := slices.Concat(ids[:6], []string{"no-such-doc"}, ids[6:])

@@ -117,9 +117,9 @@ func TestWidthIsKeptWithTheFit(t *testing.T) {
 func legacyFit(t *testing.T) *docstore.Collection {
 	t.Helper()
 	col := docstore.NewStore().Collection("peaks")
-	if _, err := col.Sibling(fitSuffix).Insert(fitDocID, docstore.Fields{
+	if _, err := col.Sibling(fitSuffix).ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnAdd, ID: fitDocID, F: docstore.Fields{
 		"fit": "beef", "k": 2, "dim": 6, "centers": make([]float64, 12), "fuzzifier": 2.0, "embedder": "",
-	}); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 	return col

@@ -138,7 +138,7 @@ func TestLoadRejectsInvalidRecords(t *testing.T) {
 			if err := openZoo(t, col).Add("fine", dummyState(2), stats.PDF{1}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := col.Insert(name, f); err != nil {
+			if _, err := col.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnAdd, ID: name, F: f}}); err != nil {
 				t.Fatal(err)
 			}
 			ds.Close()
@@ -252,7 +252,7 @@ func FuzzOpenZoo(f *testing.F) {
 			if _, ok := fields["seq"]; !ok {
 				docSeq = 0
 			}
-			if _, err := col.Insert(id, fields); err != nil {
+			if _, err := col.ApplyTxn([]docstore.TxnOp{{Kind: docstore.TxnAdd, ID: id, F: fields}}); err != nil {
 				t.Fatal(err)
 			}
 			seqOf[id] = docSeq
