@@ -18,7 +18,6 @@ import (
 // its reason. A name is "pkg.Name" or "pkg.Type.Method", pkg being the
 // directory under internal/.
 var testOnlyKeep = map[string]string{
-	"tensor.FromSlice":    "fixture: other packages' tests build tensors from literals",
 	"tensor.Full":         "fixture: other packages' tests build constant tensors",
 	"tensor.Randn":        "fixture: other packages' tests build random tensors",
 	"tensor.AllClose":     "fixture: other packages' tests compare tensors",

@@ -89,12 +89,14 @@ func (s *Sample) Elems() int {
 // payloadLen is the payload length the shape and dtype imply, Elems() *
 // Dtype.Size(); false if the dtype is unknown, a dimension is negative or
 // the length overflows an int.
-func (s *Sample) payloadLen() (int, bool) {
-	if !s.Dtype.known() {
+func (s *Sample) payloadLen() (int, bool) { return payloadLen(s.Dtype, s.Shape) }
+
+func payloadLen(dtype Dtype, shape []int) (int, bool) {
+	if !dtype.known() {
 		return 0, false
 	}
-	n := s.Dtype.Size()
-	for _, d := range s.Shape {
+	n := dtype.Size()
+	for _, d := range shape {
 		if d < 0 || (d > 0 && n > math.MaxInt/d) {
 			return 0, false
 		}
@@ -536,16 +538,30 @@ func (c Block) Encode(s *Sample) ([]byte, error) {
 // payload, with no copy between. Other frames inflate their blocks, in
 // parallel when there are several (see inflate).
 func (c Block) Decode(b []byte) (*Sample, error) {
-	if len(b) < 3 || b[0] != rawMagic {
-		return nil, fmt.Errorf("codec: block: bad header")
+	s := new(Sample)
+	if err := c.decodeInto(s, b, nil); err != nil {
+		return nil, err
 	}
-	s := &Sample{Dtype: Dtype(b[1])}
+	return s, nil
+}
+
+// decodeInto is Decode into s, with the sample's shape, label and payload
+// from st — sized from b's header by NewBatch — or, for a nil st, newly
+// allocated.
+func (c Block) decodeInto(s *Sample, b []byte, st *part) error {
+	if len(b) < 3 || b[0] != rawMagic {
+		return fmt.Errorf("codec: block: bad header")
+	}
+	s.Dtype = Dtype(b[1])
 	ndim := int(b[2])
 	off := 3
 	if len(b) < off+8*ndim+2 {
-		return nil, fmt.Errorf("codec: block: truncated shape")
+		return fmt.Errorf("codec: block: truncated shape")
 	}
-	if ndim > 0 {
+	switch {
+	case st != nil:
+		s.Shape = st.shape
+	case ndim > 0:
 		s.Shape = make([]int, ndim)
 	}
 	for i := range s.Shape {
@@ -555,9 +571,12 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	nl := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+8*nl {
-		return nil, fmt.Errorf("codec: block: truncated label")
+		return fmt.Errorf("codec: block: truncated label")
 	}
-	if nl > 0 {
+	switch {
+	case st != nil:
+		s.Label = st.label
+	case nl > 0:
 		s.Label = make([]float64, nl)
 	}
 	for i := range s.Label {
@@ -565,7 +584,7 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 		off += 8
 	}
 	if len(b) < off+12 {
-		return nil, fmt.Errorf("codec: block: truncated frame")
+		return fmt.Errorf("codec: block: truncated frame")
 	}
 	// Everything that sizes an allocation is checked against the frame
 	// first: the payload length against shape and dtype, the block count
@@ -575,7 +594,7 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 	// so the payload is about maxDeflateRatio times the frame at most.
 	rawLen, ok := s.payloadLen()
 	if got := binary.LittleEndian.Uint64(b[off:]); !ok || got != uint64(rawLen) {
-		return nil, fmt.Errorf("codec: block: payload length %d does not match shape %v dtype %s", got, s.Shape, s.Dtype)
+		return fmt.Errorf("codec: block: payload length %d does not match shape %v dtype %s", got, s.Shape, s.Dtype)
 	}
 	off += 8
 	bs := c.blockSize()
@@ -584,40 +603,145 @@ func (c Block) Decode(b []byte) (*Sample, error) {
 		nblocks++
 	}
 	if got := binary.LittleEndian.Uint32(b[off:]); uint64(got) != uint64(nblocks) {
-		return nil, fmt.Errorf("codec: block: %d blocks for a %d-byte payload, want %d", got, rawLen, nblocks)
+		return fmt.Errorf("codec: block: %d blocks for a %d-byte payload, want %d", got, rawLen, nblocks)
 	}
 	off += 4
 	if (len(b)-off)/4 < nblocks {
-		return nil, fmt.Errorf("codec: block: truncated block table")
+		return fmt.Errorf("codec: block: truncated block table")
 	}
 	table := b[off : off+4*nblocks]
 	off += 4 * nblocks
 	for i := range nblocks {
 		span := min(bs, rawLen-i*bs)
 		if sz, stored := blockEntry(table, i); stored && sz != span || !stored && sz < span/maxDeflateRatio {
-			return nil, fmt.Errorf("codec: block: block %d carries %d bytes for %d raw", i, sz, span)
+			return fmt.Errorf("codec: block: block %d carries %d bytes for %d raw", i, sz, span)
 		}
 	}
 	body := off
 	for i := range nblocks {
 		sz, _ := blockEntry(table, i)
 		if len(b)-off < sz {
-			return nil, fmt.Errorf("codec: block: truncated block %d", i)
+			return fmt.Errorf("codec: block: truncated block %d", i)
 		}
 		off += sz
 	}
 
 	width := s.Dtype.Size()
-	s.Data = make([]byte, rawLen)
+	if st != nil {
+		s.Data = st.data
+	} else {
+		s.Data = make([]byte, rawLen)
+	}
 	if _, stored := blockEntry(table, 0); nblocks == 1 && stored {
 		unshuffleInto(s.Data, b[body:off], width)
 	} else if err := inflate(s.Data, b[body:off], table, bs, width); err != nil {
-		return nil, fmt.Errorf("codec: block decode: %w", err)
+		return fmt.Errorf("codec: block decode: %w", err)
 	}
-	if err := s.Validate(); err != nil {
+	return s.Validate()
+}
+
+// Batch decodes many Block frames into storage allocated once for all of
+// them: a slab of Samples and one arena each for their shapes, labels and
+// payloads, where Decode allocates all four for every frame. Each slice a
+// sample gets is capped at its own length, so an append to it reallocates
+// rather than reach a neighbour's elements. The samples are the bytes
+// Decode gives, and the errors its errors. A frame whose header does not
+// give its sizes — another codec's, a nil or a damaged one — decodes alone
+// through the codec's Decode.
+type Batch struct {
+	codec  Codec
+	block  Block
+	frames [][]byte
+	parts  []part
+	slab   []Sample
+}
+
+// part is one frame's share of a Batch's arenas; ok is false for a frame
+// that decodes alone.
+type part struct {
+	shape []int
+	label []float64
+	data  []byte
+	ok    bool
+}
+
+// NewBatch sizes the arenas for frames from their headers. Decode then
+// decodes frame i; it may run for different frames at once.
+func NewBatch(c Codec, frames [][]byte) *Batch {
+	b := &Batch{codec: c, frames: frames, parts: make([]part, len(frames))}
+	block, ok := c.(Block)
+	if !ok {
+		return b
+	}
+	b.block = block
+	type size struct{ ndim, nl, n int }
+	sizes := make([]size, len(frames))
+	var ndims, nls, ns int
+	for i, f := range frames {
+		ndim, nl, n, ok := frameSizes(f)
+		if ok {
+			b.parts[i].ok = true
+			sizes[i] = size{ndim, nl, n}
+			ndims, nls, ns = ndims+ndim, nls+nl, ns+n
+		}
+	}
+	b.slab = make([]Sample, len(frames))
+	shapes, labels, data := make([]int, ndims), make([]float64, nls), make([]byte, ns)
+	for i, sz := range sizes {
+		p := &b.parts[i]
+		if !p.ok {
+			continue
+		}
+		if sz.ndim > 0 { // Decode leaves a rank-0 sample's shape nil, and an unlabelled one's label
+			p.shape, shapes = shapes[:sz.ndim:sz.ndim], shapes[sz.ndim:]
+		}
+		if sz.nl > 0 {
+			p.label, labels = labels[:sz.nl:sz.nl], labels[sz.nl:]
+		}
+		p.data, data = data[:sz.n:sz.n], data[sz.n:]
+	}
+	return b
+}
+
+// Decode decodes frame i.
+func (b *Batch) Decode(i int) (*Sample, error) {
+	p := &b.parts[i]
+	if !p.ok {
+		return b.codec.Decode(b.frames[i])
+	}
+	s := &b.slab[i]
+	if err := b.block.decodeInto(s, b.frames[i], p); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// frameSizes reads what a Block frame's header says its sample holds: the
+// rank, the label count and the payload bytes. ok is false for a header
+// that is short, names no valid payload length, or promises more payload
+// than the frame's bytes could inflate to — frames Decode refuses before it
+// allocates.
+func frameSizes(b []byte) (ndim, nl, n int, ok bool) {
+	if len(b) < 3 || b[0] != rawMagic {
+		return 0, 0, 0, false
+	}
+	ndim = int(b[2])
+	off := 3
+	if len(b) < off+8*ndim+2 {
+		return 0, 0, 0, false
+	}
+	var shape [255]int
+	for i := range ndim {
+		shape[i] = int(binary.LittleEndian.Uint64(b[off:]))
+		off += 8
+	}
+	nl = int(binary.LittleEndian.Uint16(b[off:]))
+	off += 2
+	if len(b) < off+8*nl {
+		return 0, 0, 0, false
+	}
+	n, ok = payloadLen(Dtype(b[1]), shape[:ndim])
+	return ndim, nl, n, ok && n/maxDeflateRatio <= len(b)
 }
 
 // blockEntry reads entry i of a frame's block table: the bytes the block

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +125,64 @@ func TestDecodeGarbageFails(t *testing.T) {
 		for _, c := range codecsUnderTest() {
 			if _, err := c.Decode(b); err == nil {
 				t.Fatalf("%s: %s decoded garbage without error", name, c.Name())
+			}
+		}
+	}
+}
+
+// TestBatchMatchesDecode decodes a batch of frames — good ones of every
+// dtype, rank 0 and unlabelled ones, a Raw frame, damaged and missing ones
+// — through one Batch and each alone, and requires the same samples, nil
+// shapes and labels included, and the same errors. Every slice a sample
+// gets from a Block batch's arenas is capped, so appending to one leaves
+// its neighbour alone.
+func TestBatchMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var frames [][]byte
+	add := func(c Codec, s *Sample) {
+		enc, err := c.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, enc)
+	}
+	for _, dt := range []Dtype{U8, U16, F32, F64} {
+		add(Block{}, randomSample(rng, dt, []int{15, 15}))
+		add(Block{}, randomSample(rng, dt, []int{200, 100})) // two blocks
+	}
+	add(Block{}, &Sample{Dtype: F32, Data: make([]byte, 4)})                 // rank 0
+	add(Block{}, &Sample{Shape: []int{2, 0}, Dtype: U16, Data: []byte{}})    // no payload
+	add(Block{}, &Sample{Shape: []int{3}, Dtype: U8, Data: []byte{1, 2, 3}}) // unlabelled
+	add(Raw{}, randomSample(rng, U16, []int{4, 4}))                          // Raw's header, then no block table
+	truncated := slices.Clone(frames[3])
+	frames = append(frames, truncated[:len(truncated)/2], nil, []byte{1, 2, 3})
+	for _, c := range []Codec{Block{}, Raw{}, Gob{}} {
+		batch := NewBatch(c, frames)
+		var decoded []*Sample
+		for i, f := range frames {
+			want, wantErr := c.Decode(f)
+			got, err := batch.Decode(i)
+			if !sameResult(got, err, want, wantErr) || err == nil && ((got.Shape == nil) != (want.Shape == nil) || (got.Label == nil) != (want.Label == nil)) {
+				t.Fatalf("%s frame %d: Batch gives %+v, %v; Decode %+v, %v", c.Name(), i, got, err, want, wantErr)
+			}
+			if err == nil {
+				decoded = append(decoded, got)
+			}
+		}
+		if _, ok := c.(Block); !ok {
+			continue // the other codecs' frames decode alone
+		}
+		for i, s := range decoded {
+			if cap(s.Data) != len(s.Data) || cap(s.Shape) != len(s.Shape) || cap(s.Label) != len(s.Label) {
+				t.Fatalf("%s sample %d: a slice is not capped at its length", c.Name(), i)
+			}
+		}
+		if len(decoded) > 1 {
+			next := slices.Clone(decoded[1].Data)
+			decoded[0].Data = append(decoded[0].Data, 0xEE)
+			decoded[0].Shape = append(decoded[0].Shape, 7)
+			if !bytes.Equal(decoded[1].Data, next) {
+				t.Fatalf("%s: an append to one sample's payload wrote into the next one's", c.Name())
 			}
 		}
 	}

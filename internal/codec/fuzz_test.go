@@ -12,7 +12,7 @@ import (
 )
 
 // FuzzBlockDecode feeds arbitrary frames to the Block, Raw and Gob
-// decoders (seed corpus in testdata/fuzz/FuzzBlockDecode: frames with a
+// decoders, alone and through a Batch, which must agree (seed corpus in testdata/fuzz/FuzzBlockDecode: frames with a
 // label count past the end, more blocks than the payload needs, a payload
 // length with bit 63 set, an unknown dtype, an 89-byte frame that claims
 // a 1 MiB payload, and gob streams with dtype 9 and with one value for a
@@ -44,6 +44,9 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range []Codec{Block{}, Raw{}, Gob{}} {
 			s, err := c.Decode(data)
+			if got, gotErr := NewBatch(c, [][]byte{data}).Decode(0); !sameResult(got, gotErr, s, err) {
+				t.Fatalf("%s: a Batch decodes the frame to %+v, %v; Decode to %+v, %v", c.Name(), got, gotErr, s, err)
+			}
 			if err != nil {
 				continue
 			}
@@ -68,6 +71,15 @@ func FuzzBlockDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameResult reports whether two decodes agree: the same error text, or no
+// error and the same sample.
+func sameResult(a *Sample, aErr error, b *Sample, bErr error) bool {
+	if aErr != nil || bErr != nil {
+		return aErr != nil && bErr != nil && aErr.Error() == bErr.Error()
+	}
+	return sameSample(a, b)
 }
 
 // sameSample compares two samples bit for bit (a NaN label equals itself).

@@ -782,11 +782,19 @@ func (s *Service) IndexStats() IndexStats {
 const fetchForkDocs = 64
 
 // decodeDocs decodes docs[i] into out[i], or its error into errs[i], a nil
-// document into neither. A fetch of more than fetchForkDocs documents is
-// split into contiguous blocks across goroutines (tensor.ParallelWork);
-// each document decodes alone, so the result does not depend on the split.
+// document into neither. The samples share storage allocated once for the
+// fetch (codec.Batch). A fetch of more than fetchForkDocs documents is split
+// into contiguous blocks across goroutines (tensor.ParallelWork); each
+// document decodes alone, so the result does not depend on the split.
 func (s *Service) decodeDocs(docs []*docstore.Doc) (out []*codec.Sample, errs []error) {
 	out, errs = make([]*codec.Sample, len(docs)), make([]error, len(docs))
+	frames := make([][]byte, len(docs))
+	for i, d := range docs {
+		if d != nil {
+			frames[i], _ = d.F["payload"].([]byte)
+		}
+	}
+	batch := codec.NewBatch(s.cfg.Codec, frames)
 	work := 0
 	if len(docs) > fetchForkDocs {
 		work = tensor.ForkWork
@@ -794,7 +802,7 @@ func (s *Service) decodeDocs(docs []*docstore.Doc) (out []*codec.Sample, errs []
 	tensor.ParallelWork(len(docs), work, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if docs[i] != nil {
-				out[i], errs[i] = s.decodeDoc(docs[i])
+				out[i], errs[i] = decodeDoc(batch, i, docs[i])
 			}
 		}
 	})
@@ -813,13 +821,12 @@ func (s *Service) decodeEach(docs []*docstore.Doc) ([]*codec.Sample, error) {
 	return out, nil
 }
 
-// decodeDoc decodes the payload field of a stored document.
-func (s *Service) decodeDoc(d *docstore.Doc) (*codec.Sample, error) {
-	raw, ok := d.F["payload"].([]byte)
-	if !ok {
+// decodeDoc decodes the payload field of stored document d, frame i of batch.
+func decodeDoc(batch *codec.Batch, i int, d *docstore.Doc) (*codec.Sample, error) {
+	if _, ok := d.F["payload"].([]byte); !ok {
 		return nil, fmt.Errorf("fairds: doc %s has no []byte payload", d.ID)
 	}
-	smp, err := s.cfg.Codec.Decode(raw)
+	smp, err := batch.Decode(i)
 	if err != nil {
 		return nil, fmt.Errorf("fairds: decoding doc %s: %w", d.ID, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fairdms/internal/datagen"
@@ -76,6 +77,25 @@ func BenchmarkFineTune(b *testing.B) {
 	}
 }
 
+// BenchmarkFineTuneTwoAtOnce is two of BenchmarkFineTune's fine-tunes on
+// two goroutines at once, as a trainer with two workers runs two jobs.
+func BenchmarkFineTuneTwoAtOnce(b *testing.B) {
+	j := newFineTuneJob(b, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				j.run(b, 16)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestFineTuneWeightsArePinned holds a 3-epoch fine-tune's final weights
 // to bytes recorded from the scalar Go loops, at batches of one block (7),
 // two even blocks (16) and uneven ones (33). A kernel that gives other bits
@@ -105,16 +125,17 @@ func TestFineTuneWeightsArePinned(t *testing.T) {
 // TestFitIsWorkerCountIndependent pins the determinism contract of a fit:
 // how a step is cut into blocks is a function of the batch size and the
 // model, never of the worker count, so the final weights are the same bytes
-// at GOMAXPROCS 1, 2 and 8 and from one run to the next. BraggNN's dropout
-// is on. The batch sizes cover one block (1, and 7 with its short batch of
-// 4), two even blocks (16, and its short batch of 10 as two of 5) and
-// uneven ones (33 as 6+7+6+7+7, its short batch of 14 as two of 7).
+// at GOMAXPROCS 1, 2, 3 and 8 and from one run to the next. BraggNN's
+// dropout is on. The batch sizes cover one block (1, and 7 with its short
+// batch of 4), two even blocks (16, and its short batch of 10 as two of 5)
+// and uneven ones (33 as 6+7+6+7+7, its short batch of 14 as two of 7). At
+// GOMAXPROCS 3 a fit's team has three members for batch 33's five blocks.
 func TestFitIsWorkerCountIndependent(t *testing.T) {
 	j := newFineTuneJob(t, 2) // two epochs hold the short batches and an eval after a trained epoch; -race runs this ten times
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, batch := range []int{1, 7, 16, 33} {
 		var want []byte
-		for _, procs := range []int{1, 2, 8, 1} {
+		for _, procs := range []int{1, 2, 3, 8, 1} {
 			runtime.GOMAXPROCS(procs)
 			got := j.run(t, batch)
 			if want == nil {

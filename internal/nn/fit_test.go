@@ -97,3 +97,29 @@ func TestFitMatchesSerialOracle(t *testing.T) {
 		})
 	}
 }
+
+// TestSplitParamsCoversEveryElementOnce checks the update's ranges: for any
+// member count, every element of every parameter lands in exactly one.
+func TestSplitParamsCoversEveryElementOnce(t *testing.T) {
+	params := braggLikeNet(rand.New(rand.NewSource(66))).Params()
+	for k := 1; k <= 5; k++ {
+		seen := make([][]int, len(params))
+		for i, p := range params {
+			seen[i] = make([]int, p.Value.Len())
+		}
+		for _, r := range splitParams(params, k) {
+			for _, sh := range r {
+				for j := sh.lo; j < sh.hi; j++ {
+					seen[sh.param][j]++
+				}
+			}
+		}
+		for i, counts := range seen {
+			for j, n := range counts {
+				if n != 1 {
+					t.Fatalf("k=%d: element %d of %s is in %d ranges", k, j, params[i].Name, n)
+				}
+			}
+		}
+	}
+}

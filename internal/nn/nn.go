@@ -168,7 +168,7 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i := range slots {
 		slots[i] = tensor.Borrow(0, 0)
 	}
-	out := m.forwardEval(x, slots)
+	out := m.forwardEval(x, slots, nil)
 	for _, s := range slots {
 		tensor.Release(s)
 	}
@@ -183,19 +183,26 @@ func (m *Model) evalSlots() []*tensor.Tensor {
 // forwardEval is the eval-mode pass with the output of layer i, for every
 // layer but the last, in slots[i], re-shaped as that layer needs (a nil
 // slot is allocated). The slots are pooled for one Model.Forward, or kept
-// by Fit for all of its validation passes. The result is the last layer's
-// caller-owned one, never a slot.
-func (m *Model) forwardEval(x *tensor.Tensor, slots []*tensor.Tensor) *tensor.Tensor {
+// by Fit for all of its validation passes. The last layer's output goes to
+// *last the same way, copied there if that layer passes its input through;
+// with last nil it is the layer's caller-owned result, never a slot.
+func (m *Model) forwardEval(x *tensor.Tensor, slots []*tensor.Tensor, last **tensor.Tensor) *tensor.Tensor {
 	if len(m.layers) == 0 {
 		return x
 	}
-	in, last := x, len(m.layers)-1
-	for i, l := range m.layers[:last] {
+	in, end := x, len(m.layers)-1
+	for i, l := range m.layers[:end] {
 		x = l.forward(x, false, &slots[i])
 	}
-	out := m.layers[last].forward(x, false, nil)
-	if out == x && x != in {
-		out = x.Clone() // passed through: x is a slot
+	out := m.layers[end].forward(x, false, last)
+	switch {
+	case out != x:
+	case last != nil: // passed through
+		*last = tensor.Reuse2D(*last, x.Dim(0), x.Dim(1))
+		copy((*last).Data(), x.Data())
+		out = *last
+	case x != in: // passed through, and x is a slot
+		out = x.Clone()
 	}
 	return out
 }

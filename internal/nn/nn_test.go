@@ -339,22 +339,6 @@ func TestEMAUpdate(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	model := Sequential(NewLinear(rng, 2, 2))
-	g := model.Params()[0].Grad.Data()
-	for i := range g {
-		g[i] = 10
-	}
-	pre := ClipGradNorm(model, 1.0)
-	if pre <= 1 {
-		t.Fatalf("pre-clip norm = %g, expected > 1", pre)
-	}
-	if post := GradNorm(model); math.Abs(post-1) > 1e-9 {
-		t.Fatalf("post-clip norm = %g, want 1", post)
-	}
-}
-
 func TestGatherRows(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
 	b := Gather(x, []int{2, 0})

@@ -43,16 +43,32 @@ func NewAdamFull(params []*Param, lr, beta1, beta2, eps, weightDecay float64) *A
 // the same bits, the update differs by a few ulps of its own size. The
 // element update is simd.Adam.
 func (a *Adam) Step() {
+	u := a.next()
+	for i, p := range a.params {
+		a.apply(u, i, 0, p.Value.Len())
+	}
+}
+
+// adamStep is one step's bias corrections, lr/c1 and 1/c2.
+type adamStep struct{ lrc1, ic2 float64 }
+
+// next counts a step and returns its bias corrections, which apply then
+// uses on every element of the step.
+func (a *Adam) next() adamStep {
 	a.step++
 	c1 := 1 - math.Pow(a.beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.beta2, float64(a.step))
-	lrc1, ic2 := a.lr/c1, 1/c2
-	eps, decay := a.eps, a.decay
+	return adamStep{lrc1: a.lr / c1, ic2: 1 / c2}
+}
+
+// apply runs step u's update over elements [lo, hi) of parameter i. The
+// update is per element, so how a parameter is cut into ranges does not
+// change its bits, and ranges may run at once on different goroutines.
+func (a *Adam) apply(u adamStep, i, lo, hi int) {
+	p := a.params[i]
 	b1, b2 := a.beta1, a.beta2
-	nb1, nb2 := 1-b1, 1-b2
-	for i, p := range a.params {
-		simd.Adam(p.Value.Data(), a.m[i].Data(), a.v[i].Data(), p.Grad.Data(), decay, b1, nb1, b2, nb2, lrc1, ic2, eps)
-	}
+	simd.Adam(p.Value.Data()[lo:hi], a.m[i].Data()[lo:hi], a.v[i].Data()[lo:hi], p.Grad.Data()[lo:hi],
+		a.decay, b1, 1-b1, b2, 1-b2, u.lrc1, u.ic2, a.eps)
 }
 
 // ZeroGrad clears all parameter gradients.

@@ -5,9 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
-
-	"fairdms/internal/tensor"
 )
 
 // StateDict is a snapshot of model parameters, keyed by position so that two
@@ -107,27 +104,4 @@ func EMAUpdate(dst, src *Model, tau float64) error {
 		}
 	}
 	return nil
-}
-
-// GradNorm returns the global L2 norm of all parameter gradients, useful for
-// debugging training and for gradient clipping.
-func GradNorm(m *Model) float64 {
-	s := 0.0
-	for _, p := range m.Params() {
-		s += tensor.Dot(p.Grad, p.Grad)
-	}
-	return math.Sqrt(s)
-}
-
-// ClipGradNorm scales gradients so their global norm is at most maxNorm and
-// returns the pre-clip norm.
-func ClipGradNorm(m *Model, maxNorm float64) float64 {
-	n := GradNorm(m)
-	if n > maxNorm && n > 0 {
-		scale := maxNorm / n
-		for _, p := range m.Params() {
-			tensor.ScaleInPlace(p.Grad, scale)
-		}
-	}
-	return n
 }

@@ -106,16 +106,6 @@ func (t *Tensor) Max() (float64, int) {
 	return best, at
 }
 
-// Dot returns the inner product of two equal-shape tensors.
-func Dot(a, b *Tensor) float64 {
-	binaryCheck("Dot", a, b)
-	s := 0.0
-	for i := range a.data {
-		s += float64(a.data[i] * b.data[i])
-	}
-	return s
-}
-
 // MatMul returns the matrix product of two 2-D tensors, a (m×k) by b (k×n).
 func MatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {

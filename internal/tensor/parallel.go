@@ -11,10 +11,13 @@ import (
 // be stolen by an idle P, so a product of a couple of hundred microseconds
 // runs as fast on the caller. A 64-row batch through the embedder's 225×64
 // first layer (0.9 M) forks; no single product of a BraggNN training step
-// at batch ≤ 32 does (the largest is 32×200×64 = 0.4 M). nn.Fit forks such
-// a step whole instead, as blocks of 8 samples, once the step's work
-// (≈ 93 k multiply-adds a sample for BraggNN on 15×15 patches) reaches
-// ForkWork.
+// at batch ≤ 32 does (the largest is 32×200×64 = 0.4 M). nn.Fit does not
+// fork at all: once a step's work (≈ 93 k multiply-adds a sample for
+// BraggNN on 15×15 patches) reaches ForkWork, it cuts the step into blocks
+// of 8 samples and runs them on a team of goroutines that lives for the
+// whole fit, its validation passes cut into chunks small enough that no
+// product in them forks. ParallelWork stays for one-shot work such as a
+// serving batch, which has no loop to spread a team's start-up over.
 const ForkWork = 1 << 19
 
 // minParallelRows is the row count from which ParallelFor fans out.

@@ -307,25 +307,6 @@ func TestQuickAddCommutative(t *testing.T) {
 	}
 }
 
-// Property: Dot(a,a) >= 0.
-func TestQuickDotPositiveSemidefinite(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, v := range xs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true // skip pathological float inputs
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		a := FromSlice(append([]float64(nil), xs...), len(xs))
-		return Dot(a, a) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: (A·B)ᵀ = Bᵀ·Aᵀ for random small matrices.
 func TestQuickMatMulTransposeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
