@@ -79,13 +79,20 @@ func (c *Conv2d) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tens
 		}
 		return out
 	}
-	tensor.ParallelWork(n, n*c.OutC*colLen, func(lo, hi int) {
+	tensor.ParallelWork(n, n*c.rowForkWork(), func(lo, hi int) {
 		col := make([]float64, colLen)
 		for i := lo; i < hi; i++ {
 			c.forwardSample(x.Row(i), col, out.Row(i))
 		}
 	})
 	return out
+}
+
+// rowForkWork is a sample's multiply-adds in forward, which the eval-mode
+// sample loop forks by (see forking).
+func (c *Conv2d) rowForkWork() int {
+	rows, cols := c.colShape()
+	return c.OutC * rows * cols
 }
 
 // forwardSample unrolls one image into col and writes its output row: each
@@ -345,13 +352,17 @@ func (p *MaxPool2d) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *t
 		}
 		return out
 	}
-	tensor.ParallelWork(n, n*in, func(lo, hi int) {
+	tensor.ParallelWork(n, n*p.rowForkWork(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			simd.MaxPool(out.Row(i), nil, x.Row(i), p.corners, p.window)
 		}
 	})
 	return out
 }
+
+// rowForkWork is a sample's input elements, which the eval-mode sample loop
+// forks by (see forking).
+func (p *MaxPool2d) rowForkWork() int { return p.C * p.H * p.W }
 
 // Backward routes each gradient to the position that produced the max.
 func (p *MaxPool2d) Backward(grad *tensor.Tensor) *tensor.Tensor {

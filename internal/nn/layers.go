@@ -53,6 +53,10 @@ func (l *Linear) forward(x *tensor.Tensor, train bool, ws **tensor.Tensor) *tens
 	return out
 }
 
+// rowForkWork is a row's multiply-adds in forward: the product forks by its
+// m·k·n, rows·In·Out (see forking).
+func (l *Linear) rowForkWork() int { return l.In * l.Out }
+
 // Backward accumulates dW = xᵀ·g, db = Σg and returns dX = g·Wᵀ.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor { return l.backward(grad, true) }
 

@@ -120,12 +120,21 @@ type Layer interface {
 	replica() Layer
 }
 
-// weighted is a layer with parameters. Its backward with needInput false
-// accumulates the parameter gradients, computes no input gradient and
-// returns nil; Backward is backward with needInput true.
+// weighted is a layer with parameters, whose forward is a product that
+// forks by its work. Its backward with needInput false accumulates the
+// parameter gradients, computes no input gradient and returns nil; Backward
+// is backward with needInput true.
 type weighted interface {
-	Layer
+	forking
 	backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor
+}
+
+// forking is a layer whose eval-mode forward forks across rows once the
+// batch's work, rowForkWork per row, reaches tensor.ForkWork. Fit sizes its
+// validation chunks, and its training blocks, from it.
+type forking interface {
+	Layer
+	rowForkWork() int
 }
 
 // Model is a sequential stack of layers.

@@ -148,10 +148,14 @@ func (t *team) help(p *parker) {
 			seq, _, _ := unpackClaim(t.claim.Load())
 			return seq != seen
 		})
+		// Read the phase before exit: close stores exit before its own
+		// phase number, so a helper that sees that number also sees exit.
+		// The other order could read exit false for an earlier phase, then
+		// close's number, and wait for a phase that never comes.
+		seen, _, _ = unpackClaim(t.claim.Load())
 		if t.exit.Load() {
 			return
 		}
-		seen, _, _ = unpackClaim(t.claim.Load())
 		t.work()
 	}
 }

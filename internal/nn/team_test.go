@@ -117,7 +117,9 @@ func TestFitLeavesNoHelpers(t *testing.T) {
 // TestFitValidationMatchesEvaluate holds the validation pass, which the team
 // cuts into chunks of rows, to the whole-batch eval-mode pass: the last
 // epoch's validation loss is Evaluate's on the trained model, to the bit.
+// A team of one keeps the pass whole, so this runs at GOMAXPROCS 2 and up.
 func TestFitValidationMatchesEvaluate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	rng := rand.New(rand.NewSource(64))
 	model := braggLikeNet(rng)
 	x := tensor.Randn(rng, 1, 48, 225)

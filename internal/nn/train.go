@@ -94,15 +94,15 @@ func GatherInto(dst, x *tensor.Tensor, rows []int) *tensor.Tensor {
 // every parameter per member, over which a member adds the replicas'
 // gradients into the model's in block order and runs Adam; then, once an
 // epoch, the validation rows, in chunks small enough that no product in
-// them forks, whose loss the caller computes over the whole output in row
-// order. How a batch is cut depends only on its size and the model's
-// shapes, and every element gets the same operations in the same order
-// whichever member runs it, so the weights after a fit are the same bytes
-// at any GOMAXPROCS. A Dropout draws from its own generator in block 0 and,
-// in every other block, from a generator the block seeds from a seed the
-// caller drew from that one, in block order, before the step. A panic in
-// any member is raised on the caller once the phase it happened in is
-// over, and no helper outlives the call.
+// them forks (whole, for a caller without helpers), whose loss the caller
+// computes over the whole output in row order. How a batch is cut depends
+// only on its size and the model's shapes, and every element gets the same
+// operations in the same order whichever member runs it, so the weights
+// after a fit are the same bytes at any GOMAXPROCS. A Dropout draws from
+// its own generator in block 0 and, in every other block, from a generator
+// the block seeds from a seed the caller drew from that one, in block
+// order, before the step. A panic in any member is raised on the caller
+// once the phase it happened in is over, and no helper outlives the call.
 func Fit(model *Model, opt *Adam, x, y, valX, valY *tensor.Tensor, cfg TrainConfig) *TrainResult {
 	if cfg.Loss == nil {
 		cfg.Loss = MSE
@@ -309,12 +309,8 @@ func splitParams(params []*Param, k int) [][]share {
 func rowWork(m *Model) int {
 	w := 0
 	for _, l := range m.layers {
-		switch l := l.(type) {
-		case *Linear:
-			w += l.In * l.Out
-		case *Conv2d:
-			rows, cols := l.colShape()
-			w += l.OutC * rows * cols
+		if l, ok := l.(weighted); ok {
+			w += l.rowForkWork()
 		}
 	}
 	return 3 * w
@@ -406,42 +402,32 @@ func (b *block) train(x, y *tensor.Tensor, rows []int, share float64, loss LossF
 }
 
 // evalRows is the most rows an eval-mode pass of m takes without any layer
-// forking: a Linear's product forks from tensor.ForkWork multiply-adds up,
-// and the sample loops of a Conv2d and a MaxPool2d from ForkWork of their
-// multiply-adds and input elements, all proportional to the rows. It is 0
-// for a model whose Dropout draws at inference time (Monte-Carlo mode):
-// that pass is not cut, so its draws keep their order.
+// forking (see forking). It is 0 for a model whose Dropout draws at
+// inference time (Monte-Carlo mode): that pass is not cut, so its draws keep
+// their order.
 func evalRows(m *Model) int {
 	rows := math.MaxInt
 	for _, l := range m.layers {
-		per := 0
 		switch l := l.(type) {
-		case *Linear:
-			per = l.In * l.Out
-		case *Conv2d:
-			r, c := l.colShape()
-			per = l.OutC * r * c
-		case *MaxPool2d:
-			per = l.C * l.H * l.W
+		case forking:
+			rows = min(rows, max(1, (tensor.ForkWork-1)/l.rowForkWork()))
 		case *Dropout:
 			if l.MC && l.P > 0 {
 				return 0
 			}
-		}
-		if per > 0 {
-			rows = min(rows, max(1, (tensor.ForkWork-1)/per))
 		}
 	}
 	return rows
 }
 
 // cutRows cuts x's rows into contiguous, near-equal chunks of at most
-// perChunk rows, and into at least members of them while x has the rows;
-// perChunk 0 leaves x whole.
+// perChunk rows, and into at least members of them while x has the rows.
+// perChunk 0 leaves x whole, and so does a team of one member, which would
+// run the chunks one after another anyway.
 func cutRows(x *tensor.Tensor, perChunk, members int) []chunk {
 	n := x.Dim(0)
 	k := 1
-	if perChunk > 0 && n > 0 {
+	if perChunk > 0 && members > 1 && n > 0 {
 		k = max(min(n, members), (n-1)/perChunk+1)
 	}
 	if k == 1 {
